@@ -15,6 +15,8 @@ bordering that edge, equidistant from the connection point.
 from __future__ import annotations
 
 import math
+import weakref
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -58,13 +60,8 @@ class NetLayout:
         return len(self.polygons)
 
     def mean_edge_length(self) -> float:
-        total = 0.0
-        count = 0
-        for poly in self.polygons:
-            shifted = np.roll(poly, -1, axis=0)
-            total += float(np.linalg.norm(shifted - poly, axis=1).sum())
-            count += poly.shape[0]
-        return total / count
+        points, ends, _ = _stack(self.polygons)
+        return float(np.linalg.norm(ends - points, axis=1).mean())
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +106,34 @@ def _local_coords(spec: PolyhedronSpec, face: int) -> np.ndarray:
     return np.column_stack((rel @ x_axis, rel @ y_axis))
 
 
+def _stack(polygons: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every polygon edge: start points stacked in order, end points, and the polygon sizes."""
+    counts = np.array([len(p) for p in polygons])
+    points = np.concatenate(polygons)
+    successor = np.arange(1, len(points) + 1)
+    successor[np.cumsum(counts) - 1] = _runs(counts)
+    return points, points[successor], counts
+
+
+# PolyhedronSpec compares by identity, so each spec object keeps its own frames.
+_FRAMES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _frames(spec: PolyhedronSpec) -> tuple:
+    """Face 2D coordinates, edge-face table, hinge tolerance and 3D face-edge
+    lengths: what `unfold` needs of a shell whatever the cut, made once per spec."""
+    frames = _FRAMES.get(spec)
+    if frames is None:
+        table = edge_face_table(spec)
+        vertices = spec.vertices
+        scale = float(np.mean([np.linalg.norm(vertices[u] - vertices[v]) for u, v in table]))
+        points, ends, _ = _stack([vertices[list(f)] for f in spec.faces])
+        coords = tuple(_local_coords(spec, f) for f in range(spec.n_faces))
+        lengths = np.linalg.norm(ends - points, axis=1)
+        frames = _FRAMES[spec] = (coords, table, RELATIVE_TOL * scale, lengths)
+    return frames
+
+
 def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] = None) -> NetLayout:
     """Unfold a shell along a cut into a planar net.
 
@@ -118,8 +143,8 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
     rigid motion matching the shared edge.
     """
     spec.require_geometry()
+    local_coords, table, tol, edge_lengths = _frames(spec)
     cut_edges = {canon_edge(u, v) for u, v in cut}
-    table = edge_face_table(spec)
     unknown = cut_edges - set(table)
     if unknown:
         raise ValidationError(f"cut edges not on the shell: {sorted(unknown)}")
@@ -145,22 +170,18 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
         raise ValidationError(f"root face {root} out of range")
 
     placed: list[Optional[np.ndarray]] = [None] * n_faces
-    placed[root] = _local_coords(spec, root)
+    placed[root] = local_coords[root].copy()
     hinges: list[tuple[int, int, Edge]] = []
-    queue = [root]
-    scale = float(np.mean([
-        np.linalg.norm(spec.vertices[u] - spec.vertices[v]) for u, v in table
-    ]))
-    tol = RELATIVE_TOL * scale
+    queue = deque([root])
     while queue:
-        parent = queue.pop(0)
+        parent = queue.popleft()
         parent_face = spec.faces[parent]
         parent_poly = placed[parent]
         for child, edge in sorted(hinge_links[parent], key=lambda it: it[0]):
             if placed[child] is not None:
                 continue
             child_face = spec.faces[child]
-            local = _local_coords(spec, child)
+            local = local_coords[child]
             u, v = edge
             pu = parent_poly[parent_face.index(u)]
             pv = parent_poly[parent_face.index(v)]
@@ -182,34 +203,27 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
         raise ValidationError(f"hinge tree does not reach faces {missing}")
 
     polygons = tuple(placed)  # type: ignore[arg-type]
-    _assert_isometric(spec, polygons, tol)
+    _check_isometric(polygons, edge_lengths, tol)
     markers = _markers(spec, cut_edges, table, polygons, tol)
-    return NetLayout(
-        spec=spec,
-        cut=tuple(sorted(cut_edges)),
-        root_face=root,
-        polygons=polygons,
-        hinges=tuple(hinges),
-        markers=markers,
-    )
+    return NetLayout(spec=spec, cut=tuple(sorted(cut_edges)), root_face=root, polygons=polygons,
+                     hinges=tuple(hinges), markers=markers)
 
 
-def _assert_isometric(spec: PolyhedronSpec, polygons: Sequence[np.ndarray], tol: float) -> None:
-    for f, poly in enumerate(polygons):
-        face = spec.faces[f]
-        pts3 = spec.vertices[list(face)]
-        for k in range(len(face)):
-            l3 = float(np.linalg.norm(pts3[(k + 1) % len(face)] - pts3[k]))
-            l2 = float(np.linalg.norm(poly[(k + 1) % len(face)] - poly[k]))
-            assert abs(l3 - l2) <= tol + RELATIVE_TOL * l3, (
-                f"face {f} edge {k} length {l2} differs from shell length {l3}"
-            )
+def _check_isometric(polygons: Sequence[np.ndarray], lengths: np.ndarray, tol: float) -> None:
+    points, ends, counts = _stack(polygons)
+    placed = np.linalg.norm(ends - points, axis=1)
+    bad = np.flatnonzero(np.abs(lengths - placed) > tol + RELATIVE_TOL * lengths)
+    if bad.size:
+        k = int(bad[0])
+        f = int(np.searchsorted(np.cumsum(counts), k, side="right"))
+        raise ValidationError(f"face {f} edge {k - _runs(counts)[f]} length {placed[k]} "
+                              f"differs from shell length {lengths[k]}")
 
 
 def _markers(
     spec: PolyhedronSpec,
     cut_edges: set[Edge],
-    table: dict[Edge, tuple[int, ...]],
+    table: dict[Edge, list[int]],
     polygons: Sequence[np.ndarray],
     tol: float,
 ) -> tuple[Marker, ...]:
@@ -223,23 +237,20 @@ def _markers(
             if degree[leaf] != 1:
                 continue
             faces = table[edge]
-            assert len(faces) == 2, "a leaf's cut edge always borders two faces"
+            if len(faces) != 2:
+                raise ValidationError(f"cut edge {edge} of leaf {leaf} borders {len(faces)} faces")
             a, b = sorted(faces)
             pa = polygons[a][spec.faces[a].index(leaf)]
             pb = polygons[b][spec.faces[b].index(leaf)]
-            assert float(np.linalg.norm(pa - pb)) <= tol, (
-                f"leaf {leaf} does not place coincidently: {pa} vs {pb}"
-            )
+            if float(np.linalg.norm(pa - pb)) > tol:
+                raise ValidationError(f"leaf {leaf} does not place coincidently: {pa} vs {pb}")
             qa = polygons[a][spec.faces[a].index(far)]
             qb = polygons[b][spec.faces[b].index(far)]
             markers.append(Marker(
                 vertex=leaf,
                 far_vertex=far,
                 point=(float(pa[0]), float(pa[1])),
-                far_points=(
-                    (float(qa[0]), float(qa[1])),
-                    (float(qb[0]), float(qb[1])),
-                ),
+                far_points=((float(qa[0]), float(qa[1])), (float(qb[0]), float(qb[1]))),
             ))
     return tuple(markers)
 
@@ -279,13 +290,11 @@ def centroid_and_rg(layout: NetLayout) -> tuple[tuple[float, float], float]:
     layout the overlap is counted with multiplicity, which is irrelevant
     because overlapping nets are discarded by selection.
     """
-    area = 0.0
-    sx = 0.0
-    sy = 0.0
-    polar = 0.0
+    area = sx = sy = polar = 0.0
     for poly in layout.polygons:
         a, mx, my, ip = _polygon_integrals(poly)
-        assert a > 0.0, "outward-oriented faces must stay counter-clockwise"
+        if not a > 0.0:
+            raise ValidationError("outward-oriented faces must stay counter-clockwise")
         area += a
         sx += mx
         sy += my
@@ -298,42 +307,20 @@ def centroid_and_rg(layout: NetLayout) -> tuple[tuple[float, float], float]:
     return (cx, cy), math.sqrt(max(rg_sq, 0.0))
 
 
-def _proper_crossing(p1, p2, q1, q2, tol: float) -> bool:
-    """Do open segments (p1,p2) and (q1,q2) cross transversally?"""
-    d1 = p2 - p1
-    d2 = q2 - q1
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(denom) <= tol * tol:
-        return False
-    r = q1 - p1
-    t = (r[0] * d2[1] - r[1] * d2[0]) / denom
-    s = (r[0] * d1[1] - r[1] * d1[0]) / denom
-    eps = tol / max(float(np.linalg.norm(d1)), float(np.linalg.norm(d2)))
-    return eps < t < 1.0 - eps and eps < s < 1.0 - eps
+def _runs(sizes: np.ndarray) -> np.ndarray:
+    """Start offsets of consecutive runs of the given sizes."""
+    return np.cumsum(sizes) - sizes
 
 
-def _strictly_inside(point: np.ndarray, poly: np.ndarray, tol: float) -> bool:
-    """Is the point inside the polygon and farther than tol from its boundary?"""
-    x, y = float(point[0]), float(point[1])
-    n = poly.shape[0]
-    inside = False
-    for k in range(n):
-        ax, ay = poly[k]
-        bx, by = poly[(k + 1) % n]
-        # distance to the segment first: boundary contact is not "inside"
-        dx, dy = bx - ax, by - ay
-        ll = dx * dx + dy * dy
-        t = 0.0 if ll == 0.0 else max(0.0, min(1.0, ((x - ax) * dx + (y - ay) * dy) / ll))
-        px, py = ax + t * dx, ay + t * dy
-        if (x - px) ** 2 + (y - py) ** 2 <= tol * tol:
-            return False
-        if (ay > y) != (by > y):
-            xs = ax + (y - ay) * dx / dy
-            if x < xs:
-                inside = not inside
-    return inside
+def _product(n_left: np.ndarray, n_right: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(m, a, b) for every a < n_left[m] and b < n_right[m], by m, then row-major."""
+    sizes = n_left * n_right
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    k = np.arange(len(group)) - np.repeat(_runs(sizes), sizes)
+    return group, k // n_right[group], k % n_right[group]
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     """Does any face pair intersect with positive area?
 
@@ -341,41 +328,54 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     overlap.  A positive-area intersection of simple polygons shows up as a
     proper edge crossing or as one polygon's probe point (vertex, centroid,
     or edge midpoint) strictly inside the other; both are tested with a
-    tolerance of 1e-9 times the mean edge length.
+    tolerance of 1e-9 times the mean edge length, and two edges whose angle
+    has a sine of at most 1e-9 are parallel and never cross.  Both tests run
+    in one batch over the face pairs whose bounding boxes meet.  The witness
+    is the first overlapping pair in row-major order.
     """
-    tol = RELATIVE_TOL * layout.mean_edge_length()
-    polys = layout.polygons
-    boxes = [(p.min(axis=0), p.max(axis=0)) for p in polys]
-    probes = []
-    for p in polys:
-        mids = (p + np.roll(p, -1, axis=0)) / 2.0
-        centroid = p.mean(axis=0)
-        probes.append(np.vstack((p, mids, centroid[None, :])))
-    n = len(polys)
-    for i in range(n):
-        (ilo, ihi) = boxes[i]
-        for j in range(i + 1, n):
-            (jlo, jhi) = boxes[j]
-            if (ilo > jhi + tol).any() or (jlo > ihi + tol).any():
-                continue
-            pi, pj = polys[i], polys[j]
-            crossed = False
-            for a in range(pi.shape[0]):
-                a2 = (a + 1) % pi.shape[0]
-                for b in range(pj.shape[0]):
-                    b2 = (b + 1) % pj.shape[0]
-                    if _proper_crossing(pi[a], pi[a2], pj[b], pj[b2], tol):
-                        crossed = True
-                        break
-                if crossed:
-                    break
-            if crossed:
-                return True, (i, j)
-            if any(_strictly_inside(pt, pj, tol) for pt in probes[i]):
-                return True, (i, j)
-            if any(_strictly_inside(pt, pi, tol) for pt in probes[j]):
-                return True, (i, j)
-    return False, None
+    points, ends, counts = _stack(layout.polygons)
+    d = ends - points
+    lengths = np.linalg.norm(d, axis=1)
+    tol = RELATIVE_TOL * float(lengths.mean())  # the layout's mean_edge_length()
+    starts = _runs(counts)
+    lo, hi = np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
+    apart = (lo[:, None, :] > hi[None, :, :] + tol).any(axis=2)
+    fi, fj = np.nonzero(np.triu(~(apart | apart.T), 1))
+
+    # every edge of face fi[m] against every edge of face fj[m]
+    m, a, b = _product(counts[fi], counts[fj])
+    e1, e2 = starts[fi][m] + a, starts[fj][m] + b
+    (d1x, d1y), (d2x, d2y), (rx, ry) = d[e1].T, d[e2].T, (points[e2] - points[e1]).T
+    denom = d1x * d2y - d1y * d2x
+    t = (rx * d2y - ry * d2x) / denom
+    s = (rx * d1y - ry * d1x) / denom
+    eps = tol / np.maximum(lengths[e1], lengths[e2])
+    skew = np.abs(denom) > RELATIVE_TOL * lengths[e1] * lengths[e2]
+    crossed = skew & (eps < t) & (t < 1.0 - eps) & (eps < s) & (s < 1.0 - eps)
+    overlap = np.logical_or.reduceat(crossed, _runs(counts[fi] * counts[fj]))
+
+    # face f's probes (vertices, edge midpoints, centroid) sit from row 2 * starts[f] + f
+    owner = np.repeat(np.arange(len(counts)), counts)
+    order = np.argsort(np.concatenate((owner, owner, np.arange(len(counts)))), kind="stable")
+    centroids = np.add.reduceat(points, starts) / counts[:, None]
+    probes = np.concatenate((points, (points + ends) / 2.0, centroids))[order]
+    for src, dst in ((fi, fj), (fj, fi)):
+        # every probe of face src[m] against every edge of face dst[m]
+        n_probes = 2 * counts[src] + 1
+        m, p, k = _product(n_probes, counts[dst])
+        x, y = probes[2 * starts[src][m] + src[m] + p].T
+        e = starts[dst][m] + k
+        (ax, ay), (bx, by), (dx, dy) = points[e].T, ends[e].T, d[e].T
+        ll = dx * dx + dy * dy
+        along = np.divide((x - ax) * dx + (y - ay) * dy, ll, out=np.zeros_like(ll), where=ll != 0.0)
+        along = np.clip(along, 0.0, 1.0)
+        near = (x - (ax + along * dx)) ** 2 + (y - (ay + along * dy)) ** 2 <= tol * tol
+        parity = ((ay > y) != (by > y)) & (x < ax + (y - ay) * dx / dy)
+        rows = np.flatnonzero(k == 0)
+        inside = ~np.logical_or.reduceat(near, rows) & np.logical_xor.reduceat(parity, rows)
+        overlap |= np.logical_or.reduceat(inside, _runs(n_probes))
+    hits = np.flatnonzero(overlap)
+    return (True, (int(fi[hits[0]]), int(fj[hits[0]]))) if hits.size else (False, None)
 
 
 def rank_nets(

@@ -197,31 +197,67 @@ def test_unfold_rejects_non_tree_complement():
         unfold(spec, [(0, 7)])  # not a shell edge
 
 
+def rotated(poly, theta, scale=1.0):
+    c, s = math.cos(theta), math.sin(theta)
+    return (np.asarray(poly) * scale) @ np.array([[c, -s], [s, c]]).T
+
+
+ROTATIONS = [0.01 + 0.0314 * k for k in range(200)]
+SCALES = (1e-3, 1.0, 1e3)
+
+
 def test_overlap_detection_on_synthetic_layouts():
-    shifted = UNIT_SQUARE + np.array([0.5, 0.5])
-    overlapping, witness = check_overlap(synthetic_layout(UNIT_SQUARE, shifted))
-    assert overlapping and witness == (0, 1)
-    # sharing a full edge is not overlap
-    beside = UNIT_SQUARE + np.array([1.0, 0.0])
-    overlapping, _ = check_overlap(synthetic_layout(UNIT_SQUARE, beside))
-    assert not overlapping
-    # sharing one corner is not overlap
-    corner = UNIT_SQUARE + np.array([1.0, 1.0])
-    overlapping, _ = check_overlap(synthetic_layout(UNIT_SQUARE, corner))
-    assert not overlapping
-    # exact coincidence is overlap
-    overlapping, _ = check_overlap(synthetic_layout(UNIT_SQUARE, UNIT_SQUARE.copy()))
-    assert overlapping
-    # containment without edge crossings is overlap
-    inner = UNIT_SQUARE * 0.5 + np.array([0.25, 0.25])
-    overlapping, _ = check_overlap(synthetic_layout(UNIT_SQUARE, inner))
-    assert overlapping
+    cases = [
+        (UNIT_SQUARE + np.array([0.5, 0.5]), True),  # shifted
+        (UNIT_SQUARE + np.array([1.0, 0.0]), False),  # sharing a full edge is not overlap
+        (UNIT_SQUARE + np.array([1.0, 1.0]), False),  # sharing one corner is not overlap
+        (UNIT_SQUARE.copy(), True),  # exact coincidence is overlap
+        (UNIT_SQUARE * 0.5 + np.array([0.25, 0.25]), True),  # containment without edge crossings
+    ]
+    # the verdicts hold in any orientation and at any scale
+    for theta in (0.0, ROTATIONS[1], ROTATIONS[77], ROTATIONS[199]):
+        for scale in SCALES:
+            for other, expected in cases:
+                layout = synthetic_layout(rotated(UNIT_SQUARE, theta, scale), rotated(other, theta, scale))
+                assert check_overlap(layout) == ((True, (0, 1)) if expected else (False, None)), (theta, scale)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_collinear_partial_edge_contact_is_not_overlap(scale):
+    # the squares share half of a horizontal edge and no area; after a
+    # rotation the two edges are collinear only up to rounding
+    upper = UNIT_SQUARE + np.array([0.5, 1.0])
+    flagged = [
+        theta for theta in ROTATIONS
+        if check_overlap(synthetic_layout(rotated(UNIT_SQUARE, theta, scale), rotated(upper, theta, scale)))[0]
+    ]
+    assert flagged == []
+
+
+def test_witness_is_the_first_overlapping_pair_in_row_major_order():
+    far = UNIT_SQUARE + np.array([5.0, 0.0])
+    layout = synthetic_layout(UNIT_SQUARE, far, far + 0.5, UNIT_SQUARE + 0.5)
+    assert check_overlap(layout) == (True, (0, 3))
 
 
 def test_zero_area_layout_rejected():
     degenerate = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises((ValidationError, AssertionError)):
+    with pytest.raises(ValidationError):
         centroid_and_rg(synthetic_layout(degenerate))
+
+
+def test_warped_face_fails_the_isometry_check():
+    warped = PolyhedronSpec(
+        name="warped", vertices=np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0.5], [0, 1, 0]], dtype=float),
+        faces=((0, 1, 2, 3),),
+    )
+    with pytest.raises(ValidationError, match="differs from shell length"):
+        unfold(warped, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+def test_clockwise_face_rejected():
+    with pytest.raises(ValidationError, match="counter-clockwise"):
+        centroid_and_rg(synthetic_layout(UNIT_SQUARE + 2.0, UNIT_SQUARE[::-1]))
 
 
 def test_ranking_is_ascending_with_deterministic_ties():
