@@ -1,12 +1,15 @@
 """Exact enumeration and ranking of optimal unfolding nets of polyhedral shells.
 
 The pipeline: validate a shell (`PolyhedronSpec`), build its vertex graph
-(`build_shell_graph`), enumerate every optimal cut (`enumerate_mlsts`, or
-`enumerate_hole_cuts` for shells with a hole), deduplicate under the graph's
+(`build_shell_graph`), enumerate every optimal cut (`enumerate_mlsts`; an open
+shell's search is seeded with its hole boundary, and `enumerate_hole_cuts`
+also checks each cut as a hole cut), deduplicate under the graph's
 automorphism group (`dedupe_cuts`), unfold each class to a planar net
 (`unfold`), rank by radius of gyration (`rank_nets`), and select the first
-non-overlapping net (`select_optimal_net`).  `enumerate_interiors` with
-`count_net_classes` counts classes exactly without materializing cut lists.
+non-overlapping net (`select_optimal_net`).  Every cut list and count comes
+from one interior search: `enumerate_interiors` with `count_labeled_cuts`
+and `count_net_classes` counts exactly without materializing cut lists, for
+closed and open shells alike.
 """
 
 from .analysis import (
@@ -36,7 +39,6 @@ from .geometry import (
     rank_nets,
     select_optimal_net,
     unfold,
-    vertex_connections,
 )
 from .holes import HoleSpec, enumerate_hole_cuts, hole_spec, remove_faces
 from .io import load_polyhedron, save_polyhedron
@@ -50,7 +52,6 @@ from .mlst import (
 from .polyhedra import PolyhedronSpec, validate_polyhedron
 from .shellgraph import (
     ShellGraph,
-    build_face_graph,
     build_shell_graph,
     count_spanning_trees,
     enumerate_spanning_trees,
@@ -59,10 +60,8 @@ from .svg import export_svg
 from .symmetry import (
     AutomorphismGroup,
     CanonicalCut,
-    canonical_cut,
     count_net_classes,
     dedupe_cuts,
-    estimate_net_count,
     find_automorphisms,
 )
 
@@ -87,11 +86,9 @@ __all__ = [
     "ShellGraph",
     "ShellStatistics",
     "ValidationError",
-    "build_face_graph",
     "build_shell_graph",
     "build_statistics_table",
     "builtin",
-    "canonical_cut",
     "catalog_entry",
     "catalog_names",
     "centroid_and_rg",
@@ -106,7 +103,6 @@ __all__ = [
     "enumerate_mlsts",
     "enumerate_spanning_trees",
     "estimate_comparison",
-    "estimate_net_count",
     "export_svg",
     "find_automorphisms",
     "hole_spec",
@@ -120,6 +116,5 @@ __all__ = [
     "select_optimal_net",
     "unfold",
     "validate_polyhedron",
-    "vertex_connections",
     "vertex_estimate",
 ]

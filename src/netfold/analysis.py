@@ -12,11 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from scipy.stats import spearmanr
-
 from .catalog import CATALOG, builtin, catalog_entry
 from .errors import BudgetExceededError, ValidationError
-from .holes import boundary_edge_ids, enumerate_hole_cuts
 from .mlst import (
     DEFAULT_NODE_BUDGET,
     count_labeled_cuts,
@@ -24,12 +21,7 @@ from .mlst import (
 )
 from .polyhedra import PolyhedronSpec, validate_polyhedron
 from .shellgraph import build_shell_graph, count_spanning_trees
-from .symmetry import (
-    count_net_classes,
-    dedupe_cuts,
-    edge_set_stabilizer,
-    find_automorphisms,
-)
+from .symmetry import count_net_classes, edge_set_stabilizer, find_automorphisms
 
 
 def leaf_estimate(n_edges: int) -> Fraction:
@@ -110,10 +102,10 @@ def compute_statistics(
 ) -> ShellStatistics:
     """Exact per-shell statistics, within a node budget.
 
-    Closed shells are counted without materializing the cut list (interior
-    enumeration, then product and fixed-point counting); open shells carry
-    few cuts, so those are enumerated outright and deduplicated under the
-    boundary-preserving subgroup.
+    Counts come without materializing the cut list: interior enumeration,
+    then product counting and fixed-point counting under the subgroup that
+    preserves the hole boundary (the whole group for a closed shell).  A
+    partial row's `nodes_visited` sums the search's level reports.
     """
     report = validate_polyhedron(spec)
     graph = build_shell_graph(spec, require_closed=False)
@@ -134,34 +126,22 @@ def compute_statistics(
             nodes_visited=0, status="skipped", note=skip_note,
         )
     try:
-        if report.closed:
-            interiors = enumerate_interiors(
-                graph, budget_nodes=budget_nodes, workers=workers,
-                backend=backend, time_limit=time_limit,
-            )
-            labeled = count_labeled_cuts(interiors)
-            classes = count_net_classes(graph, interiors.interiors, group)
-            leaf_count = interiors.leaf_count
-            nodes = interiors.nodes_visited
-        else:
-            result = enumerate_hole_cuts(
-                graph, budget_nodes=budget_nodes, workers=workers,
-                backend=backend, time_limit=time_limit,
-            )
-            stab = edge_set_stabilizer(graph, group, boundary_edge_ids(graph))
-            labeled = len(result.cuts)
-            classes = len(dedupe_cuts(graph, result.cuts, stab))
-            leaf_count = result.leaf_count
-            nodes = result.nodes_visited
+        interiors = enumerate_interiors(
+            graph, budget_nodes=budget_nodes, workers=workers,
+            backend=backend, time_limit=time_limit,
+        )
     except BudgetExceededError as exc:
         return ShellStatistics(
             **base, leaf_count=None, n_optimal_cuts=None, n_optimal_nets=None,
-            nodes_visited=getattr(exc.partial, "nodes", 0) or 0,
+            nodes_visited=sum(r.nodes for r in exc.partial),
             status="partial", note=str(exc),
         )
+    stab = edge_set_stabilizer(graph, group, graph.boundary_edges)
     return ShellStatistics(
-        **base, leaf_count=leaf_count, n_optimal_cuts=labeled,
-        n_optimal_nets=classes, nodes_visited=nodes, status="complete",
+        **base, leaf_count=interiors.leaf_count,
+        n_optimal_cuts=count_labeled_cuts(interiors),
+        n_optimal_nets=count_net_classes(graph, interiors.interiors, stab),
+        nodes_visited=interiors.nodes_visited, status="complete",
     )
 
 
@@ -265,31 +245,3 @@ def plot_data(rows: Sequence[ShellStatistics]) -> dict[str, list[tuple[float, fl
         "optimal_ratio_vs_edges": ratios,
         "trees_per_automorphism_vs_edges": trees_per_aut,
     }
-
-
-def ratio_trend_envelope(rows: Sequence[ShellStatistics]) -> list[tuple[str, float]]:
-    """Multiplicative distance of each exact optimal-cut share from the
-    trend line, as max(exact/trend, trend/exact) per completed row."""
-    out = []
-    for row in rows:
-        ratio = row.optimal_ratio
-        if ratio is None:
-            continue
-        trend = mlst_ratio_estimate(row.n_edges).value
-        exact = float(ratio)
-        out.append((row.name, max(exact / trend, trend / exact)))
-    return out
-
-
-def ratio_rank_correlation(rows: Sequence[ShellStatistics]) -> float:
-    """Spearman rank correlation of log2 optimal-cut share against edge
-    count over completed rows; the downward trend makes it negative."""
-    points = [
-        (row.n_edges, math.log2(row.optimal_ratio))
-        for row in rows
-        if row.optimal_ratio is not None
-    ]
-    if len(points) < 3:
-        raise ValidationError("need at least 3 completed rows for a trend")
-    xs, ys = zip(*points)
-    return float(spearmanr(xs, ys).statistic)

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import rank_nets, select_optimal_net
-from .holes import boundary_edge_ids, enumerate_hole_cuts, remove_faces
+from .holes import enumerate_hole_cuts, remove_faces
 from .mlst import (
     DEFAULT_NODE_BUDGET,
     count_labeled_cuts,
@@ -131,20 +131,21 @@ def _load_shell(args):
     return spec, report, graph
 
 
-def _enumerate_cuts(args, graph):
-    """Labeled cuts plus classes, via the route matching the shell type."""
-    kwargs = dict(
+def _search_kwargs(args) -> dict:
+    return dict(
         budget_nodes=int(args.budget_nodes), workers=args.workers,
         time_limit=args.time_limit,
     )
+
+
+def _enumerate_cuts(args, graph):
+    """Labeled cuts plus their classes under the boundary-preserving group."""
+    search = enumerate_hole_cuts if graph.boundary_edges else enumerate_mlsts
+    result = search(graph, **_search_kwargs(args))
     group = find_automorphisms(graph)
-    if graph.boundary_edges:
-        result = enumerate_hole_cuts(graph, **kwargs)
-        dedup_group = edge_set_stabilizer(graph, group, boundary_edge_ids(graph))
-    else:
-        result = enumerate_mlsts(graph, **kwargs)
-        dedup_group = group
-    classes = dedupe_cuts(graph, result.cuts, dedup_group)
+    classes = dedupe_cuts(
+        graph, result.cuts, edge_set_stabilizer(graph, group, graph.boundary_edges),
+    )
     return result, classes, group
 
 
@@ -230,10 +231,7 @@ def cmd_verify(args) -> int:
         if report.closed:
             best = max(len(cut_leaves(graph, t)) for t in trees)
             filtered = sorted(t for t in trees if len(cut_leaves(graph, t)) == best)
-            result = enumerate_mlsts(
-                graph, budget_nodes=int(args.budget_nodes),
-                workers=args.workers, time_limit=args.time_limit,
-            )
+            result = enumerate_mlsts(graph, **_search_kwargs(args))
             ok_leaf = result.leaf_count == best
             found = sorted(tuple(int(e) for e in row) for row in result.cuts)
             ok_set = found == [tuple(t) for t in filtered]
@@ -281,24 +279,14 @@ def cmd_count(args) -> int:
     print(f"shell: {spec.name} (V={report.n_vertices} E={report.n_edges} F={report.n_faces})")
     print(f"spanning trees: {n_st}")
     print(f"automorphisms: {group.order}")
-    kwargs = dict(
-        budget_nodes=int(args.budget_nodes), workers=args.workers,
-        time_limit=args.time_limit,
-    )
-    if graph.boundary_edges:
-        result = enumerate_hole_cuts(graph, **kwargs)
-        stab = edge_set_stabilizer(graph, group, boundary_edge_ids(graph))
-        classes = len(dedupe_cuts(graph, result.cuts, stab))
-        leaf_count, labeled, nodes = result.leaf_count, len(result.cuts), result.nodes_visited
-    else:
-        interiors = enumerate_interiors(graph, **kwargs)
-        labeled = count_labeled_cuts(interiors)
-        classes = count_net_classes(graph, interiors.interiors, group)
-        leaf_count, nodes = interiors.leaf_count, interiors.nodes_visited
-    print(f"leaf count: {leaf_count}")
+    interiors = enumerate_interiors(graph, **_search_kwargs(args))
+    labeled = count_labeled_cuts(interiors)
+    stab = edge_set_stabilizer(graph, group, graph.boundary_edges)
+    classes = count_net_classes(graph, interiors.interiors, stab)
+    print(f"leaf count: {interiors.leaf_count}")
     print(f"labeled optimal cuts: {labeled}")
     print(f"optimal net classes: {classes}")
-    print(f"search nodes: {nodes}")
+    print(f"search nodes: {interiors.nodes_visited}")
     return EXIT_OK
 
 

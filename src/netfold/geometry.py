@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FallbackExhaustedError, ValidationError
 from .polyhedra import Edge, PolyhedronSpec, canon_edge, edge_face_table
-from .shellgraph import build_shell_graph, cut_leaves
+from .shellgraph import build_shell_graph
 
 RELATIVE_TOL = 1e-9
 
@@ -253,18 +253,6 @@ def _markers(
                 far_points=((float(qa[0]), float(qa[1])), (float(qb[0]), float(qb[1]))),
             ))
     return tuple(markers)
-
-
-def vertex_connections(spec: PolyhedronSpec, cut: Sequence[Edge]) -> tuple[int, ...]:
-    """The vertices that stay connections in the net: degree-1 cut vertices."""
-    graph = build_shell_graph(spec, require_closed=False)
-    ids = []
-    for u, v in cut:
-        e = graph.edge_index.get(canon_edge(u, v))
-        if e is None:
-            raise ValidationError(f"cut edge {(u, v)} is not a shell edge")
-        ids.append(e)
-    return cut_leaves(graph, ids)
 
 
 def _polygon_integrals(poly: np.ndarray) -> tuple[float, float, float, float]:

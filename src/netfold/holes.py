@@ -4,10 +4,8 @@ The cut of an open shell is not a tree: it contains the whole hole-boundary
 cycle plus tree branches, spans every vertex, stays connected, and has no
 cycle other than the boundary.  Boundary vertices carry two cycle edges, so
 they are never leaves; the leaves (vertex connections) are exactly the outside
-vertices attached during expansion.  The search seeds the interior with all
-boundary vertices and the boundary cycle, then grows interior sizes
-n_S = |V_h|, |V_h|+1, ... in a single phase with no excluded vertices, using
-the same level machinery as the closed-shell search.
+vertices attached during expansion.  `enumerate_mlsts` finds these cuts
+itself: it seeds an open shell's search with the boundary cycle.
 """
 
 from __future__ import annotations
@@ -15,16 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import ValidationError
-from .mlst import (
-    DEFAULT_NODE_BUDGET,
-    MlstResult,
-    SearchState,
-    _search_levels,
-    closed_neighborhood_masks,
-)
+from .mlst import DEFAULT_NODE_BUDGET, MlstResult, enumerate_mlsts
 from .polyhedra import Edge, PolyhedronSpec, canon_edge, edge_face_table
 from .shellgraph import ShellGraph
 
@@ -152,19 +142,11 @@ def hole_spec(open_spec: PolyhedronSpec, removed_faces: Sequence[int] = ()) -> H
     )
 
 
-def boundary_edge_ids(graph: ShellGraph, hole: Optional[HoleSpec] = None) -> tuple[int, ...]:
+def boundary_edge_ids(graph: ShellGraph) -> tuple[int, ...]:
     """Canonical edge ids of the hole boundary in `graph`."""
-    if hole is None:
-        if not graph.boundary_edges:
-            raise ValidationError("graph has no boundary edges and no hole was given")
-        return tuple(sorted(graph.boundary_edges))
-    ids = []
-    for u, v in hole.boundary_edges:
-        e = graph.edge_index.get(canon_edge(u, v))
-        if e is None:
-            raise ValidationError(f"hole boundary edge {(u, v)} is not a graph edge")
-        ids.append(e)
-    return tuple(sorted(ids))
+    if not graph.boundary_edges:
+        raise ValidationError("graph has no boundary edges")
+    return tuple(sorted(graph.boundary_edges))
 
 
 def check_hole_cut(graph: ShellGraph, cut: Sequence[int], boundary_ids: Sequence[int]) -> None:
@@ -216,55 +198,20 @@ def check_hole_cut(graph: ShellGraph, cut: Sequence[int], boundary_ids: Sequence
 
 def enumerate_hole_cuts(
     graph: ShellGraph,
-    hole: Optional[HoleSpec] = None,
     budget_nodes: int = DEFAULT_NODE_BUDGET,
     workers: Optional[int] = None,
     backend: Optional[str] = None,
     time_limit: Optional[float] = None,
 ) -> MlstResult:
-    """All maximum-leaf cuts of an open shell.
+    """All maximum-leaf cuts of an open shell, each checked as a hole cut.
 
-    The interior starts as the boundary vertices with the boundary cycle
-    forced into every cut; growth proceeds exactly as for closed shells but in
-    one phase without exclusions, so each interior is generated once.  At the
-    first interior size with dominating interiors every cut has exactly
-    V - n_S leaves, none of them boundary vertices.
+    At the first interior size with dominating interiors every cut has
+    exactly V - n_S leaves, none of them boundary vertices.
     """
-    if not graph.is_connected():
-        raise ValidationError("graph is disconnected")
-    base = boundary_edge_ids(graph, hole)
-    vt = 0
-    for e in base:
-        u, v = graph.edges[e]
-        vt |= (1 << u) | (1 << v)
-    n_h = vt.bit_count()
-    if len(base) != n_h:
-        raise ValidationError(
-            f"hole boundary is not a cycle: {len(base)} edges on {n_h} vertices"
-        )
-    cov_masks = closed_neighborhood_masks(graph)
-    cov = 0
-    for v in range(graph.n):
-        if (vt >> v) & 1:
-            cov |= cov_masks[v]
-    frontier = tuple(
-        e for e in range(graph.m)
-        if ((vt >> graph.edges[e][0]) & 1) != ((vt >> graph.edges[e][1]) & 1)
-    )
-
-    def make_phases(n_s: int) -> list[SearchState]:
-        return [SearchState(
-            vt_mask=vt,
-            cov_mask=cov,
-            frontier=frontier,
-            excl_mask=0,
-            n_target=n_s,
-            base_edges=base,
-        )]
-
-    result = _search_levels(
-        graph, make_phases, n_h, budget_nodes, workers, backend, time_limit,
-        roots=(), base_edges=base, root_masks=None,
+    base = boundary_edge_ids(graph)
+    result = enumerate_mlsts(
+        graph, budget_nodes=budget_nodes, workers=workers, backend=backend,
+        time_limit=time_limit,
     )
     for row in result.cuts:
         check_hole_cut(graph, [int(e) for e in row], base)

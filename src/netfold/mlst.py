@@ -1,72 +1,51 @@
 """Maximum leaf spanning tree enumeration.
 
 A cut is a spanning tree of the shell graph; maximizing its leaves minimizes
-vertex connections in the unfolded net.  The search grows connected interior
-subtrees of exactly n_S vertices (n_S = 1, 2, ... until a level yields
-dominating subtrees), then attaches every outside vertex as a leaf in all
-possible ways.  Duplicates across starting roots are prevented by excluding
-earlier roots from later growth.
+vertex connections in the unfolded net.  Every optimal cut is an interior (a
+connected dominating subtree of n_S vertices) plus one leaf edge per outside
+vertex, so one search serves both listing and counting cuts: it grows
+interiors of n_S = 1, 2, ... vertices and stops at the first size that yields
+dominating ones.  A closed shell is searched in one phase per root (a
+minimum-degree vertex and its neighbors), each excluding the earlier roots,
+which keeps the union duplicate-free.  An open shell is searched in one phase
+seeded with its hole boundary: the boundary cycle is forced into every cut,
+and its vertices, which carry two cycle edges, are never leaves.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import _kernels
 from .errors import BudgetExceededError, ValidationError
-from .shellgraph import ShellGraph, cut_leaves
+from .shellgraph import ShellGraph
 
 Cut = tuple[int, ...]
 
 DEFAULT_NODE_BUDGET = 10_000_000_000
 
 
-@dataclass
-class SearchStats:
-    """Mutable counters threaded through one growth phase."""
-
-    nodes: int = 0
-    interiors: int = 0
-    allowance: Optional[int] = None
-
-    def step(self) -> None:
-        self.nodes += 1
-        if self.allowance is not None and self.nodes > self.allowance:
-            raise BudgetExceededError(
-                f"interior search exceeded node allowance {self.allowance}",
-                partial=self,
-            )
-
-
 @dataclass(frozen=True)
 class SearchState:
-    """State of one interior growth phase.
+    """Seed of one interior growth phase.
 
-    vt_mask holds the subtree vertices, cov_mask the union of their closed
-    neighborhoods, frontier the FIFO list of candidate edge ids, excl_mask the
-    vertices barred from growth (earlier roots), base_edges any forced edges
-    (a hole's boundary cycle) carried into every emitted cut, and n_target the
-    interior size n_S this phase is searching for.
+    vt_mask holds the seed vertices, cov_mask the union of their closed
+    neighborhoods, frontier the ascending ids of the edges leaving the seed,
+    and excl_mask the vertices barred from growth (earlier roots).
     """
 
     vt_mask: int
     cov_mask: int
     frontier: tuple[int, ...]
     excl_mask: int
-    n_target: int
-    tree_edges: tuple[int, ...] = ()
-    base_edges: tuple[int, ...] = ()
-
-    @property
-    def n_vertices(self) -> int:
-        return self.vt_mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -95,8 +74,6 @@ class MlstResult:
     nodes_visited: int
     level_reports: tuple[LevelReport, ...]
     backend: str
-    roots: tuple[int, ...] = ()
-    base_edges: tuple[int, ...] = ()
 
     @property
     def labeled_count(self) -> int:
@@ -112,9 +89,9 @@ class InteriorResult:
     """All optimal interiors, without expanding leaf attachments.
 
     Each interior is (vertex mask, ascending edge ids of its tree plus any
-    forced base edges).  The labeled cut count is the sum over interiors of
-    the product of per-leaf attachment choices, so counting never needs the
-    cuts themselves; see `count_labeled_cuts`.
+    forced boundary edges).  The labeled cut count is the sum over interiors
+    of the product of per-leaf attachment choices, so counting never needs
+    the cuts themselves; see `count_labeled_cuts`.
     """
 
     graph: ShellGraph
@@ -124,8 +101,6 @@ class InteriorResult:
     nodes_visited: int
     level_reports: tuple[LevelReport, ...]
     backend: str
-    roots: tuple[int, ...] = ()
-    base_edges: tuple[int, ...] = ()
 
     @property
     def interior_count(self) -> int:
@@ -146,14 +121,10 @@ def leaf_choices(graph: ShellGraph, vt_mask: int) -> list[list[int]]:
 
 def count_labeled_cuts(result: InteriorResult) -> int:
     """Exact labeled cut count: Σ over interiors Π per-leaf choice counts."""
-    graph = result.graph
-    total = 0
-    for vt_mask, _ in result.interiors:
-        prod = 1
-        for choices in leaf_choices(graph, vt_mask):
-            prod *= len(choices)
-        total += prod
-    return total
+    return sum(
+        math.prod(len(choices) for choices in leaf_choices(result.graph, vt_mask))
+        for vt_mask, _ in result.interiors
+    )
 
 
 def root_set(graph: ShellGraph) -> tuple[int, ...]:
@@ -177,52 +148,46 @@ def max_cover_step(graph: ShellGraph) -> int:
     return max(graph.degree(v) for v in range(graph.n)) - 1
 
 
-def initial_state(graph: ShellGraph, root: int, excl: Sequence[int], n_target: int) -> SearchState:
-    """Phase seed for a closed-shell search from one root."""
-    excl_mask = 0
-    for v in excl:
-        excl_mask |= 1 << v
+def _seed(graph: ShellGraph, vt_mask: int, excl_mask: int = 0) -> SearchState:
+    """Phase seed growing from the vertices of `vt_mask`; its frontier is
+    every edge leaving them toward a vertex outside `excl_mask`."""
+    cov_masks = closed_neighborhood_masks(graph)
+    cov = 0
+    for v in range(graph.n):
+        if (vt_mask >> v) & 1:
+            cov |= cov_masks[v]
     frontier = tuple(
-        e for e in graph.incident_edges[root]
-        if not (excl_mask >> graph.other_end(e, root)) & 1
+        e for e, (u, v) in enumerate(graph.edges)
+        if ((vt_mask >> u) & 1) != ((vt_mask >> v) & 1)
+        and not (excl_mask >> u) & 1 and not (excl_mask >> v) & 1
     )
-    cov = closed_neighborhood_masks(graph)[root]
-    return SearchState(
-        vt_mask=1 << root,
-        cov_mask=cov,
-        frontier=frontier,
-        excl_mask=excl_mask,
-        n_target=n_target,
-    )
+    return SearchState(vt_mask=vt_mask, cov_mask=cov, frontier=frontier, excl_mask=excl_mask)
 
 
-def expand_interior(graph: ShellGraph, vt_mask: int, tree_edges: Sequence[int]) -> list[Cut]:
-    """Attach every outside vertex as a leaf in all possible ways.
-
-    Outside vertices are taken in ascending order and their candidate edges in
-    ascending edge-id order, so expansion order is deterministic.  The number
-    of cuts is the product of per-vertex candidate counts.
-    """
-    outside = [v for v in range(graph.n) if not (vt_mask >> v) & 1]
-    choice_lists = []
-    for w in outside:
-        choices = [e for e in graph.incident_edges[w] if (vt_mask >> graph.other_end(e, w)) & 1]
-        if not choices:
-            return []
-        choice_lists.append(choices)
-    base = tuple(tree_edges)
-    cuts = []
-    for combo in itertools.product(*choice_lists):
-        cuts.append(tuple(sorted(base + combo)))
-    return cuts
+def _seeds(graph: ShellGraph) -> list[SearchState]:
+    """Phase seeds; the only place the search tells closed from open shells."""
+    if not graph.boundary_edges:
+        roots = root_set(graph)
+        return [
+            _seed(graph, 1 << r, sum(1 << q for q in roots[:k])) for k, r in enumerate(roots)
+        ]
+    vt = 0
+    for e in graph.boundary_edges:
+        u, v = graph.edges[e]
+        vt |= (1 << u) | (1 << v)
+    if len(graph.boundary_edges) != vt.bit_count():
+        raise ValidationError(
+            "hole boundary is not a cycle: "
+            f"{len(graph.boundary_edges)} edges on {vt.bit_count()} vertices"
+        )
+    return [_seed(graph, vt)]
 
 
-def _grow_interiors(
-    graph: ShellGraph,
-    state: SearchState,
-    stats: SearchStats,
-    out: list[tuple[int, ...]],
-) -> None:
+class _Overrun(Exception):
+    """Unwinds the recursive search once it passes its node allowance."""
+
+
+def _grow_python(graph: ShellGraph, state: SearchState, n_grow: int, allowance: int):
     """Recursive reference search; the numba kernel is its iterative twin."""
     edges = graph.edges
     inc = graph.incident_edges
@@ -230,16 +195,11 @@ def _grow_interiors(
     full_cov = (1 << graph.n) - 1
     excl = state.excl_mask
     cover_step = max_cover_step(graph)
-    n_grow = state.n_target - state.n_vertices
-    if n_grow < 0:
-        return
-    if n_grow == 0:
-        if state.cov_mask == full_cov:
-            out.append(())
-            stats.interiors += 1
-        return
+    out: list[tuple[int, ...]] = []
+    nodes = 0
 
     def rec(vt: int, cov: int, frontier: list[int], grown: list[int]) -> None:
+        nonlocal nodes
         last = len(grown) + 1 == n_grow
         remaining = n_grow - len(grown) - 1
         for idx, e in enumerate(frontier):
@@ -249,13 +209,14 @@ def _grow_interiors(
             if u_in and v_in:
                 continue
             i = v if u_in else u
-            stats.step()
+            nodes += 1
+            if nodes > allowance:
+                raise _Overrun
             nvt = vt | (1 << i)
             ncov = cov | cov_masks[i]
             if last:
                 if ncov == full_cov:
                     out.append(tuple(grown) + (e,))
-                    stats.interiors += 1
                 continue
             if (full_cov & ~ncov).bit_count() > remaining * cover_step:
                 continue
@@ -268,33 +229,15 @@ def _grow_interiors(
             rec(nvt, ncov, child, grown)
             grown.pop()
 
-    rec(state.vt_mask, state.cov_mask, list(state.frontier), [])
+    try:
+        rec(state.vt_mask, state.cov_mask, list(state.frontier), [])
+    except _Overrun:
+        pass
+    return out, nodes
 
 
-def grow_recursive(state: SearchState, graph: ShellGraph, stats: Optional[SearchStats] = None) -> list[Cut]:
-    """Run one growth phase and return fully expanded cuts.
-
-    Each interior subtree of n_target vertices that dominates the graph is
-    expanded into labeled cuts (base edges + grown edges + one leaf edge per
-    outside vertex).
-    """
-    stats = stats or SearchStats()
-    interiors: list[tuple[int, ...]] = []
-    _grow_interiors(graph, state, stats, interiors)
-    cuts: list[Cut] = []
-    base = state.base_edges + state.tree_edges
-    for grown in interiors:
-        vt = state.vt_mask
-        for e in grown:
-            u, v = graph.edges[e]
-            vt |= (1 << u) | (1 << v)
-        cuts.extend(expand_interior(graph, vt, base + grown))
-    return cuts
-
-
-def _phase_kernel(graph: ShellGraph, state: SearchState, allowance: int):
-    """Run one phase through the numba kernel; returns (interiors, nodes)."""
-    n_grow = state.n_target - state.n_vertices
+def _phase_kernel(graph: ShellGraph, state: SearchState, n_grow: int, allowance: int):
+    """Run one phase through the numba kernel."""
     edge_u = np.array([u for u, _ in graph.edges], dtype=np.int32)
     edge_v = np.array([v for _, v in graph.edges], dtype=np.int32)
     cov = np.array(closed_neighborhood_masks(graph), dtype=np.int64)
@@ -304,7 +247,7 @@ def _phase_kernel(graph: ShellGraph, state: SearchState, allowance: int):
     inc_ids = np.array(
         [e for v in range(graph.n) for e in graph.incident_edges[v]], dtype=np.int32
     )
-    out, found, nodes, status = _kernels.grow_kernel(
+    out, found, nodes, _ = _kernels.grow_kernel(
         n_grow,
         np.int64((1 << graph.n) - 1),
         np.int64(state.vt_mask),
@@ -319,225 +262,20 @@ def _phase_kernel(graph: ShellGraph, state: SearchState, allowance: int):
         np.int64(allowance),
         np.int64(max_cover_step(graph)),
     )
-    if status == 2:
-        raise BudgetExceededError(
-            f"interior search exceeded node allowance {allowance}",
-            partial=SearchStats(nodes=int(nodes), interiors=int(found), allowance=allowance),
-        )
     interiors = [tuple(int(x) for x in out[k * n_grow:(k + 1) * n_grow]) for k in range(int(found))]
     return interiors, int(nodes)
 
 
-def _run_phase(graph: ShellGraph, state: SearchState, allowance: int, backend: str):
-    n_grow = state.n_target - state.n_vertices
+def _run_phase(graph: ShellGraph, state: SearchState, n_grow: int, allowance: int, backend: str):
+    """Grown edge tuples of one phase and the nodes it visited.
+
+    A phase stops once it visits more than `allowance` nodes.
+    """
     if n_grow == 0:
-        full_cov = (1 << graph.n) - 1
-        interiors = [()] if state.cov_mask == full_cov else []
-        return interiors, 0
+        return ([()] if state.cov_mask == (1 << graph.n) - 1 else []), 0
     if backend == "numba":
-        return _phase_kernel(graph, state, allowance)
-    stats = SearchStats(allowance=allowance)
-    interiors: list[tuple[int, ...]] = []
-    _grow_interiors(graph, state, stats, interiors)
-    return interiors, stats.nodes
-
-
-def _finalize(
-    graph: ShellGraph,
-    phases: Sequence[SearchState],
-    interiors_per_phase: Sequence[list[tuple[int, ...]]],
-    level_reports: list[LevelReport],
-    n_s: int,
-    backend: str,
-    roots: tuple[int, ...],
-    base_edges: tuple[int, ...],
-    root_masks: Optional[int],
-) -> MlstResult:
-    all_cuts: list[Cut] = []
-    interior_count = 0
-    for state, interiors in zip(phases, interiors_per_phase):
-        base = base_edges + state.tree_edges
-        for grown in interiors:
-            vt = state.vt_mask
-            for e in grown:
-                u, v = graph.edges[e]
-                vt |= (1 << u) | (1 << v)
-            if root_masks is not None:
-                assert vt & root_masks, "interior misses the root set"
-            interior_count += 1
-            all_cuts.extend(expand_interior(graph, vt, base + grown))
-    k = len(all_cuts[0])
-    arr = np.array(all_cuts, dtype=np.int32).reshape(len(all_cuts), k)
-    order = np.lexsort(tuple(arr[:, c] for c in range(k - 1, -1, -1)))
-    arr = arr[order]
-    assert np.unique(arr, axis=0).shape[0] == arr.shape[0], "duplicate cuts emitted"
-    leaf_count = graph.n - n_s
-    return MlstResult(
-        graph=graph,
-        leaf_count=leaf_count,
-        n_interior=n_s,
-        cuts=arr,
-        interior_count=interior_count,
-        nodes_visited=sum(r.nodes for r in level_reports),
-        level_reports=tuple(level_reports),
-        backend=backend,
-        roots=roots,
-        base_edges=base_edges,
-    )
-
-
-def _search_interior_levels(
-    graph: ShellGraph,
-    make_phases,
-    start_size: int,
-    budget_nodes: int,
-    workers: Optional[int],
-    backend: Optional[str],
-    time_limit: Optional[float],
-):
-    """Level loop shared by all enumerations.
-
-    Returns (phases, interiors per phase, level reports, n_S, backend) for the
-    first interior size with dominating interiors.
-    """
-    backend = _kernels.resolve_backend(backend, graph.n)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    t0 = time.monotonic()
-    level_reports: list[LevelReport] = []
-    total_nodes = 0
-    for n_s in range(start_size, graph.n + 1):
-        if time_limit is not None and time.monotonic() - t0 > time_limit:
-            raise BudgetExceededError(
-                f"time limit {time_limit}s exceeded before interior size {n_s}",
-                partial=tuple(level_reports),
-            )
-        phases = make_phases(n_s)
-        allowance = budget_nodes - total_nodes
-        if allowance <= 0:
-            raise BudgetExceededError(
-                f"node budget {budget_nodes} exhausted before interior size {n_s}",
-                partial=tuple(level_reports),
-            )
-        if len(phases) > 1 and workers > 1:
-            with ThreadPoolExecutor(max_workers=min(workers, len(phases))) as pool:
-                futures = [pool.submit(_run_phase, graph, st, allowance, backend) for st in phases]
-                outcomes = [f.result() for f in futures]
-        else:
-            outcomes = [_run_phase(graph, st, allowance, backend) for st in phases]
-        interiors_per_phase = [o[0] for o in outcomes]
-        level_nodes = sum(o[1] for o in outcomes)
-        total_nodes += level_nodes
-        n_interiors = sum(len(i) for i in interiors_per_phase)
-        level_reports.append(LevelReport(n_interior=n_s, nodes=level_nodes, interiors=n_interiors))
-        if total_nodes > budget_nodes:
-            raise BudgetExceededError(
-                f"node budget {budget_nodes} exceeded at interior size {n_s}",
-                partial=tuple(level_reports),
-            )
-        if n_interiors:
-            return phases, interiors_per_phase, level_reports, n_s, backend
-    raise ValidationError("no dominating interior found at any size; graph not connected?")
-
-
-def _search_levels(
-    graph: ShellGraph,
-    make_phases,
-    start_size: int,
-    budget_nodes: int,
-    workers: Optional[int],
-    backend: Optional[str],
-    time_limit: Optional[float],
-    roots: tuple[int, ...],
-    base_edges: tuple[int, ...],
-    root_masks: Optional[int],
-) -> MlstResult:
-    phases, interiors_per_phase, level_reports, n_s, backend = _search_interior_levels(
-        graph, make_phases, start_size, budget_nodes, workers, backend, time_limit,
-    )
-    return _finalize(
-        graph, phases, interiors_per_phase, level_reports, n_s,
-        backend, roots, base_edges, root_masks,
-    )
-
-
-def _finalize_interiors(
-    graph: ShellGraph,
-    phases: Sequence[SearchState],
-    interiors_per_phase: Sequence[list[tuple[int, ...]]],
-    level_reports: list[LevelReport],
-    n_s: int,
-    backend: str,
-    roots: tuple[int, ...],
-    base_edges: tuple[int, ...],
-    root_masks: Optional[int],
-) -> InteriorResult:
-    collected = []
-    for state, interiors in zip(phases, interiors_per_phase):
-        base = base_edges + state.tree_edges
-        for grown in interiors:
-            vt = state.vt_mask
-            for e in grown:
-                u, v = graph.edges[e]
-                vt |= (1 << u) | (1 << v)
-            if root_masks is not None:
-                assert vt & root_masks, "interior misses the root set"
-            collected.append((vt, tuple(sorted(base + grown))))
-    collected.sort(key=lambda it: (it[1], it[0]))
-    assert len(set(collected)) == len(collected), "duplicate interiors"
-    return InteriorResult(
-        graph=graph,
-        leaf_count=graph.n - n_s,
-        n_interior=n_s,
-        interiors=tuple(collected),
-        nodes_visited=sum(r.nodes for r in level_reports),
-        level_reports=tuple(level_reports),
-        backend=backend,
-        roots=roots,
-        base_edges=base_edges,
-    )
-
-
-def enumerate_mlsts(
-    graph: ShellGraph,
-    budget_nodes: int = DEFAULT_NODE_BUDGET,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
-    time_limit: Optional[float] = None,
-) -> MlstResult:
-    """All maximum leaf spanning trees of a connected shell graph.
-
-    Searches interior sizes n_S = 1, 2, ... and stops at the first size with
-    dominating interiors; every tree then has exactly V - n_S leaves.  Phases
-    run per root (a minimum-degree vertex and its neighbors), each excluding
-    the previous roots from growth, which makes the union duplicate-free.
-    """
-    if graph.n == 0:
-        raise ValidationError("empty graph")
-    if not graph.is_connected():
-        raise ValidationError("graph is disconnected")
-    if graph.n == 1:
-        return MlstResult(
-            graph=graph, leaf_count=0, n_interior=1,
-            cuts=np.empty((1, 0), dtype=np.int32), interior_count=1,
-            nodes_visited=0, level_reports=(LevelReport(1, 0, 1),),
-            backend=_kernels.resolve_backend(backend, 1), roots=(0,),
-        )
-    roots = root_set(graph)
-    root_masks = 0
-    for r in roots:
-        root_masks |= 1 << r
-
-    def make_phases(n_s: int) -> list[SearchState]:
-        phases = []
-        for k, r in enumerate(roots):
-            phases.append(initial_state(graph, r, roots[:k], n_s))
-        return phases
-
-    return _search_levels(
-        graph, make_phases, 1, budget_nodes, workers, backend, time_limit,
-        roots, (), root_masks,
-    )
+        return _phase_kernel(graph, state, n_grow, allowance)
+    return _grow_python(graph, state, n_grow, allowance)
 
 
 def enumerate_interiors(
@@ -549,114 +287,121 @@ def enumerate_interiors(
 ) -> InteriorResult:
     """All optimal interiors of a connected shell graph, unexpanded.
 
-    Same search as `enumerate_mlsts`, but leaf attachments stay implicit:
-    counting the labeled cuts or the symmetry classes of huge shells only
-    needs the interiors, whose number is far smaller than the cut count.
+    Searches interior sizes upward from the seed size and stops at the first
+    size with dominating interiors; every cut then has exactly V - n_S
+    leaves.  Counting the labeled cuts or the symmetry classes of huge shells
+    only needs the interiors, whose number is far smaller than the cut count.
+
+    On a budget overrun the `BudgetExceededError` carries the level reports,
+    the last one counting the nodes visited in the level that overran.
     """
     if graph.n == 0:
         raise ValidationError("empty graph")
     if not graph.is_connected():
         raise ValidationError("graph is disconnected")
-    if graph.n == 1:
-        return InteriorResult(
-            graph=graph, leaf_count=0, n_interior=1, interiors=((1, ()),),
-            nodes_visited=0, level_reports=(LevelReport(1, 0, 1),),
-            backend=_kernels.resolve_backend(backend, 1), roots=(0,),
-        )
-    roots = root_set(graph)
-    root_masks = 0
-    for r in roots:
-        root_masks |= 1 << r
+    seeds = _seeds(graph)
+    backend = _kernels.resolve_backend(backend, graph.n)
+    if workers is None:
+        workers = os.cpu_count() or 1
+    seed_size = seeds[0].vt_mask.bit_count()
+    t0 = time.monotonic()
+    reports: list[LevelReport] = []
+    total = 0
+    for n_s in range(seed_size, graph.n + 1):
+        if time_limit is not None and time.monotonic() - t0 > time_limit:
+            raise BudgetExceededError(
+                f"time limit {time_limit}s exceeded before interior size {n_s}",
+                partial=tuple(reports),
+            )
+        allowance = budget_nodes - total
+        if allowance <= 0:
+            raise BudgetExceededError(
+                f"node budget {budget_nodes} exhausted before interior size {n_s}",
+                partial=tuple(reports),
+            )
+        n_grow = n_s - seed_size
+        if len(seeds) > 1 and workers > 1:
+            with ThreadPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
+                outcomes = list(pool.map(
+                    lambda st: _run_phase(graph, st, n_grow, allowance, backend), seeds,
+                ))
+        else:
+            outcomes = []
+            for st in seeds:
+                outcomes.append(_run_phase(graph, st, n_grow, allowance, backend))
+                if outcomes[-1][1] > allowance:
+                    break
+        level_nodes = sum(nodes for _, nodes in outcomes)
+        found = sum(len(grown) for grown, _ in outcomes)
+        reports.append(LevelReport(n_interior=n_s, nodes=level_nodes, interiors=found))
+        total += level_nodes
+        if total > budget_nodes:
+            raise BudgetExceededError(
+                f"node budget {budget_nodes} exceeded at interior size {n_s}",
+                partial=tuple(reports),
+            )
+        if found:
+            break
+    else:
+        raise ValidationError("no dominating interior found at any size; graph not connected?")
 
-    def make_phases(n_s: int) -> list[SearchState]:
-        return [initial_state(graph, r, roots[:k], n_s) for k, r in enumerate(roots)]
-
-    phases, interiors_per_phase, level_reports, n_s, resolved = _search_interior_levels(
-        graph, make_phases, 1, budget_nodes, workers, backend, time_limit,
+    interiors = []
+    for state, (grown_list, _) in zip(seeds, outcomes):
+        for grown in grown_list:
+            vt = state.vt_mask
+            for e in grown:
+                u, v = graph.edges[e]
+                vt |= (1 << u) | (1 << v)
+            interiors.append((vt, tuple(sorted(graph.boundary_edges + grown))))
+    interiors.sort(key=lambda it: (it[1], it[0]))
+    assert len(set(interiors)) == len(interiors), "duplicate interiors"
+    return InteriorResult(
+        graph=graph,
+        leaf_count=graph.n - n_s,
+        n_interior=n_s,
+        interiors=tuple(interiors),
+        nodes_visited=total,
+        level_reports=tuple(reports),
+        backend=backend,
     )
-    return _finalize_interiors(
-        graph, phases, interiors_per_phase, level_reports, n_s,
-        resolved, roots, (), root_masks,
+
+
+def enumerate_mlsts(
+    graph: ShellGraph,
+    budget_nodes: int = DEFAULT_NODE_BUDGET,
+    workers: Optional[int] = None,
+    backend: Optional[str] = None,
+    time_limit: Optional[float] = None,
+) -> MlstResult:
+    """All optimal cuts of a connected shell graph: `enumerate_interiors`
+    expanded by every combination of one leaf edge per outside vertex.
+
+    On a closed shell these are its maximum leaf spanning trees; on an open
+    shell, its hole cuts (the boundary cycle plus tree branches).
+    """
+    result = enumerate_interiors(graph, budget_nodes, workers, backend, time_limit)
+    plans = [(edges, leaf_choices(graph, vt)) for vt, edges in result.interiors]
+    n_cuts = sum(math.prod(len(c) for c in choices) for _, choices in plans)
+    width = len(plans[0][0]) + result.leaf_count
+    cuts = np.empty((n_cuts, width), dtype=np.int32)
+    at = 0
+    for edges, choices in plans:
+        combos = list(itertools.product(*choices))
+        block = cuts[at:at + len(combos)]
+        block[:, :len(edges)] = edges
+        block[:, len(edges):] = combos
+        at += len(combos)
+    cuts.sort(axis=1)
+    if width:
+        cuts = cuts[np.lexsort(cuts.T[::-1])]
+    assert not (cuts[1:] == cuts[:-1]).all(axis=1).any(), "duplicate cuts emitted"
+    return MlstResult(
+        graph=graph,
+        leaf_count=result.leaf_count,
+        n_interior=result.n_interior,
+        cuts=cuts,
+        interior_count=result.interior_count,
+        nodes_visited=result.nodes_visited,
+        level_reports=result.level_reports,
+        backend=result.backend,
     )
-
-
-def interiors_from_cuts(graph: ShellGraph, cuts: np.ndarray, base_edges: Sequence[int] = ()) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Recover the distinct interiors behind expanded cuts.
-
-    The interior of a cut is its set of non-leaf vertices together with the
-    cut edges joining two such vertices (plus any forced base edges, which sit
-    inside the interior by construction).  Lets counting formulas be
-    cross-checked against explicitly enumerated cuts.
-    """
-    base = tuple(sorted(int(e) for e in base_edges))
-    seen = set()
-    for row in np.asarray(cuts):
-        degree = [0] * graph.n
-        for e in row:
-            u, v = graph.edges[int(e)]
-            degree[u] += 1
-            degree[v] += 1
-        vt = 0
-        for v in range(graph.n):
-            if degree[v] >= 2:
-                vt |= 1 << v
-        edges = tuple(sorted(
-            int(e) for e in row
-            if (vt >> graph.edges[int(e)][0]) & 1 and (vt >> graph.edges[int(e)][1]) & 1
-        ))
-        assert set(base) <= set(edges), "base edges must lie inside the interior"
-        seen.add((vt, edges))
-    return tuple(sorted(seen, key=lambda it: (it[1], it[0])))
-
-
-def max_leaf_brute_force(graph: ShellGraph, trees: Sequence[Cut]) -> tuple[int, list[Cut]]:
-    """Filter an explicit spanning-tree list down to the maximum-leaf ones.
-
-    Independent check for `enumerate_mlsts`: feed it the output of
-    `enumerate_spanning_trees` and compare sets.
-    """
-    best = -1
-    keep: list[Cut] = []
-    for t in trees:
-        leaves = len(cut_leaves(graph, t))
-        if leaves > best:
-            best = leaves
-            keep = [t]
-        elif leaves == best:
-            keep.append(t)
-    keep.sort()
-    return best, keep
-
-
-def greedy_mlst(graph: ShellGraph) -> Cut:
-    """Greedy heuristic: seed a maximum-degree star, then repeatedly attach
-    all outside neighbors of the tree vertex that has the most (ties: lowest
-    vertex index).  Returns one spanning tree; its leaf count is a lower
-    bound on the exact maximum."""
-    n = graph.n
-    if n == 1:
-        return ()
-    seed = max(range(n), key=lambda v: (graph.degree(v), -v))
-    in_tree = 1 << seed
-    edges: list[int] = []
-    for e in graph.incident_edges[seed]:
-        edges.append(e)
-        in_tree |= 1 << graph.other_end(e, seed)
-    while in_tree != (1 << n) - 1:
-        best_v = -1
-        best_gain = 0
-        for v in range(n):
-            if not (in_tree >> v) & 1:
-                continue
-            gain = (graph.neighbor_masks[v] & ~in_tree).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        if best_v < 0:
-            raise ValidationError("graph is disconnected")
-        for e in graph.incident_edges[best_v]:
-            w = graph.other_end(e, best_v)
-            if not (in_tree >> w) & 1:
-                edges.append(e)
-                in_tree |= 1 << w
-    return tuple(sorted(edges))

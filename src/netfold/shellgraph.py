@@ -1,4 +1,4 @@
-"""Shell and face graphs, with two independent exact spanning-tree routes.
+"""Shell graphs, with two independent exact spanning-tree routes.
 
 `count_spanning_trees` evaluates the matrix-tree determinant in exact integer
 arithmetic; `enumerate_spanning_trees` lists every tree by contraction and
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceededError, NonManifoldError, ValidationError
 from .polyhedra import Edge, PolyhedronSpec, canon_edge, edge_face_table
@@ -99,19 +99,6 @@ class ShellGraph:
         return count == self.n
 
 
-@dataclass(frozen=True, eq=False)
-class FaceGraph:
-    """Faces linked by shared edges; `links[e]` names the two faces at shell
-    edge e, or None for an open shell's boundary edges."""
-
-    n: int
-    links: tuple[Optional[tuple[int, int]], ...]
-
-    @property
-    def m(self) -> int:
-        return sum(1 for l in self.links if l is not None)
-
-
 def build_shell_graph(spec: PolyhedronSpec, require_closed: bool = True) -> ShellGraph:
     """Shell graph of a polyhedron spec.
 
@@ -129,18 +116,6 @@ def build_shell_graph(spec: PolyhedronSpec, require_closed: bool = True) -> Shel
         if k == 1:
             boundary_ids.append(i)
     return ShellGraph(n=spec.n_vertices, edges=edges, boundary_edges=tuple(boundary_ids))
-
-
-def build_face_graph(spec: PolyhedronSpec) -> FaceGraph:
-    """Face adjacency parallel to the shell's canonical edge ids."""
-    table = edge_face_table(spec)
-    links = []
-    for e in sorted(table):
-        faces = table[e]
-        if len(faces) > 2:
-            raise NonManifoldError(e, len(faces), f"{spec.name}: edge {e} in {len(faces)} faces")
-        links.append(tuple(sorted(faces)) if len(faces) == 2 else None)
-    return FaceGraph(n=spec.n_faces, links=tuple(links))
 
 
 def _bareiss_determinant(m: list[list[int]]) -> int:

@@ -10,14 +10,13 @@ each orbit is reported once by its lexicographically smallest member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .mlst import leaf_choices
-from .shellgraph import ShellGraph, count_spanning_trees
+from .shellgraph import ShellGraph
 
 Cut = tuple[int, ...]
 
@@ -149,14 +148,6 @@ def edge_permutations(graph: ShellGraph, group: AutomorphismGroup) -> np.ndarray
             a, b = p[u], p[v]
             table[k, e] = graph.edge_index[(a, b) if a < b else (b, a)]
     return table
-
-
-def canonical_cut(graph: ShellGraph, cut: Sequence[int], group: AutomorphismGroup) -> CanonicalCut:
-    """Smallest labeled image of a cut over the whole group, with orbit size."""
-    table = edge_permutations(graph, group)
-    arr = np.asarray(sorted(int(e) for e in cut), dtype=np.int32)
-    images = {tuple(np.sort(table[k][arr]).tolist()) for k in range(group.order)}
-    return CanonicalCut(edges=min(images), orbit_size=len(images))
 
 
 def dedupe_cuts(
@@ -302,17 +293,3 @@ def count_net_classes(
             total += prod
     assert total % group.order == 0, "fixed-point total must divide by the group order"
     return total // group.order
-
-
-def estimate_net_count(
-    graph: ShellGraph,
-    group: Optional[AutomorphismGroup] = None,
-) -> Fraction:
-    """Spanning trees per automorphism, as an exact rational.
-
-    This is a lower bound on the number of non-isomorphic spanning trees: the
-    group action on labeled trees has orbits of size at most the group order.
-    """
-    if group is None:
-        group = find_automorphisms(graph)
-    return Fraction(count_spanning_trees(graph), group.order)

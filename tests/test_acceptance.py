@@ -13,12 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netfold.analysis import (
-    build_statistics_table,
-    estimate_comparison,
-    plot_data,
-    ratio_rank_correlation,
-)
+from helpers import ratio_rank_correlation
+from netfold.analysis import build_statistics_table, estimate_comparison, plot_data
 from netfold.catalog import CATALOG, builtin
 from netfold.geometry import centroid_and_rg, rank_nets, unfold
 from netfold.holes import boundary_edge_ids, enumerate_hole_cuts, remove_faces

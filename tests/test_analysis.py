@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import ratio_rank_correlation, ratio_trend_envelope
 from netfold.analysis import (
     build_statistics_table,
     compute_statistics,
@@ -11,13 +12,14 @@ from netfold.analysis import (
     leaf_estimate_v,
     mlst_ratio_estimate,
     plot_data,
-    ratio_rank_correlation,
-    ratio_trend_envelope,
     vertex_estimate,
 )
 from netfold.catalog import CATALOG, builtin
-from netfold.errors import ValidationError
-from netfold.holes import remove_faces
+from netfold.errors import BudgetExceededError, ValidationError
+from netfold.holes import enumerate_hole_cuts, remove_faces
+from netfold.mlst import enumerate_interiors
+from netfold.shellgraph import build_shell_graph
+from netfold.symmetry import dedupe_cuts, edge_set_stabilizer, find_automorphisms
 
 FAST_NAMES = [e.name for e in CATALOG if not e.long_run]
 
@@ -76,6 +78,32 @@ def test_open_shell_statistics_row():
     assert row.optimal_ratio is None
 
 
+# (shell, removed faces, labeled optimal cuts, net classes)
+OPEN_SHELLS = [
+    ("truncated_cube", [0], 3280, 420),
+    ("rhombicuboctahedron", [0], 2784, 354),
+    ("icosahedron", [0], 1224, 204),
+    ("dodecahedron", [0], 240, 24),
+    ("truncated_octahedron", [0], 96, 16),
+    ("cuboctahedron", [0], 36, 6),
+    ("octahedron", [0], 8, 2),
+    ("cube", [0, 1], 4, 2),
+    ("cube", [0], 1, 1),
+]
+
+
+@pytest.mark.parametrize("name,hole,labeled,classes", OPEN_SHELLS)
+def test_open_shell_counts_match_listing_and_dedupe(name, hole, labeled, classes):
+    spec = remove_faces(builtin(name), hole)
+    row = compute_statistics(spec)
+    graph = build_shell_graph(spec, require_closed=False)
+    cuts = enumerate_hole_cuts(graph).cuts
+    stab = edge_set_stabilizer(graph, find_automorphisms(graph), graph.boundary_edges)
+    assert (row.n_optimal_cuts, row.n_optimal_nets) == (labeled, classes)
+    assert row.n_optimal_cuts == len(cuts)
+    assert row.n_optimal_nets == len(dedupe_cuts(graph, cuts, stab))
+
+
 def test_catalog_rows_match_reference(fast_rows):
     by_name = {row.name: row for row in fast_rows}
     for entry in CATALOG:
@@ -99,12 +127,16 @@ def test_long_run_rows_are_skipped_by_default():
     assert row.n_spanning_trees > 0 and row.n_automorphisms == 120
 
 
-def test_partial_row_on_budget_exhaustion():
-    rows = build_statistics_table(names=["dodecahedron"], budget_nodes=50)
-    (row,) = rows
-    assert row.status == "partial"
-    assert "allowance" in row.note or "exceeded" in row.note
-    assert row.n_optimal_nets is None
+def test_partial_row_on_budget_exhaustion(shell_graph):
+    for budget_nodes in (50, 200):
+        rows = build_statistics_table(names=["dodecahedron"], budget_nodes=budget_nodes)
+        (row,) = rows
+        assert row.status == "partial"
+        assert "allowance" in row.note or "exceeded" in row.note
+        assert row.n_optimal_nets is None
+        with pytest.raises(BudgetExceededError) as exc:
+            enumerate_interiors(shell_graph("dodecahedron"), budget_nodes=budget_nodes)
+        assert row.nodes_visited == sum(r.nodes for r in exc.value.partial) > budget_nodes
 
 
 def test_ratio_trend_envelope(fast_rows):

@@ -14,7 +14,6 @@ from netfold.geometry import (
     rank_nets,
     select_optimal_net,
     unfold,
-    vertex_connections,
 )
 from netfold.holes import boundary_edge_ids, enumerate_hole_cuts, remove_faces
 from netfold.mlst import enumerate_mlsts
@@ -167,8 +166,8 @@ def test_vertex_connections_are_cut_leaves():
     spec = builtin("cube")
     g = build_shell_graph(spec)
     cut = next(enumerate_mlsts(g).cut_tuples())
-    pairs = [g.edges[e] for e in cut]
-    assert vertex_connections(spec, cut=pairs) == cut_leaves(g, cut)
+    markers = unfold(spec, [g.edges[e] for e in cut]).markers
+    assert tuple(sorted(m.vertex for m in markers)) == cut_leaves(g, cut)
 
 
 def test_hole_net_markers_avoid_boundary():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from netfold.catalog import builtin
+from netfold.cli import main
 from netfold.errors import ValidationError
 from netfold.holes import (
     boundary_edge_ids,
@@ -10,7 +11,8 @@ from netfold.holes import (
     hole_spec,
     remove_faces,
 )
-from netfold.shellgraph import build_shell_graph, cut_leaves, enumerate_spanning_trees
+from netfold.mlst import enumerate_interiors, enumerate_mlsts
+from netfold.shellgraph import build_shell_graph, cut_leaves
 from netfold.symmetry import dedupe_cuts, edge_set_stabilizer, find_automorphisms
 
 
@@ -125,12 +127,42 @@ def test_hole_cut_checker_rejects_bad_cuts():
         check_hole_cut(g, good[:-1] + (good[0],), boundary)
 
 
-def test_backend_parity_on_hole_search():
+# The kernel's popcount multiplies past 2**63 and relies on int64 wrapping,
+# which numpy scalars report when the kernel runs uncompiled.
+@pytest.mark.filterwarnings("ignore:overflow encountered in scalar multiply:RuntimeWarning")
+def test_backend_parity_on_hole_search(kernel_backend):
     spec = builtin("rhombicuboctahedron")
     cap = [f for f in range(spec.n_faces)
            if all(spec.vertices[v][2] > 0.9 for v in spec.faces[f])]
     g = build_shell_graph(remove_faces(spec, cap), require_closed=False)
     py = enumerate_hole_cuts(g, backend="python")
-    nb = enumerate_hole_cuts(g, backend="numba")
+    nb = enumerate_hole_cuts(g, backend=kernel_backend)
+    assert (py.backend, nb.backend) == ("python", "numba")
     assert np.array_equal(py.cuts, nb.cuts)
     assert py.nodes_visited == nb.nodes_visited
+    py_int = enumerate_interiors(g, backend="python")
+    nb_int = enumerate_interiors(g, backend=kernel_backend)
+    assert py_int.interiors == nb_int.interiors
+    assert py_int.level_reports == nb_int.level_reports
+
+
+@pytest.mark.parametrize("name,hole", [
+    ("cube", [0]), ("cube", [0, 1]), ("octahedron", [0]), ("dodecahedron", [0]),
+    ("truncated_cube", [0]),
+])
+def test_open_graph_mlsts_are_its_hole_cuts(name, hole):
+    g = build_shell_graph(remove_faces(builtin(name), hole), require_closed=False)
+    assert np.array_equal(enumerate_mlsts(g).cuts, enumerate_hole_cuts(g).cuts)
+
+
+def test_hole_cut_search_needs_a_boundary(shell_graph):
+    with pytest.raises(ValidationError):
+        enumerate_hole_cuts(shell_graph("cube"))
+
+
+def test_count_open_shell_prints_product_and_burnside_counts(capsys):
+    rc = main(["count", "--builtin", "truncated_cube", "--hole", "0"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "labeled optimal cuts: 3280\n" in out
+    assert "optimal net classes: 420\n" in out

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from netfold.catalog import builtin
 from netfold.errors import BudgetExceededError, ValidationError
+from netfold.polyhedra import edge_face_table
 from netfold.shellgraph import (
     ShellGraph,
-    build_face_graph,
     build_shell_graph,
     count_spanning_trees,
     cut_leaves,
@@ -27,9 +27,12 @@ def test_cube_graph_shape(shell_graph):
 
 
 def test_face_graph_of_cube():
-    fg = build_face_graph(builtin("cube"))
-    assert fg.n == 6 and fg.m == 12
-    assert all(link is not None for link in fg.links)
+    # every shell edge links two of the six faces, in canonical edge order
+    spec = builtin("cube")
+    table = edge_face_table(spec)
+    assert sorted(table) == list(build_shell_graph(spec).edges)
+    assert {f for faces in table.values() for f in faces} == set(range(6))
+    assert all(len(faces) == 2 for faces in table.values())
 
 
 def test_open_shell_needs_flag():
