@@ -16,7 +16,6 @@ from functools import cache
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import ValidationError
 from .polyhedra import PolyhedronSpec, validate_polyhedron
@@ -36,6 +35,10 @@ def _faces_from_hull(points: np.ndarray) -> list[tuple[int, ...]]:
     Hull facets are oriented by their outward normals, grouped into coplanar
     patches, and each patch boundary is chained into a single cycle.
     """
+    # scipy.spatial costs most of the package's import time and only catalog
+    # shells need it, so it is imported on first use
+    from scipy.spatial import ConvexHull
+
     hull = ConvexHull(points)
     if len(hull.vertices) != len(points):
         raise ValidationError("input points are not all extreme; not a convex solid")

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 from .mlst import DEFAULT_NODE_BUDGET, MlstResult, enumerate_mlsts
 from .polyhedra import Edge, PolyhedronSpec, canon_edge, edge_face_table
@@ -149,51 +151,78 @@ def boundary_edge_ids(graph: ShellGraph) -> tuple[int, ...]:
     return tuple(sorted(graph.boundary_edges))
 
 
-def check_hole_cut(graph: ShellGraph, cut: Sequence[int], boundary_ids: Sequence[int]) -> None:
-    """Raise unless `cut` is a valid hole cut.
+def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
+    """Raise unless every row of `cuts` is a valid hole cut.
 
     A valid hole cut has exactly V edges, contains every boundary edge, spans
-    all vertices in one component (hence exactly one cycle), acquires no cycle
-    beyond the boundary, and has no boundary vertex as a leaf.
+    all vertices in one component (hence exactly one cycle, the boundary),
+    and has no boundary vertex as a leaf.  The per-row tests run on the whole
+    array at once.  Dropping a row's leaf edges leaves its interior, which
+    must be connected with as many edges as vertices; that test runs once per
+    distinct interior, and a listing has far fewer interiors than cuts.
     """
+    boundary = np.asarray(boundary_edge_ids(graph))
     n = graph.n
-    cut_set = set(int(e) for e in cut)
-    if len(cut_set) != len(cut):
-        raise ValidationError("cut repeats an edge")
-    missing = set(boundary_ids) - cut_set
-    if missing:
-        raise ValidationError(f"cut is missing boundary edges {sorted(missing)}")
-    if len(cut_set) != n:
-        raise ValidationError(f"hole cut needs exactly {n} edges, got {len(cut_set)}")
+    cuts = np.asarray(cuts)
+    if not np.issubdtype(cuts.dtype, np.integer):
+        raise ValidationError(f"cut edge ids must be integers, got {cuts.dtype}")
+    if cuts.ndim != 2 or cuts.shape[1] != n:
+        raise ValidationError(f"hole cuts need exactly {n} edges each, got shape {cuts.shape}")
+    if cuts.size and (cuts.min() < 0 or cuts.max() >= graph.m):
+        raise ValidationError(f"cut edge ids must lie in 0..{graph.m - 1}")
+    bad = np.flatnonzero((cuts[:, 1:] <= cuts[:, :-1]).any(axis=1))
+    if bad.size:
+        raise ValidationError(f"cut {bad[0]} repeats an edge or is not ascending")
+    ends = np.asarray(graph.edges, dtype=np.int32).reshape(-1, 2)
+    rows = np.arange(cuts.shape[0])[:, None]
+    u, v = ends[cuts, 0], ends[cuts, 1]
+    degree = np.bincount(
+        np.concatenate([(rows * n + u).ravel(), (rows * n + v).ravel()]),
+        minlength=cuts.shape[0] * n,
+    ).reshape(-1, n)
+    leaf = degree == 1
+    bad = np.flatnonzero(leaf[:, np.unique(ends[boundary])].any(axis=1))
+    if bad.size:
+        raise ValidationError(f"cut {bad[0]} has a boundary vertex as a leaf")
+    in_boundary = np.zeros(graph.m, dtype=bool)
+    in_boundary[boundary] = True
+    bad = np.flatnonzero(in_boundary[cuts].sum(axis=1) != boundary.size)
+    if bad.size:
+        raise ValidationError(f"cut {bad[0]} is missing boundary edges")
+    leaf_u, leaf_v = leaf[rows, u], leaf[rows, v]
+    bad = np.flatnonzero((leaf_u & leaf_v).any(axis=1))
+    if bad.size:
+        raise ValidationError(f"cut {bad[0]} has an edge joining two leaves")
+    # Each leaf edge has one leaf end, so the core a row keeps after dropping
+    # them has as many edges as the row has non-leaf vertices.  A core that is
+    # connected with as many vertices as edges therefore holds every non-leaf
+    # vertex, the leaves hang on it, and its one cycle is the boundary.
+    cores = np.sort(np.where(leaf_u | leaf_v, graph.m, cuts), axis=1)
+    # unique over whole-row byte keys; np.unique(axis=0) is far slower here
+    keys = np.unique(cores.view(np.dtype((np.void, cores.strides[0]))).ravel())
+    for core in keys.view(cores.dtype).reshape(-1, n).tolist():
+        core_edges = [e for e in core if e < graph.m]
+        if not _connected_unicyclic(graph, core_edges):
+            raise ValidationError(
+                f"cut interior {core_edges} is not connected with exactly one cycle"
+            )
 
-    parent = list(range(n))
+
+def _connected_unicyclic(graph: ShellGraph, edge_ids: Sequence[int]) -> bool:
+    """Whether the edges form one component with as many vertices as edges."""
+    parent: dict[int, int] = {}
 
     def find(x: int) -> int:
+        parent.setdefault(x, x)
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    boundary_set = set(int(e) for e in boundary_ids)
-    degree = [0] * n
-    for e in cut_set - boundary_set:
-        u, v = graph.edges[e]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise ValidationError(f"cut has a cycle through non-boundary edge {e}")
-        parent[ru] = rv
-    for e in cut_set:
-        u, v = graph.edges[e]
-        degree[u] += 1
-        degree[v] += 1
-        parent[find(u)] = find(v)
-    root = find(0)
-    if any(find(v) != root for v in range(n)):
-        raise ValidationError("cut does not span the graph in one component")
-    boundary_vertices = {v for e in boundary_set for v in graph.edges[e]}
-    bad = sorted(v for v in range(n) if degree[v] == 1 and v in boundary_vertices)
-    if bad:
-        raise ValidationError(f"boundary vertices {bad} are leaves")
+    for e in edge_ids:
+        a, b = graph.edges[e]
+        parent[find(a)] = find(b)
+    return len(parent) == len(edge_ids) and len({find(x) for x in parent}) == 1
 
 
 def enumerate_hole_cuts(
@@ -208,11 +237,10 @@ def enumerate_hole_cuts(
     At the first interior size with dominating interiors every cut has
     exactly V - n_S leaves, none of them boundary vertices.
     """
-    base = boundary_edge_ids(graph)
+    boundary_edge_ids(graph)  # a closed shell fails here, before the search
     result = enumerate_mlsts(
         graph, budget_nodes=budget_nodes, workers=workers, backend=backend,
         time_limit=time_limit,
     )
-    for row in result.cuts:
-        check_hole_cut(graph, [int(e) for e in row], base)
+    check_hole_cuts(graph, result.cuts)
     return result

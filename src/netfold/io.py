@@ -6,7 +6,9 @@ still supports every combinatorial operation; geometry then raises cleanly.
 
 All writers emit canonical bytes: keys sorted, rows canonically ordered, no
 timestamps or wall-clock fields, floats via repr.  Re-running a pipeline with
-any worker count reproduces the files byte for byte.
+any worker count reproduces the files byte for byte.  The cut and class
+listings, which run to tens of megabytes, are streamed to the file in blocks
+of rows with the bytes `json.dumps(indent=2, sort_keys=True)` would give.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import csv
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -77,9 +79,16 @@ def polyhedron_from_doc(doc: object) -> PolyhedronSpec:
     return PolyhedronSpec(name=name, vertices=vertices, faces=tuple(faces))
 
 
+# rows formatted per call by the streaming writers
+_ROW_BLOCK = 4096
+
+
+def _json_text(doc: object) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
+
+
 def _write_json(doc: object, path: PathLike) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(_json_text(doc) + "\n", encoding="utf-8")
 
 
 def load_polyhedron(path: PathLike) -> PolyhedronSpec:
@@ -101,47 +110,97 @@ def _fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
 
 
-def enumeration_doc(
+def _write_json_with_rows(
+    path: PathLike, doc: dict, key: str, row_format: str,
+    blocks: Iterable[tuple[int, Sequence[int]]],
+) -> None:
+    """Write `doc` with `doc[key]` set to a list of rows, streamed.
+
+    The bytes are those of `_write_json` on the whole document.  Each row is
+    `row_format`, a %-template at two levels of indentation.  `blocks` yields
+    (row count, the rows' values in order); each block is formatted in one
+    call and written straight to the file, so the whole text is never held
+    in memory.
+    """
+    placeholder = "\u0000rows\u0000"
+    # the row list's key sorts before "shell", the one free-text field, so
+    # the placeholder's first occurrence is the row list's
+    head, _, tail = _json_text({**doc, key: placeholder}).partition(json.dumps(placeholder))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        opening = "[\n"
+        for n_rows, values in blocks:
+            fh.write(opening + ",\n".join([row_format] * n_rows) % tuple(values))
+            opening = ",\n"
+        fh.write(("[]" if opening == "[\n" else "\n  ]") + tail + "\n")
+
+
+def _int_list_format(indent: int, width: int) -> str:
+    """%-template of a JSON list of `width` ints as `json.dumps(indent=2)`
+    lays it out when the list opens at `indent` spaces; `width` >= 1."""
+    inner = " " * (indent + 2)
+    return "[\n" + ",\n".join([inner + "%d"] * width) + "\n" + " " * indent + "]"
+
+
+def write_enumeration(
+    path: PathLike,
     graph: ShellGraph,
     leaf_count: int,
-    cuts: Optional[Sequence[Sequence[int]]],
+    cuts: Optional[np.ndarray],
     nodes_visited: int,
     shell_name: str,
     labeled_count: Optional[int] = None,
-) -> dict:
-    """Document for an enumeration run; cuts may be omitted for counting-only
-    runs, in which case labeled_count carries the total."""
-    rows = None if cuts is None else sorted([int(e) for e in cut] for cut in cuts)
+) -> None:
+    """Enumeration result file.  `cuts` holds one ascending row of edge ids
+    per labeled cut, rows in lexicographic order (as `MlstResult.cuts`); it
+    may be None for counting-only runs, and `labeled_count` carries the
+    total."""
     doc = {
         "shell": shell_name,
         "n_vertices": graph.n,
         "n_edges": graph.m,
         "edges": [list(e) for e in graph.edges],
         "leaf_count": leaf_count,
-        "n_labeled_cuts": len(rows) if rows is not None else labeled_count,
+        "n_labeled_cuts": labeled_count,
         "nodes_visited": nodes_visited,
     }
-    if rows is not None:
-        doc["cuts"] = rows
-    return doc
-
-
-def write_enumeration(path: PathLike, **kwargs) -> None:
-    _write_json(enumeration_doc(**kwargs), path)
-
-
-def dedup_doc(graph: ShellGraph, classes: Sequence[CanonicalCut], shell_name: str) -> dict:
-    rows = sorted((list(c.edges), c.orbit_size) for c in classes)
-    return {
-        "shell": shell_name,
-        "n_classes": len(classes),
-        "n_labeled_cuts": sum(c.orbit_size for c in classes),
-        "classes": [{"cut": cut, "orbit_size": orbit} for cut, orbit in rows],
-    }
+    if cuts is None:
+        _write_json(doc, path)
+        return
+    cuts = np.asarray(cuts)
+    if cuts.ndim != 2 or not cuts.shape[1]:
+        raise ValidationError(f"cuts must be a 2-D array of edge ids, got shape {cuts.shape}")
+    step = cuts[1:].astype(np.int64) - cuts[:-1]
+    first = step[np.arange(step.shape[0]), (step != 0).argmax(axis=1)]
+    if (first <= 0).any():
+        raise ValidationError("cut rows must be distinct and in lexicographic order")
+    doc["n_labeled_cuts"] = cuts.shape[0]
+    chunks = (cuts[at:at + _ROW_BLOCK] for at in range(0, cuts.shape[0], _ROW_BLOCK))
+    blocks = ((len(chunk), chunk.ravel().tolist()) for chunk in chunks)
+    _write_json_with_rows(path, doc, "cuts", "    " + _int_list_format(4, cuts.shape[1]), blocks)
 
 
 def write_dedup(path: PathLike, graph: ShellGraph, classes: Sequence[CanonicalCut], shell_name: str) -> None:
-    _write_json(dedup_doc(graph, classes, shell_name), path)
+    """Class listing file: each class's smallest labeled cut and orbit size,
+    in lexicographic order of the cuts."""
+    classes = sorted(classes, key=lambda c: c.edges)
+    widths = {len(c.edges) for c in classes}
+    if len(widths) > 1:
+        raise ValidationError("classes have mixed cut sizes")
+    row_format = (
+        '    {\n      "cut": ' + _int_list_format(6, widths.pop() if widths else 1)
+        + ',\n      "orbit_size": %d\n    }'
+    )
+    doc = {
+        "shell": shell_name,
+        "n_classes": len(classes),
+        "n_labeled_cuts": sum(c.orbit_size for c in classes),
+    }
+    chunks = (classes[at:at + _ROW_BLOCK] for at in range(0, len(classes), _ROW_BLOCK))
+    blocks = (
+        (len(chunk), [x for c in chunk for x in (*c.edges, c.orbit_size)]) for chunk in chunks
+    )
+    _write_json_with_rows(path, doc, "classes", row_format, blocks)
 
 
 def write_ranking(path: PathLike, ranked: Sequence[RankedNet]) -> None:

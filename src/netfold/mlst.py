@@ -354,7 +354,8 @@ def enumerate_interiors(
                 vt |= (1 << u) | (1 << v)
             interiors.append((vt, tuple(sorted(graph.boundary_edges + grown))))
     interiors.sort(key=lambda it: (it[1], it[0]))
-    assert len(set(interiors)) == len(interiors), "duplicate interiors"
+    if len(set(interiors)) != len(interiors):
+        raise ValidationError("the search found an interior twice")
     return InteriorResult(
         graph=graph,
         leaf_count=graph.n - n_s,
@@ -394,7 +395,8 @@ def enumerate_mlsts(
     cuts.sort(axis=1)
     if width:
         cuts = cuts[np.lexsort(cuts.T[::-1])]
-    assert not (cuts[1:] == cuts[:-1]).all(axis=1).any(), "duplicate cuts emitted"
+    if (cuts[1:] == cuts[:-1]).all(axis=1).any():
+        raise ValidationError("the expansion emitted a cut twice")
     return MlstResult(
         graph=graph,
         leaf_count=result.leaf_count,

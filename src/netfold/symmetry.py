@@ -167,34 +167,28 @@ def dedupe_cuts(
     cuts = np.asarray(cuts, dtype=np.int16)
     n_cuts, k = cuts.shape
     order = np.lexsort(tuple(cuts[:, c] for c in range(k - 1, -1, -1)))
-    cuts = cuts[order]
+    cuts = np.ascontiguousarray(cuts[order])
     table = edge_permutations(graph, group).astype(np.int16)
-    present = {cuts[i].tobytes() for i in range(n_cuts)}
+    key_type = np.dtype((np.void, k * cuts.itemsize))
+    keys = cuts.view(key_type).ravel().tolist()
+    present = set(keys)
     if len(present) != n_cuts:
         raise ValidationError("duplicate labeled cuts in dedup input")
     seen: set[bytes] = set()
     reps: list[CanonicalCut] = []
     total = 0
-    for i in range(n_cuts):
-        row = cuts[i]
-        key = row.tobytes()
+    for row, key in zip(cuts.tolist(), keys):
         if key in seen:
             continue
-        orbit: set[bytes] = set()
-        for g in range(group.order):
-            image = np.sort(table[g][row]).tobytes()
-            if image not in present:
-                raise ValidationError(
-                    "cut list is not closed under the automorphism group"
-                )
-            orbit.add(image)
+        images = np.sort(table.take(row, axis=1), axis=1)  # take keeps rows contiguous
+        orbit = set(images.view(key_type).ravel().tolist())
+        if not orbit <= present:
+            raise ValidationError("cut list is not closed under the automorphism group")
         seen |= orbit
         total += len(orbit)
-        reps.append(CanonicalCut(
-            edges=tuple(int(e) for e in row),
-            orbit_size=len(orbit),
-        ))
-    assert total == n_cuts, "orbit sizes do not sum to the labeled count"
+        reps.append(CanonicalCut(edges=tuple(row), orbit_size=len(orbit)))
+    if total != n_cuts:
+        raise ValidationError("orbit sizes do not sum to the labeled count")
     return reps
 
 

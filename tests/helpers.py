@@ -1,9 +1,9 @@
 """Reference implementations the tests compare netfold against.
 
 Each one is deliberately simple and independent of the code it checks:
-brute-force filters, recovery of interiors from explicit cut lists, a
-whole-group canonical form for a single cut, and trend statistics over the
-catalog table.
+brute-force filters, a one-cut union-find hole-cut check, recovery of
+interiors from explicit cut lists, a whole-group canonical form for a single
+cut, and trend statistics over the catalog table.
 """
 
 import math
@@ -35,6 +35,54 @@ def max_leaf_brute_force(graph: ShellGraph, trees):
             keep.append(t)
     keep.sort()
     return best, keep
+
+
+def check_hole_cut(graph: ShellGraph, cut: Sequence[int], boundary_ids: Sequence[int]) -> None:
+    """Raise unless `cut` is a valid hole cut, one cut at a time.
+
+    A valid hole cut has exactly V edges, contains every boundary edge, spans
+    all vertices in one component (hence exactly one cycle), acquires no cycle
+    beyond the boundary, and has no boundary vertex as a leaf.  Oracle for
+    the batched `netfold.holes.check_hole_cuts`.
+    """
+    n = graph.n
+    cut_set = set(int(e) for e in cut)
+    if len(cut_set) != len(cut):
+        raise ValidationError("cut repeats an edge")
+    missing = set(boundary_ids) - cut_set
+    if missing:
+        raise ValidationError(f"cut is missing boundary edges {sorted(missing)}")
+    if len(cut_set) != n:
+        raise ValidationError(f"hole cut needs exactly {n} edges, got {len(cut_set)}")
+
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    boundary_set = set(int(e) for e in boundary_ids)
+    degree = [0] * n
+    for e in cut_set - boundary_set:
+        u, v = graph.edges[e]
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise ValidationError(f"cut has a cycle through non-boundary edge {e}")
+        parent[ru] = rv
+    for e in cut_set:
+        u, v = graph.edges[e]
+        degree[u] += 1
+        degree[v] += 1
+        parent[find(u)] = find(v)
+    root = find(0)
+    if any(find(v) != root for v in range(n)):
+        raise ValidationError("cut does not span the graph in one component")
+    boundary_vertices = {v for e in boundary_set for v in graph.edges[e]}
+    bad = sorted(v for v in range(n) if degree[v] == 1 and v in boundary_vertices)
+    if bad:
+        raise ValidationError(f"boundary vertices {bad} are leaves")
 
 
 def interiors_from_cuts(graph: ShellGraph, cuts: np.ndarray, base_edges: Sequence[int] = ()):

@@ -1,8 +1,15 @@
 """Command-line interface: subcommands, exit codes, reproducible files."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import netfold
 
 from netfold.cli import (
     EXIT_ALL_OVERLAP,
@@ -169,3 +176,46 @@ def test_identical_files_across_worker_counts(tmp_path):
         assert rc == EXIT_OK
         ranks.append((d / "ranking.csv").read_bytes())
     assert ranks[0] == ranks[1]
+
+
+# sha256 of enumerate's result files; a change to the listing, the checks or
+# the writers must reproduce them byte for byte
+GOLDEN = {
+    ("truncated_cube", "0"): (
+        "ce6ac9bd7ff67a9198a1e9b5e16e347b56b01942c5b4b85f3f569911aae8630c",
+        "433956eeca929d8d6c38340c7235c8f0cd840cb91eff401ac984ebf5d13c4702",
+    ),
+    ("dodecahedron", "0"): (
+        "626feed5b0aec8a68ee6b44d79af81208b4686bacc426cad074a572411263db8",
+        "fe9fbcae1056785fe4a23646d7797e066f37cd810b0e7efc8a4d0e9d2f8f07e5",
+    ),
+    ("cube", None): (
+        "4c62eca4e2e1bfacd4ce59004b4f1de626c01daab2a61b4ee3fe29e258a7ded7",
+        "8096d77f42ef157c53587f0f3ad3b82bfcd5d58c4ffa75d3bca3392ffa9640c6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,hole", sorted(GOLDEN, key=str))
+def test_enumerate_files_match_golden_hashes(tmp_path, capsys, name, hole):
+    argv = ["enumerate", "--builtin", name, "--workers", "1", "--out-dir", str(tmp_path)]
+    if hole is not None:
+        argv += ["--hole", hole]
+    assert main(argv) == EXIT_OK
+    digests = tuple(
+        hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+        for f in ("enumeration.json", "classes.json")
+    )
+    assert digests == GOLDEN[(name, hole)]
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial is only needed to build catalog shells; a fresh
+    # interpreter must not pay for it at start-up
+    code = "import netfold.cli, sys; assert 'scipy.spatial' not in sys.modules"
+    src = str(Path(netfold.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from helpers import check_hole_cut
 from netfold.catalog import builtin
 from netfold.cli import main
 from netfold.errors import ValidationError
 from netfold.holes import (
     boundary_edge_ids,
-    check_hole_cut,
+    check_hole_cuts,
     enumerate_hole_cuts,
     hole_spec,
     remove_faces,
@@ -28,7 +29,7 @@ def brute_force_hole_cuts(graph, boundary):
         cut = tuple(sorted(boundary + tuple(extra)))
         try:
             check_hole_cut(graph, cut, boundary)
-        except (ValidationError, AssertionError):
+        except ValidationError:
             continue
         leaves = len(cut_leaves(graph, cut))
         if leaves > best:
@@ -117,14 +118,127 @@ def test_hole_cut_checker_rejects_bad_cuts():
     # drop a required boundary edge
     bad = tuple(sorted((set(good) - {boundary[0]}) | {next(
         e for e in range(g.m) if e not in good)}))
-    with pytest.raises((ValidationError, AssertionError)):
-        check_hole_cut(g, bad, boundary)
-    # wrong size
-    with pytest.raises((ValidationError, AssertionError)):
-        check_hole_cut(g, good[:-1], boundary)
-    # repeated edge
-    with pytest.raises((ValidationError, AssertionError)):
-        check_hole_cut(g, good[:-1] + (good[0],), boundary)
+    # wrong size; repeated edge
+    for cut in (bad, good[:-1], good[:-1] + (good[0],)):
+        with pytest.raises(ValidationError):
+            check_hole_cut(g, cut, boundary)
+        with pytest.raises(ValidationError):
+            check_hole_cuts(g, np.array([cut], dtype=np.int32))
+
+
+def _open_graph(name, hole):
+    return build_shell_graph(remove_faces(builtin(name), hole), require_closed=False)
+
+
+def _oracle_accepts(graph, cut):
+    try:
+        check_hole_cut(graph, cut, boundary_edge_ids(graph))
+    except ValidationError:
+        return False
+    return True
+
+
+def _batch_accepts(graph, cuts):
+    try:
+        check_hole_cuts(graph, cuts)
+    except ValidationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name,hole", [
+    ("truncated_cube", [0]), ("dodecahedron", [0]), ("cube", [0, 1]),
+])
+def test_batched_hole_check_matches_the_oracle(name, hole):
+    g = _open_graph(name, hole)
+    cuts = enumerate_mlsts(g).cuts
+    assert all(_oracle_accepts(g, row) for row in cuts.tolist())
+    assert _batch_accepts(g, cuts)
+    # swapping one or two edges of a cut for edges outside it gives both
+    # valid hole cuts (with fewer leaves) and invalid ones; the verdicts
+    # must agree row by row
+    rng = np.random.default_rng(7)
+    verdicts = []
+    for _ in range(300):
+        row = cuts[rng.integers(len(cuts))]
+        k = int(rng.integers(1, 3))
+        kept = rng.permutation(row)[k:]
+        added = rng.choice(np.setdiff1d(np.arange(g.m), row), size=k, replace=False)
+        mutated = np.sort(np.concatenate([kept, added])).astype(np.int32)
+        oracle = _oracle_accepts(g, mutated.tolist())
+        assert _batch_accepts(g, mutated[None, :]) == oracle, mutated.tolist()
+        verdicts.append(oracle)
+    assert any(verdicts) and not all(verdicts)
+
+
+def _row_degrees(graph, row):
+    degree = [0] * graph.n
+    for e in row:
+        for x in graph.edges[e]:
+            degree[x] += 1
+    return degree
+
+
+def _first_cut_where(graph, cuts, build):
+    """First mutation `build(row, degree)` returns for a cut of `cuts`."""
+    for row in cuts.tolist():
+        mutated = build(row, _row_degrees(graph, row))
+        if mutated is not None:
+            assert len(set(mutated)) == len(mutated) == graph.n
+            return np.array([sorted(mutated)], dtype=np.int32)
+    raise AssertionError("no cut admits this mutation")
+
+
+def test_batched_hole_check_rejects_each_mutation_class():
+    g = _open_graph("truncated_cube", [0])
+    cuts = enumerate_hole_cuts(g).cuts
+    boundary = boundary_edge_ids(g)
+
+    def outside(row, avoid=()):
+        """Edges outside `row` touching none of the vertices in `avoid`."""
+        return [e for e in range(g.m) if e not in row and not set(g.edges[e]) & set(avoid)]
+
+    def missing_boundary_edge(row, degree):
+        for b in boundary:
+            if all(degree[x] >= 3 for x in g.edges[b]):
+                return [e for e in row if e != b] + outside(row)[:1]
+
+    def boundary_leaf(row, degree):
+        for b in boundary:
+            x = next((x for x in g.edges[b] if degree[x] == 2), None)
+            if x is not None:
+                return [e for e in row if e != b] + outside(row, avoid=[x])[:1]
+
+    def leaf_leaf_edge(row, degree):
+        leaves = {x for x in range(g.n) if degree[x] == 1}
+        for e in outside(row):
+            x, y = g.edges[e]
+            if x in leaves and y in leaves:
+                dropped = [f for f in row if not set(g.edges[f]) & {x, y}]
+                extra = [f for f in outside(row, avoid=[x, y]) if f not in dropped]
+                return dropped + [e] + extra[:1]
+
+    def second_cycle_disconnected(row, degree):
+        leaf_edge = next(f for f in row if 1 in (degree[x] for x in g.edges[f]))
+        core = [e for e in outside(row) if all(degree[x] >= 2 for x in g.edges[e])]
+        if core:
+            return [f for f in row if f != leaf_edge] + core[:1]
+
+    good = cuts[:1]
+    cases = {
+        "missing boundary edges": _first_cut_where(g, cuts, missing_boundary_edge),
+        "repeats an edge": np.array([[good[0, 0]] + good[0, :-1].tolist()], dtype=np.int32),
+        "exactly": good[:, :-1],
+        "boundary vertex as a leaf": _first_cut_where(g, cuts, boundary_leaf),
+        "joining two leaves": _first_cut_where(g, cuts, leaf_leaf_edge),
+        "not connected": _first_cut_where(g, cuts, second_cycle_disconnected),
+    }
+    for fragment, bad in cases.items():
+        # the mutated cut sits among valid ones, so the row index is reported
+        batch = np.concatenate([cuts[:5], bad]) if bad.shape[1] == g.n else bad
+        with pytest.raises(ValidationError, match=fragment):
+            check_hole_cuts(g, batch)
+        assert not _oracle_accepts(g, bad[0].tolist())
 
 
 # The kernel's popcount multiplies past 2**63 and relies on int64 wrapping,

@@ -5,12 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from netfold import io as nio
 from netfold.catalog import builtin
 from netfold.errors import MissingGeometryError, ValidationError
 from netfold.geometry import rank_nets
 from netfold.io import (
-    dedup_doc,
-    enumeration_doc,
     load_polyhedron,
     polyhedron_from_doc,
     polyhedron_to_doc,
@@ -25,7 +24,7 @@ from netfold.io import (
 from netfold.analysis import build_statistics_table, estimate_comparison
 from netfold.mlst import enumerate_mlsts
 from netfold.shellgraph import build_shell_graph
-from netfold.symmetry import dedupe_cuts, find_automorphisms
+from netfold.symmetry import CanonicalCut, dedupe_cuts, find_automorphisms
 
 
 def test_polyhedron_round_trip(tmp_path):
@@ -82,52 +81,106 @@ def test_load_reports_path_and_json_position(tmp_path):
     assert "line 2" in str(exc.value)
 
 
+def _canonical_json(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def test_enumeration_doc_and_file(tmp_path):
     graph = build_shell_graph(builtin("tetrahedron"))
     result = enumerate_mlsts(graph)
-    doc = enumeration_doc(
-        graph=graph,
-        leaf_count=result.leaf_count,
-        cuts=result.cut_tuples(),
-        nodes_visited=result.nodes_visited,
-        shell_name="tetrahedron",
-    )
-    assert doc["leaf_count"] == 3
-    assert doc["n_labeled_cuts"] == 4
-    assert doc["cuts"] == sorted(doc["cuts"])
     path = tmp_path / "enum.json"
     write_enumeration(
         path,
         graph=graph,
         leaf_count=result.leaf_count,
-        cuts=result.cut_tuples(),
+        cuts=result.cuts,
         nodes_visited=result.nodes_visited,
         shell_name="tetrahedron",
     )
-    on_disk = json.loads(path.read_text())
-    assert on_disk == json.loads(json.dumps(doc))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["leaf_count"] == 3
+    assert doc["n_labeled_cuts"] == 4
+    assert doc["cuts"] == sorted(doc["cuts"]) == result.cuts.tolist()
+    assert doc["edges"] == [list(e) for e in graph.edges]
+    # the streamed file is the canonical dump of the document it holds
+    assert path.read_text(encoding="utf-8") == _canonical_json(doc)
 
 
-def test_counting_only_enumeration_doc():
+def test_enumeration_rows_must_be_in_order(tmp_path):
     graph = build_shell_graph(builtin("tetrahedron"))
-    doc = enumeration_doc(
-        graph=graph, leaf_count=3, cuts=None, nodes_visited=17,
+    cuts = enumerate_mlsts(graph).cuts
+    for bad in (cuts[::-1], np.concatenate([cuts, cuts[-1:]])):
+        with pytest.raises(ValidationError, match="lexicographic"):
+            write_enumeration(
+                tmp_path / "enum.json", graph=graph, leaf_count=3, cuts=bad,
+                nodes_visited=0, shell_name="tetrahedron",
+            )
+
+
+def test_counting_only_enumeration_doc(tmp_path):
+    graph = build_shell_graph(builtin("tetrahedron"))
+    path = tmp_path / "count.json"
+    write_enumeration(
+        path, graph=graph, leaf_count=3, cuts=None, nodes_visited=17,
         shell_name="tetrahedron", labeled_count=4,
     )
+    doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["n_labeled_cuts"] == 4
     assert "cuts" not in doc
+    assert path.read_text(encoding="utf-8") == _canonical_json({
+        "shell": "tetrahedron", "n_vertices": 4, "n_edges": 6,
+        "edges": [list(e) for e in graph.edges], "leaf_count": 3,
+        "n_labeled_cuts": 4, "nodes_visited": 17,
+    })
 
 
 def test_dedup_doc_totals(tmp_path):
     graph = build_shell_graph(builtin("cube"))
     result = enumerate_mlsts(graph)
     classes = dedupe_cuts(graph, result.cuts, find_automorphisms(graph))
-    doc = dedup_doc(graph, classes, "cube")
+    path = tmp_path / "classes.json"
+    write_dedup(path, graph, classes[::-1], "cube")
+    doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["n_classes"] == 4
     assert doc["n_labeled_cuts"] == 120
-    assert doc["classes"] == sorted(doc["classes"], key=lambda c: c["cut"])
-    write_dedup(tmp_path / "classes.json", graph, classes, "cube")
-    assert json.loads((tmp_path / "classes.json").read_text()) == json.loads(json.dumps(doc))
+    assert doc["classes"] == [
+        {"cut": list(c.edges), "orbit_size": c.orbit_size} for c in classes
+    ]
+    assert path.read_text(encoding="utf-8") == _canonical_json(doc)
+
+
+@pytest.mark.parametrize("classes", [
+    [],
+    [CanonicalCut(edges=(0, 1, 2), orbit_size=4)],
+])
+def test_dedup_file_is_the_canonical_dump(tmp_path, classes):
+    graph = build_shell_graph(builtin("tetrahedron"))
+    path = tmp_path / "classes.json"
+    write_dedup(path, graph, classes, "tétraèdre")
+    assert path.read_text(encoding="utf-8") == _canonical_json({
+        "shell": "tétraèdre",
+        "n_classes": len(classes),
+        "n_labeled_cuts": sum(c.orbit_size for c in classes),
+        "classes": [{"cut": list(c.edges), "orbit_size": c.orbit_size} for c in classes],
+    })
+
+
+def test_enumeration_file_streams_blocks_of_rows(tmp_path, monkeypatch):
+    # blocks of 3 rows split the cube's 120 cuts unevenly
+    monkeypatch.setattr(nio, "_ROW_BLOCK", 3)
+    graph = build_shell_graph(builtin("cube"))
+    result = enumerate_mlsts(graph)
+    path = tmp_path / "enum.json"
+    write_enumeration(
+        path, graph=graph, leaf_count=result.leaf_count, cuts=result.cuts,
+        nodes_visited=result.nodes_visited, shell_name="cube",
+    )
+    assert path.read_text(encoding="utf-8") == _canonical_json({
+        "shell": "cube", "n_vertices": 8, "n_edges": 12,
+        "edges": [list(e) for e in graph.edges], "leaf_count": 4,
+        "n_labeled_cuts": 120, "nodes_visited": result.nodes_visited,
+        "cuts": result.cuts.tolist(),
+    })
 
 
 def test_ranking_csv_shape(tmp_path):
@@ -187,7 +240,7 @@ def test_rewrites_are_byte_identical(tmp_path):
         save_polyhedron(spec, d / "shell.json")
         write_enumeration(
             d / "enum.json", graph=graph, leaf_count=result.leaf_count,
-            cuts=result.cut_tuples(), nodes_visited=result.nodes_visited,
+            cuts=result.cuts, nodes_visited=result.nodes_visited,
             shell_name=spec.name,
         )
         write_dedup(d / "classes.json", graph, classes, spec.name)
