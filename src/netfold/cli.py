@@ -140,9 +140,9 @@ def _search_kwargs(args) -> dict:
 
 def _enumerate_cuts(args, graph):
     """Labeled cuts plus their classes under the boundary-preserving group."""
+    group = find_automorphisms(graph)
     search = enumerate_hole_cuts if graph.boundary_edges else enumerate_mlsts
     result = search(graph, **_search_kwargs(args))
-    group = find_automorphisms(graph)
     classes = dedupe_cuts(
         graph, result.cuts, edge_set_stabilizer(graph, group, graph.boundary_edges),
     )

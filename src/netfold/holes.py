@@ -151,13 +151,17 @@ def boundary_edge_ids(graph: ShellGraph) -> tuple[int, ...]:
     return tuple(sorted(graph.boundary_edges))
 
 
+# rows per block of `check_hole_cuts`; bounds its index arrays to a few MiB
+_CHECK_BLOCK = 8192
+
+
 def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
     """Raise unless every row of `cuts` is a valid hole cut.
 
     A valid hole cut has exactly V edges, contains every boundary edge, spans
     all vertices in one component (hence exactly one cycle, the boundary),
-    and has no boundary vertex as a leaf.  The per-row tests run on the whole
-    array at once.  Dropping a row's leaf edges leaves its interior, which
+    and has no boundary vertex as a leaf.  The per-row tests run in numpy on
+    blocks of rows.  Dropping a row's leaf edges leaves its interior, which
     must be connected with as many edges as vertices; that test runs once per
     distinct interior, and a listing has far fewer interiors than cuts.
     """
@@ -170,38 +174,44 @@ def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
         raise ValidationError(f"hole cuts need exactly {n} edges each, got shape {cuts.shape}")
     if cuts.size and (cuts.min() < 0 or cuts.max() >= graph.m):
         raise ValidationError(f"cut edge ids must lie in 0..{graph.m - 1}")
-    bad = np.flatnonzero((cuts[:, 1:] <= cuts[:, :-1]).any(axis=1))
-    if bad.size:
-        raise ValidationError(f"cut {bad[0]} repeats an edge or is not ascending")
     ends = np.asarray(graph.edges, dtype=np.int32).reshape(-1, 2)
-    rows = np.arange(cuts.shape[0])[:, None]
-    u, v = ends[cuts, 0], ends[cuts, 1]
-    degree = np.bincount(
-        np.concatenate([(rows * n + u).ravel(), (rows * n + v).ravel()]),
-        minlength=cuts.shape[0] * n,
-    ).reshape(-1, n)
-    leaf = degree == 1
-    bad = np.flatnonzero(leaf[:, np.unique(ends[boundary])].any(axis=1))
-    if bad.size:
-        raise ValidationError(f"cut {bad[0]} has a boundary vertex as a leaf")
+    boundary_vertices = np.unique(ends[boundary])
     in_boundary = np.zeros(graph.m, dtype=bool)
     in_boundary[boundary] = True
-    bad = np.flatnonzero(in_boundary[cuts].sum(axis=1) != boundary.size)
-    if bad.size:
-        raise ValidationError(f"cut {bad[0]} is missing boundary edges")
-    leaf_u, leaf_v = leaf[rows, u], leaf[rows, v]
-    bad = np.flatnonzero((leaf_u & leaf_v).any(axis=1))
-    if bad.size:
-        raise ValidationError(f"cut {bad[0]} has an edge joining two leaves")
-    # Each leaf edge has one leaf end, so the core a row keeps after dropping
-    # them has as many edges as the row has non-leaf vertices.  A core that is
-    # connected with as many vertices as edges therefore holds every non-leaf
-    # vertex, the leaves hang on it, and its one cycle is the boundary.
-    cores = np.sort(np.where(leaf_u | leaf_v, graph.m, cuts), axis=1)
-    # unique over whole-row byte keys; np.unique(axis=0) is far slower here
-    keys = np.unique(cores.view(np.dtype((np.void, cores.strides[0]))).ravel())
-    for core in keys.view(cores.dtype).reshape(-1, n).tolist():
-        core_edges = [e for e in core if e < graph.m]
+    cores: set[bytes] = set()
+    for start in range(0, cuts.shape[0], _CHECK_BLOCK):
+        block = cuts[start:start + _CHECK_BLOCK]
+        bad = start + np.flatnonzero((block[:, 1:] <= block[:, :-1]).any(axis=1))
+        if bad.size:
+            raise ValidationError(f"cut {bad[0]} repeats an edge or is not ascending")
+        rows = np.arange(block.shape[0], dtype=np.int32)[:, None]
+        u, v = ends[block, 0], ends[block, 1]
+        degree = np.bincount(
+            np.concatenate([(rows * n + u).ravel(), (rows * n + v).ravel()]),
+            minlength=block.shape[0] * n,
+        ).reshape(-1, n)
+        leaf = degree == 1
+        bad = start + np.flatnonzero(leaf[:, boundary_vertices].any(axis=1))
+        if bad.size:
+            raise ValidationError(f"cut {bad[0]} has a boundary vertex as a leaf")
+        bad = start + np.flatnonzero(in_boundary[block].sum(axis=1) != boundary.size)
+        if bad.size:
+            raise ValidationError(f"cut {bad[0]} is missing boundary edges")
+        leaf_u, leaf_v = leaf[rows, u], leaf[rows, v]
+        bad = start + np.flatnonzero((leaf_u & leaf_v).any(axis=1))
+        if bad.size:
+            raise ValidationError(f"cut {bad[0]} has an edge joining two leaves")
+        # Each leaf edge has one leaf end, so the core a row keeps after
+        # dropping them has as many edges as the row has non-leaf vertices.  A
+        # core that is connected with as many vertices as edges therefore holds
+        # every non-leaf vertex, the leaves hang on it, and its one cycle is
+        # the boundary.
+        core = np.sort(np.where(leaf_u | leaf_v, graph.m, block), axis=1)
+        core = core.astype(np.int32, copy=False)
+        # whole-row byte keys; np.unique(axis=0) is far slower here
+        cores.update(core.view(np.dtype((np.void, core.strides[0]))).ravel().tolist())
+    for key in sorted(cores):
+        core_edges = [e for e in np.frombuffer(key, dtype=np.int32).tolist() if e < graph.m]
         if not _connected_unicyclic(graph, core_edges):
             raise ValidationError(
                 f"cut interior {core_edges} is not connected with exactly one cycle"

@@ -5,11 +5,14 @@ vertex connections in the unfolded net.  Every optimal cut is an interior (a
 connected dominating subtree of n_S vertices) plus one leaf edge per outside
 vertex, so one search serves both listing and counting cuts: it grows
 interiors of n_S = 1, 2, ... vertices and stops at the first size that yields
-dominating ones.  A closed shell is searched in one phase per root (a
-minimum-degree vertex and its neighbors), each excluding the earlier roots,
-which keeps the union duplicate-free.  An open shell is searched in one phase
-seeded with its hole boundary: the boundary cycle is forced into every cut,
-and its vertices, which carry two cycle edges, are never leaves.
+dominating ones.  A closed shell is searched in one phase per vertex orbit of
+the root set (a minimum-degree vertex and its neighbors), rooted at the
+orbit's first root and barring every vertex of the earlier orbits; the
+phases find at least one member of every orbit of interiors, and mapping the
+found interiors under the automorphism group rebuilds the whole set.  An open
+shell is searched in one phase seeded with its hole boundary: the boundary
+cycle is forced into every cut, and its vertices, which carry two cycle
+edges, are never leaves.  Node counts are the nodes the search visited.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import BudgetExceededError, ValidationError
-from .shellgraph import ShellGraph
+from .shellgraph import ShellGraph, leaf_choices
+from .symmetry import edge_permutations, find_automorphisms
 
 Cut = tuple[int, ...]
 
@@ -39,7 +43,8 @@ class SearchState:
 
     vt_mask holds the seed vertices, cov_mask the union of their closed
     neighborhoods, frontier the ascending ids of the edges leaving the seed,
-    and excl_mask the vertices barred from growth (earlier roots).
+    and excl_mask the vertices barred from growth (those of earlier root
+    orbits).
     """
 
     vt_mask: int
@@ -50,7 +55,8 @@ class SearchState:
 
 @dataclass(frozen=True)
 class LevelReport:
-    """Deterministic statistics for one interior size."""
+    """Deterministic statistics for one interior size: the nodes the search
+    visited and the interiors it found, before the orbit expansion."""
 
     n_interior: int
     nodes: int
@@ -107,18 +113,6 @@ class InteriorResult:
         return len(self.interiors)
 
 
-def leaf_choices(graph: ShellGraph, vt_mask: int) -> list[list[int]]:
-    """Per outside vertex (ascending), the edges that can attach it as a leaf."""
-    lists = []
-    for w in range(graph.n):
-        if (vt_mask >> w) & 1:
-            continue
-        lists.append(
-            [e for e in graph.incident_edges[w] if (vt_mask >> graph.other_end(e, w)) & 1]
-        )
-    return lists
-
-
 def count_labeled_cuts(result: InteriorResult) -> int:
     """Exact labeled cut count: Σ over interiors Π per-leaf choice counts."""
     return sum(
@@ -165,12 +159,25 @@ def _seed(graph: ShellGraph, vt_mask: int, excl_mask: int = 0) -> SearchState:
 
 
 def _seeds(graph: ShellGraph) -> list[SearchState]:
-    """Phase seeds; the only place the search tells closed from open shells."""
+    """Phase seeds; with `_orbit_closure`, the only place the search tells
+    closed from open shells.
+
+    A closed shell gets one phase per vertex orbit the root set meets, in
+    root-set order, rooted at the orbit's first root and barring every vertex
+    of the earlier orbits.  Every interior dominates the first root, so it
+    meets the root set; an automorphism maps it onto a tree holding the root
+    of the first orbit it meets and missing the earlier orbits, so the phases
+    find a member of every interior orbit.
+    """
     if not graph.boundary_edges:
-        roots = root_set(graph)
-        return [
-            _seed(graph, 1 << r, sum(1 << q for q in roots[:k])) for k, r in enumerate(roots)
-        ]
+        group = find_automorphisms(graph)
+        seeds = []
+        excl = 0
+        for r in root_set(graph):
+            if not (excl >> r) & 1:
+                seeds.append(_seed(graph, 1 << r, excl))
+                excl |= sum(1 << v for v in {p[r] for p in group.perms})
+        return seeds
     vt = 0
     for e in graph.boundary_edges:
         u, v = graph.edges[e]
@@ -181,6 +188,33 @@ def _seeds(graph: ShellGraph) -> list[SearchState]:
             f"{len(graph.boundary_edges)} edges on {vt.bit_count()} vertices"
         )
     return [_seed(graph, vt)]
+
+
+def _orbit_closure(
+    graph: ShellGraph, found: list[tuple[int, tuple[int, ...]]],
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Every image of the found interiors under the automorphism group.
+
+    A found interior already among the images of an earlier one adds nothing,
+    so each orbit is mapped once, from its first member found.
+    """
+    group = find_automorphisms(graph)
+    table = edge_permutations(graph, group)
+    ends = [(1 << u) | (1 << v) for u, v in graph.edges]
+    closure: set[tuple[int, tuple[int, ...]]] = set()
+    for vt, edges in found:
+        if (vt, edges) in closure:
+            continue
+        if not edges:  # a one-vertex interior maps through the vertex permutation
+            v = vt.bit_length() - 1
+            closure.update((1 << p[v], ()) for p in group.perms)
+            continue
+        for row in np.unique(np.sort(table[:, list(edges)], axis=1), axis=0).tolist():
+            image = 0
+            for e in row:
+                image |= ends[e]
+            closure.add((image, tuple(row)))
+    return list(closure)
 
 
 class _Overrun(Exception):
@@ -353,9 +387,11 @@ def enumerate_interiors(
                 u, v = graph.edges[e]
                 vt |= (1 << u) | (1 << v)
             interiors.append((vt, tuple(sorted(graph.boundary_edges + grown))))
-    interiors.sort(key=lambda it: (it[1], it[0]))
     if len(set(interiors)) != len(interiors):
         raise ValidationError("the search found an interior twice")
+    if not graph.boundary_edges:
+        interiors = _orbit_closure(graph, interiors)
+    interiors.sort(key=lambda it: (it[1], it[0]))
     return InteriorResult(
         graph=graph,
         leaf_count=graph.n - n_s,

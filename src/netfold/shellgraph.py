@@ -209,7 +209,11 @@ def enumerate_spanning_trees(graph: ShellGraph, cap: int = ORACLE_CAP) -> tuple[
                     partial=tuple(out),
                 )
             cut = tuple(sorted(chosen))
-            assert len(cut) == n - 1
+            if not is_spanning_tree(graph, cut):
+                raise ValidationError(
+                    f"spanning-tree enumeration emitted {cut}, which is not a spanning tree "
+                    f"of {n} vertices"
+                )
             out.append(cut)
             return
         a0, b0, eid = edges[0]
@@ -245,6 +249,18 @@ def cut_degrees(graph: ShellGraph, cut: Sequence[int]) -> list[int]:
 def cut_leaves(graph: ShellGraph, cut: Sequence[int]) -> tuple[int, ...]:
     """Degree-1 vertices of a cut."""
     return tuple(v for v, d in enumerate(cut_degrees(graph, cut)) if d == 1)
+
+
+def leaf_choices(graph: ShellGraph, vt_mask: int) -> list[list[int]]:
+    """Per outside vertex (ascending), the edges that can attach it as a leaf."""
+    lists = []
+    for w in range(graph.n):
+        if (vt_mask >> w) & 1:
+            continue
+        lists.append(
+            [e for e in graph.incident_edges[w] if (vt_mask >> graph.other_end(e, w)) & 1]
+        )
+    return lists
 
 
 def is_spanning_tree(graph: ShellGraph, cut: Sequence[int]) -> bool:

@@ -9,16 +9,19 @@ each orbit is reported once by its lexicographically smallest member.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .mlst import leaf_choices
-from .shellgraph import ShellGraph
+from .shellgraph import ShellGraph, leaf_choices
 
 Cut = tuple[int, ...]
+
+# ShellGraph hashes by identity, so a graph's group lives as long as the graph
+_GROUPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,28 +51,31 @@ class CanonicalCut:
     orbit_size: int
 
 
-def _assert_group_axioms(graph: ShellGraph, group: AutomorphismGroup) -> None:
+def _check_group_axioms(graph: ShellGraph, group: AutomorphismGroup) -> None:
     perm_set = set(group.perms)
     identity = tuple(range(group.n))
-    assert identity in perm_set, "group is missing the identity"
+    if identity not in perm_set:
+        raise ValidationError("group is missing the identity")
     edge_set = set(graph.edges)
     for p in group.perms:
         for u, v in graph.edges:
             image = (p[u], p[v]) if p[u] < p[v] else (p[v], p[u])
-            assert image in edge_set, f"permutation {p} does not preserve the edge set"
+            if image not in edge_set:
+                raise ValidationError(f"permutation {p} does not preserve the edge set")
         inverse = [0] * group.n
         for v, w in enumerate(p):
             inverse[w] = v
-        assert tuple(inverse) in perm_set, f"group is missing the inverse of {p}"
+        if tuple(inverse) not in perm_set:
+            raise ValidationError(f"group is missing the inverse of {p}")
     for p in group.perms:
         for q in group.perms:
-            assert tuple(p[q[v]] for v in range(group.n)) in perm_set, (
-                "group is not closed under composition"
-            )
+            if tuple(p[q[v]] for v in range(group.n)) not in perm_set:
+                raise ValidationError("group is not closed under composition")
 
 
 def find_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
-    """The complete automorphism group of a connected shell graph.
+    """The complete automorphism group of a connected shell graph, found
+    once per graph: the search, the listing and the counts all use it.
 
     Backtracking over a breadth-first vertex order: a candidate image must
     have the right degree and its already-mapped neighborhood must match the
@@ -77,6 +83,13 @@ def find_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
     row-by-row version of comparing the permuted adjacency matrix with the
     original.
     """
+    group = _GROUPS.get(graph)
+    if group is None:
+        group = _GROUPS[graph] = _search_automorphisms(graph)
+    return group
+
+
+def _search_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
     if not graph.is_connected():
         raise ValidationError("graph is disconnected")
     n = graph.n
@@ -134,7 +147,7 @@ def find_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
 
     assign(0)
     group = AutomorphismGroup(n=n, perms=tuple(sorted(perms)))
-    _assert_group_axioms(graph, group)
+    _check_group_axioms(graph, group)
     return group
 
 
@@ -266,9 +279,8 @@ def count_net_classes(
             vt = vts[int(i)]
             outside = [w for w in range(graph.n) if not (vt >> w) & 1]
             choice_of = dict(zip(outside, leaf_choices(graph, vt)))
-            assert not any((vt >> p[w]) & 1 for w in outside), (
-                "a fixed interior edge set must fix the outside vertex set"
-            )
+            if any((vt >> p[w]) & 1 for w in outside):
+                raise ValidationError("a fixed interior edge set must fix the outside vertex set")
             visited: set[int] = set()
             prod = 1
             for w in outside:
@@ -285,5 +297,6 @@ def count_net_classes(
                 if prod == 0:
                     break
             total += prod
-    assert total % group.order == 0, "fixed-point total must divide by the group order"
+    if total % group.order:
+        raise ValidationError("fixed-point total must divide by the group order")
     return total // group.order

@@ -1,9 +1,10 @@
 """Reference implementations the tests compare netfold against.
 
 Each one is deliberately simple and independent of the code it checks:
-brute-force filters, a one-cut union-find hole-cut check, recovery of
-interiors from explicit cut lists, a whole-group canonical form for a single
-cut, and trend statistics over the catalog table.
+brute-force filters, a one-cut union-find hole-cut check, the closed-shell
+interior search without symmetry, recovery of interiors from explicit cut
+lists, a whole-group canonical form for a single cut, and trend statistics
+over the catalog table.
 """
 
 import math
@@ -14,6 +15,7 @@ from scipy.stats import spearmanr
 
 from netfold.analysis import ShellStatistics, mlst_ratio_estimate
 from netfold.errors import ValidationError
+from netfold.mlst import _run_phase, _seed, root_set
 from netfold.shellgraph import ShellGraph, cut_leaves
 from netfold.symmetry import AutomorphismGroup, CanonicalCut, edge_permutations
 
@@ -83,6 +85,37 @@ def check_hole_cut(graph: ShellGraph, cut: Sequence[int], boundary_ids: Sequence
     bad = sorted(v for v in range(n) if degree[v] == 1 and v in boundary_vertices)
     if bad:
         raise ValidationError(f"boundary vertices {bad} are leaves")
+
+
+def root_set_interiors(graph: ShellGraph, backend: str = "python"):
+    """All optimal interiors of a closed shell, searched without symmetry.
+
+    One phase per root-set vertex, each barring the earlier roots, at interior
+    sizes 1, 2, ... until one finds dominating interiors; the union is the
+    whole set, found once each.  Oracle for the orbit-rooted phases of
+    `netfold.mlst.enumerate_interiors`: it shares their phase search
+    (`_seed`, `_run_phase`, checked against brute force in `test_mlst`) and
+    replaces only the seeding and the orbit expansion.  Returns the leaf
+    count, the interiors in that function's order and the nodes visited.
+    """
+    roots = root_set(graph)
+    seeds = [_seed(graph, 1 << r, sum(1 << q for q in roots[:k])) for k, r in enumerate(roots)]
+    nodes = 0
+    for n_s in range(1, graph.n + 1):
+        interiors = []
+        for state in seeds:
+            grown_list, phase_nodes = _run_phase(graph, state, n_s - 1, 10**12, backend)
+            nodes += phase_nodes
+            for grown in grown_list:
+                vt = state.vt_mask
+                for e in grown:
+                    vt |= (1 << graph.edges[e][0]) | (1 << graph.edges[e][1])
+                interiors.append((vt, tuple(sorted(grown))))
+        if interiors:
+            assert len(set(interiors)) == len(interiors), "a root-set phase found an interior twice"
+            interiors.sort(key=lambda it: (it[1], it[0]))
+            return graph.n - n_s, tuple(interiors), nodes
+    raise ValidationError("no dominating interior at any size")
 
 
 def interiors_from_cuts(graph: ShellGraph, cuts: np.ndarray, base_edges: Sequence[int] = ()):

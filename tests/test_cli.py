@@ -190,10 +190,16 @@ GOLDEN = {
         "fe9fbcae1056785fe4a23646d7797e066f37cd810b0e7efc8a4d0e9d2f8f07e5",
     ),
     ("cube", None): (
-        "4c62eca4e2e1bfacd4ce59004b4f1de626c01daab2a61b4ee3fe29e258a7ded7",
+        "8e43501888d30a509ed3d7a87b7e8d05e1194cb4ad222b57dcba793430639669",
         "8096d77f42ef157c53587f0f3ad3b82bfcd5d58c4ffa75d3bca3392ffa9640c6",
     ),
 }
+
+# The cube's search runs one orbit-rooted phase and visits 55 nodes, where one
+# phase per root-set vertex visited 124; apart from nodes_visited, the cube's
+# enumeration.json must still be the document those phases wrote, pinned here.
+CUBE_ROOT_SET_NODES = 124
+CUBE_ROOT_SET_ENUMERATION = "4c62eca4e2e1bfacd4ce59004b4f1de626c01daab2a61b4ee3fe29e258a7ded7"
 
 
 @pytest.mark.parametrize("name,hole", sorted(GOLDEN, key=str))
@@ -207,6 +213,12 @@ def test_enumerate_files_match_golden_hashes(tmp_path, capsys, name, hole):
         for f in ("enumeration.json", "classes.json")
     )
     assert digests == GOLDEN[(name, hole)]
+    if (name, hole) == ("cube", None):
+        doc = json.loads((tmp_path / "enumeration.json").read_text(encoding="utf-8"))
+        assert doc["nodes_visited"] == 55
+        doc["nodes_visited"] = CUBE_ROOT_SET_NODES
+        text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CUBE_ROOT_SET_ENUMERATION
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():

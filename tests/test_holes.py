@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import check_hole_cut
+from netfold import holes
 from netfold.catalog import builtin
 from netfold.cli import main
 from netfold.errors import ValidationError
@@ -239,6 +240,28 @@ def test_batched_hole_check_rejects_each_mutation_class():
         with pytest.raises(ValidationError, match=fragment):
             check_hole_cuts(g, batch)
         assert not _oracle_accepts(g, bad[0].tolist())
+
+
+def test_hole_check_in_blocks_keeps_global_rows_and_one_test_per_core(monkeypatch):
+    g = _open_graph("truncated_cube", [0])
+    cuts = enumerate_hole_cuts(g).cuts
+    monkeypatch.setattr(holes, "_CHECK_BLOCK", 4)
+    calls = []
+    connected_unicyclic = holes._connected_unicyclic
+
+    def spy(graph, edge_ids):
+        calls.append(tuple(edge_ids))
+        return connected_unicyclic(graph, edge_ids)
+
+    monkeypatch.setattr(holes, "_connected_unicyclic", spy)
+    check_hole_cuts(g, cuts)  # 820 blocks
+    assert sorted(calls) == sorted(set(calls))
+    assert len(calls) == enumerate_interiors(g).interior_count
+    # a bad row in the third block is reported by its row in the whole array
+    repeated = np.array([[cuts[0, 0]] + cuts[0, :-1].tolist()], dtype=np.int32)
+    batch = np.concatenate([cuts[:9], repeated, cuts[9:12]])
+    with pytest.raises(ValidationError, match=r"^cut 9 repeats an edge"):
+        check_hole_cuts(g, batch)
 
 
 # The kernel's popcount multiplies past 2**63 and relies on int64 wrapping,

@@ -123,3 +123,11 @@ def test_determinant_equals_enumeration(g):
     trees = enumerate_spanning_trees(g)
     assert count_spanning_trees(g) == len(trees)
     assert all(is_spanning_tree(g, t) for t in trees)
+
+
+def test_spanning_tree_enumeration_rejects_a_cut_that_is_not_a_tree():
+    # the constructor does not check for self-loops; contracting the loop at
+    # vertex 0 ends the recursion with the loop as the whole "tree"
+    g = ShellGraph(n=2, edges=((0, 0), (0, 1)))
+    with pytest.raises(ValidationError, match="not a spanning tree"):
+        enumerate_spanning_trees(g)

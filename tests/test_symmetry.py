@@ -14,6 +14,8 @@ from netfold.shellgraph import (
     enumerate_spanning_trees,
 )
 from netfold.symmetry import (
+    AutomorphismGroup,
+    _check_group_axioms,
     count_net_classes,
     dedupe_cuts,
     edge_set_stabilizer,
@@ -132,3 +134,38 @@ def test_asymmetric_graph_has_trivial_group():
     ])
     group = find_automorphisms(g)
     assert group.order == 1
+
+
+def _forged(n, *perms):
+    return AutomorphismGroup(n=n, perms=tuple(sorted(perms)))
+
+
+@pytest.mark.parametrize("edges,group,message", [
+    # a transposition of K3 with no identity
+    ([(0, 1), (0, 2), (1, 2)], _forged(3, (1, 0, 2)), "missing the identity"),
+    # swapping the ends of a path's first edge moves its second edge
+    ([(0, 1), (1, 2)], _forged(3, (0, 1, 2), (1, 0, 2)), "does not preserve the edge set"),
+    # a quarter turn of a 4-cycle without the three-quarter turn
+    ([(0, 1), (1, 2), (2, 3), (0, 3)], _forged(4, (0, 1, 2, 3), (1, 2, 3, 0)),
+     "missing the inverse"),
+    # two transpositions of K3 without the 3-cycles they compose to
+    ([(0, 1), (0, 2), (1, 2)], _forged(3, (0, 1, 2), (1, 0, 2), (0, 2, 1)),
+     "not closed under composition"),
+])
+def test_group_axioms_reject_a_forged_group(edges, group, message):
+    g = ShellGraph.from_edges(group.n, edges)
+    with pytest.raises(ValidationError, match=message):
+        _check_group_axioms(g, group)
+
+
+def test_fixed_point_count_rejects_inconsistent_interiors():
+    k4 = ShellGraph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    group = find_automorphisms(k4)
+    # edge (0, 1) with vertex 2 claimed as interior: swapping 2 and 3 fixes
+    # the edge set but carries the outside vertex 3 into the interior
+    with pytest.raises(ValidationError, match="must fix the outside vertex set"):
+        count_net_classes(k4, [(0b0111, (k4.edge_index[(0, 1)],))], group)
+    # the star at vertex 0 alone is not closed under the group: only the 6
+    # automorphisms fixing vertex 0 fix a cut, and 6 does not divide by 24
+    with pytest.raises(ValidationError, match="must divide by the group order"):
+        count_net_classes(k4, [(0b0001, ())], group)
