@@ -96,7 +96,6 @@ def compute_statistics(
     budget_nodes: int = DEFAULT_NODE_BUDGET,
     time_limit: Optional[float] = None,
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
     search: bool = True,
     skip_note: str = "",
 ) -> ShellStatistics:
@@ -127,8 +126,7 @@ def compute_statistics(
         )
     try:
         interiors = enumerate_interiors(
-            graph, budget_nodes=budget_nodes, workers=workers,
-            backend=backend, time_limit=time_limit,
+            graph, budget_nodes=budget_nodes, workers=workers, time_limit=time_limit,
         )
     except BudgetExceededError as exc:
         return ShellStatistics(
@@ -151,7 +149,6 @@ def build_statistics_table(
     long_run: bool = False,
     time_limit: Optional[float] = None,
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> list[ShellStatistics]:
     """Statistics rows for catalog shells (all of them by default).
 
@@ -167,7 +164,7 @@ def build_statistics_table(
         run = long_run or not entry.long_run
         row = compute_statistics(
             builtin(name), budget_nodes=budget_nodes, time_limit=time_limit,
-            workers=workers, backend=backend, search=run,
+            workers=workers, search=run,
             skip_note="" if run else "long-run shell; pass the long-run flag to compute",
         )
         if row.status == "complete":

@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--time-limit", type=float, default=None,
                        help="search wall-time allowance in seconds")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker threads for the search (default: all cores)")
+                       help="accepted for compatibility; the search phases run in order")
         p.add_argument("--long-run", action="store_true",
                        help="allow shells whose enumeration exceeds a desk-scale budget")
         p.add_argument("--out-dir", default=None, metavar="DIR",

@@ -239,7 +239,6 @@ def enumerate_hole_cuts(
     graph: ShellGraph,
     budget_nodes: int = DEFAULT_NODE_BUDGET,
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
     time_limit: Optional[float] = None,
 ) -> MlstResult:
     """All maximum-leaf cuts of an open shell, each checked as a hole cut.
@@ -249,8 +248,7 @@ def enumerate_hole_cuts(
     """
     boundary_edge_ids(graph)  # a closed shell fails here, before the search
     result = enumerate_mlsts(
-        graph, budget_nodes=budget_nodes, workers=workers, backend=backend,
-        time_limit=time_limit,
+        graph, budget_nodes=budget_nodes, workers=workers, time_limit=time_limit,
     )
     check_hole_cuts(graph, result.cuts)
     return result

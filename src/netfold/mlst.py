@@ -12,22 +12,20 @@ phases find at least one member of every orbit of interiors, and mapping the
 found interiors under the automorphism group rebuilds the whole set.  An open
 shell is searched in one phase seeded with its hole boundary: the boundary
 cycle is forced into every cut, and its vertices, which carry two cycle
-edges, are never leaves.  Node counts are the nodes the search visited.
+edges, are never leaves.  The phases of a level run in order and share its
+node allowance.  Node counts are the nodes the search visited.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import ClassVar, Iterator, Optional
 
 import numpy as np
 
-from . import _kernels
 from .errors import BudgetExceededError, ValidationError
 from .shellgraph import ShellGraph, leaf_choices
 from .symmetry import edge_permutations, find_automorphisms
@@ -69,8 +67,11 @@ class MlstResult:
 
     `cuts` is an (N, k) int32 array; every row is an ascending list of
     canonical edge ids and rows are in lexicographic order, so the result is
-    identical across backends and worker counts.
+    identical for every worker count.
     """
+
+    # name of the search that ran, for callers that record it; there is one
+    backend: ClassVar[str] = "python"
 
     graph: ShellGraph
     leaf_count: int
@@ -79,7 +80,6 @@ class MlstResult:
     interior_count: int
     nodes_visited: int
     level_reports: tuple[LevelReport, ...]
-    backend: str
 
     @property
     def labeled_count(self) -> int:
@@ -100,13 +100,14 @@ class InteriorResult:
     the cuts themselves; see `count_labeled_cuts`.
     """
 
+    backend: ClassVar[str] = "python"
+
     graph: ShellGraph
     leaf_count: int
     n_interior: int
     interiors: tuple[tuple[int, tuple[int, ...]], ...]
     nodes_visited: int
     level_reports: tuple[LevelReport, ...]
-    backend: str
 
     @property
     def interior_count(self) -> int:
@@ -137,7 +138,7 @@ def max_cover_step(graph: ShellGraph) -> int:
     A vertex entering the interior comes off the frontier, so it and its
     attachment neighbor are covered already; at most degree - 1 neighbors are
     new.  Growth branches whose remaining vertex quota cannot close the
-    coverage gap at this rate are dead and both backends drop them.
+    coverage gap at this rate are dead and the search drops them.
     """
     return max(graph.degree(v) for v in range(graph.n)) - 1
 
@@ -217,23 +218,41 @@ def _orbit_closure(
     return list(closure)
 
 
-class _Overrun(Exception):
-    """Unwinds the recursive search once it passes its node allowance."""
+class _Stop(Exception):
+    """Unwinds the recursive search at its node allowance or its deadline."""
 
 
-def _grow_python(graph: ShellGraph, state: SearchState, n_grow: int, allowance: int):
-    """Recursive reference search; the numba kernel is its iterative twin."""
+# nodes between two clock reads of a search with a deadline
+_CHECKPOINT = 1 << 14
+
+
+def _grow(
+    graph: ShellGraph, state: SearchState, n_grow: int, allowance: int,
+    deadline: Optional[float] = None,
+):
+    """Grown edge tuples of one phase, the nodes it visited and whether it
+    stopped at the deadline.
+
+    A phase stops once it visits more than `allowance` nodes, or at the first
+    checkpoint (every `_CHECKPOINT` nodes) past `deadline` on the
+    `time.monotonic` clock.
+    """
+    full_cov = (1 << graph.n) - 1
+    if n_grow == 0:
+        return ([()] if state.cov_mask == full_cov else []), 0, False
     edges = graph.edges
     inc = graph.incident_edges
     cov_masks = closed_neighborhood_masks(graph)
-    full_cov = (1 << graph.n) - 1
     excl = state.excl_mask
     cover_step = max_cover_step(graph)
     out: list[tuple[int, ...]] = []
     nodes = 0
+    # one comparison per node: past `limit` the allowance is spent or a
+    # checkpoint is due
+    limit = allowance if deadline is None else min(allowance, _CHECKPOINT)
 
     def rec(vt: int, cov: int, frontier: list[int], grown: list[int]) -> None:
-        nonlocal nodes
+        nonlocal nodes, limit
         last = len(grown) + 1 == n_grow
         remaining = n_grow - len(grown) - 1
         for idx, e in enumerate(frontier):
@@ -244,8 +263,10 @@ def _grow_python(graph: ShellGraph, state: SearchState, n_grow: int, allowance: 
                 continue
             i = v if u_in else u
             nodes += 1
-            if nodes > allowance:
-                raise _Overrun
+            if nodes > limit:
+                if nodes > allowance or time.monotonic() > deadline:
+                    raise _Stop
+                limit = min(allowance, limit + _CHECKPOINT)
             nvt = vt | (1 << i)
             ncov = cov | cov_masks[i]
             if last:
@@ -265,58 +286,15 @@ def _grow_python(graph: ShellGraph, state: SearchState, n_grow: int, allowance: 
 
     try:
         rec(state.vt_mask, state.cov_mask, list(state.frontier), [])
-    except _Overrun:
-        pass
-    return out, nodes
-
-
-def _phase_kernel(graph: ShellGraph, state: SearchState, n_grow: int, allowance: int):
-    """Run one phase through the numba kernel."""
-    edge_u = np.array([u for u, _ in graph.edges], dtype=np.int32)
-    edge_v = np.array([v for _, v in graph.edges], dtype=np.int32)
-    cov = np.array(closed_neighborhood_masks(graph), dtype=np.int64)
-    inc_ptr = np.zeros(graph.n + 1, dtype=np.int64)
-    for v in range(graph.n):
-        inc_ptr[v + 1] = inc_ptr[v] + len(graph.incident_edges[v])
-    inc_ids = np.array(
-        [e for v in range(graph.n) for e in graph.incident_edges[v]], dtype=np.int32
-    )
-    out, found, nodes, _ = _kernels.grow_kernel(
-        n_grow,
-        np.int64((1 << graph.n) - 1),
-        np.int64(state.vt_mask),
-        np.int64(state.cov_mask),
-        np.array(state.frontier, dtype=np.int32),
-        edge_u,
-        edge_v,
-        cov,
-        inc_ptr,
-        inc_ids,
-        np.int64(state.excl_mask),
-        np.int64(allowance),
-        np.int64(max_cover_step(graph)),
-    )
-    interiors = [tuple(int(x) for x in out[k * n_grow:(k + 1) * n_grow]) for k in range(int(found))]
-    return interiors, int(nodes)
-
-
-def _run_phase(graph: ShellGraph, state: SearchState, n_grow: int, allowance: int, backend: str):
-    """Grown edge tuples of one phase and the nodes it visited.
-
-    A phase stops once it visits more than `allowance` nodes.
-    """
-    if n_grow == 0:
-        return ([()] if state.cov_mask == (1 << graph.n) - 1 else []), 0
-    if backend == "numba":
-        return _phase_kernel(graph, state, n_grow, allowance)
-    return _grow_python(graph, state, n_grow, allowance)
+    except _Stop:
+        return out, nodes, nodes <= allowance
+    return out, nodes, False
 
 
 def enumerate_interiors(
     graph: ShellGraph,
     budget_nodes: int = DEFAULT_NODE_BUDGET,
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
     time_limit: Optional[float] = None,
 ) -> InteriorResult:
     """All optimal interiors of a connected shell graph, unexpanded.
@@ -326,49 +304,48 @@ def enumerate_interiors(
     leaves.  Counting the labeled cuts or the symmetry classes of huge shells
     only needs the interiors, whose number is far smaller than the cut count.
 
-    On a budget overrun the `BudgetExceededError` carries the level reports,
-    the last one counting the nodes visited in the level that overran.
+    The phases run in order, each within what the earlier ones left of the
+    node budget, so an overrun visits at most one node past it; `time_limit`
+    is checked between levels and every `_CHECKPOINT` nodes inside a phase.
+    `workers` is accepted and has no effect.  On an overrun the
+    `BudgetExceededError` carries the level reports, the last one counting
+    the nodes visited in the level that overran.
     """
     if graph.n == 0:
         raise ValidationError("empty graph")
     if not graph.is_connected():
         raise ValidationError("graph is disconnected")
     seeds = _seeds(graph)
-    backend = _kernels.resolve_backend(backend, graph.n)
-    if workers is None:
-        workers = os.cpu_count() or 1
     seed_size = seeds[0].vt_mask.bit_count()
-    t0 = time.monotonic()
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     reports: list[LevelReport] = []
     total = 0
     for n_s in range(seed_size, graph.n + 1):
-        if time_limit is not None and time.monotonic() - t0 > time_limit:
+        if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError(
                 f"time limit {time_limit}s exceeded before interior size {n_s}",
                 partial=tuple(reports),
             )
-        allowance = budget_nodes - total
-        if allowance <= 0:
+        if total >= budget_nodes:
             raise BudgetExceededError(
                 f"node budget {budget_nodes} exhausted before interior size {n_s}",
                 partial=tuple(reports),
             )
-        n_grow = n_s - seed_size
-        if len(seeds) > 1 and workers > 1:
-            with ThreadPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
-                outcomes = list(pool.map(
-                    lambda st: _run_phase(graph, st, n_grow, allowance, backend), seeds,
-                ))
-        else:
-            outcomes = []
-            for st in seeds:
-                outcomes.append(_run_phase(graph, st, n_grow, allowance, backend))
-                if outcomes[-1][1] > allowance:
-                    break
-        level_nodes = sum(nodes for _, nodes in outcomes)
-        found = sum(len(grown) for grown, _ in outcomes)
-        reports.append(LevelReport(n_interior=n_s, nodes=level_nodes, interiors=found))
-        total += level_nodes
+        start = total
+        outcomes = []
+        for st in seeds:
+            grown, nodes, late = _grow(graph, st, n_s - seed_size, budget_nodes - total, deadline)
+            outcomes.append(grown)
+            total += nodes
+            if late or total > budget_nodes:
+                break
+        found = sum(len(grown) for grown in outcomes)
+        reports.append(LevelReport(n_interior=n_s, nodes=total - start, interiors=found))
+        if late:
+            raise BudgetExceededError(
+                f"time limit {time_limit}s exceeded at interior size {n_s}",
+                partial=tuple(reports),
+            )
         if total > budget_nodes:
             raise BudgetExceededError(
                 f"node budget {budget_nodes} exceeded at interior size {n_s}",
@@ -380,7 +357,7 @@ def enumerate_interiors(
         raise ValidationError("no dominating interior found at any size; graph not connected?")
 
     interiors = []
-    for state, (grown_list, _) in zip(seeds, outcomes):
+    for state, grown_list in zip(seeds, outcomes):
         for grown in grown_list:
             vt = state.vt_mask
             for e in grown:
@@ -399,7 +376,6 @@ def enumerate_interiors(
         interiors=tuple(interiors),
         nodes_visited=total,
         level_reports=tuple(reports),
-        backend=backend,
     )
 
 
@@ -407,7 +383,6 @@ def enumerate_mlsts(
     graph: ShellGraph,
     budget_nodes: int = DEFAULT_NODE_BUDGET,
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
     time_limit: Optional[float] = None,
 ) -> MlstResult:
     """All optimal cuts of a connected shell graph: `enumerate_interiors`
@@ -416,7 +391,7 @@ def enumerate_mlsts(
     On a closed shell these are its maximum leaf spanning trees; on an open
     shell, its hole cuts (the boundary cycle plus tree branches).
     """
-    result = enumerate_interiors(graph, budget_nodes, workers, backend, time_limit)
+    result = enumerate_interiors(graph, budget_nodes, workers, time_limit)
     plans = [(edges, leaf_choices(graph, vt)) for vt, edges in result.interiors]
     n_cuts = sum(math.prod(len(c) for c in choices) for _, choices in plans)
     width = len(plans[0][0]) + result.leaf_count
@@ -441,5 +416,4 @@ def enumerate_mlsts(
         interior_count=result.interior_count,
         nodes_visited=result.nodes_visited,
         level_reports=result.level_reports,
-        backend=result.backend,
     )

@@ -3,7 +3,6 @@ import re
 import pytest
 from hypothesis import settings
 
-from netfold import _kernels
 from netfold.catalog import builtin
 from netfold.shellgraph import build_shell_graph
 
@@ -30,21 +29,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for number in sorted(results):
             label, name = results[number]
             terminalreporter.write_line(f"CRITERION {number} {label}: {name}")
-
-
-@pytest.fixture
-def kernel_backend(monkeypatch):
-    """Backend name that runs the search kernel of `netfold._kernels`.
-
-    With numba the kernel runs compiled.  Without it `njit` leaves the kernel
-    a plain function and the backend would fall back to the recursive
-    reference, so the fallback is lifted and the same kernel source runs in
-    the interpreter.  Either way a parity test compares the iterative kernel
-    with the recursive reference, never the reference with itself.
-    """
-    if not _kernels.HAS_NUMBA:
-        monkeypatch.setattr(_kernels, "HAS_NUMBA", True)
-    return "numba"
 
 
 @pytest.fixture(scope="session")

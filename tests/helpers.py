@@ -4,7 +4,8 @@ Each one is deliberately simple and independent of the code it checks:
 brute-force filters, a one-cut union-find hole-cut check, the closed-shell
 interior search without symmetry, recovery of interiors from explicit cut
 lists, a whole-group canonical form for a single cut, and trend statistics
-over the catalog table.
+over the catalog table.  `frucht_graph` is a polyhedral graph with no
+symmetry, on which every root-set vertex gets a phase of its own.
 """
 
 import math
@@ -15,7 +16,7 @@ from scipy.stats import spearmanr
 
 from netfold.analysis import ShellStatistics, mlst_ratio_estimate
 from netfold.errors import ValidationError
-from netfold.mlst import _run_phase, _seed, root_set
+from netfold.mlst import _grow, _seed, root_set
 from netfold.shellgraph import ShellGraph, cut_leaves
 from netfold.symmetry import AutomorphismGroup, CanonicalCut, edge_permutations
 
@@ -87,14 +88,23 @@ def check_hole_cut(graph: ShellGraph, cut: Sequence[int], boundary_ids: Sequence
         raise ValidationError(f"boundary vertices {bad} are leaves")
 
 
-def root_set_interiors(graph: ShellGraph, backend: str = "python"):
+def frucht_graph() -> ShellGraph:
+    """Cubic, planar and 3-connected (so a polyhedral graph) with no
+    automorphism but the identity; LCF notation [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2]."""
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    edges = [(v, (v + 1) % 12) for v in range(12)]
+    edges += [(v, (v + step) % 12) for v, step in enumerate(lcf)]
+    return ShellGraph.from_edges(12, [(min(e), max(e)) for e in edges])
+
+
+def root_set_interiors(graph: ShellGraph):
     """All optimal interiors of a closed shell, searched without symmetry.
 
     One phase per root-set vertex, each barring the earlier roots, at interior
     sizes 1, 2, ... until one finds dominating interiors; the union is the
     whole set, found once each.  Oracle for the orbit-rooted phases of
     `netfold.mlst.enumerate_interiors`: it shares their phase search
-    (`_seed`, `_run_phase`, checked against brute force in `test_mlst`) and
+    (`_seed`, `_grow`, checked against brute force in `test_mlst`) and
     replaces only the seeding and the orbit expansion.  Returns the leaf
     count, the interiors in that function's order and the nodes visited.
     """
@@ -104,7 +114,7 @@ def root_set_interiors(graph: ShellGraph, backend: str = "python"):
     for n_s in range(1, graph.n + 1):
         interiors = []
         for state in seeds:
-            grown_list, phase_nodes = _run_phase(graph, state, n_s - 1, 10**12, backend)
+            grown_list, phase_nodes, _ = _grow(graph, state, n_s - 1, 10**12)
             nodes += phase_nodes
             for grown in grown_list:
                 vt = state.vt_mask

@@ -264,25 +264,6 @@ def test_hole_check_in_blocks_keeps_global_rows_and_one_test_per_core(monkeypatc
         check_hole_cuts(g, batch)
 
 
-# The kernel's popcount multiplies past 2**63 and relies on int64 wrapping,
-# which numpy scalars report when the kernel runs uncompiled.
-@pytest.mark.filterwarnings("ignore:overflow encountered in scalar multiply:RuntimeWarning")
-def test_backend_parity_on_hole_search(kernel_backend):
-    spec = builtin("rhombicuboctahedron")
-    cap = [f for f in range(spec.n_faces)
-           if all(spec.vertices[v][2] > 0.9 for v in spec.faces[f])]
-    g = build_shell_graph(remove_faces(spec, cap), require_closed=False)
-    py = enumerate_hole_cuts(g, backend="python")
-    nb = enumerate_hole_cuts(g, backend=kernel_backend)
-    assert (py.backend, nb.backend) == ("python", "numba")
-    assert np.array_equal(py.cuts, nb.cuts)
-    assert py.nodes_visited == nb.nodes_visited
-    py_int = enumerate_interiors(g, backend="python")
-    nb_int = enumerate_interiors(g, backend=kernel_backend)
-    assert py_int.interiors == nb_int.interiors
-    assert py_int.level_reports == nb_int.level_reports
-
-
 @pytest.mark.parametrize("name,hole", [
     ("cube", [0]), ("cube", [0, 1]), ("octahedron", [0]), ("dodecahedron", [0]),
     ("truncated_cube", [0]),

@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import interiors_from_cuts, max_leaf_brute_force
+from helpers import frucht_graph, interiors_from_cuts, max_leaf_brute_force
 from netfold.errors import BudgetExceededError
 from netfold.mlst import LevelReport, count_labeled_cuts, enumerate_interiors, enumerate_mlsts
 from netfold.shellgraph import (
@@ -51,24 +53,6 @@ def test_matches_brute_force_filter(shell_graph):
         assert list(result.cut_tuples()) == sorted(filtered)
 
 
-# The kernel's popcount multiplies past 2**63 and relies on int64 wrapping,
-# which numpy scalars report when the kernel runs uncompiled.
-@pytest.mark.filterwarnings("ignore:overflow encountered in scalar multiply:RuntimeWarning")
-def test_backend_parity_including_node_counts(shell_graph, kernel_backend):
-    for name in ("cube", "truncated_tetrahedron", "cuboctahedron"):
-        g = shell_graph(name)
-        py = enumerate_mlsts(g, backend="python")
-        nb = enumerate_mlsts(g, backend=kernel_backend)
-        assert (py.backend, nb.backend) == ("python", "numba")
-        assert py.leaf_count == nb.leaf_count
-        assert np.array_equal(py.cuts, nb.cuts)
-        assert py.nodes_visited == nb.nodes_visited
-        py_int = enumerate_interiors(g, backend="python")
-        nb_int = enumerate_interiors(g, backend=kernel_backend)
-        assert py_int.interiors == nb_int.interiors
-        assert py_int.level_reports == nb_int.level_reports
-
-
 def test_rows_sorted_and_unique(shell_graph):
     result = enumerate_mlsts(shell_graph("icosahedron"))
     rows = [tuple(int(e) for e in row) for row in result.cuts]
@@ -78,14 +62,37 @@ def test_rows_sorted_and_unique(shell_graph):
 
 
 def test_budget_error_carries_partial_stats(shell_graph):
-    for budget_nodes in (50, 200):
-        for workers in (1, 2):
-            with pytest.raises(BudgetExceededError) as exc:
-                enumerate_mlsts(shell_graph("dodecahedron"), budget_nodes=budget_nodes,
-                                workers=workers)
-            partial = exc.value.partial
-            assert all(isinstance(r, LevelReport) for r in partial)
-            assert sum(r.nodes for r in partial) > budget_nodes
+    # pentakis_dodecahedron runs two phases a level, dodecahedron one
+    for name in ("dodecahedron", "pentakis_dodecahedron"):
+        for budget_nodes in (50, 200):
+            for workers in (1, 2):
+                with pytest.raises(BudgetExceededError) as exc:
+                    enumerate_mlsts(shell_graph(name), budget_nodes=budget_nodes,
+                                    workers=workers)
+                partial = exc.value.partial
+                assert all(isinstance(r, LevelReport) for r in partial)
+                assert budget_nodes < sum(r.nodes for r in partial) <= budget_nodes + 1
+
+
+def test_every_budget_holds_across_phases():
+    # four phases a level; each one runs on what the earlier ones left
+    g = frucht_graph()
+    full = enumerate_interiors(g).nodes_visited
+    for budget_nodes in range(1, full):
+        with pytest.raises(BudgetExceededError) as exc:
+            enumerate_interiors(g, budget_nodes=budget_nodes)
+        assert budget_nodes <= sum(r.nodes for r in exc.value.partial) <= budget_nodes + 1
+    assert enumerate_interiors(g, budget_nodes=full).nodes_visited == full
+
+
+def test_time_limit_holds_inside_a_level(shell_graph):
+    # nearly all of pentakis_dodecahedron's ~2.7 M nodes lie in its last level
+    g = shell_graph("pentakis_dodecahedron")
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError, match=r"time limit 0\.2s exceeded at interior size") as exc:
+        enumerate_interiors(g, time_limit=0.2)
+    assert time.monotonic() - start < 1.2
+    assert exc.value.partial[-1].nodes > 0
 
 
 def test_worker_count_does_not_change_output(shell_graph):
@@ -135,6 +142,6 @@ def connected_graphs(draw):
 def test_search_equals_filter_on_random_graphs(g):
     trees = enumerate_spanning_trees(g)
     best, filtered = max_leaf_brute_force(g, trees)
-    result = enumerate_mlsts(g, backend="python")
+    result = enumerate_mlsts(g)
     assert result.leaf_count == best
     assert list(result.cut_tuples()) == sorted(filtered)

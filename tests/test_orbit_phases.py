@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from helpers import root_set_interiors
+from helpers import frucht_graph, root_set_interiors
 from netfold import mlst
 from netfold.catalog import CATALOG, builtin, catalog_entry
 from netfold.cli import EXIT_OK, main
@@ -38,7 +38,7 @@ def counts(graph, leaf_count, interiors):
     """Labeled cut count and class count of an interior set."""
     result = InteriorResult(
         graph=graph, leaf_count=leaf_count, n_interior=graph.n - leaf_count,
-        interiors=interiors, nodes_visited=0, level_reports=(), backend="python",
+        interiors=interiors, nodes_visited=0, level_reports=(),
     )
     group = find_automorphisms(graph)
     return count_labeled_cuts(result), count_net_classes(graph, interiors, group)
@@ -62,15 +62,6 @@ def map_interiors(graph, image, perm, interiors):
     return tuple(sorted(out, key=lambda it: (it[1], it[0])))
 
 
-def frucht_graph():
-    """Cubic, planar and 3-connected (so a polyhedral graph) with no
-    automorphism but the identity; LCF notation [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2]."""
-    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
-    edges = [(v, (v + 1) % 12) for v in range(12)]
-    edges += [(v, (v + step) % 12) for v, step in enumerate(lcf)]
-    return ShellGraph.from_edges(12, [(min(e), max(e)) for e in edges])
-
-
 def truncated_octahedron_minus_edge():
     """truncated_octahedron without its first edge whose removal leaves a
     group of order 2 (a square-hexagon edge)."""
@@ -86,14 +77,14 @@ def truncated_octahedron_minus_edge():
 def phases(monkeypatch):
     """Distinct seeds `enumerate_interiors` ran phases from, per call."""
     seen = []
-    run_phase = mlst._run_phase
+    grow = mlst._grow
 
     def spy(graph, state, *args):
         if state not in seen:
             seen.append(state)
-        return run_phase(graph, state, *args)
+        return grow(graph, state, *args)
 
-    monkeypatch.setattr(mlst, "_run_phase", spy)
+    monkeypatch.setattr(mlst, "_grow", spy)
     return seen
 
 
@@ -169,7 +160,7 @@ def test_trivial_group_searches_node_for_node_like_the_root_set(phases):
 @given(connected_graphs())
 def test_orbit_phases_on_random_graphs(g):
     leaf_count, interiors, nodes = root_set_interiors(g)
-    result = enumerate_interiors(g, backend="python")
+    result = enumerate_interiors(g)
     assert (result.leaf_count, result.interiors) == (leaf_count, interiors)
     assert result.nodes_visited <= nodes
     if find_automorphisms(g).order == 1:
