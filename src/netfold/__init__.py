@@ -7,8 +7,9 @@ also checks each cut as a hole cut), deduplicate under the graph's
 automorphism group (`dedupe_cuts`), unfold each class to a planar net
 (`unfold`), rank by radius of gyration (`rank_nets`), and select the first
 non-overlapping net (`select_optimal_net`).  Every cut list and count comes
-from one interior search: `enumerate_interiors` with `count_labeled_cuts`
-and `count_net_classes` counts exactly without materializing cut lists, for
+from one search over interior vertex sets: `enumerate_interiors` gives each
+set with the number of trees on it, and `count_labeled_cuts` and
+`count_net_classes` count exactly without materializing cut lists, for
 closed and open shells alike.
 """
 

@@ -138,7 +138,7 @@ def compute_statistics(
     return ShellStatistics(
         **base, leaf_count=interiors.leaf_count,
         n_optimal_cuts=count_labeled_cuts(interiors),
-        n_optimal_nets=count_net_classes(graph, interiors.interiors, stab),
+        n_optimal_nets=count_net_classes(graph, interiors.sets, stab),
         nodes_visited=interiors.nodes_visited, status="complete",
     )
 

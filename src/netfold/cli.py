@@ -282,7 +282,7 @@ def cmd_count(args) -> int:
     interiors = enumerate_interiors(graph, **_search_kwargs(args))
     labeled = count_labeled_cuts(interiors)
     stab = edge_set_stabilizer(graph, group, graph.boundary_edges)
-    classes = count_net_classes(graph, interiors.interiors, stab)
+    classes = count_net_classes(graph, interiors.sets, stab)
     print(f"leaf count: {interiors.leaf_count}")
     print(f"labeled optimal cuts: {labeled}")
     print(f"optimal net classes: {classes}")

@@ -2,18 +2,22 @@
 
 A cut is a spanning tree of the shell graph; maximizing its leaves minimizes
 vertex connections in the unfolded net.  Every optimal cut is an interior (a
-connected dominating subtree of n_S vertices) plus one leaf edge per outside
-vertex, so one search serves both listing and counting cuts: it grows
-interiors of n_S = 1, 2, ... vertices and stops at the first size that yields
-dominating ones.  A closed shell is searched in one phase per vertex orbit of
-the root set (a minimum-degree vertex and its neighbors), rooted at the
-orbit's first root and barring every vertex of the earlier orbits; the
-phases find at least one member of every orbit of interiors, and mapping the
-found interiors under the automorphism group rebuilds the whole set.  An open
-shell is searched in one phase seeded with its hole boundary: the boundary
-cycle is forced into every cut, and its vertices, which carry two cycle
-edges, are never leaves.  The phases of a level run in order and share its
-node allowance.  Node counts are the nodes the search visited.
+connected dominating set of n_S vertices with a tree on it) plus one leaf
+edge per outside vertex, so one search serves both listing and counting
+cuts: it finds the connected dominating vertex sets of n_S = 1, 2, ...
+vertices, each once, and stops at the first size that has any.  The trees on
+a set are counted by the matrix-tree determinant and listed only when cuts
+are listed (`shellgraph.count_interior_trees`, `merged_spanning_trees`).
+
+A closed shell is searched in one phase per vertex orbit of the root set (a
+minimum-degree vertex and its neighbors), rooted at the orbit's first root
+and barring every vertex of the earlier orbits; the phases find at least one
+member of every orbit of sets, and mapping the found sets under the
+automorphism group rebuilds the whole family.  An open shell is searched in
+one phase seeded with its hole boundary: the boundary cycle is forced into
+every cut, and its vertices, which carry two cycle edges, are never leaves.
+The phases of a level run in order and share its node allowance.  A node is
+one vertex set the search visits.
 """
 
 from __future__ import annotations
@@ -27,8 +31,14 @@ from typing import ClassVar, Iterator, Optional
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .shellgraph import ShellGraph, leaf_choices
-from .symmetry import edge_permutations, find_automorphisms
+from .shellgraph import (
+    ShellGraph,
+    count_interior_trees,
+    interior_seed,
+    leaf_choices,
+    merged_spanning_trees,
+)
+from .symmetry import find_automorphisms
 
 Cut = tuple[int, ...]
 
@@ -37,24 +47,23 @@ DEFAULT_NODE_BUDGET = 10_000_000_000
 
 @dataclass(frozen=True)
 class SearchState:
-    """Seed of one interior growth phase.
+    """Seed of one search phase.
 
     vt_mask holds the seed vertices, cov_mask the union of their closed
-    neighborhoods, frontier the ascending ids of the edges leaving the seed,
-    and excl_mask the vertices barred from growth (those of earlier root
-    orbits).
+    neighborhoods and excl_mask the vertices barred from the sets (those of
+    earlier root orbits).
     """
 
     vt_mask: int
     cov_mask: int
-    frontier: tuple[int, ...]
     excl_mask: int
 
 
 @dataclass(frozen=True)
 class LevelReport:
     """Deterministic statistics for one interior size: the nodes the search
-    visited and the interiors it found, before the orbit expansion."""
+    visited and the interiors (trees on the sets) it found, before the orbit
+    expansion."""
 
     n_interior: int
     nodes: int
@@ -92,12 +101,12 @@ class MlstResult:
 
 @dataclass(frozen=True, eq=False)
 class InteriorResult:
-    """All optimal interiors, without expanding leaf attachments.
+    """All optimal interior sets, without listing trees or leaf attachments.
 
-    Each interior is (vertex mask, ascending edge ids of its tree plus any
-    forced boundary edges).  The labeled cut count is the sum over interiors
-    of the product of per-leaf attachment choices, so counting never needs
-    the cuts themselves; see `count_labeled_cuts`.
+    Each entry of `sets` is (vertex mask, number of trees on it), in
+    ascending mask order.  The labeled cut count is the sum over sets of the
+    tree count times the product of per-leaf attachment choices, so counting
+    never needs the cuts themselves; see `count_labeled_cuts`.
     """
 
     backend: ClassVar[str] = "python"
@@ -105,21 +114,27 @@ class InteriorResult:
     graph: ShellGraph
     leaf_count: int
     n_interior: int
-    interiors: tuple[tuple[int, tuple[int, ...]], ...]
+    sets: tuple[tuple[int, int], ...]
     nodes_visited: int
     level_reports: tuple[LevelReport, ...]
 
     @property
     def interior_count(self) -> int:
-        return len(self.interiors)
+        """The number of interiors, that is of trees on the sets."""
+        return sum(trees for _, trees in self.sets)
 
 
 def count_labeled_cuts(result: InteriorResult) -> int:
-    """Exact labeled cut count: Σ over interiors Π per-leaf choice counts."""
-    return sum(
-        math.prod(len(choices) for choices in leaf_choices(result.graph, vt_mask))
-        for vt_mask, _ in result.interiors
-    )
+    """Exact labeled cut count: Σ over sets of trees × Π per-leaf choices,
+    an outside vertex having one choice per neighbor in the set."""
+    nbr = result.graph.neighbor_masks
+    total = 0
+    for vt_mask, trees in result.sets:
+        for w in range(result.graph.n):
+            if not (vt_mask >> w) & 1:
+                trees *= (nbr[w] & vt_mask).bit_count()
+        total += trees
+    return total
 
 
 def root_set(graph: ShellGraph) -> tuple[int, ...]:
@@ -133,30 +148,25 @@ def closed_neighborhood_masks(graph: ShellGraph) -> tuple[int, ...]:
 
 
 def max_cover_step(graph: ShellGraph) -> int:
-    """Most vertices one more interior vertex can newly cover.
+    """Most vertices one more set vertex can newly cover.
 
-    A vertex entering the interior comes off the frontier, so it and its
-    attachment neighbor are covered already; at most degree - 1 neighbors are
-    new.  Growth branches whose remaining vertex quota cannot close the
-    coverage gap at this rate are dead and the search drops them.
+    A vertex joins a set as a neighbor of it, so it and that neighbor are
+    covered already; at most degree - 1 neighbors are new.  Sets whose
+    remaining vertex quota cannot close the coverage gap at this rate are
+    dead and the search drops them.
     """
     return max(graph.degree(v) for v in range(graph.n)) - 1
 
 
 def _seed(graph: ShellGraph, vt_mask: int, excl_mask: int = 0) -> SearchState:
-    """Phase seed growing from the vertices of `vt_mask`; its frontier is
-    every edge leaving them toward a vertex outside `excl_mask`."""
+    """Phase seed growing from the vertices of `vt_mask` and never taking a
+    vertex of `excl_mask`."""
     cov_masks = closed_neighborhood_masks(graph)
     cov = 0
     for v in range(graph.n):
         if (vt_mask >> v) & 1:
             cov |= cov_masks[v]
-    frontier = tuple(
-        e for e, (u, v) in enumerate(graph.edges)
-        if ((vt_mask >> u) & 1) != ((vt_mask >> v) & 1)
-        and not (excl_mask >> u) & 1 and not (excl_mask >> v) & 1
-    )
-    return SearchState(vt_mask=vt_mask, cov_mask=cov, frontier=frontier, excl_mask=excl_mask)
+    return SearchState(vt_mask=vt_mask, cov_mask=cov, excl_mask=excl_mask)
 
 
 def _seeds(graph: ShellGraph) -> list[SearchState]:
@@ -166,9 +176,9 @@ def _seeds(graph: ShellGraph) -> list[SearchState]:
     A closed shell gets one phase per vertex orbit the root set meets, in
     root-set order, rooted at the orbit's first root and barring every vertex
     of the earlier orbits.  Every interior dominates the first root, so it
-    meets the root set; an automorphism maps it onto a tree holding the root
+    meets the root set; an automorphism maps it onto a set holding the root
     of the first orbit it meets and missing the earlier orbits, so the phases
-    find a member of every interior orbit.
+    find a member of every orbit of sets.
     """
     if not graph.boundary_edges:
         group = find_automorphisms(graph)
@@ -179,10 +189,7 @@ def _seeds(graph: ShellGraph) -> list[SearchState]:
                 seeds.append(_seed(graph, 1 << r, excl))
                 excl |= sum(1 << v for v in {p[r] for p in group.perms})
         return seeds
-    vt = 0
-    for e in graph.boundary_edges:
-        u, v = graph.edges[e]
-        vt |= (1 << u) | (1 << v)
+    vt = graph.boundary_mask
     if len(graph.boundary_edges) != vt.bit_count():
         raise ValidationError(
             "hole boundary is not a cycle: "
@@ -191,31 +198,22 @@ def _seeds(graph: ShellGraph) -> list[SearchState]:
     return [_seed(graph, vt)]
 
 
-def _orbit_closure(
-    graph: ShellGraph, found: list[tuple[int, tuple[int, ...]]],
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Every image of the found interiors under the automorphism group.
+def _orbit_closure(graph: ShellGraph, found: dict[int, int]) -> dict[int, int]:
+    """Every image of the found sets under the automorphism group, each with
+    the tree count of its orbit.
 
-    A found interior already among the images of an earlier one adds nothing,
-    so each orbit is mapped once, from its first member found.
+    A found set already among the images of an earlier one adds nothing, so
+    each orbit is mapped once, from its first member found.
     """
     group = find_automorphisms(graph)
-    table = edge_permutations(graph, group)
-    ends = [(1 << u) | (1 << v) for u, v in graph.edges]
-    closure: set[tuple[int, tuple[int, ...]]] = set()
-    for vt, edges in found:
-        if (vt, edges) in closure:
+    closure: dict[int, int] = {}
+    for vt, trees in found.items():
+        if vt in closure:
             continue
-        if not edges:  # a one-vertex interior maps through the vertex permutation
-            v = vt.bit_length() - 1
-            closure.update((1 << p[v], ()) for p in group.perms)
-            continue
-        for row in np.unique(np.sort(table[:, list(edges)], axis=1), axis=0).tolist():
-            image = 0
-            for e in row:
-                image |= ends[e]
-            closure.add((image, tuple(row)))
-    return list(closure)
+        members = [v for v in range(graph.n) if (vt >> v) & 1]
+        for p in group.perms:
+            closure[sum(1 << p[v] for v in members)] = trees
+    return closure
 
 
 class _Stop(Exception):
@@ -226,66 +224,90 @@ class _Stop(Exception):
 _CHECKPOINT = 1 << 14
 
 
-def _grow(
+def _search(
     graph: ShellGraph, state: SearchState, n_grow: int, allowance: int,
     deadline: Optional[float] = None,
 ):
-    """Grown edge tuples of one phase, the nodes it visited and whether it
+    """Vertex masks of the connected dominating sets of one phase that hold
+    the seed and `n_grow` more vertices, the nodes it visited and whether it
     stopped at the deadline.
 
-    A phase stops once it visits more than `allowance` nodes, or at the first
-    checkpoint (every `_CHECKPOINT` nodes) past `deadline` on the
-    `time.monotonic` clock.
+    Include/exclude branching over an extension mask: a node takes the
+    lowest vertex of its extension (the neighbors of the set that no branch
+    has barred) into the set, and its later siblings bar it, so every set is
+    visited once.  A phase stops once it visits more than `allowance` nodes,
+    or at the first checkpoint (every `_CHECKPOINT` nodes) past `deadline`
+    on the `time.monotonic` clock.
     """
-    full_cov = (1 << graph.n) - 1
+    full = (1 << graph.n) - 1
     if n_grow == 0:
-        return ([()] if state.cov_mask == full_cov else []), 0, False
-    edges = graph.edges
-    inc = graph.incident_edges
+        return ([state.vt_mask] if state.cov_mask == full else []), 0, False
+    nbr = graph.neighbor_masks
     cov_masks = closed_neighborhood_masks(graph)
-    excl = state.excl_mask
-    cover_step = max_cover_step(graph)
-    out: list[tuple[int, ...]] = []
+    step = max_cover_step(graph)
+    out: list[int] = []
     nodes = 0
     # one comparison per node: past `limit` the allowance is spent or a
     # checkpoint is due
     limit = allowance if deadline is None else min(allowance, _CHECKPOINT)
 
-    def rec(vt: int, cov: int, frontier: list[int], grown: list[int]) -> None:
-        nonlocal nodes, limit
-        last = len(grown) + 1 == n_grow
-        remaining = n_grow - len(grown) - 1
-        for idx, e in enumerate(frontier):
-            u, v = edges[e]
-            u_in = (vt >> u) & 1
-            v_in = (vt >> v) & 1
-            if u_in and v_in:
-                continue
-            i = v if u_in else u
+    def visit() -> None:
+        # the node count passed `limit`: stop, or move the next checkpoint
+        nonlocal limit
+        if nodes > allowance or time.monotonic() > deadline:
+            raise _Stop
+        limit = min(allowance, limit + _CHECKPOINT)
+
+    def rec(vt: int, cov: int, ext: int, barred: int, remaining: int) -> None:
+        # `barred` holds the set, the excluded vertices and the vertices
+        # earlier branches took; `ext` is disjoint from it
+        nonlocal nodes
+        need = full ^ cov
+        if remaining == 1:
+            if nodes + ext.bit_count() > limit:
+                while ext:
+                    bit = ext & -ext
+                    ext ^= bit
+                    nodes += 1
+                    if nodes > limit:
+                        visit()
+                    if cov_masks[bit.bit_length() - 1] & need == need:
+                        out.append(vt | bit)
+                return
+            # every vertex of `ext` is a node; the ones that complete the
+            # cover are neighbors of every uncovered vertex
+            nodes += ext.bit_count()
+            while need and ext:
+                bit = need & -need
+                need ^= bit
+                ext &= cov_masks[bit.bit_length() - 1]
+            while ext:
+                bit = ext & -ext
+                ext ^= bit
+                out.append(vt | bit)
+            return
+        bound = (remaining - 1) * step
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            barred |= bit
             nodes += 1
             if nodes > limit:
-                if nodes > allowance or time.monotonic() > deadline:
-                    raise _Stop
-                limit = min(allowance, limit + _CHECKPOINT)
-            nvt = vt | (1 << i)
-            ncov = cov | cov_masks[i]
-            if last:
-                if ncov == full_cov:
-                    out.append(tuple(grown) + (e,))
+                visit()
+            v = bit.bit_length() - 1
+            ncov = cov | cov_masks[v]
+            if (full ^ ncov).bit_count() > bound:
                 continue
-            if (full_cov & ~ncov).bit_count() > remaining * cover_step:
-                continue
-            child = frontier[idx + 1:]
-            for e2 in inc[i]:
-                l = graph.other_end(e2, i)
-                if not (nvt >> l) & 1 and not (excl >> l) & 1:
-                    child.append(e2)
-            grown.append(e)
-            rec(nvt, ncov, child, grown)
-            grown.pop()
+            rec(vt | bit, ncov, ext | (nbr[v] & ~barred), barred, remaining - 1)
 
+    vt = state.vt_mask
+    ext = 0
+    for v in range(graph.n):
+        if (vt >> v) & 1:
+            ext |= nbr[v]
+    barred = vt | state.excl_mask
     try:
-        rec(state.vt_mask, state.cov_mask, list(state.frontier), [])
+        rec(vt, state.cov_mask, ext & ~barred, barred, n_grow)
     except _Stop:
         return out, nodes, nodes <= allowance
     return out, nodes, False
@@ -297,12 +319,13 @@ def enumerate_interiors(
     workers: Optional[int] = None,
     time_limit: Optional[float] = None,
 ) -> InteriorResult:
-    """All optimal interiors of a connected shell graph, unexpanded.
+    """All optimal interior sets of a connected shell graph, with the number
+    of trees on each.
 
-    Searches interior sizes upward from the seed size and stops at the first
-    size with dominating interiors; every cut then has exactly V - n_S
+    Searches set sizes upward from the seed size and stops at the first size
+    with connected dominating sets; every cut then has exactly V - n_S
     leaves.  Counting the labeled cuts or the symmetry classes of huge shells
-    only needs the interiors, whose number is far smaller than the cut count.
+    only needs the sets, whose number is far smaller than the cut count.
 
     The phases run in order, each within what the earlier ones left of the
     node budget, so an overrun visits at most one node past it; `time_limit`
@@ -332,15 +355,19 @@ def enumerate_interiors(
                 partial=tuple(reports),
             )
         start = total
-        outcomes = []
+        found: list[int] = []
         for st in seeds:
-            grown, nodes, late = _grow(graph, st, n_s - seed_size, budget_nodes - total, deadline)
-            outcomes.append(grown)
+            sets, nodes, late = _search(graph, st, n_s - seed_size, budget_nodes - total, deadline)
+            found += sets
             total += nodes
             if late or total > budget_nodes:
                 break
-        found = sum(len(grown) for grown in outcomes)
-        reports.append(LevelReport(n_interior=n_s, nodes=total - start, interiors=found))
+        trees = {vt: count_interior_trees(graph, vt) for vt in found}
+        if len(trees) != len(found):
+            raise ValidationError("the search found a set twice")
+        reports.append(LevelReport(
+            n_interior=n_s, nodes=total - start, interiors=sum(trees.values()),
+        ))
         if late:
             raise BudgetExceededError(
                 f"time limit {time_limit}s exceeded at interior size {n_s}",
@@ -356,24 +383,13 @@ def enumerate_interiors(
     else:
         raise ValidationError("no dominating interior found at any size; graph not connected?")
 
-    interiors = []
-    for state, grown_list in zip(seeds, outcomes):
-        for grown in grown_list:
-            vt = state.vt_mask
-            for e in grown:
-                u, v = graph.edges[e]
-                vt |= (1 << u) | (1 << v)
-            interiors.append((vt, tuple(sorted(graph.boundary_edges + grown))))
-    if len(set(interiors)) != len(interiors):
-        raise ValidationError("the search found an interior twice")
     if not graph.boundary_edges:
-        interiors = _orbit_closure(graph, interiors)
-    interiors.sort(key=lambda it: (it[1], it[0]))
+        trees = _orbit_closure(graph, trees)
     return InteriorResult(
         graph=graph,
         leaf_count=graph.n - n_s,
         n_interior=n_s,
-        interiors=tuple(interiors),
+        sets=tuple(sorted(trees.items())),
         nodes_visited=total,
         level_reports=tuple(reports),
     )
@@ -385,24 +401,33 @@ def enumerate_mlsts(
     workers: Optional[int] = None,
     time_limit: Optional[float] = None,
 ) -> MlstResult:
-    """All optimal cuts of a connected shell graph: `enumerate_interiors`
-    expanded by every combination of one leaf edge per outside vertex.
+    """All optimal cuts of a connected shell graph: each set of
+    `enumerate_interiors` expanded by the trees on it and every combination
+    of one leaf edge per outside vertex.
 
     On a closed shell these are its maximum leaf spanning trees; on an open
     shell, its hole cuts (the boundary cycle plus tree branches).
     """
     result = enumerate_interiors(graph, budget_nodes, workers, time_limit)
-    plans = [(edges, leaf_choices(graph, vt)) for vt, edges in result.interiors]
-    n_cuts = sum(math.prod(len(c) for c in choices) for _, choices in plans)
-    width = len(plans[0][0]) + result.leaf_count
+    plans = [
+        (merged_spanning_trees(graph, vt, interior_seed(graph, vt)), leaf_choices(graph, vt))
+        for vt, _ in result.sets
+    ]
+    n_cuts = sum(len(trees) * math.prod(len(c) for c in choices) for trees, choices in plans)
+    boundary = graph.boundary_edges
+    # a tree on a set joins its seed (one vertex, or the boundary) to the rest
+    n_fixed = len(boundary) + result.n_interior - (graph.boundary_mask.bit_count() or 1)
+    width = n_fixed + result.leaf_count
     cuts = np.empty((n_cuts, width), dtype=np.int32)
+    cuts[:, :len(boundary)] = boundary
     at = 0
-    for edges, choices in plans:
-        combos = list(itertools.product(*choices))
-        block = cuts[at:at + len(combos)]
-        block[:, :len(edges)] = edges
-        block[:, len(edges):] = combos
-        at += len(combos)
+    for trees, choices in plans:
+        combos = np.asarray(list(itertools.product(*choices)), dtype=np.int32)
+        for tree in trees:
+            block = cuts[at:at + len(combos)]
+            block[:, len(boundary):n_fixed] = tree
+            block[:, n_fixed:] = combos
+            at += len(combos)
     cuts.sort(axis=1)
     if width:
         cuts = cuts[np.lexsort(cuts.T[::-1])]

@@ -1,9 +1,12 @@
 """Shell graphs, with two independent exact spanning-tree routes.
 
-`count_spanning_trees` evaluates the matrix-tree determinant in exact integer
-arithmetic; `enumerate_spanning_trees` lists every tree by contraction and
-deletion.  The two routes deliberately share no code so they can check each
-other.
+`count_merged_trees` evaluates the matrix-tree determinant in exact integer
+arithmetic; `merged_spanning_trees` lists every tree by contraction and
+deletion.  Both work on the subgraph a vertex set induces with a seed set
+merged into one vertex, which is how the interior search counts and lists
+the trees on each interior; `count_spanning_trees` and
+`enumerate_spanning_trees` are the whole-graph case.  The two routes
+deliberately share no code so they can check each other.
 """
 
 from __future__ import annotations
@@ -60,6 +63,15 @@ class ShellGraph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
+
+    @cached_property
+    def boundary_mask(self) -> int:
+        """The vertices of the hole boundary as a bitmask; 0 on a closed shell."""
+        mask = 0
+        for e in self.boundary_edges:
+            u, v = self.edges[e]
+            mask |= (1 << u) | (1 << v)
+        return mask
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
@@ -149,19 +161,32 @@ def _bareiss_determinant(m: list[list[int]]) -> int:
 
 def count_spanning_trees(graph: ShellGraph) -> int:
     """Exact spanning-tree count: any cofactor of the Laplacian D - A."""
-    n = graph.n
-    if n == 0:
+    if graph.n == 0:
         return 0
-    if n == 1:
-        return 1
-    lap = [[0] * n for _ in range(n)]
-    for u, v in graph.edges:
-        lap[u][u] += 1
-        lap[v][v] += 1
-        lap[u][v] -= 1
-        lap[v][u] -= 1
-    reduced = [row[1:] for row in lap[1:]]
-    return _bareiss_determinant(reduced)
+    return count_merged_trees(graph, (1 << graph.n) - 1, 1)
+
+
+def count_merged_trees(graph: ShellGraph, vt_mask: int, seed_mask: int) -> int:
+    """Spanning trees of the subgraph `vt_mask` induces, with the vertices of
+    `seed_mask` (a nonempty subset) merged into one and the edges among them
+    dropped: the Laplacian cofactor that deletes the merged vertex.
+
+    Row v of the reduced Laplacian holds v's degree inside `vt_mask` and -1
+    toward each neighbor outside the seed; an edge into the seed only adds to
+    the degree.
+    """
+    rest = [v for v in range(graph.n) if (vt_mask >> v) & 1 and not (seed_mask >> v) & 1]
+    index = {v: i for i, v in enumerate(rest)}
+    lap = []
+    for v in rest:
+        row = [0] * len(rest)
+        inside = graph.neighbor_masks[v] & vt_mask
+        row[index[v]] = inside.bit_count()
+        for w in graph.adjacency[v]:
+            if w in index:
+                row[index[w]] = -1
+        lap.append(row)
+    return _bareiss_determinant(lap)
 
 
 def _multigraph_connected(n_labels: int, edges: list[tuple[int, int, int]], start: int) -> bool:
@@ -185,19 +210,42 @@ def _multigraph_connected(n_labels: int, edges: list[tuple[int, int, int]], star
 
 
 def enumerate_spanning_trees(graph: ShellGraph, cap: int = ORACLE_CAP) -> tuple[tuple[int, ...], ...]:
-    """All spanning trees, each a sorted tuple of canonical edge ids.
-
-    Contraction/deletion recursion: the first edge of the current multigraph
-    is either contracted (trees containing it) or deleted (trees avoiding it;
-    only when it is not a bridge).  Output is sorted; raises
-    BudgetExceededError carrying the partial list past `cap` trees.
-    """
+    """All spanning trees, each a sorted tuple of canonical edge ids, in
+    ascending order; raises BudgetExceededError carrying the partial list
+    past `cap` trees."""
     n = graph.n
     if n == 0:
         return ()
-    edges0 = [(u, v, i) for i, (u, v) in enumerate(graph.edges)]
     if not graph.is_connected():
         raise ValidationError("graph is disconnected; no spanning trees")
+    trees = merged_spanning_trees(graph, (1 << n) - 1, 1, cap)
+    for cut in trees:
+        if not is_spanning_tree(graph, cut):
+            raise ValidationError(
+                f"spanning-tree enumeration emitted {cut}, which is not a spanning tree "
+                f"of {n} vertices"
+            )
+    return trees
+
+
+def merged_spanning_trees(
+    graph: ShellGraph, vt_mask: int, seed_mask: int, cap: int = ORACLE_CAP,
+) -> tuple[tuple[int, ...], ...]:
+    """The trees `count_merged_trees` counts, each a sorted tuple of
+    canonical edge ids, in ascending order.
+
+    Contraction/deletion recursion: the first edge of the current multigraph
+    is either contracted (trees containing it) or deleted (trees avoiding it;
+    only when it is not a bridge).  Raises BudgetExceededError carrying the
+    partial list past `cap` trees.
+    """
+    root = (seed_mask & -seed_mask).bit_length() - 1
+    label = {v: root if (seed_mask >> v) & 1 else v
+             for v in range(graph.n) if (vt_mask >> v) & 1}
+    edges0 = [
+        (label[u], label[v], i) for i, (u, v) in enumerate(graph.edges)
+        if u in label and v in label and label[u] != label[v]
+    ]
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
@@ -208,13 +256,9 @@ def enumerate_spanning_trees(graph: ShellGraph, cap: int = ORACLE_CAP) -> tuple[
                     f"spanning-tree enumeration exceeded cap {cap}",
                     partial=tuple(out),
                 )
-            cut = tuple(sorted(chosen))
-            if not is_spanning_tree(graph, cut):
-                raise ValidationError(
-                    f"spanning-tree enumeration emitted {cut}, which is not a spanning tree "
-                    f"of {n} vertices"
-                )
-            out.append(cut)
+            out.append(tuple(sorted(chosen)))
+            return
+        if not edges:
             return
         a0, b0, eid = edges[0]
         rest = edges[1:]
@@ -232,7 +276,7 @@ def enumerate_spanning_trees(graph: ShellGraph, cap: int = ORACLE_CAP) -> tuple[
         if _multigraph_connected(n_labels, rest, a0):
             walk(n_labels, rest)
 
-    walk(n, edges0)
+    walk(len(set(label.values())), edges0)
     out.sort()
     return tuple(out)
 
@@ -261,6 +305,36 @@ def leaf_choices(graph: ShellGraph, vt_mask: int) -> list[list[int]]:
             [e for e in graph.incident_edges[w] if (vt_mask >> graph.other_end(e, w)) & 1]
         )
     return lists
+
+
+def interior_seed(graph: ShellGraph, vt_mask: int) -> int:
+    """The vertices of an interior that its trees treat as one: the hole
+    boundary on an open shell (every interior holds it, and every cut
+    holds its cycle), else the interior's lowest vertex.
+
+    The trees on an interior are the spanning trees of the subgraph it
+    induces with its seed merged: `merged_spanning_trees` lists them and
+    `count_interior_trees` counts them.
+    """
+    return graph.boundary_mask or (vt_mask & -vt_mask)
+
+
+def count_interior_trees(graph: ShellGraph, vt_mask: int) -> int:
+    """The number of trees on a connected interior.
+
+    When the merged subgraph has one edge fewer than vertices it is itself
+    the only tree, and no determinant is needed.
+    """
+    seed = interior_seed(graph, vt_mask)
+    rest = vt_mask & ~seed
+    degrees = inner = 0
+    for v in range(graph.n):
+        if (rest >> v) & 1:
+            degrees += (graph.neighbor_masks[v] & vt_mask).bit_count()
+            inner += (graph.neighbor_masks[v] & rest).bit_count()
+    if degrees - inner // 2 == rest.bit_count():
+        return 1
+    return count_merged_trees(graph, vt_mask, seed)
 
 
 def is_spanning_tree(graph: ShellGraph, cut: Sequence[int]) -> bool:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .shellgraph import ShellGraph, leaf_choices
+from .shellgraph import ShellGraph, interior_seed, merged_spanning_trees
 
 Cut = tuple[int, ...]
 
@@ -67,10 +67,30 @@ def _check_group_axioms(graph: ShellGraph, group: AutomorphismGroup) -> None:
             inverse[w] = v
         if tuple(inverse) not in perm_set:
             raise ValidationError(f"group is missing the inverse of {p}")
+    # Closure: pick generators greedily, each a permutation the earlier ones
+    # do not generate, and generate the group from them, failing at the
+    # first product outside `perms`.  Every permutation ends up generated,
+    # so `perms` is closed exactly when no product leaves it.  Each new
+    # generator at least doubles the generated group, so there are at most
+    # log2 |G| of them and this costs O(|G| log|G| n), not O(|G|^2 n).
+    generators: list[tuple[int, ...]] = []
+    generated = {identity}
     for p in group.perms:
-        for q in group.perms:
-            if tuple(p[q[v]] for v in range(group.n)) not in perm_set:
-                raise ValidationError("group is not closed under composition")
+        if p in generated:
+            continue
+        generators.append(p)
+        frontier = list(generated)
+        while frontier:
+            grown = []
+            for q in frontier:
+                for g in generators:
+                    product = tuple(g[x] for x in q)
+                    if product not in generated:
+                        if product not in perm_set:
+                            raise ValidationError("group is not closed under composition")
+                        generated.add(product)
+                        grown.append(product)
+            frontier = grown
 
 
 def find_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
@@ -163,6 +183,11 @@ def edge_permutations(graph: ShellGraph, group: AutomorphismGroup) -> np.ndarray
     return table
 
 
+# rows turned into Python objects at a time by the trivial-group path of
+# `dedupe_cuts`
+_TRIVIAL_BLOCK = 4096
+
+
 def dedupe_cuts(
     graph: ShellGraph,
     cuts: np.ndarray,
@@ -175,12 +200,25 @@ def dedupe_cuts(
     orbit marked, so every orbit is canonicalized exactly once and the first
     unseen row is the orbit minimum.  Orbit membership is tracked by exact
     byte keys of the sorted edge ids (dict hashing plus exact comparison), and
-    the orbit-sum identity Σ|orbit| = #cuts is enforced.
+    the orbit-sum identity Σ|orbit| = #cuts is enforced.  Under a trivial
+    group every row is its own class, and no keys are built.
     """
     cuts = np.asarray(cuts, dtype=np.int16)
     n_cuts, k = cuts.shape
     order = np.lexsort(tuple(cuts[:, c] for c in range(k - 1, -1, -1)))
     cuts = np.ascontiguousarray(cuts[order])
+    if group.order == 1:
+        # every cut is its own class; sorted rows are distinct when no two
+        # neighbors are equal
+        if (cuts[1:] == cuts[:-1]).all(axis=1).any():
+            raise ValidationError("duplicate labeled cuts in dedup input")
+        reps = []
+        for at in range(0, n_cuts, _TRIVIAL_BLOCK):
+            reps += [CanonicalCut(edges=tuple(row), orbit_size=1)
+                     for row in cuts[at:at + _TRIVIAL_BLOCK].tolist()]
+        if len(reps) != n_cuts:
+            raise ValidationError("orbit sizes do not sum to the labeled count")
+        return reps
     table = edge_permutations(graph, group).astype(np.int16)
     key_type = np.dtype((np.void, k * cuts.itemsize))
     keys = cuts.view(key_type).ravel().tolist()
@@ -228,75 +266,73 @@ def edge_set_stabilizer(
 
 def count_net_classes(
     graph: ShellGraph,
-    interiors: Sequence[tuple[int, Sequence[int]]],
+    sets: Sequence[tuple[int, int]],
     group: AutomorphismGroup,
 ) -> int:
     """Number of cut classes, by fixed-point counting over the group.
 
-    Every labeled cut is an interior plus one attachment edge per outside
-    vertex, so the class count is (1/|G|) Σ_g |Fix(g)|, where a fixed cut
-    needs g to fix its interior edge set and to map attachment choices
-    consistently around each g-cycle of outside vertices: going around a
-    cycle of length c returns the choice composed with g^c, so each cycle
-    contributes the number of g^c-fixed candidate edges at one of its
-    vertices.  Only interiors fixed by g contribute, and those pairs are rare
-    (their total is the interior class count times |G|), which keeps this
-    polynomial even when the labeled cut count is astronomical.
+    `sets` are the interior sets as (vertex mask, number of trees on it),
+    closed under the group.  Every labeled cut is a tree on a set plus one
+    attachment edge per outside vertex, so the class count is
+    (1/|G|) Σ_g |Fix(g)|.  A cut fixed by g needs g to fix its set, to fix
+    its tree, and to map attachment choices consistently around each g-cycle
+    of outside vertices.  Going around a cycle of length c returns the
+    choice composed with g^c, so each cycle contributes the edges from one of
+    its vertices w into the set that g^c fixes; as g^c fixes w, those are
+    the edges to set vertices g^c fixes.  The identity fixes every tree, and
+    a set with one tree has it fixed by every g that fixes the set; only
+    the other sets, with a g ≠ id fixing them, have their trees listed and
+    tested.  Pairs of g and a set it fixes are rare (their total is the
+    number of set classes times |G|), which keeps this polynomial even when
+    the labeled cut count is astronomical.
     """
-    table = edge_permutations(graph, group)
-    index_of = {p: k for k, p in enumerate(group.perms)}
-    edge_rows = [np.asarray(sorted(int(e) for e in edges), dtype=np.int32)
-                 for _, edges in interiors]
-    widths = {arr.shape[0] for arr in edge_rows}
-    if len(widths) > 1:
-        raise ValidationError("interiors have mixed edge counts")
-    mat = np.vstack(edge_rows) if edge_rows else np.empty((0, 0), dtype=np.int32)
-    vts = [vt for vt, _ in interiors]
-
-    powers_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def perm_power(p: tuple[int, ...], c: int) -> tuple[int, ...]:
-        key = (index_of[p], c)
-        if key not in powers_cache:
-            q = tuple(range(group.n))
-            for _ in range(c):
-                q = tuple(p[x] for x in q)
-            powers_cache[key] = q
-        return powers_cache[key]
-
+    if len({vt.bit_count() for vt, _ in sets}) > 1:
+        raise ValidationError("interior sets have mixed sizes")
+    n = graph.n
+    nbr = graph.neighbor_masks
+    n_bytes = (n + 7) // 8
+    raw = b"".join(vt.to_bytes(n_bytes, "little") for vt, _ in sets)
+    member = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(sets), n_bytes), axis=1, bitorder="little",
+    )[:, :n].astype(bool)
+    table = None
+    trees_of: dict[int, np.ndarray] = {}
     total = 0
     for k, p in enumerate(group.perms):
-        if mat.shape[1]:
-            images = np.sort(table[k][mat], axis=1)
-            fixed_rows = np.nonzero((images == mat).all(axis=1))[0]
-        else:
-            # edgeless interiors are single vertices; fixed iff the vertex is
-            fixed_rows = np.array(
-                [i for i, vt in enumerate(vts) if (vt >> p[vt.bit_length() - 1]) & 1],
-                dtype=np.int64,
-            )
-        for i in fixed_rows:
-            vt = vts[int(i)]
-            outside = [w for w in range(graph.n) if not (vt >> w) & 1]
-            choice_of = dict(zip(outside, leaf_choices(graph, vt)))
-            if any((vt >> p[w]) & 1 for w in outside):
-                raise ValidationError("a fixed interior edge set must fix the outside vertex set")
-            visited: set[int] = set()
-            prod = 1
-            for w in outside:
-                if w in visited:
-                    continue
-                cycle = [w]
-                x = p[w]
-                while x != w:
-                    cycle.append(x)
-                    x = p[x]
-                visited.update(cycle)
-                h_edges = table[index_of[perm_power(p, len(cycle))]]
-                prod *= sum(1 for e in choice_of[w] if int(h_edges[e]) == e)
-                if prod == 0:
-                    break
-            total += prod
+        # the cycles of g, each as (mask, first vertex, vertices g^c fixes)
+        cycles = []
+        seen = 0
+        for w in range(n):
+            if (seen >> w) & 1:
+                continue
+            cycle = 1 << w
+            x = p[w]
+            while x != w:
+                cycle |= 1 << x
+                x = p[x]
+            seen |= cycle
+            cycles.append((cycle, w, cycle.bit_count()))
+        cycles = [
+            (cycle, w, sum(c for c, _, size in cycles if length % size == 0))
+            for cycle, w, length in cycles
+        ]
+        for i in np.flatnonzero((member[:, list(p)] == member).all(axis=1)).tolist():
+            vt, fixed = sets[i]
+            if k and fixed > 1:  # perms[0] is the identity, which fixes every tree
+                if table is None:
+                    table = edge_permutations(graph, group)
+                if i not in trees_of:
+                    trees_of[i] = np.asarray(
+                        merged_spanning_trees(graph, vt, interior_seed(graph, vt)), dtype=np.intp,
+                    )
+                trees = trees_of[i]
+                fixed = int((np.sort(table[k][trees], axis=1) == trees).all(axis=1).sum())
+            for cycle, w, fix_mask in cycles:
+                if not cycle & vt:
+                    fixed *= (nbr[w] & vt & fix_mask).bit_count()
+                    if not fixed:
+                        break
+            total += fixed
     if total % group.order:
         raise ValidationError("fixed-point total must divide by the group order")
     return total // group.order

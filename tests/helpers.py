@@ -1,11 +1,12 @@
 """Reference implementations the tests compare netfold against.
 
 Each one is deliberately simple and independent of the code it checks:
-brute-force filters, a one-cut union-find hole-cut check, the closed-shell
-interior search without symmetry, recovery of interiors from explicit cut
-lists, a whole-group canonical form for a single cut, and trend statistics
-over the catalog table.  `frucht_graph` is a polyhedral graph with no
-symmetry, on which every root-set vertex gets a phase of its own.
+brute-force filters, a one-cut union-find hole-cut check, the tree search
+(interiors grown edge by edge, without symmetry) with fixed-point class
+counting over its explicit interiors, recovery of interiors from explicit
+cut lists, a whole-group canonical form for a single cut, and trend
+statistics over the catalog table.  `frucht_graph` is a polyhedral graph
+with no symmetry, on which every root-set vertex gets a phase of its own.
 """
 
 import math
@@ -16,8 +17,15 @@ from scipy.stats import spearmanr
 
 from netfold.analysis import ShellStatistics, mlst_ratio_estimate
 from netfold.errors import ValidationError
-from netfold.mlst import _grow, _seed, root_set
-from netfold.shellgraph import ShellGraph, cut_leaves
+from netfold import mlst
+from netfold.mlst import InteriorResult, root_set
+from netfold.shellgraph import (
+    ShellGraph,
+    cut_leaves,
+    interior_seed,
+    leaf_choices,
+    merged_spanning_trees,
+)
 from netfold.symmetry import AutomorphismGroup, CanonicalCut, edge_permutations
 
 
@@ -97,35 +105,162 @@ def frucht_graph() -> ShellGraph:
     return ShellGraph.from_edges(12, [(min(e), max(e)) for e in edges])
 
 
-def root_set_interiors(graph: ShellGraph):
-    """All optimal interiors of a closed shell, searched without symmetry.
+def _tree_search(graph: ShellGraph, vt_mask: int, excl_mask: int, n_grow: int):
+    """Trees grown from the seed `vt_mask` by `n_grow` edges that dominate
+    the graph and avoid `excl_mask`, each found once, and the nodes visited.
 
-    One phase per root-set vertex, each barring the earlier roots, at interior
-    sizes 1, 2, ... until one finds dominating interiors; the union is the
-    whole set, found once each.  Oracle for the orbit-rooted phases of
-    `netfold.mlst.enumerate_interiors`: it shares their phase search
-    (`_seed`, `_grow`, checked against brute force in `test_mlst`) and
-    replaces only the seeding and the orbit expansion.  Returns the leaf
-    count, the interiors in that function's order and the nodes visited.
+    Each node adds one frontier edge (an edge leaving the tree); a child may
+    only use frontier edges after the one its parent added, plus the edges
+    leaving the new vertex, so every tree is grown in one edge order.
     """
-    roots = root_set(graph)
-    seeds = [_seed(graph, 1 << r, sum(1 << q for q in roots[:k])) for k, r in enumerate(roots)]
+    full = (1 << graph.n) - 1
+    cov_masks = [m | (1 << v) for v, m in enumerate(graph.neighbor_masks)]
+    cov = 0
+    for v in range(graph.n):
+        if (vt_mask >> v) & 1:
+            cov |= cov_masks[v]
+    if n_grow == 0:
+        return ([()] if cov == full else []), 0
+    cover_step = max(graph.degree(v) for v in range(graph.n)) - 1
+    out = []
     nodes = 0
-    for n_s in range(1, graph.n + 1):
+
+    def rec(vt, cov, frontier, grown):
+        nonlocal nodes
+        remaining = n_grow - len(grown) - 1
+        for idx, e in enumerate(frontier):
+            u, v = graph.edges[e]
+            if (vt >> u) & 1 and (vt >> v) & 1:
+                continue
+            i = v if (vt >> u) & 1 else u
+            nodes += 1
+            ncov = cov | cov_masks[i]
+            if remaining == 0:
+                if ncov == full:
+                    out.append(tuple(grown) + (e,))
+                continue
+            if (full & ~ncov).bit_count() > remaining * cover_step:
+                continue
+            child = frontier[idx + 1:] + [
+                e2 for e2 in graph.incident_edges[i]
+                if not (vt >> graph.other_end(e2, i)) & 1
+                and not (excl_mask >> graph.other_end(e2, i)) & 1
+            ]
+            rec(vt | (1 << i), ncov, child, grown + [e])
+
+    frontier = [
+        e for e, (u, v) in enumerate(graph.edges)
+        if ((vt_mask >> u) & 1) != ((vt_mask >> v) & 1)
+        and not (excl_mask >> u) & 1 and not (excl_mask >> v) & 1
+    ]
+    rec(vt_mask, cov, frontier, [])
+    return out, nodes
+
+
+def tree_search_interiors(graph: ShellGraph):
+    """All optimal interiors, as (vertex mask, ascending edge ids), found by
+    the tree search without symmetry.
+
+    A closed shell runs one phase per root-set vertex, each barring the
+    earlier roots; an open shell runs one phase seeded with its hole
+    boundary, whose edges every interior holds.  Phases run at interior
+    sizes 1, 2, ... until one finds dominating interiors; the union is the
+    whole set, found once each.  Oracle for `netfold.mlst.enumerate_interiors`
+    (checked against brute force in `test_mlst`).  Returns the leaf count,
+    the interiors sorted by (edges, mask) and the nodes visited.
+    """
+    if graph.boundary_edges:
+        seeds = [(graph.boundary_mask, 0)]
+    else:
+        roots = root_set(graph)
+        seeds = [(1 << r, sum(1 << q for q in roots[:k])) for k, r in enumerate(roots)]
+    seed_size = seeds[0][0].bit_count()
+    nodes = 0
+    for n_s in range(seed_size, graph.n + 1):
         interiors = []
-        for state in seeds:
-            grown_list, phase_nodes, _ = _grow(graph, state, n_s - 1, 10**12)
+        for vt_mask, excl_mask in seeds:
+            grown_list, phase_nodes = _tree_search(graph, vt_mask, excl_mask, n_s - seed_size)
             nodes += phase_nodes
             for grown in grown_list:
-                vt = state.vt_mask
+                vt = vt_mask
                 for e in grown:
                     vt |= (1 << graph.edges[e][0]) | (1 << graph.edges[e][1])
-                interiors.append((vt, tuple(sorted(grown))))
+                interiors.append((vt, tuple(sorted(graph.boundary_edges + grown))))
         if interiors:
-            assert len(set(interiors)) == len(interiors), "a root-set phase found an interior twice"
+            assert len(set(interiors)) == len(interiors), "the tree search found an interior twice"
             interiors.sort(key=lambda it: (it[1], it[0]))
             return graph.n - n_s, tuple(interiors), nodes
     raise ValidationError("no dominating interior at any size")
+
+
+def root_set_set_search(graph: ShellGraph):
+    """The sets and nodes of `netfold.mlst`'s set search run with one phase
+    per root-set vertex, each barring the earlier roots, and no orbit
+    closure: the search the orbit phases replace."""
+    roots = root_set(graph)
+    seeds = [mlst._seed(graph, 1 << r, sum(1 << q for q in roots[:k])) for k, r in enumerate(roots)]
+    nodes = 0
+    for n_s in range(1, graph.n + 1):
+        found = []
+        for state in seeds:
+            sets, phase_nodes, _ = mlst._search(graph, state, n_s - 1, 10**12)
+            nodes += phase_nodes
+            found += sets
+        if found:
+            return tuple(sorted(found)), nodes
+    raise ValidationError("no dominating set at any size")
+
+
+def expand_sets(result: InteriorResult):
+    """The interiors of an `enumerate_interiors` result, as (vertex mask,
+    ascending edge ids) sorted by (edges, mask) like `tree_search_interiors`;
+    checks each set's tree count against its listed trees."""
+    graph = result.graph
+    out = []
+    for vt, n_trees in result.sets:
+        trees = merged_spanning_trees(graph, vt, interior_seed(graph, vt))
+        assert len(trees) == n_trees, f"set {vt:#x}: {n_trees} trees counted, {len(trees)} listed"
+        out += [(vt, tuple(sorted(graph.boundary_edges + tree))) for tree in trees]
+    return tuple(sorted(out, key=lambda it: (it[1], it[0])))
+
+
+def labeled_from_interiors(graph: ShellGraph, interiors) -> int:
+    """Labeled cut count of explicit interiors: Σ Π per-leaf choices."""
+    return sum(math.prod(len(c) for c in leaf_choices(graph, vt)) for vt, _ in interiors)
+
+
+def classes_from_interiors(graph: ShellGraph, interiors, group: AutomorphismGroup) -> int:
+    """Class count by fixed-point counting over explicit interiors: a cut
+    fixed by g needs g to fix its interior edge set and to map attachment
+    choices consistently around each g-cycle of outside vertices."""
+    table = edge_permutations(graph, group)
+    index_of = {p: k for k, p in enumerate(group.perms)}
+    total = 0
+    for k, p in enumerate(group.perms):
+        for vt, edges in interiors:
+            if sorted(int(table[k][e]) for e in edges) != list(edges):
+                continue
+            if edges == () and not (vt >> p[vt.bit_length() - 1]) & 1:
+                continue
+            outside = [w for w in range(graph.n) if not (vt >> w) & 1]
+            choice_of = dict(zip(outside, leaf_choices(graph, vt)))
+            prod = 1
+            visited = set()
+            for w in outside:
+                if w in visited:
+                    continue
+                cycle = [w]
+                while p[cycle[-1]] != w:
+                    cycle.append(p[cycle[-1]])
+                visited.update(cycle)
+                power = list(range(graph.n))
+                for _ in cycle:
+                    power = [p[x] for x in power]
+                h_edges = table[index_of[tuple(power)]]
+                prod *= sum(1 for e in choice_of[w] if int(h_edges[e]) == e)
+            total += prod
+    assert total % group.order == 0, "fixed-point total must divide by the group order"
+    return total // group.order
 
 
 def interiors_from_cuts(graph: ShellGraph, cuts: np.ndarray, base_edges: Sequence[int] = ()):

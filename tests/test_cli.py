@@ -182,24 +182,35 @@ def test_identical_files_across_worker_counts(tmp_path):
 # the writers must reproduce them byte for byte
 GOLDEN = {
     ("truncated_cube", "0"): (
-        "ce6ac9bd7ff67a9198a1e9b5e16e347b56b01942c5b4b85f3f569911aae8630c",
+        "6e7178e582afd38e9078c5dc82fe7f0ffb6086f54c3d840760830c0750e4bceb",
         "433956eeca929d8d6c38340c7235c8f0cd840cb91eff401ac984ebf5d13c4702",
     ),
     ("dodecahedron", "0"): (
-        "626feed5b0aec8a68ee6b44d79af81208b4686bacc426cad074a572411263db8",
+        "5173a5f42fc575021c0808393407d1a9fc64042979d7e84e6abbcf501bb7890c",
         "fe9fbcae1056785fe4a23646d7797e066f37cd810b0e7efc8a4d0e9d2f8f07e5",
     ),
     ("cube", None): (
-        "8e43501888d30a509ed3d7a87b7e8d05e1194cb4ad222b57dcba793430639669",
+        "634083671d2e75211ed55d0044199934b512c9b931c2eb534b2e2d5a663f3e3b",
         "8096d77f42ef157c53587f0f3ad3b82bfcd5d58c4ffa75d3bca3392ffa9640c6",
     ),
 }
 
-# The cube's search runs one orbit-rooted phase and visits 55 nodes, where one
-# phase per root-set vertex visited 124; apart from nodes_visited, the cube's
-# enumeration.json must still be the document those phases wrote, pinned here.
-CUBE_ROOT_SET_NODES = 124
-CUBE_ROOT_SET_ENUMERATION = "4c62eca4e2e1bfacd4ce59004b4f1de626c01daab2a61b4ee3fe29e258a7ded7"
+# The set search visits fewer nodes than the tree search did: the first
+# count below is nodes_visited in the files above.  With nodes_visited set
+# to the second count, each enumeration.json must still be the document the
+# tree search wrote, pinned by the sha256 that follows; the cube's is the
+# document of the tree search's one phase per root-set vertex.
+TREE_SEARCH_ENUMERATION = {
+    ("truncated_cube", "0"): (
+        1183, 8812, "ce6ac9bd7ff67a9198a1e9b5e16e347b56b01942c5b4b85f3f569911aae8630c",
+    ),
+    ("dodecahedron", "0"): (
+        928, 1248, "626feed5b0aec8a68ee6b44d79af81208b4686bacc426cad074a572411263db8",
+    ),
+    ("cube", None): (
+        46, 124, "4c62eca4e2e1bfacd4ce59004b4f1de626c01daab2a61b4ee3fe29e258a7ded7",
+    ),
+}
 
 
 @pytest.mark.parametrize("name,hole", sorted(GOLDEN, key=str))
@@ -213,12 +224,12 @@ def test_enumerate_files_match_golden_hashes(tmp_path, capsys, name, hole):
         for f in ("enumeration.json", "classes.json")
     )
     assert digests == GOLDEN[(name, hole)]
-    if (name, hole) == ("cube", None):
-        doc = json.loads((tmp_path / "enumeration.json").read_text(encoding="utf-8"))
-        assert doc["nodes_visited"] == 55
-        doc["nodes_visited"] = CUBE_ROOT_SET_NODES
-        text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CUBE_ROOT_SET_ENUMERATION
+    nodes, tree_nodes, tree_digest = TREE_SEARCH_ENUMERATION[(name, hole)]
+    doc = json.loads((tmp_path / "enumeration.json").read_text(encoding="utf-8"))
+    assert doc["nodes_visited"] == nodes
+    doc["nodes_visited"] = tree_nodes
+    text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == tree_digest
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():

@@ -1,9 +1,14 @@
-"""Orbit-rooted phases of the closed-shell search against the root-set search.
+"""Orbit-rooted phases of the closed-shell set search against the root-set
+searches.
 
 `enumerate_interiors` runs one phase per vertex orbit of the root set and
-rebuilds the interiors from their orbits; `helpers.root_set_interiors` runs
-one phase per root-set vertex with no symmetry.  Both must give the same
-interiors, and the orbit phases may only visit fewer nodes.
+rebuilds the sets from their orbits; `helpers.tree_search_interiors` grows
+trees in one phase per root-set vertex with no symmetry, and
+`helpers.root_set_set_search` runs the set search that way.  All must give
+the same interiors, and the orbit phases may only visit fewer nodes than the
+root-set set search.  Open shells, whose one phase is seeded with the hole
+boundary, and shells whose interiors are single vertices are checked against
+the tree search too.
 """
 
 import functools
@@ -12,13 +17,21 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from helpers import frucht_graph, root_set_interiors
+from helpers import (
+    classes_from_interiors,
+    expand_sets,
+    frucht_graph,
+    labeled_from_interiors,
+    root_set_set_search,
+    tree_search_interiors,
+)
 from netfold import mlst
 from netfold.catalog import CATALOG, builtin, catalog_entry
+from netfold.holes import remove_faces
 from netfold.cli import EXIT_OK, main
-from netfold.mlst import InteriorResult, count_labeled_cuts, enumerate_interiors
+from netfold.mlst import count_labeled_cuts, enumerate_interiors
 from netfold.shellgraph import ShellGraph, build_shell_graph
-from netfold.symmetry import count_net_classes, find_automorphisms
+from netfold.symmetry import count_net_classes, edge_set_stabilizer, find_automorphisms
 from test_mlst import connected_graphs
 
 DESK_SHELLS = [entry.name for entry in CATALOG if not entry.long_run]
@@ -31,17 +44,30 @@ def catalog_graph(name):
 
 @functools.lru_cache(maxsize=None)
 def oracle(name):
-    return root_set_interiors(catalog_graph(name))
+    return tree_search_interiors(catalog_graph(name))
 
 
-def counts(graph, leaf_count, interiors):
-    """Labeled cut count and class count of an interior set."""
-    result = InteriorResult(
-        graph=graph, leaf_count=leaf_count, n_interior=graph.n - leaf_count,
-        interiors=interiors, nodes_visited=0, level_reports=(),
-    )
-    group = find_automorphisms(graph)
-    return count_labeled_cuts(result), count_net_classes(graph, interiors, group)
+@functools.lru_cache(maxsize=None)
+def root_set_nodes(name):
+    return root_set_set_search(catalog_graph(name))[1]
+
+
+def boundary_group(graph):
+    """The automorphisms that fix the hole boundary (all of them on a closed
+    shell): the group the cuts are counted under."""
+    return edge_set_stabilizer(graph, find_automorphisms(graph), graph.boundary_edges)
+
+
+def counts(graph, interiors):
+    """Labeled cut count and class count of explicit interiors."""
+    group = boundary_group(graph)
+    return labeled_from_interiors(graph, interiors), classes_from_interiors(graph, interiors, group)
+
+
+def result_counts(result):
+    """Labeled cut count and class count of an `enumerate_interiors` result."""
+    group = boundary_group(result.graph)
+    return count_labeled_cuts(result), count_net_classes(result.graph, result.sets, group)
 
 
 def relabeled(graph, perm):
@@ -77,14 +103,14 @@ def truncated_octahedron_minus_edge():
 def phases(monkeypatch):
     """Distinct seeds `enumerate_interiors` ran phases from, per call."""
     seen = []
-    grow = mlst._grow
+    search = mlst._search
 
     def spy(graph, state, *args):
         if state not in seen:
             seen.append(state)
-        return grow(graph, state, *args)
+        return search(graph, state, *args)
 
-    monkeypatch.setattr(mlst, "_grow", spy)
+    monkeypatch.setattr(mlst, "_search", spy)
     return seen
 
 
@@ -96,14 +122,14 @@ def n_orbits_in_root_set(graph):
 @pytest.mark.parametrize("name", DESK_SHELLS)
 def test_orbit_phases_match_root_set_search(name):
     g = catalog_graph(name)
-    leaf_count, interiors, nodes = oracle(name)
+    leaf_count, interiors, _ = oracle(name)
     result = enumerate_interiors(g, workers=1)
     assert result.leaf_count == leaf_count == catalog_entry(name).leaf_count
-    assert result.interiors == interiors
-    assert result.nodes_visited <= nodes
-    labeled, classes = counts(g, leaf_count, interiors)
-    assert count_labeled_cuts(result) == labeled
-    assert count_net_classes(g, result.interiors, find_automorphisms(g)) == classes
+    assert expand_sets(result) == interiors
+    assert result.interior_count == len(interiors)
+    assert result.nodes_visited <= root_set_nodes(name)
+    labeled, classes = counts(g, interiors)
+    assert result_counts(result) == (labeled, classes)
     assert classes == catalog_entry(name).optimal_nets
 
 
@@ -117,15 +143,15 @@ def test_orbit_phases_on_relabelled_shells(name, seed):
     leaf_count, interiors, _ = oracle(name)
     result = enumerate_interiors(h, workers=1)
     assert result.leaf_count == leaf_count
-    assert result.interiors == map_interiors(g, h, perm, interiors)
-    assert counts(h, result.leaf_count, result.interiors) == counts(g, leaf_count, interiors)
+    assert expand_sets(result) == map_interiors(g, h, perm, interiors)
+    assert result_counts(result) == counts(g, interiors)
 
 
 @pytest.mark.parametrize("name", ["octagonal_pyramid", "octagonal_dipyramid"])
 def test_two_orbit_shells_run_two_phases(name, phases):
     g = catalog_graph(name)
     assert n_orbits_in_root_set(g) == 2
-    assert enumerate_interiors(g, workers=1).interiors == oracle(name)[1]
+    assert expand_sets(enumerate_interiors(g, workers=1)) == oracle(name)[1]
     assert len(phases) == 2
 
 
@@ -137,21 +163,25 @@ def test_vertex_transitive_shell_runs_one_phase(name, phases):
 
 def test_orbit_phases_with_a_group_of_order_two(phases):
     g = truncated_octahedron_minus_edge()
-    leaf_count, interiors, nodes = root_set_interiors(g)
+    leaf_count, interiors, _ = tree_search_interiors(g)
     result = enumerate_interiors(g, workers=1)
-    assert (result.leaf_count, result.interiors) == (leaf_count, interiors)
+    assert (result.leaf_count, expand_sets(result)) == (leaf_count, interiors)
     # the root set meets three orbits, but the first phase's orbit also holds
     # the far end of the removed edge, which the later phases bar
     assert len(phases) == n_orbits_in_root_set(g) == len(mlst.root_set(g)) == 3
-    assert result.nodes_visited < nodes
+    assert result.nodes_visited < root_set_set_search(g)[1]
 
 
 def test_trivial_group_searches_node_for_node_like_the_root_set(phases):
+    # with no symmetry the orbit phases are the root-set phases, and the
+    # orbit closure adds nothing
     g = frucht_graph()
     assert find_automorphisms(g).order == 1
-    leaf_count, interiors, nodes = root_set_interiors(g)
+    leaf_count, interiors, _ = tree_search_interiors(g)
+    sets, nodes = root_set_set_search(g)
     result = enumerate_interiors(g, workers=1)
-    assert (result.leaf_count, result.interiors) == (leaf_count, interiors)
+    assert (result.leaf_count, expand_sets(result)) == (leaf_count, interiors)
+    assert tuple(vt for vt, _ in result.sets) == sets
     assert result.nodes_visited == nodes
     assert len(phases) == len(mlst.root_set(g))
 
@@ -159,18 +189,55 @@ def test_trivial_group_searches_node_for_node_like_the_root_set(phases):
 @settings(max_examples=50)
 @given(connected_graphs())
 def test_orbit_phases_on_random_graphs(g):
-    leaf_count, interiors, nodes = root_set_interiors(g)
+    leaf_count, interiors, _ = tree_search_interiors(g)
+    sets, nodes = root_set_set_search(g)
     result = enumerate_interiors(g)
-    assert (result.leaf_count, result.interiors) == (leaf_count, interiors)
+    assert (result.leaf_count, expand_sets(result)) == (leaf_count, interiors)
+    assert {vt for vt, _ in interiors} == {vt for vt, _ in result.sets}
+    assert result_counts(result) == counts(g, interiors)
     assert result.nodes_visited <= nodes
     if find_automorphisms(g).order == 1:
+        assert tuple(vt for vt, _ in result.sets) == sets
         assert result.nodes_visited == nodes
+
+
+@pytest.mark.parametrize("name,labeled,classes", [
+    ("truncated_cube", 3280, 420),
+    ("dodecahedron", 240, 24),
+    ("snub_cube", 113436, 113436),
+])
+def test_open_shells_match_the_tree_search(name, labeled, classes):
+    # the counts `count --hole 0` printed when the search grew trees
+    g = build_shell_graph(remove_faces(builtin(name), [0]), require_closed=False)
+    leaf_count, interiors, _ = tree_search_interiors(g)
+    result = enumerate_interiors(g, workers=1)
+    assert result.leaf_count == leaf_count
+    assert expand_sets(result) == interiors
+    assert result_counts(result) == counts(g, interiors) == (labeled, classes)
+
+
+def wheel(k):
+    """A pyramid over a k-gon: hub 0 joined to the cycle 1..k."""
+    return ShellGraph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)]
+                                 + [(i, i % k + 1) for i in range(1, k + 1)])
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8])
+def test_single_vertex_interiors_match_the_tree_search(k):
+    # the wheel over a triangle is K4, where every vertex is an interior
+    g = wheel(k)
+    leaf_count, interiors, _ = tree_search_interiors(g)
+    result = enumerate_interiors(g, workers=1)
+    assert result.n_interior == 1 and leaf_count == k
+    assert result.sets == tuple((1 << v, 1) for v in range(g.n if k == 3 else 1))
+    assert expand_sets(result) == interiors
+    assert result_counts(result) == counts(g, interiors) == (len(interiors), 1)
 
 
 def test_worker_counts_agree_on_several_phases(tmp_path, capsys):
     g = truncated_octahedron_minus_edge()
     one, four = (enumerate_interiors(g, workers=w) for w in (1, 4))
-    assert one.interiors == four.interiors
+    assert one.sets == four.sets
     assert one.level_reports == four.level_reports
     blobs = []
     for workers in ("1", "4"):

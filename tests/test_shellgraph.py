@@ -2,16 +2,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netfold import shellgraph
 from netfold.catalog import builtin
 from netfold.errors import BudgetExceededError, ValidationError
 from netfold.polyhedra import edge_face_table
 from netfold.shellgraph import (
     ShellGraph,
     build_shell_graph,
+    count_interior_trees,
+    count_merged_trees,
     count_spanning_trees,
     cut_leaves,
     enumerate_spanning_trees,
     is_spanning_tree,
+    merged_spanning_trees,
 )
 
 
@@ -125,9 +129,44 @@ def test_determinant_equals_enumeration(g):
     assert all(is_spanning_tree(g, t) for t in trees)
 
 
-def test_spanning_tree_enumeration_rejects_a_cut_that_is_not_a_tree():
-    # the constructor does not check for self-loops; contracting the loop at
-    # vertex 0 ends the recursion with the loop as the whole "tree"
+def test_spanning_tree_enumeration_rejects_a_cut_that_is_not_a_tree(monkeypatch):
+    # the constructor does not check for self-loops; the lister drops an edge
+    # whose ends are merged, so a loop never enters a tree
     g = ShellGraph(n=2, edges=((0, 0), (0, 1)))
+    assert enumerate_spanning_trees(g) == ((1,),)
+    # a lister that emitted the loop as the whole "tree" would be caught
+    monkeypatch.setattr(shellgraph, "merged_spanning_trees", lambda *args: ((0,),))
     with pytest.raises(ValidationError, match="not a spanning tree"):
         enumerate_spanning_trees(g)
+
+
+@settings(max_examples=60)
+@given(connected_graphs(), st.data())
+def test_merged_determinant_equals_merged_enumeration(g, data):
+    # any vertex set and any nonempty seed inside it, connected or not
+    vt = data.draw(st.integers(1, (1 << g.n) - 1))
+    members = [v for v in range(g.n) if (vt >> v) & 1]
+    seed = sum(1 << v for v in data.draw(st.sets(st.sampled_from(members), min_size=1)))
+    trees = merged_spanning_trees(g, vt, seed)
+    assert count_merged_trees(g, vt, seed) == len(trees)
+    rest = vt & ~seed
+    for tree in trees:
+        # a tree joins every non-seed vertex to the seed, using no edge
+        # inside the seed or leaving the set
+        assert len(tree) == rest.bit_count()
+        ends = [g.edges[e] for e in tree]
+        assert all((vt >> u) & 1 and (vt >> v) & 1 for u, v in ends)
+        assert not any((seed >> u) & 1 and (seed >> v) & 1 for u, v in ends)
+
+
+@settings(max_examples=60)
+@given(connected_graphs(), st.data())
+def test_interior_tree_count_shortcut_equals_the_determinant(g, data):
+    # grow a connected set from a random vertex; its trees merge its lowest vertex
+    vt = 1 << data.draw(st.integers(0, g.n - 1))
+    for _ in range(data.draw(st.integers(0, g.n - 1))):
+        ext = [v for v in range(g.n) if not (vt >> v) & 1 and g.neighbor_masks[v] & vt]
+        if not ext:
+            break
+        vt |= 1 << data.draw(st.sampled_from(ext))
+    assert count_interior_trees(g, vt) == count_merged_trees(g, vt, vt & -vt)

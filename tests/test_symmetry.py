@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from helpers import canonical_cut
+from netfold import symmetry
 from netfold.catalog import builtin
 from netfold.errors import ValidationError
 from netfold.holes import boundary_edge_ids, remove_faces
@@ -92,8 +94,44 @@ def test_burnside_count_matches_explicit_dedupe(shell_graph):
         g = shell_graph(name)
         group = find_automorphisms(g)
         explicit = len(dedupe_cuts(g, enumerate_mlsts(g).cuts, group))
-        counted = count_net_classes(g, enumerate_interiors(g).interiors, group)
+        counted = count_net_classes(g, enumerate_interiors(g).sets, group)
         assert counted == explicit, name
+
+
+@pytest.mark.parametrize("name,pairs", [
+    # (set, g ≠ id) pairs where g fixes a set with several trees; the trees
+    # on such a set are listed and tested one by one.  No such pair exists on
+    # icosahedron or pentakis_dodecahedron, whose sets with several trees
+    # (pentakis: 120 sets with 3) are fixed by the identity alone.
+    ("icosahedron", 0),
+    ("cube", 42),
+    ("dodecahedron", 114),
+    ("truncated_octahedron", 44),
+    ("truncated_cube", 72),
+])
+def test_burnside_tests_fixed_trees_on_sets_with_several_trees(monkeypatch, shell_graph,
+                                                                name, pairs):
+    g = shell_graph(name)
+    group = find_automorphisms(g)
+    result = enumerate_interiors(g)
+    listed = []
+    lister = symmetry.merged_spanning_trees
+
+    def spy(graph, vt_mask, seed_mask):
+        listed.append(vt_mask)
+        return lister(graph, vt_mask, seed_mask)
+
+    monkeypatch.setattr(symmetry, "merged_spanning_trees", spy)
+    counted = count_net_classes(g, result.sets, group)
+    assert counted == len(dedupe_cuts(g, enumerate_mlsts(g).cuts, group))
+    several = {vt for vt, n_trees in result.sets if n_trees > 1}
+    assert set(listed) <= several and len(listed) == len(set(listed))
+    fixing = sum(
+        1 for vt in several for p in group.perms[1:]
+        if sum(1 << p[v] for v in range(g.n) if (vt >> v) & 1) == vt
+    )
+    assert fixing == pairs
+    assert bool(listed) == bool(pairs)
 
 
 def test_hole_stabilizer_subgroup():
@@ -158,14 +196,33 @@ def test_group_axioms_reject_a_forged_group(edges, group, message):
         _check_group_axioms(g, group)
 
 
+def test_group_axioms_catch_a_product_of_later_generators():
+    # the generators are picked in lexicographic order: (0 2 1 3) is picked
+    # first, and the missing product only appears after (1 0 2 3) is picked
+    edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    group = _forged(4, (0, 1, 2, 3), (0, 2, 1, 3), (1, 0, 2, 3))
+    with pytest.raises(ValidationError, match="not closed under composition"):
+        _check_group_axioms(ShellGraph.from_edges(4, edges), group)
+
+
+def test_star_with_a_factorial_group_is_searched_quickly():
+    # K1,7 has 7! = 5040 automorphisms; testing closure pair by pair took ~24 s
+    g = ShellGraph.from_edges(8, [(0, i) for i in range(1, 8)])
+    start = time.monotonic()
+    result = enumerate_interiors(g)
+    assert time.monotonic() - start < 2.0
+    assert find_automorphisms(g).order == 5040
+    assert result.sets == ((0b1, 1),)
+    assert count_net_classes(g, result.sets, find_automorphisms(g)) == 1
+
+
 def test_fixed_point_count_rejects_inconsistent_interiors():
     k4 = ShellGraph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     group = find_automorphisms(k4)
-    # edge (0, 1) with vertex 2 claimed as interior: swapping 2 and 3 fixes
-    # the edge set but carries the outside vertex 3 into the interior
-    with pytest.raises(ValidationError, match="must fix the outside vertex set"):
-        count_net_classes(k4, [(0b0111, (k4.edge_index[(0, 1)],))], group)
+    # the optimal cuts of one shell all have interiors of one size
+    with pytest.raises(ValidationError, match="interior sets have mixed sizes"):
+        count_net_classes(k4, [(0b0001, 1), (0b0011, 1)], group)
     # the star at vertex 0 alone is not closed under the group: only the 6
     # automorphisms fixing vertex 0 fix a cut, and 6 does not divide by 24
     with pytest.raises(ValidationError, match="must divide by the group order"):
-        count_net_classes(k4, [(0b0001, ())], group)
+        count_net_classes(k4, [(0b0001, 1)], group)
