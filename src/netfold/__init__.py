@@ -1,9 +1,10 @@
 """Exact enumeration and ranking of optimal unfolding nets of polyhedral shells.
 
 The pipeline: validate a shell (`PolyhedronSpec`), build its vertex graph
-(`build_shell_graph`), enumerate every optimal cut (`enumerate_mlsts`; an open
-shell's search is seeded with its hole boundary, and `enumerate_hole_cuts`
-also checks each cut as a hole cut), deduplicate under the graph's
+(`build_shell_graph`, which accepts a closed shell or one with a single hole
+bounded by one simple cycle), enumerate every optimal cut (`enumerate_mlsts`;
+an open shell's search is seeded with its hole boundary, and each cut it
+lists is checked as a hole cut), deduplicate under the graph's
 automorphism group (`dedupe_cuts`), unfold each class to a planar net
 (`unfold`), rank by radius of gyration (`rank_nets`), and select the first
 non-overlapping net (`select_optimal_net`).  Every cut list and count comes
@@ -41,7 +42,7 @@ from .geometry import (
     select_optimal_net,
     unfold,
 )
-from .holes import HoleSpec, enumerate_hole_cuts, hole_spec, remove_faces
+from .holes import remove_faces
 from .io import load_polyhedron, save_polyhedron
 from .mlst import (
     InteriorResult,
@@ -75,7 +76,6 @@ __all__ = [
     "CanonicalCut",
     "CatalogEntry",
     "FallbackExhaustedError",
-    "HoleSpec",
     "InteriorResult",
     "MissingGeometryError",
     "MlstResult",
@@ -99,14 +99,12 @@ __all__ = [
     "count_net_classes",
     "count_spanning_trees",
     "dedupe_cuts",
-    "enumerate_hole_cuts",
     "enumerate_interiors",
     "enumerate_mlsts",
     "enumerate_spanning_trees",
     "estimate_comparison",
     "export_svg",
     "find_automorphisms",
-    "hole_spec",
     "leaf_estimate",
     "leaf_estimate_v",
     "load_polyhedron",

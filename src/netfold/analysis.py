@@ -107,7 +107,7 @@ def compute_statistics(
     partial row's `nodes_visited` sums the search's level reports.
     """
     report = validate_polyhedron(spec)
-    graph = build_shell_graph(spec, require_closed=False)
+    graph = build_shell_graph(spec)
     n_st = count_spanning_trees(graph)
     group = find_automorphisms(graph)
     base = dict(

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import rank_nets, select_optimal_net
-from .holes import enumerate_hole_cuts, remove_faces
+from .holes import remove_faces
 from .mlst import (
     DEFAULT_NODE_BUDGET,
     count_labeled_cuts,
@@ -127,7 +127,7 @@ def _load_shell(args):
     if args.hole:
         spec = remove_faces(spec, args.hole)
     report = validate_polyhedron(spec)
-    graph = build_shell_graph(spec, require_closed=False)
+    graph = build_shell_graph(spec)
     return spec, report, graph
 
 
@@ -141,8 +141,7 @@ def _search_kwargs(args) -> dict:
 def _enumerate_cuts(args, graph):
     """Labeled cuts plus their classes under the boundary-preserving group."""
     group = find_automorphisms(graph)
-    search = enumerate_hole_cuts if graph.boundary_edges else enumerate_mlsts
-    result = search(graph, **_search_kwargs(args))
+    result = enumerate_mlsts(graph, **_search_kwargs(args))
     classes = dedupe_cuts(
         graph, result.cuts, edge_set_stabilizer(graph, group, graph.boundary_edges),
     )

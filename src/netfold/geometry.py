@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import FallbackExhaustedError, ValidationError
 from .polyhedra import Edge, PolyhedronSpec, canon_edge, edge_face_table
-from .shellgraph import build_shell_graph
 
 RELATIVE_TOL = 1e-9
 
@@ -369,16 +368,15 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
 def rank_nets(
     spec: PolyhedronSpec,
     cuts: Sequence[tuple[tuple[int, ...], int]],
-    graph=None,
+    graph,
 ) -> list[RankedNet]:
     """Unfold deduplicated cuts and rank them by radius of gyration.
 
     `cuts` holds (edge-id tuple, orbit size) pairs; edge ids refer to the
-    shell graph's canonical edge order.  Ranking is ascending in R_g with
-    ties broken by the edge-id tuple, ranks 1-based.
+    canonical edge order of `graph`, the shell graph of `spec`
+    (`build_shell_graph`).  Ranking is ascending in R_g with ties broken by
+    the edge-id tuple, ranks 1-based.
     """
-    if graph is None:
-        graph = build_shell_graph(spec, require_closed=False)
     entries = []
     for edge_ids, orbit_size in cuts:
         pairs = [graph.edges[e] for e in edge_ids]

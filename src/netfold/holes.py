@@ -1,61 +1,34 @@
-"""Optimal cuts for shells with holes (missing faces).
+"""Open shells: opening a closed shell, and checking the cuts of one.
 
-The cut of an open shell is not a tree: it contains the whole hole-boundary
-cycle plus tree branches, spans every vertex, stays connected, and has no
-cycle other than the boundary.  Boundary vertices carry two cycle edges, so
-they are never leaves; the leaves (vertex connections) are exactly the outside
-vertices attached during expansion.  `enumerate_mlsts` finds these cuts
-itself: it seeds an open shell's search with the boundary cycle.
+An open shell has one hole (missing faces) bounded by one simple cycle;
+`build_shell_graph` accepts no other boundary.  The cut of an open shell is
+not a tree: it contains the whole hole-boundary cycle plus tree branches,
+spans every vertex, stays connected, and has no cycle other than the
+boundary.  Boundary vertices carry two cycle edges, so they are never leaves;
+the leaves (vertex connections) are exactly the outside vertices attached
+during expansion.  `enumerate_mlsts` seeds an open shell's search with the
+boundary cycle and checks every cut it lists with `check_hole_cuts`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .mlst import DEFAULT_NODE_BUDGET, MlstResult, enumerate_mlsts
-from .polyhedra import Edge, PolyhedronSpec, canon_edge, edge_face_table
-from .shellgraph import ShellGraph
-
-
-@dataclass(frozen=True)
-class HoleSpec:
-    """A hole: the removed faces and the derived boundary of the open shell.
-
-    `removed_faces` are indices into the original closed spec (empty when the
-    shell was supplied already open).  `boundary_vertices` and
-    `boundary_edges` are expressed in the open shell's indexing.
-    """
-
-    removed_faces: tuple[int, ...]
-    boundary_vertices: tuple[int, ...]
-    boundary_edges: tuple[Edge, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "removed_faces", tuple(int(i) for i in self.removed_faces))
-        object.__setattr__(
-            self, "boundary_vertices", tuple(sorted(int(v) for v in self.boundary_vertices))
-        )
-        object.__setattr__(
-            self, "boundary_edges", tuple(sorted(canon_edge(u, v) for u, v in self.boundary_edges))
-        )
-        if len(self.boundary_edges) != len(self.boundary_vertices):
-            raise ValidationError(
-                "hole boundary must be a cycle: "
-                f"{len(self.boundary_edges)} edges vs {len(self.boundary_vertices)} vertices"
-            )
+from .polyhedra import PolyhedronSpec
+from .shellgraph import ShellGraph, build_shell_graph
 
 
 def remove_faces(spec: PolyhedronSpec, removed: Sequence[int]) -> PolyhedronSpec:
     """Open a closed shell by deleting faces.
 
-    The removed faces must exist, be edge-connected as a patch, and leave a
-    boundary that is one simple cycle.  Vertices and edges used only by the
-    removed patch disappear; remaining vertices are reindexed in ascending
-    order of their old index.
+    The removed faces must exist and leave a boundary that is one simple
+    cycle, the rule `build_shell_graph` checks; faces that do not form one
+    edge-connected patch leave several holes or a pinched one.  Vertices and
+    edges used only by the removed patch disappear; remaining vertices are
+    reindexed in ascending order of their old index.
     """
     removed_set = {int(i) for i in removed}
     if not removed_set:
@@ -65,29 +38,6 @@ def remove_faces(spec: PolyhedronSpec, removed: Sequence[int]) -> PolyhedronSpec
         raise ValidationError(f"face indices out of range: {sorted(bad)}")
     if len(removed_set) >= spec.n_faces:
         raise ValidationError("cannot remove every face")
-
-    if len(removed_set) > 1:
-        edge_to_removed: dict[Edge, list[int]] = {}
-        for i in removed_set:
-            face = spec.faces[i]
-            for k in range(len(face)):
-                e = canon_edge(face[k], face[(k + 1) % len(face)])
-                edge_to_removed.setdefault(e, []).append(i)
-        adj: dict[int, set[int]] = {i: set() for i in removed_set}
-        for members in edge_to_removed.values():
-            for a in members:
-                for b in members:
-                    if a != b:
-                        adj[a].add(b)
-        seen = {min(removed_set)}
-        stack = [min(removed_set)]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if seen != removed_set:
-            raise ValidationError("removed faces must form one edge-connected patch")
 
     kept_faces = [f for i, f in enumerate(spec.faces) if i not in removed_set]
     used = sorted({v for f in kept_faces for v in f})
@@ -100,55 +50,8 @@ def remove_faces(spec: PolyhedronSpec, removed: Sequence[int]) -> PolyhedronSpec
         vertices=new_vertices,
         vertex_count=len(used),
     )
-    hole_spec(open_spec)  # raises unless the boundary is one simple cycle
+    build_shell_graph(open_spec)  # raises unless the boundary is one simple cycle
     return open_spec
-
-
-def hole_spec(open_spec: PolyhedronSpec, removed_faces: Sequence[int] = ()) -> HoleSpec:
-    """Derive the hole boundary of an open shell.
-
-    Boundary edges are the edges bordering exactly one face; they must form a
-    single simple cycle (every boundary vertex on exactly two boundary edges,
-    one connected component).
-    """
-    table = edge_face_table(open_spec)
-    boundary = sorted(e for e, faces in table.items() if len(faces) == 1)
-    if not boundary:
-        raise ValidationError("shell is closed: no hole boundary")
-    degree: dict[int, int] = {}
-    neighbors: dict[int, list[int]] = {}
-    for u, v in boundary:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-        neighbors.setdefault(u, []).append(v)
-        neighbors.setdefault(v, []).append(u)
-    off = sorted(v for v, d in degree.items() if d != 2)
-    if off:
-        raise ValidationError(
-            f"hole boundary is not a simple cycle: vertices {off} have degree != 2"
-        )
-    start = min(degree)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nb in neighbors[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if len(seen) != len(degree):
-        raise ValidationError("hole boundary has more than one cycle")
-    return HoleSpec(
-        removed_faces=tuple(removed_faces),
-        boundary_vertices=tuple(degree),
-        boundary_edges=tuple(boundary),
-    )
-
-
-def boundary_edge_ids(graph: ShellGraph) -> tuple[int, ...]:
-    """Canonical edge ids of the hole boundary in `graph`."""
-    if not graph.boundary_edges:
-        raise ValidationError("graph has no boundary edges")
-    return tuple(sorted(graph.boundary_edges))
 
 
 # rows per block of `check_hole_cuts`; bounds its index arrays to a few MiB
@@ -165,7 +68,9 @@ def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
     must be connected with as many edges as vertices; that test runs once per
     distinct interior, and a listing has far fewer interiors than cuts.
     """
-    boundary = np.asarray(boundary_edge_ids(graph))
+    if not graph.boundary_edges:
+        raise ValidationError("graph has no hole boundary")
+    boundary = np.asarray(graph.boundary_edges)
     n = graph.n
     cuts = np.asarray(cuts)
     if not np.issubdtype(cuts.dtype, np.integer):
@@ -233,22 +138,3 @@ def _connected_unicyclic(graph: ShellGraph, edge_ids: Sequence[int]) -> bool:
         a, b = graph.edges[e]
         parent[find(a)] = find(b)
     return len(parent) == len(edge_ids) and len({find(x) for x in parent}) == 1
-
-
-def enumerate_hole_cuts(
-    graph: ShellGraph,
-    budget_nodes: int = DEFAULT_NODE_BUDGET,
-    workers: Optional[int] = None,
-    time_limit: Optional[float] = None,
-) -> MlstResult:
-    """All maximum-leaf cuts of an open shell, each checked as a hole cut.
-
-    At the first interior size with dominating interiors every cut has
-    exactly V - n_S leaves, none of them boundary vertices.
-    """
-    boundary_edge_ids(graph)  # a closed shell fails here, before the search
-    result = enumerate_mlsts(
-        graph, budget_nodes=budget_nodes, workers=workers, time_limit=time_limit,
-    )
-    check_hole_cuts(graph, result.cuts)
-    return result

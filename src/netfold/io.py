@@ -146,27 +146,12 @@ def write_enumeration(
     path: PathLike,
     graph: ShellGraph,
     leaf_count: int,
-    cuts: Optional[np.ndarray],
+    cuts: np.ndarray,
     nodes_visited: int,
     shell_name: str,
-    labeled_count: Optional[int] = None,
 ) -> None:
     """Enumeration result file.  `cuts` holds one ascending row of edge ids
-    per labeled cut, rows in lexicographic order (as `MlstResult.cuts`); it
-    may be None for counting-only runs, and `labeled_count` carries the
-    total."""
-    doc = {
-        "shell": shell_name,
-        "n_vertices": graph.n,
-        "n_edges": graph.m,
-        "edges": [list(e) for e in graph.edges],
-        "leaf_count": leaf_count,
-        "n_labeled_cuts": labeled_count,
-        "nodes_visited": nodes_visited,
-    }
-    if cuts is None:
-        _write_json(doc, path)
-        return
+    per labeled cut, rows in lexicographic order (as `MlstResult.cuts`)."""
     cuts = np.asarray(cuts)
     if cuts.ndim != 2 or not cuts.shape[1]:
         raise ValidationError(f"cuts must be a 2-D array of edge ids, got shape {cuts.shape}")
@@ -174,7 +159,15 @@ def write_enumeration(
     first = step[np.arange(step.shape[0]), (step != 0).argmax(axis=1)]
     if (first <= 0).any():
         raise ValidationError("cut rows must be distinct and in lexicographic order")
-    doc["n_labeled_cuts"] = cuts.shape[0]
+    doc = {
+        "shell": shell_name,
+        "n_vertices": graph.n,
+        "n_edges": graph.m,
+        "edges": [list(e) for e in graph.edges],
+        "leaf_count": leaf_count,
+        "n_labeled_cuts": cuts.shape[0],
+        "nodes_visited": nodes_visited,
+    }
     chunks = (cuts[at:at + _ROW_BLOCK] for at in range(0, cuts.shape[0], _ROW_BLOCK))
     blocks = ((len(chunk), chunk.ravel().tolist()) for chunk in chunks)
     _write_json_with_rows(path, doc, "cuts", "    " + _int_list_format(4, cuts.shape[1]), blocks)

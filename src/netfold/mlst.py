@@ -26,11 +26,12 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
+from .holes import check_hole_cuts
 from .shellgraph import (
     ShellGraph,
     count_interior_trees,
@@ -39,8 +40,6 @@ from .shellgraph import (
     merged_spanning_trees,
 )
 from .symmetry import find_automorphisms
-
-Cut = tuple[int, ...]
 
 DEFAULT_NODE_BUDGET = 10_000_000_000
 
@@ -93,10 +92,6 @@ class MlstResult:
     @property
     def labeled_count(self) -> int:
         return int(self.cuts.shape[0])
-
-    def cut_tuples(self) -> Iterator[Cut]:
-        for row in self.cuts:
-            yield tuple(int(e) for e in row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,29 +168,24 @@ def _seeds(graph: ShellGraph) -> list[SearchState]:
     """Phase seeds; with `_orbit_closure`, the only place the search tells
     closed from open shells.
 
-    A closed shell gets one phase per vertex orbit the root set meets, in
-    root-set order, rooted at the orbit's first root and barring every vertex
-    of the earlier orbits.  Every interior dominates the first root, so it
-    meets the root set; an automorphism maps it onto a set holding the root
-    of the first orbit it meets and missing the earlier orbits, so the phases
-    find a member of every orbit of sets.
+    An open shell gets one phase seeded with its hole boundary.  A closed
+    shell gets one phase per vertex orbit the root set meets, in root-set
+    order, rooted at the orbit's first root and barring every vertex of the
+    earlier orbits.  Every interior dominates the first root, so it meets
+    the root set; an automorphism maps it onto a set holding the root of the
+    first orbit it meets and missing the earlier orbits, so the phases find a
+    member of every orbit of sets.
     """
-    if not graph.boundary_edges:
-        group = find_automorphisms(graph)
-        seeds = []
-        excl = 0
-        for r in root_set(graph):
-            if not (excl >> r) & 1:
-                seeds.append(_seed(graph, 1 << r, excl))
-                excl |= sum(1 << v for v in {p[r] for p in group.perms})
-        return seeds
-    vt = graph.boundary_mask
-    if len(graph.boundary_edges) != vt.bit_count():
-        raise ValidationError(
-            "hole boundary is not a cycle: "
-            f"{len(graph.boundary_edges)} edges on {vt.bit_count()} vertices"
-        )
-    return [_seed(graph, vt)]
+    if graph.boundary_edges:
+        return [_seed(graph, graph.boundary_mask)]
+    group = find_automorphisms(graph)
+    seeds = []
+    excl = 0
+    for r in root_set(graph):
+        if not (excl >> r) & 1:
+            seeds.append(_seed(graph, 1 << r, excl))
+            excl |= sum(1 << v for v in {p[r] for p in group.perms})
+    return seeds
 
 
 def _orbit_closure(graph: ShellGraph, found: dict[int, int]) -> dict[int, int]:
@@ -406,7 +396,8 @@ def enumerate_mlsts(
     of one leaf edge per outside vertex.
 
     On a closed shell these are its maximum leaf spanning trees; on an open
-    shell, its hole cuts (the boundary cycle plus tree branches).
+    shell, its hole cuts (the boundary cycle plus tree branches), each
+    checked by `holes.check_hole_cuts`.
     """
     result = enumerate_interiors(graph, budget_nodes, workers, time_limit)
     plans = [
@@ -433,6 +424,8 @@ def enumerate_mlsts(
         cuts = cuts[np.lexsort(cuts.T[::-1])]
     if (cuts[1:] == cuts[:-1]).all(axis=1).any():
         raise ValidationError("the expansion emitted a cut twice")
+    if boundary:
+        check_hole_cuts(graph, cuts)
     return MlstResult(
         graph=graph,
         leaf_count=result.leaf_count,

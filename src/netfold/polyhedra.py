@@ -97,8 +97,6 @@ class ShellReport:
     n_holes: int
     boundary_edges: tuple[Edge, ...]
     planarity_residual: float
-    min_degree: int
-    notes: tuple[str, ...] = ()
 
 
 def edge_face_table(spec: PolyhedronSpec) -> dict[Edge, list[int]]:
@@ -110,8 +108,9 @@ def edge_face_table(spec: PolyhedronSpec) -> dict[Edge, list[int]]:
     return table
 
 
-def _boundary_cycles(boundary: Sequence[Edge]) -> list[list[int]]:
-    """Split boundary edges into simple cycles; raise if they do not chain up."""
+def _boundary_cycles(name: str, boundary: Sequence[Edge]) -> list[list[int]]:
+    """Split the boundary edges of shell `name` into simple cycles; raise if
+    they do not chain up."""
     adj: dict[int, list[int]] = {}
     for u, v in boundary:
         adj.setdefault(u, []).append(v)
@@ -119,7 +118,7 @@ def _boundary_cycles(boundary: Sequence[Edge]) -> list[list[int]]:
     for v, nbrs in adj.items():
         if len(nbrs) != 2:
             raise ValidationError(
-                f"hole boundary vertex {v} has {len(nbrs)} boundary edges, expected 2"
+                f"{name}: hole boundary vertex {v} has {len(nbrs)} boundary edges, expected 2"
             )
     cycles = []
     left = {canon_edge(u, v) for u, v in boundary}
@@ -169,7 +168,6 @@ def validate_polyhedron(spec: PolyhedronSpec) -> ShellReport:
     inconsistent orientation, a disconnected shell graph, a broken Euler count,
     non-positive edge lengths, or non-planar faces.
     """
-    notes = []
     for fi, f in enumerate(spec.faces):
         if len(f) < 3:
             raise ValidationError(f"{spec.name}: face {fi} has {len(f)} vertices")
@@ -193,9 +191,7 @@ def validate_polyhedron(spec: PolyhedronSpec) -> ShellReport:
 
     boundary = tuple(sorted(e for e, faces in table.items() if len(faces) == 1))
     closed = not boundary
-    n_holes = 0
-    if boundary:
-        n_holes = len(_boundary_cycles(boundary))
+    n_holes = len(_boundary_cycles(spec.name, boundary))
 
     # vertex connectivity over the edge set
     n = spec.n_vertices
@@ -223,10 +219,6 @@ def validate_polyhedron(spec: PolyhedronSpec) -> ShellReport:
             f"(V={n}, E={len(table)}, F={spec.n_faces}, holes={n_holes})"
         )
 
-    min_degree = min(len(a) for a in adj)
-    if min_degree < 3:
-        notes.append(f"minimum shell-graph degree is {min_degree}")
-
     residual = 0.0
     if spec.has_geometry:
         pts = spec.vertices
@@ -248,6 +240,4 @@ def validate_polyhedron(spec: PolyhedronSpec) -> ShellReport:
         n_holes=n_holes,
         boundary_edges=boundary,
         planarity_residual=residual,
-        min_degree=min_degree,
-        notes=tuple(notes),
     )

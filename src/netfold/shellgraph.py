@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import BudgetExceededError, NonManifoldError, ValidationError
-from .polyhedra import Edge, PolyhedronSpec, canon_edge, edge_face_table
+from .polyhedra import Edge, PolyhedronSpec, _boundary_cycles, canon_edge, edge_face_table
 
 ORACLE_CAP = 10_000_000
 
@@ -111,22 +111,25 @@ class ShellGraph:
         return count == self.n
 
 
-def build_shell_graph(spec: PolyhedronSpec, require_closed: bool = True) -> ShellGraph:
+def build_shell_graph(spec: PolyhedronSpec) -> ShellGraph:
     """Shell graph of a polyhedron spec.
 
-    With require_closed, every edge must belong to exactly two faces; an open
-    shell (edges with one face, forming hole boundaries) needs
-    require_closed=False.
+    Every edge borders one or two faces.  The edges that border one face are
+    the hole boundary, which must be empty (a closed shell) or one simple
+    cycle (a shell with one hole); anything else raises ValidationError.
     """
     table = edge_face_table(spec)
     boundary_ids = []
     edges = tuple(sorted(table))
     for i, e in enumerate(edges):
         k = len(table[e])
-        if k > 2 or (require_closed and k != 2):
+        if k > 2:
             raise NonManifoldError(e, k, f"{spec.name}: edge {e} in {k} faces")
         if k == 1:
             boundary_ids.append(i)
+    holes = len(_boundary_cycles(spec.name, [edges[i] for i in boundary_ids]))
+    if holes > 1:
+        raise ValidationError(f"{spec.name}: {holes} holes; a shell may have at most one hole")
     return ShellGraph(n=spec.n_vertices, edges=edges, boundary_edges=tuple(boundary_ids))
 
 

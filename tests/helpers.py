@@ -5,8 +5,9 @@ brute-force filters, a one-cut union-find hole-cut check, the tree search
 (interiors grown edge by edge, without symmetry) with fixed-point class
 counting over its explicit interiors, recovery of interiors from explicit
 cut lists, a whole-group canonical form for a single cut, and trend
-statistics over the catalog table.  `frucht_graph` is a polyhedral graph
-with no symmetry, on which every root-set vertex gets a phase of its own.
+statistics over the catalog table.  `cut_tuples` reads a cut listing as
+tuples.  `frucht_graph` is a polyhedral graph with no symmetry, on which
+every root-set vertex gets a phase of its own.
 """
 
 import math
@@ -18,7 +19,7 @@ from scipy.stats import spearmanr
 from netfold.analysis import ShellStatistics, mlst_ratio_estimate
 from netfold.errors import ValidationError
 from netfold import mlst
-from netfold.mlst import InteriorResult, root_set
+from netfold.mlst import InteriorResult, MlstResult, root_set
 from netfold.shellgraph import (
     ShellGraph,
     cut_leaves,
@@ -46,6 +47,12 @@ def max_leaf_brute_force(graph: ShellGraph, trees):
             keep.append(t)
     keep.sort()
     return best, keep
+
+
+def cut_tuples(result: MlstResult):
+    """The cuts of an `enumerate_mlsts` result as tuples of Python ints, in
+    the result's (lexicographic) order."""
+    return [tuple(int(e) for e in row) for row in result.cuts]
 
 
 def check_hole_cut(graph: ShellGraph, cut: Sequence[int], boundary_ids: Sequence[int]) -> None:

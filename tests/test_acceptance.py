@@ -17,7 +17,7 @@ from helpers import ratio_rank_correlation
 from netfold.analysis import build_statistics_table, estimate_comparison, plot_data
 from netfold.catalog import CATALOG, builtin
 from netfold.geometry import centroid_and_rg, rank_nets, unfold
-from netfold.holes import boundary_edge_ids, enumerate_hole_cuts, remove_faces
+from netfold.holes import remove_faces
 from netfold.io import write_estimates, write_plot_data
 from netfold.mlst import count_labeled_cuts, enumerate_interiors, enumerate_mlsts
 from netfold.polyhedra import PolyhedronSpec
@@ -97,19 +97,19 @@ def test_criterion_03_mid_size_catalog():
 def test_criterion_04_open_shells():
     """Hole cuts: the open cube has one; a nine-face cap leaves 720/90."""
     open_cube = remove_faces(builtin("cube"), [0])
-    g = build_shell_graph(open_cube, require_closed=False)
-    assert len(enumerate_hole_cuts(g).cuts) == 1
+    g = build_shell_graph(open_cube)
+    assert len(enumerate_mlsts(g).cuts) == 1
 
     spec = builtin("rhombicuboctahedron")
     cap = [f for f in range(spec.n_faces)
            if all(spec.vertices[v][2] > 0.9 for v in spec.faces[f])]
     assert len(cap) == 9
     open_spec = remove_faces(spec, cap)
-    g9 = build_shell_graph(open_spec, require_closed=False)
-    result = enumerate_hole_cuts(g9)
+    g9 = build_shell_graph(open_spec)
+    result = enumerate_mlsts(g9)
     assert len(result.cuts) == 720
     group = find_automorphisms(g9)
-    stabilizer = edge_set_stabilizer(g9, group, boundary_edge_ids(g9))
+    stabilizer = edge_set_stabilizer(g9, group, g9.boundary_edges)
     assert len(dedupe_cuts(g9, result.cuts, stabilizer)) == 90
 
 

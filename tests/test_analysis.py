@@ -16,8 +16,8 @@ from netfold.analysis import (
 )
 from netfold.catalog import CATALOG, builtin
 from netfold.errors import BudgetExceededError, ValidationError
-from netfold.holes import enumerate_hole_cuts, remove_faces
-from netfold.mlst import enumerate_interiors
+from netfold.holes import remove_faces
+from netfold.mlst import enumerate_interiors, enumerate_mlsts
 from netfold.shellgraph import build_shell_graph
 from netfold.symmetry import dedupe_cuts, edge_set_stabilizer, find_automorphisms
 
@@ -96,8 +96,8 @@ OPEN_SHELLS = [
 def test_open_shell_counts_match_listing_and_dedupe(name, hole, labeled, classes):
     spec = remove_faces(builtin(name), hole)
     row = compute_statistics(spec)
-    graph = build_shell_graph(spec, require_closed=False)
-    cuts = enumerate_hole_cuts(graph).cuts
+    graph = build_shell_graph(spec)
+    cuts = enumerate_mlsts(graph).cuts
     stab = edge_set_stabilizer(graph, find_automorphisms(graph), graph.boundary_edges)
     assert (row.n_optimal_cuts, row.n_optimal_nets) == (labeled, classes)
     assert row.n_optimal_cuts == len(cuts)

@@ -153,6 +153,26 @@ def test_input_file_round_trip(tmp_path, capsys):
     assert "triangular_prism" in out
 
 
+# the cube without two opposite faces: a shell with two holes
+TUBE = {
+    "name": "tube",
+    "vertices": [[-1, -1, -1], [-1, -1, 1], [-1, 1, -1], [-1, 1, 1],
+                 [1, -1, -1], [1, -1, 1], [1, 1, -1], [1, 1, 1]],
+    "faces": [[0, 2, 6, 4], [0, 4, 5, 1], [1, 5, 7, 3], [2, 3, 7, 6]],
+}
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate", "rank"])
+def test_shell_with_two_holes_is_rejected(tmp_path, capsys, command):
+    path = tmp_path / "tube.json"
+    path.write_text(json.dumps(TUBE), encoding="utf-8")
+    rc = main([command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert captured.err == "error: tube: 2 holes; a shell may have at most one hole\n"
+    assert captured.out == ""
+
+
 def test_identical_files_across_worker_counts(tmp_path):
     names = ("enumeration.json", "classes.json")
     blobs = []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import cut_tuples
 from netfold.catalog import builtin
 from netfold.errors import FallbackExhaustedError, ValidationError
 from netfold.geometry import (
@@ -15,7 +16,7 @@ from netfold.geometry import (
     select_optimal_net,
     unfold,
 )
-from netfold.holes import boundary_edge_ids, enumerate_hole_cuts, remove_faces
+from netfold.holes import remove_faces
 from netfold.mlst import enumerate_mlsts
 from netfold.polyhedra import PolyhedronSpec
 from netfold.shellgraph import build_shell_graph, cut_leaves
@@ -128,7 +129,7 @@ def test_faces_stay_isometric():
 def test_root_face_does_not_change_rg():
     spec = builtin("cube")
     g = build_shell_graph(spec)
-    cut = next(enumerate_mlsts(g).cut_tuples())
+    cut = cut_tuples(enumerate_mlsts(g))[0]
     pairs = [g.edges[e] for e in cut]
     values = []
     for root in range(spec.n_faces):
@@ -148,7 +149,7 @@ def test_root_face_does_not_change_rg():
 def test_rigid_motion_invariance(angle, axis, shift):
     spec = builtin("tetrahedron")
     g = build_shell_graph(spec)
-    cut = next(enumerate_mlsts(g).cut_tuples())
+    cut = cut_tuples(enumerate_mlsts(g))[0]
     pairs = [g.edges[e] for e in cut]
     _, rg0 = centroid_and_rg(unfold(spec, pairs))
     ax = np.array(axis, dtype=float)
@@ -165,7 +166,7 @@ def test_rigid_motion_invariance(angle, axis, shift):
 def test_vertex_connections_are_cut_leaves():
     spec = builtin("cube")
     g = build_shell_graph(spec)
-    cut = next(enumerate_mlsts(g).cut_tuples())
+    cut = cut_tuples(enumerate_mlsts(g))[0]
     markers = unfold(spec, [g.edges[e] for e in cut]).markers
     assert tuple(sorted(m.vertex for m in markers)) == cut_leaves(g, cut)
 
@@ -175,10 +176,10 @@ def test_hole_net_markers_avoid_boundary():
     cap = [f for f in range(spec.n_faces)
            if all(spec.vertices[v][2] > 0.9 for v in spec.faces[f])]
     open_spec = remove_faces(spec, cap)
-    g = build_shell_graph(open_spec, require_closed=False)
-    result = enumerate_hole_cuts(g)
-    boundary_vertices = {v for e in boundary_edge_ids(g) for v in g.edges[e]}
-    cut = next(result.cut_tuples())
+    g = build_shell_graph(open_spec)
+    result = enumerate_mlsts(g)
+    boundary_vertices = {v for e in g.boundary_edges for v in g.edges[e]}
+    cut = cut_tuples(result)[0]
     layout = unfold(open_spec, [g.edges[e] for e in cut])
     assert len(layout.polygons) == open_spec.n_faces
     assert len(layout.markers) == result.leaf_count
@@ -188,7 +189,7 @@ def test_hole_net_markers_avoid_boundary():
 def test_unfold_rejects_non_tree_complement():
     spec = builtin("cube")
     g = build_shell_graph(spec)
-    cut = next(enumerate_mlsts(g).cut_tuples())
+    cut = cut_tuples(enumerate_mlsts(g))[0]
     pairs = [g.edges[e] for e in cut]
     with pytest.raises(ValidationError):
         unfold(spec, pairs[:-1])  # one hinge too many

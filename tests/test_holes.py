@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import check_hole_cut
-from netfold import holes
+from helpers import check_hole_cut, cut_tuples
+from netfold import holes, mlst
 from netfold.catalog import builtin
 from netfold.cli import main
 from netfold.errors import ValidationError
-from netfold.holes import (
-    boundary_edge_ids,
-    check_hole_cuts,
-    enumerate_hole_cuts,
-    hole_spec,
-    remove_faces,
-)
+from netfold.holes import check_hole_cuts, remove_faces
 from netfold.mlst import enumerate_interiors, enumerate_mlsts
 from netfold.shellgraph import build_shell_graph, cut_leaves
 from netfold.symmetry import dedupe_cuts, edge_set_stabilizer, find_automorphisms
@@ -44,9 +38,9 @@ def test_remove_faces_reindexes_and_names():
     open_cube = remove_faces(builtin("cube"), [0])
     assert open_cube.name == "cube-open1"
     assert open_cube.n_faces == 5
-    hole = hole_spec(open_cube)
-    assert len(hole.boundary_vertices) == 4
-    assert len(hole.boundary_edges) == 4
+    g = build_shell_graph(open_cube)
+    assert g.boundary_mask.bit_count() == 4
+    assert len(g.boundary_edges) == 4
 
 
 def test_remove_all_faces_rejected():
@@ -56,29 +50,29 @@ def test_remove_all_faces_rejected():
 
 def test_removed_patch_must_be_edge_connected():
     # two opposite faces of the cube leave two separate holes
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="cube-open2: 2 holes"):
         remove_faces(builtin("cube"), [0, 5])
 
 
 def test_open_cube_has_one_optimal_cut():
     open_cube = remove_faces(builtin("cube"), [0])
-    g = build_shell_graph(open_cube, require_closed=False)
-    result = enumerate_hole_cuts(g)
+    g = build_shell_graph(open_cube)
+    result = enumerate_mlsts(g)
     assert result.leaf_count == 4
     assert result.labeled_count == 1
-    boundary = boundary_edge_ids(g)
-    assert brute_force_hole_cuts(g, boundary) == (4, list(result.cut_tuples()))
+    boundary = g.boundary_edges
+    assert brute_force_hole_cuts(g, boundary) == (4, cut_tuples(result))
 
 
 def test_open_cube_cut_is_boundary_plus_verticals():
     open_cube = remove_faces(builtin("cube"), [0])
-    g = build_shell_graph(open_cube, require_closed=False)
-    result = enumerate_hole_cuts(g)
-    (cut,) = list(result.cut_tuples())
+    g = build_shell_graph(open_cube)
+    result = enumerate_mlsts(g)
+    (cut,) = cut_tuples(result)
     assert len(cut) == g.n
-    assert set(boundary_edge_ids(g)) <= set(cut)
+    assert set(g.boundary_edges) <= set(cut)
     # no hole-boundary vertex may be a leaf
-    hole_vertices = {v for e in boundary_edge_ids(g) for v in g.edges[e]}
+    hole_vertices = {v for e in g.boundary_edges for v in g.edges[e]}
     assert not (set(cut_leaves(g, cut)) & hole_vertices)
 
 
@@ -87,12 +81,12 @@ def test_wheel_with_rim_hole():
     pyramid = builtin("octagonal_pyramid")
     base = max(range(pyramid.n_faces), key=lambda f: len(pyramid.faces[f]))
     open_pyr = remove_faces(pyramid, [base])
-    g = build_shell_graph(open_pyr, require_closed=False)
-    result = enumerate_hole_cuts(g)
+    g = build_shell_graph(open_pyr)
+    result = enumerate_mlsts(g)
     assert result.leaf_count == 1
     assert result.labeled_count == 8
-    boundary = boundary_edge_ids(g)
-    assert brute_force_hole_cuts(g, boundary)[1] == sorted(result.cut_tuples())
+    boundary = g.boundary_edges
+    assert brute_force_hole_cuts(g, boundary)[1] == sorted(cut_tuples(result))
 
 
 def test_nine_face_cap_hole_counts():
@@ -101,21 +95,21 @@ def test_nine_face_cap_hole_counts():
            if all(spec.vertices[v][2] > 0.9 for v in spec.faces[f])]
     assert len(cap) == 9
     open_spec = remove_faces(spec, cap)
-    g = build_shell_graph(open_spec, require_closed=False)
-    result = enumerate_hole_cuts(g)
+    g = build_shell_graph(open_spec)
+    result = enumerate_mlsts(g)
     assert result.leaf_count == 9
     assert result.labeled_count == 720
     group = find_automorphisms(g)
-    stabilizer = edge_set_stabilizer(g, group, boundary_edge_ids(g))
+    stabilizer = edge_set_stabilizer(g, group, g.boundary_edges)
     classes = dedupe_cuts(g, result.cuts, stabilizer)
     assert len(classes) == 90
 
 
 def test_hole_cut_checker_rejects_bad_cuts():
     open_cube = remove_faces(builtin("cube"), [0])
-    g = build_shell_graph(open_cube, require_closed=False)
-    boundary = boundary_edge_ids(g)
-    (good,) = list(enumerate_hole_cuts(g).cut_tuples())
+    g = build_shell_graph(open_cube)
+    boundary = g.boundary_edges
+    (good,) = cut_tuples(enumerate_mlsts(g))
     # drop a required boundary edge
     bad = tuple(sorted((set(good) - {boundary[0]}) | {next(
         e for e in range(g.m) if e not in good)}))
@@ -128,12 +122,12 @@ def test_hole_cut_checker_rejects_bad_cuts():
 
 
 def _open_graph(name, hole):
-    return build_shell_graph(remove_faces(builtin(name), hole), require_closed=False)
+    return build_shell_graph(remove_faces(builtin(name), hole))
 
 
 def _oracle_accepts(graph, cut):
     try:
-        check_hole_cut(graph, cut, boundary_edge_ids(graph))
+        check_hole_cut(graph, cut, graph.boundary_edges)
     except ValidationError:
         return False
     return True
@@ -192,8 +186,8 @@ def _first_cut_where(graph, cuts, build):
 
 def test_batched_hole_check_rejects_each_mutation_class():
     g = _open_graph("truncated_cube", [0])
-    cuts = enumerate_hole_cuts(g).cuts
-    boundary = boundary_edge_ids(g)
+    cuts = enumerate_mlsts(g).cuts
+    boundary = g.boundary_edges
 
     def outside(row, avoid=()):
         """Edges outside `row` touching none of the vertices in `avoid`."""
@@ -244,7 +238,7 @@ def test_batched_hole_check_rejects_each_mutation_class():
 
 def test_hole_check_in_blocks_keeps_global_rows_and_one_test_per_core(monkeypatch):
     g = _open_graph("truncated_cube", [0])
-    cuts = enumerate_hole_cuts(g).cuts
+    cuts = enumerate_mlsts(g).cuts
     monkeypatch.setattr(holes, "_CHECK_BLOCK", 4)
     calls = []
     connected_unicyclic = holes._connected_unicyclic
@@ -268,14 +262,31 @@ def test_hole_check_in_blocks_keeps_global_rows_and_one_test_per_core(monkeypatc
     ("cube", [0]), ("cube", [0, 1]), ("octahedron", [0]), ("dodecahedron", [0]),
     ("truncated_cube", [0]),
 ])
-def test_open_graph_mlsts_are_its_hole_cuts(name, hole):
-    g = build_shell_graph(remove_faces(builtin(name), hole), require_closed=False)
-    assert np.array_equal(enumerate_mlsts(g).cuts, enumerate_hole_cuts(g).cuts)
+def test_open_graph_mlsts_are_its_hole_cuts(name, hole, monkeypatch):
+    # enumerate_mlsts checks the whole listing of an open shell as hole cuts,
+    # once, and a failed check fails the listing
+    g = build_shell_graph(remove_faces(builtin(name), hole))
+    checked = []
+
+    def spy(graph, cuts):
+        checked.append((graph, cuts))
+        check_hole_cuts(graph, cuts)
+
+    monkeypatch.setattr(mlst, "check_hole_cuts", spy)
+    result = enumerate_mlsts(g)
+    assert len(checked) == 1
+    assert checked[0][0] is g and checked[0][1] is result.cuts
+    monkeypatch.setattr(holes, "_connected_unicyclic", lambda graph, edge_ids: False)
+    with pytest.raises(ValidationError, match="not connected with exactly one cycle"):
+        enumerate_mlsts(g)
 
 
-def test_hole_cut_search_needs_a_boundary(shell_graph):
-    with pytest.raises(ValidationError):
-        enumerate_hole_cuts(shell_graph("cube"))
+def test_hole_check_needs_a_boundary(shell_graph):
+    # a closed shell's listing is not checked as hole cuts, and cannot be
+    g = shell_graph("cube")
+    cuts = enumerate_mlsts(g).cuts
+    with pytest.raises(ValidationError, match="no hole boundary"):
+        check_hole_cuts(g, cuts)
 
 
 def test_count_open_shell_prints_product_and_burnside_counts(capsys):

@@ -117,23 +117,6 @@ def test_enumeration_rows_must_be_in_order(tmp_path):
             )
 
 
-def test_counting_only_enumeration_doc(tmp_path):
-    graph = build_shell_graph(builtin("tetrahedron"))
-    path = tmp_path / "count.json"
-    write_enumeration(
-        path, graph=graph, leaf_count=3, cuts=None, nodes_visited=17,
-        shell_name="tetrahedron", labeled_count=4,
-    )
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["n_labeled_cuts"] == 4
-    assert "cuts" not in doc
-    assert path.read_text(encoding="utf-8") == _canonical_json({
-        "shell": "tetrahedron", "n_vertices": 4, "n_edges": 6,
-        "edges": [list(e) for e in graph.edges], "leaf_count": 3,
-        "n_labeled_cuts": 4, "nodes_visited": 17,
-    })
-
-
 def test_dedup_doc_totals(tmp_path):
     graph = build_shell_graph(builtin("cube"))
     result = enumerate_mlsts(graph)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import expand_sets, frucht_graph, interiors_from_cuts, max_leaf_brute_force
+from helpers import (
+    cut_tuples,
+    expand_sets,
+    frucht_graph,
+    interiors_from_cuts,
+    max_leaf_brute_force,
+)
 from netfold.errors import BudgetExceededError
 from netfold.mlst import LevelReport, count_labeled_cuts, enumerate_interiors, enumerate_mlsts
 from netfold.shellgraph import (
@@ -37,7 +43,7 @@ def test_small_solid_counts(name, leaves, labeled, shell_graph):
 def test_every_cut_is_a_spanning_tree_with_stated_leaves(shell_graph):
     g = shell_graph("cube")
     result = enumerate_mlsts(g)
-    for cut in result.cut_tuples():
+    for cut in cut_tuples(result):
         assert is_spanning_tree(g, cut)
         assert len(cut_leaves(g, cut)) == result.leaf_count
 
@@ -50,7 +56,7 @@ def test_matches_brute_force_filter(shell_graph):
         best, filtered = max_leaf_brute_force(g, trees)
         result = enumerate_mlsts(g)
         assert result.leaf_count == best
-        assert list(result.cut_tuples()) == sorted(filtered)
+        assert cut_tuples(result) == sorted(filtered)
 
 
 def test_rows_sorted_and_unique(shell_graph):
@@ -145,4 +151,4 @@ def test_search_equals_filter_on_random_graphs(g):
     best, filtered = max_leaf_brute_force(g, trees)
     result = enumerate_mlsts(g)
     assert result.leaf_count == best
-    assert list(result.cut_tuples()) == sorted(filtered)
+    assert cut_tuples(result) == sorted(filtered)

@@ -208,7 +208,7 @@ def test_orbit_phases_on_random_graphs(g):
 ])
 def test_open_shells_match_the_tree_search(name, labeled, classes):
     # the counts `count --hole 0` printed when the search grew trees
-    g = build_shell_graph(remove_faces(builtin(name), [0]), require_closed=False)
+    g = build_shell_graph(remove_faces(builtin(name), [0]))
     leaf_count, interiors, _ = tree_search_interiors(g)
     result = enumerate_interiors(g, workers=1)
     assert result.leaf_count == leaf_count

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from netfold import shellgraph
 from netfold.catalog import builtin
 from netfold.errors import BudgetExceededError, ValidationError
-from netfold.polyhedra import edge_face_table
+from netfold.holes import remove_faces
+from netfold.polyhedra import PolyhedronSpec, edge_face_table
 from netfold.shellgraph import (
     ShellGraph,
     build_shell_graph,
@@ -39,14 +40,37 @@ def test_face_graph_of_cube():
     assert all(len(faces) == 2 for faces in table.values())
 
 
-def test_open_shell_needs_flag():
-    from netfold.holes import remove_faces
-
+def test_open_shell_boundary_is_its_hole():
     open_cube = remove_faces(builtin("cube"), [0])
-    with pytest.raises(ValidationError):
-        build_shell_graph(open_cube)
-    g = build_shell_graph(open_cube, require_closed=False)
-    assert len(g.boundary_edges) == 4
+    g = build_shell_graph(open_cube)
+    assert [g.edges[e] for e in g.boundary_edges] == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert g.boundary_mask == 0b1111
+
+
+def test_shell_with_two_holes_is_rejected():
+    # the cube without two opposite faces: its boundary is two 4-cycles
+    tube = PolyhedronSpec(
+        name="tube", faces=((0, 2, 6, 4), (0, 4, 5, 1), (1, 5, 7, 3), (2, 3, 7, 6)),
+    )
+    with pytest.raises(ValidationError, match=r"^tube: 2 holes; a shell may have at most one hole$"):
+        build_shell_graph(tube)
+
+
+def test_pinched_hole_is_rejected():
+    # the octahedron without two faces that share only vertex 0: four
+    # boundary edges meet there
+    octahedron = builtin("octahedron")
+    at_zero = [f for f, face in enumerate(octahedron.faces) if 0 in face]
+    pair = next(
+        (a, b) for a in at_zero for b in at_zero
+        if len(set(octahedron.faces[a]) & set(octahedron.faces[b])) == 1
+    )
+    pinched = PolyhedronSpec(
+        name="pinched",
+        faces=tuple(face for f, face in enumerate(octahedron.faces) if f not in pair),
+    )
+    with pytest.raises(ValidationError, match="^pinched: hole boundary vertex 0 has 4"):
+        build_shell_graph(pinched)
 
 
 def test_k4_has_16_spanning_trees():

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import graphlib
 import re
 import sys
 from pathlib import Path
@@ -49,3 +50,19 @@ def test_imports_match_declared_dependencies():
     third_party = imported - set(sys.stdlib_module_names) - {"netfold"}
     assert third_party <= declared
     assert declared <= third_party
+
+
+def test_module_imports_form_no_cycle():
+    # the module-level relative imports inside the package must order the
+    # modules, so no module needs another that is still half imported
+    graph = {}
+    for path, tree in zip(SOURCES, _trees()):
+        needs = graph.setdefault(path.stem, set())
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module is None:  # from . import io
+                    needs.update(alias.name for alias in node.names)
+                else:
+                    needs.add(node.module.split(".")[0])
+    assert "holes" in graph["mlst"]  # the imports were read
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle

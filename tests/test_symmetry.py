@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import canonical_cut
+from helpers import canonical_cut, cut_tuples
 from netfold import symmetry
 from netfold.catalog import builtin
 from netfold.errors import ValidationError
-from netfold.holes import boundary_edge_ids, remove_faces
+from netfold.holes import remove_faces
 from netfold.mlst import enumerate_interiors, enumerate_mlsts
 from netfold.shellgraph import (
     ShellGraph,
@@ -65,7 +65,7 @@ def test_canonical_cut_is_idempotent_and_orbit_invariant(shell_graph):
     g = shell_graph("cube")
     group = find_automorphisms(g)
     result = enumerate_mlsts(g)
-    for cut in list(result.cut_tuples())[:20]:
+    for cut in cut_tuples(result)[:20]:
         canon = canonical_cut(g, cut, group)
         again = canonical_cut(g, canon.edges, group)
         assert again.edges == canon.edges
@@ -76,7 +76,7 @@ def test_all_cuts_in_one_orbit_share_canonical_form(shell_graph):
     g = shell_graph("octahedron")
     group = find_automorphisms(g)
     result = enumerate_mlsts(g)
-    forms = {canonical_cut(g, c, group).edges for c in result.cut_tuples()}
+    forms = {canonical_cut(g, c, group).edges for c in cut_tuples(result)}
     assert len(forms) == 2
 
 
@@ -136,9 +136,9 @@ def test_burnside_tests_fixed_trees_on_sets_with_several_trees(monkeypatch, shel
 
 def test_hole_stabilizer_subgroup():
     open_cube = remove_faces(builtin("cube"), [0])
-    g = build_shell_graph(open_cube, require_closed=False)
+    g = build_shell_graph(open_cube)
     group = find_automorphisms(g)
-    stab = edge_set_stabilizer(g, group, boundary_edge_ids(g))
+    stab = edge_set_stabilizer(g, group, g.boundary_edges)
     assert group.order == 48
     assert stab.order == 8  # symmetries of the kept square ring
     assert group.order % stab.order == 0
