@@ -1,11 +1,11 @@
 """Exact enumeration and ranking of optimal unfolding nets of polyhedral shells.
 
 The pipeline: validate a shell (`PolyhedronSpec`), build its vertex graph
-(`build_shell_graph`, which accepts a closed shell or one with a single hole
-bounded by one simple cycle), enumerate every optimal cut (`enumerate_mlsts`;
-an open shell's search is seeded with its hole boundary, and each cut it
-lists is checked as a hole cut), deduplicate under the graph's
-automorphism group (`dedupe_cuts`), unfold each class to a planar net
+and faces (`build_shell_graph`, which accepts a closed shell or one with a
+single hole bounded by one simple cycle), enumerate every optimal cut
+(`enumerate_mlsts`; an open shell's search is seeded with its hole boundary,
+and each cut it lists is checked as a hole cut), deduplicate under the face
+map's automorphism group (`dedupe_cuts`), unfold each class to a planar net
 (`unfold`), rank by radius of gyration (`rank_nets`), and select the first
 non-overlapping net (`select_optimal_net`).  Every cut list and count comes
 from one search over interior vertex sets: `enumerate_interiors` gives each

@@ -1,7 +1,7 @@
 """Open shells: opening a closed shell, and checking the cuts of one.
 
 An open shell has one hole (missing faces) bounded by one simple cycle;
-`build_shell_graph` accepts no other boundary.  The cut of an open shell is
+`ShellGraph` accepts no other boundary.  The cut of an open shell is
 not a tree: it contains the whole hole-boundary cycle plus tree branches,
 spans every vertex, stays connected, and has no cycle other than the
 boundary.  Boundary vertices carry two cycle edges, so they are never leaves;
@@ -25,7 +25,7 @@ def remove_faces(spec: PolyhedronSpec, removed: Sequence[int]) -> PolyhedronSpec
     """Open a closed shell by deleting faces.
 
     The removed faces must exist and leave a boundary that is one simple
-    cycle, the rule `build_shell_graph` checks; faces that do not form one
+    cycle, the rule `ShellGraph` checks; faces that do not form one
     edge-connected patch leave several holes or a pinched one.  Vertices and
     edges used only by the removed patch disappear; remaining vertices are
     reindexed in ascending order of their old index.

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -108,33 +109,53 @@ def edge_face_table(spec: PolyhedronSpec) -> dict[Edge, list[int]]:
     return table
 
 
-def _boundary_cycles(name: str, boundary: Sequence[Edge]) -> list[list[int]]:
-    """Split the boundary edges of shell `name` into simple cycles; raise if
-    they do not chain up."""
-    adj: dict[int, list[int]] = {}
-    for u, v in boundary:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for v, nbrs in adj.items():
-        if len(nbrs) != 2:
-            raise ValidationError(
-                f"{name}: hole boundary vertex {v} has {len(nbrs)} boundary edges, expected 2"
-            )
-    cycles = []
-    left = {canon_edge(u, v) for u, v in boundary}
+def oriented_edge_faces(spec: PolyhedronSpec) -> dict[Edge, list[int]]:
+    """`edge_face_table`, checked: no edge lies in more than two faces (else
+    NonManifoldError), and consistently oriented faces run a shared edge in
+    opposite directions."""
+    table = edge_face_table(spec)
+    for e, faces in table.items():
+        if len(faces) > 2:
+            raise NonManifoldError(e, len(faces), f"{spec.name}: edge {e} in {len(faces)} faces")
+    directed = {}
+    for fi, f in enumerate(spec.faces):
+        for a, b in zip(f, f[1:] + f[:1]):
+            if (a, b) in directed:
+                raise ValidationError(
+                    f"{spec.name}: faces {directed[(a, b)]} and {fi} traverse edge "
+                    f"({a}, {b}) in the same direction (inconsistent orientation)"
+                )
+            directed[(a, b)] = fi
+    return table
+
+
+def _count_components(vertices: Iterable[int], edges: Iterable[Edge]) -> int:
+    """The number of connected components of a graph."""
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    left = set(adj)
+    count = 0
     while left:
-        u0, v0 = min(left)
-        cycle = [u0]
-        prev, cur = u0, v0
-        left.discard(canon_edge(u0, v0))
-        while cur != u0:
-            cycle.append(cur)
-            a, b = adj[cur]
-            nxt = b if a == prev else a
-            left.discard(canon_edge(cur, nxt))
-            prev, cur = cur, nxt
-        cycles.append(cycle)
-    return cycles
+        count += 1
+        stack = [left.pop()]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in left:
+                    left.remove(w)
+                    stack.append(w)
+    return count
+
+
+def _count_holes(boundary: Sequence[Edge]) -> int:
+    """The number of simple cycles that hole boundary edges form; raise
+    unless every boundary vertex has two boundary edges."""
+    degree = Counter(v for e in boundary for v in e)
+    for v, k in degree.items():
+        if k != 2:
+            raise ValidationError(f"hole boundary vertex {v} has {k} boundary edges, expected 2")
+    return _count_components(degree, boundary)
 
 
 def _face_planarity(spec: PolyhedronSpec) -> float:
@@ -174,41 +195,15 @@ def validate_polyhedron(spec: PolyhedronSpec) -> ShellReport:
         if len(set(f)) != len(f):
             raise ValidationError(f"{spec.name}: face {fi} repeats a vertex")
 
-    table = edge_face_table(spec)
-    for e, faces in table.items():
-        if len(faces) > 2:
-            raise NonManifoldError(e, len(faces), f"{spec.name}: edge {e} in {len(faces)} faces")
-
-    directed = {}
-    for fi, f in enumerate(spec.faces):
-        for a, b in zip(f, f[1:] + f[:1]):
-            if (a, b) in directed:
-                raise ValidationError(
-                    f"{spec.name}: faces {directed[(a, b)]} and {fi} traverse edge "
-                    f"({a}, {b}) in the same direction (inconsistent orientation)"
-                )
-            directed[(a, b)] = fi
-
+    table = oriented_edge_faces(spec)
     boundary = tuple(sorted(e for e, faces in table.items() if len(faces) == 1))
     closed = not boundary
-    n_holes = len(_boundary_cycles(spec.name, boundary))
-
-    # vertex connectivity over the edge set
+    try:
+        n_holes = _count_holes(boundary)
+    except ValidationError as err:
+        raise ValidationError(f"{spec.name}: {err}") from None
     n = spec.n_vertices
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in table:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    if not all(seen):
+    if _count_components(range(n), table) != 1:
         raise ValidationError(f"{spec.name}: shell graph is disconnected")
 
     euler = n - len(table) + spec.n_faces

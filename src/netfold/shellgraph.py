@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import BudgetExceededError, NonManifoldError, ValidationError
-from .polyhedra import Edge, PolyhedronSpec, _boundary_cycles, canon_edge, edge_face_table
+from .errors import BudgetExceededError, ValidationError
+from .polyhedra import Edge, PolyhedronSpec, _count_components, _count_holes, canon_edge, oriented_edge_faces
 
 ORACLE_CAP = 10_000_000
 
@@ -27,11 +27,20 @@ class ShellGraph:
 
     Edges are sorted lexicographically as (min, max) pairs; the position of an
     edge in `edges` is its canonical edge id, used everywhere downstream.
+    The hole rule: `boundary_edges`, the hole's edge ids, are empty or one
+    simple cycle.  `find_automorphisms` reads the group off the consistently
+    oriented `faces`; a graph without them gets the trivial group.
     """
 
     n: int
     edges: tuple[Edge, ...]
     boundary_edges: tuple[int, ...] = ()
+    faces: tuple[tuple[int, ...], ...] = ()
+
+    def __post_init__(self):
+        holes = _count_holes([self.edges[e] for e in self.boundary_edges])
+        if holes > 1:
+            raise ValidationError(f"{holes} holes; a shell may have at most one hole")
 
     @staticmethod
     def from_edges(n: int, edges: Sequence[tuple[int, int]]) -> "ShellGraph":
@@ -94,43 +103,23 @@ class ShellGraph:
         return w if v == u else u
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = 1
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            rest = self.neighbor_masks[u] & ~seen
-            while rest:
-                w = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                seen |= 1 << w
-                count += 1
-                stack.append(w)
-        return count == self.n
+        return _count_components(range(self.n), self.edges) <= 1
 
 
 def build_shell_graph(spec: PolyhedronSpec) -> ShellGraph:
-    """Shell graph of a polyhedron spec.
+    """Shell graph of a polyhedron spec, with its faces.
 
-    Every edge borders one or two faces.  The edges that border one face are
-    the hole boundary, which must be empty (a closed shell) or one simple
-    cycle (a shell with one hole); anything else raises ValidationError.
+    Every edge borders one or two consistently oriented faces; the edges
+    that border one are the hole boundary, and the hole rule's errors name
+    the shell.
     """
-    table = edge_face_table(spec)
-    boundary_ids = []
+    table = oriented_edge_faces(spec)
     edges = tuple(sorted(table))
-    for i, e in enumerate(edges):
-        k = len(table[e])
-        if k > 2:
-            raise NonManifoldError(e, k, f"{spec.name}: edge {e} in {k} faces")
-        if k == 1:
-            boundary_ids.append(i)
-    holes = len(_boundary_cycles(spec.name, [edges[i] for i in boundary_ids]))
-    if holes > 1:
-        raise ValidationError(f"{spec.name}: {holes} holes; a shell may have at most one hole")
-    return ShellGraph(n=spec.n_vertices, edges=edges, boundary_edges=tuple(boundary_ids))
+    boundary = tuple(i for i, e in enumerate(edges) if len(table[e]) == 1)
+    try:
+        return ShellGraph(spec.n_vertices, edges, boundary, spec.faces)
+    except ValidationError as err:
+        raise ValidationError(f"{spec.name}: {err}") from None
 
 
 def _bareiss_determinant(m: list[list[int]]) -> int:

@@ -1,10 +1,10 @@
-"""Shell-graph automorphisms and cut deduplication.
+"""Shell automorphisms and cut deduplication.
 
-Two labeled cuts describe the same net when a vertex relabeling that fixes the
-shell graph maps one edge set onto the other.  The full automorphism group is
-found by backtracking (graphs here have at most a few hundred automorphisms),
-labeled cuts are grouped into orbits under the induced edge permutations, and
-each orbit is reported once by its lexicographically smallest member.
+Two labeled cuts describe the same net when a symmetry of the shell's face
+map maps one edge set onto the other.  The group is read off the face map
+with no search, labeled cuts are grouped into orbits under the induced edge
+permutations, and each orbit is reported once by its lexicographically
+smallest member.
 """
 
 from __future__ import annotations
@@ -94,79 +94,93 @@ def _check_group_axioms(graph: ShellGraph, group: AutomorphismGroup) -> None:
 
 
 def find_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
-    """The complete automorphism group of a connected shell graph, found
+    """The automorphism group of a connected shell graph's face map, found
     once per graph: the search, the listing and the counts all use it.
 
-    Backtracking over a breadth-first vertex order: a candidate image must
-    have the right degree and its already-mapped neighborhood must match the
-    image of the vertex's already-mapped neighborhood exactly, which is the
-    row-by-row version of comparing the permuted adjacency matrix with the
-    original.
+    Dart 2e runs along edge e from its lower end and dart 2e + 1 back, so
+    `d ^ 1` reverses d; each dart lies in one face, and an open shell's hole
+    is one more face.  A map automorphism is fixed by the image t of dart 0
+    and whether it keeps orientation (Weinberg 1966): it commutes with
+    reversal and maps the dart after d in its face to the dart after t, or
+    for a reflection to the reverse of the dart before t ^ 1.  Spreading
+    each of the 4E choices takes O(E^2) with no search, and |G| <= 4E.  A
+    graph without faces gets the trivial group.
     """
     group = _GROUPS.get(graph)
     if group is None:
-        group = _GROUPS[graph] = _search_automorphisms(graph)
+        group = _GROUPS[graph] = _map_automorphisms(graph)
     return group
 
 
-def _search_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
+def _spread(following: list[int], preceding: list[int], target: int, mirror: bool):
+    """The dart map sending dart 0 to `target`, or None at its first
+    conflict (a dart given two images, or two darts one)."""
+    image = [-1] * len(following)
+    image[0] = target
+    taken = {target}
+    stack = [0]
+    while stack:
+        d = stack.pop()
+        t = image[d]
+        after = preceding[t ^ 1] ^ 1 if mirror else following[t]
+        for d2, t2 in ((d ^ 1, t ^ 1), (following[d], after)):
+            if image[d2] != t2:
+                if image[d2] >= 0 or t2 in taken:
+                    return None
+                image[d2] = t2
+                taken.add(t2)
+                stack.append(d2)
+    return image
+
+
+def _map_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
     if not graph.is_connected():
         raise ValidationError("graph is disconnected")
-    n = graph.n
-    masks = graph.neighbor_masks
-    degrees = [graph.degree(v) for v in range(n)]
-
-    # refinement: vertices can only map to vertices with the same degree and
-    # the same multiset of neighbor degrees
-    signature = [
-        (degrees[v], tuple(sorted(degrees[w] for w in graph.adjacency[v])))
-        for v in range(n)
-    ]
-    candidates = [
-        [w for w in range(n) if signature[w] == signature[v]] for v in range(n)
-    ]
-
-    # breadth-first assignment order from a vertex with the rarest signature;
-    # every later vertex has an assigned neighbor, so the mask prune below
-    # stays tight
-    start = min(range(n), key=lambda v: (len(candidates[v]), v))
-    order = [start]
-    seen = {start}
-    for v in order:
-        for w in graph.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    rank = {v: i for i, v in enumerate(order)}
-
-    perms: list[tuple[int, ...]] = []
-    image = [-1] * n
-    used_mask = 0
-    mapped_nbrs = [0] * n  # OR of images of v's already-assigned neighbors
-
-    def assign(depth: int) -> None:
-        nonlocal used_mask
-        if depth == n:
-            perms.append(tuple(image))
-            return
-        v = order[depth]
-        need = 0
-        for u in graph.adjacency[v]:
-            if image[u] >= 0:
-                need |= 1 << image[u]
-        for w in candidates[v]:
-            if (used_mask >> w) & 1:
-                continue
-            if masks[w] & used_mask != need:
-                continue
-            image[v] = w
-            used_mask |= 1 << w
-            assign(depth + 1)
-            used_mask ^= 1 << w
-            image[v] = -1
-
-    assign(0)
-    group = AutomorphismGroup(n=n, perms=tuple(sorted(perms)))
+    if not graph.faces:
+        return AutomorphismGroup(n=graph.n, perms=(tuple(range(graph.n)),))
+    n_darts = 2 * graph.m
+    darts = {}
+    for e, (u, v) in enumerate(graph.edges):
+        darts[u, v], darts[v, u] = 2 * e, 2 * e + 1
+    following = [-1] * n_darts
+    try:
+        for f in graph.faces:
+            for a, b, c in zip(f, f[1:] + f[:1], f[2:] + f[:2]):
+                following[darts[a, b]] = darts[b, c]
+        # a hole dart runs its boundary edge against the face there and is
+        # followed by the hole dart leaving its head
+        hole = dict(graph.edges[e][::-1] if following[2 * e] >= 0 else graph.edges[e]
+                    for e in graph.boundary_edges)
+        for a, b in hole.items():
+            following[darts[a, b]] = darts[b, hole[b]]
+    except KeyError:
+        following = []
+    if sorted(following) != list(range(n_darts)):
+        raise ValidationError("the faces do not run every edge once each way")
+    # the darts leaving a vertex must form one cycle around it, or spreading
+    # leaves darts unmapped; a shell pinched at a vertex has several
+    fans = 0
+    seen = bytearray(n_darts)
+    for start in range(n_darts):
+        fans += not seen[start]
+        d = start
+        while not seen[d]:
+            seen[d] = 1
+            d = following[d ^ 1]
+    if fans != graph.n:
+        raise ValidationError("the faces around a vertex do not close into one fan")
+    preceding = [0] * n_darts
+    for d, d2 in enumerate(following):
+        preceding[d2] = d
+    tail = [graph.edges[d >> 1][d & 1] for d in range(n_darts)]
+    perms = set()
+    for target in range(n_darts):
+        for mirror in (False, True):
+            image = _spread(following, preceding, target, mirror)
+            if image is not None:
+                perm = dict(zip(tail, (tail[t] for t in image)))
+                perms.add(tuple(perm[v] for v in range(graph.n)))
+    group = AutomorphismGroup(n=graph.n, perms=tuple(sorted(perms)))
     _check_group_axioms(graph, group)
     return group
 

@@ -4,13 +4,16 @@ Each one is deliberately simple and independent of the code it checks:
 brute-force filters, a one-cut union-find hole-cut check, the tree search
 (interiors grown edge by edge, without symmetry) with fixed-point class
 counting over its explicit interiors, recovery of interiors from explicit
-cut lists, a whole-group canonical form for a single cut, and trend
-statistics over the catalog table.  `cut_tuples` reads a cut listing as
-tuples.  `frucht_graph` is a polyhedral graph with no symmetry, on which
-every root-set vertex gets a phase of its own.
+cut lists, a whole-group canonical form for a single cut, trend
+statistics over the catalog table, and a backtracking search for a graph's
+automorphisms, which checks the groups netfold reads off face maps and
+supplies the full group of a graph without faces.  `cut_tuples` reads a cut
+listing as tuples.  `frucht_graph` is a polyhedral graph with no symmetry,
+on which every root-set vertex gets a phase of its own.
 """
 
 import math
+import random
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +23,7 @@ from netfold.analysis import ShellStatistics, mlst_ratio_estimate
 from netfold.errors import ValidationError
 from netfold import mlst
 from netfold.mlst import InteriorResult, MlstResult, root_set
+from netfold.polyhedra import PolyhedronSpec
 from netfold.shellgraph import (
     ShellGraph,
     cut_leaves,
@@ -27,7 +31,13 @@ from netfold.shellgraph import (
     leaf_choices,
     merged_spanning_trees,
 )
-from netfold.symmetry import AutomorphismGroup, CanonicalCut, edge_permutations
+from netfold.symmetry import (
+    _GROUPS,
+    AutomorphismGroup,
+    CanonicalCut,
+    _check_group_axioms,
+    edge_permutations,
+)
 
 
 def max_leaf_brute_force(graph: ShellGraph, trees):
@@ -101,6 +111,88 @@ def check_hole_cut(graph: ShellGraph, cut: Sequence[int], boundary_ids: Sequence
     bad = sorted(v for v in range(n) if degree[v] == 1 and v in boundary_vertices)
     if bad:
         raise ValidationError(f"boundary vertices {bad} are leaves")
+
+
+def graph_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
+    """Every vertex permutation that maps the edge set onto itself, faces or
+    no faces.
+
+    Backtracking over a breadth-first vertex order: a candidate image must
+    have the right degree and the same multiset of neighbor degrees, and its
+    already-mapped neighborhood must match the image of the vertex's
+    already-mapped neighborhood exactly.
+    """
+    if not graph.is_connected():
+        raise ValidationError("graph is disconnected")
+    n = graph.n
+    masks = graph.neighbor_masks
+    signature = [
+        (graph.degree(v), tuple(sorted(graph.degree(w) for w in graph.adjacency[v])))
+        for v in range(n)
+    ]
+    candidates = [[w for w in range(n) if signature[w] == signature[v]] for v in range(n)]
+    start = min(range(n), key=lambda v: (len(candidates[v]), v))
+    order = [start]
+    for v in order:
+        order += [w for w in graph.adjacency[v] if w not in order]
+    perms = []
+    image = [-1] * n
+
+    def assign(depth: int, used: int) -> None:
+        if depth == n:
+            perms.append(tuple(image))
+            return
+        v = order[depth]
+        need = sum(1 << image[u] for u in graph.adjacency[v] if image[u] >= 0)
+        for w in candidates[v]:
+            if not (used >> w) & 1 and masks[w] & used == need:
+                image[v] = w
+                assign(depth + 1, used | 1 << w)
+                image[v] = -1
+
+    assign(0, 0)
+    group = AutomorphismGroup(n=n, perms=tuple(sorted(perms)))
+    _check_group_axioms(graph, group)
+    return group
+
+
+def give_graph_group(graph: ShellGraph) -> ShellGraph:
+    """`graph` with its whole `graph_automorphisms` group cached as the
+    group `find_automorphisms` returns, so a graph without faces is searched
+    and counted under its full symmetry."""
+    _GROUPS[graph] = graph_automorphisms(graph)
+    return graph
+
+
+def _cycle_key(cycle: Sequence[int]) -> tuple[int, ...]:
+    """A face cycle up to its start and direction."""
+    both = (list(cycle), list(cycle)[::-1])
+    return min(tuple(c[i:] + c[:i]) for c in both for i in range(len(c)))
+
+
+def face_preserving(spec: PolyhedronSpec, group: AutomorphismGroup) -> AutomorphismGroup:
+    """The members of a graph group that map every face of `spec` onto a
+    face."""
+    faces = {_cycle_key(f) for f in spec.faces}
+    kept = [p for p in group.perms
+            if all(_cycle_key([p[v] for v in f]) in faces for f in spec.faces)]
+    return AutomorphismGroup(n=group.n, perms=tuple(kept))
+
+
+def relabeled_spec(spec: PolyhedronSpec, seed: int):
+    """A seeded relabelling of a spec that keeps its orientation: vertices
+    renamed by a random permutation, faces shuffled, each cycle started at a
+    random vertex.  Returns the spec and the permutation (vertex v becomes
+    perm[v])."""
+    rng = random.Random(seed)
+    perm = list(range(spec.n_vertices))
+    rng.shuffle(perm)
+    faces = []
+    for f in spec.faces:
+        k = rng.randrange(len(f))
+        faces.append(tuple(perm[v] for v in f[k:] + f[:k]))
+    rng.shuffle(faces)
+    return PolyhedronSpec(name=spec.name, faces=tuple(faces), vertex_count=spec.n_vertices), perm
 
 
 def frucht_graph() -> ShellGraph:

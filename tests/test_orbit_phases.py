@@ -12,7 +12,6 @@ the tree search too.
 """
 
 import functools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,9 @@ from helpers import (
     classes_from_interiors,
     expand_sets,
     frucht_graph,
+    give_graph_group,
     labeled_from_interiors,
+    relabeled_spec,
     root_set_set_search,
     tree_search_interiors,
 )
@@ -30,7 +31,8 @@ from netfold.catalog import CATALOG, builtin, catalog_entry
 from netfold.holes import remove_faces
 from netfold.cli import EXIT_OK, main
 from netfold.mlst import count_labeled_cuts, enumerate_interiors
-from netfold.shellgraph import ShellGraph, build_shell_graph
+from netfold.polyhedra import PolyhedronSpec, edge_face_table
+from netfold.shellgraph import build_shell_graph
 from netfold.symmetry import count_net_classes, edge_set_stabilizer, find_automorphisms
 from test_mlst import connected_graphs
 
@@ -70,13 +72,9 @@ def result_counts(result):
     return count_labeled_cuts(result), count_net_classes(result.graph, result.sets, group)
 
 
-def relabeled(graph, perm):
-    """The graph with vertex v renamed perm[v]."""
-    return ShellGraph.from_edges(graph.n, [(perm[u], perm[v]) for u, v in graph.edges])
-
-
 def map_interiors(graph, image, perm, interiors):
-    """Interiors of `graph` renamed into `image` = relabeled(graph, perm)."""
+    """Interiors of `graph` renamed into `image`, its graph with vertex v
+    renamed perm[v]."""
     out = []
     for vt, edges in interiors:
         mapped_vt = sum(1 << perm[v] for v in range(graph.n) if (vt >> v) & 1)
@@ -88,15 +86,26 @@ def map_interiors(graph, image, perm, interiors):
     return tuple(sorted(out, key=lambda it: (it[1], it[0])))
 
 
+@functools.lru_cache(maxsize=None)
 def truncated_octahedron_minus_edge():
-    """truncated_octahedron without its first edge whose removal leaves a
-    group of order 2 (a square-hexagon edge)."""
-    g = catalog_graph("truncated_octahedron")
-    for k in range(g.m):
-        h = ShellGraph.from_edges(g.n, g.edges[:k] + g.edges[k + 1:])
-        if find_automorphisms(h).order == 2:
-            return h
-    raise AssertionError("no edge of truncated_octahedron leaves a group of order 2")
+    """truncated_octahedron without its first square-hexagon edge, the two
+    faces merged into one octagon: a shell whose group has order 2."""
+    spec = builtin("truncated_octahedron")
+    edge, (i, j) = next(
+        (e, faces) for e, faces in sorted(edge_face_table(spec).items())
+        if sorted(len(spec.faces[f]) for f in faces) == [4, 6]
+    )
+    fi, fj = spec.faces[i], spec.faces[j]
+    # fi runs the edge from x to y and fj from y to x
+    x, y = edge if edge in zip(fi, fi[1:] + fi[:1]) else edge[::-1]
+
+    def walk(face, start):
+        k = face.index(start)
+        return face[k:] + face[:k]
+
+    merged = walk(fi, y) + walk(fj, x)[1:-1]
+    faces = tuple(f for k, f in enumerate(spec.faces) if k not in (i, j)) + (merged,)
+    return build_shell_graph(PolyhedronSpec(name="merged", faces=faces))
 
 
 @pytest.fixture
@@ -137,9 +146,8 @@ def test_orbit_phases_match_root_set_search(name):
 @pytest.mark.parametrize("name", ["truncated_cube", "truncated_cuboctahedron"])
 def test_orbit_phases_on_relabelled_shells(name, seed):
     g = catalog_graph(name)
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    h = relabeled(g, perm)
+    spec, perm = relabeled_spec(builtin(name), seed)
+    h = build_shell_graph(spec)
     leaf_count, interiors, _ = oracle(name)
     result = enumerate_interiors(h, workers=1)
     assert result.leaf_count == leaf_count
@@ -163,6 +171,7 @@ def test_vertex_transitive_shell_runs_one_phase(name, phases):
 
 def test_orbit_phases_with_a_group_of_order_two(phases):
     g = truncated_octahedron_minus_edge()
+    assert find_automorphisms(g).order == 2
     leaf_count, interiors, _ = tree_search_interiors(g)
     result = enumerate_interiors(g, workers=1)
     assert (result.leaf_count, expand_sets(result)) == (leaf_count, interiors)
@@ -189,6 +198,8 @@ def test_trivial_group_searches_node_for_node_like_the_root_set(phases):
 @settings(max_examples=50)
 @given(connected_graphs())
 def test_orbit_phases_on_random_graphs(g):
+    # a graph without faces is searched under its whole graph group here
+    give_graph_group(g)
     leaf_count, interiors, _ = tree_search_interiors(g)
     sets, nodes = root_set_set_search(g)
     result = enumerate_interiors(g)
@@ -218,8 +229,8 @@ def test_open_shells_match_the_tree_search(name, labeled, classes):
 
 def wheel(k):
     """A pyramid over a k-gon: hub 0 joined to the cycle 1..k."""
-    return ShellGraph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)]
-                                 + [(i, i % k + 1) for i in range(1, k + 1)])
+    faces = tuple((0, i, i % k + 1) for i in range(1, k + 1)) + (tuple(range(k, 0, -1)),)
+    return build_shell_graph(PolyhedronSpec(name=f"wheel{k}", faces=faces))
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 8])
@@ -254,13 +265,13 @@ def test_group_is_found_once_per_graph(monkeypatch, capsys):
     from netfold import symmetry
 
     calls = []
-    search = symmetry._search_automorphisms
+    search = symmetry._map_automorphisms
 
     def spy(graph):
         calls.append(graph)
         return search(graph)
 
-    monkeypatch.setattr(symmetry, "_search_automorphisms", spy)
+    monkeypatch.setattr(symmetry, "_map_automorphisms", spy)
     for command in ("enumerate", "rank", "count"):
         calls.clear()
         assert main([command, "--builtin", "cube", "--workers", "1"]) == EXIT_OK

@@ -73,6 +73,26 @@ def test_pinched_hole_is_rejected():
         build_shell_graph(pinched)
 
 
+def test_a_graph_built_directly_keeps_the_hole_rule():
+    # the 8 edges of two opposite cube faces are two holes, which gave a
+    # leaf count of 0 and one labeled cut when the constructor took them
+    cube = build_shell_graph(builtin("cube"))
+    two_rings = tuple(sorted(
+        cube.edge_index[(min(a, b), max(a, b))]
+        for face in ((0, 1, 3, 2), (4, 6, 7, 5)) for a, b in zip(face, face[1:] + face[:1])
+    ))
+    with pytest.raises(ValidationError, match=r"^2 holes; a shell may have at most one hole$"):
+        ShellGraph(n=8, edges=cube.edges, boundary_edges=two_rings)
+
+
+def test_inconsistent_orientation_is_rejected():
+    cube = builtin("cube")
+    flipped = PolyhedronSpec(name="flipped", faces=(cube.faces[0][::-1],) + cube.faces[1:])
+    message = r"^flipped: faces 0 and 1 traverse edge \(0, 2\) in the same direction"
+    with pytest.raises(ValidationError, match=message):
+        build_shell_graph(flipped)
+
+
 def test_k4_has_16_spanning_trees():
     g = complete_graph(4)
     assert count_spanning_trees(g) == 16

@@ -1,14 +1,23 @@
+import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from helpers import canonical_cut, cut_tuples
+from helpers import (
+    canonical_cut,
+    cut_tuples,
+    face_preserving,
+    graph_automorphisms,
+    relabeled_spec,
+)
 from netfold import symmetry
-from netfold.catalog import builtin
+from netfold.catalog import CATALOG, builtin
+from netfold.cli import EXIT_OK, main
 from netfold.errors import ValidationError
 from netfold.holes import remove_faces
 from netfold.mlst import enumerate_interiors, enumerate_mlsts
+from netfold.polyhedra import PolyhedronSpec
 from netfold.shellgraph import (
     ShellGraph,
     build_shell_graph,
@@ -209,16 +218,17 @@ def test_star_with_a_factorial_group_is_searched_quickly():
     # K1,7 has 7! = 5040 automorphisms; testing closure pair by pair took ~24 s
     g = ShellGraph.from_edges(8, [(0, i) for i in range(1, 8)])
     start = time.monotonic()
+    group = graph_automorphisms(g)  # runs the group axioms
     result = enumerate_interiors(g)
     assert time.monotonic() - start < 2.0
-    assert find_automorphisms(g).order == 5040
+    assert group.order == 5040
     assert result.sets == ((0b1, 1),)
-    assert count_net_classes(g, result.sets, find_automorphisms(g)) == 1
+    assert count_net_classes(g, result.sets, group) == 1
 
 
 def test_fixed_point_count_rejects_inconsistent_interiors():
     k4 = ShellGraph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    group = find_automorphisms(k4)
+    group = graph_automorphisms(k4)
     # the optimal cuts of one shell all have interiors of one size
     with pytest.raises(ValidationError, match="interior sets have mixed sizes"):
         count_net_classes(k4, [(0b0001, 1), (0b0011, 1)], group)
@@ -226,3 +236,98 @@ def test_fixed_point_count_rejects_inconsistent_interiors():
     # automorphisms fixing vertex 0 fix a cut, and 6 does not divide by 24
     with pytest.raises(ValidationError, match="must divide by the group order"):
         count_net_classes(k4, [(0b0001, 1)], group)
+
+
+def test_a_graph_without_faces_gets_the_trivial_group():
+    k4 = ShellGraph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    assert find_automorphisms(k4).perms == ((0, 1, 2, 3),)
+
+
+TETRAHEDRON = builtin("tetrahedron")
+SQUARE = ((0, 1), (0, 3), (1, 2), (2, 3))
+
+
+@pytest.mark.parametrize("edges,faces", [
+    (TETRAHEDRON.edge_list(), TETRAHEDRON.faces[:3]),  # one face missing
+    (TETRAHEDRON.edge_list(), (TETRAHEDRON.faces[0][::-1],) + TETRAHEDRON.faces[1:]),
+    (SQUARE, ((0, 1, 2), (0, 3, 2, 1))),  # (2, 0) is no edge
+])
+def test_faces_that_do_not_fit_the_edges_are_rejected(edges, faces):
+    g = ShellGraph(n=4, edges=edges, faces=faces)
+    with pytest.raises(ValidationError, match="faces do not run every edge once each way"):
+        find_automorphisms(g)
+
+
+def test_a_square_with_two_faces_has_the_dihedral_group():
+    g = ShellGraph(n=4, edges=SQUARE, faces=((0, 1, 2, 3), (0, 3, 2, 1)))
+    assert find_automorphisms(g).perms == graph_automorphisms(g).perms
+    assert find_automorphisms(g).order == 8
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in CATALOG])
+def test_face_map_group_is_the_graph_group(name, shell_graph):
+    # convex shells have 3-connected graphs, whose automorphisms all map
+    # faces to faces (Whitney); a map automorphism is fixed by one dart and
+    # its orientation, so there are at most 4E of them
+    g = shell_graph(name)
+    group = find_automorphisms(g)
+    assert group.perms == graph_automorphisms(g).perms
+    assert group.order <= 4 * g.m
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["truncated_cube", "truncated_cuboctahedron"])
+def test_face_map_group_on_relabelled_specs(name, seed):
+    spec, _ = relabeled_spec(builtin(name), seed)
+    g = build_shell_graph(spec)
+    assert find_automorphisms(g).perms == graph_automorphisms(g).perms
+
+
+@pytest.mark.parametrize("name", ["snub_cube", "truncated_cube", "dodecahedron"])
+def test_hole_stabilizer_matches_the_graph_group(name):
+    g = build_shell_graph(remove_faces(builtin(name), [0]))
+    face_map = edge_set_stabilizer(g, find_automorphisms(g), g.boundary_edges)
+    graph = edge_set_stabilizer(g, graph_automorphisms(g), g.boundary_edges)
+    assert face_map.perms == graph.perms
+
+
+# two cubes glued at two opposite corners of a face (vertices 0 and 3), a
+# 2-vertex separator: the graph has automorphisms that map no face to a face
+TWO_CUBES = {
+    "name": "two-cubes",
+    "vertices": None,
+    "faces": [[0, 2, 6, 4], [0, 4, 5, 1], [1, 5, 7, 3], [2, 3, 7, 6], [4, 6, 7, 5],
+              [0, 9, 12, 10], [0, 10, 11, 8], [8, 11, 13, 3], [9, 3, 13, 12],
+              [10, 12, 13, 11], [8, 3, 2, 0], [1, 3, 9, 0]],
+}
+
+
+def test_two_cubes_are_counted_under_their_face_symmetries(tmp_path, capsys):
+    spec = PolyhedronSpec(name="two-cubes", faces=TWO_CUBES["faces"])
+    g = build_shell_graph(spec)
+    graph_group = graph_automorphisms(g)
+    faces_group = face_preserving(spec, graph_group)
+    assert (graph_group.order, faces_group.order) == (16, 8)
+    assert find_automorphisms(g).perms == faces_group.perms
+    cuts = cut_tuples(enumerate_mlsts(g))
+    assert len(cuts) == 320
+    assert len({canonical_cut(g, cut, faces_group).edges for cut in cuts}) == 40
+
+    path = tmp_path / "two-cubes.json"
+    path.write_text(json.dumps(TWO_CUBES), encoding="utf-8")
+    assert main(["count", "--input", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "automorphisms: 8\n" in out and "optimal net classes: 40\n" in out
+    assert main(["enumerate", "--input", str(path)]) == EXIT_OK
+    assert "classes under 8 automorphisms: 40\n" in capsys.readouterr().out
+
+
+def test_a_shell_pinched_at_two_vertices_is_rejected():
+    # two whole cubes sharing vertices 0 and 3, which two-cubes joins into
+    # one sphere: here each shared vertex has two separate fans of faces
+    cube = builtin("cube").faces
+    other = {0: 0, 3: 3, 1: 8, 2: 9, 4: 10, 5: 11, 6: 12, 7: 13}
+    faces = cube + tuple(tuple(other[v] for v in f) for f in cube)
+    g = build_shell_graph(PolyhedronSpec(name="pinched", faces=faces))
+    with pytest.raises(ValidationError, match="do not close into one fan"):
+        find_automorphisms(g)
