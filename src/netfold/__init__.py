@@ -62,6 +62,7 @@ from .svg import export_svg
 from .symmetry import (
     AutomorphismGroup,
     CanonicalCut,
+    CutClasses,
     count_net_classes,
     dedupe_cuts,
     find_automorphisms,
@@ -75,6 +76,7 @@ __all__ = [
     "CATALOG",
     "CanonicalCut",
     "CatalogEntry",
+    "CutClasses",
     "FallbackExhaustedError",
     "InteriorResult",
     "MissingGeometryError",

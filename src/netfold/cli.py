@@ -179,7 +179,7 @@ def cmd_enumerate(args) -> int:
 def _ranked(args):
     spec, report, graph = _load_shell(args)
     result, classes, _ = _enumerate_cuts(args, graph)
-    ranked = rank_nets(spec, [(c.edges, c.orbit_size) for c in classes], graph=graph)
+    ranked = rank_nets(spec, list(zip(classes.cuts.tolist(), classes.orbit_sizes.tolist())), graph=graph)
     return spec, ranked
 
 

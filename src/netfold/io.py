@@ -9,6 +9,10 @@ timestamps or wall-clock fields, floats via repr.  Re-running a pipeline with
 any worker count reproduces the files byte for byte.  The cut and class
 listings, which run to tens of megabytes, are streamed to the file in blocks
 of rows with the bytes `json.dumps(indent=2, sort_keys=True)` would give.
+Each block is turned into text in numpy: a row is a fixed-width byte buffer
+holding the row template's literal bytes and one slot per value, the value's
+digits right-aligned in it by integer division and its unused leading bytes
+0, and one boolean mask drops those pad bytes from the whole block.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .errors import ValidationError
 from .geometry import RankedNet
 from .polyhedra import PolyhedronSpec
 from .shellgraph import ShellGraph
-from .symmetry import CanonicalCut
+from .symmetry import CutClasses, rows_in_lex_order
 
 PathLike = Union[str, Path]
 
@@ -110,29 +114,72 @@ def _fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
 
 
+def _format_rows(row_format: str, rows: np.ndarray) -> bytes:
+    """`",\n".join([row_format] * len(rows)) % tuple(rows.ravel())`, UTF-8
+    encoded: each row of a 2-D array of non-negative ints filled into
+    `row_format`, a template with one %d per column.
+
+    A row is laid out as the template's pieces between the %d's, each value
+    in a slot as wide as the block's widest value, and the ",\n" that joins
+    it to the next; the pad bytes (0) and the last row's ",\n" are dropped.
+    """
+    pieces = [piece.encode("utf-8") for piece in (row_format + ",\n").split("%d")]
+    n_rows, width = rows.shape
+    if not width or width != len(pieces) - 1:
+        raise ValidationError(f"rows of {width} values for a template with {len(pieces) - 1} fields")
+    if not n_rows:
+        return b""
+    if rows.min() < 0:
+        raise ValidationError("listed values must be non-negative")
+    top = int(rows.max())
+    digits = len(str(top))
+    line = np.zeros(sum(map(len, pieces)) + width * digits, dtype=np.uint8)
+    starts = np.empty(width, dtype=np.intp)
+    at = 0
+    for i, piece in enumerate(pieces):
+        line[at:at + len(piece)] = np.frombuffer(piece, dtype=np.uint8)
+        at += len(piece)
+        if i < width:
+            starts[i] = at
+            at += digits
+    block = np.tile(line, (n_rows, 1))
+    # units place first; the smallest unsigned type divides fastest
+    quotient = rows.astype(np.min_scalar_type(top))
+    digit = np.empty(rows.shape, dtype=np.uint8)
+    for place in range(digits - 1, -1, -1):
+        np.remainder(quotient, 10, out=digit, casting="unsafe")
+        digit += ord("0")
+        if place < digits - 1:
+            digit *= quotient != 0  # a leading place the value does not reach
+        block[:, starts + place] = digit
+        quotient //= 10
+    block = block.ravel()
+    return block[block != 0][:-2].tobytes()
+
+
 def _write_json_with_rows(
-    path: PathLike, doc: dict, key: str, row_format: str,
-    blocks: Iterable[tuple[int, Sequence[int]]],
+    path: PathLike, doc: dict, key: str, row_format: str, blocks: Iterable[np.ndarray],
 ) -> None:
     """Write `doc` with `doc[key]` set to a list of rows, streamed.
 
     The bytes are those of `_write_json` on the whole document.  Each row is
     `row_format`, a %-template at two levels of indentation.  `blocks` yields
-    (row count, the rows' values in order); each block is formatted in one
-    call and written straight to the file, so the whole text is never held
-    in memory.
+    non-empty 2-D int arrays, one row per listed row; each block is
+    formatted by `_format_rows` and written straight to the file, so the
+    whole text is never held in memory.
     """
     placeholder = "\u0000rows\u0000"
     # the row list's key sorts before "shell", the one free-text field, so
     # the placeholder's first occurrence is the row list's
     head, _, tail = _json_text({**doc, key: placeholder}).partition(json.dumps(placeholder))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
-        opening = "[\n"
-        for n_rows, values in blocks:
-            fh.write(opening + ",\n".join([row_format] * n_rows) % tuple(values))
-            opening = ",\n"
-        fh.write(("[]" if opening == "[\n" else "\n  ]") + tail + "\n")
+    with open(path, "wb") as fh:
+        fh.write(head.encode("utf-8"))
+        opening = b"[\n"
+        for rows in blocks:
+            fh.write(opening)
+            fh.write(_format_rows(row_format, rows))
+            opening = b",\n"
+        fh.write((("[]" if opening == b"[\n" else "\n  ]") + tail + "\n").encode("utf-8"))
 
 
 def _int_list_format(indent: int, width: int) -> str:
@@ -140,6 +187,17 @@ def _int_list_format(indent: int, width: int) -> str:
     lays it out when the list opens at `indent` spaces; `width` >= 1."""
     inner = " " * (indent + 2)
     return "[\n" + ",\n".join([inner + "%d"] * width) + "\n" + " " * indent + "]"
+
+
+def _cut_row_format(width: int) -> str:
+    """%-template of one row of `enumeration.json`: a cut of `width` edge ids."""
+    return "    " + _int_list_format(4, width)
+
+
+def _class_row_format(width: int) -> str:
+    """%-template of one row of `classes.json`: a cut of `width` edge ids,
+    then its orbit size."""
+    return '    {\n      "cut": ' + _int_list_format(6, width) + ',\n      "orbit_size": %d\n    }'
 
 
 def write_enumeration(
@@ -155,9 +213,7 @@ def write_enumeration(
     cuts = np.asarray(cuts)
     if cuts.ndim != 2 or not cuts.shape[1]:
         raise ValidationError(f"cuts must be a 2-D array of edge ids, got shape {cuts.shape}")
-    step = cuts[1:].astype(np.int64) - cuts[:-1]
-    first = step[np.arange(step.shape[0]), (step != 0).argmax(axis=1)]
-    if (first <= 0).any():
+    if not rows_in_lex_order(cuts):
         raise ValidationError("cut rows must be distinct and in lexicographic order")
     doc = {
         "shell": shell_name,
@@ -168,32 +224,28 @@ def write_enumeration(
         "n_labeled_cuts": cuts.shape[0],
         "nodes_visited": nodes_visited,
     }
-    chunks = (cuts[at:at + _ROW_BLOCK] for at in range(0, cuts.shape[0], _ROW_BLOCK))
-    blocks = ((len(chunk), chunk.ravel().tolist()) for chunk in chunks)
-    _write_json_with_rows(path, doc, "cuts", "    " + _int_list_format(4, cuts.shape[1]), blocks)
+    blocks = (cuts[at:at + _ROW_BLOCK] for at in range(0, cuts.shape[0], _ROW_BLOCK))
+    _write_json_with_rows(path, doc, "cuts", _cut_row_format(cuts.shape[1]), blocks)
 
 
-def write_dedup(path: PathLike, graph: ShellGraph, classes: Sequence[CanonicalCut], shell_name: str) -> None:
+def write_dedup(path: PathLike, graph: ShellGraph, classes: CutClasses, shell_name: str) -> None:
     """Class listing file: each class's smallest labeled cut and orbit size,
-    in lexicographic order of the cuts."""
-    classes = sorted(classes, key=lambda c: c.edges)
-    widths = {len(c.edges) for c in classes}
-    if len(widths) > 1:
-        raise ValidationError("classes have mixed cut sizes")
-    row_format = (
-        '    {\n      "cut": ' + _int_list_format(6, widths.pop() if widths else 1)
-        + ',\n      "orbit_size": %d\n    }'
-    )
+    rows in lexicographic order of the cuts (as `dedupe_cuts` returns them)."""
+    cuts, sizes = classes.cuts, classes.orbit_sizes
+    if len(classes) and not cuts.shape[1]:
+        raise ValidationError("class cuts must list at least one edge id")
+    if not rows_in_lex_order(cuts):
+        raise ValidationError("class rows must be distinct and in lexicographic order")
     doc = {
         "shell": shell_name,
         "n_classes": len(classes),
-        "n_labeled_cuts": sum(c.orbit_size for c in classes),
+        "n_labeled_cuts": int(sizes.sum()),
     }
-    chunks = (classes[at:at + _ROW_BLOCK] for at in range(0, len(classes), _ROW_BLOCK))
     blocks = (
-        (len(chunk), [x for c in chunk for x in (*c.edges, c.orbit_size)]) for chunk in chunks
+        np.column_stack((cuts[at:at + _ROW_BLOCK], sizes[at:at + _ROW_BLOCK]))
+        for at in range(0, len(classes), _ROW_BLOCK)
     )
-    _write_json_with_rows(path, doc, "classes", row_format, blocks)
+    _write_json_with_rows(path, doc, "classes", _class_row_format(cuts.shape[1]), blocks)
 
 
 def write_ranking(path: PathLike, ranked: Sequence[RankedNet]) -> None:

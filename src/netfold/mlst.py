@@ -22,7 +22,6 @@ one vertex set the search visits.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -413,7 +412,15 @@ def enumerate_mlsts(
     cuts[:, :len(boundary)] = boundary
     at = 0
     for trees, choices in plans:
-        combos = np.asarray(list(itertools.product(*choices)), dtype=np.int32)
+        # every combination of one leaf edge per outside vertex, in the
+        # order itertools.product gives: leaf j's choices run along axis j
+        # (with no leaves there is no axis, and one empty combination)
+        k = len(choices)
+        sizes = [len(c) for c in choices]
+        combos = np.empty(sizes + [k], dtype=np.int32)
+        for j, c in enumerate(choices):
+            combos[..., j] = np.asarray(c, dtype=np.int32).reshape((-1,) + (1,) * (k - 1 - j))
+        combos = combos.reshape(math.prod(sizes), k)
         for tree in trees:
             block = cuts[at:at + len(combos)]
             block[:, len(boundary):n_fixed] = tree

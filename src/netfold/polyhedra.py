@@ -129,6 +129,50 @@ def oriented_edge_faces(spec: PolyhedronSpec) -> dict[Edge, list[int]]:
     return table
 
 
+def face_map(edges: Sequence[Edge], faces: Sequence[Sequence[int]], boundary: Sequence[Edge]) -> list[int]:
+    """The face map of a shell as a successor table on darts.
+
+    Dart 2e runs along `edges[e]` from its lower end and dart 2e + 1 back,
+    so `d ^ 1` reverses d.  Entry d is the dart after d in its face; a hole
+    is one more face, whose dart along each `boundary` edge runs against the
+    face there and is followed by the hole dart leaving its head.  Raises
+    ValidationError unless the faces run every edge once each way, and,
+    naming the vertex, unless the darts leaving each vertex form one cycle
+    of `d -> following[d ^ 1]`, that is unless its faces close into one fan
+    (a shell pinched at a vertex has several).
+    """
+    n_darts = 2 * len(edges)
+    darts = {}
+    for e, (u, v) in enumerate(edges):
+        darts[u, v], darts[v, u] = 2 * e, 2 * e + 1
+    following = [-1] * n_darts
+    try:
+        for f in faces:
+            for a, b, c in zip(f, f[1:] + f[:1], f[2:] + f[:2]):
+                following[darts[a, b]] = darts[b, c]
+        hole = dict(e[::-1] if following[darts[e]] >= 0 else e for e in boundary)
+        for a, b in hole.items():
+            following[darts[a, b]] = darts[b, hole[b]]
+    except KeyError:
+        following = []
+    if sorted(following) != list(range(n_darts)):
+        raise ValidationError("the faces do not run every edge once each way")
+    fanned = set()
+    seen = bytearray(n_darts)
+    for start in range(n_darts):
+        if seen[start]:
+            continue
+        vertex = edges[start >> 1][start & 1]
+        if vertex in fanned:
+            raise ValidationError(f"the faces around vertex {vertex} do not close into one fan")
+        fanned.add(vertex)
+        d = start
+        while not seen[d]:
+            seen[d] = 1
+            d = following[d ^ 1]
+    return following
+
+
 def _count_components(vertices: Iterable[int], edges: Iterable[Edge]) -> int:
     """The number of connected components of a graph."""
     adj: dict[int, list[int]] = {v: [] for v in vertices}
@@ -186,8 +230,9 @@ def validate_polyhedron(spec: PolyhedronSpec) -> ShellReport:
 
     Raises ValidationError (or NonManifoldError naming the offending edge) for
     structural problems: degenerate faces, edges in more than two faces,
-    inconsistent orientation, a disconnected shell graph, a broken Euler count,
-    non-positive edge lengths, or non-planar faces.
+    inconsistent orientation, a disconnected shell graph, a vertex whose
+    faces form more than one fan, a broken Euler count, non-positive edge
+    lengths, or non-planar faces.
     """
     for fi, f in enumerate(spec.faces):
         if len(f) < 3:
@@ -205,6 +250,10 @@ def validate_polyhedron(spec: PolyhedronSpec) -> ShellReport:
     n = spec.n_vertices
     if _count_components(range(n), table) != 1:
         raise ValidationError(f"{spec.name}: shell graph is disconnected")
+    try:
+        face_map(sorted(table), spec.faces, boundary)
+    except ValidationError as err:
+        raise ValidationError(f"{spec.name}: {err}") from None
 
     euler = n - len(table) + spec.n_faces
     expected = 2 - n_holes

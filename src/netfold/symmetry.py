@@ -10,12 +10,13 @@ smallest member.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
+from .polyhedra import face_map
 from .shellgraph import ShellGraph, interior_seed, merged_spanning_trees
 
 Cut = tuple[int, ...]
@@ -99,7 +100,8 @@ def find_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
 
     Dart 2e runs along edge e from its lower end and dart 2e + 1 back, so
     `d ^ 1` reverses d; each dart lies in one face, and an open shell's hole
-    is one more face.  A map automorphism is fixed by the image t of dart 0
+    is one more face (`polyhedra.face_map`, which also rejects a shell
+    pinched at a vertex).  A map automorphism is fixed by the image t of dart 0
     and whether it keeps orientation (Weinberg 1966): it commutes with
     reversal and maps the dart after d in its face to the dart after t, or
     for a reflection to the reverse of the dart before t ^ 1.  Spreading
@@ -138,37 +140,10 @@ def _map_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
         raise ValidationError("graph is disconnected")
     if not graph.faces:
         return AutomorphismGroup(n=graph.n, perms=(tuple(range(graph.n)),))
-    n_darts = 2 * graph.m
-    darts = {}
-    for e, (u, v) in enumerate(graph.edges):
-        darts[u, v], darts[v, u] = 2 * e, 2 * e + 1
-    following = [-1] * n_darts
-    try:
-        for f in graph.faces:
-            for a, b, c in zip(f, f[1:] + f[:1], f[2:] + f[:2]):
-                following[darts[a, b]] = darts[b, c]
-        # a hole dart runs its boundary edge against the face there and is
-        # followed by the hole dart leaving its head
-        hole = dict(graph.edges[e][::-1] if following[2 * e] >= 0 else graph.edges[e]
-                    for e in graph.boundary_edges)
-        for a, b in hole.items():
-            following[darts[a, b]] = darts[b, hole[b]]
-    except KeyError:
-        following = []
-    if sorted(following) != list(range(n_darts)):
-        raise ValidationError("the faces do not run every edge once each way")
-    # the darts leaving a vertex must form one cycle around it, or spreading
-    # leaves darts unmapped; a shell pinched at a vertex has several
-    fans = 0
-    seen = bytearray(n_darts)
-    for start in range(n_darts):
-        fans += not seen[start]
-        d = start
-        while not seen[d]:
-            seen[d] = 1
-            d = following[d ^ 1]
-    if fans != graph.n:
-        raise ValidationError("the faces around a vertex do not close into one fan")
+    # face_map also requires one fan of faces per vertex, without which
+    # spreading would leave darts unmapped
+    following = face_map(graph.edges, graph.faces, [graph.edges[e] for e in graph.boundary_edges])
+    n_darts = len(following)
     preceding = [0] * n_darts
     for d, d2 in enumerate(following):
         preceding[d2] = d
@@ -197,64 +172,101 @@ def edge_permutations(graph: ShellGraph, group: AutomorphismGroup) -> np.ndarray
     return table
 
 
-# rows turned into Python objects at a time by the trivial-group path of
-# `dedupe_cuts`
-_TRIVIAL_BLOCK = 4096
+def rows_in_lex_order(rows: np.ndarray) -> bool:
+    """Whether the rows of a 2-D int array are distinct and in
+    lexicographic order: each row exceeds the one before at the first
+    position where they differ."""
+    if not rows.shape[1]:
+        return rows.shape[0] <= 1
+    later, earlier = rows[1:], rows[:-1]
+    first = (later != earlier).argmax(axis=1)[:, None]
+    return bool((np.take_along_axis(later, first, 1) > np.take_along_axis(earlier, first, 1)).all())
+
+
+@dataclass(frozen=True, eq=False)
+class CutClasses(Sequence[CanonicalCut]):
+    """Orbits of labeled cuts, as arrays: `cuts` holds each orbit's smallest
+    member (rows in lexicographic order, as `dedupe_cuts` returns them) and
+    `orbit_sizes` the orbit sizes.
+
+    Read as a sequence it gives one `CanonicalCut` per row, built on access;
+    a slice is a `CutClasses` of the selected rows.
+    """
+
+    cuts: np.ndarray
+    orbit_sizes: np.ndarray
+
+    def __post_init__(self):
+        if self.cuts.ndim != 2 or self.orbit_sizes.shape != self.cuts.shape[:1]:
+            raise ValidationError(
+                f"classes need a 2-D cut array and one orbit size per row, got shapes "
+                f"{self.cuts.shape} and {self.orbit_sizes.shape}"
+            )
+
+    def __len__(self) -> int:
+        return self.cuts.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CutClasses(self.cuts[index], self.orbit_sizes[index])
+        return CanonicalCut(edges=tuple(self.cuts[index].tolist()), orbit_size=int(self.orbit_sizes[index]))
+
+    def __iter__(self):
+        for row, size in zip(self.cuts.tolist(), self.orbit_sizes.tolist()):
+            yield CanonicalCut(edges=tuple(row), orbit_size=size)
 
 
 def dedupe_cuts(
     graph: ShellGraph,
     cuts: np.ndarray,
     group: AutomorphismGroup,
-) -> list[CanonicalCut]:
+) -> CutClasses:
     """Group labeled cuts into orbits; return each orbit's smallest member.
 
-    `cuts` must be closed under the group action (a complete enumeration is).
-    Rows are visited in lexicographic order and each unseen row has its whole
-    orbit marked, so every orbit is canonicalized exactly once and the first
-    unseen row is the orbit minimum.  Orbit membership is tracked by exact
-    byte keys of the sorted edge ids (dict hashing plus exact comparison), and
-    the orbit-sum identity Σ|orbit| = #cuts is enforced.  Under a trivial
-    group every row is its own class, and no keys are built.
+    `cuts` holds one ascending row of edge ids per labeled cut and must be
+    closed under the group action (a complete enumeration is).  Rows are
+    sorted lexicographically unless they already are (`enumerate_mlsts`
+    lists them in that order), and duplicates raise.  Under a trivial group
+    every row is its own class, and the rows come back as they are with
+    orbit sizes of 1.  Otherwise rows are visited in order and each unseen
+    row has its whole orbit marked, so every orbit is canonicalized exactly
+    once and the first unseen row is the orbit minimum.  Orbit membership is
+    tracked by exact byte keys of the sorted edge ids (dict hashing plus
+    exact comparison), and the orbit-sum identity Σ|orbit| = #cuts is
+    enforced.
     """
-    cuts = np.asarray(cuts, dtype=np.int16)
+    cuts = np.asarray(cuts)
+    if cuts.ndim != 2 or not np.issubdtype(cuts.dtype, np.integer):
+        raise ValidationError(f"cuts must be a 2-D array of edge ids, got {cuts.dtype} of shape {cuts.shape}")
     n_cuts, k = cuts.shape
-    order = np.lexsort(tuple(cuts[:, c] for c in range(k - 1, -1, -1)))
-    cuts = np.ascontiguousarray(cuts[order])
-    if group.order == 1:
-        # every cut is its own class; sorted rows are distinct when no two
-        # neighbors are equal
-        if (cuts[1:] == cuts[:-1]).all(axis=1).any():
+    if not rows_in_lex_order(cuts):
+        if k:
+            cuts = cuts[np.lexsort(cuts.T[::-1])]
+        if not rows_in_lex_order(cuts):
             raise ValidationError("duplicate labeled cuts in dedup input")
-        reps = []
-        for at in range(0, n_cuts, _TRIVIAL_BLOCK):
-            reps += [CanonicalCut(edges=tuple(row), orbit_size=1)
-                     for row in cuts[at:at + _TRIVIAL_BLOCK].tolist()]
-        if len(reps) != n_cuts:
-            raise ValidationError("orbit sizes do not sum to the labeled count")
-        return reps
-    table = edge_permutations(graph, group).astype(np.int16)
+    if group.order == 1:
+        return CutClasses(cuts, np.ones(n_cuts, dtype=np.int64))
+    cuts = np.ascontiguousarray(cuts)
+    table = edge_permutations(graph, group).astype(cuts.dtype)
     key_type = np.dtype((np.void, k * cuts.itemsize))
     keys = cuts.view(key_type).ravel().tolist()
     present = set(keys)
-    if len(present) != n_cuts:
-        raise ValidationError("duplicate labeled cuts in dedup input")
     seen: set[bytes] = set()
-    reps: list[CanonicalCut] = []
-    total = 0
-    for row, key in zip(cuts.tolist(), keys):
+    reps: list[int] = []
+    sizes: list[int] = []
+    for i, key in enumerate(keys):
         if key in seen:
             continue
-        images = np.sort(table.take(row, axis=1), axis=1)  # take keeps rows contiguous
+        images = np.sort(table.take(cuts[i], axis=1), axis=1)  # take keeps rows contiguous
         orbit = set(images.view(key_type).ravel().tolist())
         if not orbit <= present:
             raise ValidationError("cut list is not closed under the automorphism group")
         seen |= orbit
-        total += len(orbit)
-        reps.append(CanonicalCut(edges=tuple(row), orbit_size=len(orbit)))
-    if total != n_cuts:
+        reps.append(i)
+        sizes.append(len(orbit))
+    if sum(sizes) != n_cuts:
         raise ValidationError("orbit sizes do not sum to the labeled count")
-    return reps
+    return CutClasses(cuts[reps], np.asarray(sizes, dtype=np.int64))
 
 
 def edge_set_stabilizer(

@@ -8,6 +8,7 @@ from netfold.cli import main
 from netfold.errors import ValidationError
 from netfold.holes import check_hole_cuts, remove_faces
 from netfold.mlst import enumerate_interiors, enumerate_mlsts
+from netfold.polyhedra import PolyhedronSpec
 from netfold.shellgraph import build_shell_graph, cut_leaves
 from netfold.symmetry import dedupe_cuts, edge_set_stabilizer, find_automorphisms
 
@@ -62,6 +63,15 @@ def test_open_cube_has_one_optimal_cut():
     assert result.labeled_count == 1
     boundary = g.boundary_edges
     assert brute_force_hole_cuts(g, boundary) == (4, cut_tuples(result))
+
+
+def test_a_disc_with_every_vertex_on_the_hole_has_one_cut_and_no_leaves():
+    # the one interior set holds every vertex, so the cut picks no leaf edge
+    g = build_shell_graph(PolyhedronSpec(name="disc", faces=((0, 1, 2), (0, 2, 3))))
+    result = enumerate_mlsts(g)
+    assert result.leaf_count == 0
+    assert cut_tuples(result) == [(0, 2, 3, 4)]
+    assert brute_force_hole_cuts(g, g.boundary_edges) == (0, cut_tuples(result))
 
 
 def test_open_cube_cut_is_boundary_plus_verticals():

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from netfold import io as nio
 from netfold.catalog import builtin
@@ -24,7 +26,8 @@ from netfold.io import (
 from netfold.analysis import build_statistics_table, estimate_comparison
 from netfold.mlst import enumerate_mlsts
 from netfold.shellgraph import build_shell_graph
-from netfold.symmetry import CanonicalCut, dedupe_cuts, find_automorphisms
+from netfold.cli import EXIT_OK, main
+from netfold.symmetry import CutClasses, dedupe_cuts, find_automorphisms
 
 
 def test_polyhedron_round_trip(tmp_path):
@@ -122,7 +125,7 @@ def test_dedup_doc_totals(tmp_path):
     result = enumerate_mlsts(graph)
     classes = dedupe_cuts(graph, result.cuts, find_automorphisms(graph))
     path = tmp_path / "classes.json"
-    write_dedup(path, graph, classes[::-1], "cube")
+    write_dedup(path, graph, classes, "cube")
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["n_classes"] == 4
     assert doc["n_labeled_cuts"] == 120
@@ -130,11 +133,14 @@ def test_dedup_doc_totals(tmp_path):
         {"cut": list(c.edges), "orbit_size": c.orbit_size} for c in classes
     ]
     assert path.read_text(encoding="utf-8") == _canonical_json(doc)
+    # the writer lists rows as given and does not sort them
+    with pytest.raises(ValidationError, match="lexicographic"):
+        write_dedup(tmp_path / "reversed.json", graph, classes[::-1], "cube")
 
 
 @pytest.mark.parametrize("classes", [
-    [],
-    [CanonicalCut(edges=(0, 1, 2), orbit_size=4)],
+    CutClasses(np.empty((0, 3), dtype=np.int32), np.empty(0, dtype=np.int64)),
+    CutClasses(np.array([[0, 1, 2]]), np.array([4])),
 ])
 def test_dedup_file_is_the_canonical_dump(tmp_path, classes):
     graph = build_shell_graph(builtin("tetrahedron"))
@@ -164,6 +170,52 @@ def test_enumeration_file_streams_blocks_of_rows(tmp_path, monkeypatch):
         "n_labeled_cuts": 120, "nodes_visited": result.nodes_visited,
         "cuts": result.cuts.tolist(),
     })
+
+
+def test_enumerate_files_are_canonical_dumps_across_blocks(tmp_path, monkeypatch, capsys):
+    # blocks of 7 rows split 3,280 cuts unevenly and 420 classes evenly; the
+    # rows mix 1- and 2-digit edge ids with orbit sizes 2, 4 and 8
+    monkeypatch.setattr(nio, "_ROW_BLOCK", 7)
+    argv = ["enumerate", "--builtin", "truncated_cube", "--hole", "0", "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    enumeration, classes = (
+        (tmp_path / name).read_text(encoding="utf-8") for name in ("enumeration.json", "classes.json")
+    )
+    enumeration_doc, classes_doc = json.loads(enumeration), json.loads(classes)
+    assert len(enumeration_doc["cuts"]) == 3280
+    assert len(classes_doc["classes"]) == 420
+    assert {c["orbit_size"] for c in classes_doc["classes"]} == {2, 4, 8}
+    assert enumeration == json.dumps(enumeration_doc, indent=2, sort_keys=True) + "\n"
+    assert classes == json.dumps(classes_doc, indent=2, sort_keys=True) + "\n"
+
+
+# values of each digit count, 0 included
+_VALUES = st.one_of(st.just(0), st.integers(1, 9), st.integers(10, 99), st.integers(100, 999))
+
+
+@st.composite
+def _row_blocks(draw):
+    """A row template of either listing and a block of rows for it."""
+    template = draw(st.sampled_from([nio._cut_row_format, nio._class_row_format]))
+    row_format = template(draw(st.integers(1, 5)))
+    n_fields = row_format.count("%d")
+    row = st.lists(_VALUES, min_size=n_fields, max_size=n_fields)
+    return row_format, draw(st.lists(row, min_size=1, max_size=12))
+
+
+@given(_row_blocks())
+@example((nio._cut_row_format(1), [[7]]))
+@example((nio._class_row_format(1), [[0, 100]]))
+def test_format_rows_matches_percent_formatting(block):
+    row_format, rows = block
+    want = ",\n".join([row_format] * len(rows)) % tuple(v for row in rows for v in row)
+    assert nio._format_rows(row_format, np.array(rows, dtype=np.int32)) == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("rows", [[[-1]], [[5], [-12]]])
+def test_format_rows_rejects_negative_values(rows):
+    with pytest.raises(ValidationError, match="non-negative"):
+        nio._format_rows(nio._cut_row_format(1), np.array(rows))
 
 
 def test_ranking_csv_shape(tmp_path):

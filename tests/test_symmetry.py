@@ -2,6 +2,7 @@ import json
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -17,7 +18,7 @@ from netfold.cli import EXIT_OK, main
 from netfold.errors import ValidationError
 from netfold.holes import remove_faces
 from netfold.mlst import enumerate_interiors, enumerate_mlsts
-from netfold.polyhedra import PolyhedronSpec
+from netfold.polyhedra import PolyhedronSpec, validate_polyhedron
 from netfold.shellgraph import (
     ShellGraph,
     build_shell_graph,
@@ -26,6 +27,8 @@ from netfold.shellgraph import (
 )
 from netfold.symmetry import (
     AutomorphismGroup,
+    CanonicalCut,
+    CutClasses,
     _check_group_axioms,
     count_net_classes,
     dedupe_cuts,
@@ -322,12 +325,63 @@ def test_two_cubes_are_counted_under_their_face_symmetries(tmp_path, capsys):
     assert "classes under 8 automorphisms: 40\n" in capsys.readouterr().out
 
 
-def test_a_shell_pinched_at_two_vertices_is_rejected():
+def test_a_shell_pinched_at_two_vertices_is_rejected(tmp_path, capsys):
     # two whole cubes sharing vertices 0 and 3, which two-cubes joins into
     # one sphere: here each shared vertex has two separate fans of faces
     cube = builtin("cube").faces
     other = {0: 0, 3: 3, 1: 8, 2: 9, 4: 10, 5: 11, 6: 12, 7: 13}
     faces = cube + tuple(tuple(other[v] for v in f) for f in cube)
-    g = build_shell_graph(PolyhedronSpec(name="pinched", faces=faces))
-    with pytest.raises(ValidationError, match="do not close into one fan"):
-        find_automorphisms(g)
+    spec = PolyhedronSpec(name="pinched", faces=faces)
+    message = "the faces around vertex 0 do not close into one fan"
+    with pytest.raises(ValidationError, match=f"^pinched: {message}$"):
+        validate_polyhedron(spec)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        find_automorphisms(build_shell_graph(spec))
+    path = tmp_path / "pinched.json"
+    path.write_text(json.dumps({"name": "pinched", "vertices": None, "faces": faces}), encoding="utf-8")
+    assert main(["count", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: pinched: {message}\n"
+
+
+def _trivial_group(g):
+    return AutomorphismGroup(n=g.n, perms=(tuple(range(g.n)),))
+
+
+def test_cut_classes_read_as_a_sequence_of_canonical_cuts():
+    classes = CutClasses(np.array([[0, 1, 2], [0, 1, 5], [1, 3, 4]]), np.array([6, 3, 2]))
+    assert len(classes) == 3
+    assert classes[0] == CanonicalCut(edges=(0, 1, 2), orbit_size=6)
+    assert classes[-1] == CanonicalCut(edges=(1, 3, 4), orbit_size=2)
+    assert type(classes[0].edges[0]) is int and type(classes[0].orbit_size) is int
+    with pytest.raises(IndexError):
+        classes[3]
+    tail = classes[1:]
+    assert isinstance(tail, CutClasses)
+    assert tail.cuts.tolist() == [[0, 1, 5], [1, 3, 4]] and tail.orbit_sizes.tolist() == [3, 2]
+    assert [c.edges for c in classes[::-1]] == [(1, 3, 4), (0, 1, 5), (0, 1, 2)]
+    assert list(classes) == [classes[0], classes[1], classes[2]]
+    assert sum(c.orbit_size for c in classes) == 11
+    with pytest.raises(ValidationError, match="one orbit size per row"):
+        CutClasses(np.array([[0, 1, 2]]), np.array([1, 1]))
+
+
+def test_dedupe_under_a_trivial_group_returns_the_rows_as_given(shell_graph):
+    g = shell_graph("cube")
+    cuts = enumerate_mlsts(g).cuts
+    classes = dedupe_cuts(g, cuts, _trivial_group(g))
+    assert np.array_equal(classes.cuts, cuts) and classes.cuts.dtype == cuts.dtype
+    assert classes.orbit_sizes.tolist() == [1] * len(cuts)
+
+
+@pytest.mark.parametrize("trivial", [True, False])
+def test_dedupe_sorts_unsorted_input_and_rejects_duplicates(shell_graph, trivial):
+    g = shell_graph("cube")
+    group = _trivial_group(g) if trivial else find_automorphisms(g)
+    cuts = enumerate_mlsts(g).cuts
+    want = dedupe_cuts(g, cuts, group)
+    shuffled = cuts[np.random.default_rng(0).permutation(len(cuts))]
+    got = dedupe_cuts(g, shuffled, group)
+    assert np.array_equal(got.cuts, want.cuts)
+    assert np.array_equal(got.orbit_sizes, want.orbit_sizes)
+    with pytest.raises(ValidationError, match="duplicate labeled cuts"):
+        dedupe_cuts(g, np.concatenate([shuffled, cuts[5:6]]), group)
