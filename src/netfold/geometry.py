@@ -18,7 +18,7 @@ import math
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -109,27 +109,116 @@ def _stack(polygons: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.n
     """Every polygon edge: start points stacked in order, end points, and the polygon sizes."""
     counts = np.array([len(p) for p in polygons])
     points = np.concatenate(polygons)
-    successor = np.arange(1, len(points) + 1)
+    return points, points[_successor(counts)], counts
+
+
+def _successor(counts: np.ndarray) -> np.ndarray:
+    """For polygons of the given sizes stacked in order, the index of each
+    point's successor on its own polygon."""
+    successor = np.arange(1, int(counts.sum()) + 1)
     successor[np.cumsum(counts) - 1] = _runs(counts)
-    return points, points[successor], counts
+    return successor
 
 
 # PolyhedronSpec compares by identity, so each spec object keeps its own frames.
 _FRAMES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _frames(spec: PolyhedronSpec) -> tuple:
-    """Face 2D coordinates, edge-face table, hinge tolerance and 3D face-edge
-    lengths: what `unfold` needs of a shell whatever the cut, made once per spec."""
+class _Frames(NamedTuple):
+    """What `unfold` and the screen need of a shell whatever the cut, made
+    once per spec.
+
+    `links[f]` lists face f's neighbours across shared edges, ascending by
+    neighbour (ties in edge-table order), as (child, edge, iu, iv, rel, d,
+    dx, dy, length): iu and iv are the slots in face f of the edge's ends
+    u < v, rel is the child's 2D coordinates less those of u, d = (dx, dy)
+    the vector u -> v in the child's coordinates and length its norm.
+
+    The points of a placed net are stacked face by face in face order, face
+    f's `counts[f]` of them together; `successor` maps each point to the
+    next one of its face and `lengths` holds the 3D length of that face edge.
+    `marker_at[e, o]` holds the stacked indices of end o of edge e in the
+    edge's lower and higher face, then of its other end in the same two
+    faces (-1 for an edge of fewer than two faces).
+
+    `hinge_ids` numbers every possible hinge (parent, child, edge), and for
+    hinge h, `hinge_pairs[h]` is its two faces in ascending order,
+    `hinge_edges[h]` the stacked index of the edge in the parent (which runs
+    it counter-clockwise) and `hinge_sides[h]` the stacked indices of every
+    vertex of the parent and then of the child, each face padded to the
+    largest face size by repeating its first vertex.
+    """
+
+    coords: tuple[np.ndarray, ...]
+    edge_ids: dict[Edge, int]
+    interior: frozenset[Edge]
+    n_edge_faces: np.ndarray
+    tol: float
+    links: tuple[tuple[tuple, ...], ...]
+    counts: np.ndarray
+    successor: np.ndarray
+    lengths: np.ndarray
+    marker_at: np.ndarray
+    hinge_ids: dict[tuple[int, int, Edge], int]
+    hinge_pairs: np.ndarray
+    hinge_edges: np.ndarray
+    hinge_sides: np.ndarray
+
+
+def _frames(spec: PolyhedronSpec) -> _Frames:
+    """The shell's `_Frames`, made on first use."""
     frames = _FRAMES.get(spec)
     if frames is None:
         table = edge_face_table(spec)
         vertices = spec.vertices
         scale = float(np.mean([np.linalg.norm(vertices[u] - vertices[v]) for u, v in table]))
-        points, ends, _ = _stack([vertices[list(f)] for f in spec.faces])
+        points, ends, counts = _stack([vertices[list(f)] for f in spec.faces])
         coords = tuple(_local_coords(spec, f) for f in range(spec.n_faces))
-        lengths = np.linalg.norm(ends - points, axis=1)
-        frames = _FRAMES[spec] = (coords, table, RELATIVE_TOL * scale, lengths)
+        starts = _runs(counts)
+        slots = np.full((spec.n_faces, spec.n_vertices), -1, dtype=np.intp)
+        for f, face in enumerate(spec.faces):
+            slots[f, list(face)] = np.arange(len(face))
+        width = int(counts.max())
+        vertex_rows = [[int(starts[f]) + (i if i < len(face) else 0) for i in range(width)]
+                       for f, face in enumerate(spec.faces)]
+        links: list[list[tuple]] = [[] for _ in spec.faces]
+        marker_at = np.full((len(table), 2, 4), -1, dtype=np.intp)
+        hinge_ids: dict[tuple[int, int, Edge], int] = {}
+        hinge_pairs, hinge_edges, hinge_sides = [], [], []
+        for e, (edge, faces) in enumerate(table.items()):
+            if len(faces) != 2:
+                continue
+            u, v = edge
+            a, b = faces
+            at = [int(starts[f] + slots[f, w]) for w in edge for f in (a, b)]
+            marker_at[e] = (at, at[2:] + at[:2])
+            for parent, child in ((a, b), (b, a)):
+                local = coords[child]
+                lu = local[slots[child, u]]
+                d = local[slots[child, v]] - lu
+                iu, iv = int(slots[parent, u]), int(slots[parent, v])
+                length = float(np.linalg.norm(d))
+                links[parent].append((child, edge, iu, iv, local - lu, d, *d.tolist(), length))
+                hinge_ids[parent, child, edge] = len(hinge_pairs)
+                hinge_pairs.append((a, b))
+                hinge_edges.append(int(starts[parent]) + (iu if iv == (iu + 1) % counts[parent] else iv))
+                hinge_sides.append(vertex_rows[parent] + vertex_rows[child])
+        frames = _FRAMES[spec] = _Frames(
+            coords=coords,
+            edge_ids={edge: e for e, edge in enumerate(table)},
+            interior=frozenset(edge for edge, faces in table.items() if len(faces) == 2),
+            n_edge_faces=np.array([len(faces) for faces in table.values()]),
+            tol=RELATIVE_TOL * scale,
+            links=tuple(tuple(sorted(link, key=lambda it: it[0])) for link in links),
+            counts=counts,
+            successor=_successor(counts),
+            lengths=np.linalg.norm(ends - points, axis=1),
+            marker_at=marker_at,
+            hinge_ids=hinge_ids,
+            hinge_pairs=np.array(hinge_pairs, dtype=np.intp).reshape(-1, 2),
+            hinge_edges=np.array(hinge_edges, dtype=np.intp),
+            hinge_sides=np.array(hinge_sides, dtype=np.intp).reshape(-1, 2 * width),
+        )
     return frames
 
 
@@ -142,22 +231,14 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
     rigid motion matching the shared edge.
     """
     spec.require_geometry()
-    local_coords, table, tol, edge_lengths = _frames(spec)
+    frames = _frames(spec)
     cut_edges = {canon_edge(u, v) for u, v in cut}
-    unknown = cut_edges - set(table)
+    unknown = cut_edges - frames.edge_ids.keys()
     if unknown:
         raise ValidationError(f"cut edges not on the shell: {sorted(unknown)}")
 
     n_faces = spec.n_faces
-    hinge_links: dict[int, list[tuple[int, Edge]]] = {f: [] for f in range(n_faces)}
-    n_hinges = 0
-    for edge, faces in table.items():
-        if edge in cut_edges or len(faces) != 2:
-            continue
-        a, b = faces
-        hinge_links[a].append((b, edge))
-        hinge_links[b].append((a, edge))
-        n_hinges += 1
+    n_hinges = len(frames.interior) - len(cut_edges & frames.interior)
     if n_hinges != n_faces - 1:
         raise ValidationError(
             f"cut complement has {n_hinges} hinges for {n_faces} faces; "
@@ -168,33 +249,26 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
     if not 0 <= root < n_faces:
         raise ValidationError(f"root face {root} out of range")
 
+    tol = frames.tol
     placed: list[Optional[np.ndarray]] = [None] * n_faces
-    placed[root] = local_coords[root].copy()
+    placed[root] = frames.coords[root].copy()
     hinges: list[tuple[int, int, Edge]] = []
     queue = deque([root])
     while queue:
         parent = queue.popleft()
-        parent_face = spec.faces[parent]
         parent_poly = placed[parent]
-        for child, edge in sorted(hinge_links[parent], key=lambda it: it[0]):
-            if placed[child] is not None:
+        for child, edge, iu, iv, rel, d, dx, dy, length in frames.links[parent]:
+            if placed[child] is not None or edge in cut_edges:
                 continue
-            child_face = spec.faces[child]
-            local = local_coords[child]
-            u, v = edge
-            pu = parent_poly[parent_face.index(u)]
-            pv = parent_poly[parent_face.index(v)]
-            lu = local[child_face.index(u)]
-            lv = local[child_face.index(v)]
-            d = lv - lu
-            target = pv - pu
-            length = float(np.linalg.norm(d))
-            if not math.isclose(length, float(np.linalg.norm(target)), rel_tol=1e-9, abs_tol=tol):
+            pu = parent_poly[iu]
+            target = parent_poly[iv] - pu
+            if not math.isclose(length, math.sqrt(float(target @ target)), rel_tol=1e-9, abs_tol=tol):
                 raise ValidationError(f"hinge edge {edge} changes length between faces")
+            tx, ty = target.tolist()
             cos_t = float(d @ target) / (length * length)
-            sin_t = float(d[0] * target[1] - d[1] * target[0]) / (length * length)
+            sin_t = (dx * ty - dy * tx) / (length * length)
             rot = np.array([[cos_t, -sin_t], [sin_t, cos_t]])
-            placed[child] = (local - lu) @ rot.T + pu
+            placed[child] = rel @ rot.T + pu
             hinges.append((parent, child, edge))
             queue.append(child)
     missing = [f for f in range(n_faces) if placed[f] is None]
@@ -202,90 +276,83 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
         raise ValidationError(f"hinge tree does not reach faces {missing}")
 
     polygons = tuple(placed)  # type: ignore[arg-type]
-    _check_isometric(polygons, edge_lengths, tol)
-    markers = _markers(spec, cut_edges, table, polygons, tol)
-    return NetLayout(spec=spec, cut=tuple(sorted(cut_edges)), root_face=root, polygons=polygons,
-                     hinges=tuple(hinges), markers=markers)
+    points = np.concatenate(polygons)
+    _check_isometric(points, frames)
+    cut = tuple(sorted(cut_edges))
+    return NetLayout(spec=spec, cut=cut, root_face=root, polygons=polygons,
+                     hinges=tuple(hinges), markers=_markers(cut, points, frames))
 
 
-def _check_isometric(polygons: Sequence[np.ndarray], lengths: np.ndarray, tol: float) -> None:
-    points, ends, counts = _stack(polygons)
-    placed = np.linalg.norm(ends - points, axis=1)
-    bad = np.flatnonzero(np.abs(lengths - placed) > tol + RELATIVE_TOL * lengths)
+def _check_isometric(points: np.ndarray, frames: _Frames) -> None:
+    placed = np.linalg.norm(points[frames.successor] - points, axis=1)
+    lengths = frames.lengths
+    bad = np.flatnonzero(np.abs(lengths - placed) > frames.tol + RELATIVE_TOL * lengths)
     if bad.size:
         k = int(bad[0])
-        f = int(np.searchsorted(np.cumsum(counts), k, side="right"))
-        raise ValidationError(f"face {f} edge {k - _runs(counts)[f]} length {placed[k]} "
+        starts = _runs(frames.counts)
+        f = int(np.searchsorted(starts, k, side="right")) - 1
+        raise ValidationError(f"face {f} edge {k - starts[f]} length {placed[k]} "
                               f"differs from shell length {lengths[k]}")
 
 
-def _markers(
-    spec: PolyhedronSpec,
-    cut_edges: set[Edge],
-    table: dict[Edge, list[int]],
-    polygons: Sequence[np.ndarray],
-    tol: float,
-) -> tuple[Marker, ...]:
-    degree: dict[int, int] = {}
-    for u, v in cut_edges:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    markers = []
-    for edge in sorted(cut_edges):
-        for leaf, far in (edge, edge[::-1]):
-            if degree[leaf] != 1:
-                continue
-            faces = table[edge]
-            if len(faces) != 2:
-                raise ValidationError(f"cut edge {edge} of leaf {leaf} borders {len(faces)} faces")
-            a, b = sorted(faces)
-            pa = polygons[a][spec.faces[a].index(leaf)]
-            pb = polygons[b][spec.faces[b].index(leaf)]
-            if float(np.linalg.norm(pa - pb)) > tol:
-                raise ValidationError(f"leaf {leaf} does not place coincidently: {pa} vs {pb}")
-            qa = polygons[a][spec.faces[a].index(far)]
-            qb = polygons[b][spec.faces[b].index(far)]
-            markers.append(Marker(
-                vertex=leaf,
-                far_vertex=far,
-                point=(float(pa[0]), float(pa[1])),
-                far_points=((float(qa[0]), float(qa[1])), (float(qb[0]), float(qb[1]))),
-            ))
-    return tuple(markers)
-
-
-def _polygon_integrals(poly: np.ndarray) -> tuple[float, float, float, float]:
-    """Signed area, first moments, and second polar moment about the origin."""
-    x = poly[:, 0]
-    y = poly[:, 1]
-    x1 = np.roll(x, -1)
-    y1 = np.roll(y, -1)
-    cross = x * y1 - x1 * y
-    area = float(cross.sum()) / 2.0
-    sx = float(((x + x1) * cross).sum()) / 6.0
-    sy = float(((y + y1) * cross).sum()) / 6.0
-    ixx = float(((y * y + y * y1 + y1 * y1) * cross).sum()) / 12.0
-    iyy = float(((x * x + x * x1 + x1 * x1) * cross).sum()) / 12.0
-    return area, sx, sy, ixx + iyy
+def _markers(cut: tuple[Edge, ...], points: np.ndarray, frames: _Frames) -> tuple[Marker, ...]:
+    """One marker per leaf of the (sorted) cut, in cut order, an edge's lower
+    end first; both faces of each leaf's cut edge must place it at one point."""
+    if not cut:
+        return ()
+    ends = np.array(cut)
+    rows, sides = np.nonzero(np.bincount(ends.ravel())[ends] == 1)
+    ids = np.array([frames.edge_ids[edge] for edge in cut])[rows]
+    leaves, fars = ends[rows, sides], ends[rows, 1 - sides]
+    at = points[frames.marker_at[ids, sides]]
+    two = frames.n_edge_faces[ids] == 2
+    bad = np.flatnonzero(~two | (np.linalg.norm(at[:, 0] - at[:, 1], axis=1) > frames.tol))
+    if bad.size:
+        k = int(bad[0])
+        if not two[k]:
+            raise ValidationError(f"cut edge {cut[rows[k]]} of leaf {leaves[k]} borders "
+                                  f"{frames.n_edge_faces[ids[k]]} faces")
+        raise ValidationError(f"leaf {leaves[k]} does not place coincidently: {at[k, 0]} vs {at[k, 1]}")
+    return tuple(
+        Marker(vertex=leaf, far_vertex=far, point=tuple(pa), far_points=(tuple(qa), tuple(qb)))
+        for leaf, far, (pa, _, qa, qb) in zip(leaves.tolist(), fars.tolist(), at.tolist())
+    )
 
 
 def centroid_and_rg(layout: NetLayout) -> tuple[tuple[float, float], float]:
     """Centroid and radius of gyration of the net region.
 
     Integrals are evaluated polygon by polygon from vertex coordinates
-    (shoelace area, first and second moments) and summed; for an overlapping
-    layout the overlap is counted with multiplicity, which is irrelevant
-    because overlapping nets are discarded by selection.
+    (shoelace area, first and second moments) and summed in face order; for
+    an overlapping layout the overlap is counted with multiplicity, which is
+    irrelevant because overlapping nets are discarded by selection.  The
+    polygons of one size are summed together, each along its own row, which
+    gives every polygon the sums it would get on its own.
     """
-    area = sx = sy = polar = 0.0
-    for poly in layout.polygons:
-        a, mx, my, ip = _polygon_integrals(poly)
-        if not a > 0.0:
-            raise ValidationError("outward-oriented faces must stay counter-clockwise")
-        area += a
-        sx += mx
-        sy += my
-        polar += ip
+    points, ends, counts = _stack(layout.polygons)
+    (x, y), (x1, y1) = points.T, ends.T
+    cross = x * y1 - x1 * y
+    terms = np.stack((
+        cross,
+        (x + x1) * cross,
+        (y + y1) * cross,
+        (y * y + y * y1 + y1 * y1) * cross,
+        (x * x + x * x1 + x1 * x1) * cross,
+    ))
+    starts = _runs(counts)
+    sums = np.empty((5, len(counts)))
+    for n in set(counts.tolist()):
+        faces = np.flatnonzero(counts == n)
+        # `take` returns C-ordered rows, which numpy sums pairwise as it does
+        # one polygon's 1D array; terms[:, index] is laid out otherwise, and
+        # its rows of 8 or more are summed in another order
+        sums[:, faces] = np.take(terms, starts[faces, None] + np.arange(n), axis=1).sum(axis=2)
+    if not (sums[0] / 2.0 > 0.0).all():
+        raise ValidationError("outward-oriented faces must stay counter-clockwise")
+    # each total starts from 0.0 and takes one face at a time, in face order
+    moments = np.zeros((4, len(counts) + 1))
+    moments[:, 1:] = sums[0] / 2.0, sums[1] / 6.0, sums[2] / 6.0, sums[3] / 12.0 + sums[4] / 12.0
+    area, sx, sy, polar = np.add.accumulate(moments, axis=1)[:, -1].tolist()
     if area <= 0.0:
         raise ValidationError("net has zero area")
     cx = sx / area
@@ -307,6 +374,32 @@ def _product(n_left: np.ndarray, n_right: np.ndarray) -> tuple[np.ndarray, ...]:
     return group, k // n_right[group], k % n_right[group]
 
 
+def _separated_hinges(layout: NetLayout, frames: _Frames, points: np.ndarray, d: np.ndarray,
+                      lengths: np.ndarray, tol: float) -> np.ndarray:
+    """The face pairs (ascending) of the hinges whose line separates parent
+    and child.
+
+    The parent runs its hinge edge counter-clockwise, so its own region lies
+    left of that directed line.  When every vertex of the parent lies on or
+    left of it and every vertex of the child on or right of it, both within
+    `tol`, the line separates the two regions (each lies in the hull of its
+    vertices), so they share no area.  That holds for a convex parent and a
+    convex child folded out across their hinge, and fails for a child folded
+    back over its parent or a parent that reaches across its hinge line.
+    A hinge that is not one of the shell's is left to the full screen.
+    """
+    ids = np.array([frames.hinge_ids.get(hinge, -1) for hinge in layout.hinges])
+    ids = ids[ids >= 0]
+    e = frames.hinge_edges[ids]
+    (ax, ay), (dx, dy), length = points[e].T[:, :, None], d[e].T[:, :, None], lengths[e][:, None]
+    x, y = np.moveaxis(points[frames.hinge_sides[ids]], 2, 0)
+    left = dx * (y - ay) - dy * (x - ax)
+    width = left.shape[1] // 2
+    parent_left = (left[:, :width] >= -tol * length).all(axis=1)
+    child_right = (left[:, width:] <= tol * length).all(axis=1)
+    return frames.hinge_pairs[ids[parent_left & child_right]]
+
+
 @np.errstate(divide="ignore", invalid="ignore")
 def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     """Does any face pair intersect with positive area?
@@ -317,8 +410,9 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     or edge midpoint) strictly inside the other; both are tested with a
     tolerance of 1e-9 times the mean edge length, and two edges whose angle
     has a sine of at most 1e-9 are parallel and never cross.  Both tests run
-    in one batch over the face pairs whose bounding boxes meet.  The witness
-    is the first overlapping pair in row-major order.
+    in one batch over the face pairs whose bounding boxes meet, less the
+    hinged pairs their hinge line separates (`_separated_hinges`).  The
+    witness is the first overlapping pair in row-major order.
     """
     points, ends, counts = _stack(layout.polygons)
     d = ends - points
@@ -327,7 +421,14 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     starts = _runs(counts)
     lo, hi = np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
     apart = (lo[:, None, :] > hi[None, :, :] + tol).any(axis=2)
-    fi, fj = np.nonzero(np.triu(~(apart | apart.T), 1))
+    meet = np.triu(~(apart | apart.T), 1)
+    if layout.hinges:
+        frames = _frames(layout.spec)
+        # the hinge tables index the points of the shell's own faces
+        if np.array_equal(counts, frames.counts):
+            lo_face, hi_face = _separated_hinges(layout, frames, points, d, lengths, tol).T
+            meet[lo_face, hi_face] = False
+    fi, fj = np.nonzero(meet)
 
     # every edge of face fi[m] against every edge of face fj[m]
     m, a, b = _product(counts[fi], counts[fj])
@@ -346,21 +447,21 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     order = np.argsort(np.concatenate((owner, owner, np.arange(len(counts)))), kind="stable")
     centroids = np.add.reduceat(points, starts) / counts[:, None]
     probes = np.concatenate((points, (points + ends) / 2.0, centroids))[order]
-    for src, dst in ((fi, fj), (fj, fi)):
-        # every probe of face src[m] against every edge of face dst[m]
-        n_probes = 2 * counts[src] + 1
-        m, p, k = _product(n_probes, counts[dst])
-        x, y = probes[2 * starts[src][m] + src[m] + p].T
-        e = starts[dst][m] + k
-        (ax, ay), (bx, by), (dx, dy) = points[e].T, ends[e].T, d[e].T
-        ll = dx * dx + dy * dy
-        along = np.divide((x - ax) * dx + (y - ay) * dy, ll, out=np.zeros_like(ll), where=ll != 0.0)
-        along = np.clip(along, 0.0, 1.0)
-        near = (x - (ax + along * dx)) ** 2 + (y - (ay + along * dy)) ** 2 <= tol * tol
-        parity = ((ay > y) != (by > y)) & (x < ax + (y - ay) * dx / dy)
-        rows = np.flatnonzero(k == 0)
-        inside = ~np.logical_or.reduceat(near, rows) & np.logical_xor.reduceat(parity, rows)
-        overlap |= np.logical_or.reduceat(inside, _runs(n_probes))
+    # every probe of face src[m] against every edge of face dst[m], both ways round
+    src, dst = np.concatenate((fi, fj)), np.concatenate((fj, fi))
+    n_probes = 2 * counts[src] + 1
+    m, p, k = _product(n_probes, counts[dst])
+    x, y = probes[2 * starts[src][m] + src[m] + p].T
+    e = starts[dst][m] + k
+    (ax, ay), (bx, by), (dx, dy) = points[e].T, ends[e].T, d[e].T
+    ll = dx * dx + dy * dy
+    along = np.divide((x - ax) * dx + (y - ay) * dy, ll, out=np.zeros_like(ll), where=ll != 0.0)
+    along = np.clip(along, 0.0, 1.0)
+    near = (x - (ax + along * dx)) ** 2 + (y - (ay + along * dy)) ** 2 <= tol * tol
+    parity = ((ay > y) != (by > y)) & (x < ax + (y - ay) * dx / dy)
+    rows = np.flatnonzero(k == 0)
+    inside = ~np.logical_or.reduceat(near, rows) & np.logical_xor.reduceat(parity, rows)
+    overlap |= np.logical_or.reduceat(inside, _runs(n_probes)).reshape(2, -1).any(axis=0)
     hits = np.flatnonzero(overlap)
     return (True, (int(fi[hits[0]]), int(fj[hits[0]]))) if hits.size else (False, None)
 

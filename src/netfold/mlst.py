@@ -384,6 +384,33 @@ def enumerate_interiors(
     )
 
 
+def _listing(plans, boundary, n_cuts: int, n_fixed: int, width: int) -> np.ndarray:
+    """The cuts of every (trees, leaf choices) plan as one int32 array, each
+    row sorted and the rows in lexicographic order."""
+    cuts = np.empty((n_cuts, width), dtype=np.int32)
+    cuts[:, :len(boundary)] = boundary
+    at = 0
+    for trees, choices in plans:
+        # every combination of one leaf edge per outside vertex, in the
+        # order itertools.product gives: leaf j's choices run along axis j
+        # (with no leaves there is no axis, and one empty combination)
+        k = len(choices)
+        sizes = [len(c) for c in choices]
+        combos = np.empty(sizes + [k], dtype=np.int32)
+        for j, c in enumerate(choices):
+            combos[..., j] = np.asarray(c, dtype=np.int32).reshape((-1,) + (1,) * (k - 1 - j))
+        combos = combos.reshape(math.prod(sizes), k)
+        for tree in trees:
+            block = cuts[at:at + len(combos)]
+            block[:, len(boundary):n_fixed] = tree
+            block[:, n_fixed:] = combos
+            at += len(combos)
+    cuts.sort(axis=1)
+    if width:
+        cuts = cuts[np.lexsort(cuts.T[::-1])]
+    return cuts
+
+
 def enumerate_mlsts(
     graph: ShellGraph,
     budget_nodes: int = DEFAULT_NODE_BUDGET,
@@ -408,27 +435,16 @@ def enumerate_mlsts(
     # a tree on a set joins its seed (one vertex, or the boundary) to the rest
     n_fixed = len(boundary) + result.n_interior - (graph.boundary_mask.bit_count() or 1)
     width = n_fixed + result.leaf_count
-    cuts = np.empty((n_cuts, width), dtype=np.int32)
-    cuts[:, :len(boundary)] = boundary
-    at = 0
-    for trees, choices in plans:
-        # every combination of one leaf edge per outside vertex, in the
-        # order itertools.product gives: leaf j's choices run along axis j
-        # (with no leaves there is no axis, and one empty combination)
-        k = len(choices)
-        sizes = [len(c) for c in choices]
-        combos = np.empty(sizes + [k], dtype=np.int32)
-        for j, c in enumerate(choices):
-            combos[..., j] = np.asarray(c, dtype=np.int32).reshape((-1,) + (1,) * (k - 1 - j))
-        combos = combos.reshape(math.prod(sizes), k)
-        for tree in trees:
-            block = cuts[at:at + len(combos)]
-            block[:, len(boundary):n_fixed] = tree
-            block[:, n_fixed:] = combos
-            at += len(combos)
-    cuts.sort(axis=1)
-    if width:
-        cuts = cuts[np.lexsort(cuts.T[::-1])]
+    try:
+        cuts = _listing(plans, boundary, n_cuts, n_fixed, width)
+    except MemoryError as exc:
+        size = n_cuts * width * 4  # int32 entries
+        raise BudgetExceededError(
+            f"the cut listing needs n_cuts x width x 4 = {n_cuts} x {width} x 4 = {size} bytes "
+            f"({size / 2**30:.1f} GiB) and more to sort it, which could not be allocated; "
+            "`count` gives the totals without a listing",
+            partial=result.level_reports,
+        ) from exc
     if (cuts[1:] == cuts[:-1]).all(axis=1).any():
         raise ValidationError("the expansion emitted a cut twice")
     if boundary:

@@ -7,13 +7,18 @@ counting over its explicit interiors, recovery of interiors from explicit
 cut lists, a whole-group canonical form for a single cut, trend
 statistics over the catalog table, and a backtracking search for a graph's
 automorphisms, which checks the groups netfold reads off face maps and
-supplies the full group of a graph without faces.  `cut_tuples` reads a cut
+supplies the full group of a graph without faces.  The per-face
+geometry (`reference_unfold`, `reference_centroid_and_rg` and the screen
+over every bounding-box pair, `reference_check_overlap`) is the code the
+batched geometry replaced.  `cut_tuples` reads a cut
 listing as tuples.  `frucht_graph` is a polyhedral graph with no symmetry,
 on which every root-set vertex gets a phase of its own.
 """
 
+import functools
 import math
 import random
+from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -22,8 +27,9 @@ from scipy.stats import spearmanr
 from netfold.analysis import ShellStatistics, mlst_ratio_estimate
 from netfold.errors import ValidationError
 from netfold import mlst
+from netfold.geometry import RELATIVE_TOL, Marker, NetLayout, _local_coords, _product, _runs, _stack
 from netfold.mlst import InteriorResult, MlstResult, root_set
-from netfold.polyhedra import PolyhedronSpec
+from netfold.polyhedra import PolyhedronSpec, canon_edge, edge_face_table
 from netfold.shellgraph import (
     ShellGraph,
     cut_leaves,
@@ -425,3 +431,185 @@ def ratio_rank_correlation(rows: Sequence[ShellStatistics]) -> float:
         raise ValidationError("need at least 3 completed rows for a trend")
     xs, ys = zip(*points)
     return float(spearmanr(xs, ys).statistic)
+
+
+# The per-face geometry that netfold's batched `unfold`, `centroid_and_rg`
+# and `check_overlap` replace, kept as written: the new code must give the
+# same polygons, hinges, markers, moments and verdicts bit for bit.
+
+@functools.lru_cache(maxsize=4)
+def _reference_frames(spec: PolyhedronSpec):
+    table = edge_face_table(spec)
+    vertices = spec.vertices
+    scale = float(np.mean([np.linalg.norm(vertices[u] - vertices[v]) for u, v in table]))
+    coords = tuple(_local_coords(spec, f) for f in range(spec.n_faces))
+    return coords, table, RELATIVE_TOL * scale
+
+
+def reference_unfold(spec: PolyhedronSpec, cut, root_face=None) -> NetLayout:
+    """Breadth-first placement one face at a time, from the edge-face table."""
+    spec.require_geometry()
+    local_coords, table, tol = _reference_frames(spec)
+    cut_edges = {canon_edge(u, v) for u, v in cut}
+    unknown = cut_edges - set(table)
+    if unknown:
+        raise ValidationError(f"cut edges not on the shell: {sorted(unknown)}")
+
+    n_faces = spec.n_faces
+    hinge_links = {f: [] for f in range(n_faces)}
+    n_hinges = 0
+    for edge, faces in table.items():
+        if edge in cut_edges or len(faces) != 2:
+            continue
+        a, b = faces
+        hinge_links[a].append((b, edge))
+        hinge_links[b].append((a, edge))
+        n_hinges += 1
+    if n_hinges != n_faces - 1:
+        raise ValidationError(f"cut complement has {n_hinges} hinges for {n_faces} faces")
+
+    root = min(range(n_faces)) if root_face is None else int(root_face)
+    placed = [None] * n_faces
+    placed[root] = local_coords[root].copy()
+    hinges = []
+    queue = deque([root])
+    while queue:
+        parent = queue.popleft()
+        parent_face = spec.faces[parent]
+        parent_poly = placed[parent]
+        for child, edge in sorted(hinge_links[parent], key=lambda it: it[0]):
+            if placed[child] is not None:
+                continue
+            child_face = spec.faces[child]
+            local = local_coords[child]
+            u, v = edge
+            pu = parent_poly[parent_face.index(u)]
+            pv = parent_poly[parent_face.index(v)]
+            lu = local[child_face.index(u)]
+            lv = local[child_face.index(v)]
+            d = lv - lu
+            target = pv - pu
+            length = float(np.linalg.norm(d))
+            if not math.isclose(length, float(np.linalg.norm(target)), rel_tol=1e-9, abs_tol=tol):
+                raise ValidationError(f"hinge edge {edge} changes length between faces")
+            cos_t = float(d @ target) / (length * length)
+            sin_t = float(d[0] * target[1] - d[1] * target[0]) / (length * length)
+            rot = np.array([[cos_t, -sin_t], [sin_t, cos_t]])
+            placed[child] = (local - lu) @ rot.T + pu
+            hinges.append((parent, child, edge))
+            queue.append(child)
+    if any(p is None for p in placed):
+        raise ValidationError("hinge tree does not reach every face")
+    polygons = tuple(placed)
+    markers = _reference_markers(spec, cut_edges, table, polygons, tol)
+    return NetLayout(spec=spec, cut=tuple(sorted(cut_edges)), root_face=root, polygons=polygons,
+                     hinges=tuple(hinges), markers=markers)
+
+
+def _reference_markers(spec, cut_edges, table, polygons, tol):
+    degree = {}
+    for u, v in cut_edges:
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+    markers = []
+    for edge in sorted(cut_edges):
+        for leaf, far in (edge, edge[::-1]):
+            if degree[leaf] != 1:
+                continue
+            faces = table[edge]
+            if len(faces) != 2:
+                raise ValidationError(f"cut edge {edge} of leaf {leaf} borders {len(faces)} faces")
+            a, b = sorted(faces)
+            pa = polygons[a][spec.faces[a].index(leaf)]
+            pb = polygons[b][spec.faces[b].index(leaf)]
+            if float(np.linalg.norm(pa - pb)) > tol:
+                raise ValidationError(f"leaf {leaf} does not place coincidently: {pa} vs {pb}")
+            qa = polygons[a][spec.faces[a].index(far)]
+            qb = polygons[b][spec.faces[b].index(far)]
+            markers.append(Marker(
+                vertex=leaf,
+                far_vertex=far,
+                point=(float(pa[0]), float(pa[1])),
+                far_points=((float(qa[0]), float(qa[1])), (float(qb[0]), float(qb[1]))),
+            ))
+    return tuple(markers)
+
+
+def _reference_polygon_integrals(poly):
+    """Signed area, first moments, and second polar moment about the origin."""
+    x = poly[:, 0]
+    y = poly[:, 1]
+    x1 = np.roll(x, -1)
+    y1 = np.roll(y, -1)
+    cross = x * y1 - x1 * y
+    area = float(cross.sum()) / 2.0
+    sx = float(((x + x1) * cross).sum()) / 6.0
+    sy = float(((y + y1) * cross).sum()) / 6.0
+    ixx = float(((y * y + y * y1 + y1 * y1) * cross).sum()) / 12.0
+    iyy = float(((x * x + x * x1 + x1 * x1) * cross).sum()) / 12.0
+    return area, sx, sy, ixx + iyy
+
+
+def reference_centroid_and_rg(layout: NetLayout):
+    """Moments polygon by polygon, added up in face order."""
+    area = sx = sy = polar = 0.0
+    for poly in layout.polygons:
+        a, mx, my, ip = _reference_polygon_integrals(poly)
+        if not a > 0.0:
+            raise ValidationError("outward-oriented faces must stay counter-clockwise")
+        area += a
+        sx += mx
+        sy += my
+        polar += ip
+    if area <= 0.0:
+        raise ValidationError("net has zero area")
+    cx = sx / area
+    cy = sy / area
+    rg_sq = polar / area - (cx * cx + cy * cy)
+    return (cx, cy), math.sqrt(max(rg_sq, 0.0))
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def reference_check_overlap(layout: NetLayout):
+    """The batched screen over every face pair whose bounding boxes meet,
+    hinged pairs included."""
+    points, ends, counts = _stack(layout.polygons)
+    d = ends - points
+    lengths = np.linalg.norm(d, axis=1)
+    tol = RELATIVE_TOL * float(lengths.mean())
+    starts = _runs(counts)
+    lo, hi = np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
+    apart = (lo[:, None, :] > hi[None, :, :] + tol).any(axis=2)
+    fi, fj = np.nonzero(np.triu(~(apart | apart.T), 1))
+
+    m, a, b = _product(counts[fi], counts[fj])
+    e1, e2 = starts[fi][m] + a, starts[fj][m] + b
+    (d1x, d1y), (d2x, d2y), (rx, ry) = d[e1].T, d[e2].T, (points[e2] - points[e1]).T
+    denom = d1x * d2y - d1y * d2x
+    t = (rx * d2y - ry * d2x) / denom
+    s = (rx * d1y - ry * d1x) / denom
+    eps = tol / np.maximum(lengths[e1], lengths[e2])
+    skew = np.abs(denom) > RELATIVE_TOL * lengths[e1] * lengths[e2]
+    crossed = skew & (eps < t) & (t < 1.0 - eps) & (eps < s) & (s < 1.0 - eps)
+    overlap = np.logical_or.reduceat(crossed, _runs(counts[fi] * counts[fj]))
+
+    owner = np.repeat(np.arange(len(counts)), counts)
+    order = np.argsort(np.concatenate((owner, owner, np.arange(len(counts)))), kind="stable")
+    centroids = np.add.reduceat(points, starts) / counts[:, None]
+    probes = np.concatenate((points, (points + ends) / 2.0, centroids))[order]
+    for src, dst in ((fi, fj), (fj, fi)):
+        n_probes = 2 * counts[src] + 1
+        m, p, k = _product(n_probes, counts[dst])
+        x, y = probes[2 * starts[src][m] + src[m] + p].T
+        e = starts[dst][m] + k
+        (ax, ay), (bx, by), (dx, dy) = points[e].T, ends[e].T, d[e].T
+        ll = dx * dx + dy * dy
+        along = np.divide((x - ax) * dx + (y - ay) * dy, ll, out=np.zeros_like(ll), where=ll != 0.0)
+        along = np.clip(along, 0.0, 1.0)
+        near = (x - (ax + along * dx)) ** 2 + (y - (ay + along * dy)) ** 2 <= tol * tol
+        parity = ((ay > y) != (by > y)) & (x < ax + (y - ay) * dx / dy)
+        rows = np.flatnonzero(k == 0)
+        inside = ~np.logical_or.reduceat(near, rows) & np.logical_xor.reduceat(parity, rows)
+        overlap |= np.logical_or.reduceat(inside, _runs(n_probes))
+    hits = np.flatnonzero(overlap)
+    return (True, (int(fi[hits[0]]), int(fj[hits[0]]))) if hits.size else (False, None)

@@ -252,6 +252,52 @@ def test_enumerate_files_match_golden_hashes(tmp_path, capsys, name, hole):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == tree_digest
 
 
+# sha256 of rank's ranking.csv, its rank-1 SVG and its stdout (with the
+# result directory given as the relative path "out"); R_g is written with
+# repr, so a change to unfolding, the moments or the screen must keep every
+# coordinate and moment bit for bit
+RANK_GOLDEN = {
+    ("cube", None): (
+        "e128ede9e64be058437683e3a382b5464f17f6f62fe96fd40d6b08f22a63919d",
+        "2252232919b8284d62f7c601b4c2dba637cc3b91b4d4e668b1c79003d8286031",
+        "e76d681d280e7f16efc7fa2972016580ee97a0868fc3ff6a8172e311974438a7",
+    ),
+    ("truncated_cube", None): (
+        "f39b1af7fea9e0ffd5ca9749a63a0cde978c9dcd8dc39c16f13981004d61bdd8",
+        "90991a12ab89adf9147046d474c4622e236c02ee2dfe7862ecc76df2bb717d9f",
+        "7b935b173e18a6b20d02cf9c722f7c78bfea07e1b363dfb38df79dbd4df0e0ae",
+    ),
+    ("rhombicuboctahedron", None): (
+        "b6bafb7a494020c12ad966d4d05d14813ec107eb37b5643439510b555aeeaf36",
+        "083e437fe52e7792a0adbda84b3622ca5a0ce3727c5bc62ab48311ffbe655ebd",
+        "efddc0aa4eca67f4ad93535cf9347f1fe35db140a1b3439d7002f02e93d5fc71",
+    ),
+    ("truncated_cube", "0"): (
+        "9ecc8865521af14fad1f757c73b58c9d1a9a7eace65721774fd5d4404a5388f6",
+        "981ff4a2b88671e153648907f4190e9d94278bff5da08ad0332969b179b8f2ef",
+        "e65ca13f94eca482ff3f15552a8d3abd61056bac3a3021a6936d3bacc83573ed",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,hole", sorted(RANK_GOLDEN, key=str))
+def test_rank_files_match_golden_hashes(tmp_path, monkeypatch, capsys, name, hole):
+    monkeypatch.chdir(tmp_path)
+    argv = ["rank", "--builtin", name, "--svg-ranks", "1", "--out-dir", "out"]
+    if hole is not None:
+        argv += ["--hole", hole]
+    assert main(argv) == EXIT_OK
+    digests = tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (
+            (tmp_path / "out" / "ranking.csv").read_bytes(),
+            (tmp_path / "out" / "net-rank-0001.svg").read_bytes(),
+            capsys.readouterr().out.encode("utf-8"),
+        )
+    )
+    assert digests == RANK_GOLDEN[(name, hole)]
+
+
 def test_cli_import_leaves_scipy_spatial_unloaded():
     # scipy.spatial is only needed to build catalog shells; a fresh
     # interpreter must not pay for it at start-up

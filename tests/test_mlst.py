@@ -12,6 +12,7 @@ from helpers import (
     interiors_from_cuts,
     max_leaf_brute_force,
 )
+from netfold.cli import EXIT_BUDGET, main
 from netfold.errors import BudgetExceededError
 from netfold.mlst import LevelReport, count_labeled_cuts, enumerate_interiors, enumerate_mlsts
 from netfold.shellgraph import (
@@ -100,6 +101,28 @@ def test_time_limit_holds_inside_a_level(shell_graph):
         enumerate_interiors(g, time_limit=0.2)
     assert time.monotonic() - start < 1.2
     assert exc.value.partial[-1].nodes > 0
+
+
+@pytest.mark.parametrize("step", ["empty", "lexsort"])
+def test_listing_out_of_memory_is_a_budget_error(shell_graph, monkeypatch, capsys, step):
+    # the cube lists 120 cuts of 7 edges; a listing that does not fit in
+    # memory (triakis_icosahedron's would take 9.2 GiB) must end as a budget
+    # overrun that names its size, which the CLI reports with exit code 3
+    real = getattr(np, step)
+    # np.empty gets the listing's shape, np.lexsort its 7 columns as keys
+    listing = (120, 7) if step == "empty" else (7, 120)
+
+    def short_of_memory(first, *args, **kwargs):
+        if (first if step == "empty" else np.shape(first)) == listing:
+            raise MemoryError
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(np, step, short_of_memory)
+    with pytest.raises(BudgetExceededError, match=r"120 x 7 x 4 = 3360 bytes") as exc:
+        enumerate_mlsts(shell_graph("cube"))
+    assert exc.value.partial[-1].n_interior == 4
+    assert main(["enumerate", "--builtin", "cube"]) == EXIT_BUDGET
+    assert "120 x 7 x 4 = 3360 bytes" in capsys.readouterr().err
 
 
 def test_worker_count_does_not_change_output(shell_graph):

@@ -1,10 +1,16 @@
-"""The overlap screen against a slow, independent reference.
+"""The overlap screen against a slow, independent reference, and the
+batched geometry against the per-face code it replaced.
 
 Every catalog face is convex, so two placed faces overlap exactly when the
 region they share has positive area.  The reference clips one face by each
 edge line of the other (Sutherland-Hodgman) and measures what is left with
 the shoelace formula.  Contact along an edge or at a corner leaves a region
 of zero area, up to rounding.
+
+`unfold`, `centroid_and_rg` and `check_overlap` must give what the per-face
+code in `helpers` gives, bit for bit: the ranking writes R_g with `repr`.
+The screen skips hinged pairs that their hinge line separates, so it must
+also give the verdict and witness of the screen over every pair.
 """
 
 import math
@@ -13,9 +19,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import (
+    reference_centroid_and_rg,
+    reference_check_overlap,
+    reference_unfold,
+    relabeled_spec,
+)
 from netfold.catalog import CATALOG, builtin
-from netfold.geometry import check_overlap, unfold
+from netfold.geometry import NetLayout, centroid_and_rg, check_overlap, unfold
 from netfold.mlst import enumerate_mlsts
+from netfold.polyhedra import PolyhedronSpec
 from netfold.shellgraph import build_shell_graph
 from netfold.symmetry import dedupe_cuts, find_automorphisms
 
@@ -120,3 +133,56 @@ def test_screen_matches_oracle_on_every_catalog_net(name):
             if overlapping:
                 i, j = witness
                 assert i < j and pair_overlaps(net, i, j), (name, cls.edges, witness)
+
+
+def class_cuts(spec):
+    """One cut (as vertex pairs) per net class of a shell."""
+    graph = build_shell_graph(spec)
+    classes = dedupe_cuts(graph, enumerate_mlsts(graph).cuts, find_automorphisms(graph))
+    return [[graph.edges[e] for e in cls.edges] for cls in classes]
+
+
+def assert_geometry_matches_reference(spec):
+    for k, cut in enumerate(class_cuts(spec)):
+        layout, reference = unfold(spec, cut), reference_unfold(spec, cut)
+        assert layout.cut == reference.cut and layout.hinges == reference.hinges, (spec.name, cut)
+        # repr tells -0.0 from 0.0
+        assert repr(layout.markers) == repr(reference.markers), (spec.name, cut)
+        assert [p.tobytes() for p in layout.polygons] == [p.tobytes() for p in reference.polygons]
+        assert repr(centroid_and_rg(layout)) == repr(reference_centroid_and_rg(reference)), (spec.name, cut)
+        copy = moved(layout, 0.01 + 0.0314 * (k % 200), (1e-3, 1e3)[k % 2])
+        for net in (layout, copy, folded_back(copy)):
+            assert check_overlap(net) == reference_check_overlap(net), (spec.name, cut)
+
+
+@pytest.mark.parametrize("name", SHELLS)
+def test_geometry_matches_the_per_face_reference(name):
+    assert_geometry_matches_reference(builtin(name))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_geometry_matches_the_per_face_reference_when_relabelled(seed):
+    # vertices renamed and rotated, faces shuffled and each started elsewhere
+    spec = builtin("truncated_cube")
+    relabeled, perm = relabeled_spec(spec, seed)
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    rotation = q * np.sign(np.diag(r))
+    rotation[:, 0] *= np.sign(np.linalg.det(rotation))
+    vertices = np.empty_like(spec.vertices)
+    vertices[perm] = spec.vertices @ rotation.T
+    assert_geometry_matches_reference(PolyhedronSpec(name=spec.name, faces=relabeled.faces, vertices=vertices))
+
+
+def test_child_over_a_concave_parent_is_still_flagged():
+    # an L-shaped parent and a quad hinged on the edge (2, 1)-(1, 1) next to
+    # the L's reflex corner: the quad lies wholly beyond the hinge line, as a
+    # child folded out does, but so does the L's upper arm, which the quad
+    # overlaps; the hinge line separates nothing here
+    flat = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2], [2, 1.8], [0.5, 1.8]], dtype=float)
+    spec = PolyhedronSpec(name="concave-parent", vertices=np.column_stack((flat, np.zeros(8))),
+                          faces=((0, 1, 2, 3, 4, 5), (3, 2, 6, 7)))
+    layout = NetLayout(spec=spec, cut=(), root_face=0, polygons=(flat[:6], flat[[3, 2, 6, 7]]),
+                       hinges=((0, 1, (2, 3)),), markers=())
+    arm = np.array([[0, 1], [1, 1], [1, 2], [0, 2]], dtype=float)
+    assert shared_area(layout.polygons[1], arm) == pytest.approx(0.2)
+    assert check_overlap(layout) == reference_check_overlap(layout) == (True, (0, 1))
