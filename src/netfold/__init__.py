@@ -1,8 +1,9 @@
 """Exact enumeration and ranking of optimal unfolding nets of polyhedral shells.
 
-The pipeline: validate a shell (`PolyhedronSpec`), build its vertex graph
-and faces (`build_shell_graph`, which accepts a closed shell or one with a
-single hole bounded by one simple cycle), enumerate every optimal cut
+The pipeline: describe a shell (`PolyhedronSpec`), build its vertex graph
+and faces (`build_shell_graph`, which runs every shell check and accepts a
+closed shell or one with a single hole bounded by one simple cycle),
+enumerate every optimal cut
 (`enumerate_mlsts`; an open shell's search is seeded with its hole boundary,
 and each cut it lists is checked as a hole cut), deduplicate under the face
 map's automorphism group (`dedupe_cuts`), unfold each class to a planar net
@@ -51,7 +52,7 @@ from .mlst import (
     enumerate_interiors,
     enumerate_mlsts,
 )
-from .polyhedra import PolyhedronSpec, validate_polyhedron
+from .polyhedra import PolyhedronSpec
 from .shellgraph import (
     ShellGraph,
     build_shell_graph,
@@ -116,6 +117,5 @@ __all__ = [
     "save_polyhedron",
     "select_optimal_net",
     "unfold",
-    "validate_polyhedron",
     "vertex_estimate",
 ]

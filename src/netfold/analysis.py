@@ -19,7 +19,7 @@ from .mlst import (
     count_labeled_cuts,
     enumerate_interiors,
 )
-from .polyhedra import PolyhedronSpec, validate_polyhedron
+from .polyhedra import PolyhedronSpec
 from .shellgraph import build_shell_graph, count_spanning_trees
 from .symmetry import count_net_classes, edge_set_stabilizer, find_automorphisms
 
@@ -95,7 +95,6 @@ def compute_statistics(
     spec: PolyhedronSpec,
     budget_nodes: int = DEFAULT_NODE_BUDGET,
     time_limit: Optional[float] = None,
-    workers: Optional[int] = None,
     search: bool = True,
     skip_note: str = "",
 ) -> ShellStatistics:
@@ -106,16 +105,15 @@ def compute_statistics(
     preserves the hole boundary (the whole group for a closed shell).  A
     partial row's `nodes_visited` sums the search's level reports.
     """
-    report = validate_polyhedron(spec)
     graph = build_shell_graph(spec)
     n_st = count_spanning_trees(graph)
     group = find_automorphisms(graph)
     base = dict(
         name=spec.name,
-        n_vertices=report.n_vertices,
-        n_edges=report.n_edges,
-        n_faces=report.n_faces,
-        closed=report.closed,
+        n_vertices=graph.n,
+        n_edges=graph.m,
+        n_faces=len(graph.faces),
+        closed=not graph.boundary_edges,
         n_spanning_trees=n_st,
         n_automorphisms=group.order,
     )
@@ -125,9 +123,7 @@ def compute_statistics(
             nodes_visited=0, status="skipped", note=skip_note,
         )
     try:
-        interiors = enumerate_interiors(
-            graph, budget_nodes=budget_nodes, workers=workers, time_limit=time_limit,
-        )
+        interiors = enumerate_interiors(graph, budget_nodes=budget_nodes, time_limit=time_limit)
     except BudgetExceededError as exc:
         return ShellStatistics(
             **base, leaf_count=None, n_optimal_cuts=None, n_optimal_nets=None,
@@ -148,7 +144,6 @@ def build_statistics_table(
     budget_nodes: int = DEFAULT_NODE_BUDGET,
     long_run: bool = False,
     time_limit: Optional[float] = None,
-    workers: Optional[int] = None,
 ) -> list[ShellStatistics]:
     """Statistics rows for catalog shells (all of them by default).
 
@@ -163,8 +158,7 @@ def build_statistics_table(
         entry = catalog_entry(name)
         run = long_run or not entry.long_run
         row = compute_statistics(
-            builtin(name), budget_nodes=budget_nodes, time_limit=time_limit,
-            workers=workers, search=run,
+            builtin(name), budget_nodes=budget_nodes, time_limit=time_limit, search=run,
             skip_note="" if run else "long-run shell; pass the long-run flag to compute",
         )
         if row.status == "complete":

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .polyhedra import PolyhedronSpec, validate_polyhedron
+from .polyhedra import PolyhedronSpec
+from .shellgraph import build_shell_graph
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 SQRT2 = math.sqrt(2.0)
@@ -408,15 +409,13 @@ def _builtin_spec(name: str) -> PolyhedronSpec:
         points = _BUILDERS[name]()
     spec = _canonical_spec(name, points)
     entry = _ENTRIES[name]
-    report = validate_polyhedron(spec)
-    if (report.n_vertices, report.n_faces, report.n_edges) != (
-        entry.n_vertices, entry.n_faces, entry.n_edges,
-    ):
+    graph = build_shell_graph(spec)
+    if (graph.n, len(graph.faces), graph.m) != (entry.n_vertices, entry.n_faces, entry.n_edges):
         raise ValidationError(
-            f"{name}: built V={report.n_vertices} F={report.n_faces} E={report.n_edges}, "
+            f"{name}: built V={graph.n} F={len(graph.faces)} E={graph.m}, "
             f"expected V={entry.n_vertices} F={entry.n_faces} E={entry.n_edges}"
         )
-    if not report.closed:
+    if graph.boundary_edges:
         raise ValidationError(f"{name}: catalog shell is not closed")
     return spec
 

@@ -2,7 +2,7 @@
 
 Subcommands: enumerate, rank, verify, estimate, count, export-svg.  Every
 output file is canonically ordered, so identical configurations reproduce
-identical bytes regardless of worker count.
+identical bytes.
 
 Exit codes: 0 success, 1 usage or validation failure, 2 verification
 mismatch, 3 budget exhausted (partial files are flagged), 4 every candidate
@@ -33,7 +33,6 @@ from .mlst import (
     enumerate_interiors,
     enumerate_mlsts,
 )
-from .polyhedra import validate_polyhedron
 from .shellgraph import (
     ORACLE_CAP,
     build_shell_graph,
@@ -76,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--time-limit", type=float, default=None,
                        help="search wall-time allowance in seconds")
         p.add_argument("--workers", type=int, default=None,
-                       help="accepted for compatibility; the search phases run in order")
+                       help="accepted and ignored (the search phases run in order); "
+                            "kept while the benchmark harness passes it")
         p.add_argument("--long-run", action="store_true",
                        help="allow shells whose enumeration exceeds a desk-scale budget")
         p.add_argument("--out-dir", default=None, metavar="DIR",
@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="single catalog shell (default: whole catalog)")
     p_est.add_argument("--budget-nodes", type=float, default=DEFAULT_NODE_BUDGET)
     p_est.add_argument("--time-limit", type=float, default=None)
-    p_est.add_argument("--workers", type=int, default=None)
     p_est.add_argument("--long-run", action="store_true",
                        help="also run the shells beyond the desk-scale budget")
     p_est.add_argument("--out-dir", default=None, metavar="DIR")
@@ -126,16 +125,11 @@ def _load_shell(args):
         spec = nio.load_polyhedron(args.input)
     if args.hole:
         spec = remove_faces(spec, args.hole)
-    report = validate_polyhedron(spec)
-    graph = build_shell_graph(spec)
-    return spec, report, graph
+    return spec, build_shell_graph(spec)
 
 
 def _search_kwargs(args) -> dict:
-    return dict(
-        budget_nodes=int(args.budget_nodes), workers=args.workers,
-        time_limit=args.time_limit,
-    )
+    return dict(budget_nodes=int(args.budget_nodes), time_limit=args.time_limit)
 
 
 def _enumerate_cuts(args, graph):
@@ -157,10 +151,10 @@ def _out_dir(args) -> Optional[Path]:
 
 
 def cmd_enumerate(args) -> int:
-    spec, report, graph = _load_shell(args)
+    spec, graph = _load_shell(args)
     result, classes, group = _enumerate_cuts(args, graph)
-    print(f"shell: {spec.name} (V={report.n_vertices} E={report.n_edges} F={report.n_faces}"
-          f"{' open' if not report.closed else ''})")
+    print(f"shell: {spec.name} (V={graph.n} E={graph.m} F={len(graph.faces)}"
+          f"{' open' if graph.boundary_edges else ''})")
     print(f"leaf count: {result.leaf_count}")
     print(f"labeled optimal cuts: {len(result.cuts)}")
     print(f"classes under {group.order} automorphisms: {len(classes)}")
@@ -177,10 +171,28 @@ def cmd_enumerate(args) -> int:
 
 
 def _ranked(args):
-    spec, report, graph = _load_shell(args)
+    spec, graph = _load_shell(args)
     result, classes, _ = _enumerate_cuts(args, graph)
     ranked = rank_nets(spec, list(zip(classes.cuts.tolist(), classes.orbit_sizes.tolist())), graph=graph)
     return spec, ranked
+
+
+def _write_nets(args, ranked, svg_ranks, ranking: bool) -> None:
+    """Write `ranking.csv` when `ranking` is set, then an SVG of each rank
+    in `svg_ranks`, into the output directory.  Every rank is checked first,
+    so an out-of-range one writes nothing."""
+    ranks = sorted(set(svg_ranks))
+    for rank in ranks:
+        if not 1 <= rank <= len(ranked):
+            raise ValidationError(f"rank {rank} out of range 1..{len(ranked)}")
+    out = _out_dir(args)
+    if ranking:
+        nio.write_ranking(out / "ranking.csv", ranked)
+        print(f"wrote {out / 'ranking.csv'}")
+    for rank in ranks:
+        path = out / f"net-rank-{rank:04d}.svg"
+        export_svg(ranked[rank - 1].layout, path)
+        print(f"wrote {path}")
 
 
 def cmd_rank(args) -> int:
@@ -192,16 +204,8 @@ def cmd_rank(args) -> int:
         print(f"  rank {net.rank}: R_g={net.radius_of_gyration:.6f}{flag}")
     if len(ranked) > len(head):
         print(f"  ... {len(ranked) - len(head)} more")
-    out = _out_dir(args)
-    if out is not None:
-        nio.write_ranking(out / "ranking.csv", ranked)
-        print(f"wrote {out / 'ranking.csv'}")
-        for rank in sorted(set(args.svg_ranks or [])):
-            if not 1 <= rank <= len(ranked):
-                raise ValidationError(f"rank {rank} out of range 1..{len(ranked)}")
-            path = out / f"net-rank-{rank:04d}.svg"
-            export_svg(ranked[rank - 1].layout, path)
-            print(f"wrote {path}")
+    if args.out_dir is not None:
+        _write_nets(args, ranked, args.svg_ranks or [], ranking=True)
     try:
         best = select_optimal_net(ranked)
     except FallbackExhaustedError:
@@ -212,7 +216,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec, report, graph = _load_shell(args)
+    spec, graph = _load_shell(args)
     print(f"shell: {spec.name}")
     failures = 0
     skipped = []
@@ -227,7 +231,7 @@ def cmd_verify(args) -> int:
         failures += not ok
         print(f"  determinant count vs oracle enumeration: {n_st} vs {len(trees)}"
               f" {'ok' if ok else 'MISMATCH'}")
-        if report.closed:
+        if not graph.boundary_edges:
             best = max(len(cut_leaves(graph, t)) for t in trees)
             filtered = sorted(t for t in trees if len(cut_leaves(graph, t)) == best)
             result = enumerate_mlsts(graph, **_search_kwargs(args))
@@ -252,7 +256,7 @@ def cmd_estimate(args) -> int:
     names = [catalog_entry(args.builtin).name] if args.builtin else None
     rows = build_statistics_table(
         names=names, budget_nodes=int(args.budget_nodes), long_run=args.long_run,
-        time_limit=args.time_limit, workers=args.workers,
+        time_limit=args.time_limit,
     )
     comparison = estimate_comparison(rows)
     for row in comparison:
@@ -272,10 +276,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    spec, report, graph = _load_shell(args)
+    spec, graph = _load_shell(args)
     group = find_automorphisms(graph)
     n_st = count_spanning_trees(graph)
-    print(f"shell: {spec.name} (V={report.n_vertices} E={report.n_edges} F={report.n_faces})")
+    print(f"shell: {spec.name} (V={graph.n} E={graph.m} F={len(graph.faces)})")
     print(f"spanning trees: {n_st}")
     print(f"automorphisms: {group.order}")
     interiors = enumerate_interiors(graph, **_search_kwargs(args))
@@ -293,13 +297,7 @@ def cmd_export_svg(args) -> int:
     if args.out_dir is None:
         raise ValidationError("export-svg requires --out-dir")
     spec, ranked = _ranked(args)
-    out = _out_dir(args)
-    for rank in sorted(set(args.svg_ranks)):
-        if not 1 <= rank <= len(ranked):
-            raise ValidationError(f"rank {rank} out of range 1..{len(ranked)}")
-        path = out / f"net-rank-{rank:04d}.svg"
-        export_svg(ranked[rank - 1].layout, path)
-        print(f"wrote {path}")
+    _write_nets(args, ranked, args.svg_ranks, ranking=False)
     return EXIT_OK
 
 

@@ -24,11 +24,11 @@ from .shellgraph import ShellGraph, build_shell_graph
 def remove_faces(spec: PolyhedronSpec, removed: Sequence[int]) -> PolyhedronSpec:
     """Open a closed shell by deleting faces.
 
-    The removed faces must exist and leave a boundary that is one simple
-    cycle, the rule `ShellGraph` checks; faces that do not form one
-    edge-connected patch leave several holes or a pinched one.  Vertices and
-    edges used only by the removed patch disappear; remaining vertices are
-    reindexed in ascending order of their old index.
+    The removed faces must exist and leave a shell that passes every check of
+    `build_shell_graph`, whose hole boundary is one simple cycle; faces that
+    do not form one edge-connected patch leave several holes or a pinched
+    one.  Vertices and edges used only by the removed patch disappear;
+    remaining vertices are reindexed in ascending order of their old index.
     """
     removed_set = {int(i) for i in removed}
     if not removed_set:
@@ -48,9 +48,8 @@ def remove_faces(spec: PolyhedronSpec, removed: Sequence[int]) -> PolyhedronSpec
         name=f"{spec.name}-open{len(removed_set)}",
         faces=new_faces,
         vertices=new_vertices,
-        vertex_count=len(used),
     )
-    build_shell_graph(open_spec)  # raises unless the boundary is one simple cycle
+    build_shell_graph(open_spec)  # raises unless the open shell passes every check
     return open_spec
 
 

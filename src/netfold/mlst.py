@@ -305,7 +305,6 @@ def _search(
 def enumerate_interiors(
     graph: ShellGraph,
     budget_nodes: int = DEFAULT_NODE_BUDGET,
-    workers: Optional[int] = None,
     time_limit: Optional[float] = None,
 ) -> InteriorResult:
     """All optimal interior sets of a connected shell graph, with the number
@@ -319,9 +318,8 @@ def enumerate_interiors(
     The phases run in order, each within what the earlier ones left of the
     node budget, so an overrun visits at most one node past it; `time_limit`
     is checked between levels and every `_CHECKPOINT` nodes inside a phase.
-    `workers` is accepted and has no effect.  On an overrun the
-    `BudgetExceededError` carries the level reports, the last one counting
-    the nodes visited in the level that overran.
+    On an overrun the `BudgetExceededError` carries the level reports, the
+    last one counting the nodes visited in the level that overran.
     """
     if graph.n == 0:
         raise ValidationError("empty graph")
@@ -423,9 +421,10 @@ def enumerate_mlsts(
 
     On a closed shell these are its maximum leaf spanning trees; on an open
     shell, its hole cuts (the boundary cycle plus tree branches), each
-    checked by `holes.check_hole_cuts`.
+    checked by `holes.check_hole_cuts`.  `workers` is accepted and has no
+    effect; it stays while the benchmark harness (`perfbench/`) passes it.
     """
-    result = enumerate_interiors(graph, budget_nodes, workers, time_limit)
+    result = enumerate_interiors(graph, budget_nodes, time_limit)
     plans = [
         (merged_spanning_trees(graph, vt, interior_seed(graph, vt)), leaf_choices(graph, vt))
         for vt, _ in result.sets

@@ -1,16 +1,22 @@
-"""Polyhedral shell descriptions: faces as vertex cycles plus optional coordinates."""
+"""Polyhedral shell descriptions: faces as vertex cycles plus optional coordinates.
+
+`_check_shell` holds every structural and geometric check of a shell;
+`shellgraph.build_shell_graph` runs it while building the shell graph, so a
+spec is checked wherever a graph is made from it.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import MissingGeometryError, NonManifoldError, ValidationError
 
 Edge = tuple[int, int]
+G = TypeVar("G")
 
 # relative to mean edge length
 PLANARITY_RTOL = 1e-9
@@ -27,42 +33,40 @@ class PolyhedronSpec:
 
     Faces are cycles of vertex indices, counterclockwise as seen from outside
     the shell.  Coordinates are optional: a faces-only spec supports all
-    combinatorial operations but rejects geometric ones.
+    combinatorial operations but rejects geometric ones.  The vertices are
+    the coordinate rows, or without coordinates 0 .. the largest face index.
     """
 
     name: str
     faces: tuple[tuple[int, ...], ...]
     vertices: Optional[np.ndarray] = None
-    vertex_count: Optional[int] = None
 
     def __post_init__(self):
         faces = tuple(tuple(int(i) for i in f) for f in self.faces)
         if not faces:
             raise ValidationError(f"{self.name}: no faces")
         object.__setattr__(self, "faces", faces)
-        top = 1 + max(max(f) for f in faces if f)
+        low = min((min(f) for f in faces if f), default=0)
+        if low < 0:
+            raise ValidationError(f"{self.name}: face index {low} is negative")
         if self.vertices is not None:
             arr = np.asarray(self.vertices, dtype=float)
             if arr.ndim != 2 or arr.shape[1] != 3:
                 raise ValidationError(
                     f"{self.name}: vertices must have shape (V, 3), got {arr.shape}"
                 )
-            if self.vertex_count is not None and self.vertex_count != arr.shape[0]:
-                raise ValidationError(
-                    f"{self.name}: vertex_count {self.vertex_count} != {arr.shape[0]} coordinates"
-                )
             object.__setattr__(self, "vertices", arr)
-            object.__setattr__(self, "vertex_count", int(arr.shape[0]))
-        elif self.vertex_count is None:
-            object.__setattr__(self, "vertex_count", top)
-        if top > self.vertex_count:
-            raise ValidationError(
-                f"{self.name}: face index {top - 1} out of range for {self.vertex_count} vertices"
-            )
+            top = max((max(f) for f in faces if f), default=-1)
+            if top >= len(arr):
+                raise ValidationError(
+                    f"{self.name}: face index {top} out of range for {len(arr)} vertices"
+                )
 
     @property
     def n_vertices(self) -> int:
-        return self.vertex_count
+        if self.vertices is not None:
+            return len(self.vertices)
+        return 1 + max((max(f) for f in self.faces if f), default=-1)
 
     @property
     def n_faces(self) -> int:
@@ -86,46 +90,12 @@ class PolyhedronSpec:
         return tuple(sorted(seen))
 
 
-@dataclass(frozen=True)
-class ShellReport:
-    """Validation outcome for a shell."""
-
-    closed: bool
-    n_vertices: int
-    n_edges: int
-    n_faces: int
-    euler_characteristic: int
-    n_holes: int
-    boundary_edges: tuple[Edge, ...]
-    planarity_residual: float
-
-
 def edge_face_table(spec: PolyhedronSpec) -> dict[Edge, list[int]]:
     """Map each undirected edge to the faces containing it, in face order."""
     table: dict[Edge, list[int]] = {}
     for fi, f in enumerate(spec.faces):
         for a, b in zip(f, f[1:] + f[:1]):
             table.setdefault(canon_edge(a, b), []).append(fi)
-    return table
-
-
-def oriented_edge_faces(spec: PolyhedronSpec) -> dict[Edge, list[int]]:
-    """`edge_face_table`, checked: no edge lies in more than two faces (else
-    NonManifoldError), and consistently oriented faces run a shared edge in
-    opposite directions."""
-    table = edge_face_table(spec)
-    for e, faces in table.items():
-        if len(faces) > 2:
-            raise NonManifoldError(e, len(faces), f"{spec.name}: edge {e} in {len(faces)} faces")
-    directed = {}
-    for fi, f in enumerate(spec.faces):
-        for a, b in zip(f, f[1:] + f[:1]):
-            if (a, b) in directed:
-                raise ValidationError(
-                    f"{spec.name}: faces {directed[(a, b)]} and {fi} traverse edge "
-                    f"({a}, {b}) in the same direction (inconsistent orientation)"
-                )
-            directed[(a, b)] = fi
     return table
 
 
@@ -225,14 +195,18 @@ def _face_planarity(spec: PolyhedronSpec) -> float:
     return worst / scale if scale > 0 else 0.0
 
 
-def validate_polyhedron(spec: PolyhedronSpec) -> ShellReport:
-    """Check shell structure and return a report.
+def _check_shell(spec: PolyhedronSpec, graph_of: Callable[[tuple[Edge, ...], tuple[int, ...]], G]) -> G:
+    """Run every check of a shell, in order, and return its graph.
 
-    Raises ValidationError (or NonManifoldError naming the offending edge) for
-    structural problems: degenerate faces, edges in more than two faces,
-    inconsistent orientation, a disconnected shell graph, a vertex whose
-    faces form more than one fan, a broken Euler count, non-positive edge
-    lengths, or non-planar faces.
+    `graph_of(edges, boundary)` builds the graph from the undirected edges in
+    canonical order and the ids of those that border one face, and applies
+    the hole rule; it runs after the orientation checks, so a pinched or
+    doubled hole is reported before connectivity.  Raises ValidationError
+    naming the shell (NonManifoldError for an edge in more than two faces)
+    for: degenerate faces, non-manifold edges, inconsistent orientation, a
+    broken hole rule, a disconnected shell graph, a vertex whose faces form
+    more than one fan, a broken Euler count, non-positive edge lengths, or
+    non-planar faces.
     """
     for fi, f in enumerate(spec.faces):
         if len(f) < 3:
@@ -240,30 +214,42 @@ def validate_polyhedron(spec: PolyhedronSpec) -> ShellReport:
         if len(set(f)) != len(f):
             raise ValidationError(f"{spec.name}: face {fi} repeats a vertex")
 
-    table = oriented_edge_faces(spec)
-    boundary = tuple(sorted(e for e, faces in table.items() if len(faces) == 1))
-    closed = not boundary
+    table = edge_face_table(spec)
+    for e, faces in table.items():
+        if len(faces) > 2:
+            raise NonManifoldError(e, len(faces), f"{spec.name}: edge {e} in {len(faces)} faces")
+    directed = {}
+    for fi, f in enumerate(spec.faces):
+        for a, b in zip(f, f[1:] + f[:1]):
+            if (a, b) in directed:
+                raise ValidationError(
+                    f"{spec.name}: faces {directed[(a, b)]} and {fi} traverse edge "
+                    f"({a}, {b}) in the same direction (inconsistent orientation)"
+                )
+            directed[(a, b)] = fi
+    edges = tuple(sorted(table))
+    boundary = tuple(i for i, e in enumerate(edges) if len(table[e]) == 1)
     try:
-        n_holes = _count_holes(boundary)
+        graph = graph_of(edges, boundary)
     except ValidationError as err:
         raise ValidationError(f"{spec.name}: {err}") from None
     n = spec.n_vertices
-    if _count_components(range(n), table) != 1:
+    if _count_components(range(n), edges) != 1:
         raise ValidationError(f"{spec.name}: shell graph is disconnected")
     try:
-        face_map(sorted(table), spec.faces, boundary)
+        face_map(edges, spec.faces, [edges[i] for i in boundary])
     except ValidationError as err:
         raise ValidationError(f"{spec.name}: {err}") from None
 
-    euler = n - len(table) + spec.n_faces
-    expected = 2 - n_holes
-    if euler != expected:
+    # `graph_of` admits no more than one hole
+    holes = 1 if boundary else 0
+    euler = n - len(edges) + spec.n_faces
+    if euler != 2 - holes:
         raise ValidationError(
-            f"{spec.name}: Euler characteristic {euler} != {expected} "
-            f"(V={n}, E={len(table)}, F={spec.n_faces}, holes={n_holes})"
+            f"{spec.name}: Euler characteristic {euler} != {2 - holes} "
+            f"(V={n}, E={len(edges)}, F={spec.n_faces}, holes={holes})"
         )
 
-    residual = 0.0
     if spec.has_geometry:
         pts = spec.vertices
         for u, v in table:
@@ -274,14 +260,4 @@ def validate_polyhedron(spec: PolyhedronSpec) -> ShellReport:
             raise ValidationError(
                 f"{spec.name}: face planarity residual {residual:.3e} exceeds {PLANARITY_RTOL}"
             )
-
-    return ShellReport(
-        closed=closed,
-        n_vertices=n,
-        n_edges=len(table),
-        n_faces=spec.n_faces,
-        euler_characteristic=euler,
-        n_holes=n_holes,
-        boundary_edges=boundary,
-        planarity_residual=residual,
-    )
+    return graph

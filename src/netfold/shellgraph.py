@@ -1,5 +1,9 @@
 """Shell graphs, with two independent exact spanning-tree routes.
 
+`build_shell_graph` is the one road from a shell description to its graph:
+it runs every shell check (`polyhedra._check_shell`) on the way, so a graph
+built from a spec is a valid closed shell or one with a single hole.
+
 `count_merged_trees` evaluates the matrix-tree determinant in exact integer
 arithmetic; `merged_spanning_trees` lists every tree by contraction and
 deletion.  Both work on the subgraph a vertex set induces with a seed set
@@ -16,7 +20,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import BudgetExceededError, ValidationError
-from .polyhedra import Edge, PolyhedronSpec, _count_components, _count_holes, canon_edge, oriented_edge_faces
+from .polyhedra import Edge, PolyhedronSpec, _check_shell, _count_components, _count_holes, canon_edge
 
 ORACLE_CAP = 10_000_000
 
@@ -29,7 +33,10 @@ class ShellGraph:
     edge in `edges` is its canonical edge id, used everywhere downstream.
     The hole rule: `boundary_edges`, the hole's edge ids, are empty or one
     simple cycle.  `find_automorphisms` reads the group off the consistently
-    oriented `faces`; a graph without them gets the trivial group.
+    oriented `faces`; a graph without them gets the trivial group.  The
+    constructor checks only the hole rule: a shell's graph comes from
+    `build_shell_graph`, which checks the shell, and a bare graph from
+    `from_edges`.
     """
 
     n: int
@@ -107,19 +114,15 @@ class ShellGraph:
 
 
 def build_shell_graph(spec: PolyhedronSpec) -> ShellGraph:
-    """Shell graph of a polyhedron spec, with its faces.
+    """Shell graph of a polyhedron spec, with its faces, once the spec passes
+    every shell check; a check's ValidationError names the shell.
 
     Every edge borders one or two consistently oriented faces; the edges
-    that border one are the hole boundary, and the hole rule's errors name
-    the shell.
+    that border one are the hole boundary.
     """
-    table = oriented_edge_faces(spec)
-    edges = tuple(sorted(table))
-    boundary = tuple(i for i, e in enumerate(edges) if len(table[e]) == 1)
-    try:
-        return ShellGraph(spec.n_vertices, edges, boundary, spec.faces)
-    except ValidationError as err:
-        raise ValidationError(f"{spec.name}: {err}") from None
+    return _check_shell(
+        spec, lambda edges, boundary: ShellGraph(spec.n_vertices, edges, boundary, spec.faces),
+    )
 
 
 def _bareiss_determinant(m: list[list[int]]) -> int:

@@ -198,7 +198,7 @@ def relabeled_spec(spec: PolyhedronSpec, seed: int):
         k = rng.randrange(len(f))
         faces.append(tuple(perm[v] for v in f[k:] + f[:k]))
     rng.shuffle(faces)
-    return PolyhedronSpec(name=spec.name, faces=tuple(faces), vertex_count=spec.n_vertices), perm
+    return PolyhedronSpec(name=spec.name, faces=tuple(faces)), perm
 
 
 def frucht_graph() -> ShellGraph:

@@ -4,19 +4,17 @@ import pytest
 
 from netfold.catalog import CATALOG, builtin, catalog_entry, catalog_names
 from netfold.errors import ValidationError
-from netfold.polyhedra import PLANARITY_RTOL, validate_polyhedron
 from netfold.shellgraph import build_shell_graph
 
 
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
 def test_entry_builds_and_matches_counts(entry):
-    spec = builtin(entry.name)
-    report = validate_polyhedron(spec)
-    assert report.n_vertices == entry.n_vertices
-    assert report.n_edges == entry.n_edges
-    assert report.n_faces == entry.n_faces
-    assert report.closed
-    assert report.planarity_residual <= PLANARITY_RTOL
+    # building the graph runs every shell check, face planarity included
+    graph = build_shell_graph(builtin(entry.name))
+    assert graph.n == entry.n_vertices
+    assert graph.m == entry.n_edges
+    assert len(graph.faces) == entry.n_faces
+    assert not graph.boundary_edges
     # Euler characteristic of a closed genus-0 shell.
     assert entry.n_vertices - entry.n_edges + entry.n_faces == 2
 

@@ -63,6 +63,16 @@ def test_rank_svg_rank_out_of_range(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["rank", "export-svg"])
+def test_out_of_range_svg_rank_writes_nothing(tmp_path, capsys, command):
+    # every rank is checked before ranking.csv or any drawing is written
+    out = tmp_path / "out"
+    rc = main([command, "--builtin", "cube", "--out-dir", str(out), "--svg-ranks", "1", "99"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: rank 99 out of range 1..4\n"
+    assert list(out.glob("*")) == []
+
+
 def test_verify_tetrahedron(capsys):
     rc = main(["verify", "--builtin", "tetrahedron"])
     out = capsys.readouterr().out

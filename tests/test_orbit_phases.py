@@ -132,7 +132,7 @@ def n_orbits_in_root_set(graph):
 def test_orbit_phases_match_root_set_search(name):
     g = catalog_graph(name)
     leaf_count, interiors, _ = oracle(name)
-    result = enumerate_interiors(g, workers=1)
+    result = enumerate_interiors(g)
     assert result.leaf_count == leaf_count == catalog_entry(name).leaf_count
     assert expand_sets(result) == interiors
     assert result.interior_count == len(interiors)
@@ -149,7 +149,7 @@ def test_orbit_phases_on_relabelled_shells(name, seed):
     spec, perm = relabeled_spec(builtin(name), seed)
     h = build_shell_graph(spec)
     leaf_count, interiors, _ = oracle(name)
-    result = enumerate_interiors(h, workers=1)
+    result = enumerate_interiors(h)
     assert result.leaf_count == leaf_count
     assert expand_sets(result) == map_interiors(g, h, perm, interiors)
     assert result_counts(result) == counts(g, interiors)
@@ -159,13 +159,13 @@ def test_orbit_phases_on_relabelled_shells(name, seed):
 def test_two_orbit_shells_run_two_phases(name, phases):
     g = catalog_graph(name)
     assert n_orbits_in_root_set(g) == 2
-    assert expand_sets(enumerate_interiors(g, workers=1)) == oracle(name)[1]
+    assert expand_sets(enumerate_interiors(g)) == oracle(name)[1]
     assert len(phases) == 2
 
 
 @pytest.mark.parametrize("name", ["cube", "dodecahedron", "truncated_cube", "snub_cube"])
 def test_vertex_transitive_shell_runs_one_phase(name, phases):
-    enumerate_interiors(catalog_graph(name), workers=1)
+    enumerate_interiors(catalog_graph(name))
     assert len(phases) == 1
 
 
@@ -173,7 +173,7 @@ def test_orbit_phases_with_a_group_of_order_two(phases):
     g = truncated_octahedron_minus_edge()
     assert find_automorphisms(g).order == 2
     leaf_count, interiors, _ = tree_search_interiors(g)
-    result = enumerate_interiors(g, workers=1)
+    result = enumerate_interiors(g)
     assert (result.leaf_count, expand_sets(result)) == (leaf_count, interiors)
     # the root set meets three orbits, but the first phase's orbit also holds
     # the far end of the removed edge, which the later phases bar
@@ -188,7 +188,7 @@ def test_trivial_group_searches_node_for_node_like_the_root_set(phases):
     assert find_automorphisms(g).order == 1
     leaf_count, interiors, _ = tree_search_interiors(g)
     sets, nodes = root_set_set_search(g)
-    result = enumerate_interiors(g, workers=1)
+    result = enumerate_interiors(g)
     assert (result.leaf_count, expand_sets(result)) == (leaf_count, interiors)
     assert tuple(vt for vt, _ in result.sets) == sets
     assert result.nodes_visited == nodes
@@ -221,7 +221,7 @@ def test_open_shells_match_the_tree_search(name, labeled, classes):
     # the counts `count --hole 0` printed when the search grew trees
     g = build_shell_graph(remove_faces(builtin(name), [0]))
     leaf_count, interiors, _ = tree_search_interiors(g)
-    result = enumerate_interiors(g, workers=1)
+    result = enumerate_interiors(g)
     assert result.leaf_count == leaf_count
     assert expand_sets(result) == interiors
     assert result_counts(result) == counts(g, interiors) == (labeled, classes)
@@ -238,7 +238,7 @@ def test_single_vertex_interiors_match_the_tree_search(k):
     # the wheel over a triangle is K4, where every vertex is an interior
     g = wheel(k)
     leaf_count, interiors, _ = tree_search_interiors(g)
-    result = enumerate_interiors(g, workers=1)
+    result = enumerate_interiors(g)
     assert result.n_interior == 1 and leaf_count == k
     assert result.sets == tuple((1 << v, 1) for v in range(g.n if k == 3 else 1))
     assert expand_sets(result) == interiors
@@ -246,10 +246,6 @@ def test_single_vertex_interiors_match_the_tree_search(k):
 
 
 def test_worker_counts_agree_on_several_phases(tmp_path, capsys):
-    g = truncated_octahedron_minus_edge()
-    one, four = (enumerate_interiors(g, workers=w) for w in (1, 4))
-    assert one.sets == four.sets
-    assert one.level_reports == four.level_reports
     blobs = []
     for workers in ("1", "4"):
         d = tmp_path / workers

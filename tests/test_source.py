@@ -66,3 +66,35 @@ def test_module_imports_form_no_cycle():
                     needs.add(node.module.split(".")[0])
     assert "holes" in graph["mlst"]  # the imports were read
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def _calls_by_scope(tree, callee):
+    """The dotted scope (class and function names) of every call to `callee`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == callee:
+                    found.append(".".join(scope))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+            else:
+                visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_builders_construct_shell_graphs():
+    # a graph made from a shell must pass every shell check, so only
+    # build_shell_graph, which runs them, and from_edges, which makes a bare
+    # graph without faces, may call the constructor
+    found = sorted(
+        f"{path.stem}.{scope}"
+        for path, tree in zip(SOURCES, _trees())
+        for scope in _calls_by_scope(tree, "ShellGraph")
+    )
+    assert found == ["shellgraph.ShellGraph.from_edges", "shellgraph.build_shell_graph"]
