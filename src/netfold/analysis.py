@@ -64,9 +64,9 @@ def mlst_ratio_estimate(n_edges: int) -> RatioEstimate:
 class ShellStatistics:
     """One row of the catalog statistics table.
 
-    `status` is "complete", "partial" (search hit its budget; note says how
-    far it got), or "skipped" (a long-run shell without the long-run flag).
-    Counts that depend on the search are None unless complete.
+    `status` is "complete", or "partial" (the search hit its node budget or
+    time limit; note says how far it got).  Counts that depend on the search
+    are None unless complete.
     """
 
     name: str
@@ -95,8 +95,6 @@ def compute_statistics(
     spec: PolyhedronSpec,
     budget_nodes: int = DEFAULT_NODE_BUDGET,
     time_limit: Optional[float] = None,
-    search: bool = True,
-    skip_note: str = "",
 ) -> ShellStatistics:
     """Exact per-shell statistics, within a node budget.
 
@@ -117,11 +115,6 @@ def compute_statistics(
         n_spanning_trees=n_st,
         n_automorphisms=group.order,
     )
-    if not search:
-        return ShellStatistics(
-            **base, leaf_count=None, n_optimal_cuts=None, n_optimal_nets=None,
-            nodes_visited=0, status="skipped", note=skip_note,
-        )
     try:
         interiors = enumerate_interiors(graph, budget_nodes=budget_nodes, time_limit=time_limit)
     except BudgetExceededError as exc:
@@ -142,25 +135,20 @@ def compute_statistics(
 def build_statistics_table(
     names: Optional[Sequence[str]] = None,
     budget_nodes: int = DEFAULT_NODE_BUDGET,
-    long_run: bool = False,
     time_limit: Optional[float] = None,
 ) -> list[ShellStatistics]:
     """Statistics rows for catalog shells (all of them by default).
 
-    Shells marked long-run are fully computed only when `long_run` is set;
-    otherwise their row carries the cheap exact columns (counts of spanning
-    trees and automorphisms) and is marked skipped.
+    Every shell is searched within the same node budget and time limit; a
+    shell whose search stops there gets a partial row that still carries the
+    cheap exact columns (counts of spanning trees and automorphisms).
     """
     if names is None:
         names = [entry.name for entry in CATALOG]
     rows = []
     for name in names:
         entry = catalog_entry(name)
-        run = long_run or not entry.long_run
-        row = compute_statistics(
-            builtin(name), budget_nodes=budget_nodes, time_limit=time_limit, search=run,
-            skip_note="" if run else "long-run shell; pass the long-run flag to compute",
-        )
+        row = compute_statistics(builtin(name), budget_nodes=budget_nodes, time_limit=time_limit)
         if row.status == "complete":
             note = row.note
             if row.leaf_count != entry.leaf_count:

@@ -322,8 +322,7 @@ class CatalogEntry:
     """One built-in shell with its reference data.
 
     leaf_count and optimal_nets are the published reference values the
-    package's own results are compared against; long_run marks shells whose
-    full enumeration exceeds a desk-scale budget.
+    package's own results are compared against.
     """
 
     name: str
@@ -332,31 +331,30 @@ class CatalogEntry:
     n_edges: int
     leaf_count: int
     optimal_nets: int
-    long_run: bool
 
 
 CATALOG: tuple[CatalogEntry, ...] = (
-    CatalogEntry("tetrahedron", 4, 4, 6, 3, 1, False),
-    CatalogEntry("octahedron", 6, 8, 12, 4, 2, False),
-    CatalogEntry("cube", 8, 6, 12, 4, 4, False),
-    CatalogEntry("icosahedron", 12, 20, 30, 8, 21, False),
-    CatalogEntry("dodecahedron", 20, 12, 30, 10, 21, False),
-    CatalogEntry("octagonal_pyramid", 9, 9, 16, 8, 1, False),
-    CatalogEntry("octagonal_dipyramid", 10, 16, 24, 8, 3, False),
-    CatalogEntry("truncated_tetrahedron", 12, 8, 18, 6, 4, False),
-    CatalogEntry("cuboctahedron", 12, 14, 24, 7, 34, False),
-    CatalogEntry("truncated_cube", 24, 14, 36, 10, 399, False),
-    CatalogEntry("snub_cube", 24, 38, 60, 16, 600, False),
-    CatalogEntry("rhombicuboctahedron", 24, 26, 48, 15, 32, False),
-    CatalogEntry("truncated_octahedron", 24, 14, 36, 12, 56, False),
-    CatalogEntry("icosidodecahedron", 30, 32, 60, 16, 308_928, True),
-    CatalogEntry("truncated_cuboctahedron", 48, 26, 72, 24, 244, False),
-    CatalogEntry("truncated_icosahedron", 60, 32, 90, 30, 4_114, True),
-    CatalogEntry("truncated_dodecahedron", 60, 32, 90, 22, 3_719_677_167, True),
-    CatalogEntry("rhombicosidodecahedron", 60, 62, 120, 37, 77_952, True),
-    CatalogEntry("snub_dodecahedron", 60, 92, 150, 39, 13_436_928, True),
-    CatalogEntry("triakis_icosahedron", 32, 60, 90, 26, 664_128, True),
-    CatalogEntry("pentakis_dodecahedron", 32, 60, 90, 22, 845_280, True),
+    CatalogEntry("tetrahedron", 4, 4, 6, 3, 1),
+    CatalogEntry("octahedron", 6, 8, 12, 4, 2),
+    CatalogEntry("cube", 8, 6, 12, 4, 4),
+    CatalogEntry("icosahedron", 12, 20, 30, 8, 21),
+    CatalogEntry("dodecahedron", 20, 12, 30, 10, 21),
+    CatalogEntry("octagonal_pyramid", 9, 9, 16, 8, 1),
+    CatalogEntry("octagonal_dipyramid", 10, 16, 24, 8, 3),
+    CatalogEntry("truncated_tetrahedron", 12, 8, 18, 6, 4),
+    CatalogEntry("cuboctahedron", 12, 14, 24, 7, 34),
+    CatalogEntry("truncated_cube", 24, 14, 36, 10, 399),
+    CatalogEntry("snub_cube", 24, 38, 60, 16, 600),
+    CatalogEntry("rhombicuboctahedron", 24, 26, 48, 15, 32),
+    CatalogEntry("truncated_octahedron", 24, 14, 36, 12, 56),
+    CatalogEntry("icosidodecahedron", 30, 32, 60, 16, 308_928),
+    CatalogEntry("truncated_cuboctahedron", 48, 26, 72, 24, 244),
+    CatalogEntry("truncated_icosahedron", 60, 32, 90, 30, 4_114),
+    CatalogEntry("truncated_dodecahedron", 60, 32, 90, 22, 3_719_677_167),
+    CatalogEntry("rhombicosidodecahedron", 60, 62, 120, 37, 77_952),
+    CatalogEntry("snub_dodecahedron", 60, 92, 150, 39, 13_436_928),
+    CatalogEntry("triakis_icosahedron", 32, 60, 90, 26, 664_128),
+    CatalogEntry("pentakis_dodecahedron", 32, 60, 90, 22, 845_280),
 )
 
 _ENTRIES = {e.name: e for e in CATALOG}

@@ -12,6 +12,7 @@ net overlaps.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -62,6 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_bounds(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--budget-nodes", type=float, default=DEFAULT_NODE_BUDGET,
+                       help="search node allowance, a whole number >= 1 "
+                            "(default %(default).0f; a long run passes 1e10)")
+        p.add_argument("--time-limit", type=float, default=None,
+                       help="search wall-time allowance in seconds (positive, or inf)")
+
     def add_common(p: argparse.ArgumentParser, geometry: bool = False) -> None:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--builtin", metavar="NAME", help="catalog shell name")
@@ -70,15 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--hole", type=int, nargs="+", metavar="FACE", default=None,
             help="face indices to remove before cutting (open shell)",
         )
-        p.add_argument("--budget-nodes", type=float, default=DEFAULT_NODE_BUDGET,
-                       help="search node allowance (default %(default).0f)")
-        p.add_argument("--time-limit", type=float, default=None,
-                       help="search wall-time allowance in seconds")
+        add_bounds(p)
         p.add_argument("--workers", type=int, default=None,
                        help="accepted and ignored (the search phases run in order); "
                             "kept while the benchmark harness passes it")
-        p.add_argument("--long-run", action="store_true",
-                       help="allow shells whose enumeration exceeds a desk-scale budget")
         p.add_argument("--out-dir", default=None, metavar="DIR",
                        help="directory for result files (default: print only)")
 
@@ -96,10 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="trend estimates vs exact values across the catalog")
     p_est.add_argument("--builtin", metavar="NAME", default=None,
                        help="single catalog shell (default: whole catalog)")
-    p_est.add_argument("--budget-nodes", type=float, default=DEFAULT_NODE_BUDGET)
-    p_est.add_argument("--time-limit", type=float, default=None)
-    p_est.add_argument("--long-run", action="store_true",
-                       help="also run the shells beyond the desk-scale budget")
+    add_bounds(p_est)
     p_est.add_argument("--out-dir", default=None, metavar="DIR")
 
     p_count = sub.add_parser("count", help="exact counts without materializing the cut list")
@@ -115,11 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_shell(args):
     if args.builtin is not None:
-        entry = catalog_entry(args.builtin)
-        if entry.long_run and not args.long_run and args.command in ("enumerate", "rank", "count", "export-svg"):
-            raise ValidationError(
-                f"{entry.name} is a long-run shell; pass --long-run to proceed"
-            )
         spec = builtin(args.builtin)
     else:
         spec = nio.load_polyhedron(args.input)
@@ -129,7 +124,12 @@ def _load_shell(args):
 
 
 def _search_kwargs(args) -> dict:
-    return dict(budget_nodes=int(args.budget_nodes), time_limit=args.time_limit)
+    budget, limit = args.budget_nodes, args.time_limit
+    if not (math.isfinite(budget) and budget >= 1 and budget == int(budget)):
+        raise ValidationError(f"--budget-nodes must be a whole number >= 1, got {budget}")
+    if limit is not None and not limit > 0:
+        raise ValidationError(f"--time-limit must be a positive number of seconds or inf, got {limit}")
+    return dict(budget_nodes=int(budget), time_limit=limit)
 
 
 def _enumerate_cuts(args, graph):
@@ -254,10 +254,7 @@ def cmd_verify(args) -> int:
 
 def cmd_estimate(args) -> int:
     names = [catalog_entry(args.builtin).name] if args.builtin else None
-    rows = build_statistics_table(
-        names=names, budget_nodes=int(args.budget_nodes), long_run=args.long_run,
-        time_limit=args.time_limit,
-    )
+    rows = build_statistics_table(names=names, **_search_kwargs(args))
     comparison = estimate_comparison(rows)
     for row in comparison:
         exact = "?" if row.leaf_count is None else str(row.leaf_count)
@@ -315,6 +312,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _search_kwargs(args)  # every subcommand takes the search bounds: check them first
         return _COMMANDS[args.command](args)
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

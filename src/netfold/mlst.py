@@ -17,12 +17,16 @@ automorphism group rebuilds the whole family.  An open shell is searched in
 one phase seeded with its hole boundary: the boundary cycle is forced into
 every cut, and its vertices, which carry two cycle edges, are never leaves.
 The phases of a level run in order and share its node allowance.  A node is
-one vertex set the search visits.
+one vertex set the search visits; a search stops at its node budget (10^7 by
+default, a few seconds; a long run passes 10^10) or its time limit.  A listing
+whose array and sorted copy, 2 x n_cuts x width x 4 bytes, exceed physical
+memory is refused before it is allocated.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from typing import ClassVar, Optional
@@ -40,7 +44,7 @@ from .shellgraph import (
 )
 from .symmetry import find_automorphisms
 
-DEFAULT_NODE_BUDGET = 10_000_000_000
+DEFAULT_NODE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -382,6 +386,11 @@ def enumerate_interiors(
     )
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory; a cgroup limit below it is not seen."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _listing(plans, boundary, n_cuts: int, n_fixed: int, width: int) -> np.ndarray:
     """The cuts of every (trees, leaf choices) plan as one int32 array, each
     row sorted and the rows in lexicographic order."""
@@ -421,8 +430,10 @@ def enumerate_mlsts(
 
     On a closed shell these are its maximum leaf spanning trees; on an open
     shell, its hole cuts (the boundary cycle plus tree branches), each
-    checked by `holes.check_hole_cuts`.  `workers` is accepted and has no
-    effect; it stays while the benchmark harness (`perfbench/`) passes it.
+    checked by `holes.check_hole_cuts`.  A listing too large for physical
+    memory, or whose allocation fails, raises `BudgetExceededError`.  `workers`
+    is accepted and has no effect; it stays while the benchmark harness
+    (`perfbench/`) passes it.
     """
     result = enumerate_interiors(graph, budget_nodes, time_limit)
     plans = [
@@ -434,15 +445,19 @@ def enumerate_mlsts(
     # a tree on a set joins its seed (one vertex, or the boundary) to the rest
     n_fixed = len(boundary) + result.n_interior - (graph.boundary_mask.bit_count() or 1)
     width = n_fixed + result.leaf_count
+    size = n_cuts * width * 4  # int32 entries
+    needs = (f"the cut listing needs n_cuts x width x 4 = {n_cuts} x {width} x 4 = {size} bytes "
+             f"({size / 2**30:.1f} GiB) and as much again to sort it")
+    hint = "; `count` gives the totals without a listing"
+    if 2 * size > (memory := _physical_memory()):
+        raise BudgetExceededError(
+            f"{needs}, more than the {memory} bytes of physical memory{hint}", partial=result.level_reports,
+        )
     try:
         cuts = _listing(plans, boundary, n_cuts, n_fixed, width)
     except MemoryError as exc:
-        size = n_cuts * width * 4  # int32 entries
         raise BudgetExceededError(
-            f"the cut listing needs n_cuts x width x 4 = {n_cuts} x {width} x 4 = {size} bytes "
-            f"({size / 2**30:.1f} GiB) and more to sort it, which could not be allocated; "
-            "`count` gives the totals without a listing",
-            partial=result.level_reports,
+            f"{needs}, which could not be allocated{hint}", partial=result.level_reports,
         ) from exc
     if (cuts[1:] == cuts[:-1]).all(axis=1).any():
         raise ValidationError("the expansion emitted a cut twice")

@@ -12,7 +12,8 @@ geometry (`reference_unfold`, `reference_centroid_and_rg` and the screen
 over every bounding-box pair, `reference_check_overlap`) is the code the
 batched geometry replaced.  `cut_tuples` reads a cut
 listing as tuples.  `frucht_graph` is a polyhedral graph with no symmetry,
-on which every root-set vertex gets a phase of its own.
+on which every root-set vertex gets a phase of its own.  `DESK_SHELLS`
+names the catalog shells the suite takes end to end.
 """
 
 import functools
@@ -43,6 +44,26 @@ from netfold.symmetry import (
     CanonicalCut,
     _check_group_axioms,
     edge_permutations,
+)
+
+# The catalog shells whose full pipeline finishes within a second or two
+# each, in catalog order.  The other seven are left to explicit tests, so
+# that the suite's time does not grow with the catalog.
+DESK_SHELLS = (
+    "tetrahedron",
+    "octahedron",
+    "cube",
+    "icosahedron",
+    "dodecahedron",
+    "octagonal_pyramid",
+    "octagonal_dipyramid",
+    "truncated_tetrahedron",
+    "cuboctahedron",
+    "truncated_cube",
+    "snub_cube",
+    "rhombicuboctahedron",
+    "truncated_octahedron",
+    "truncated_cuboctahedron",
 )
 
 

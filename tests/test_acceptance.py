@@ -2,8 +2,9 @@
 
 Each criterion is a single test named test_criterion_NN_*; the terminal
 summary hook in conftest.py prints one CRITERION line per result.  Criterion
-5 runs the largest catalog shell end to end and is gated behind
-NETFOLD_LONG_RUN=1 (a few minutes); everything else finishes in seconds.
+5 runs the truncated icosahedron end to end, past the default node budget,
+and is gated behind NETFOLD_LONG_RUN=1; its search has not been seen to end
+within 15 minutes.  Everything else finishes in seconds.
 """
 
 import math
@@ -13,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ratio_rank_correlation
+from helpers import DESK_SHELLS, ratio_rank_correlation
 from netfold.analysis import build_statistics_table, estimate_comparison, plot_data
-from netfold.catalog import CATALOG, builtin
+from netfold.catalog import builtin
 from netfold.geometry import centroid_and_rg, rank_nets, unfold
 from netfold.holes import remove_faces
 from netfold.io import write_estimates, write_plot_data
@@ -39,10 +40,10 @@ from netfold.cli import main as cli_main
 LONG_RUN = os.environ.get("NETFOLD_LONG_RUN", "") not in ("", "0")
 
 
-def _classes(name):
+def _classes(name, **search):
     spec = builtin(name)
     graph = build_shell_graph(spec)
-    result = enumerate_mlsts(graph)
+    result = enumerate_mlsts(graph, **search)
     classes = dedupe_cuts(graph, result.cuts, find_automorphisms(graph))
     return spec, graph, result, classes
 
@@ -116,7 +117,8 @@ def test_criterion_04_open_shells():
 @pytest.mark.skipif(not LONG_RUN, reason="set NETFOLD_LONG_RUN=1 to run the largest shell")
 def test_criterion_05_truncated_icosahedron_end_to_end():
     """Full pipeline on the 90-edge shell: counts and compactness spectrum."""
-    spec, graph, result, classes = _classes("truncated_icosahedron")
+    # a long run: past the default node budget
+    spec, graph, result, classes = _classes("truncated_icosahedron", budget_nodes=10**10)
     assert result.leaf_count == 30
     assert len(result.cuts) == 484_800
     assert len(classes) == 4114
@@ -131,22 +133,20 @@ def test_criterion_05_truncated_icosahedron_end_to_end():
 def test_criterion_06_oracle_equivalence_suite():
     """Search output equals the brute-force filter wherever the oracle reaches."""
     checked = []
-    for entry in CATALOG:
-        if entry.long_run:
-            continue
-        graph = build_shell_graph(builtin(entry.name))
+    for name in DESK_SHELLS:
+        graph = build_shell_graph(builtin(name))
         n_st = count_spanning_trees(graph)
         if n_st > 1_000_000:
             continue
         trees = enumerate_spanning_trees(graph)
-        assert len(trees) == n_st, entry.name
+        assert len(trees) == n_st, name
         best = max(len(cut_leaves(graph, t)) for t in trees)
         filtered = sorted(t for t in trees if len(cut_leaves(graph, t)) == best)
         result = enumerate_mlsts(graph)
-        assert result.leaf_count == best, entry.name
+        assert result.leaf_count == best, name
         found = sorted(tuple(int(e) for e in row) for row in result.cuts)
-        assert found == [tuple(t) for t in filtered], entry.name
-        checked.append(entry.name)
+        assert found == [tuple(t) for t in filtered], name
+        checked.append(name)
     assert set(checked) >= {
         "tetrahedron", "cube", "octahedron", "octagonal_pyramid",
         "octagonal_dipyramid", "truncated_tetrahedron", "cuboctahedron",
@@ -212,7 +212,7 @@ def test_criterion_07_geometry_properties():
 
 def test_criterion_08_estimate_reproduction(tmp_path):
     """Trend tables are emitted; the cut-share slope is negative; residuals land on disk."""
-    rows = build_statistics_table(names=[e.name for e in CATALOG if not e.long_run])
+    rows = build_statistics_table(names=DESK_SHELLS)
     assert all(row.status == "complete" for row in rows)
 
     series = plot_data(rows)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ratio_rank_correlation, ratio_trend_envelope
+from helpers import DESK_SHELLS, ratio_rank_correlation, ratio_trend_envelope
 from netfold.analysis import (
     build_statistics_table,
     compute_statistics,
@@ -14,19 +14,17 @@ from netfold.analysis import (
     plot_data,
     vertex_estimate,
 )
-from netfold.catalog import CATALOG, builtin
+from netfold.catalog import builtin, catalog_entry
 from netfold.errors import BudgetExceededError, ValidationError
 from netfold.holes import remove_faces
 from netfold.mlst import enumerate_interiors, enumerate_mlsts
 from netfold.shellgraph import build_shell_graph
 from netfold.symmetry import dedupe_cuts, edge_set_stabilizer, find_automorphisms
 
-FAST_NAMES = [e.name for e in CATALOG if not e.long_run]
-
 
 @pytest.fixture(scope="module")
 def fast_rows():
-    return build_statistics_table(names=FAST_NAMES)
+    return build_statistics_table(names=DESK_SHELLS)
 
 
 def test_leaf_estimate_examples():
@@ -105,11 +103,9 @@ def test_open_shell_counts_match_listing_and_dedupe(name, hole, labeled, classes
 
 
 def test_catalog_rows_match_reference(fast_rows):
-    by_name = {row.name: row for row in fast_rows}
-    for entry in CATALOG:
-        if entry.long_run:
-            continue
-        row = by_name[entry.name]
+    assert [row.name for row in fast_rows] == list(DESK_SHELLS)
+    for row in fast_rows:
+        entry = catalog_entry(row.name)
         assert row.status == "complete"
         assert row.note == ""  # any reference mismatch would be recorded here
         assert row.leaf_count == entry.leaf_count
@@ -119,11 +115,14 @@ def test_catalog_rows_match_reference(fast_rows):
         )
 
 
-def test_long_run_rows_are_skipped_by_default():
-    rows = build_statistics_table(names=["icosidodecahedron"])
+def test_a_shell_past_its_budget_keeps_its_cheap_columns():
+    # every shell is searched within the budget; one it cannot finish gets
+    # a partial row that still counts its spanning trees and automorphisms
+    rows = build_statistics_table(names=["icosidodecahedron"], budget_nodes=1000)
     (row,) = rows
-    assert row.status == "skipped"
-    assert row.leaf_count is None
+    assert row.status == "partial"
+    assert "node budget 1000 exceeded" in row.note
+    assert row.leaf_count is None and row.n_optimal_nets is None
     assert row.n_spanning_trees > 0 and row.n_automorphisms == 120
 
 

@@ -64,19 +64,6 @@ def test_builtin_specs_are_cached_and_deterministic():
     assert a.faces == b.faces
 
 
-def test_long_run_flags():
-    flagged = {e.name for e in CATALOG if e.long_run}
-    assert flagged == {
-        "icosidodecahedron",
-        "truncated_icosahedron",
-        "truncated_dodecahedron",
-        "rhombicosidodecahedron",
-        "snub_dodecahedron",
-        "triakis_icosahedron",
-        "pentakis_dodecahedron",
-    }
-
-
 def test_face_cycles_are_canonical():
     for entry in CATALOG:
         spec = builtin(entry.name)

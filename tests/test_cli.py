@@ -119,16 +119,55 @@ def test_estimate_budget_exhausted_is_flagged(capsys):
     assert "partial" in out
 
 
+@pytest.mark.parametrize("command", ["count", "estimate"])
+@pytest.mark.parametrize("flag,value", [
+    ("--budget-nodes", "inf"),
+    ("--budget-nodes", "nan"),
+    ("--budget-nodes", "0.5"),
+    ("--budget-nodes", "0"),
+    ("--budget-nodes", "-3"),
+    ("--time-limit", "nan"),
+    ("--time-limit", "0"),
+    ("--time-limit", "-1"),
+])
+def test_bad_search_bounds_are_usage_errors(capsys, command, flag, value):
+    # a node budget is a whole number >= 1 and a time limit a positive
+    # number of seconds; anything else is named, not run or traced back
+    rc = main([command, "--builtin", "cube", flag, value])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert captured.err.startswith(f"error: {flag} must be ")
+    assert captured.err.rstrip().endswith(f"got {float(value)}")
+    assert captured.out == ""
+
+
+def test_whole_float_budgets_and_an_infinite_time_limit_run(capsys):
+    rc = main(["count", "--builtin", "cube", "--budget-nodes", "1e7", "--time-limit", "inf"])
+    assert rc == EXIT_OK
+    assert "optimal net classes: 4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["enumerate", "rank", "verify", "estimate", "count", "export-svg"])
+def test_long_run_is_no_option(capsys, command):
+    # the node budget and time limit are the only bounds on a search
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--builtin", "cube", "--long-run"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --long-run" in capsys.readouterr().err
+
+
+def test_count_finishes_triakis_icosahedron_within_the_default_budget(capsys):
+    rc = main(["count", "--builtin", "triakis_icosahedron"])
+    out = capsys.readouterr().out
+    assert rc == EXIT_OK
+    assert "leaf count: 26" in out
+    assert "optimal net classes: 664128" in out
+
+
 def test_unknown_builtin_is_usage_error(capsys):
     rc = main(["enumerate", "--builtin", "hexagonal_prism"])
     assert rc == EXIT_USAGE
     assert "unknown builtin shell" in capsys.readouterr().err
-
-
-def test_long_run_shell_requires_flag(capsys):
-    rc = main(["enumerate", "--builtin", "icosidodecahedron"])
-    assert rc == EXIT_USAGE
-    assert "--long-run" in capsys.readouterr().err
 
 
 def test_export_svg_requires_out_dir(capsys):

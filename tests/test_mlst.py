@@ -12,6 +12,7 @@ from helpers import (
     interiors_from_cuts,
     max_leaf_brute_force,
 )
+from netfold import mlst
 from netfold.cli import EXIT_BUDGET, main
 from netfold.errors import BudgetExceededError
 from netfold.mlst import LevelReport, count_labeled_cuts, enumerate_interiors, enumerate_mlsts
@@ -123,6 +124,31 @@ def test_listing_out_of_memory_is_a_budget_error(shell_graph, monkeypatch, capsy
     assert exc.value.partial[-1].n_interior == 4
     assert main(["enumerate", "--builtin", "cube"]) == EXIT_BUDGET
     assert "120 x 7 x 4 = 3360 bytes" in capsys.readouterr().err
+
+
+def test_listing_larger_than_memory_is_refused_before_allocation(tmp_path, monkeypatch, capsys):
+    # truncated_cube lists 18,144 cuts of 23 edges: 1,669,248 bytes, twice
+    # that with the sorted copy, which a 1 MiB machine cannot hold
+    entered = []
+    monkeypatch.setattr(mlst, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(mlst, "_listing", lambda *args: entered.append(args))
+    out = tmp_path / "out"
+    assert main(["enumerate", "--builtin", "truncated_cube", "--out-dir", str(out)]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert "18144 x 23 x 4 = 1669248 bytes" in captured.err
+    assert "more than the 1048576 bytes of physical memory" in captured.err
+    assert entered == []
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_listing_gate_counts_the_sorted_copy(shell_graph, monkeypatch):
+    # the cube's listing is 120 x 7 x 4 = 3360 bytes and its sorted copy as
+    # much again: it fits in 6720 bytes and not in one byte fewer
+    monkeypatch.setattr(mlst, "_physical_memory", lambda: 6719)
+    with pytest.raises(BudgetExceededError, match=r"120 x 7 x 4 = 3360 bytes .* 6719 bytes"):
+        enumerate_mlsts(shell_graph("cube"))
+    monkeypatch.setattr(mlst, "_physical_memory", lambda: 6720)
+    assert enumerate_mlsts(shell_graph("cube")).labeled_count == 120
 
 
 def test_worker_count_does_not_change_output(shell_graph):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    DESK_SHELLS,
     classes_from_interiors,
     expand_sets,
     frucht_graph,
@@ -27,7 +28,7 @@ from helpers import (
     tree_search_interiors,
 )
 from netfold import mlst
-from netfold.catalog import CATALOG, builtin, catalog_entry
+from netfold.catalog import builtin, catalog_entry
 from netfold.holes import remove_faces
 from netfold.cli import EXIT_OK, main
 from netfold.mlst import count_labeled_cuts, enumerate_interiors
@@ -35,8 +36,6 @@ from netfold.polyhedra import PolyhedronSpec, edge_face_table
 from netfold.shellgraph import build_shell_graph
 from netfold.symmetry import count_net_classes, edge_set_stabilizer, find_automorphisms
 from test_mlst import connected_graphs
-
-DESK_SHELLS = [entry.name for entry in CATALOG if not entry.long_run]
 
 
 @functools.lru_cache(maxsize=None)

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    DESK_SHELLS,
     reference_centroid_and_rg,
     reference_check_overlap,
     reference_unfold,
@@ -36,7 +37,7 @@ from netfold.symmetry import dedupe_cuts, find_automorphisms
 # length; touching faces leave rounding slivers many orders below it.
 AREA_RTOL = 1e-9
 
-SHELLS = [e.name for e in CATALOG if not e.long_run and e.optimal_nets <= 400]
+SHELLS = [e.name for e in CATALOG if e.name in DESK_SHELLS and e.optimal_nets <= 400]
 
 
 def shoelace(points):

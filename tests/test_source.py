@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
 import graphlib
 import re
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import netfold
+from netfold.cli import build_parser
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted(Path(netfold.__file__).parent.glob("*.py"))
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -98,3 +101,26 @@ def test_only_the_builders_construct_shell_graphs():
         for scope in _calls_by_scope(tree, "ShellGraph")
     )
     assert found == ["shellgraph.ShellGraph.from_edges", "shellgraph.build_shell_graph"]
+
+
+# flags the README gives to other tools: pip, and perfbench/run.py
+OTHER_TOOLS_FLAGS = {
+    "--no-build-isolation",  # pip install
+    "--workload", "--seed", "--seconds", "--trace",  # perfbench/run.py
+}
+
+
+def test_readme_flags_exist():
+    # every flag the README names is an option of the netfold CLI or of one
+    # of the other tools it shows
+    options = set()
+    parsers = [build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            options.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
+    assert {"--budget-nodes", "--hole", "--trace"} <= named  # the README was read
+    assert sorted(named - options - OTHER_TOOLS_FLAGS) == []
