@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--time-limit", type=float, default=None,
                        help="search wall-time allowance in seconds (positive, or inf)")
 
-    def add_common(p: argparse.ArgumentParser, geometry: bool = False) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--builtin", metavar="NAME", help="catalog shell name")
         src.add_argument("--input", metavar="FILE", help="shell document (JSON)")
@@ -82,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None,
                        help="accepted and ignored (the search phases run in order); "
                             "kept while the benchmark harness passes it")
-        p.add_argument("--out-dir", default=None, metavar="DIR",
-                       help="directory for result files (default: print only)")
 
     p_enum = sub.add_parser("enumerate", help="list optimal cuts and their classes")
     add_common(p_enum)
@@ -91,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="unfold classes and rank nets by radius of gyration")
     add_common(p_rank)
     p_rank.add_argument("--svg-ranks", type=int, nargs="+", metavar="RANK", default=None,
-                        help="write an SVG for each listed rank")
+                        help="write an SVG for each listed rank (needs --out-dir)")
 
     p_verify = sub.add_parser("verify", help="cross-check exact counts against brute-force oracles")
     add_common(p_verify)
@@ -100,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--builtin", metavar="NAME", default=None,
                        help="single catalog shell (default: whole catalog)")
     add_bounds(p_est)
-    p_est.add_argument("--out-dir", default=None, metavar="DIR")
 
     p_count = sub.add_parser("count", help="exact counts without materializing the cut list")
     add_common(p_count)
@@ -110,6 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_svg.add_argument("--svg-ranks", type=int, nargs="+", metavar="RANK", default=[1],
                        help="ranks to draw (default: 1)")
 
+    for p in (p_enum, p_rank, p_est, p_svg):
+        p.add_argument("--out-dir", default=None, metavar="DIR",
+                       help="directory for result files (default: print only)")
     return parser
 
 
@@ -196,6 +196,8 @@ def _write_nets(args, ranked, svg_ranks, ranking: bool) -> None:
 
 
 def cmd_rank(args) -> int:
+    if args.svg_ranks is not None and args.out_dir is None:
+        raise ValidationError("--svg-ranks requires --out-dir")
     spec, ranked = _ranked(args)
     print(f"shell: {spec.name}; {len(ranked)} nets ranked by radius of gyration")
     head = ranked[: min(5, len(ranked))]

@@ -18,17 +18,18 @@ import numpy as np
 
 from .errors import ValidationError
 from .polyhedra import PolyhedronSpec
-from .shellgraph import ShellGraph, build_shell_graph
+from .shellgraph import ShellGraph
 
 
 def remove_faces(spec: PolyhedronSpec, removed: Sequence[int]) -> PolyhedronSpec:
     """Open a closed shell by deleting faces.
 
-    The removed faces must exist and leave a shell that passes every check of
-    `build_shell_graph`, whose hole boundary is one simple cycle; faces that
-    do not form one edge-connected patch leave several holes or a pinched
-    one.  Vertices and edges used only by the removed patch disappear;
-    remaining vertices are reindexed in ascending order of their old index.
+    The removed faces must exist and not be all of them.  The opened shell
+    is checked when `build_shell_graph` builds its graph, which needs one
+    hole bounded by one simple cycle; faces that do not form one
+    edge-connected patch leave several holes or a pinched one.  Vertices and
+    edges used only by the removed patch disappear; remaining vertices are
+    reindexed in ascending order of their old index.
     """
     removed_set = {int(i) for i in removed}
     if not removed_set:
@@ -44,13 +45,11 @@ def remove_faces(spec: PolyhedronSpec, removed: Sequence[int]) -> PolyhedronSpec
     remap = {old: new for new, old in enumerate(used)}
     new_faces = tuple(tuple(remap[v] for v in f) for f in kept_faces)
     new_vertices = spec.vertices[used] if spec.has_geometry else None
-    open_spec = PolyhedronSpec(
+    return PolyhedronSpec(
         name=f"{spec.name}-open{len(removed_set)}",
         faces=new_faces,
         vertices=new_vertices,
     )
-    build_shell_graph(open_spec)  # raises unless the open shell passes every check
-    return open_spec
 
 
 # rows per block of `check_hole_cuts`; bounds its index arrays to a few MiB

@@ -16,11 +16,14 @@ member of every orbit of sets, and mapping the found sets under the
 automorphism group rebuilds the whole family.  An open shell is searched in
 one phase seeded with its hole boundary: the boundary cycle is forced into
 every cut, and its vertices, which carry two cycle edges, are never leaves.
-The phases of a level run in order and share its node allowance.  A node is
-one vertex set the search visits; a search stops at its node budget (10^7 by
-default, a few seconds; a long run passes 10^10) or its time limit.  A listing
-whose array and sorted copy, 2 x n_cuts x width x 4 bytes, exceed physical
-memory is refused before it is allocated.
+The phases of a level run in order in one `_search` call, which keeps one
+node counter and one clock for the level.  A node is one vertex set the
+search visits; a search stops at its node budget (10^7 by default, a few
+seconds; a long run passes 10^10), at most one node past it, or its time
+limit, and either overrun raises "<node budget N | time limit Ts> exceeded at
+interior size k".  A listing whose array and sorted copy, 2 x n_cuts x width
+x 4 bytes, exceed physical memory is refused before any tree is listed, and
+the trees listed on each set must number its determinant count.
 """
 
 from __future__ import annotations
@@ -73,31 +76,6 @@ class LevelReport:
 
 
 @dataclass(frozen=True, eq=False)
-class MlstResult:
-    """Outcome of a full enumeration.
-
-    `cuts` is an (N, k) int32 array; every row is an ascending list of
-    canonical edge ids and rows are in lexicographic order, so the result is
-    identical for every worker count.
-    """
-
-    # name of the search that ran, for callers that record it; there is one
-    backend: ClassVar[str] = "python"
-
-    graph: ShellGraph
-    leaf_count: int
-    n_interior: int
-    cuts: np.ndarray
-    interior_count: int
-    nodes_visited: int
-    level_reports: tuple[LevelReport, ...]
-
-    @property
-    def labeled_count(self) -> int:
-        return int(self.cuts.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
 class InteriorResult:
     """All optimal interior sets, without listing trees or leaf attachments.
 
@@ -107,6 +85,7 @@ class InteriorResult:
     never needs the cuts themselves; see `count_labeled_cuts`.
     """
 
+    # name of the search that ran, for callers that record it; there is one
     backend: ClassVar[str] = "python"
 
     graph: ShellGraph
@@ -120,6 +99,18 @@ class InteriorResult:
     def interior_count(self) -> int:
         """The number of interiors, that is of trees on the sets."""
         return sum(trees for _, trees in self.sets)
+
+
+@dataclass(frozen=True, eq=False)
+class MlstResult(InteriorResult):
+    """An `InteriorResult` plus its cuts.
+
+    `cuts` is an (N, k) int32 array; every row is an ascending list of
+    canonical edge ids and rows are in lexicographic order, so the result is
+    identical for every worker count.
+    """
+
+    cuts: np.ndarray
 
 
 def count_labeled_cuts(result: InteriorResult) -> int:
@@ -218,23 +209,24 @@ _CHECKPOINT = 1 << 14
 
 
 def _search(
-    graph: ShellGraph, state: SearchState, n_grow: int, allowance: int,
+    graph: ShellGraph, seeds: list[SearchState], n_grow: int, allowance: int,
     deadline: Optional[float] = None,
 ):
-    """Vertex masks of the connected dominating sets of one phase that hold
-    the seed and `n_grow` more vertices, the nodes it visited and whether it
-    stopped at the deadline.
+    """Vertex masks of the connected dominating sets of one level, each
+    holding a phase seed and `n_grow` more vertices, the nodes visited and
+    why the search stopped: None, "nodes" or "time".
 
-    Include/exclude branching over an extension mask: a node takes the
-    lowest vertex of its extension (the neighbors of the set that no branch
-    has barred) into the set, and its later siblings bar it, so every set is
-    visited once.  A phase stops once it visits more than `allowance` nodes,
-    or at the first checkpoint (every `_CHECKPOINT` nodes) past `deadline`
-    on the `time.monotonic` clock.
+    The phases run in order.  Each branches include/exclude over an
+    extension mask: a node takes the lowest vertex of its extension (the
+    neighbors of the set that no branch has barred) into the set, and its
+    later siblings bar it, so every set is visited once.  The level stops
+    once its phases visit more than `allowance` nodes, or at a checkpoint
+    past `deadline` on the `time.monotonic` clock: the clock is read at the
+    level's first node and every `_CHECKPOINT` nodes after it.
     """
     full = (1 << graph.n) - 1
     if n_grow == 0:
-        return ([state.vt_mask] if state.cov_mask == full else []), 0, False
+        return [st.vt_mask for st in seeds if st.cov_mask == full], 0, None
     nbr = graph.neighbor_masks
     cov_masks = closed_neighborhood_masks(graph)
     step = max_cover_step(graph)
@@ -242,7 +234,7 @@ def _search(
     nodes = 0
     # one comparison per node: past `limit` the allowance is spent or a
     # checkpoint is due
-    limit = allowance if deadline is None else min(allowance, _CHECKPOINT)
+    limit = allowance if deadline is None else 0
 
     def visit() -> None:
         # the node count passed `limit`: stop, or move the next checkpoint
@@ -293,17 +285,18 @@ def _search(
                 continue
             rec(vt | bit, ncov, ext | (nbr[v] & ~barred), barred, remaining - 1)
 
-    vt = state.vt_mask
-    ext = 0
-    for v in range(graph.n):
-        if (vt >> v) & 1:
-            ext |= nbr[v]
-    barred = vt | state.excl_mask
     try:
-        rec(vt, state.cov_mask, ext & ~barred, barred, n_grow)
+        for st in seeds:
+            vt = st.vt_mask
+            ext = 0
+            for v in range(graph.n):
+                if (vt >> v) & 1:
+                    ext |= nbr[v]
+            barred = vt | st.excl_mask
+            rec(vt, st.cov_mask, ext & ~barred, barred, n_grow)
     except _Stop:
-        return out, nodes, nodes <= allowance
-    return out, nodes, False
+        return out, nodes, "nodes" if nodes > allowance else "time"
+    return out, nodes, None
 
 
 def enumerate_interiors(
@@ -319,11 +312,13 @@ def enumerate_interiors(
     leaves.  Counting the labeled cuts or the symmetry classes of huge shells
     only needs the sets, whose number is far smaller than the cut count.
 
-    The phases run in order, each within what the earlier ones left of the
+    Each level is one `_search` call on what the earlier levels left of the
     node budget, so an overrun visits at most one node past it; `time_limit`
-    is checked between levels and every `_CHECKPOINT` nodes inside a phase.
-    On an overrun the `BudgetExceededError` carries the level reports, the
-    last one counting the nodes visited in the level that overran.
+    is checked at each level's first node and every `_CHECKPOINT` nodes
+    after.  An overrun raises `BudgetExceededError`, "node budget N
+    exceeded at interior size k" or "time limit Ts exceeded at interior size
+    k", carrying the level reports, the last one counting the nodes visited
+    in the level that overran.
     """
     if graph.n == 0:
         raise ValidationError("empty graph")
@@ -335,40 +330,15 @@ def enumerate_interiors(
     reports: list[LevelReport] = []
     total = 0
     for n_s in range(seed_size, graph.n + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceededError(
-                f"time limit {time_limit}s exceeded before interior size {n_s}",
-                partial=tuple(reports),
-            )
-        if total >= budget_nodes:
-            raise BudgetExceededError(
-                f"node budget {budget_nodes} exhausted before interior size {n_s}",
-                partial=tuple(reports),
-            )
-        start = total
-        found: list[int] = []
-        for st in seeds:
-            sets, nodes, late = _search(graph, st, n_s - seed_size, budget_nodes - total, deadline)
-            found += sets
-            total += nodes
-            if late or total > budget_nodes:
-                break
+        found, nodes, stop = _search(graph, seeds, n_s - seed_size, budget_nodes - total, deadline)
+        total += nodes
         trees = {vt: count_interior_trees(graph, vt) for vt in found}
         if len(trees) != len(found):
             raise ValidationError("the search found a set twice")
-        reports.append(LevelReport(
-            n_interior=n_s, nodes=total - start, interiors=sum(trees.values()),
-        ))
-        if late:
-            raise BudgetExceededError(
-                f"time limit {time_limit}s exceeded at interior size {n_s}",
-                partial=tuple(reports),
-            )
-        if total > budget_nodes:
-            raise BudgetExceededError(
-                f"node budget {budget_nodes} exceeded at interior size {n_s}",
-                partial=tuple(reports),
-            )
+        reports.append(LevelReport(n_interior=n_s, nodes=nodes, interiors=sum(trees.values())))
+        if stop is not None:
+            bound = f"node budget {budget_nodes}" if stop == "nodes" else f"time limit {time_limit}s"
+            raise BudgetExceededError(f"{bound} exceeded at interior size {n_s}", partial=tuple(reports))
         if found:
             break
     else:
@@ -430,17 +400,15 @@ def enumerate_mlsts(
 
     On a closed shell these are its maximum leaf spanning trees; on an open
     shell, its hole cuts (the boundary cycle plus tree branches), each
-    checked by `holes.check_hole_cuts`.  A listing too large for physical
-    memory, or whose allocation fails, raises `BudgetExceededError`.  `workers`
+    checked by `holes.check_hole_cuts`.  The listing's size comes from
+    `count_labeled_cuts`, and one too large for physical memory, or whose
+    allocation fails, raises `BudgetExceededError`; a set whose listed trees
+    differ from its determinant count raises `ValidationError`.  `workers`
     is accepted and has no effect; it stays while the benchmark harness
     (`perfbench/`) passes it.
     """
     result = enumerate_interiors(graph, budget_nodes, time_limit)
-    plans = [
-        (merged_spanning_trees(graph, vt, interior_seed(graph, vt)), leaf_choices(graph, vt))
-        for vt, _ in result.sets
-    ]
-    n_cuts = sum(len(trees) * math.prod(len(c) for c in choices) for trees, choices in plans)
+    n_cuts = count_labeled_cuts(result)
     boundary = graph.boundary_edges
     # a tree on a set joins its seed (one vertex, or the boundary) to the rest
     n_fixed = len(boundary) + result.n_interior - (graph.boundary_mask.bit_count() or 1)
@@ -453,6 +421,12 @@ def enumerate_mlsts(
         raise BudgetExceededError(
             f"{needs}, more than the {memory} bytes of physical memory{hint}", partial=result.level_reports,
         )
+    plans = []
+    for vt, n_trees in result.sets:
+        trees = merged_spanning_trees(graph, vt, interior_seed(graph, vt))
+        if len(trees) != n_trees:
+            raise ValidationError(f"set {vt:#x} lists {len(trees)} trees but counts {n_trees}")
+        plans.append((trees, leaf_choices(graph, vt)))
     try:
         cuts = _listing(plans, boundary, n_cuts, n_fixed, width)
     except MemoryError as exc:
@@ -463,12 +437,4 @@ def enumerate_mlsts(
         raise ValidationError("the expansion emitted a cut twice")
     if boundary:
         check_hole_cuts(graph, cuts)
-    return MlstResult(
-        graph=graph,
-        leaf_count=result.leaf_count,
-        n_interior=result.n_interior,
-        cuts=cuts,
-        interior_count=result.interior_count,
-        nodes_visited=result.nodes_visited,
-        level_reports=result.level_reports,
-    )
+    return MlstResult(**vars(result), cuts=cuts)

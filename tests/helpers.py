@@ -327,11 +327,8 @@ def root_set_set_search(graph: ShellGraph):
     seeds = [mlst._seed(graph, 1 << r, sum(1 << q for q in roots[:k])) for k, r in enumerate(roots)]
     nodes = 0
     for n_s in range(1, graph.n + 1):
-        found = []
-        for state in seeds:
-            sets, phase_nodes, _ = mlst._search(graph, state, n_s - 1, 10**12)
-            nodes += phase_nodes
-            found += sets
+        found, level_nodes, _ = mlst._search(graph, seeds, n_s - 1, 10**12)
+        nodes += level_nodes
         if found:
             return tuple(sorted(found)), nodes
     raise ValidationError("no dominating set at any size")

@@ -73,6 +73,15 @@ def test_out_of_range_svg_rank_writes_nothing(tmp_path, capsys, command):
     assert list(out.glob("*")) == []
 
 
+def test_svg_ranks_need_an_out_dir(capsys):
+    # like export-svg, rank refuses drawings it has nowhere to write, before
+    # it searches and whatever the ranks
+    assert main(["rank", "--builtin", "cube", "--svg-ranks", "99"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: --svg-ranks requires --out-dir\n"
+    assert captured.out == ""
+
+
 def test_verify_tetrahedron(capsys):
     rc = main(["verify", "--builtin", "tetrahedron"])
     out = capsys.readouterr().out

@@ -14,7 +14,7 @@ from helpers import (
 )
 from netfold import mlst
 from netfold.cli import EXIT_BUDGET, main
-from netfold.errors import BudgetExceededError
+from netfold.errors import BudgetExceededError, ValidationError
 from netfold.mlst import LevelReport, count_labeled_cuts, enumerate_interiors, enumerate_mlsts
 from netfold.shellgraph import (
     ShellGraph,
@@ -39,7 +39,7 @@ SMALL_REFERENCE = [
 def test_small_solid_counts(name, leaves, labeled, shell_graph):
     result = enumerate_mlsts(shell_graph(name))
     assert result.leaf_count == leaves
-    assert result.labeled_count == labeled
+    assert len(result.cuts) == count_labeled_cuts(result) == labeled
 
 
 def test_every_cut_is_a_spanning_tree_with_stated_leaves(shell_graph):
@@ -91,6 +91,20 @@ def test_every_budget_holds_across_phases():
             enumerate_interiors(g, budget_nodes=budget_nodes)
         assert budget_nodes <= sum(r.nodes for r in exc.value.partial) <= budget_nodes + 1
     assert enumerate_interiors(g, budget_nodes=full).nodes_visited == full
+
+
+def test_a_budget_spent_at_a_level_boundary_overruns_on_the_next_levels_first_node(shell_graph):
+    # dodecahedron runs one phase: level 1 visits no node, level 2 the
+    # seed's three neighbors, and the budget is gone when level 3 starts
+    with pytest.raises(BudgetExceededError, match=r"^node budget 3 exceeded at interior size 3$") as exc:
+        enumerate_interiors(shell_graph("dodecahedron"), budget_nodes=3)
+    assert [(r.n_interior, r.nodes) for r in exc.value.partial] == [(1, 0), (2, 3), (3, 1)]
+
+
+def test_a_passed_deadline_stops_a_level_on_its_first_node(shell_graph):
+    with pytest.raises(BudgetExceededError, match=r"^time limit 1e-09s exceeded at interior size 2$") as exc:
+        enumerate_interiors(shell_graph("dodecahedron"), time_limit=1e-9)
+    assert [(r.n_interior, r.nodes) for r in exc.value.partial] == [(1, 0), (2, 1)]
 
 
 def test_time_limit_holds_inside_a_level(shell_graph):
@@ -148,7 +162,16 @@ def test_listing_gate_counts_the_sorted_copy(shell_graph, monkeypatch):
     with pytest.raises(BudgetExceededError, match=r"120 x 7 x 4 = 3360 bytes .* 6719 bytes"):
         enumerate_mlsts(shell_graph("cube"))
     monkeypatch.setattr(mlst, "_physical_memory", lambda: 6720)
-    assert enumerate_mlsts(shell_graph("cube")).labeled_count == 120
+    assert len(enumerate_mlsts(shell_graph("cube")).cuts) == 120
+
+
+def test_listed_trees_must_match_their_count(shell_graph, monkeypatch):
+    # each set's listed trees are checked against its determinant count, so
+    # a listing that loses a tree fails instead of coming out short
+    merged = mlst.merged_spanning_trees
+    monkeypatch.setattr(mlst, "merged_spanning_trees", lambda *args: merged(*args)[1:])
+    with pytest.raises(ValidationError, match=r"lists \d+ trees but counts \d+"):
+        enumerate_mlsts(shell_graph("cube"))
 
 
 def test_worker_count_does_not_change_output(shell_graph):
@@ -165,7 +188,7 @@ def test_interiors_count_equals_materialized(shell_graph):
         materialized = enumerate_mlsts(g)
         interiors = enumerate_interiors(g)
         assert interiors.leaf_count == materialized.leaf_count
-        assert count_labeled_cuts(interiors) == materialized.labeled_count
+        assert count_labeled_cuts(interiors) == len(materialized.cuts)
         # interiors recovered from the cut list are the same set
         assert expand_sets(interiors) == interiors_from_cuts(g, materialized.cuts)
 

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import netfold
-from netfold.cli import build_parser
+from netfold.cli import _COMMANDS, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted(Path(netfold.__file__).parent.glob("*.py"))
+CLI = Path(netfold.__file__).parent / "cli.py"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -124,3 +125,39 @@ def test_readme_flags_exist():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
     assert {"--budget-nodes", "--hole", "--trace"} <= named  # the README was read
     assert sorted(named - options - OTHER_TOOLS_FLAGS) == []
+
+
+# options no command reads, kept because perfbench/workloads.py passes them
+UNREAD_OPTIONS = {"workers"}
+
+
+def test_every_subcommand_option_is_read():
+    # a subcommand's option must reach its cmd_* function, which reads it as
+    # `args.<dest>` itself or in a cli.py helper it calls
+    functions = {
+        node.name: node
+        for node in ast.parse(CLI.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+    def reads(name, seen):
+        if name in seen or name not in functions:
+            return set()
+        seen.add(name)
+        found = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+                found.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                found |= reads(node.func.id, seen)
+        return found
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(_COMMANDS)
+    unread = {}
+    for command, parser in sub.choices.items():
+        options = {a.dest for a in parser._actions if a.option_strings and not isinstance(a, argparse._HelpAction)}
+        read = reads(_COMMANDS[command].__name__, set())
+        assert "budget_nodes" in read  # the helpers were followed
+        unread[command] = sorted(options - read - UNREAD_OPTIONS)
+    assert unread == dict.fromkeys(_COMMANDS, [])

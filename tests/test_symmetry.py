@@ -69,7 +69,7 @@ def test_class_counts(name, classes, shell_graph):
     group = find_automorphisms(g)
     reps = dedupe_cuts(g, result.cuts, group)
     assert len(reps) == classes
-    assert sum(c.orbit_size for c in reps) == result.labeled_count
+    assert sum(c.orbit_size for c in reps) == len(result.cuts)
     assert all(group.order % c.orbit_size == 0 for c in reps)
 
 
