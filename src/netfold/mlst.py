@@ -17,13 +17,16 @@ automorphism group rebuilds the whole family.  An open shell is searched in
 one phase seeded with its hole boundary: the boundary cycle is forced into
 every cut, and its vertices, which carry two cycle edges, are never leaves.
 The phases of a level run in order in one `_search` call, which keeps one
-node counter and one clock for the level.  A node is one vertex set the
-search visits; a search stops at its node budget (10^7 by default, a few
-seconds; a long run passes 10^10), at most one node past it, or its time
-limit, and either overrun raises "<node budget N | time limit Ts> exceeded at
-interior size k".  A listing whose array and sorted copy, 2 x n_cuts x width
-x 4 bytes, exceed physical memory is refused before any tree is listed, and
-the trees listed on each set must number its determinant count.
+node counter and one clock for the level.  It expands blocks of search
+states held as rows of uint64 words in numpy, with no recursion, so a search
+of any depth and any vertex count takes the same path.  A node is one vertex
+set the search visits; a search stops at its node budget (10^7 by default,
+about two seconds; a long run passes 10^10), reporting one node past it, or
+at its time limit, read before each block, and either overrun raises
+"<node budget N | time limit Ts> exceeded at interior size k".  A listing
+whose array and sorted copy, 2 x n_cuts x width x 4 bytes, exceed physical
+memory (or a lower cgroup memory limit) is refused before any tree is
+listed, and the trees listed on each set must number its determinant count.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -200,12 +204,32 @@ def _orbit_closure(graph: ShellGraph, found: dict[int, int]) -> dict[int, int]:
     return closure
 
 
-class _Stop(Exception):
-    """Unwinds the recursive search at its node allowance or its deadline."""
+# states the search expands at once: a larger block spends less time per
+# node in numpy calls and holds more memory
+_CHUNK = 4096
 
 
-# nodes between two clock reads of a search with a deadline
-_CHECKPOINT = 1 << 14
+def _words(masks: list[int], n_words: int) -> np.ndarray:
+    """Vertex masks as rows of `n_words` uint64 words, lowest word first."""
+    data = b"".join(m.to_bytes(8 * n_words, "little") for m in masks)
+    return np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(len(masks), n_words)
+
+
+def _masks(blocks: list[np.ndarray], n_words: int) -> list[int]:
+    """The rows of blocks of `n_words` uint64 words as vertex masks."""
+    data = b"".join(block.astype("<u8").tobytes() for block in blocks)
+    width = 8 * n_words
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+
+
+def _lowest(rows: np.ndarray) -> np.ndarray:
+    """Index of the lowest vertex of each row, none of them empty."""
+    # zeros below each word's lowest bit, 64 in an empty word
+    low = np.bitwise_count((rows - np.uint64(1)) & ~rows)
+    v = low[:, -1].astype(np.intp)
+    for w in range(rows.shape[1] - 2, -1, -1):
+        v = np.where(low[:, w] < 64, low[:, w], v + 64)
+    return v
 
 
 def _search(
@@ -219,84 +243,72 @@ def _search(
     The phases run in order.  Each branches include/exclude over an
     extension mask: a node takes the lowest vertex of its extension (the
     neighbors of the set that no branch has barred) into the set, and its
-    later siblings bar it, so every set is visited once.  The level stops
-    once its phases visit more than `allowance` nodes, or at a checkpoint
-    past `deadline` on the `time.monotonic` clock: the clock is read at the
-    level's first node and every `_CHECKPOINT` nodes after it.
+    later siblings bar it, so every set is visited once.  A state is three
+    masks, the set, its cover and its extension, each a row of uint64
+    words.  A vertex of the cover is in the set, in the extension or
+    barred, and one outside it is barred only by its phase, so a child's
+    extension is its parent's higher bits plus the new vertex's neighbors
+    outside the cover and the phase's barred vertices.
+
+    Each phase keeps a stack of blocks of states at one depth and expands
+    the top block, at most `_CHUNK` states of it, into one block of
+    children: in each round every state takes its lowest extension vertex,
+    and a child stays if its cover can still be completed.  The children go
+    on top, so the search runs depth first and holds at most about
+    `_CHUNK` x degree states per depth.  A block's nodes are the bits of
+    its extensions.  The level stops before a block that would take it past
+    `allowance` nodes, reporting `allowance + 1`, or before a block once
+    `time.monotonic` is past `deadline`.
     """
     full = (1 << graph.n) - 1
     if n_grow == 0:
         return [st.vt_mask for st in seeds if st.cov_mask == full], 0, None
-    nbr = graph.neighbor_masks
-    cov_masks = closed_neighborhood_masks(graph)
+    n_words = -(-graph.n // 64)
+    bits = _words([1 << v for v in range(graph.n)], n_words)
+    cov_masks = _words(closed_neighborhood_masks(graph), n_words)
     step = max_cover_step(graph)
-    out: list[int] = []
+    found: list[np.ndarray] = []
     nodes = 0
-    # one comparison per node: past `limit` the allowance is spent or a
-    # checkpoint is due
-    limit = allowance if deadline is None else 0
-
-    def visit() -> None:
-        # the node count passed `limit`: stop, or move the next checkpoint
-        nonlocal limit
-        if nodes > allowance or time.monotonic() > deadline:
-            raise _Stop
-        limit = min(allowance, limit + _CHECKPOINT)
-
-    def rec(vt: int, cov: int, ext: int, barred: int, remaining: int) -> None:
-        # `barred` holds the set, the excluded vertices and the vertices
-        # earlier branches took; `ext` is disjoint from it
-        nonlocal nodes
-        need = full ^ cov
-        if remaining == 1:
-            if nodes + ext.bit_count() > limit:
-                while ext:
-                    bit = ext & -ext
-                    ext ^= bit
-                    nodes += 1
-                    if nodes > limit:
-                        visit()
-                    if cov_masks[bit.bit_length() - 1] & need == need:
-                        out.append(vt | bit)
-                return
-            # every vertex of `ext` is a node; the ones that complete the
-            # cover are neighbors of every uncovered vertex
-            nodes += ext.bit_count()
-            while need and ext:
-                bit = need & -need
-                need ^= bit
-                ext &= cov_masks[bit.bit_length() - 1]
-            while ext:
-                bit = ext & -ext
+    for st in seeds:
+        # the neighbors each vertex may add to an extension in this phase
+        nbr = _words([m & ~st.excl_mask for m in graph.neighbor_masks], n_words)
+        seed = (st.vt_mask, st.cov_mask, st.cov_mask & ~st.vt_mask & ~st.excl_mask)
+        stack = [(n_grow, *(_words([m], n_words) for m in seed))]
+        while stack:
+            remaining, vt, cov, ext = stack.pop()
+            if len(vt) > _CHUNK:
+                # copied, so that the rest does not keep the whole block alive
+                stack.append((remaining, vt[_CHUNK:].copy(), cov[_CHUNK:].copy(), ext[_CHUNK:].copy()))
+                vt, cov, ext = vt[:_CHUNK], cov[:_CHUNK], ext[:_CHUNK]
+            if deadline is not None and time.monotonic() > deadline:
+                return _masks(found, n_words), nodes, "time"
+            counts = np.bitwise_count(ext).sum(axis=1, dtype=np.intp)
+            nodes += int(counts.sum())
+            if nodes > allowance:
+                return _masks(found, n_words), allowance + 1, "nodes"
+            # states by falling node count, so the states still branching
+            # in a round are a prefix; live[r] of them branch in round r
+            order = np.argsort(counts)[::-1]
+            vt, cov, ext = vt[order], cov[order], ext[order]
+            live = len(counts) - np.cumsum(np.bincount(counts))[:-1]
+            need = graph.n - (remaining - 1) * step
+            kids = []
+            for k in live.tolist():
+                vt, cov, ext = vt[:k], cov[:k], ext[:k]
+                v = _lowest(ext)
+                bit = bits[v]
                 ext ^= bit
-                out.append(vt | bit)
-            return
-        bound = (remaining - 1) * step
-        while ext:
-            bit = ext & -ext
-            ext ^= bit
-            barred |= bit
-            nodes += 1
-            if nodes > limit:
-                visit()
-            v = bit.bit_length() - 1
-            ncov = cov | cov_masks[v]
-            if (full ^ ncov).bit_count() > bound:
-                continue
-            rec(vt | bit, ncov, ext | (nbr[v] & ~barred), barred, remaining - 1)
-
-    try:
-        for st in seeds:
-            vt = st.vt_mask
-            ext = 0
-            for v in range(graph.n):
-                if (vt >> v) & 1:
-                    ext |= nbr[v]
-            barred = vt | st.excl_mask
-            rec(vt, st.cov_mask, ext & ~barred, barred, n_grow)
-    except _Stop:
-        return out, nodes, "nodes" if nodes > allowance else "time"
-    return out, nodes, None
+                ncov = cov | cov_masks[v]
+                keep = np.bitwise_count(ncov).sum(axis=1, dtype=np.intp) >= need
+                if not keep.any():
+                    continue
+                if remaining == 1:
+                    found.append(vt[keep] | bit[keep])
+                else:
+                    kids.append((vt[keep] | bit[keep], ncov[keep], ext[keep] | (nbr[v[keep]] & ~cov[keep])))
+            if kids:
+                stack.append((remaining - 1, *(np.concatenate(part) for part in zip(*kids))))
+    return _masks(found, n_words), nodes, None
 
 
 def enumerate_interiors(
@@ -313,12 +325,13 @@ def enumerate_interiors(
     only needs the sets, whose number is far smaller than the cut count.
 
     Each level is one `_search` call on what the earlier levels left of the
-    node budget, so an overrun visits at most one node past it; `time_limit`
-    is checked at each level's first node and every `_CHECKPOINT` nodes
-    after.  An overrun raises `BudgetExceededError`, "node budget N
-    exceeded at interior size k" or "time limit Ts exceeded at interior size
-    k", carrying the level reports, the last one counting the nodes visited
-    in the level that overran.
+    node budget, so an overrun reports one node past it; `time_limit` is
+    checked before each block of search states.  An overrun raises
+    `BudgetExceededError`, "node budget N exceeded at interior size k" or
+    "time limit Ts exceeded at interior size k", carrying the level
+    reports, the last one counting the nodes visited in the level that
+    overran.  Its `interiors` counts the sets found before the stop, which
+    depend on the order the blocks ran in; nothing prints that figure.
     """
     if graph.n == 0:
         raise ValidationError("empty graph")
@@ -356,9 +369,21 @@ def enumerate_interiors(
     )
 
 
+# the cgroup file system root, where a container sees its own cgroup
+_CGROUP = Path("/sys/fs/cgroup")
+
+
 def _physical_memory() -> int:
-    """Bytes of physical memory; a cgroup limit below it is not seen."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    """Bytes of physical memory, or the memory limit of the cgroup (v2
+    `memory.max`, v1 `memory.limit_in_bytes`) if it is lower; a file that is
+    missing or not a number, such as "max", sets no limit."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    for name in ("memory.max", "memory/memory.limit_in_bytes"):
+        try:
+            memory = min(memory, int((_CGROUP / name).read_text()))
+        except (OSError, ValueError):
+            pass
+    return memory
 
 
 def _listing(plans, boundary, n_cuts: int, n_fixed: int, width: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 Each one is deliberately simple and independent of the code it checks:
 brute-force filters, a one-cut union-find hole-cut check, the tree search
 (interiors grown edge by edge, without symmetry) with fixed-point class
-counting over its explicit interiors, recovery of interiors from explicit
+counting over its explicit interiors, the recursive set search that the
+block search in `netfold.mlst` replaced, recovery of interiors from explicit
 cut lists, a whole-group canonical form for a single cut, trend
 statistics over the catalog table, and a backtracking search for a graph's
 automorphisms, which checks the groups netfold reads off face maps and
@@ -317,6 +318,54 @@ def tree_search_interiors(graph: ShellGraph):
             interiors.sort(key=lambda it: (it[1], it[0]))
             return graph.n - n_s, tuple(interiors), nodes
     raise ValidationError("no dominating interior at any size")
+
+
+def recursive_search(graph: ShellGraph, seeds, n_grow: int, allowance: int):
+    """The sets, nodes and stop reason of one level of `netfold.mlst._search`
+    (without a deadline), found by recursing once per vertex taken: the
+    search the block search replaced, which every set and node count must
+    match.  It keeps the `barred` mask the block search drops, and counts
+    nodes one by one, so an overrun stops one node past `allowance`."""
+    full = (1 << graph.n) - 1
+    if n_grow == 0:
+        return [st.vt_mask for st in seeds if st.cov_mask == full], 0, None
+    nbr = graph.neighbor_masks
+    cov_masks = mlst.closed_neighborhood_masks(graph)
+    step = mlst.max_cover_step(graph)
+    out = []
+    nodes = 0
+
+    class Stop(Exception):
+        pass
+
+    def rec(vt, cov, ext, barred, remaining):
+        # `barred` holds the set, the excluded vertices and the vertices
+        # earlier branches took; `ext` is disjoint from it
+        nonlocal nodes
+        bound = (remaining - 1) * step
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            barred |= bit
+            nodes += 1
+            if nodes > allowance:
+                raise Stop
+            v = bit.bit_length() - 1
+            ncov = cov | cov_masks[v]
+            if (full ^ ncov).bit_count() > bound:
+                continue
+            if remaining == 1:
+                out.append(vt | bit)
+            else:
+                rec(vt | bit, ncov, ext | (nbr[v] & ~barred), barred, remaining - 1)
+
+    try:
+        for st in seeds:
+            barred = st.vt_mask | st.excl_mask
+            rec(st.vt_mask, st.cov_mask, st.cov_mask & ~barred, barred, n_grow)
+    except Stop:
+        return out, nodes, "nodes"
+    return out, nodes, None
 
 
 def root_set_set_search(graph: ShellGraph):

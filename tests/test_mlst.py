@@ -1,3 +1,4 @@
+import os
 import time
 
 import numpy as np
@@ -101,16 +102,18 @@ def test_a_budget_spent_at_a_level_boundary_overruns_on_the_next_levels_first_no
     assert [(r.n_interior, r.nodes) for r in exc.value.partial] == [(1, 0), (2, 3), (3, 1)]
 
 
-def test_a_passed_deadline_stops_a_level_on_its_first_node(shell_graph):
+def test_a_passed_deadline_stops_a_level_before_its_first_block(shell_graph):
+    # the clock is read before a block's nodes are counted, so level 2 (the
+    # seed's three neighbors, one block) stops having visited no node
     with pytest.raises(BudgetExceededError, match=r"^time limit 1e-09s exceeded at interior size 2$") as exc:
         enumerate_interiors(shell_graph("dodecahedron"), time_limit=1e-9)
-    assert [(r.n_interior, r.nodes) for r in exc.value.partial] == [(1, 0), (2, 1)]
+    assert [(r.n_interior, r.nodes) for r in exc.value.partial] == [(1, 0), (2, 0)]
 
 
 def test_time_limit_holds_inside_a_level(shell_graph):
-    # nearly all of icosidodecahedron's ~1.8 M nodes (about a second) lie in
-    # its last level
-    g = shell_graph("icosidodecahedron")
+    # truncated_icosahedron's levels 1-28 visit 3 nodes each, and levels 29
+    # and 30 millions (about a second of search at the default budget)
+    g = shell_graph("truncated_icosahedron")
     start = time.monotonic()
     with pytest.raises(BudgetExceededError, match=r"time limit 0\.2s exceeded at interior size") as exc:
         enumerate_interiors(g, time_limit=0.2)
@@ -163,6 +166,26 @@ def test_listing_gate_counts_the_sorted_copy(shell_graph, monkeypatch):
         enumerate_mlsts(shell_graph("cube"))
     monkeypatch.setattr(mlst, "_physical_memory", lambda: 6720)
     assert len(enumerate_mlsts(shell_graph("cube")).cuts) == 120
+
+
+@pytest.mark.parametrize("files,limit", [
+    ({}, None),
+    ({"memory.max": "max\n"}, None),
+    ({"memory.max": "1048576\n"}, 1048576),
+    ({"memory/memory.limit_in_bytes": "9223372036854771712\n"}, None),
+    ({"memory/memory.limit_in_bytes": "2097152\n"}, 2097152),
+    ({"memory.max": "1048576\n", "memory/memory.limit_in_bytes": "2097152\n"}, 1048576),
+])
+def test_listing_gate_sees_a_cgroup_memory_limit(tmp_path, monkeypatch, files, limit):
+    # a readable, numeric cgroup v2 or v1 limit below physical memory is the
+    # memory a listing may take; "max", v1's unlimited value or no file is
+    # no limit
+    machine = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(mlst, "_CGROUP", tmp_path)
+    assert mlst._physical_memory() == (machine if limit is None else limit)
 
 
 def test_listed_trees_must_match_their_count(shell_graph, monkeypatch):

@@ -104,6 +104,21 @@ def test_only_the_builders_construct_shell_graphs():
     assert found == ["shellgraph.ShellGraph.from_edges", "shellgraph.build_shell_graph"]
 
 
+def test_mlst_has_no_recursive_function():
+    # the search expands blocks from an explicit stack, so its depth is not
+    # bounded by Python's recursion limit; no function of mlst.py may call
+    # itself
+    (tree,) = [tree for path, tree in zip(SOURCES, _trees()) if path.name == "mlst.py"]
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert "_search" in {f.name for f in functions}  # the module was read
+    recursive = [
+        f.name for f in functions
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == f.name
+    ]
+    assert recursive == []
+
+
 # flags the README gives to other tools: pip, and perfbench/run.py
 OTHER_TOOLS_FLAGS = {
     "--no-build-isolation",  # pip install
