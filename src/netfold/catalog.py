@@ -1,10 +1,10 @@
 """Built-in catalog of 21 convex shells.
 
 Coordinates come from standard constructions (sign/permutation families,
-truncations, rectifications, polar duals); faces are recovered by merging
-coplanar convex-hull facets and are canonicalized so vertex and face
-numbering is deterministic.  Every entry is validated against its expected
-vertex/edge/face counts at build time.
+truncations, rectifications, polar duals); each face is recovered as the
+vertices on a supporting plane through three vertices, and faces are
+canonicalized so vertex and face numbering is deterministic.  Every entry
+is validated against its expected vertex/edge/face counts at build time.
 """
 
 from __future__ import annotations
@@ -27,74 +27,44 @@ SQRT2 = math.sqrt(2.0)
 TRIBONACCI = (1.0 + (19.0 + 3.0 * math.sqrt(33.0)) ** (1.0 / 3.0)
               + (19.0 - 3.0 * math.sqrt(33.0)) ** (1.0 / 3.0)) / 3.0
 
-_COPLANAR_DOT = 1.0 - 1e-9
+# a vertex within this fraction of the solid's radius of a plane lies on it
+_PLANE_RTOL = 1e-9
 
 
-def _faces_from_hull(points: np.ndarray) -> list[tuple[int, ...]]:
+def _faces_of_solid(points: np.ndarray) -> list[tuple[int, ...]]:
     """Faces of a convex solid as CCW-outside vertex cycles.
 
-    Hull facets are oriented by their outward normals, grouped into coplanar
-    patches, and each patch boundary is chained into a single cycle.
+    Every plane through three vertices that has no vertex in front of it
+    supports a face, and the face is the vertices on that plane.  A vertex on
+    fewer than three faces lies inside a face or an edge, or inside the solid;
+    two vertices on the same faces coincide.
     """
-    # scipy.spatial costs most of the package's import time and only catalog
-    # shells need it, so it is imported on first use
-    from scipy.spatial import ConvexHull
-
-    hull = ConvexHull(points)
-    if len(hull.vertices) != len(points):
+    n = len(points)
+    centroid = points.mean(axis=0)
+    radius = float(np.linalg.norm(points - centroid, axis=1).max())
+    tol = _PLANE_RTOL * radius
+    triples = np.fromiter(itertools.combinations(range(n), 3), np.dtype((np.intp, 3)), math.comb(n, 3))
+    a, b, c = (points[triples[:, k]] for k in range(3))
+    normals = np.cross(b - a, c - a)
+    # twice each triangle's area; a collinear triple spans no plane
+    area = np.linalg.norm(normals, axis=1)
+    keep = area > tol * radius
+    normals = normals[keep] / area[keep, None]
+    a = a[keep]
+    normals *= np.where(np.einsum("ij,ij->i", a - centroid, normals) < 0.0, -1.0, 1.0)[:, None]
+    heights = points @ normals.T
+    heights -= np.einsum("ij,ij->i", a, normals)
+    supporting = ~(heights > tol).any(axis=0)
+    on = np.abs(heights[:, supporting].T) <= tol
+    members, first = np.unique(on, axis=0, return_index=True)
+    if (members.sum(axis=0) < 3).any() or np.unique(members, axis=1).shape[1] < n:
         raise ValidationError("input points are not all extreme; not a convex solid")
-    normals = hull.equations[:, :3]
-    nf = len(hull.simplices)
-
-    oriented = []
-    for fi in range(nf):
-        a, b, c = (int(x) for x in hull.simplices[fi])
-        cr = np.cross(points[b] - points[a], points[c] - points[a])
-        if float(cr @ normals[fi]) < 0.0:
-            b, c = c, b
-        oriented.append((a, b, c))
-
-    parent = list(range(nf))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for fi in range(nf):
-        for fj in hull.neighbors[fi]:
-            if float(normals[fi] @ normals[fj]) > _COPLANAR_DOT:
-                parent[find(fi)] = find(int(fj))
-
-    groups: dict[int, list[int]] = {}
-    for fi in range(nf):
-        groups.setdefault(find(fi), []).append(fi)
-
     faces = []
-    for members in groups.values():
-        directed: set[tuple[int, int]] = set()
-        for fi in members:
-            a, b, c = oriented[fi]
-            for u, v in ((a, b), (b, c), (c, a)):
-                if (v, u) in directed:
-                    directed.discard((v, u))
-                else:
-                    directed.add((u, v))
-        nxt = {}
-        for u, v in directed:
-            if u in nxt:
-                raise ValidationError("coplanar patch boundary is not a simple cycle")
-            nxt[u] = v
-        start = min(nxt)
-        cycle = [start]
-        cur = nxt[start]
-        while cur != start:
-            cycle.append(cur)
-            cur = nxt[cur]
-        if len(cycle) != len(directed):
-            raise ValidationError("coplanar patch boundary is not a single cycle")
-        faces.append(tuple(cycle))
+    for row, normal in zip(members, normals[supporting][first]):
+        idx = np.flatnonzero(row)
+        q = points[idx] - points[idx].mean(axis=0)
+        angle = np.arctan2(q @ np.cross(normal, q[0]), q @ q[0])
+        faces.append(tuple(idx[np.argsort(angle)].tolist()))
     return faces
 
 
@@ -104,7 +74,7 @@ def _canonical_spec(name: str, points: np.ndarray) -> PolyhedronSpec:
     keys = [tuple(round(c, 9) for c in p) for p in pts]
     order = sorted(range(len(pts)), key=lambda i: keys[i])
     pts = pts[order]
-    faces = _faces_from_hull(pts)
+    faces = _faces_of_solid(pts)
     canon_faces = []
     for f in faces:
         k = f.index(min(f))

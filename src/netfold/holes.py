@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .polyhedra import PolyhedronSpec
+from .polyhedra import PolyhedronSpec, _count_components
 from .shellgraph import ShellGraph
 
 
@@ -123,16 +123,6 @@ def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
 
 def _connected_unicyclic(graph: ShellGraph, edge_ids: Sequence[int]) -> bool:
     """Whether the edges form one component with as many vertices as edges."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edge_ids:
-        a, b = graph.edges[e]
-        parent[find(a)] = find(b)
-    return len(parent) == len(edge_ids) and len({find(x) for x in parent}) == 1
+    ends = [graph.edges[e] for e in edge_ids]
+    vertices = {v for e in ends for v in e}
+    return len(vertices) == len(ends) and _count_components(vertices, ends) == 1

@@ -97,7 +97,13 @@ def _write_json(doc: object, path: PathLike) -> None:
 
 def load_polyhedron(path: PathLike) -> PolyhedronSpec:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:

@@ -71,12 +71,10 @@ class SearchState:
 @dataclass(frozen=True)
 class LevelReport:
     """Deterministic statistics for one interior size: the nodes the search
-    visited and the interiors (trees on the sets) it found, before the orbit
-    expansion."""
+    visited."""
 
     n_interior: int
     nodes: int
-    interiors: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,18 +184,19 @@ def _seeds(graph: ShellGraph) -> list[SearchState]:
     return seeds
 
 
-def _orbit_closure(graph: ShellGraph, found: dict[int, int]) -> dict[int, int]:
+def _orbit_closure(graph: ShellGraph, found: list[int]) -> dict[int, int]:
     """Every image of the found sets under the automorphism group, each with
     the tree count of its orbit.
 
     A found set already among the images of an earlier one adds nothing, so
-    each orbit is mapped once, from its first member found.
+    each orbit is counted and mapped once, from its first member found.
     """
     group = find_automorphisms(graph)
     closure: dict[int, int] = {}
-    for vt, trees in found.items():
+    for vt in found:
         if vt in closure:
             continue
+        trees = count_interior_trees(graph, vt)
         members = [v for v in range(graph.n) if (vt >> v) & 1]
         for p in group.perms:
             closure[sum(1 << p[v] for v in members)] = trees
@@ -330,8 +329,7 @@ def enumerate_interiors(
     `BudgetExceededError`, "node budget N exceeded at interior size k" or
     "time limit Ts exceeded at interior size k", carrying the level
     reports, the last one counting the nodes visited in the level that
-    overran.  Its `interiors` counts the sets found before the stop, which
-    depend on the order the blocks ran in; nothing prints that figure.
+    overran.
     """
     if graph.n == 0:
         raise ValidationError("empty graph")
@@ -345,10 +343,9 @@ def enumerate_interiors(
     for n_s in range(seed_size, graph.n + 1):
         found, nodes, stop = _search(graph, seeds, n_s - seed_size, budget_nodes - total, deadline)
         total += nodes
-        trees = {vt: count_interior_trees(graph, vt) for vt in found}
-        if len(trees) != len(found):
+        if len(set(found)) != len(found):
             raise ValidationError("the search found a set twice")
-        reports.append(LevelReport(n_interior=n_s, nodes=nodes, interiors=sum(trees.values())))
+        reports.append(LevelReport(n_interior=n_s, nodes=nodes))
         if stop is not None:
             bound = f"node budget {budget_nodes}" if stop == "nodes" else f"time limit {time_limit}s"
             raise BudgetExceededError(f"{bound} exceeded at interior size {n_s}", partial=tuple(reports))
@@ -357,8 +354,10 @@ def enumerate_interiors(
     else:
         raise ValidationError("no dominating interior found at any size; graph not connected?")
 
-    if not graph.boundary_edges:
-        trees = _orbit_closure(graph, trees)
+    if graph.boundary_edges:
+        trees = {vt: count_interior_trees(graph, vt) for vt in found}
+    else:
+        trees = _orbit_closure(graph, found)
     return InteriorResult(
         graph=graph,
         leaf_count=graph.n - n_s,

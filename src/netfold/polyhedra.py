@@ -205,8 +205,8 @@ def _check_shell(spec: PolyhedronSpec, graph_of: Callable[[tuple[Edge, ...], tup
     naming the shell (NonManifoldError for an edge in more than two faces)
     for: degenerate faces, non-manifold edges, inconsistent orientation, a
     broken hole rule, a disconnected shell graph, a vertex whose faces form
-    more than one fan, a broken Euler count, non-positive edge lengths, or
-    non-planar faces.
+    more than one fan, a broken Euler count, a non-finite coordinate,
+    non-positive edge lengths, or non-planar faces.
     """
     for fi, f in enumerate(spec.faces):
         if len(f) < 3:
@@ -252,6 +252,9 @@ def _check_shell(spec: PolyhedronSpec, graph_of: Callable[[tuple[Edge, ...], tup
 
     if spec.has_geometry:
         pts = spec.vertices
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise ValidationError(f"{spec.name}: vertex {bad[0]} has a non-finite coordinate")
         for u, v in table:
             if not np.linalg.norm(pts[u] - pts[v]) > 0.0:
                 raise ValidationError(f"{spec.name}: edge ({u}, {v}) has zero length")

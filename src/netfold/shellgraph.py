@@ -333,21 +333,7 @@ def count_interior_trees(graph: ShellGraph, vt_mask: int) -> int:
 
 
 def is_spanning_tree(graph: ShellGraph, cut: Sequence[int]) -> bool:
-    """Size V-1, connected, acyclic, spanning."""
+    """V-1 distinct edges joining every vertex into one component."""
     if len(set(cut)) != len(cut) or len(cut) != graph.n - 1:
         return False
-    parent = list(range(graph.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in cut:
-        u, v = graph.edges[e]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    return _count_components(range(graph.n), (graph.edges[e] for e in cut)) == 1

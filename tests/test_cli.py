@@ -356,13 +356,36 @@ def test_rank_files_match_golden_hashes(tmp_path, monkeypatch, capsys, name, hol
     assert digests == RANK_GOLDEN[(name, hole)]
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
-    # scipy.spatial is only needed to build catalog shells; a fresh
-    # interpreter must not pay for it at start-up
-    code = "import netfold.cli, sys; assert 'scipy.spatial' not in sys.modules"
+def test_catalog_builds_without_loading_scipy():
+    # netfold's one run-time dependency is numpy: a fresh interpreter that
+    # loads the CLI and builds every catalog shell has no scipy module
+    code = (
+        "import sys, netfold.cli\n"
+        "from netfold.catalog import CATALOG, builtin\n"
+        "assert all(builtin(e.name).faces for e in CATALOG)\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded[:5]\n"
+    )
     src = str(Path(netfold.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("missing", "cannot read: No such file or directory"),
+    ("directory", "cannot read: Is a directory"),
+    ("latin-1", "not UTF-8 text at byte 13"),
+], ids=["missing", "directory", "latin-1"])
+def test_an_unreadable_input_is_a_usage_error(tmp_path, capsys, kind, reason):
+    # each of these once ended in a traceback from `load_polyhedron`
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin-1":
+        path.write_bytes('{"name": "caf\u00e9", "faces": []}'.encode("latin-1"))
+    assert main(["count", "--input", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {path}: {reason}\n")

@@ -8,7 +8,7 @@ from netfold.cli import main
 from netfold.errors import ValidationError
 from netfold.holes import check_hole_cuts, remove_faces
 from netfold.mlst import count_labeled_cuts, enumerate_interiors, enumerate_mlsts
-from netfold.polyhedra import PolyhedronSpec
+from netfold.polyhedra import PolyhedronSpec, canon_edge
 from netfold.shellgraph import build_shell_graph, cut_leaves
 from netfold.symmetry import dedupe_cuts, edge_set_stabilizer, find_automorphisms
 
@@ -305,3 +305,18 @@ def test_count_open_shell_prints_product_and_burnside_counts(capsys):
     assert rc == 0
     assert "labeled optimal cuts: 3280\n" in out
     assert "optimal net classes: 420\n" in out
+
+
+def test_a_core_is_one_component_with_one_cycle():
+    g = build_shell_graph(builtin("cube"))
+    top = g.faces[0]
+    bottom = next(f for f in g.faces if not set(f) & set(top))
+
+    def cycle(face):
+        return [g.edge_index[canon_edge(a, b)] for a, b in zip(face, face[1:] + face[:1])]
+
+    assert holes._connected_unicyclic(g, cycle(top))
+    assert not holes._connected_unicyclic(g, cycle(top)[:3])
+    assert not holes._connected_unicyclic(g, [])
+    # as many vertices as edges, in two components
+    assert not holes._connected_unicyclic(g, cycle(top) + cycle(bottom))

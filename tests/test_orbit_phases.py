@@ -272,3 +272,31 @@ def test_group_is_found_once_per_graph(monkeypatch, capsys):
         assert len(calls) == 1, command
     g = catalog_graph("cube")
     assert find_automorphisms(g) is find_automorphisms(g)
+
+
+@pytest.mark.parametrize("name, hole", [
+    ("truncated_cube", None), ("snub_cube", None), ("truncated_cuboctahedron", None),
+    ("octagonal_dipyramid", None), ("truncated_cube", 0),
+])
+def test_trees_are_counted_once_per_orbit_of_sets(monkeypatch, name, hole):
+    # a closed shell's sets of one orbit have equal tree counts, so only the
+    # first member the search finds is counted; an open shell counts each set
+    g = catalog_graph(name) if hole is None else build_shell_graph(remove_faces(builtin(name), [hole]))
+    counted = []
+    count_trees = mlst.count_interior_trees
+
+    def spy(graph, vt_mask):
+        counted.append(vt_mask)
+        return count_trees(graph, vt_mask)
+
+    monkeypatch.setattr(mlst, "count_interior_trees", spy)
+    result = enumerate_interiors(g)
+    assert len(set(counted)) == len(counted)
+    assert dict(result.sets) == {vt: count_trees(g, vt) for vt, _ in result.sets}
+    if hole is None:
+        perms = find_automorphisms(g).perms
+        orbits = {min(sum(1 << p[v] for v in range(g.n) if (vt >> v) & 1) for p in perms)
+                  for vt, _ in result.sets}
+        assert len(counted) == len(orbits) < len(result.sets)
+    else:
+        assert sorted(counted) == [vt for vt, _ in result.sets]

@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,3 +134,27 @@ def test_building_the_graph_runs_every_shell_check(tmp_path, capsys, name):
     assert main(["count", "--input", str(path)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {name}: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["count", "rank"])
+@pytest.mark.parametrize("literal", ["1e400", "NaN", "-Infinity"])
+def test_a_non_finite_coordinate_is_rejected_first(tmp_path, capsys, command, literal):
+    # JSON reads 1e400 as infinity and accepts NaN; an infinite coordinate
+    # once passed every check, so `count` answered and `rank` failed later on
+    # a hinge "changing length", with a numpy warning
+    tetra = builtin("tetrahedron")
+    rows = tetra.vertices.tolist()
+    rows[3][2] = "z"
+    text = json.dumps({"name": "tet", "faces": [list(f) for f in tetra.faces], "vertices": rows})
+    text = text.replace('"z"', literal)
+    path = tmp_path / "tet.json"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--input", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: tet: vertex 3 has a non-finite coordinate\n")
+    vertices = tetra.vertices.copy()
+    vertices[3, 2] = float(literal)
+    with pytest.raises(ValidationError, match="^tet: vertex 3 has a non-finite coordinate$"):
+        build_shell_graph(PolyhedronSpec(name="tet", faces=tetra.faces, vertices=vertices))

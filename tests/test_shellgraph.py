@@ -149,6 +149,17 @@ def test_cut_leaves_on_path():
     assert not is_spanning_tree(g, path[:2])
 
 
+def test_a_spanning_tree_joins_every_vertex():
+    # K4 plus a pendant vertex: V - 1 distinct edges that hold a triangle
+    # leave a vertex out, and a repeated edge does not count twice
+    g = ShellGraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+    ids = [g.edge_index[e] for e in [(0, 1), (1, 2), (0, 2), (3, 4)]]
+    assert not is_spanning_tree(g, ids)
+    ids[2] = g.edge_index[(2, 3)]
+    assert is_spanning_tree(g, ids)
+    assert not is_spanning_tree(g, ids[:3] + ids[:1])
+
+
 @st.composite
 def connected_graphs(draw):
     n = draw(st.integers(min_value=2, max_value=7))

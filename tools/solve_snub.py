@@ -6,6 +6,10 @@ edge orbits of the solid to share one length fixes them.  The result is
 verified through its convex hull (V=60, E=150, F=92 with 12 pentagons and 80
 triangles, all edges equal) and printed as 17-significant-digit literals for
 the catalog.
+
+Needs scipy (`scipy.optimize`, `scipy.spatial`), which netfold itself does
+not use at run time; it comes with the test extra (`pip install -e .[test]`).
+Run it as `python tools/solve_snub.py`.
 """
 
 import itertools
