@@ -3,17 +3,17 @@
 The pipeline: describe a shell (`PolyhedronSpec`), build its vertex graph
 and faces (`build_shell_graph`, which runs every shell check and accepts a
 closed shell or one with a single hole bounded by one simple cycle),
-enumerate every optimal cut
-(`enumerate_mlsts`; an open shell's search is seeded with its hole boundary,
-and each cut it lists is checked as a hole cut), deduplicate under the face
-map's automorphism group (`dedupe_cuts`), unfold each class to a planar net
-(`unfold`), rank by radius of gyration (`rank_nets`), and select the first
-non-overlapping net (`select_optimal_net`).  Every cut list and count comes
-from one search over interior vertex sets: `enumerate_interiors` gives each
-set with the number of trees on it, and `count_labeled_cuts` and
-`count_net_classes` count exactly without materializing cut lists, for
-closed and open shells alike.
-"""
+enumerate every optimal cut (`enumerate_mlsts`; an open shell's search is
+seeded with its hole boundary, and each cut it lists is checked as a hole
+cut), deduplicate under the cut group (`cut_group`: the face map's
+automorphisms that fix the hole boundary) with `dedupe_cuts`, unfold each
+class to a planar net (`unfold`), rank by radius of gyration (`rank_nets`),
+and select the first non-overlapping net (`select_optimal_net`).  Every cut
+list and count comes from one search over interior vertex sets:
+`enumerate_interiors` gives the sets as orbits under the cut group with
+the trees on each, and `count_labeled_cuts` and `count_net_classes` count
+per orbit without materializing cut lists, for closed and open shells
+alike."""
 
 from .analysis import (
     ShellStatistics,
@@ -65,6 +65,7 @@ from .symmetry import (
     CanonicalCut,
     CutClasses,
     count_net_classes,
+    cut_group,
     dedupe_cuts,
     find_automorphisms,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "count_labeled_cuts",
     "count_net_classes",
     "count_spanning_trees",
+    "cut_group",
     "dedupe_cuts",
     "enumerate_interiors",
     "enumerate_mlsts",

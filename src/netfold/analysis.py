@@ -14,14 +14,10 @@ from typing import Optional, Sequence
 
 from .catalog import CATALOG, builtin, catalog_entry
 from .errors import BudgetExceededError, ValidationError
-from .mlst import (
-    DEFAULT_NODE_BUDGET,
-    count_labeled_cuts,
-    enumerate_interiors,
-)
+from .mlst import DEFAULT_NODE_BUDGET, count_labeled_cuts, enumerate_interiors
 from .polyhedra import PolyhedronSpec
 from .shellgraph import build_shell_graph, count_spanning_trees
-from .symmetry import count_net_classes, edge_set_stabilizer, find_automorphisms
+from .symmetry import count_net_classes, find_automorphisms
 
 
 def leaf_estimate(n_edges: int) -> Fraction:
@@ -99,8 +95,8 @@ def compute_statistics(
     """Exact per-shell statistics, within a node budget.
 
     Counts come without materializing the cut list: interior enumeration,
-    then product counting and fixed-point counting under the subgroup that
-    preserves the hole boundary (the whole group for a closed shell).  A
+    then product counting and fixed-point counting per orbit of sets under
+    the cut group (`symmetry.cut_group`).  A
     partial row's `nodes_visited` sums the search's level reports.
     """
     graph = build_shell_graph(spec)
@@ -123,11 +119,10 @@ def compute_statistics(
             nodes_visited=sum(r.nodes for r in exc.partial),
             status="partial", note=str(exc),
         )
-    stab = edge_set_stabilizer(graph, group, graph.boundary_edges)
     return ShellStatistics(
         **base, leaf_count=interiors.leaf_count,
         n_optimal_cuts=count_labeled_cuts(interiors),
-        n_optimal_nets=count_net_classes(graph, interiors.sets, stab),
+        n_optimal_nets=count_net_classes(interiors),
         nodes_visited=interiors.nodes_visited, status="complete",
     )
 

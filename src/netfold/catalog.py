@@ -29,6 +29,8 @@ TRIBONACCI = (1.0 + (19.0 + 3.0 * math.sqrt(33.0)) ** (1.0 / 3.0)
 
 # a vertex within this fraction of the solid's radius of a plane lies on it
 _PLANE_RTOL = 1e-9
+# vertex triples screened at once: the height matrix is V x this, not V x C(V, 3)
+_TRIPLE_BLOCK = 4096
 
 
 def _faces_of_solid(points: np.ndarray) -> list[tuple[int, ...]]:
@@ -44,23 +46,26 @@ def _faces_of_solid(points: np.ndarray) -> list[tuple[int, ...]]:
     radius = float(np.linalg.norm(points - centroid, axis=1).max())
     tol = _PLANE_RTOL * radius
     triples = np.fromiter(itertools.combinations(range(n), 3), np.dtype((np.intp, 3)), math.comb(n, 3))
-    a, b, c = (points[triples[:, k]] for k in range(3))
-    normals = np.cross(b - a, c - a)
-    # twice each triangle's area; a collinear triple spans no plane
-    area = np.linalg.norm(normals, axis=1)
-    keep = area > tol * radius
-    normals = normals[keep] / area[keep, None]
-    a = a[keep]
-    normals *= np.where(np.einsum("ij,ij->i", a - centroid, normals) < 0.0, -1.0, 1.0)[:, None]
-    heights = points @ normals.T
-    heights -= np.einsum("ij,ij->i", a, normals)
-    supporting = ~(heights > tol).any(axis=0)
-    on = np.abs(heights[:, supporting].T) <= tol
+    blocks = []
+    for start in range(0, len(triples), _TRIPLE_BLOCK):
+        a, b, c = (points[triples[start:start + _TRIPLE_BLOCK, k]] for k in range(3))
+        normals = np.cross(b - a, c - a)
+        # twice each triangle's area; a collinear triple spans no plane
+        area = np.linalg.norm(normals, axis=1)
+        keep = area > tol * radius
+        normals = normals[keep] / area[keep, None]
+        a = a[keep]
+        normals *= np.where(np.einsum("ij,ij->i", a - centroid, normals) < 0.0, -1.0, 1.0)[:, None]
+        heights = points @ normals.T
+        heights -= np.einsum("ij,ij->i", a, normals)
+        supporting = ~(heights > tol).any(axis=0)
+        blocks.append((normals[supporting], np.abs(heights[:, supporting].T) <= tol))
+    normals, on = (np.concatenate(part) for part in zip(*blocks))
     members, first = np.unique(on, axis=0, return_index=True)
     if (members.sum(axis=0) < 3).any() or np.unique(members, axis=1).shape[1] < n:
         raise ValidationError("input points are not all extreme; not a convex solid")
     faces = []
-    for row, normal in zip(members, normals[supporting][first]):
+    for row, normal in zip(members, normals[first]):
         idx = np.flatnonzero(row)
         q = points[idx] - points[idx].mean(axis=0)
         angle = np.arctan2(q @ np.cross(normal, q[0]), q @ q[0])

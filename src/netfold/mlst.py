@@ -11,11 +11,11 @@ are listed (`shellgraph.count_interior_trees`, `merged_spanning_trees`).
 
 A closed shell is searched in one phase per vertex orbit of the root set (a
 minimum-degree vertex and its neighbors), rooted at the orbit's first root
-and barring every vertex of the earlier orbits; the phases find at least one
-member of every orbit of sets, and mapping the found sets under the
-automorphism group rebuilds the whole family.  An open shell is searched in
-one phase seeded with its hole boundary: the boundary cycle is forced into
-every cut, and its vertices, which carry two cycle edges, are never leaves.
+and barring every vertex of the earlier orbits, which finds a member of
+every orbit of sets; an open shell in one phase seeded with its hole
+boundary, whose vertices carry two cycle edges and are never leaves.  The
+found sets are mapped into orbits under `symmetry.cut_group`, and the
+trees are counted once per orbit.
 The phases of a level run in order in one `_search` call, which keeps one
 node counter and one clock for the level.  It expands blocks of search
 states held as rows of uint64 words in numpy, with no recursion, so a search
@@ -49,7 +49,7 @@ from .shellgraph import (
     leaf_choices,
     merged_spanning_trees,
 )
-from .symmetry import find_automorphisms
+from .symmetry import cut_group
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -81,9 +81,9 @@ class LevelReport:
 class InteriorResult:
     """All optimal interior sets, without listing trees or leaf attachments.
 
-    Each entry of `sets` is (vertex mask, number of trees on it), in
-    ascending mask order.  The labeled cut count is the sum over sets of the
-    tree count times the product of per-leaf attachment choices, so counting
+    Each entry of `orbits` is one orbit of sets under `symmetry.cut_group`:
+    its member vertex masks in ascending order and the number of trees that
+    each member has, and orbits are in order of first member.  Counting
     never needs the cuts themselves; see `count_labeled_cuts`.
     """
 
@@ -93,14 +93,14 @@ class InteriorResult:
     graph: ShellGraph
     leaf_count: int
     n_interior: int
-    sets: tuple[tuple[int, int], ...]
+    orbits: tuple[tuple[tuple[int, ...], int], ...]
     nodes_visited: int
     level_reports: tuple[LevelReport, ...]
 
     @property
     def interior_count(self) -> int:
         """The number of interiors, that is of trees on the sets."""
-        return sum(trees for _, trees in self.sets)
+        return sum(len(members) * trees for members, trees in self.orbits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,14 +117,15 @@ class MlstResult(InteriorResult):
 
 def count_labeled_cuts(result: InteriorResult) -> int:
     """Exact labeled cut count: Σ over sets of trees × Π per-leaf choices,
-    an outside vertex having one choice per neighbor in the set."""
+    an outside vertex having one choice per neighbor in the set; an orbit's
+    members have equal products, and its first member stands for all."""
     nbr = result.graph.neighbor_masks
     total = 0
-    for vt_mask, trees in result.sets:
+    for members, trees in result.orbits:
         for w in range(result.graph.n):
-            if not (vt_mask >> w) & 1:
-                trees *= (nbr[w] & vt_mask).bit_count()
-        total += trees
+            if not (members[0] >> w) & 1:
+                trees *= (nbr[w] & members[0]).bit_count()
+        total += len(members) * trees
     return total
 
 
@@ -161,20 +162,20 @@ def _seed(graph: ShellGraph, vt_mask: int, excl_mask: int = 0) -> SearchState:
 
 
 def _seeds(graph: ShellGraph) -> list[SearchState]:
-    """Phase seeds; with `_orbit_closure`, the only place the search tells
-    closed from open shells.
+    """Phase seeds: the only place the search tells closed from open shells.
 
-    An open shell gets one phase seeded with its hole boundary.  A closed
-    shell gets one phase per vertex orbit the root set meets, in root-set
-    order, rooted at the orbit's first root and barring every vertex of the
-    earlier orbits.  Every interior dominates the first root, so it meets
-    the root set; an automorphism maps it onto a set holding the root of the
-    first orbit it meets and missing the earlier orbits, so the phases find a
-    member of every orbit of sets.
+    An open shell gets one phase seeded with its hole boundary, which finds
+    every set; `_orbits` then only groups them.  A closed shell gets one
+    phase per vertex orbit the root set meets, in root-set order, rooted at
+    the orbit's first root and barring every vertex of the earlier orbits.
+    Every interior dominates the first root, so it meets the root set; an
+    automorphism maps it onto a set holding the root of the first orbit it
+    meets and missing the earlier orbits, so the phases find a member of
+    every orbit of sets, and `_orbits` maps it onto the rest.
     """
     if graph.boundary_edges:
         return [_seed(graph, graph.boundary_mask)]
-    group = find_automorphisms(graph)
+    group = cut_group(graph)
     seeds = []
     excl = 0
     for r in root_set(graph):
@@ -184,23 +185,24 @@ def _seeds(graph: ShellGraph) -> list[SearchState]:
     return seeds
 
 
-def _orbit_closure(graph: ShellGraph, found: list[int]) -> dict[int, int]:
-    """Every image of the found sets under the automorphism group, each with
-    the tree count of its orbit.
+def _orbits(graph: ShellGraph, found: list[int]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The orbits of the found sets under the cut group, each as its members
+    in ascending order and their tree count, ordered by first member.
 
-    A found set already among the images of an earlier one adds nothing, so
-    each orbit is counted and mapped once, from its first member found.
+    A found set already in an earlier orbit adds nothing, so each orbit is
+    mapped once and its trees are counted once, on its first member.
     """
-    group = find_automorphisms(graph)
-    closure: dict[int, int] = {}
+    group = cut_group(graph)
+    orbits = []
+    seen: set[int] = set()
     for vt in found:
-        if vt in closure:
+        if vt in seen:
             continue
-        trees = count_interior_trees(graph, vt)
-        members = [v for v in range(graph.n) if (vt >> v) & 1]
-        for p in group.perms:
-            closure[sum(1 << p[v] for v in members)] = trees
-    return closure
+        vertices = [v for v in range(graph.n) if (vt >> v) & 1]
+        members = sorted({sum(1 << p[v] for v in vertices) for p in group.perms})
+        seen.update(members)
+        orbits.append((tuple(members), count_interior_trees(graph, members[0])))
+    return tuple(sorted(orbits))
 
 
 # states the search expands at once: a larger block spends less time per
@@ -315,8 +317,8 @@ def enumerate_interiors(
     budget_nodes: int = DEFAULT_NODE_BUDGET,
     time_limit: Optional[float] = None,
 ) -> InteriorResult:
-    """All optimal interior sets of a connected shell graph, with the number
-    of trees on each.
+    """All optimal interior sets of a connected shell graph, as orbits under
+    the cut group, with the number of trees on each set.
 
     Searches set sizes upward from the seed size and stops at the first size
     with connected dominating sets; every cut then has exactly V - n_S
@@ -354,15 +356,11 @@ def enumerate_interiors(
     else:
         raise ValidationError("no dominating interior found at any size; graph not connected?")
 
-    if graph.boundary_edges:
-        trees = {vt: count_interior_trees(graph, vt) for vt in found}
-    else:
-        trees = _orbit_closure(graph, found)
     return InteriorResult(
         graph=graph,
         leaf_count=graph.n - n_s,
         n_interior=n_s,
-        sets=tuple(sorted(trees.items())),
+        orbits=_orbits(graph, found),
         nodes_visited=total,
         level_reports=tuple(reports),
     )
@@ -446,11 +444,12 @@ def enumerate_mlsts(
             f"{needs}, more than the {memory} bytes of physical memory{hint}", partial=result.level_reports,
         )
     plans = []
-    for vt, n_trees in result.sets:
-        trees = merged_spanning_trees(graph, vt, interior_seed(graph, vt))
-        if len(trees) != n_trees:
-            raise ValidationError(f"set {vt:#x} lists {len(trees)} trees but counts {n_trees}")
-        plans.append((trees, leaf_choices(graph, vt)))
+    for members, n_trees in result.orbits:
+        for vt in members:
+            trees = merged_spanning_trees(graph, vt, interior_seed(graph, vt))
+            if len(trees) != n_trees:
+                raise ValidationError(f"set {vt:#x} lists {len(trees)} trees but counts {n_trees}")
+            plans.append((trees, leaf_choices(graph, vt)))
     try:
         cuts = _listing(plans, boundary, n_cuts, n_fixed, width)
     except MemoryError as exc:

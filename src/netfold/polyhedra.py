@@ -203,16 +203,22 @@ def _check_shell(spec: PolyhedronSpec, graph_of: Callable[[tuple[Edge, ...], tup
     the hole rule; it runs after the orientation checks, so a pinched or
     doubled hole is reported before connectivity.  Raises ValidationError
     naming the shell (NonManifoldError for an edge in more than two faces)
-    for: degenerate faces, non-manifold edges, inconsistent orientation, a
-    broken hole rule, a disconnected shell graph, a vertex whose faces form
-    more than one fan, a broken Euler count, a non-finite coordinate,
-    non-positive edge lengths, or non-planar faces.
+    for: degenerate faces, a vertex on no face, non-manifold edges,
+    inconsistent orientation, a broken hole rule, a disconnected shell
+    graph, a vertex whose faces form more than one fan, a broken Euler
+    count, a non-finite coordinate, non-positive edge lengths, or non-planar
+    faces.
     """
     for fi, f in enumerate(spec.faces):
         if len(f) < 3:
             raise ValidationError(f"{spec.name}: face {fi} has {len(f)} vertices")
         if len(set(f)) != len(f):
             raise ValidationError(f"{spec.name}: face {fi} repeats a vertex")
+    # before anything is sized by n_vertices, which may be a stray face index
+    used = sorted({v for f in spec.faces for v in f})
+    if len(used) != spec.n_vertices:
+        missing = next((i for i, v in enumerate(used) if v != i), len(used))
+        raise ValidationError(f"{spec.name}: vertex {missing} lies on no face")
 
     table = edge_face_table(spec)
     for e, faces in table.items():

@@ -2,9 +2,10 @@
 
 Two labeled cuts describe the same net when a symmetry of the shell's face
 map maps one edge set onto the other.  The group is read off the face map
-with no search, labeled cuts are grouped into orbits under the induced edge
-permutations, and each orbit is reported once by its lexicographically
-smallest member.
+with no search; cuts are classed under `cut_group`, its subgroup that fixes
+the hole boundary, which this module alone decides.  Labeled cuts are
+grouped into orbits under the induced edge permutations, and each orbit is
+reported once by its lexicographically smallest member.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .shellgraph import ShellGraph, interior_seed, merged_spanning_trees
 
 Cut = tuple[int, ...]
 
-# ShellGraph hashes by identity, so a graph's group lives as long as the graph
+# ShellGraph hashes by identity, so a graph's groups live as long as the graph
 _GROUPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_CUT_GROUPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,91 +276,93 @@ def edge_set_stabilizer(
     group: AutomorphismGroup,
     edge_ids: Sequence[int],
 ) -> AutomorphismGroup:
-    """The subgroup whose induced edge permutations fix an edge set setwise.
-
-    Hole cuts all contain the boundary cycle, so they are closed only under
-    this subgroup of the full graph group; dedup of hole cuts must use it.
-    """
-    table = edge_permutations(graph, group)
+    """The subgroup whose induced edge permutations fix an edge set setwise."""
     target = np.zeros(graph.m, dtype=bool)
     target[list(edge_ids)] = True
-    kept = [
-        group.perms[k]
-        for k in range(group.order)
-        if np.array_equal(target[table[k]], target)
+    kept = (target[edge_permutations(graph, group)] == target).all(axis=1)
+    return AutomorphismGroup(n=group.n, perms=tuple(p for p, keep in zip(group.perms, kept) if keep))
+
+
+def cut_group(graph: ShellGraph) -> AutomorphismGroup:
+    """The group cuts are classed under, found once per graph: the face-map
+    automorphisms that fix the hole boundary, which every hole cut contains
+    (the whole group on a closed shell).  Sets, counts and cuts use it."""
+    group = _CUT_GROUPS.get(graph)
+    if group is None:
+        group = find_automorphisms(graph)
+        if graph.boundary_edges:
+            group = edge_set_stabilizer(graph, group, graph.boundary_edges)
+        _CUT_GROUPS[graph] = group
+    return group
+
+
+def _cycles(p: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """The cycles of a vertex permutation g, each as (mask, first vertex,
+    the vertices g^c fixes for its length c)."""
+    cycles = []
+    seen = 0
+    for w in range(len(p)):
+        if (seen >> w) & 1:
+            continue
+        cycle = 1 << w
+        x = p[w]
+        while x != w:
+            cycle |= 1 << x
+            x = p[x]
+        seen |= cycle
+        cycles.append((cycle, w, cycle.bit_count()))
+    return [
+        (cycle, w, sum(c for c, _, size in cycles if length % size == 0))
+        for cycle, w, length in cycles
     ]
-    return AutomorphismGroup(n=group.n, perms=tuple(sorted(kept)))
 
 
-def count_net_classes(
-    graph: ShellGraph,
-    sets: Sequence[tuple[int, int]],
-    group: AutomorphismGroup,
-) -> int:
-    """Number of cut classes, by fixed-point counting over the group.
+def count_net_classes(result) -> int:
+    """Number of cut classes of an `mlst.enumerate_interiors` result, by
+    Burnside's lemma over the cut group G, taken per orbit of sets.
 
-    `sets` are the interior sets as (vertex mask, number of trees on it),
-    closed under the group.  Every labeled cut is a tree on a set plus one
-    attachment edge per outside vertex, so the class count is
-    (1/|G|) Σ_g |Fix(g)|.  A cut fixed by g needs g to fix its set, to fix
-    its tree, and to map attachment choices consistently around each g-cycle
-    of outside vertices.  Going around a cycle of length c returns the
-    choice composed with g^c, so each cycle contributes the edges from one of
-    its vertices w into the set that g^c fixes; as g^c fixes w, those are
-    the edges to set vertices g^c fixes.  The identity fixes every tree, and
-    a set with one tree has it fixed by every g that fixes the set; only
-    the other sets, with a g ≠ id fixing them, have their trees listed and
-    tested.  Pairs of g and a set it fixes are rare (their total is the
-    number of set classes times |G|), which keeps this polynomial even when
-    the labeled cut count is astronomical.
+    A cut is a tree on a set plus one attachment edge per outside vertex,
+    and g fixes it only if g fixes its set.  The sets of an orbit, which
+    must be an orbit under G, contribute alike: the orbit of S adds
+    Σ_{g ∈ Stab S} |Fix(g, S)| / |Stab S|, which must be whole.  A cut on S
+    fixed by g has its tree fixed by g, and its attachment choices mapped
+    consistently around each g-cycle of outside vertices; going around a
+    cycle of length c maps a choice by g^c, so the cycle contributes the
+    edges from one of its vertices w to set vertices g^c fixes.  The
+    identity fixes every tree, and one tree is fixed by all of Stab S; only
+    first members with several trees and a g ≠ id fixing them have their
+    trees listed, once per orbit, and tested.
     """
-    if len({vt.bit_count() for vt, _ in sets}) > 1:
+    graph, orbits = result.graph, result.orbits
+    if len({vt.bit_count() for members, _ in orbits for vt in members}) > 1:
         raise ValidationError("interior sets have mixed sizes")
-    n = graph.n
+    group = cut_group(graph)
     nbr = graph.neighbor_masks
-    n_bytes = (n + 7) // 8
-    raw = b"".join(vt.to_bytes(n_bytes, "little") for vt, _ in sets)
-    member = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(len(sets), n_bytes), axis=1, bitorder="little",
-    )[:, :n].astype(bool)
+    cycles = [_cycles(p) for p in group.perms]
     table = None
-    trees_of: dict[int, np.ndarray] = {}
     total = 0
-    for k, p in enumerate(group.perms):
-        # the cycles of g, each as (mask, first vertex, vertices g^c fixes)
-        cycles = []
-        seen = 0
-        for w in range(n):
-            if (seen >> w) & 1:
-                continue
-            cycle = 1 << w
-            x = p[w]
-            while x != w:
-                cycle |= 1 << x
-                x = p[x]
-            seen |= cycle
-            cycles.append((cycle, w, cycle.bit_count()))
-        cycles = [
-            (cycle, w, sum(c for c, _, size in cycles if length % size == 0))
-            for cycle, w, length in cycles
-        ]
-        for i in np.flatnonzero((member[:, list(p)] == member).all(axis=1)).tolist():
-            vt, fixed = sets[i]
-            if k and fixed > 1:  # perms[0] is the identity, which fixes every tree
-                if table is None:
-                    table = edge_permutations(graph, group)
-                if i not in trees_of:
-                    trees_of[i] = np.asarray(
-                        merged_spanning_trees(graph, vt, interior_seed(graph, vt)), dtype=np.intp,
-                    )
-                trees = trees_of[i]
+    for members, n_trees in orbits:
+        vt = members[0]
+        vertices = [v for v in range(graph.n) if (vt >> v) & 1]
+        images = [sum(1 << p[v] for v in vertices) for p in group.perms]
+        if set(images) != set(members):
+            raise ValidationError(f"set {vt:#x}: the orbit given is not its orbit under the cut group")
+        stab = [k for k, image in enumerate(images) if image == vt]
+        if n_trees > 1 and len(stab) > 1:
+            table = edge_permutations(graph, group) if table is None else table
+            trees = np.asarray(merged_spanning_trees(graph, vt, interior_seed(graph, vt)), dtype=np.intp)
+        fixed_total = 0
+        for k in stab:
+            fixed = n_trees
+            if k and n_trees > 1:  # perms[0] is the identity, which fixes every tree
                 fixed = int((np.sort(table[k][trees], axis=1) == trees).all(axis=1).sum())
-            for cycle, w, fix_mask in cycles:
+            for cycle, w, fix_mask in cycles[k]:
                 if not cycle & vt:
                     fixed *= (nbr[w] & vt & fix_mask).bit_count()
                     if not fixed:
                         break
-            total += fixed
-    if total % group.order:
-        raise ValidationError("fixed-point total must divide by the group order")
-    return total // group.order
+            fixed_total += fixed
+        if fixed_total % len(stab):
+            raise ValidationError(f"set {vt:#x}: fixed-point total must divide by its stabilizer order")
+        total += fixed_total // len(stab)
+    return total

@@ -12,7 +12,8 @@ supplies the full group of a graph without faces.  The per-face
 geometry (`reference_unfold`, `reference_centroid_and_rg` and the screen
 over every bounding-box pair, `reference_check_overlap`) is the code the
 batched geometry replaced.  `cut_tuples` reads a cut
-listing as tuples.  `frucht_graph` is a polyhedral graph with no symmetry,
+listing as tuples and `flat_sets` an interior result's orbits as one list of
+sets.  `frucht_graph` is a polyhedral graph with no symmetry,
 on which every root-set vertex gets a phase of its own.  `DESK_SHELLS`
 names the catalog shells the suite takes end to end.
 """
@@ -383,13 +384,19 @@ def root_set_set_search(graph: ShellGraph):
     raise ValidationError("no dominating set at any size")
 
 
+def flat_sets(result: InteriorResult):
+    """The sets of an `enumerate_interiors` result, its orbits flattened, as
+    (vertex mask, number of trees on it) in ascending mask order."""
+    return tuple(sorted((vt, n_trees) for members, n_trees in result.orbits for vt in members))
+
+
 def expand_sets(result: InteriorResult):
     """The interiors of an `enumerate_interiors` result, as (vertex mask,
     ascending edge ids) sorted by (edges, mask) like `tree_search_interiors`;
     checks each set's tree count against its listed trees."""
     graph = result.graph
     out = []
-    for vt, n_trees in result.sets:
+    for vt, n_trees in flat_sets(result):
         trees = merged_spanning_trees(graph, vt, interior_seed(graph, vt))
         assert len(trees) == n_trees, f"set {vt:#x}: {n_trees} trees counted, {len(trees)} listed"
         out += [(vt, tuple(sorted(graph.boundary_edges + tree))) for tree in trees]

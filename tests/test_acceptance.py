@@ -91,8 +91,7 @@ def test_criterion_03_mid_size_catalog():
         labeled = count_labeled_cuts(interiors)
         if name == "rhombicuboctahedron":
             assert labeled == 1536
-        group = find_automorphisms(graph)
-        assert count_net_classes(graph, interiors.sets, group) == n_classes, name
+        assert count_net_classes(interiors) == n_classes, name
 
 
 def test_criterion_04_open_shells():

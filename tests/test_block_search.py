@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import DESK_SHELLS, recursive_search
+from helpers import DESK_SHELLS, flat_sets, recursive_search
 from netfold import mlst
 from netfold.catalog import builtin
 from netfold.errors import BudgetExceededError
@@ -129,4 +129,4 @@ def test_a_deep_search_does_not_recurse():
         result = enumerate_interiors(cycle(300))
     finally:
         sys.setrecursionlimit(limit)
-    assert (result.n_interior, len(result.sets)) == (298, 300)
+    assert (result.n_interior, len(flat_sets(result))) == (298, 300)

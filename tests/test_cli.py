@@ -90,6 +90,20 @@ def test_verify_tetrahedron(capsys):
     assert "all verifications passed" in out
 
 
+def test_verify_open_shell_names_the_oracles_it_skips(capsys):
+    # the leaf-count and cut-set oracles filter spanning trees, and an open
+    # shell's cuts are not spanning trees: they hold the hole boundary
+    rc = main(["verify", "--builtin", "cube", "--hole", "0"])
+    out = capsys.readouterr().out
+    assert rc == EXIT_OK
+    assert out == (
+        "shell: cube-open1\n"
+        "  determinant count vs oracle enumeration: 384 vs 384 ok\n"
+        "  skipped: leaf count and optimal cut set vs oracle (an open shell's cuts are not spanning trees)\n"
+        "all verifications passed\n"
+    )
+
+
 def test_count_cube(capsys):
     rc = main(["count", "--builtin", "cube"])
     out = capsys.readouterr().out

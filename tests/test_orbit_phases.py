@@ -20,6 +20,7 @@ from helpers import (
     DESK_SHELLS,
     classes_from_interiors,
     expand_sets,
+    flat_sets,
     frucht_graph,
     give_graph_group,
     labeled_from_interiors,
@@ -34,7 +35,7 @@ from netfold.cli import EXIT_OK, main
 from netfold.mlst import count_labeled_cuts, enumerate_interiors
 from netfold.polyhedra import PolyhedronSpec, edge_face_table
 from netfold.shellgraph import build_shell_graph
-from netfold.symmetry import count_net_classes, edge_set_stabilizer, find_automorphisms
+from netfold.symmetry import count_net_classes, cut_group, find_automorphisms
 from test_mlst import connected_graphs
 
 
@@ -53,22 +54,15 @@ def root_set_nodes(name):
     return root_set_set_search(catalog_graph(name))[1]
 
 
-def boundary_group(graph):
-    """The automorphisms that fix the hole boundary (all of them on a closed
-    shell): the group the cuts are counted under."""
-    return edge_set_stabilizer(graph, find_automorphisms(graph), graph.boundary_edges)
-
-
 def counts(graph, interiors):
-    """Labeled cut count and class count of explicit interiors."""
-    group = boundary_group(graph)
-    return labeled_from_interiors(graph, interiors), classes_from_interiors(graph, interiors, group)
+    """Labeled cut count and class count of explicit interiors, under the
+    group the cuts are classed under."""
+    return labeled_from_interiors(graph, interiors), classes_from_interiors(graph, interiors, cut_group(graph))
 
 
 def result_counts(result):
     """Labeled cut count and class count of an `enumerate_interiors` result."""
-    group = boundary_group(result.graph)
-    return count_labeled_cuts(result), count_net_classes(result.graph, result.sets, group)
+    return count_labeled_cuts(result), count_net_classes(result)
 
 
 def map_interiors(graph, image, perm, interiors):
@@ -188,7 +182,7 @@ def test_trivial_group_searches_node_for_node_like_the_root_set(phases):
     sets, nodes = root_set_set_search(g)
     result = enumerate_interiors(g)
     assert (result.leaf_count, expand_sets(result)) == (leaf_count, interiors)
-    assert tuple(vt for vt, _ in result.sets) == sets
+    assert tuple(vt for vt, _ in flat_sets(result)) == sets
     assert result.nodes_visited == nodes
     assert len(phases) == len(mlst.root_set(g))
 
@@ -202,11 +196,11 @@ def test_orbit_phases_on_random_graphs(g):
     sets, nodes = root_set_set_search(g)
     result = enumerate_interiors(g)
     assert (result.leaf_count, expand_sets(result)) == (leaf_count, interiors)
-    assert {vt for vt, _ in interiors} == {vt for vt, _ in result.sets}
+    assert {vt for vt, _ in interiors} == {vt for vt, _ in flat_sets(result)}
     assert result_counts(result) == counts(g, interiors)
     assert result.nodes_visited <= nodes
     if find_automorphisms(g).order == 1:
-        assert tuple(vt for vt, _ in result.sets) == sets
+        assert tuple(vt for vt, _ in flat_sets(result)) == sets
         assert result.nodes_visited == nodes
 
 
@@ -238,7 +232,7 @@ def test_single_vertex_interiors_match_the_tree_search(k):
     leaf_count, interiors, _ = tree_search_interiors(g)
     result = enumerate_interiors(g)
     assert result.n_interior == 1 and leaf_count == k
-    assert result.sets == tuple((1 << v, 1) for v in range(g.n if k == 3 else 1))
+    assert flat_sets(result) == tuple((1 << v, 1) for v in range(g.n if k == 3 else 1))
     assert expand_sets(result) == interiors
     assert result_counts(result) == counts(g, interiors) == (len(interiors), 1)
 
@@ -274,13 +268,19 @@ def test_group_is_found_once_per_graph(monkeypatch, capsys):
     assert find_automorphisms(g) is find_automorphisms(g)
 
 
+def image(graph, p, vt):
+    """The set `vt` mapped by the vertex permutation p."""
+    return sum(1 << p[v] for v in range(graph.n) if (vt >> v) & 1)
+
+
 @pytest.mark.parametrize("name, hole", [
     ("truncated_cube", None), ("snub_cube", None), ("truncated_cuboctahedron", None),
     ("octagonal_dipyramid", None), ("truncated_cube", 0),
 ])
 def test_trees_are_counted_once_per_orbit_of_sets(monkeypatch, name, hole):
-    # a closed shell's sets of one orbit have equal tree counts, so only the
-    # first member the search finds is counted; an open shell counts each set
+    # the sets of one orbit under the cut group have equal tree counts, so
+    # only each orbit's first member is counted; an open shell's search finds
+    # every set, and its orbits under the hole's stabilizer only group them
     g = catalog_graph(name) if hole is None else build_shell_graph(remove_faces(builtin(name), [hole]))
     counted = []
     count_trees = mlst.count_interior_trees
@@ -291,12 +291,23 @@ def test_trees_are_counted_once_per_orbit_of_sets(monkeypatch, name, hole):
 
     monkeypatch.setattr(mlst, "count_interior_trees", spy)
     result = enumerate_interiors(g)
-    assert len(set(counted)) == len(counted)
-    assert dict(result.sets) == {vt: count_trees(g, vt) for vt, _ in result.sets}
-    if hole is None:
-        perms = find_automorphisms(g).perms
-        orbits = {min(sum(1 << p[v] for v in range(g.n) if (vt >> v) & 1) for p in perms)
-                  for vt, _ in result.sets}
-        assert len(counted) == len(orbits) < len(result.sets)
-    else:
-        assert sorted(counted) == [vt for vt, _ in result.sets]
+    sets = flat_sets(result)
+    assert dict(sets) == {vt: count_trees(g, vt) for vt, _ in sets}
+    perms = cut_group(g).perms
+    orbits = {min(image(g, p, vt) for p in perms) for vt, _ in sets}
+    assert sorted(counted) == [members[0] for members, _ in result.orbits]
+    assert len(counted) == len(orbits) < len(sets)
+
+
+@pytest.mark.parametrize("hole", [None, 0])
+@pytest.mark.parametrize("name", DESK_SHELLS)
+def test_orbits_partition_the_oracle_sets_under_the_cut_group(name, hole):
+    g = catalog_graph(name) if hole is None else build_shell_graph(remove_faces(builtin(name), [hole]))
+    result = enumerate_interiors(g)
+    members = [vt for orbit, _ in result.orbits for vt in orbit]
+    assert len(members) == len(set(members))  # disjoint
+    for orbit, _ in result.orbits:
+        assert list(orbit) == sorted(orbit)
+        assert {image(g, p, vt) for p in cut_group(g).perms for vt in orbit} == set(orbit)
+    assert [orbit[0] for orbit, _ in result.orbits] == sorted(orbit[0] for orbit, _ in result.orbits)
+    assert set(members) == {vt for vt, _ in tree_search_interiors(g)[1]}

@@ -136,6 +136,25 @@ def test_building_the_graph_runs_every_shell_check(tmp_path, capsys, name):
     assert (captured.out, captured.err) == ("", f"error: {name}: {message}\n")
 
 
+def test_a_vertex_on_no_face_is_rejected_before_the_graph_is_sized(tmp_path, capsys):
+    # a faces-only spec has 1 + its largest face index vertices: a tetrahedron
+    # using index 1,000,000 once took ~1 s and ~190 MiB to be called
+    # disconnected, one vertex number at a time
+    faces = ((0, 2, 1), (0, 1, 10**6), (1, 2, 10**6), (2, 0, 10**6))
+    spec = PolyhedronSpec(name="gap", faces=faces)
+    with pytest.raises(ValidationError, match="^gap: vertex 3 lies on no face$"):
+        build_shell_graph(spec)
+    path = tmp_path / "gap.json"
+    save_polyhedron(spec, path)
+    assert main(["count", "--input", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: gap: vertex 3 lies on no face\n"
+    # a coordinate row that no face uses is named too
+    tetra = builtin("tetrahedron")
+    extra = np.vstack([tetra.vertices, [[0.0, 0.0, 0.0]]])
+    with pytest.raises(ValidationError, match="^tet: vertex 4 lies on no face$"):
+        build_shell_graph(PolyhedronSpec(name="tet", faces=tetra.faces, vertices=extra))
+
+
 @pytest.mark.parametrize("command", ["count", "rank"])
 @pytest.mark.parametrize("literal", ["1e400", "NaN", "-Infinity"])
 def test_a_non_finite_coordinate_is_rejected_first(tmp_path, capsys, command, literal):

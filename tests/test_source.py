@@ -104,6 +104,17 @@ def test_only_the_builders_construct_shell_graphs():
     assert found == ["shellgraph.ShellGraph.from_edges", "shellgraph.build_shell_graph"]
 
 
+def test_only_symmetry_decides_the_cut_group():
+    # cuts are classed under `symmetry.cut_group`, the one place that takes
+    # the hole boundary's stabilizer; no other module forms a group of its own
+    found = sorted(
+        f"{path.stem}.{scope}"
+        for path, tree in zip(SOURCES, _trees())
+        for scope in _calls_by_scope(tree, "edge_set_stabilizer")
+    )
+    assert found == ["symmetry.cut_group"]
+
+
 def test_mlst_has_no_recursive_function():
     # the search expands blocks from an explicit stack, so its depth is not
     # bounded by Python's recursion limit; no function of mlst.py may call

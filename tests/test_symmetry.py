@@ -9,6 +9,8 @@ from helpers import (
     canonical_cut,
     cut_tuples,
     face_preserving,
+    flat_sets,
+    give_graph_group,
     graph_automorphisms,
     relabeled_spec,
 )
@@ -17,7 +19,7 @@ from netfold.catalog import CATALOG, builtin
 from netfold.cli import EXIT_OK, main
 from netfold.errors import ValidationError
 from netfold.holes import remove_faces
-from netfold.mlst import enumerate_interiors, enumerate_mlsts
+from netfold.mlst import InteriorResult, enumerate_interiors, enumerate_mlsts
 from netfold.polyhedra import PolyhedronSpec
 from netfold.shellgraph import (
     ShellGraph,
@@ -31,10 +33,13 @@ from netfold.symmetry import (
     CutClasses,
     _check_group_axioms,
     count_net_classes,
+    cut_group,
     dedupe_cuts,
     edge_set_stabilizer,
     find_automorphisms,
 )
+
+TETRAHEDRON = builtin("tetrahedron")
 
 GROUP_ORDERS = [
     ("tetrahedron", 24),
@@ -106,15 +111,16 @@ def test_burnside_count_matches_explicit_dedupe(shell_graph):
         g = shell_graph(name)
         group = find_automorphisms(g)
         explicit = len(dedupe_cuts(g, enumerate_mlsts(g).cuts, group))
-        counted = count_net_classes(g, enumerate_interiors(g).sets, group)
+        counted = count_net_classes(enumerate_interiors(g))
         assert counted == explicit, name
 
 
 @pytest.mark.parametrize("name,pairs", [
     # (set, g ≠ id) pairs where g fixes a set with several trees; the trees
-    # on such a set are listed and tested one by one.  No such pair exists on
-    # icosahedron or pentakis_dodecahedron, whose sets with several trees
-    # (pentakis: 120 sets with 3) are fixed by the identity alone.
+    # on the first member of such a set's orbit are listed once and tested
+    # one by one.  No such pair exists on icosahedron or
+    # pentakis_dodecahedron, whose sets with several trees (pentakis: 120
+    # sets with 3) are fixed by the identity alone.
     ("icosahedron", 0),
     ("cube", 42),
     ("dodecahedron", 114),
@@ -134,15 +140,16 @@ def test_burnside_tests_fixed_trees_on_sets_with_several_trees(monkeypatch, shel
         return lister(graph, vt_mask, seed_mask)
 
     monkeypatch.setattr(symmetry, "merged_spanning_trees", spy)
-    counted = count_net_classes(g, result.sets, group)
+    counted = count_net_classes(result)
     assert counted == len(dedupe_cuts(g, enumerate_mlsts(g).cuts, group))
-    several = {vt for vt, n_trees in result.sets if n_trees > 1}
-    assert set(listed) <= several and len(listed) == len(set(listed))
-    fixing = sum(
-        1 for vt in several for p in group.perms[1:]
-        if sum(1 << p[v] for v in range(g.n) if (vt >> v) & 1) == vt
-    )
-    assert fixing == pairs
+
+    def fixers(vt):
+        return [p for p in group.perms[1:] if sum(1 << p[v] for v in range(g.n) if (vt >> v) & 1) == vt]
+
+    several = {vt for vt, n_trees in flat_sets(result) if n_trees > 1}
+    assert sum(len(fixers(vt)) for vt in several) == pairs
+    # one listing per orbit, on its first member, where a g ≠ id fixes it
+    assert listed == [orbit[0] for orbit, n_trees in result.orbits if n_trees > 1 and fixers(orbit[0])]
     assert bool(listed) == bool(pairs)
 
 
@@ -154,6 +161,14 @@ def test_hole_stabilizer_subgroup():
     assert group.order == 48
     assert stab.order == 8  # symmetries of the kept square ring
     assert group.order % stab.order == 0
+
+
+def test_cut_group_fixes_the_hole_and_is_found_once(shell_graph):
+    g = build_shell_graph(remove_faces(builtin("cube"), [0]))
+    assert cut_group(g).perms == edge_set_stabilizer(g, find_automorphisms(g), g.boundary_edges).perms
+    assert cut_group(g) is cut_group(g)
+    closed = shell_graph("cube")
+    assert cut_group(closed) is find_automorphisms(closed)
 
 
 def test_estimate_net_count_values(shell_graph):
@@ -221,24 +236,34 @@ def test_star_with_a_factorial_group_is_searched_quickly():
     # K1,7 has 7! = 5040 automorphisms; testing closure pair by pair took ~24 s
     g = ShellGraph.from_edges(8, [(0, i) for i in range(1, 8)])
     start = time.monotonic()
-    group = graph_automorphisms(g)  # runs the group axioms
+    give_graph_group(g)  # runs the group axioms
     result = enumerate_interiors(g)
     assert time.monotonic() - start < 2.0
-    assert group.order == 5040
-    assert result.sets == ((0b1, 1),)
-    assert count_net_classes(g, result.sets, group) == 1
+    assert cut_group(g).order == 5040
+    assert result.orbits == (((0b1,), 1),)
+    assert count_net_classes(result) == 1
+
+
+def _tetrahedron_interiors(orbits):
+    g = build_shell_graph(TETRAHEDRON)
+    return InteriorResult(graph=g, leaf_count=3, n_interior=1, orbits=orbits, nodes_visited=0, level_reports=())
 
 
 def test_fixed_point_count_rejects_inconsistent_interiors():
-    k4 = ShellGraph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    group = graph_automorphisms(k4)
+    singles = (0b0001, 0b0010, 0b0100, 0b1000)
+    assert count_net_classes(_tetrahedron_interiors(((singles, 1),))) == 1
     # the optimal cuts of one shell all have interiors of one size
     with pytest.raises(ValidationError, match="interior sets have mixed sizes"):
-        count_net_classes(k4, [(0b0001, 1), (0b0011, 1)], group)
-    # the star at vertex 0 alone is not closed under the group: only the 6
-    # automorphisms fixing vertex 0 fix a cut, and 6 does not divide by 24
-    with pytest.raises(ValidationError, match="must divide by the group order"):
-        count_net_classes(k4, [(0b0001, 1)], group)
+        count_net_classes(_tetrahedron_interiors(((singles, 1), ((0b0011,), 1))))
+    # {0} with two trees: its stabilizer's 6 elements fix 2 + 5 cuts, and 7
+    # does not divide by 6
+    with pytest.raises(ValidationError, match="must divide by its stabilizer order"):
+        count_net_classes(_tetrahedron_interiors(((singles, 2),)))
+    # {0} alone, or without {3}, is not its orbit under the 24 symmetries,
+    # which move it onto every vertex
+    for orbit in ((0b0001,), (0b0001, 0b0010, 0b0100)):
+        with pytest.raises(ValidationError, match="is not its orbit under the cut group"):
+            count_net_classes(_tetrahedron_interiors(((orbit, 1),)))
 
 
 def test_a_graph_without_faces_gets_the_trivial_group():
@@ -246,7 +271,6 @@ def test_a_graph_without_faces_gets_the_trivial_group():
     assert find_automorphisms(k4).perms == ((0, 1, 2, 3),)
 
 
-TETRAHEDRON = builtin("tetrahedron")
 SQUARE = ((0, 1), (0, 3), (1, 2), (2, 3))
 
 
