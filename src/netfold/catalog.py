@@ -62,7 +62,8 @@ def _faces_of_solid(points: np.ndarray) -> list[tuple[int, ...]]:
         blocks.append((normals[supporting], np.abs(heights[:, supporting].T) <= tol))
     normals, on = (np.concatenate(part) for part in zip(*blocks))
     members, first = np.unique(on, axis=0, return_index=True)
-    if (members.sum(axis=0) < 3).any() or np.unique(members, axis=1).shape[1] < n:
+    # a repeated column is two vertices on the same faces
+    if (members.sum(axis=0) < 3).any() or len({column.tobytes() for column in members.T}) < n:
         raise ValidationError("input points are not all extreme; not a convex solid")
     faces = []
     for row, normal in zip(members, normals[first]):
@@ -92,7 +93,7 @@ def _even_perms(a: float, b: float, c: float) -> list[tuple[float, float, float]
     return [(a, b, c), (b, c, a), (c, a, b)]
 
 
-def _sign_family(base: tuple[float, float, float], even_only: bool = False) -> list[tuple[float, float, float]]:
+def _sign_family(base: tuple[float, float, float]) -> list[tuple[float, float, float]]:
     """All distinct sign combinations of the cyclic permutations of base."""
     out = set()
     for trip in _even_perms(*base):
@@ -190,12 +191,8 @@ def _snub_cube() -> np.ndarray:
 
 
 def _rhombicosidodecahedron() -> np.ndarray:
-    pts = set()
-    for base in ((1.0, 1.0, PHI ** 3), (PHI ** 2, PHI, 2.0 * PHI), (2.0 + PHI, 0.0, PHI ** 2)):
-        for trip in _even_perms(*base):
-            for signs in itertools.product((1.0, -1.0), repeat=3):
-                pts.add(tuple(s * x for s, x in zip(signs, trip)))
-    return np.array(sorted(pts))
+    bases = ((1.0, 1.0, PHI ** 3), (PHI ** 2, PHI, 2.0 * PHI), (2.0 + PHI, 0.0, PHI ** 2))
+    return np.array(sorted(set().union(*map(_sign_family, bases))))
 
 
 # Solved offline: orbit of a seed under the 60 icosahedral rotations with the

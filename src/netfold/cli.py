@@ -25,6 +25,7 @@ from .errors import (
     FallbackExhaustedError,
     NetfoldError,
     ValidationError,
+    writing,
 )
 from .geometry import rank_nets, select_optimal_net
 from .holes import remove_faces
@@ -133,7 +134,8 @@ def _out_dir(args) -> Optional[Path]:
     if args.out_dir is None:
         return None
     path = Path(args.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    with writing(path):
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class NetfoldError(Exception):
     """Base class for all package errors."""
@@ -9,6 +11,16 @@ class NetfoldError(Exception):
 
 class ValidationError(NetfoldError):
     """A shell description violates a structural requirement."""
+
+
+@contextmanager
+def writing(path):
+    """Raise an OSError met while writing to `path` as a ValidationError
+    naming the path, as reading a shell document does."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"{exc.filename or path}: cannot write: {exc.strerror or exc}") from exc
 
 
 class NonManifoldError(ValidationError):

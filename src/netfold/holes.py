@@ -78,7 +78,7 @@ def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
     if cuts.size and (cuts.min() < 0 or cuts.max() >= graph.m):
         raise ValidationError(f"cut edge ids must lie in 0..{graph.m - 1}")
     ends = np.asarray(graph.edges, dtype=np.int32).reshape(-1, 2)
-    boundary_vertices = np.unique(ends[boundary])
+    boundary_vertices = [v for v in range(n) if (graph.boundary_mask >> v) & 1]
     in_boundary = np.zeros(graph.m, dtype=bool)
     in_boundary[boundary] = True
     cores: set[bytes] = set()

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .analysis import EstimateRow, ShellStatistics
-from .errors import ValidationError
+from .errors import ValidationError, writing
 from .geometry import RankedNet
 from .polyhedra import PolyhedronSpec
 from .shellgraph import ShellGraph
@@ -92,7 +92,8 @@ def _json_text(doc: object) -> str:
 
 
 def _write_json(doc: object, path: PathLike) -> None:
-    Path(path).write_text(_json_text(doc) + "\n", encoding="utf-8")
+    with writing(path):
+        Path(path).write_text(_json_text(doc) + "\n", encoding="utf-8")
 
 
 def load_polyhedron(path: PathLike) -> PolyhedronSpec:
@@ -178,7 +179,7 @@ def _write_json_with_rows(
     # the row list's key sorts before "shell", the one free-text field, so
     # the placeholder's first occurrence is the row list's
     head, _, tail = _json_text({**doc, key: placeholder}).partition(json.dumps(placeholder))
-    with open(path, "wb") as fh:
+    with writing(path), open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
         opening = b"[\n"
         for rows in blocks:
@@ -257,7 +258,7 @@ def write_dedup(path: PathLike, graph: ShellGraph, classes: CutClasses, shell_na
 def write_ranking(path: PathLike, ranked: Sequence[RankedNet]) -> None:
     """Ranking as CSV: rank, radius of gyration, overlap flag and witness,
     orbit size, and the cut's edge ids."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with writing(path), open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([
             "rank", "radius_of_gyration", "overlapping", "overlap_witness",
@@ -300,19 +301,21 @@ def write_statistics(path: PathLike, rows: Sequence[ShellStatistics]) -> None:
             row.status,
             row.note,
         ]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with writing(path):
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_plot_data(out_dir: PathLike, series: dict[str, list[tuple[float, float]]]) -> list[Path]:
     """One two-column file per series, x then y, tab-delimited."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name in sorted(series):
-        path = out / f"{name}.tsv"
-        lines = [f"{repr(x)}\t{repr(y)}" for x, y in series[name]]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
+    with writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        for name in sorted(series):
+            path = out / f"{name}.tsv"
+            lines = [f"{repr(x)}\t{repr(y)}" for x, y in series[name]]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            written.append(path)
     return written
 
 
@@ -336,4 +339,5 @@ def write_estimates(path: PathLike, rows: Sequence[EstimateRow]) -> None:
             _fraction_str(row.ratio_trend_log2),
             "" if row.ratio_log2_residual is None else repr(row.ratio_log2_residual),
         ]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with writing(path):
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -181,7 +181,7 @@ def _seeds(graph: ShellGraph) -> list[SearchState]:
     for r in root_set(graph):
         if not (excl >> r) & 1:
             seeds.append(_seed(graph, 1 << r, excl))
-            excl |= sum(1 << v for v in {p[r] for p in group.perms})
+            excl |= sum(group.orbit(1 << r)[0])  # one bit per vertex of r's orbit
     return seeds
 
 
@@ -198,10 +198,9 @@ def _orbits(graph: ShellGraph, found: list[int]) -> tuple[tuple[tuple[int, ...],
     for vt in found:
         if vt in seen:
             continue
-        vertices = [v for v in range(graph.n) if (vt >> v) & 1]
-        members = sorted({sum(1 << p[v] for v in vertices) for p in group.perms})
+        members, _ = group.orbit(vt)
         seen.update(members)
-        orbits.append((tuple(members), count_interior_trees(graph, members[0])))
+        orbits.append((members, count_interior_trees(graph, members[0])))
     return tuple(sorted(orbits))
 
 

@@ -1,8 +1,8 @@
 """Shell graphs, with two independent exact spanning-tree routes.
 
 `build_shell_graph` is the one road from a shell description to its graph:
-it runs every shell check (`polyhedra._check_shell`) on the way, so a graph
-built from a spec is a valid closed shell or one with a single hole.
+it runs every shell check on the way, so a graph built from a spec is a
+valid closed shell or one with a single hole.
 
 `count_merged_trees` evaluates the matrix-tree determinant in exact integer
 arithmetic; `merged_spanning_trees` lists every tree by contraction and
@@ -19,8 +19,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import BudgetExceededError, ValidationError
-from .polyhedra import Edge, PolyhedronSpec, _check_shell, _count_components, _count_holes, canon_edge
+import numpy as np
+
+from .errors import BudgetExceededError, NonManifoldError, ValidationError
+from .polyhedra import (
+    PLANARITY_RTOL,
+    Edge,
+    PolyhedronSpec,
+    _count_components,
+    _count_holes,
+    _face_planarity,
+    canon_edge,
+    edge_face_table,
+)
 
 ORACLE_CAP = 10_000_000
 
@@ -33,9 +44,9 @@ class ShellGraph:
     edge in `edges` is its canonical edge id, used everywhere downstream.
     The hole rule: `boundary_edges`, the hole's edge ids, are empty or one
     simple cycle.  `find_automorphisms` reads the group off the consistently
-    oriented `faces`; a graph without them gets the trivial group.  The
-    constructor checks only the hole rule: a shell's graph comes from
-    `build_shell_graph`, which checks the shell, and a bare graph from
+    oriented `faces` (`face_map`); a graph without them gets the trivial
+    group.  The constructor checks only the hole rule: a shell's graph comes
+    from `build_shell_graph`, which checks the shell, and a bare graph from
     `from_edges`.
     """
 
@@ -90,6 +101,54 @@ class ShellGraph:
         return mask
 
     @cached_property
+    def face_map(self) -> list[int]:
+        """The face map of the shell as a successor table on darts, built
+        once per graph: the fan check of `build_shell_graph` and
+        `symmetry.find_automorphisms` both read it.
+
+        Dart 2e runs along `edges[e]` from its lower end and dart 2e + 1
+        back, so `d ^ 1` reverses d.  Entry d is the dart after d in its
+        face; a hole is one more face, whose dart along each boundary edge
+        runs against the face there and is followed by the hole dart leaving
+        its head.  Raises ValidationError unless the faces run every edge
+        once each way, and, naming the vertex, unless the darts leaving each
+        vertex form one cycle of `d -> following[d ^ 1]`, that is unless its
+        faces close into one fan (a shell pinched at a vertex has several).
+        """
+        edges = self.edges
+        n_darts = 2 * len(edges)
+        darts = {}
+        for e, (u, v) in enumerate(edges):
+            darts[u, v], darts[v, u] = 2 * e, 2 * e + 1
+        following = [-1] * n_darts
+        try:
+            for f in self.faces:
+                for a, b, c in zip(f, f[1:] + f[:1], f[2:] + f[:2]):
+                    following[darts[a, b]] = darts[b, c]
+            boundary = (edges[e] for e in self.boundary_edges)
+            hole = dict(e[::-1] if following[darts[e]] >= 0 else e for e in boundary)
+            for a, b in hole.items():
+                following[darts[a, b]] = darts[b, hole[b]]
+        except KeyError:
+            following = []
+        if sorted(following) != list(range(n_darts)):
+            raise ValidationError("the faces do not run every edge once each way")
+        fanned = set()
+        seen = bytearray(n_darts)
+        for start in range(n_darts):
+            if seen[start]:
+                continue
+            vertex = edges[start >> 1][start & 1]
+            if vertex in fanned:
+                raise ValidationError(f"the faces around vertex {vertex} do not close into one fan")
+            fanned.add(vertex)
+            d = start
+            while not seen[d]:
+                seen[d] = 1
+                d = following[d ^ 1]
+        return following
+
+    @cached_property
     def edge_index(self) -> dict[Edge, int]:
         return {e: i for i, e in enumerate(self.edges)}
 
@@ -115,14 +174,77 @@ class ShellGraph:
 
 def build_shell_graph(spec: PolyhedronSpec) -> ShellGraph:
     """Shell graph of a polyhedron spec, with its faces, once the spec passes
-    every shell check; a check's ValidationError names the shell.
+    every shell check, in order.
 
     Every edge borders one or two consistently oriented faces; the edges
-    that border one are the hole boundary.
+    that border one are the hole boundary.  The graph is built after the
+    orientation checks, and its constructor applies the hole rule, so a
+    pinched or doubled hole is reported before connectivity.  Raises
+    ValidationError naming the shell (NonManifoldError for an edge in more
+    than two faces) for: degenerate faces, a vertex on no face, non-manifold
+    edges, inconsistent orientation, a broken hole rule, a disconnected
+    shell graph, a vertex whose faces form more than one fan, a broken
+    Euler count, a non-finite coordinate, non-positive edge lengths, or
+    non-planar faces.
     """
-    return _check_shell(
-        spec, lambda edges, boundary: ShellGraph(spec.n_vertices, edges, boundary, spec.faces),
-    )
+    for fi, f in enumerate(spec.faces):
+        if len(f) < 3:
+            raise ValidationError(f"{spec.name}: face {fi} has {len(f)} vertices")
+        if len(set(f)) != len(f):
+            raise ValidationError(f"{spec.name}: face {fi} repeats a vertex")
+    # before anything is sized by n_vertices, which may be a stray face index
+    used = sorted({v for f in spec.faces for v in f})
+    if len(used) != spec.n_vertices:
+        missing = next((i for i, v in enumerate(used) if v != i), len(used))
+        raise ValidationError(f"{spec.name}: vertex {missing} lies on no face")
+
+    table = edge_face_table(spec)
+    for e, faces in table.items():
+        if len(faces) > 2:
+            raise NonManifoldError(e, len(faces), f"{spec.name}: edge {e} in {len(faces)} faces")
+    directed = {}
+    for fi, f in enumerate(spec.faces):
+        for a, b in zip(f, f[1:] + f[:1]):
+            if (a, b) in directed:
+                raise ValidationError(
+                    f"{spec.name}: faces {directed[(a, b)]} and {fi} traverse edge "
+                    f"({a}, {b}) in the same direction (inconsistent orientation)"
+                )
+            directed[(a, b)] = fi
+    edges = tuple(sorted(table))
+    boundary = tuple(i for i, e in enumerate(edges) if len(table[e]) == 1)
+    n = spec.n_vertices
+    try:
+        graph = ShellGraph(n, edges, boundary, spec.faces)
+        if not graph.is_connected():
+            raise ValidationError("shell graph is disconnected")
+        graph.face_map  # the fan check
+    except ValidationError as err:
+        raise ValidationError(f"{spec.name}: {err}") from None
+
+    # the constructor admits no more than one hole
+    holes = 1 if boundary else 0
+    euler = n - len(edges) + spec.n_faces
+    if euler != 2 - holes:
+        raise ValidationError(
+            f"{spec.name}: Euler characteristic {euler} != {2 - holes} "
+            f"(V={n}, E={len(edges)}, F={spec.n_faces}, holes={holes})"
+        )
+
+    if spec.has_geometry:
+        pts = spec.vertices
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise ValidationError(f"{spec.name}: vertex {bad[0]} has a non-finite coordinate")
+        for u, v in table:
+            if not np.linalg.norm(pts[u] - pts[v]) > 0.0:
+                raise ValidationError(f"{spec.name}: edge ({u}, {v}) has zero length")
+        residual = _face_planarity(spec)
+        if residual > PLANARITY_RTOL:
+            raise ValidationError(
+                f"{spec.name}: face planarity residual {residual:.3e} exceeds {PLANARITY_RTOL}"
+            )
+    return graph
 
 
 def _bareiss_determinant(m: list[list[int]]) -> int:

@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, writing
 from .geometry import NetLayout
 
 _FACE_FILL = "#d9e8f5"
@@ -94,5 +94,6 @@ def export_svg(
     lines.append("</svg>")
     data = ("\n".join(lines) + "\n").encode("utf-8")
     if path is not None:
-        Path(path).write_bytes(data)
+        with writing(path):
+            Path(path).write_bytes(data)
     return data

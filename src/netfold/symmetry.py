@@ -13,11 +13,12 @@ from __future__ import annotations
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-from .polyhedra import face_map
+from .polyhedra import Edge
 from .shellgraph import ShellGraph, interior_seed, merged_spanning_trees
 
 Cut = tuple[int, ...]
@@ -29,21 +30,47 @@ _CUT_GROUPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 @dataclass(frozen=True, eq=False)
 class AutomorphismGroup:
-    """All vertex relabelings fixing a shell graph.
+    """All vertex relabelings fixing a shell graph, and their action on its
+    edges and vertex sets; no other module applies a relabeling.
 
     `perms` are permutations as tuples (`perm[v]` is the image of vertex v),
-    sorted lexicographically, identity first.
+    sorted lexicographically, identity first.  `edges` are the graph's
+    canonical edges, whose ids `edge_perms` permutes.  The group does not
+    refer to its graph, so the caches keyed by the graph let it go.
     """
 
     n: int
+    edges: tuple[Edge, ...]
     perms: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
         return len(self.perms)
 
-    def __iter__(self):
-        return iter(self.perms)
+    @cached_property
+    def edge_perms(self) -> np.ndarray:
+        """The induced permutations of edge ids as an (order, E) int32
+        table: row k maps edge e to the id of its image under perms[k].
+        Each image edge is looked up among the sorted edge keys; one that
+        is not an edge raises ValidationError."""
+        ends = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        keys = ends[:, 0] * self.n + ends[:, 1]
+        order = np.argsort(keys)
+        images = np.asarray(self.perms, dtype=np.int64)[:, ends]
+        image_keys = images.min(axis=2) * self.n + images.max(axis=2)
+        at = np.minimum(np.searchsorted(keys[order], image_keys), len(keys) - 1)
+        ids = order[at]
+        moved = (keys[ids] != image_keys).any(axis=1)
+        if moved.any():
+            raise ValidationError(f"permutation {self.perms[moved.argmax()]} does not preserve the edge set")
+        return ids.astype(np.int32)
+
+    def orbit(self, mask: int) -> tuple[tuple[int, ...], list[int]]:
+        """The images of a vertex set given as a bitmask, ascending and each
+        once, and the indices of the perms that fix it."""
+        vertices = [v for v in range(self.n) if (mask >> v) & 1]
+        images = [sum(1 << p[v] for v in vertices) for p in self.perms]
+        return tuple(sorted(set(images))), [k for k, image in enumerate(images) if image == mask]
 
 
 @dataclass(frozen=True)
@@ -54,17 +81,13 @@ class CanonicalCut:
     orbit_size: int
 
 
-def _check_group_axioms(graph: ShellGraph, group: AutomorphismGroup) -> None:
+def _check_group_axioms(group: AutomorphismGroup) -> None:
     perm_set = set(group.perms)
     identity = tuple(range(group.n))
     if identity not in perm_set:
         raise ValidationError("group is missing the identity")
-    edge_set = set(graph.edges)
+    group.edge_perms  # raises unless every perm preserves the edge set
     for p in group.perms:
-        for u, v in graph.edges:
-            image = (p[u], p[v]) if p[u] < p[v] else (p[v], p[u])
-            if image not in edge_set:
-                raise ValidationError(f"permutation {p} does not preserve the edge set")
         inverse = [0] * group.n
         for v, w in enumerate(p):
             inverse[w] = v
@@ -102,7 +125,7 @@ def find_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
 
     Dart 2e runs along edge e from its lower end and dart 2e + 1 back, so
     `d ^ 1` reverses d; each dart lies in one face, and an open shell's hole
-    is one more face (`polyhedra.face_map`, which also rejects a shell
+    is one more face (`ShellGraph.face_map`, which also rejects a shell
     pinched at a vertex).  A map automorphism is fixed by the image t of dart 0
     and whether it keeps orientation (Weinberg 1966): it commutes with
     reversal and maps the dart after d in its face to the dart after t, or
@@ -141,10 +164,10 @@ def _map_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
     if not graph.is_connected():
         raise ValidationError("graph is disconnected")
     if not graph.faces:
-        return AutomorphismGroup(n=graph.n, perms=(tuple(range(graph.n)),))
-    # face_map also requires one fan of faces per vertex, without which
+        return AutomorphismGroup(n=graph.n, edges=graph.edges, perms=(tuple(range(graph.n)),))
+    # the face map also requires one fan of faces per vertex, without which
     # spreading would leave darts unmapped
-    following = face_map(graph.edges, graph.faces, [graph.edges[e] for e in graph.boundary_edges])
+    following = graph.face_map
     n_darts = len(following)
     preceding = [0] * n_darts
     for d, d2 in enumerate(following):
@@ -157,21 +180,9 @@ def _map_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
             if image is not None:
                 perm = dict(zip(tail, (tail[t] for t in image)))
                 perms.add(tuple(perm[v] for v in range(graph.n)))
-    group = AutomorphismGroup(n=graph.n, perms=tuple(sorted(perms)))
-    _check_group_axioms(graph, group)
+    group = AutomorphismGroup(n=graph.n, edges=graph.edges, perms=tuple(sorted(perms)))
+    _check_group_axioms(group)
     return group
-
-
-def edge_permutations(graph: ShellGraph, group: AutomorphismGroup) -> np.ndarray:
-    """Induced permutations of canonical edge ids, one row per automorphism."""
-    if group.n != graph.n:
-        raise ValidationError("group and graph sizes differ")
-    table = np.empty((group.order, graph.m), dtype=np.int32)
-    for k, p in enumerate(group.perms):
-        for e, (u, v) in enumerate(graph.edges):
-            a, b = p[u], p[v]
-            table[k, e] = graph.edge_index[(a, b) if a < b else (b, a)]
-    return table
 
 
 def rows_in_lex_order(rows: np.ndarray) -> bool:
@@ -225,18 +236,20 @@ def dedupe_cuts(
 ) -> CutClasses:
     """Group labeled cuts into orbits; return each orbit's smallest member.
 
-    `cuts` holds one ascending row of edge ids per labeled cut and must be
-    closed under the group action (a complete enumeration is).  Rows are
-    sorted lexicographically unless they already are (`enumerate_mlsts`
-    lists them in that order), and duplicates raise.  Under a trivial group
-    every row is its own class, and the rows come back as they are with
-    orbit sizes of 1.  Otherwise rows are visited in order and each unseen
-    row has its whole orbit marked, so every orbit is canonicalized exactly
-    once and the first unseen row is the orbit minimum.  Orbit membership is
-    tracked by exact byte keys of the sorted edge ids (dict hashing plus
-    exact comparison), and the orbit-sum identity Σ|orbit| = #cuts is
-    enforced.
+    `group` must act on the graph's edges.  `cuts` holds one ascending row
+    of edge ids per labeled cut and must be closed under the group action
+    (a complete enumeration is).  Rows are sorted lexicographically unless
+    they already are (`enumerate_mlsts` lists them in that order), and
+    duplicates raise.  Under a trivial group every row is its own class,
+    and the rows come back as they are with orbit sizes of 1.  Otherwise
+    rows are visited in order and each unseen row has its whole orbit
+    marked, so every orbit is canonicalized exactly once and the first
+    unseen row is the orbit minimum.  Orbit membership is tracked by exact
+    byte keys of the sorted edge ids (dict hashing plus exact comparison),
+    and the orbit-sum identity Σ|orbit| = #cuts is enforced.
     """
+    if group.edges != graph.edges:
+        raise ValidationError("the group acts on the edges of another graph")
     cuts = np.asarray(cuts)
     if cuts.ndim != 2 or not np.issubdtype(cuts.dtype, np.integer):
         raise ValidationError(f"cuts must be a 2-D array of edge ids, got {cuts.dtype} of shape {cuts.shape}")
@@ -249,7 +262,7 @@ def dedupe_cuts(
     if group.order == 1:
         return CutClasses(cuts, np.ones(n_cuts, dtype=np.int64))
     cuts = np.ascontiguousarray(cuts)
-    table = edge_permutations(graph, group).astype(cuts.dtype)
+    table = group.edge_perms.astype(cuts.dtype)
     key_type = np.dtype((np.void, k * cuts.itemsize))
     keys = cuts.view(key_type).ravel().tolist()
     present = set(keys)
@@ -271,18 +284,6 @@ def dedupe_cuts(
     return CutClasses(cuts[reps], np.asarray(sizes, dtype=np.int64))
 
 
-def edge_set_stabilizer(
-    graph: ShellGraph,
-    group: AutomorphismGroup,
-    edge_ids: Sequence[int],
-) -> AutomorphismGroup:
-    """The subgroup whose induced edge permutations fix an edge set setwise."""
-    target = np.zeros(graph.m, dtype=bool)
-    target[list(edge_ids)] = True
-    kept = (target[edge_permutations(graph, group)] == target).all(axis=1)
-    return AutomorphismGroup(n=group.n, perms=tuple(p for p, keep in zip(group.perms, kept) if keep))
-
-
 def cut_group(graph: ShellGraph) -> AutomorphismGroup:
     """The group cuts are classed under, found once per graph: the face-map
     automorphisms that fix the hole boundary, which every hole cut contains
@@ -291,7 +292,11 @@ def cut_group(graph: ShellGraph) -> AutomorphismGroup:
     if group is None:
         group = find_automorphisms(graph)
         if graph.boundary_edges:
-            group = edge_set_stabilizer(graph, group, graph.boundary_edges)
+            boundary = np.zeros(graph.m, dtype=bool)
+            boundary[list(graph.boundary_edges)] = True
+            kept = boundary[group.edge_perms[:, graph.boundary_edges]].all(axis=1)
+            perms = tuple(p for p, keep in zip(group.perms, kept) if keep)
+            group = AutomorphismGroup(n=group.n, edges=group.edges, perms=perms)
         _CUT_GROUPS[graph] = group
     return group
 
@@ -339,23 +344,19 @@ def count_net_classes(result) -> int:
     group = cut_group(graph)
     nbr = graph.neighbor_masks
     cycles = [_cycles(p) for p in group.perms]
-    table = None
     total = 0
     for members, n_trees in orbits:
         vt = members[0]
-        vertices = [v for v in range(graph.n) if (vt >> v) & 1]
-        images = [sum(1 << p[v] for v in vertices) for p in group.perms]
-        if set(images) != set(members):
+        images, stab = group.orbit(vt)
+        if images != tuple(members):
             raise ValidationError(f"set {vt:#x}: the orbit given is not its orbit under the cut group")
-        stab = [k for k, image in enumerate(images) if image == vt]
         if n_trees > 1 and len(stab) > 1:
-            table = edge_permutations(graph, group) if table is None else table
             trees = np.asarray(merged_spanning_trees(graph, vt, interior_seed(graph, vt)), dtype=np.intp)
         fixed_total = 0
         for k in stab:
             fixed = n_trees
             if k and n_trees > 1:  # perms[0] is the identity, which fixes every tree
-                fixed = int((np.sort(table[k][trees], axis=1) == trees).all(axis=1).sum())
+                fixed = int((np.sort(group.edge_perms[k][trees], axis=1) == trees).all(axis=1).sum())
             for cycle, w, fix_mask in cycles[k]:
                 if not cycle & vt:
                     fixed *= (nbr[w] & vt & fix_mask).bit_count()

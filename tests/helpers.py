@@ -8,7 +8,9 @@ block search in `netfold.mlst` replaced, recovery of interiors from explicit
 cut lists, a whole-group canonical form for a single cut, trend
 statistics over the catalog table, and a backtracking search for a graph's
 automorphisms, which checks the groups netfold reads off face maps and
-supplies the full group of a graph without faces.  The per-face
+supplies the full group of a graph without faces.  `reference_edge_perms`
+is the per-edge loop that `AutomorphismGroup.edge_perms` replaced, and
+`reference_stabilizer` the edge-set stabilizer built on it.  The per-face
 geometry (`reference_unfold`, `reference_centroid_and_rg` and the screen
 over every bounding-box pair, `reference_check_overlap`) is the code the
 batched geometry replaced.  `cut_tuples` reads a cut
@@ -45,7 +47,6 @@ from netfold.symmetry import (
     AutomorphismGroup,
     CanonicalCut,
     _check_group_axioms,
-    edge_permutations,
 )
 
 # The catalog shells whose full pipeline finishes within a second or two
@@ -180,8 +181,8 @@ def graph_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
                 image[v] = -1
 
     assign(0, 0)
-    group = AutomorphismGroup(n=n, perms=tuple(sorted(perms)))
-    _check_group_axioms(graph, group)
+    group = AutomorphismGroup(n=n, edges=graph.edges, perms=tuple(sorted(perms)))
+    _check_group_axioms(group)
     return group
 
 
@@ -205,7 +206,26 @@ def face_preserving(spec: PolyhedronSpec, group: AutomorphismGroup) -> Automorph
     faces = {_cycle_key(f) for f in spec.faces}
     kept = [p for p in group.perms
             if all(_cycle_key([p[v] for v in f]) in faces for f in spec.faces)]
-    return AutomorphismGroup(n=group.n, perms=tuple(kept))
+    return AutomorphismGroup(n=group.n, edges=group.edges, perms=tuple(kept))
+
+
+def reference_edge_perms(graph: ShellGraph, group: AutomorphismGroup) -> np.ndarray:
+    """The induced permutations of edge ids, one row per perm, each image
+    edge looked up in the graph's edge index one at a time: the loop that
+    `AutomorphismGroup.edge_perms` replaced."""
+    table = np.empty((group.order, graph.m), dtype=np.int32)
+    for k, p in enumerate(group.perms):
+        for e, (u, v) in enumerate(graph.edges):
+            table[k, e] = graph.edge_index[canon_edge(p[u], p[v])]
+    return table
+
+
+def reference_stabilizer(graph: ShellGraph, group: AutomorphismGroup, edge_ids) -> AutomorphismGroup:
+    """The members of `group` that map an edge set onto itself."""
+    target = set(edge_ids)
+    kept = [p for p, row in zip(group.perms, reference_edge_perms(graph, group))
+            if {int(row[e]) for e in target} == target]
+    return AutomorphismGroup(n=group.n, edges=group.edges, perms=tuple(kept))
 
 
 def relabeled_spec(spec: PolyhedronSpec, seed: int):
@@ -412,7 +432,7 @@ def classes_from_interiors(graph: ShellGraph, interiors, group: AutomorphismGrou
     """Class count by fixed-point counting over explicit interiors: a cut
     fixed by g needs g to fix its interior edge set and to map attachment
     choices consistently around each g-cycle of outside vertices."""
-    table = edge_permutations(graph, group)
+    table = reference_edge_perms(graph, group)
     index_of = {p: k for k, p in enumerate(group.perms)}
     total = 0
     for k, p in enumerate(group.perms):
@@ -473,7 +493,7 @@ def interiors_from_cuts(graph: ShellGraph, cuts: np.ndarray, base_edges: Sequenc
 
 def canonical_cut(graph: ShellGraph, cut: Sequence[int], group: AutomorphismGroup) -> CanonicalCut:
     """Smallest labeled image of a cut over the whole group, with orbit size."""
-    table = edge_permutations(graph, group)
+    table = reference_edge_perms(graph, group)
     arr = np.asarray(sorted(int(e) for e in cut), dtype=np.int32)
     images = {tuple(np.sort(table[k][arr]).tolist()) for k in range(group.order)}
     return CanonicalCut(edges=min(images), orbit_size=len(images))

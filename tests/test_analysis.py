@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import DESK_SHELLS, ratio_rank_correlation, ratio_trend_envelope
+from helpers import DESK_SHELLS, ratio_rank_correlation, ratio_trend_envelope, reference_stabilizer
 from netfold.analysis import (
     build_statistics_table,
     compute_statistics,
@@ -19,7 +19,7 @@ from netfold.errors import BudgetExceededError, ValidationError
 from netfold.holes import remove_faces
 from netfold.mlst import enumerate_interiors, enumerate_mlsts
 from netfold.shellgraph import build_shell_graph
-from netfold.symmetry import dedupe_cuts, edge_set_stabilizer, find_automorphisms
+from netfold.symmetry import dedupe_cuts, find_automorphisms
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ def test_open_shell_counts_match_listing_and_dedupe(name, hole, labeled, classes
     row = compute_statistics(spec)
     graph = build_shell_graph(spec)
     cuts = enumerate_mlsts(graph).cuts
-    stab = edge_set_stabilizer(graph, find_automorphisms(graph), graph.boundary_edges)
+    stab = reference_stabilizer(graph, find_automorphisms(graph), graph.boundary_edges)
     assert (row.n_optimal_cuts, row.n_optimal_nets) == (labeled, classes)
     assert row.n_optimal_cuts == len(cuts)
     assert row.n_optimal_nets == len(dedupe_cuts(graph, cuts, stab))

@@ -370,6 +370,15 @@ def test_rank_files_match_golden_hashes(tmp_path, monkeypatch, capsys, name, hol
     assert digests == RANK_GOLDEN[(name, hole)]
 
 
+def _python(*args, cwd=None):
+    """Run a fresh interpreter that imports this netfold."""
+    src = str(Path(netfold.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
+
+
 def test_catalog_builds_without_loading_scipy():
     # netfold's one run-time dependency is numpy: a fresh interpreter that
     # loads the CLI and builds every catalog shell has no scipy module
@@ -380,12 +389,47 @@ def test_catalog_builds_without_loading_scipy():
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded[:5]\n"
     )
-    src = str(Path(netfold.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--builtin", "cube"],
+    ["enumerate", "--input", "cube.json", "--hole", "0"],
+], ids=["count-builtin", "enumerate-open"])
+def test_commands_leave_numpy_ma_unloaded(tmp_path, argv):
+    # `np.unique` with no index or count output imports numpy.ma, which
+    # costs ~15 ms; the catalog and the hole-cut check do without it
+    if _python("-c", "import sys, numpy; sys.exit('numpy.ma' in sys.modules)").returncode:
+        pytest.skip("importing numpy alone loads numpy.ma")
+    netfold.save_polyhedron(netfold.builtin("cube"), tmp_path / "cube.json")
+    code = (
+        "import contextlib, io, sys\n"
+        "from netfold.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    proc = _python("-c", code, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv,path,reason", [
+    (["enumerate", "--builtin", "cube", "--out-dir", "F"], "F", "File exists"),
+    (["rank", "--builtin", "cube", "--out-dir", "F/sub"], "F/sub", "Not a directory"),
+    (["estimate", "--builtin", "cube", "--out-dir", "F"], "F", "File exists"),
+    (["enumerate", "--builtin", "cube", "--out-dir", "D"], "D/enumeration.json", "Is a directory"),
+], ids=["enumerate-file", "rank-under-a-file", "estimate-file", "enumerate-directory-in-the-way"])
+def test_an_unusable_out_dir_is_a_usage_error(tmp_path, argv, path, reason):
+    # each of these once ended in a traceback from `mkdir` or `open`; a
+    # directory without write permission is not tested, since root may
+    # write anywhere
+    (tmp_path / "F").touch()
+    (tmp_path / "D" / "enumeration.json").mkdir(parents=True)
+    proc = _python("-m", "netfold.cli", *argv, cwd=tmp_path)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {path}: cannot write: {reason}\n"
 
 
 @pytest.mark.parametrize("kind, reason", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import check_hole_cut, cut_tuples
+from helpers import check_hole_cut, cut_tuples, reference_stabilizer
 from netfold import holes, mlst
 from netfold.catalog import builtin
 from netfold.cli import main
@@ -10,7 +10,7 @@ from netfold.holes import check_hole_cuts, remove_faces
 from netfold.mlst import count_labeled_cuts, enumerate_interiors, enumerate_mlsts
 from netfold.polyhedra import PolyhedronSpec, canon_edge
 from netfold.shellgraph import build_shell_graph, cut_leaves
-from netfold.symmetry import dedupe_cuts, edge_set_stabilizer, find_automorphisms
+from netfold.symmetry import dedupe_cuts, find_automorphisms
 
 
 def brute_force_hole_cuts(graph, boundary):
@@ -110,7 +110,7 @@ def test_nine_face_cap_hole_counts():
     assert result.leaf_count == 9
     assert len(result.cuts) == count_labeled_cuts(result) == 720
     group = find_automorphisms(g)
-    stabilizer = edge_set_stabilizer(g, group, g.boundary_edges)
+    stabilizer = reference_stabilizer(g, group, g.boundary_edges)
     classes = dedupe_cuts(g, result.cuts, stabilizer)
     assert len(classes) == 90
 

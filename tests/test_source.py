@@ -104,15 +104,20 @@ def test_only_the_builders_construct_shell_graphs():
     assert found == ["shellgraph.ShellGraph.from_edges", "shellgraph.build_shell_graph"]
 
 
-def test_only_symmetry_decides_the_cut_group():
-    # cuts are classed under `symmetry.cut_group`, the one place that takes
-    # the hole boundary's stabilizer; no other module forms a group of its own
-    found = sorted(
-        f"{path.stem}.{scope}"
-        for path, tree in zip(SOURCES, _trees())
-        for scope in _calls_by_scope(tree, "edge_set_stabilizer")
-    )
-    assert found == ["symmetry.cut_group"]
+def test_only_symmetry_applies_the_group():
+    # `AutomorphismGroup` owns its action (`edge_perms`, `orbit`) and
+    # `symmetry` alone forms groups, the cut group among them; no other
+    # module reads a group's perms or builds a group of its own
+    found = []
+    for path, tree in zip(SOURCES, _trees()):
+        uses = [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "perms"]
+        uses += [f"{path.stem}.{scope}" for scope in _calls_by_scope(tree, "AutomorphismGroup")]
+        if path.stem == "symmetry":
+            assert uses  # the source was read
+        else:
+            found += uses
+    assert found == []
 
 
 def test_mlst_has_no_recursive_function():

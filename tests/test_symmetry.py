@@ -1,17 +1,24 @@
+import dataclasses
+import functools
+import gc
 import json
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from helpers import (
+    DESK_SHELLS,
     canonical_cut,
     cut_tuples,
     face_preserving,
     flat_sets,
     give_graph_group,
     graph_automorphisms,
+    reference_edge_perms,
+    reference_stabilizer,
     relabeled_spec,
 )
 from netfold import symmetry
@@ -35,7 +42,6 @@ from netfold.symmetry import (
     count_net_classes,
     cut_group,
     dedupe_cuts,
-    edge_set_stabilizer,
     find_automorphisms,
 )
 
@@ -157,7 +163,7 @@ def test_hole_stabilizer_subgroup():
     open_cube = remove_faces(builtin("cube"), [0])
     g = build_shell_graph(open_cube)
     group = find_automorphisms(g)
-    stab = edge_set_stabilizer(g, group, g.boundary_edges)
+    stab = cut_group(g)
     assert group.order == 48
     assert stab.order == 8  # symmetries of the kept square ring
     assert group.order % stab.order == 0
@@ -165,7 +171,7 @@ def test_hole_stabilizer_subgroup():
 
 def test_cut_group_fixes_the_hole_and_is_found_once(shell_graph):
     g = build_shell_graph(remove_faces(builtin("cube"), [0]))
-    assert cut_group(g).perms == edge_set_stabilizer(g, find_automorphisms(g), g.boundary_edges).perms
+    assert cut_group(g).perms == reference_stabilizer(g, find_automorphisms(g), g.boundary_edges).perms
     assert cut_group(g) is cut_group(g)
     closed = shell_graph("cube")
     assert cut_group(closed) is find_automorphisms(closed)
@@ -202,7 +208,12 @@ def test_asymmetric_graph_has_trivial_group():
 
 
 def _forged(n, *perms):
-    return AutomorphismGroup(n=n, perms=tuple(sorted(perms)))
+    """A group of `perms`, on no edges until `_on` gives it a graph's."""
+    return AutomorphismGroup(n=n, edges=(), perms=tuple(sorted(perms)))
+
+
+def _on(edges, group):
+    return dataclasses.replace(group, edges=ShellGraph.from_edges(group.n, edges).edges)
 
 
 @pytest.mark.parametrize("edges,group,message", [
@@ -218,9 +229,8 @@ def _forged(n, *perms):
      "not closed under composition"),
 ])
 def test_group_axioms_reject_a_forged_group(edges, group, message):
-    g = ShellGraph.from_edges(group.n, edges)
     with pytest.raises(ValidationError, match=message):
-        _check_group_axioms(g, group)
+        _check_group_axioms(_on(edges, group))
 
 
 def test_group_axioms_catch_a_product_of_later_generators():
@@ -229,7 +239,7 @@ def test_group_axioms_catch_a_product_of_later_generators():
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     group = _forged(4, (0, 1, 2, 3), (0, 2, 1, 3), (1, 0, 2, 3))
     with pytest.raises(ValidationError, match="not closed under composition"):
-        _check_group_axioms(ShellGraph.from_edges(4, edges), group)
+        _check_group_axioms(_on(edges, group))
 
 
 def test_star_with_a_factorial_group_is_searched_quickly():
@@ -313,9 +323,7 @@ def test_face_map_group_on_relabelled_specs(name, seed):
 @pytest.mark.parametrize("name", ["snub_cube", "truncated_cube", "dodecahedron"])
 def test_hole_stabilizer_matches_the_graph_group(name):
     g = build_shell_graph(remove_faces(builtin(name), [0]))
-    face_map = edge_set_stabilizer(g, find_automorphisms(g), g.boundary_edges)
-    graph = edge_set_stabilizer(g, graph_automorphisms(g), g.boundary_edges)
-    assert face_map.perms == graph.perms
+    assert cut_group(g).perms == reference_stabilizer(g, graph_automorphisms(g), g.boundary_edges).perms
 
 
 # two cubes glued at two opposite corners of a face (vertices 0 and 3), a
@@ -371,7 +379,7 @@ def test_a_shell_pinched_at_two_vertices_is_rejected(tmp_path, capsys):
 
 
 def _trivial_group(g):
-    return AutomorphismGroup(n=g.n, perms=(tuple(range(g.n)),))
+    return AutomorphismGroup(n=g.n, edges=g.edges, perms=(tuple(range(g.n)),))
 
 
 def test_cut_classes_read_as_a_sequence_of_canonical_cuts():
@@ -412,3 +420,95 @@ def test_dedupe_sorts_unsorted_input_and_rejects_duplicates(shell_graph, trivial
     assert np.array_equal(got.orbit_sizes, want.orbit_sizes)
     with pytest.raises(ValidationError, match="duplicate labeled cuts"):
         dedupe_cuts(g, np.concatenate([shuffled, cuts[5:6]]), group)
+
+
+def _open_or_closed(name, hole):
+    spec = builtin(name)
+    return build_shell_graph(spec if hole is None else remove_faces(spec, [hole]))
+
+
+@pytest.mark.parametrize("hole", [None, 0])
+@pytest.mark.parametrize("name", DESK_SHELLS)
+def test_edge_perms_equal_the_reference_loop(name, hole):
+    g = _open_or_closed(name, hole)
+    for group in (find_automorphisms(g), cut_group(g)):
+        assert group.edge_perms.dtype == np.int32
+        assert np.array_equal(group.edge_perms, reference_edge_perms(g, group))
+
+
+@pytest.mark.parametrize("n,edges", [
+    (4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),  # K4
+    (8, [(0, i) for i in range(1, 8)]),  # K1,7
+    (6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]),  # a hexagon with one chord
+    (1, []),
+])
+def test_edge_perms_of_a_graph_group_equal_the_reference_loop(n, edges):
+    g = ShellGraph.from_edges(n, edges)
+    group = graph_automorphisms(g)
+    assert np.array_equal(group.edge_perms, reference_edge_perms(g, group))
+
+
+def test_a_perm_that_moves_an_edge_off_the_graph_is_rejected(shell_graph):
+    g = shell_graph("cube")
+    u, v = g.edges[0]  # swapping the ends of an edge moves the cube's other edges at them
+    swap = tuple(u if w == v else v if w == u else w for w in range(g.n))
+    group = AutomorphismGroup(n=g.n, edges=g.edges, perms=(tuple(range(g.n)), swap))
+    with pytest.raises(ValidationError, match=r"permutation \(.*\) does not preserve the edge set"):
+        group.edge_perms
+    with pytest.raises(ValidationError, match="does not preserve the edge set"):
+        _check_group_axioms(group)
+
+
+@pytest.mark.parametrize("name,hole", [
+    ("cube", None), ("dodecahedron", None), ("truncated_cube", None),
+    ("truncated_octahedron", None), ("cube", 0), ("snub_cube", 0), ("truncated_cube", 0),
+])
+def test_orbit_gives_the_image_set_and_the_perms_that_fix_it(name, hole):
+    g = _open_or_closed(name, hole)
+    group = cut_group(g)
+    for vt, _ in flat_sets(enumerate_interiors(g)):
+        vertices = [v for v in range(g.n) if (vt >> v) & 1]
+        images = [sum(1 << p[v] for v in vertices) for p in group.perms]
+        members, stab = group.orbit(vt)
+        assert members == tuple(sorted(set(images)))
+        assert stab == [k for k, image in enumerate(images) if image == vt]
+        assert len(members) * len(stab) == group.order
+
+
+def test_dedupe_rejects_the_group_of_another_graph(shell_graph):
+    g = shell_graph("cube")
+    cuts = enumerate_mlsts(g).cuts
+    relabeled = build_shell_graph(relabeled_spec(builtin("cube"), 1)[0])
+    assert (relabeled.n, relabeled.m) == (g.n, g.m) and relabeled.edges != g.edges
+    for other in (shell_graph("octahedron"), relabeled):
+        with pytest.raises(ValidationError, match="acts on the edges of another graph"):
+            dedupe_cuts(g, cuts, find_automorphisms(other))
+
+
+@pytest.mark.parametrize("hole", [None, 0])
+def test_the_face_map_is_built_once_per_graph(monkeypatch, hole):
+    built = []
+    face_map = ShellGraph.face_map.func
+
+    def spy(graph):
+        built.append(graph)
+        return face_map(graph)
+
+    counted = functools.cached_property(spy)
+    counted.__set_name__(ShellGraph, "face_map")
+    monkeypatch.setattr(ShellGraph, "face_map", counted)
+    g = _open_or_closed("cube", hole)
+    assert built == [g]  # the fan check of build_shell_graph
+    find_automorphisms(g)
+    cut_group(g)
+    assert built == [g]
+
+
+def test_a_graph_is_collected_with_its_cached_groups():
+    g = _open_or_closed("cube", 0)
+    assert cut_group(g).edge_perms.shape == (8, g.m)
+    assert find_automorphisms(g).order == 48
+    graph = weakref.ref(g)
+    del g
+    gc.collect()
+    assert graph() is None
