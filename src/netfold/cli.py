@@ -131,6 +131,9 @@ def _enumerate_cuts(args, graph):
 
 
 def _out_dir(args) -> Optional[Path]:
+    """The output directory, created; every subcommand that writes calls
+    this before it loads the shell, so an unusable one fails before the
+    work.  None without --out-dir."""
     if args.out_dir is None:
         return None
     path = Path(args.out_dir)
@@ -140,6 +143,7 @@ def _out_dir(args) -> Optional[Path]:
 
 
 def cmd_enumerate(args) -> int:
+    out = _out_dir(args)
     spec, graph = _load_shell(args)
     result, classes, group = _enumerate_cuts(args, graph)
     print(f"shell: {spec.name} (V={graph.n} E={graph.m} F={len(graph.faces)}"
@@ -148,7 +152,6 @@ def cmd_enumerate(args) -> int:
     print(f"labeled optimal cuts: {len(result.cuts)}")
     print(f"classes under {group.order} automorphisms: {len(classes)}")
     print(f"search nodes: {result.nodes_visited}")
-    out = _out_dir(args)
     if out is not None:
         nio.write_enumeration(
             out / "enumeration.json", graph=graph, leaf_count=result.leaf_count,
@@ -166,15 +169,14 @@ def _ranked(args):
     return spec, ranked
 
 
-def _write_nets(args, ranked, svg_ranks, ranking: bool) -> None:
+def _write_nets(out: Path, ranked, svg_ranks, ranking: bool) -> None:
     """Write `ranking.csv` when `ranking` is set, then an SVG of each rank
-    in `svg_ranks`, into the output directory.  Every rank is checked first,
-    so an out-of-range one writes nothing."""
+    in `svg_ranks`, into `out`.  Every rank is checked first, so an
+    out-of-range one writes nothing."""
     ranks = sorted(set(svg_ranks))
     for rank in ranks:
         if not 1 <= rank <= len(ranked):
             raise ValidationError(f"rank {rank} out of range 1..{len(ranked)}")
-    out = _out_dir(args)
     if ranking:
         nio.write_ranking(out / "ranking.csv", ranked)
         print(f"wrote {out / 'ranking.csv'}")
@@ -187,6 +189,7 @@ def _write_nets(args, ranked, svg_ranks, ranking: bool) -> None:
 def cmd_rank(args) -> int:
     if args.svg_ranks is not None and args.out_dir is None:
         raise ValidationError("--svg-ranks requires --out-dir")
+    out = _out_dir(args)
     spec, ranked = _ranked(args)
     print(f"shell: {spec.name}; {len(ranked)} nets ranked by radius of gyration")
     head = ranked[: min(5, len(ranked))]
@@ -195,8 +198,8 @@ def cmd_rank(args) -> int:
         print(f"  rank {net.rank}: R_g={net.radius_of_gyration:.6f}{flag}")
     if len(ranked) > len(head):
         print(f"  ... {len(ranked) - len(head)} more")
-    if args.out_dir is not None:
-        _write_nets(args, ranked, args.svg_ranks or [], ranking=True)
+    if out is not None:
+        _write_nets(out, ranked, args.svg_ranks or [], ranking=True)
     try:
         best = select_optimal_net(ranked)
     except FallbackExhaustedError:
@@ -246,13 +249,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    out = _out_dir(args)
     names = [catalog_entry(args.builtin).name] if args.builtin else None
     rows = build_statistics_table(names=names, **_search_kwargs(args))
     comparison = estimate_comparison(rows)
     for row in comparison:
         exact = "?" if row.leaf_count is None else str(row.leaf_count)
         print(f"  {row.name}: E={row.n_edges} leaf trend {row.leaf_trend} vs exact {exact}")
-    out = _out_dir(args)
     if out is not None:
         nio.write_statistics(out / "statistics.tsv", rows)
         nio.write_estimates(out / "estimates.tsv", comparison)
@@ -285,8 +288,9 @@ def cmd_count(args) -> int:
 def cmd_export_svg(args) -> int:
     if args.out_dir is None:
         raise ValidationError("export-svg requires --out-dir")
+    out = _out_dir(args)
     spec, ranked = _ranked(args)
-    _write_nets(args, ranked, args.svg_ranks, ranking=False)
+    _write_nets(out, ranked, args.svg_ranks, ranking=False)
     return EXIT_OK
 
 

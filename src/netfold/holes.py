@@ -52,8 +52,19 @@ def remove_faces(spec: PolyhedronSpec, removed: Sequence[int]) -> PolyhedronSpec
     )
 
 
-# rows per block of `check_hole_cuts`; bounds its index arrays to a few MiB
+# rows per block of `check_hole_cuts`; bounds its masks to a few MiB
 _CHECK_BLOCK = 8192
+
+
+def _bit_words(ids: np.ndarray, n_bits: int) -> np.ndarray:
+    """The bit mask of each row of an (r, c) array of distinct bit indices
+    below `n_bits`, as a (⌈n_bits/64⌉, r) uint64 array whose entry (w, i)
+    holds bits 64w to 64w + 63 of row i's mask."""
+    words = np.zeros((-(-n_bits // 64), ids.shape[0]), dtype=np.uint64)
+    rows = np.arange(ids.shape[0])
+    for column in ids.T:
+        words[column // 64, rows] |= np.uint64(1) << (column % 64).astype(np.uint64)
+    return words
 
 
 def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
@@ -62,46 +73,58 @@ def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
     A valid hole cut has exactly V edges, contains every boundary edge, spans
     all vertices in one component (hence exactly one cycle, the boundary),
     and has no boundary vertex as a leaf.  The per-row tests run in numpy on
-    blocks of rows.  Dropping a row's leaf edges leaves its interior, which
-    must be connected with as many edges as vertices; that test runs once per
-    distinct interior, and a listing has far fewer interiors than cuts.
+    blocks of rows, on bit masks held as uint64 words: one pass over a
+    block's columns ORs the two ends of each edge into the vertices seen
+    once and, where already seen, into those seen twice, and the leaves are
+    the vertices seen once and not twice.  Dropping a row's leaf edges
+    leaves its interior, which must be connected with as many edges as
+    vertices; that test runs once per distinct interior, and a listing has
+    far fewer interiors than cuts.
     """
     if not graph.boundary_edges:
         raise ValidationError("graph has no hole boundary")
-    boundary = np.asarray(graph.boundary_edges)
-    n = graph.n
+    n, m = graph.n, graph.m
     cuts = np.asarray(cuts)
     if not np.issubdtype(cuts.dtype, np.integer):
         raise ValidationError(f"cut edge ids must be integers, got {cuts.dtype}")
     if cuts.ndim != 2 or cuts.shape[1] != n:
         raise ValidationError(f"hole cuts need exactly {n} edges each, got shape {cuts.shape}")
-    if cuts.size and (cuts.min() < 0 or cuts.max() >= graph.m):
-        raise ValidationError(f"cut edge ids must lie in 0..{graph.m - 1}")
-    ends = np.asarray(graph.edges, dtype=np.int32).reshape(-1, 2)
-    boundary_vertices = [v for v in range(n) if (graph.boundary_mask >> v) & 1]
-    in_boundary = np.zeros(graph.m, dtype=bool)
-    in_boundary[boundary] = True
+    if cuts.size and (cuts.min() < 0 or cuts.max() >= m):
+        raise ValidationError(f"cut edge ids must lie in 0..{m - 1}")
+    # words first, rows last, so that every step runs along contiguous rows
+    end_bits = _bit_words(np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2), n)
+    edge_bits = _bit_words(np.arange(m)[:, None], m)
+    boundary_vertices = _bit_words(
+        np.asarray([[v for v in range(n) if (graph.boundary_mask >> v) & 1]]), n)
+    boundary = _bit_words(np.asarray([graph.boundary_edges]), m)
     cores: set[bytes] = set()
     for start in range(0, cuts.shape[0], _CHECK_BLOCK):
         block = cuts[start:start + _CHECK_BLOCK]
         bad = start + np.flatnonzero((block[:, 1:] <= block[:, :-1]).any(axis=1))
         if bad.size:
             raise ValidationError(f"cut {bad[0]} repeats an edge or is not ascending")
-        rows = np.arange(block.shape[0], dtype=np.int32)[:, None]
-        u, v = ends[block, 0], ends[block, 1]
-        degree = np.bincount(
-            np.concatenate([(rows * n + u).ravel(), (rows * n + v).ravel()]),
-            minlength=block.shape[0] * n,
-        ).reshape(-1, n)
-        leaf = degree == 1
-        bad = start + np.flatnonzero(leaf[:, boundary_vertices].any(axis=1))
+        ids = block.T.astype(np.intp)
+        ends = end_bits.take(ids, axis=1)  # (words, n, rows)
+        once = np.zeros_like(ends[:, 0])
+        twice = np.zeros_like(once)
+        for j in range(n):
+            twice |= once & ends[:, j]
+            once |= ends[:, j]
+        leaf = once & ~twice
+        bad = start + np.flatnonzero((leaf & boundary_vertices).any(axis=0))
         if bad.size:
             raise ValidationError(f"cut {bad[0]} has a boundary vertex as a leaf")
-        bad = start + np.flatnonzero(in_boundary[block].sum(axis=1) != boundary.size)
+        own = edge_bits.take(ids, axis=1)
+        edges = np.bitwise_or.reduce(own, axis=1)
+        bad = start + np.flatnonzero(((edges & boundary) != boundary).any(axis=0))
         if bad.size:
             raise ValidationError(f"cut {bad[0]} is missing boundary edges")
-        leaf_u, leaf_v = leaf[rows, u], leaf[rows, v]
-        bad = start + np.flatnonzero((leaf_u & leaf_v).any(axis=1))
+        # a leaf has one edge, so the edges with a leaf end number the
+        # leaves less the edges joining two leaves
+        at_leaf = (ends & leaf[:, None, :]).any(axis=0)  # (n, rows)
+        leaf_edges = np.bitwise_or.reduce(np.where(at_leaf, own, np.uint64(0)), axis=1)
+        joined = np.bitwise_count(leaf_edges).sum(axis=0) < np.bitwise_count(leaf).sum(axis=0)
+        bad = start + np.flatnonzero(joined)
         if bad.size:
             raise ValidationError(f"cut {bad[0]} has an edge joining two leaves")
         # Each leaf edge has one leaf end, so the core a row keeps after
@@ -109,12 +132,12 @@ def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
         # core that is connected with as many vertices as edges therefore holds
         # every non-leaf vertex, the leaves hang on it, and its one cycle is
         # the boundary.
-        core = np.sort(np.where(leaf_u | leaf_v, graph.m, block), axis=1)
-        core = core.astype(np.int32, copy=False)
+        core = np.ascontiguousarray((edges & ~leaf_edges).T, dtype="<u8")
         # whole-row byte keys; np.unique(axis=0) is far slower here
-        cores.update(core.view(np.dtype((np.void, core.strides[0]))).ravel().tolist())
+        cores.update(core.view(np.dtype((np.void, core.shape[1] * core.itemsize))).ravel().tolist())
     for key in sorted(cores):
-        core_edges = [e for e in np.frombuffer(key, dtype=np.int32).tolist() if e < graph.m]
+        core = int.from_bytes(key, "little")
+        core_edges = [e for e in range(m) if (core >> e) & 1]
         if not _connected_unicyclic(graph, core_edges):
             raise ValidationError(
                 f"cut interior {core_edges} is not connected with exactly one cycle"

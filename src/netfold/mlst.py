@@ -15,7 +15,8 @@ and barring every vertex of the earlier orbits, which finds a member of
 every orbit of sets; an open shell in one phase seeded with its hole
 boundary, whose vertices carry two cycle edges and are never leaves.  The
 found sets are mapped into orbits under `symmetry.cut_group`, and the
-trees are counted once per orbit.
+trees are counted, and listed when cuts are listed, once per orbit: the
+other members' trees are the first member's mapped by the group.
 The phases of a level run in order in one `_search` call, which keeps one
 node counter and one clock for the level.  It expands blocks of search
 states held as rows of uint64 words in numpy, with no recursion, so a search
@@ -26,7 +27,8 @@ at its time limit, read before each block, and either overrun raises
 "<node budget N | time limit Ts> exceeded at interior size k".  A listing
 whose array and sorted copy, 2 x n_cuts x width x 4 bytes, exceed physical
 memory (or a lower cgroup memory limit) is refused before any tree is
-listed, and the trees listed on each set must number its determinant count.
+listed, and the trees listed on each orbit's first member must number its
+determinant count.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ def _orbits(graph: ShellGraph, found: list[int]) -> tuple[tuple[tuple[int, ...],
     for vt in found:
         if vt in seen:
             continue
-        members, _ = group.orbit(vt)
+        members = group.orbit(vt)[0]
         seen.update(members)
         orbits.append((members, count_interior_trees(graph, members[0])))
     return tuple(sorted(orbits))
@@ -382,9 +384,15 @@ def _physical_memory() -> int:
     return memory
 
 
-def _listing(plans, boundary, n_cuts: int, n_fixed: int, width: int) -> np.ndarray:
+def _listing(plans, boundary, n_cuts: int, n_fixed: int, width: int, m: int) -> np.ndarray:
     """The cuts of every (trees, leaf choices) plan as one int32 array, each
-    row sorted and the rows in lexicographic order."""
+    row sorted and the rows in lexicographic order; `m` is the edge count.
+
+    A plan's trees are an int32 array, one row per tree, and its block of
+    cuts is every tree with every leaf combination.  The rows are sorted by
+    keys of the narrowest unsigned type that holds every edge id, on which
+    numpy's stable sort is a radix sort for ids up to 65535.
+    """
     cuts = np.empty((n_cuts, width), dtype=np.int32)
     cuts[:, :len(boundary)] = boundary
     at = 0
@@ -398,14 +406,16 @@ def _listing(plans, boundary, n_cuts: int, n_fixed: int, width: int) -> np.ndarr
         for j, c in enumerate(choices):
             combos[..., j] = np.asarray(c, dtype=np.int32).reshape((-1,) + (1,) * (k - 1 - j))
         combos = combos.reshape(math.prod(sizes), k)
-        for tree in trees:
-            block = cuts[at:at + len(combos)]
-            block[:, len(boundary):n_fixed] = tree
-            block[:, n_fixed:] = combos
-            at += len(combos)
+        block = cuts[at:at + len(trees) * len(combos)].reshape(len(trees), len(combos), width)
+        block[:, :, len(boundary):n_fixed] = trees[:, None, :]
+        block[:, :, n_fixed:] = combos
+        at += block.shape[0] * block.shape[1]
     cuts.sort(axis=1)
     if width:
-        cuts = cuts[np.lexsort(cuts.T[::-1])]
+        keys = cuts.T[::-1].astype(np.min_scalar_type(m - 1))
+        order = np.lexsort(keys)
+        del keys  # freed before the gather, which holds the listing twice
+        cuts = cuts[order]
     return cuts
 
 
@@ -421,10 +431,14 @@ def enumerate_mlsts(
 
     On a closed shell these are its maximum leaf spanning trees; on an open
     shell, its hole cuts (the boundary cycle plus tree branches), each
-    checked by `holes.check_hole_cuts`.  The listing's size comes from
-    `count_labeled_cuts`, and one too large for physical memory, or whose
-    allocation fails, raises `BudgetExceededError`; a set whose listed trees
-    differ from its determinant count raises `ValidationError`.  `workers`
+    checked by `holes.check_hole_cuts`.  The trees are listed once per orbit
+    of sets, on its first member, and mapped onto each other member by the
+    first perm of the cut group that takes the first member there.  The
+    listing's size comes from `count_labeled_cuts`, and one too large for
+    physical memory, or whose allocation fails, raises
+    `BudgetExceededError`; an orbit whose listed trees differ from its
+    determinant count, or a mapped tree with an end outside its member,
+    raises `ValidationError`.  `workers`
     is accepted and has no effect; it stays while the benchmark harness
     (`perfbench/`) passes it.
     """
@@ -442,15 +456,28 @@ def enumerate_mlsts(
         raise BudgetExceededError(
             f"{needs}, more than the {memory} bytes of physical memory{hint}", partial=result.level_reports,
         )
+    group = cut_group(graph)
+    ends = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2)
+    n_bytes = -(-graph.n // 8)
     plans = []
     for members, n_trees in result.orbits:
-        for vt in members:
-            trees = merged_spanning_trees(graph, vt, interior_seed(graph, vt))
-            if len(trees) != n_trees:
-                raise ValidationError(f"set {vt:#x} lists {len(trees)} trees but counts {n_trees}")
-            plans.append((trees, leaf_choices(graph, vt)))
+        first = members[0]
+        trees = merged_spanning_trees(graph, first, interior_seed(graph, first))
+        if len(trees) != n_trees:
+            raise ValidationError(f"set {first:#x} lists {len(trees)} trees but counts {n_trees}")
+        trees = np.asarray(trees, dtype=np.int32).reshape(n_trees, n_fixed - len(boundary))
+        images, _, reps = group.orbit(first)
+        if images != members:
+            raise ValidationError(f"set {first:#x}: the orbit given is not its orbit under the cut group")
+        # the other members' trees are the first member's mapped onto them
+        for vt, k in zip(members, reps):
+            mapped = np.sort(group.edge_perms[k][trees], axis=1)
+            in_set = np.unpackbits(np.frombuffer(vt.to_bytes(n_bytes, "little"), dtype=np.uint8), bitorder="little")
+            if not in_set[ends[mapped]].all():
+                raise ValidationError(f"set {vt:#x}: a tree mapped from set {first:#x} leaves it")
+            plans.append((mapped, leaf_choices(graph, vt)))
     try:
-        cuts = _listing(plans, boundary, n_cuts, n_fixed, width)
+        cuts = _listing(plans, boundary, n_cuts, n_fixed, width, graph.m)
     except MemoryError as exc:
         raise BudgetExceededError(
             f"{needs}, which could not be allocated{hint}", partial=result.level_reports,

@@ -65,12 +65,40 @@ class AutomorphismGroup:
             raise ValidationError(f"permutation {self.perms[moved.argmax()]} does not preserve the edge set")
         return ids.astype(np.int32)
 
-    def orbit(self, mask: int) -> tuple[tuple[int, ...], list[int]]:
+    @cached_property
+    def _preimages(self) -> np.ndarray:
+        """An (order, 64 W) index array, W = ⌈n/64⌉: row k holds the
+        preimage of each vertex under perms[k], and each column past n
+        holds 64 W - 1, a bit past n and so clear in every vertex set."""
+        width = 64 * -(-self.n // 64)
+        table = np.full((self.order, width), width - 1, dtype=np.intp)
+        perms = np.asarray(self.perms, dtype=np.intp).reshape(self.order, self.n)
+        table[np.arange(self.order)[:, None], perms] = np.arange(self.n)
+        return table
+
+    def orbit(self, mask: int) -> tuple[tuple[int, ...], list[int], list[int]]:
         """The images of a vertex set given as a bitmask, ascending and each
-        once, and the indices of the perms that fix it."""
-        vertices = [v for v in range(self.n) if (mask >> v) & 1]
-        images = [sum(1 << p[v] for v in vertices) for p in self.perms]
-        return tuple(sorted(set(images))), [k for k, image in enumerate(images) if image == mask]
+        once; the indices of the perms that fix it; and, for each image, the
+        index of the first perm that maps the set onto it.
+
+        perms[k] maps the set onto the vertices whose preimage it holds, so
+        each image is one lookup of the set's bits, packed into uint64
+        words, lowest word first."""
+        n_words = self._preimages.shape[1] // 64
+        words = np.frombuffer(mask.to_bytes(8 * n_words, "little"), dtype="<u8")
+        inside = np.unpackbits(words.view(np.uint8), bitorder="little")
+        images = np.packbits(inside[self._preimages], axis=1, bitorder="little").view("<u8")
+        # images in ascending order, each perm's after those of lower index
+        order = np.lexsort(images.T)
+        ranked = images[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        reps = order[first]
+        members = [0] * len(reps)
+        for w in range(n_words):
+            members = [m | (x << 64 * w) for m, x in zip(members, images[reps, w].tolist())]
+        stabilizer = np.flatnonzero((images == words).all(axis=1))
+        return tuple(members), stabilizer.tolist(), reps.tolist()
 
 
 @dataclass(frozen=True)
@@ -347,7 +375,7 @@ def count_net_classes(result) -> int:
     total = 0
     for members, n_trees in orbits:
         vt = members[0]
-        images, stab = group.orbit(vt)
+        images, stab, _ = group.orbit(vt)
         if images != tuple(members):
             raise ValidationError(f"set {vt:#x}: the orbit given is not its orbit under the cut group")
         if n_trees > 1 and len(stab) > 1:

@@ -10,17 +10,22 @@ statistics over the catalog table, and a backtracking search for a graph's
 automorphisms, which checks the groups netfold reads off face maps and
 supplies the full group of a graph without faces.  `reference_edge_perms`
 is the per-edge loop that `AutomorphismGroup.edge_perms` replaced, and
-`reference_stabilizer` the edge-set stabilizer built on it.  The per-face
+`reference_stabilizer` the edge-set stabilizer built on it;
+`reference_orbit` is the loop `AutomorphismGroup.orbit` replaced, and
+`per_member_listing` the cut listing that listed trees on every member of
+every orbit of sets.  The per-face
 geometry (`reference_unfold`, `reference_centroid_and_rg` and the screen
 over every bounding-box pair, `reference_check_overlap`) is the code the
 batched geometry replaced.  `cut_tuples` reads a cut
 listing as tuples and `flat_sets` an interior result's orbits as one list of
-sets.  `frucht_graph` is a polyhedral graph with no symmetry,
+sets.  `prism_spec` builds a prism with more than 64 vertices and edges
+when asked, and `frucht_graph` is a polyhedral graph with no symmetry,
 on which every root-set vertex gets a phase of its own.  `DESK_SHELLS`
 names the catalog shells the suite takes end to end.
 """
 
 import functools
+import itertools
 import math
 import random
 from collections import deque
@@ -220,6 +225,16 @@ def reference_edge_perms(graph: ShellGraph, group: AutomorphismGroup) -> np.ndar
     return table
 
 
+def reference_orbit(group: AutomorphismGroup, mask: int):
+    """A vertex set's images under the group, ascending and each once; the
+    indices of the perms that fix it; and, for each image, the index of the
+    first perm that maps the set onto it."""
+    vertices = [v for v in range(group.n) if (mask >> v) & 1]
+    images = [sum(1 << p[v] for v in vertices) for p in group.perms]
+    members = tuple(sorted(set(images)))
+    return members, [k for k, image in enumerate(images) if image == mask], [images.index(m) for m in members]
+
+
 def reference_stabilizer(graph: ShellGraph, group: AutomorphismGroup, edge_ids) -> AutomorphismGroup:
     """The members of `group` that map an edge set onto itself."""
     target = set(edge_ids)
@@ -242,6 +257,17 @@ def relabeled_spec(spec: PolyhedronSpec, seed: int):
         faces.append(tuple(perm[v] for v in f[k:] + f[:k]))
     rng.shuffle(faces)
     return PolyhedronSpec(name=spec.name, faces=tuple(faces)), perm
+
+
+def prism_spec(k: int) -> PolyhedronSpec:
+    """The k-gonal prism: face 0 is the bottom cap on ring 0..k-1, face 1
+    the top cap on ring k..2k-1; 2k vertices and 3k edges."""
+    angles = np.arange(k) * 2 * np.pi / k
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    vertices = np.concatenate([np.c_[ring, np.zeros(k)], np.c_[ring, np.ones(k)]])
+    faces = [(0,) + tuple(range(k - 1, 0, -1)), tuple(range(k, 2 * k))]
+    faces += [(i, (i + 1) % k, k + (i + 1) % k, k + i) for i in range(k)]
+    return PolyhedronSpec(name=f"prism{k}", faces=tuple(faces), vertices=vertices)
 
 
 def frucht_graph() -> ShellGraph:
@@ -421,6 +447,23 @@ def expand_sets(result: InteriorResult):
         assert len(trees) == n_trees, f"set {vt:#x}: {n_trees} trees counted, {len(trees)} listed"
         out += [(vt, tuple(sorted(graph.boundary_edges + tree))) for tree in trees]
     return tuple(sorted(out, key=lambda it: (it[1], it[0])))
+
+
+def per_member_listing(result: InteriorResult):
+    """The cuts of an `enumerate_interiors` result as sorted tuples in
+    ascending order, each member of each orbit listing its own trees with
+    `merged_spanning_trees` (checked against the orbit's count) and every
+    combination of one leaf edge per outside vertex."""
+    graph = result.graph
+    rows = []
+    for members, n_trees in result.orbits:
+        for vt in members:
+            trees = merged_spanning_trees(graph, vt, interior_seed(graph, vt))
+            assert len(trees) == n_trees, f"set {vt:#x}: {n_trees} trees counted, {len(trees)} listed"
+            for tree in trees:
+                for combo in itertools.product(*leaf_choices(graph, vt)):
+                    rows.append(tuple(sorted(graph.boundary_edges + tree + combo)))
+    return sorted(rows)
 
 
 def labeled_from_interiors(graph: ShellGraph, interiors) -> int:

@@ -11,6 +11,7 @@ import pytest
 
 import netfold
 
+from netfold import cli
 from netfold.cli import (
     EXIT_ALL_OVERLAP,
     EXIT_BUDGET,
@@ -430,6 +431,22 @@ def test_an_unusable_out_dir_is_a_usage_error(tmp_path, argv, path, reason):
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert proc.stderr == f"error: {path}: cannot write: {reason}\n"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "rank", "export-svg", "estimate"])
+def test_an_unusable_out_dir_fails_before_any_work(tmp_path, monkeypatch, capsys, command):
+    # the output directory is made before the shell is loaded, so a path
+    # under a regular file fails at once instead of after the whole ranking
+    (tmp_path / "F").touch()
+    out = tmp_path / "F" / "sub"
+    work = []
+    monkeypatch.setattr(cli, "enumerate_mlsts", lambda *args, **kwargs: work.append(args))
+    monkeypatch.setattr(cli, "build_statistics_table", lambda *args, **kwargs: work.append(args))
+    rc = main([command, "--builtin", "truncated_cube", "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert (captured.out, captured.err) == ("", f"error: {out}: cannot write: Not a directory\n")
+    assert work == []
 
 
 @pytest.mark.parametrize("kind, reason", [

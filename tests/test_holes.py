@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import check_hole_cut, cut_tuples, reference_stabilizer
+from helpers import check_hole_cut, cut_tuples, prism_spec, reference_stabilizer
 from netfold import holes, mlst
 from netfold.catalog import builtin
 from netfold.cli import main
@@ -194,9 +194,9 @@ def _first_cut_where(graph, cuts, build):
     raise AssertionError("no cut admits this mutation")
 
 
-def test_batched_hole_check_rejects_each_mutation_class():
-    g = _open_graph("truncated_cube", [0])
-    cuts = enumerate_mlsts(g).cuts
+def _assert_each_mutation_class_is_rejected(g, cuts):
+    """Mutate valid hole cuts `cuts` of `g` into one cut of each failure
+    kind, and check that the batched check and the oracle reject it."""
     boundary = g.boundary_edges
 
     def outside(row, avoid=()):
@@ -244,6 +244,55 @@ def test_batched_hole_check_rejects_each_mutation_class():
         with pytest.raises(ValidationError, match=fragment):
             check_hole_cuts(g, batch)
         assert not _oracle_accepts(g, bad[0].tolist())
+
+
+def test_batched_hole_check_rejects_each_mutation_class():
+    g = _open_graph("truncated_cube", [0])
+    _assert_each_mutation_class_is_rejected(g, enumerate_mlsts(g).cuts)
+
+
+def _prism_hole_cuts(g, k, rng, count):
+    """Random valid hole cuts of the k-gonal prism without its bottom cap:
+    the bottom ring, the vertical edges at a nonempty set of ring positions,
+    and every top ring edge but one in each arc between two consecutive
+    such positions."""
+    edge = lambda a, b: g.edge_index[canon_edge(a, b)]
+    cuts = set()
+    while len(cuts) < count:
+        posts = np.flatnonzero(rng.random(k) < rng.uniform(0.1, 0.9))
+        if not posts.size:
+            continue
+        row = list(g.boundary_edges) + [edge(i, k + i) for i in posts.tolist()]
+        for a, b in zip(posts.tolist(), np.roll(posts, -1).tolist()):
+            arc = [(j % k, (j + 1) % k) for j in range(a, a + ((b - a - 1) % k) + 1)]
+            cut = int(rng.integers(len(arc)))
+            row += [edge(k + i, k + j) for n, (i, j) in enumerate(arc) if n != cut]
+        cuts.add(tuple(sorted(row)))
+    return np.array(sorted(cuts), dtype=np.int32)
+
+
+def test_hole_check_on_more_than_64_vertices_and_edges():
+    # V = 80 and E = 120 take two uint64 words per vertex mask and per edge
+    # mask; the batched check must agree with the one-cut oracle there too
+    g = build_shell_graph(remove_faces(prism_spec(40), [0]))
+    assert (g.n, g.m, len(g.boundary_edges)) == (80, 120, 40)
+    rng = np.random.default_rng(40)
+    cuts = _prism_hole_cuts(g, 40, rng, 200)
+    assert all(_oracle_accepts(g, row) for row in cuts.tolist())
+    assert _batch_accepts(g, cuts)
+    # the one optimal cut: the boundary and every vertical edge
+    verticals = tuple(g.edge_index[canon_edge(i, 40 + i)] for i in range(40))
+    assert cut_tuples(enumerate_mlsts(g)) == [tuple(sorted(g.boundary_edges + verticals))]
+    _assert_each_mutation_class_is_rejected(g, cuts)
+    verdicts = []
+    for row in cuts[:150]:
+        kept = rng.permutation(row)[1:]
+        added = rng.choice(np.setdiff1d(np.arange(g.m), row), size=1)
+        mutated = np.sort(np.concatenate([kept, added])).astype(np.int32)
+        oracle = _oracle_accepts(g, mutated.tolist())
+        assert _batch_accepts(g, mutated[None, :]) == oracle, mutated.tolist()
+        verdicts.append(oracle)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_hole_check_in_blocks_keeps_global_rows_and_one_test_per_core(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import time
 
@@ -12,17 +13,22 @@ from helpers import (
     frucht_graph,
     interiors_from_cuts,
     max_leaf_brute_force,
+    per_member_listing,
 )
 from netfold import mlst
+from netfold.catalog import builtin
 from netfold.cli import EXIT_BUDGET, main
 from netfold.errors import BudgetExceededError, ValidationError
+from netfold.holes import remove_faces
 from netfold.mlst import LevelReport, count_labeled_cuts, enumerate_interiors, enumerate_mlsts
 from netfold.shellgraph import (
     ShellGraph,
+    build_shell_graph,
     cut_leaves,
     enumerate_spanning_trees,
     is_spanning_tree,
 )
+from netfold.symmetry import cut_group
 
 # (name, leaf count, labeled optimal cut count)
 SMALL_REFERENCE = [
@@ -195,6 +201,66 @@ def test_listed_trees_must_match_their_count(shell_graph, monkeypatch):
     monkeypatch.setattr(mlst, "merged_spanning_trees", lambda *args: merged(*args)[1:])
     with pytest.raises(ValidationError, match=r"lists \d+ trees but counts \d+"):
         enumerate_mlsts(shell_graph("cube"))
+
+
+@pytest.mark.parametrize("name,hole,order,n_sets,n_orbits", [
+    ("truncated_cube", None, 48, 384, 11), ("truncated_octahedron", None, 48, 580, 16),
+    ("cuboctahedron", None, 48, 72, 2), ("truncated_cube", 0, 8, 45, 8),
+])
+def test_trees_mapped_from_each_orbit_equal_the_per_member_listing(name, hole, order, n_sets, n_orbits, monkeypatch):
+    # trees are listed on the first member of each orbit of sets only and
+    # mapped onto the others by the cut group; the listing must equal the
+    # one that listed every member's own trees
+    spec = builtin(name)
+    g = build_shell_graph(spec if hole is None else remove_faces(spec, [hole]))
+    assert cut_group(g).order == order
+    listed = []
+    merged = mlst.merged_spanning_trees
+
+    def spy(graph, vt, seed):
+        listed.append(vt)
+        return merged(graph, vt, seed)
+
+    monkeypatch.setattr(mlst, "merged_spanning_trees", spy)
+    result = enumerate_mlsts(g)
+    assert sum(len(members) for members, _ in result.orbits) == n_sets
+    assert listed == [members[0] for members, _ in result.orbits] and len(listed) == n_orbits
+    assert cut_tuples(result) == per_member_listing(result)
+
+
+def test_a_tree_mapped_off_its_set_is_rejected(monkeypatch):
+    # a group table row that does not take the first member's trees onto the
+    # member it stands for fails the listing; a fresh graph, so that no
+    # other test sees the patched table
+    g = build_shell_graph(builtin("cube"))
+    group = cut_group(g)
+    members = next(members for members, _ in enumerate_interiors(g).orbits if len(members) > 1)
+    k = group.orbit(members[0])[2][1]  # the perm taking members[0] to members[1]
+    table = group.edge_perms.copy()
+    table[k] = np.arange(g.m)  # leaves the trees on members[0]
+    monkeypatch.setitem(group.__dict__, "edge_perms", table)
+    with pytest.raises(ValidationError, match=rf"set {members[1]:#x}: a tree mapped from set {members[0]:#x} leaves it"):
+        enumerate_mlsts(g)
+
+
+@pytest.mark.parametrize("m", [200, 256, 257, 1000, 70_000])
+def test_listing_sorts_with_keys_of_any_width(m):
+    # the sort keys are uint8 up to 256 edges, uint16 up to 65536 and
+    # uint32 beyond; every width gives the rows an int32 lexsort gives
+    rng = np.random.default_rng(m)
+    plans = []
+    for _ in range(6):
+        trees = rng.choice(m - 20, size=(3, 2), replace=False).astype(np.int32) + 20
+        choices = [(2 + rng.choice(18, size=int(rng.integers(1, 4)), replace=False)).tolist() for _ in range(3)]
+        plans.append((trees, choices))
+    n_cuts = sum(len(trees) * np.prod([len(c) for c in choices]) for trees, choices in plans)
+    cuts = mlst._listing(plans, (0, 1), int(n_cuts), 4, 7, m)
+    rows = np.sort(np.concatenate([
+        np.array([(0, 1, *tree, *combo) for tree in trees.tolist() for combo in itertools.product(*choices)])
+        for trees, choices in plans
+    ]), axis=1)
+    assert cuts.dtype == np.int32
+    assert np.array_equal(cuts, rows[np.lexsort(rows.T[::-1].astype(np.int32))])
 
 
 def test_worker_count_does_not_change_output(shell_graph):

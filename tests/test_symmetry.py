@@ -17,7 +17,9 @@ from helpers import (
     flat_sets,
     give_graph_group,
     graph_automorphisms,
+    prism_spec,
     reference_edge_perms,
+    reference_orbit,
     reference_stabilizer,
     relabeled_spec,
 )
@@ -459,20 +461,30 @@ def test_a_perm_that_moves_an_edge_off_the_graph_is_rejected(shell_graph):
         _check_group_axioms(group)
 
 
-@pytest.mark.parametrize("name,hole", [
-    ("cube", None), ("dodecahedron", None), ("truncated_cube", None),
-    ("truncated_octahedron", None), ("cube", 0), ("snub_cube", 0), ("truncated_cube", 0),
-])
+@pytest.mark.parametrize("name,hole", [(name, hole) for hole in (None, 0) for name in DESK_SHELLS])
 def test_orbit_gives_the_image_set_and_the_perms_that_fix_it(name, hole):
+    # the numpy orbit equals the Python loop it replaced, on every found set
+    # and on every single vertex (the phase seeds' orbits)
     g = _open_or_closed(name, hole)
     group = cut_group(g)
-    for vt, _ in flat_sets(enumerate_interiors(g)):
-        vertices = [v for v in range(g.n) if (vt >> v) & 1]
-        images = [sum(1 << p[v] for v in vertices) for p in group.perms]
-        members, stab = group.orbit(vt)
-        assert members == tuple(sorted(set(images)))
-        assert stab == [k for k, image in enumerate(images) if image == vt]
+    masks = [vt for vt, _ in flat_sets(enumerate_interiors(g))] + [1 << v for v in range(g.n)]
+    for vt in masks:
+        members, stab, reps = group.orbit(vt)
+        assert (members, stab, reps) == reference_orbit(group, vt)
         assert len(members) * len(stab) == group.order
+
+
+@pytest.mark.parametrize("hole", [None, 0])
+def test_orbit_of_a_set_of_more_than_64_vertices(hole):
+    # the 40-gonal prism's 80 vertices take two uint64 words per set
+    spec = prism_spec(40)
+    g = build_shell_graph(spec if hole is None else remove_faces(spec, [hole]))
+    group = cut_group(g)
+    assert (g.n, group.order) == (80, 160 if hole is None else 80)
+    rng = np.random.default_rng(80)
+    for size in (1, 2, 30, 79):
+        vt = sum(1 << int(v) for v in rng.choice(g.n, size=size, replace=False))
+        assert group.orbit(vt) == reference_orbit(group, vt)
 
 
 def test_dedupe_rejects_the_group_of_another_graph(shell_graph):
