@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .polyhedra import PolyhedronSpec
+from .polyhedra import PolyhedronSpec, edge_face_table
 from .shellgraph import build_shell_graph
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -151,7 +151,7 @@ def _truncate(parent: PolyhedronSpec, fraction: float) -> np.ndarray:
     """One vertex per directed edge, cut at `fraction` along the edge."""
     pts = parent.vertices
     out = []
-    for u, v in parent.edge_list():
+    for u, v in sorted(edge_face_table(parent)):
         out.append(pts[u] + fraction * (pts[v] - pts[u]))
         out.append(pts[v] + fraction * (pts[u] - pts[v]))
     return np.array(out)
@@ -164,7 +164,7 @@ def _cuboctahedron() -> np.ndarray:
 def _icosidodecahedron() -> np.ndarray:
     ico = _builtin_spec("icosahedron")
     pts = ico.vertices
-    return np.array([(pts[u] + pts[v]) / 2.0 for u, v in ico.edge_list()])
+    return np.array([(pts[u] + pts[v]) / 2.0 for u, v in sorted(edge_face_table(ico))])
 
 
 def _rhombicuboctahedron() -> np.ndarray:

@@ -157,7 +157,7 @@ def cmd_enumerate(args) -> int:
             out / "enumeration.json", graph=graph, leaf_count=result.leaf_count,
             cuts=result.cuts, nodes_visited=result.nodes_visited, shell_name=spec.name,
         )
-        nio.write_dedup(out / "classes.json", graph, classes, spec.name)
+        nio.write_dedup(out / "classes.json", classes, spec.name)
         print(f"wrote {out / 'enumeration.json'} and {out / 'classes.json'}")
     return EXIT_OK
 

@@ -70,7 +70,6 @@ class RankedNet:
     cut: tuple[int, ...]
     orbit_size: int
     layout: NetLayout
-    centroid: tuple[float, float]
     radius_of_gyration: float
     overlapping: bool
     overlap_witness: Optional[tuple[int, int]]
@@ -482,17 +481,16 @@ def rank_nets(
     for edge_ids, orbit_size in cuts:
         pairs = [graph.edges[e] for e in edge_ids]
         layout = unfold(spec, pairs)
-        centroid, rg = centroid_and_rg(layout)
+        _, rg = centroid_and_rg(layout)
         overlapping, witness = check_overlap(layout)
-        entries.append((rg, tuple(int(e) for e in edge_ids), orbit_size, layout, centroid, overlapping, witness))
+        entries.append((rg, tuple(int(e) for e in edge_ids), orbit_size, layout, overlapping, witness))
     entries.sort(key=lambda it: (it[0], it[1]))
     return [
         RankedNet(
-            cut=cut, orbit_size=orbit, layout=layout, centroid=centroid,
-            radius_of_gyration=rg, overlapping=overlapping,
-            overlap_witness=witness, rank=k + 1,
+            cut=cut, orbit_size=orbit, layout=layout, radius_of_gyration=rg,
+            overlapping=overlapping, overlap_witness=witness, rank=k + 1,
         )
-        for k, (rg, cut, orbit, layout, centroid, overlapping, witness) in enumerate(entries)
+        for k, (rg, cut, orbit, layout, overlapping, witness) in enumerate(entries)
     ]
 
 

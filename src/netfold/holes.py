@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .polyhedra import PolyhedronSpec, _count_components
-from .shellgraph import ShellGraph
+from .shellgraph import ShellGraph, set_words, word_sets
 
 
 def remove_faces(spec: PolyhedronSpec, removed: Sequence[int]) -> PolyhedronSpec:
@@ -56,30 +56,19 @@ def remove_faces(spec: PolyhedronSpec, removed: Sequence[int]) -> PolyhedronSpec
 _CHECK_BLOCK = 8192
 
 
-def _bit_words(ids: np.ndarray, n_bits: int) -> np.ndarray:
-    """The bit mask of each row of an (r, c) array of distinct bit indices
-    below `n_bits`, as a (⌈n_bits/64⌉, r) uint64 array whose entry (w, i)
-    holds bits 64w to 64w + 63 of row i's mask."""
-    words = np.zeros((-(-n_bits // 64), ids.shape[0]), dtype=np.uint64)
-    rows = np.arange(ids.shape[0])
-    for column in ids.T:
-        words[column // 64, rows] |= np.uint64(1) << (column % 64).astype(np.uint64)
-    return words
-
-
 def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
     """Raise unless every row of `cuts` is a valid hole cut.
 
     A valid hole cut has exactly V edges, contains every boundary edge, spans
     all vertices in one component (hence exactly one cycle, the boundary),
     and has no boundary vertex as a leaf.  The per-row tests run in numpy on
-    blocks of rows, on bit masks held as uint64 words: one pass over a
-    block's columns ORs the two ends of each edge into the vertices seen
-    once and, where already seen, into those seen twice, and the leaves are
-    the vertices seen once and not twice.  Dropping a row's leaf edges
-    leaves its interior, which must be connected with as many edges as
-    vertices; that test runs once per distinct interior, and a listing has
-    far fewer interiors than cuts.
+    blocks of rows, on sets held as uint64 words (`shellgraph.set_words`):
+    one pass over a block's columns ORs the two ends of each edge into the
+    vertices seen once and, where already seen, into those seen twice, and
+    the leaves are the vertices seen once and not twice.  Dropping a row's
+    leaf edges leaves its interior, which must be connected with as many
+    edges as vertices; that test runs once per distinct interior, and a
+    listing has far fewer interiors than cuts.
     """
     if not graph.boundary_edges:
         raise ValidationError("graph has no hole boundary")
@@ -92,11 +81,10 @@ def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
     if cuts.size and (cuts.min() < 0 or cuts.max() >= m):
         raise ValidationError(f"cut edge ids must lie in 0..{m - 1}")
     # words first, rows last, so that every step runs along contiguous rows
-    end_bits = _bit_words(np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2), n)
-    edge_bits = _bit_words(np.arange(m)[:, None], m)
-    boundary_vertices = _bit_words(
-        np.asarray([[v for v in range(n) if (graph.boundary_mask >> v) & 1]]), n)
-    boundary = _bit_words(np.asarray([graph.boundary_edges]), m)
+    end_bits = set_words([(1 << u) | (1 << v) for u, v in graph.edges], n).T
+    edge_bits = set_words([1 << e for e in range(m)], m).T
+    boundary_vertices = set_words([graph.boundary_mask], n).T
+    boundary = set_words([sum(1 << e for e in graph.boundary_edges)], m).T
     cores: set[bytes] = set()
     for start in range(0, cuts.shape[0], _CHECK_BLOCK):
         block = cuts[start:start + _CHECK_BLOCK]
@@ -135,8 +123,8 @@ def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
         core = np.ascontiguousarray((edges & ~leaf_edges).T, dtype="<u8")
         # whole-row byte keys; np.unique(axis=0) is far slower here
         cores.update(core.view(np.dtype((np.void, core.shape[1] * core.itemsize))).ravel().tolist())
-    for key in sorted(cores):
-        core = int.from_bytes(key, "little")
+    keys = sorted(cores)
+    for core in word_sets(np.frombuffer(b"".join(keys), dtype="<u8").reshape(-1, len(edge_bits))):
         core_edges = [e for e in range(m) if (core >> e) & 1]
         if not _connected_unicyclic(graph, core_edges):
             raise ValidationError(

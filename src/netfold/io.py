@@ -79,7 +79,10 @@ def polyhedron_from_doc(doc: object) -> PolyhedronSpec:
                 isinstance(c, (int, float)) and not isinstance(c, bool) for c in row
             ):
                 raise ValidationError(f"vertex {vi} must be a [x, y, z] number triple")
-        vertices = np.asarray(vertices_raw, dtype=float)
+        try:
+            vertices = np.asarray(vertices_raw, dtype=float)
+        except OverflowError:
+            raise ValidationError("a vertex coordinate is too large for a float") from None
     return PolyhedronSpec(name=name, vertices=vertices, faces=tuple(faces))
 
 
@@ -107,6 +110,10 @@ def load_polyhedron(path: PathLike) -> PolyhedronSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer longer than Python converts
+        raise ValidationError(f"{path}: a number has too many digits to read") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: the document nests too deeply to read") from exc
     try:
         return polyhedron_from_doc(doc)
     except ValidationError as exc:
@@ -235,7 +242,7 @@ def write_enumeration(
     _write_json_with_rows(path, doc, "cuts", _cut_row_format(cuts.shape[1]), blocks)
 
 
-def write_dedup(path: PathLike, graph: ShellGraph, classes: CutClasses, shell_name: str) -> None:
+def write_dedup(path: PathLike, classes: CutClasses, shell_name: str) -> None:
     """Class listing file: each class's smallest labeled cut and orbit size,
     rows in lexicographic order of the cuts (as `dedupe_cuts` returns them)."""
     cuts, sizes = classes.cuts, classes.orbit_sizes

@@ -17,10 +17,12 @@ boundary, whose vertices carry two cycle edges and are never leaves.  The
 found sets are mapped into orbits under `symmetry.cut_group`, and the
 trees are counted, and listed when cuts are listed, once per orbit: the
 other members' trees are the first member's mapped by the group.
-The phases of a level run in order in one `_search` call, which keeps one
-node counter and one clock for the level.  It expands blocks of search
-states held as rows of uint64 words in numpy, with no recursion, so a search
-of any depth and any vertex count takes the same path.  A node is one vertex
+A phase seed is a pair of vertex masks, (vt_mask, excl_mask): the set it
+grows from and the vertices it never takes.  The phases of a level run in
+order in one `_search` call, which keeps one node counter and one clock for
+the level.  It expands blocks of search states held as rows of uint64 words
+in numpy (`shellgraph.set_words`), with no recursion, so a search of any
+depth and any vertex count takes the same path.  A node is one vertex
 set the search visits; a search stops at its node budget (10^7 by default,
 about two seconds; a long run passes 10^10), reporting one node past it, or
 at its time limit, read before each block, and either overrun raises
@@ -37,6 +39,8 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from pathlib import Path
 from typing import ClassVar, Optional
 
@@ -50,24 +54,12 @@ from .shellgraph import (
     interior_seed,
     leaf_choices,
     merged_spanning_trees,
+    set_words,
+    word_sets,
 )
 from .symmetry import cut_group
 
 DEFAULT_NODE_BUDGET = 10_000_000
-
-
-@dataclass(frozen=True)
-class SearchState:
-    """Seed of one search phase.
-
-    vt_mask holds the seed vertices, cov_mask the union of their closed
-    neighborhoods and excl_mask the vertices barred from the sets (those of
-    earlier root orbits).
-    """
-
-    vt_mask: int
-    cov_mask: int
-    excl_mask: int
 
 
 @dataclass(frozen=True)
@@ -134,7 +126,7 @@ def count_labeled_cuts(result: InteriorResult) -> int:
 def root_set(graph: ShellGraph) -> tuple[int, ...]:
     """A minimum-degree vertex (ties: lowest index) plus its neighbors."""
     v0 = min(range(graph.n), key=lambda v: (graph.degree(v), v))
-    return (v0,) + tuple(graph.adjacency[v0])
+    return (v0,) + tuple(w for w in range(graph.n) if (graph.neighbor_masks[v0] >> w) & 1)
 
 
 def closed_neighborhood_masks(graph: ShellGraph) -> tuple[int, ...]:
@@ -152,19 +144,9 @@ def max_cover_step(graph: ShellGraph) -> int:
     return max(graph.degree(v) for v in range(graph.n)) - 1
 
 
-def _seed(graph: ShellGraph, vt_mask: int, excl_mask: int = 0) -> SearchState:
-    """Phase seed growing from the vertices of `vt_mask` and never taking a
-    vertex of `excl_mask`."""
-    cov_masks = closed_neighborhood_masks(graph)
-    cov = 0
-    for v in range(graph.n):
-        if (vt_mask >> v) & 1:
-            cov |= cov_masks[v]
-    return SearchState(vt_mask=vt_mask, cov_mask=cov, excl_mask=excl_mask)
-
-
-def _seeds(graph: ShellGraph) -> list[SearchState]:
-    """Phase seeds: the only place the search tells closed from open shells.
+def _seeds(graph: ShellGraph) -> list[tuple[int, int]]:
+    """Phase seeds, each (vt_mask, excl_mask): the only place the search
+    tells closed from open shells.
 
     An open shell gets one phase seeded with its hole boundary, which finds
     every set; `_orbits` then only groups them.  A closed shell gets one
@@ -176,13 +158,13 @@ def _seeds(graph: ShellGraph) -> list[SearchState]:
     every orbit of sets, and `_orbits` maps it onto the rest.
     """
     if graph.boundary_edges:
-        return [_seed(graph, graph.boundary_mask)]
+        return [(graph.boundary_mask, 0)]
     group = cut_group(graph)
     seeds = []
     excl = 0
     for r in root_set(graph):
         if not (excl >> r) & 1:
-            seeds.append(_seed(graph, 1 << r, excl))
+            seeds.append((1 << r, excl))
             excl |= sum(group.orbit(1 << r)[0])  # one bit per vertex of r's orbit
     return seeds
 
@@ -211,19 +193,6 @@ def _orbits(graph: ShellGraph, found: list[int]) -> tuple[tuple[tuple[int, ...],
 _CHUNK = 4096
 
 
-def _words(masks: list[int], n_words: int) -> np.ndarray:
-    """Vertex masks as rows of `n_words` uint64 words, lowest word first."""
-    data = b"".join(m.to_bytes(8 * n_words, "little") for m in masks)
-    return np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(len(masks), n_words)
-
-
-def _masks(blocks: list[np.ndarray], n_words: int) -> list[int]:
-    """The rows of blocks of `n_words` uint64 words as vertex masks."""
-    data = b"".join(block.astype("<u8").tobytes() for block in blocks)
-    width = 8 * n_words
-    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-
-
 def _lowest(rows: np.ndarray) -> np.ndarray:
     """Index of the lowest vertex of each row, none of them empty."""
     # zeros below each word's lowest bit, 64 in an empty word
@@ -235,22 +204,24 @@ def _lowest(rows: np.ndarray) -> np.ndarray:
 
 
 def _search(
-    graph: ShellGraph, seeds: list[SearchState], n_grow: int, allowance: int,
+    graph: ShellGraph, seeds: list[tuple[int, int]], n_grow: int, allowance: int,
     deadline: Optional[float] = None,
 ):
     """Vertex masks of the connected dominating sets of one level, each
     holding a phase seed and `n_grow` more vertices, the nodes visited and
     why the search stopped: None, "nodes" or "time".
 
-    The phases run in order.  Each branches include/exclude over an
-    extension mask: a node takes the lowest vertex of its extension (the
-    neighbors of the set that no branch has barred) into the set, and its
-    later siblings bar it, so every set is visited once.  A state is three
-    masks, the set, its cover and its extension, each a row of uint64
-    words.  A vertex of the cover is in the set, in the extension or
-    barred, and one outside it is barred only by its phase, so a child's
-    extension is its parent's higher bits plus the new vertex's neighbors
-    outside the cover and the phase's barred vertices.
+    The phases run in order, one per seed (vt_mask, excl_mask), which
+    starts from the set `vt_mask`, covering the closed neighborhoods of its
+    vertices, and never takes a vertex of `excl_mask`.  Each branches
+    include/exclude over an extension mask: a node takes the lowest vertex
+    of its extension (the neighbors of the set that no branch has barred)
+    into the set, and its later siblings bar it, so every set is visited
+    once.  A state is three masks, the set, its cover and its extension,
+    each a row of uint64 words.  A vertex of the cover is in the set, in
+    the extension or barred, and one outside it is barred only by its
+    phase, so a child's extension is its parent's higher bits plus the new
+    vertex's neighbors outside the cover and the phase's barred vertices.
 
     Each phase keeps a stack of blocks of states at one depth and expands
     the top block, at most `_CHUNK` states of it, into one block of
@@ -262,20 +233,21 @@ def _search(
     `allowance` nodes, reporting `allowance + 1`, or before a block once
     `time.monotonic` is past `deadline`.
     """
-    full = (1 << graph.n) - 1
+    n = graph.n
+    closed = closed_neighborhood_masks(graph)
+    covers = [reduce(or_, (closed[v] for v in range(n) if (vt_mask >> v) & 1), 0) for vt_mask, _ in seeds]
     if n_grow == 0:
-        return [st.vt_mask for st in seeds if st.cov_mask == full], 0, None
-    n_words = -(-graph.n // 64)
-    bits = _words([1 << v for v in range(graph.n)], n_words)
-    cov_masks = _words(closed_neighborhood_masks(graph), n_words)
+        return [vt_mask for (vt_mask, _), cov in zip(seeds, covers) if cov == (1 << n) - 1], 0, None
+    bits = set_words([1 << v for v in range(n)], n)
+    cov_masks = set_words(closed, n)
     step = max_cover_step(graph)
-    found: list[np.ndarray] = []
+    found = [np.empty((0, bits.shape[1]), dtype=np.uint64)]
     nodes = 0
-    for st in seeds:
+    for (vt_mask, excl_mask), cov_mask in zip(seeds, covers):
         # the neighbors each vertex may add to an extension in this phase
-        nbr = _words([m & ~st.excl_mask for m in graph.neighbor_masks], n_words)
-        seed = (st.vt_mask, st.cov_mask, st.cov_mask & ~st.vt_mask & ~st.excl_mask)
-        stack = [(n_grow, *(_words([m], n_words) for m in seed))]
+        nbr = set_words([m & ~excl_mask for m in graph.neighbor_masks], n)
+        seed = set_words([vt_mask, cov_mask, cov_mask & ~vt_mask & ~excl_mask], n)
+        stack = [(n_grow, *seed[:, None])]
         while stack:
             remaining, vt, cov, ext = stack.pop()
             if len(vt) > _CHUNK:
@@ -283,17 +255,17 @@ def _search(
                 stack.append((remaining, vt[_CHUNK:].copy(), cov[_CHUNK:].copy(), ext[_CHUNK:].copy()))
                 vt, cov, ext = vt[:_CHUNK], cov[:_CHUNK], ext[:_CHUNK]
             if deadline is not None and time.monotonic() > deadline:
-                return _masks(found, n_words), nodes, "time"
+                return word_sets(np.concatenate(found)), nodes, "time"
             counts = np.bitwise_count(ext).sum(axis=1, dtype=np.intp)
             nodes += int(counts.sum())
             if nodes > allowance:
-                return _masks(found, n_words), allowance + 1, "nodes"
+                return word_sets(np.concatenate(found)), allowance + 1, "nodes"
             # states by falling node count, so the states still branching
             # in a round are a prefix; live[r] of them branch in round r
             order = np.argsort(counts)[::-1]
             vt, cov, ext = vt[order], cov[order], ext[order]
             live = len(counts) - np.cumsum(np.bincount(counts))[:-1]
-            need = graph.n - (remaining - 1) * step
+            need = n - (remaining - 1) * step
             kids = []
             for k in live.tolist():
                 vt, cov, ext = vt[:k], cov[:k], ext[:k]
@@ -310,7 +282,7 @@ def _search(
                     kids.append((vt[keep] | bit[keep], ncov[keep], ext[keep] | (nbr[v[keep]] & ~cov[keep])))
             if kids:
                 stack.append((remaining - 1, *(np.concatenate(part) for part in zip(*kids))))
-    return _masks(found, n_words), nodes, None
+    return word_sets(np.concatenate(found)), nodes, None
 
 
 def enumerate_interiors(
@@ -339,7 +311,7 @@ def enumerate_interiors(
     if not graph.is_connected():
         raise ValidationError("graph is disconnected")
     seeds = _seeds(graph)
-    seed_size = seeds[0].vt_mask.bit_count()
+    seed_size = seeds[0][0].bit_count()
     deadline = None if time_limit is None else time.monotonic() + time_limit
     reports: list[LevelReport] = []
     total = 0
@@ -457,8 +429,7 @@ def enumerate_mlsts(
             f"{needs}, more than the {memory} bytes of physical memory{hint}", partial=result.level_reports,
         )
     group = cut_group(graph)
-    ends = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2)
-    n_bytes = -(-graph.n // 8)
+    ends = set_words([(1 << u) | (1 << v) for u, v in graph.edges], graph.n)
     plans = []
     for members, n_trees in result.orbits:
         first = members[0]
@@ -472,8 +443,7 @@ def enumerate_mlsts(
         # the other members' trees are the first member's mapped onto them
         for vt, k in zip(members, reps):
             mapped = np.sort(group.edge_perms[k][trees], axis=1)
-            in_set = np.unpackbits(np.frombuffer(vt.to_bytes(n_bytes, "little"), dtype=np.uint8), bitorder="little")
-            if not in_set[ends[mapped]].all():
+            if (ends[mapped] & ~set_words([vt], graph.n)).any():
                 raise ValidationError(f"set {vt:#x}: a tree mapped from set {first:#x} leaves it")
             plans.append((mapped, leaf_choices(graph, vt)))
     try:

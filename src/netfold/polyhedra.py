@@ -78,14 +78,6 @@ class PolyhedronSpec:
             raise MissingGeometryError(f"{self.name}: shell has no vertex coordinates")
         return self.vertices
 
-    def edge_list(self) -> tuple[Edge, ...]:
-        """Undirected edges in canonical lexicographic order."""
-        seen = set()
-        for f in self.faces:
-            for a, b in zip(f, f[1:] + f[:1]):
-                seen.add(canon_edge(a, b))
-        return tuple(sorted(seen))
-
 
 def edge_face_table(spec: PolyhedronSpec) -> dict[Edge, list[int]]:
     """Map each undirected edge to the faces containing it, in face order."""

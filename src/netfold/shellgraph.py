@@ -11,6 +11,11 @@ merged into one vertex, which is how the interior search counts and lists
 the trees on each interior; `count_spanning_trees` and
 `enumerate_spanning_trees` are the whole-graph case.  The two routes
 deliberately share no code so they can check each other.
+
+Sets of vertices or edges are ints, bit b for vertex or edge b.  Where
+numpy handles them they are rows of uint64 words, bit b being bit b % 64
+of word b // 64, lowest word first; `set_words` and `word_sets` are the one
+place that converts between the two.
 """
 
 from __future__ import annotations
@@ -34,6 +39,27 @@ from .polyhedra import (
 )
 
 ORACLE_CAP = 10_000_000
+
+
+def set_words(masks: Sequence[int], n_bits: int) -> np.ndarray:
+    """Sets of bits below `n_bits` as a (len(masks), ⌈n_bits/64⌉) uint64
+    array, one row per set; raises ValidationError for a negative set or
+    one holding bit `n_bits` or higher."""
+    width = 8 * -(-n_bits // 64)
+    for mask in masks:
+        if mask < 0 or mask >> n_bits:
+            raise ValidationError(f"set {mask:#x} is not a set of bits below {n_bits}")
+    data = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    return np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(len(masks), width // 8)
+
+
+def word_sets(rows: np.ndarray) -> list[int]:
+    """The sets held by the rows of a 2-D array of uint64 words, as ints:
+    the inverse of `set_words`."""
+    sets = [0] * len(rows)
+    for w in range(rows.shape[1]):
+        sets = [s | (x << 64 * w) for s, x in zip(sets, rows[:, w].tolist())]
+    return sets
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,14 +99,6 @@ class ShellGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -149,10 +167,6 @@ class ShellGraph:
         return following
 
     @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
     def incident_edges(self) -> tuple[tuple[int, ...], ...]:
         """Edge ids at each vertex, ascending."""
         inc: list[list[int]] = [[] for _ in range(self.n)]
@@ -162,11 +176,7 @@ class ShellGraph:
         return tuple(tuple(a) for a in inc)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def other_end(self, edge_id: int, v: int) -> int:
-        u, w = self.edges[edge_id]
-        return w if v == u else u
+        return self.neighbor_masks[v].bit_count()
 
     def is_connected(self) -> bool:
         return _count_components(range(self.n), self.edges) <= 1
@@ -299,9 +309,9 @@ def count_merged_trees(graph: ShellGraph, vt_mask: int, seed_mask: int) -> int:
         row = [0] * len(rest)
         inside = graph.neighbor_masks[v] & vt_mask
         row[index[v]] = inside.bit_count()
-        for w in graph.adjacency[v]:
-            if w in index:
-                row[index[w]] = -1
+        for w, i in index.items():
+            if (inside >> w) & 1:
+                row[i] = -1
         lap.append(row)
     return _bareiss_determinant(lap)
 
@@ -398,30 +408,23 @@ def merged_spanning_trees(
     return tuple(out)
 
 
-def cut_degrees(graph: ShellGraph, cut: Sequence[int]) -> list[int]:
-    deg = [0] * graph.n
-    for e in cut:
-        u, v = graph.edges[e]
-        deg[u] += 1
-        deg[v] += 1
-    return deg
-
-
 def cut_leaves(graph: ShellGraph, cut: Sequence[int]) -> tuple[int, ...]:
     """Degree-1 vertices of a cut."""
-    return tuple(v for v, d in enumerate(cut_degrees(graph, cut)) if d == 1)
+    degrees = [0] * graph.n
+    for e in cut:
+        for v in graph.edges[e]:
+            degrees[v] += 1
+    return tuple(v for v, d in enumerate(degrees) if d == 1)
 
 
 def leaf_choices(graph: ShellGraph, vt_mask: int) -> list[list[int]]:
     """Per outside vertex (ascending), the edges that can attach it as a leaf."""
-    lists = []
-    for w in range(graph.n):
-        if (vt_mask >> w) & 1:
-            continue
-        lists.append(
-            [e for e in graph.incident_edges[w] if (vt_mask >> graph.other_end(e, w)) & 1]
-        )
-    return lists
+    edges = graph.edges
+    # sum(edges[e]) - w is the other end of an edge e at w
+    return [
+        [e for e in graph.incident_edges[w] if (vt_mask >> (sum(edges[e]) - w)) & 1]
+        for w in range(graph.n) if not (vt_mask >> w) & 1
+    ]
 
 
 def interior_seed(graph: ShellGraph, vt_mask: int) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .polyhedra import Edge
-from .shellgraph import ShellGraph, interior_seed, merged_spanning_trees
+from .shellgraph import ShellGraph, interior_seed, merged_spanning_trees, set_words, word_sets
 
 Cut = tuple[int, ...]
 
@@ -66,39 +66,31 @@ class AutomorphismGroup:
         return ids.astype(np.int32)
 
     @cached_property
-    def _preimages(self) -> np.ndarray:
-        """An (order, 64 W) index array, W = ⌈n/64⌉: row k holds the
-        preimage of each vertex under perms[k], and each column past n
-        holds 64 W - 1, a bit past n and so clear in every vertex set."""
-        width = 64 * -(-self.n // 64)
-        table = np.full((self.order, width), width - 1, dtype=np.intp)
-        perms = np.asarray(self.perms, dtype=np.intp).reshape(self.order, self.n)
-        table[np.arange(self.order)[:, None], perms] = np.arange(self.n)
-        return table
+    def _image_bits(self) -> np.ndarray:
+        """An (order, n, W) uint64 array, W = ⌈n/64⌉: entry (k, v) is the
+        image of vertex v under perms[k] as a set of words."""
+        bits = set_words([1 << v for v in range(self.n)], self.n)
+        return bits[np.asarray(self.perms, dtype=np.intp).reshape(self.order, self.n)]
 
     def orbit(self, mask: int) -> tuple[tuple[int, ...], list[int], list[int]]:
         """The images of a vertex set given as a bitmask, ascending and each
         once; the indices of the perms that fix it; and, for each image, the
         index of the first perm that maps the set onto it.
 
-        perms[k] maps the set onto the vertices whose preimage it holds, so
-        each image is one lookup of the set's bits, packed into uint64
-        words, lowest word first."""
-        n_words = self._preimages.shape[1] // 64
-        words = np.frombuffer(mask.to_bytes(8 * n_words, "little"), dtype="<u8")
-        inside = np.unpackbits(words.view(np.uint8), bitorder="little")
-        images = np.packbits(inside[self._preimages], axis=1, bitorder="little").view("<u8")
+        Each image is the OR of the images of the set's vertices, one
+        lookup for every perm at once.  Raises ValidationError unless the
+        mask is a set of the group's vertices."""
+        words = set_words([mask], self.n)
+        vertices = [v for v in range(self.n) if (mask >> v) & 1]
+        images = np.bitwise_or.reduce(self._image_bits[:, vertices], axis=1)
         # images in ascending order, each perm's after those of lower index
         order = np.lexsort(images.T)
         ranked = images[order]
         first = np.ones(len(order), dtype=bool)
         first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
         reps = order[first]
-        members = [0] * len(reps)
-        for w in range(n_words):
-            members = [m | (x << 64 * w) for m, x in zip(members, images[reps, w].tolist())]
         stabilizer = np.flatnonzero((images == words).all(axis=1))
-        return tuple(members), stabilizer.tolist(), reps.tolist()
+        return tuple(word_sets(images[reps])), stabilizer.tolist(), reps.tolist()
 
 
 @dataclass(frozen=True)

@@ -161,15 +161,16 @@ def graph_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
         raise ValidationError("graph is disconnected")
     n = graph.n
     masks = graph.neighbor_masks
+    adjacency = [[w for w in range(n) if (masks[v] >> w) & 1] for v in range(n)]
     signature = [
-        (graph.degree(v), tuple(sorted(graph.degree(w) for w in graph.adjacency[v])))
+        (graph.degree(v), tuple(sorted(graph.degree(w) for w in adjacency[v])))
         for v in range(n)
     ]
     candidates = [[w for w in range(n) if signature[w] == signature[v]] for v in range(n)]
     start = min(range(n), key=lambda v: (len(candidates[v]), v))
     order = [start]
     for v in order:
-        order += [w for w in graph.adjacency[v] if w not in order]
+        order += [w for w in adjacency[v] if w not in order]
     perms = []
     image = [-1] * n
 
@@ -178,7 +179,7 @@ def graph_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
             perms.append(tuple(image))
             return
         v = order[depth]
-        need = sum(1 << image[u] for u in graph.adjacency[v] if image[u] >= 0)
+        need = sum(1 << image[u] for u in adjacency[v] if image[u] >= 0)
         for w in candidates[v]:
             if not (used >> w) & 1 and masks[w] & used == need:
                 image[v] = w
@@ -216,12 +217,12 @@ def face_preserving(spec: PolyhedronSpec, group: AutomorphismGroup) -> Automorph
 
 def reference_edge_perms(graph: ShellGraph, group: AutomorphismGroup) -> np.ndarray:
     """The induced permutations of edge ids, one row per perm, each image
-    edge looked up in the graph's edge index one at a time: the loop that
+    edge looked up in the graph's edges one at a time: the loop that
     `AutomorphismGroup.edge_perms` replaced."""
     table = np.empty((group.order, graph.m), dtype=np.int32)
     for k, p in enumerate(group.perms):
         for e, (u, v) in enumerate(graph.edges):
-            table[k, e] = graph.edge_index[canon_edge(p[u], p[v])]
+            table[k, e] = graph.edges.index(canon_edge(p[u], p[v]))
     return table
 
 
@@ -315,10 +316,10 @@ def _tree_search(graph: ShellGraph, vt_mask: int, excl_mask: int, n_grow: int):
                 continue
             if (full & ~ncov).bit_count() > remaining * cover_step:
                 continue
+            # sum(graph.edges[e2]) - i is the other end of an edge e2 at i
             child = frontier[idx + 1:] + [
                 e2 for e2 in graph.incident_edges[i]
-                if not (vt >> graph.other_end(e2, i)) & 1
-                and not (excl_mask >> graph.other_end(e2, i)) & 1
+                if not ((vt | excl_mask) >> (sum(graph.edges[e2]) - i)) & 1
             ]
             rec(vt | (1 << i), ncov, child, grown + [e])
 
@@ -374,10 +375,17 @@ def recursive_search(graph: ShellGraph, seeds, n_grow: int, allowance: int):
     match.  It keeps the `barred` mask the block search drops, and counts
     nodes one by one, so an overrun stops one node past `allowance`."""
     full = (1 << graph.n) - 1
-    if n_grow == 0:
-        return [st.vt_mask for st in seeds if st.cov_mask == full], 0, None
     nbr = graph.neighbor_masks
     cov_masks = mlst.closed_neighborhood_masks(graph)
+    covers = []
+    for vt_mask, _ in seeds:
+        cov = 0
+        for v in range(graph.n):
+            if (vt_mask >> v) & 1:
+                cov |= cov_masks[v]
+        covers.append(cov)
+    if n_grow == 0:
+        return [vt_mask for (vt_mask, _), cov in zip(seeds, covers) if cov == full], 0, None
     step = mlst.max_cover_step(graph)
     out = []
     nodes = 0
@@ -407,9 +415,9 @@ def recursive_search(graph: ShellGraph, seeds, n_grow: int, allowance: int):
                 rec(vt | bit, ncov, ext | (nbr[v] & ~barred), barred, remaining - 1)
 
     try:
-        for st in seeds:
-            barred = st.vt_mask | st.excl_mask
-            rec(st.vt_mask, st.cov_mask, st.cov_mask & ~barred, barred, n_grow)
+        for (vt_mask, excl_mask), cov in zip(seeds, covers):
+            barred = vt_mask | excl_mask
+            rec(vt_mask, cov, cov & ~barred, barred, n_grow)
     except Stop:
         return out, nodes, "nodes"
     return out, nodes, None
@@ -420,7 +428,7 @@ def root_set_set_search(graph: ShellGraph):
     per root-set vertex, each barring the earlier roots, and no orbit
     closure: the search the orbit phases replace."""
     roots = root_set(graph)
-    seeds = [mlst._seed(graph, 1 << r, sum(1 << q for q in roots[:k])) for k, r in enumerate(roots)]
+    seeds = [(1 << r, sum(1 << q for q in roots[:k])) for k, r in enumerate(roots)]
     nodes = 0
     for n_s in range(1, graph.n + 1):
         found, level_nodes, _ = mlst._search(graph, seeds, n_s - 1, 10**12)

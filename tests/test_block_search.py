@@ -47,7 +47,7 @@ def compare_levels(graph, budget=10**12):
     must agree, up to the first level that finds sets or overruns; returns
     the nodes of every level."""
     seeds = mlst._seeds(graph)
-    seed_size = seeds[0].vt_mask.bit_count()
+    seed_size = seeds[0][0].bit_count()
     levels = []
     for n_s in range(seed_size, graph.n + 1):
         args = (graph, seeds, n_s - seed_size, budget - sum(levels))

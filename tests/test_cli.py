@@ -464,3 +464,25 @@ def test_an_unreadable_input_is_a_usage_error(tmp_path, capsys, kind, reason):
     assert main(["count", "--input", str(path)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {path}: {reason}\n")
+
+
+TETRA_FACES = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"name": "t", "vertices": [[1%s, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "faces": %s}'
+     % ("0" * 399, TETRA_FACES), "a vertex coordinate is too large for a float"),
+    ('{"name": "t", "vertices": [[1%s, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "faces": %s}'
+     % ("0" * 4999, TETRA_FACES), "a number has too many digits to read"),
+    ('{"name": "t", "vertices": null, "faces": %s%s}' % ("[" * 100_000, "]" * 100_000),
+     "the document nests too deeply to read"),
+], ids=["400-digit-coordinate", "5000-digit-coordinate", "nested-100000-deep"])
+def test_a_malformed_document_is_a_usage_error(tmp_path, capsys, text, reason):
+    # each of these once ended in a traceback: OverflowError from numpy,
+    # ValueError from Python's integer digit limit and RecursionError from
+    # the JSON decoder
+    path = tmp_path / "shell.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["count", "--input", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {path}: {reason}\n")

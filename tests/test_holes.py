@@ -256,7 +256,7 @@ def _prism_hole_cuts(g, k, rng, count):
     the bottom ring, the vertical edges at a nonempty set of ring positions,
     and every top ring edge but one in each arc between two consecutive
     such positions."""
-    edge = lambda a, b: g.edge_index[canon_edge(a, b)]
+    edge = lambda a, b: g.edges.index(canon_edge(a, b))
     cuts = set()
     while len(cuts) < count:
         posts = np.flatnonzero(rng.random(k) < rng.uniform(0.1, 0.9))
@@ -281,7 +281,7 @@ def test_hole_check_on_more_than_64_vertices_and_edges():
     assert all(_oracle_accepts(g, row) for row in cuts.tolist())
     assert _batch_accepts(g, cuts)
     # the one optimal cut: the boundary and every vertical edge
-    verticals = tuple(g.edge_index[canon_edge(i, 40 + i)] for i in range(40))
+    verticals = tuple(g.edges.index(canon_edge(i, 40 + i)) for i in range(40))
     assert cut_tuples(enumerate_mlsts(g)) == [tuple(sorted(g.boundary_edges + verticals))]
     _assert_each_mutation_class_is_rejected(g, cuts)
     verdicts = []
@@ -362,7 +362,7 @@ def test_a_core_is_one_component_with_one_cycle():
     bottom = next(f for f in g.faces if not set(f) & set(top))
 
     def cycle(face):
-        return [g.edge_index[canon_edge(a, b)] for a, b in zip(face, face[1:] + face[:1])]
+        return [g.edges.index(canon_edge(a, b)) for a, b in zip(face, face[1:] + face[:1])]
 
     assert holes._connected_unicyclic(g, cycle(top))
     assert not holes._connected_unicyclic(g, cycle(top)[:3])

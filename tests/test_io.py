@@ -125,7 +125,7 @@ def test_dedup_doc_totals(tmp_path):
     result = enumerate_mlsts(graph)
     classes = dedupe_cuts(graph, result.cuts, find_automorphisms(graph))
     path = tmp_path / "classes.json"
-    write_dedup(path, graph, classes, "cube")
+    write_dedup(path, classes, "cube")
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["n_classes"] == 4
     assert doc["n_labeled_cuts"] == 120
@@ -135,7 +135,7 @@ def test_dedup_doc_totals(tmp_path):
     assert path.read_text(encoding="utf-8") == _canonical_json(doc)
     # the writer lists rows as given and does not sort them
     with pytest.raises(ValidationError, match="lexicographic"):
-        write_dedup(tmp_path / "reversed.json", graph, classes[::-1], "cube")
+        write_dedup(tmp_path / "reversed.json", classes[::-1], "cube")
 
 
 @pytest.mark.parametrize("classes", [
@@ -145,7 +145,7 @@ def test_dedup_doc_totals(tmp_path):
 def test_dedup_file_is_the_canonical_dump(tmp_path, classes):
     graph = build_shell_graph(builtin("tetrahedron"))
     path = tmp_path / "classes.json"
-    write_dedup(path, graph, classes, "tétraèdre")
+    write_dedup(path, classes, "tétraèdre")
     assert path.read_text(encoding="utf-8") == _canonical_json({
         "shell": "tétraèdre",
         "n_classes": len(classes),
@@ -278,7 +278,7 @@ def test_rewrites_are_byte_identical(tmp_path):
             cuts=result.cuts, nodes_visited=result.nodes_visited,
             shell_name=spec.name,
         )
-        write_dedup(d / "classes.json", graph, classes, spec.name)
+        write_dedup(d / "classes.json", classes, spec.name)
         write_ranking(d / "ranking.csv", ranked)
         blobs.append(tuple(
             (p.name, p.read_bytes()) for p in sorted(d.iterdir())

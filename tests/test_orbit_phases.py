@@ -74,7 +74,7 @@ def map_interiors(graph, image, perm, interiors):
         mapped = []
         for e in edges:
             a, b = perm[graph.edges[e][0]], perm[graph.edges[e][1]]
-            mapped.append(image.edge_index[(min(a, b), max(a, b))])
+            mapped.append(image.edges.index((min(a, b), max(a, b))))
         out.append((mapped_vt, tuple(sorted(mapped))))
     return tuple(sorted(out, key=lambda it: (it[1], it[0])))
 

@@ -26,7 +26,7 @@ def test_canon_edge_orders_endpoints():
 def test_faces_only_spec_supports_combinatorics():
     spec = PolyhedronSpec(name="t", faces=TETRA_FACES)
     assert spec.n_vertices == 4
-    assert spec.edge_list() == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    assert sorted(edge_face_table(spec)) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert not spec.has_geometry
     with pytest.raises(MissingGeometryError):
         spec.require_geometry()

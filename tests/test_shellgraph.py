@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,11 +18,33 @@ from netfold.shellgraph import (
     enumerate_spanning_trees,
     is_spanning_tree,
     merged_spanning_trees,
+    set_words,
+    word_sets,
 )
 
 
 def complete_graph(n):
     return ShellGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_word_sets_inverts_set_words(n):
+    full = (1 << n) - 1
+    masks = [0, full, 1, 1 << (n - 1), full // 3, full ^ (full // 5)]
+    rows = set_words(masks, n)
+    assert rows.dtype == np.uint64 and rows.shape == (len(masks), -(-n // 64))
+    assert word_sets(rows) == masks
+    # bit b is bit b % 64 of word b // 64, lowest word first
+    for b in range(n):
+        (row,) = set_words([1 << b], n).tolist()
+        assert row == [1 << (b % 64) if w == b // 64 else 0 for w in range(len(row))]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_set_words_rejects_a_set_outside_its_bits(n):
+    for mask in (-1, 1 << n, ((1 << n) - 1) | (1 << (n + 7))):
+        with pytest.raises(ValidationError, match=f"is not a set of bits below {n}$"):
+            set_words([0, mask], n)
 
 
 def test_cube_graph_shape(shell_graph):
@@ -78,7 +101,7 @@ def test_a_graph_built_directly_keeps_the_hole_rule():
     # leaf count of 0 and one labeled cut when the constructor took them
     cube = build_shell_graph(builtin("cube"))
     two_rings = tuple(sorted(
-        cube.edge_index[(min(a, b), max(a, b))]
+        cube.edges.index((min(a, b), max(a, b)))
         for face in ((0, 1, 3, 2), (4, 6, 7, 5)) for a, b in zip(face, face[1:] + face[:1])
     ))
     with pytest.raises(ValidationError, match=r"^2 holes; a shell may have at most one hole$"):
@@ -143,7 +166,7 @@ def test_disconnected_graph_rejected():
 
 def test_cut_leaves_on_path():
     g = ShellGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    path = [g.edge_index[e] for e in [(0, 1), (1, 2), (2, 3)]]
+    path = [g.edges.index(e) for e in [(0, 1), (1, 2), (2, 3)]]
     assert cut_leaves(g, path) == (0, 3)
     assert is_spanning_tree(g, path)
     assert not is_spanning_tree(g, path[:2])
@@ -153,9 +176,9 @@ def test_a_spanning_tree_joins_every_vertex():
     # K4 plus a pendant vertex: V - 1 distinct edges that hold a triangle
     # leave a vertex out, and a repeated edge does not count twice
     g = ShellGraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
-    ids = [g.edge_index[e] for e in [(0, 1), (1, 2), (0, 2), (3, 4)]]
+    ids = [g.edges.index(e) for e in [(0, 1), (1, 2), (0, 2), (3, 4)]]
     assert not is_spanning_tree(g, ids)
-    ids[2] = g.edge_index[(2, 3)]
+    ids[2] = g.edges.index((2, 3))
     assert is_spanning_tree(g, ids)
     assert not is_spanning_tree(g, ids[:3] + ids[:1])
 

@@ -120,6 +120,21 @@ def test_only_symmetry_applies_the_group():
     assert found == []
 
 
+def test_only_shellgraph_converts_sets_and_words():
+    # sets become uint64 words and back only in `shellgraph.set_words` and
+    # `word_sets`, so the word layout is written down once; no other module
+    # turns an int into bytes or bytes into an int
+    found = []
+    for path, tree in zip(SOURCES, _trees()):
+        uses = [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "from_bytes")]
+        if path.stem == "shellgraph":
+            assert uses  # the source was read
+        else:
+            found += uses
+    assert found == []
+
+
 def test_mlst_has_no_recursive_function():
     # the search expands blocks from an explicit stack, so its depth is not
     # bounded by Python's recursion limit; no function of mlst.py may call

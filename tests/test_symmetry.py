@@ -29,7 +29,7 @@ from netfold.cli import EXIT_OK, main
 from netfold.errors import ValidationError
 from netfold.holes import remove_faces
 from netfold.mlst import InteriorResult, enumerate_interiors, enumerate_mlsts
-from netfold.polyhedra import PolyhedronSpec
+from netfold.polyhedra import PolyhedronSpec, edge_face_table
 from netfold.shellgraph import (
     ShellGraph,
     build_shell_graph,
@@ -287,8 +287,8 @@ SQUARE = ((0, 1), (0, 3), (1, 2), (2, 3))
 
 
 @pytest.mark.parametrize("edges,faces", [
-    (TETRAHEDRON.edge_list(), TETRAHEDRON.faces[:3]),  # one face missing
-    (TETRAHEDRON.edge_list(), (TETRAHEDRON.faces[0][::-1],) + TETRAHEDRON.faces[1:]),
+    (tuple(sorted(edge_face_table(TETRAHEDRON))), TETRAHEDRON.faces[:3]),  # one face missing
+    (tuple(sorted(edge_face_table(TETRAHEDRON))), (TETRAHEDRON.faces[0][::-1],) + TETRAHEDRON.faces[1:]),
     (SQUARE, ((0, 1, 2), (0, 3, 2, 1))),  # (2, 0) is no edge
 ])
 def test_faces_that_do_not_fit_the_edges_are_rejected(edges, faces):
@@ -370,7 +370,7 @@ def test_a_shell_pinched_at_two_vertices_is_rejected(tmp_path, capsys):
     with pytest.raises(ValidationError, match=f"^pinched: {message}$"):
         build_shell_graph(spec)
     # find_automorphisms checks the fans itself, for graphs built directly
-    edges = spec.edge_list()
+    edges = tuple(sorted(edge_face_table(spec)))
     graph = ShellGraph(spec.n_vertices, edges, (), spec.faces)
     with pytest.raises(ValidationError, match=f"^{message}$"):
         find_automorphisms(graph)
@@ -485,6 +485,15 @@ def test_orbit_of_a_set_of_more_than_64_vertices(hole):
     for size in (1, 2, 30, 79):
         vt = sum(1 << int(v) for v in rng.choice(g.n, size=size, replace=False))
         assert group.orbit(vt) == reference_orbit(group, vt)
+
+
+@pytest.mark.parametrize("mask", [1 << 63, 1 << 8, -1, 1 << 64], ids=["bit63", "bit8", "negative", "bit64"])
+def test_orbit_rejects_a_mask_outside_the_graph(shell_graph, mask):
+    # on the 8-vertex cube, 1 << 63 once gave (0xffffffffffffff00,) and
+    # 1 << 8 gave (0,), and -1 and 1 << 64 raised OverflowError
+    group = cut_group(shell_graph("cube"))
+    with pytest.raises(ValidationError, match="is not a set of bits below 8"):
+        group.orbit(mask)
 
 
 def test_dedupe_rejects_the_group_of_another_graph(shell_graph):
