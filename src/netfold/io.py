@@ -45,6 +45,24 @@ def polyhedron_to_doc(spec: PolyhedronSpec) -> dict:
     }
 
 
+# the longest value an error message quotes; a longer one is named by type
+_QUOTED = 40
+
+
+def _quoted(value: object) -> str:
+    """A value read from a document, for an error message: its repr when
+    that is short, else its JSON type, so that a nested list, an object or
+    a long string is not echoed whole."""
+    if isinstance(value, list):
+        return "a list"
+    if isinstance(value, dict):
+        return "an object"
+    text = repr(value)
+    if len(text) <= _QUOTED:
+        return text
+    return "a string" if isinstance(value, str) else "a number"
+
+
 def polyhedron_from_doc(doc: object) -> PolyhedronSpec:
     if not isinstance(doc, dict):
         raise ValidationError(f"shell document must be an object, got {type(doc).__name__}")
@@ -64,7 +82,7 @@ def polyhedron_from_doc(doc: object) -> PolyhedronSpec:
         for k, idx in enumerate(face):
             if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
                 raise ValidationError(
-                    f"face {fi} entry {k} is {idx!r}; vertex indices are non-negative integers"
+                    f"face {fi} entry {k} is {_quoted(idx)}; vertex indices are non-negative integers"
                 )
         faces.append(tuple(face))
     vertices_raw = doc.get("vertices")

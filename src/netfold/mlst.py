@@ -24,13 +24,13 @@ the level.  It expands blocks of search states held as rows of uint64 words
 in numpy (`shellgraph.set_words`), with no recursion, so a search of any
 depth and any vertex count takes the same path.  A node is one vertex
 set the search visits; a search stops at its node budget (10^7 by default,
-about two seconds; a long run passes 10^10), reporting one node past it, or
-at its time limit, read before each block, and either overrun raises
-"<node budget N | time limit Ts> exceeded at interior size k".  A listing
-whose array and sorted copy, 2 x n_cuts x width x 4 bytes, exceed physical
-memory (or a lower cgroup memory limit) is refused before any tree is
-listed, and the trees listed on each orbit's first member must number its
-determinant count.
+about 0.35 s on a 2-core VM; a long run passes 10^10), reporting one node
+past it, or at its time limit, read before each block, and either overrun
+raises "<node budget N | time limit Ts> exceeded at interior size k".  A
+listing whose array and sorted copy, 2 x n_cuts x width x 4 bytes, exceed
+physical memory (or a lower cgroup memory limit) is refused before any tree
+is listed, and the trees listed on each orbit's first member must number
+its determinant count.
 """
 
 from __future__ import annotations
@@ -203,6 +203,15 @@ def _lowest(rows: np.ndarray) -> np.ndarray:
     return v
 
 
+def _row_counts(rows: np.ndarray) -> np.ndarray:
+    """The number of set bits of each row, added word by word: a sum over a
+    short last axis costs more than one pass per word."""
+    counts = np.bitwise_count(rows[:, 0]).astype(np.intp)
+    for w in range(1, rows.shape[1]):
+        counts += np.bitwise_count(rows[:, w])
+    return counts
+
+
 def _search(
     graph: ShellGraph, seeds: list[tuple[int, int]], n_grow: int, allowance: int,
     deadline: Optional[float] = None,
@@ -231,7 +240,9 @@ def _search(
     `_CHUNK` x degree states per depth.  A block's nodes are the bits of
     its extensions.  The level stops before a block that would take it past
     `allowance` nodes, reporting `allowance + 1`, or before a block once
-    `time.monotonic` is past `deadline`.
+    `time.monotonic` is past `deadline`.  Rows are gathered and filtered
+    with `take` on index arrays, which costs less per row than fancy or
+    boolean indexing on arrays this narrow.
     """
     n = graph.n
     closed = closed_neighborhood_masks(graph)
@@ -256,30 +267,32 @@ def _search(
                 vt, cov, ext = vt[:_CHUNK], cov[:_CHUNK], ext[:_CHUNK]
             if deadline is not None and time.monotonic() > deadline:
                 return word_sets(np.concatenate(found)), nodes, "time"
-            counts = np.bitwise_count(ext).sum(axis=1, dtype=np.intp)
+            counts = _row_counts(ext)
             nodes += int(counts.sum())
             if nodes > allowance:
                 return word_sets(np.concatenate(found)), allowance + 1, "nodes"
             # states by falling node count, so the states still branching
             # in a round are a prefix; live[r] of them branch in round r
             order = np.argsort(counts)[::-1]
-            vt, cov, ext = vt[order], cov[order], ext[order]
+            vt, cov, ext = vt.take(order, axis=0), cov.take(order, axis=0), ext.take(order, axis=0)
             live = len(counts) - np.cumsum(np.bincount(counts))[:-1]
             need = n - (remaining - 1) * step
             kids = []
             for k in live.tolist():
                 vt, cov, ext = vt[:k], cov[:k], ext[:k]
                 v = _lowest(ext)
-                bit = bits[v]
+                bit = bits.take(v, axis=0)
                 ext ^= bit
-                ncov = cov | cov_masks[v]
-                keep = np.bitwise_count(ncov).sum(axis=1, dtype=np.intp) >= need
-                if not keep.any():
+                ncov = cov | cov_masks.take(v, axis=0)
+                keep = np.flatnonzero(_row_counts(ncov) >= need)
+                if not len(keep):
                     continue
+                child = vt.take(keep, axis=0) | bit.take(keep, axis=0)
                 if remaining == 1:
-                    found.append(vt[keep] | bit[keep])
+                    found.append(child)
                 else:
-                    kids.append((vt[keep] | bit[keep], ncov[keep], ext[keep] | (nbr[v[keep]] & ~cov[keep])))
+                    grown = nbr.take(v.take(keep), axis=0) & ~cov.take(keep, axis=0)
+                    kids.append((child, ncov.take(keep, axis=0), ext.take(keep, axis=0) | grown))
             if kids:
                 stack.append((remaining - 1, *(np.concatenate(part) for part in zip(*kids))))
     return word_sets(np.concatenate(found)), nodes, None
@@ -387,7 +400,7 @@ def _listing(plans, boundary, n_cuts: int, n_fixed: int, width: int, m: int) -> 
         keys = cuts.T[::-1].astype(np.min_scalar_type(m - 1))
         order = np.lexsort(keys)
         del keys  # freed before the gather, which holds the listing twice
-        cuts = cuts[order]
+        cuts = cuts.take(order, axis=0)
     return cuts
 
 

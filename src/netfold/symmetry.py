@@ -146,38 +146,19 @@ def find_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
     Dart 2e runs along edge e from its lower end and dart 2e + 1 back, so
     `d ^ 1` reverses d; each dart lies in one face, and an open shell's hole
     is one more face (`ShellGraph.face_map`, which also rejects a shell
-    pinched at a vertex).  A map automorphism is fixed by the image t of dart 0
+    pinched at a vertex).  A map automorphism is fixed by the image of dart 0
     and whether it keeps orientation (Weinberg 1966): it commutes with
-    reversal and maps the dart after d in its face to the dart after t, or
-    for a reflection to the reverse of the dart before t ^ 1.  Spreading
-    each of the 4E choices takes O(E^2) with no search, and |G| <= 4E.  A
-    graph without faces gets the trivial group.
+    reversal, and it maps the dart after d in its face to the dart after
+    d's image t, or, for a reflection, to the reverse of the dart before
+    t ^ 1.  All 4E choices are spread at once, one table column each, along
+    a tree of the darts from dart 0, and those that keep both rules on
+    every dart and map the darts one to one are the group: O(E^2) with no
+    search, and |G| <= 4E.  A graph without faces gets the trivial group.
     """
     group = _GROUPS.get(graph)
     if group is None:
         group = _GROUPS[graph] = _map_automorphisms(graph)
     return group
-
-
-def _spread(following: list[int], preceding: list[int], target: int, mirror: bool):
-    """The dart map sending dart 0 to `target`, or None at its first
-    conflict (a dart given two images, or two darts one)."""
-    image = [-1] * len(following)
-    image[0] = target
-    taken = {target}
-    stack = [0]
-    while stack:
-        d = stack.pop()
-        t = image[d]
-        after = preceding[t ^ 1] ^ 1 if mirror else following[t]
-        for d2, t2 in ((d ^ 1, t ^ 1), (following[d], after)):
-            if image[d2] != t2:
-                if image[d2] >= 0 or t2 in taken:
-                    return None
-                image[d2] = t2
-                taken.add(t2)
-                stack.append(d2)
-    return image
 
 
 def _map_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
@@ -186,20 +167,45 @@ def _map_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
     if not graph.faces:
         return AutomorphismGroup(n=graph.n, edges=graph.edges, perms=(tuple(range(graph.n)),))
     # the face map also requires one fan of faces per vertex, without which
-    # spreading would leave darts unmapped
+    # the tree would miss darts
     following = graph.face_map
     n_darts = len(following)
-    preceding = [0] * n_darts
-    for d, d2 in enumerate(following):
-        preceding[d2] = d
-    tail = [graph.edges[d >> 1][d & 1] for d in range(n_darts)]
-    perms = set()
-    for target in range(n_darts):
-        for mirror in (False, True):
-            image = _spread(following, preceding, target, mirror)
-            if image is not None:
-                perm = dict(zip(tail, (tail[t] for t in image)))
-                perms.add(tuple(perm[v] for v in range(graph.n)))
+    # a tree of the darts from dart 0: each later dart is its parent's
+    # reverse, or the dart after its parent in its face
+    tree = [(0, 0, False)]
+    reached = bytearray(n_darts)
+    reached[0] = 1
+    for d, _, _ in tree:
+        for d2, succeeds in ((d ^ 1, False), (following[d], True)):
+            if not reached[d2]:
+                reached[d2] = 1
+                tree.append((d2, d, succeeds))
+    dtype = np.min_scalar_type(n_darts)
+    darts = np.arange(n_darts, dtype=dtype)
+    succ = np.asarray(following, dtype=dtype)
+    pred = np.empty_like(succ)
+    pred[succ] = darts
+    # after[mirror, t]: the image of the dart after d, t being d's image
+    after = np.stack([succ, pred[darts ^ 1] ^ 1])
+    mirror = np.arange(2)[:, None]
+    # image[d, mirror, target]: the image of dart d under each choice,
+    # narrow so that the table adds little to a command's peak memory
+    image = np.empty((n_darts, 2, n_darts), dtype=dtype)
+    image[0] = darts
+    for d, parent, succeeds in tree[1:]:
+        image[d] = after[mirror, image[parent]] if succeeds else image[parent] ^ 1
+    commutes = (image[darts ^ 1] == image ^ 1).all(axis=0) & (image[succ] == after[mirror, image]).all(axis=0)
+    maps = image[:, commutes]
+    # the permutations: every dart is some dart's image (marked rather than
+    # sorted, since sorting this dtype pages in numpy's sort code, some
+    # 0.3 MiB of resident memory)
+    hit = np.zeros(maps.shape, dtype=bool)
+    hit[maps, np.arange(maps.shape[1])] = True
+    maps = maps[:, hit.all(axis=0)]
+    tail = np.asarray(graph.edges).ravel()  # dart 2e leaves edges[e][0], 2e + 1 edges[e][1]
+    out = np.empty(graph.n, dtype=np.intp)
+    out[tail] = np.arange(n_darts)  # a dart leaving each vertex
+    perms = set(map(tuple, tail[maps[out]].T.tolist()))
     group = AutomorphismGroup(n=graph.n, edges=graph.edges, perms=tuple(sorted(perms)))
     _check_group_axioms(group)
     return group

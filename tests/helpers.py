@@ -8,8 +8,11 @@ block search in `netfold.mlst` replaced, recovery of interiors from explicit
 cut lists, a whole-group canonical form for a single cut, trend
 statistics over the catalog table, and a backtracking search for a graph's
 automorphisms, which checks the groups netfold reads off face maps and
-supplies the full group of a graph without faces.  `reference_edge_perms`
-is the per-edge loop that `AutomorphismGroup.edge_perms` replaced, and
+supplies the full group of a graph without faces.
+`reference_map_automorphisms` is the per-dart spreading of each choice of
+dart 0's image that the image table of `find_automorphisms` replaced.
+`reference_edge_perms` is the per-edge loop that
+`AutomorphismGroup.edge_perms` replaced, and
 `reference_stabilizer` the edge-set stabilizer built on it;
 `reference_orbit` is the loop `AutomorphismGroup.orbit` replaced, and
 `per_member_listing` the cut listing that listed trees on every member of
@@ -20,8 +23,9 @@ batched geometry replaced.  `cut_tuples` reads a cut
 listing as tuples and `flat_sets` an interior result's orbits as one list of
 sets.  `prism_spec` builds a prism with more than 64 vertices and edges
 when asked, and `frucht_graph` is a polyhedral graph with no symmetry,
-on which every root-set vertex gets a phase of its own.  `DESK_SHELLS`
-names the catalog shells the suite takes end to end.
+on which every root-set vertex gets a phase of its own;
+`truncated_octahedron_minus_edge` is a shell whose group has order 2.
+`DESK_SHELLS` names the catalog shells the suite takes end to end.
 """
 
 import functools
@@ -35,6 +39,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from netfold.analysis import ShellStatistics, mlst_ratio_estimate
+from netfold.catalog import builtin
 from netfold.errors import ValidationError
 from netfold import mlst
 from netfold.geometry import RELATIVE_TOL, Marker, NetLayout, _local_coords, _product, _runs, _stack
@@ -42,6 +47,7 @@ from netfold.mlst import InteriorResult, MlstResult, root_set
 from netfold.polyhedra import PolyhedronSpec, canon_edge, edge_face_table
 from netfold.shellgraph import (
     ShellGraph,
+    build_shell_graph,
     cut_leaves,
     interior_seed,
     leaf_choices,
@@ -192,6 +198,47 @@ def graph_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
     return group
 
 
+def _spread(following: list[int], preceding: list[int], target: int, mirror: bool):
+    """The dart map sending dart 0 to `target`, or None at its first
+    conflict (a dart given two images, or two darts one)."""
+    image = [-1] * len(following)
+    image[0] = target
+    taken = {target}
+    stack = [0]
+    while stack:
+        d = stack.pop()
+        t = image[d]
+        after = preceding[t ^ 1] ^ 1 if mirror else following[t]
+        for d2, t2 in ((d ^ 1, t ^ 1), (following[d], after)):
+            if image[d2] != t2:
+                if image[d2] >= 0 or t2 in taken:
+                    return None
+                image[d2] = t2
+                taken.add(t2)
+                stack.append(d2)
+    return image
+
+
+def reference_map_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
+    """The face-map automorphisms of a connected shell graph with faces,
+    each of the 4E choices of dart 0's image and orientation spread over
+    the darts one dart at a time: the loop that the image table of
+    `symmetry.find_automorphisms` replaced."""
+    following = graph.face_map
+    preceding = [0] * len(following)
+    for d, d2 in enumerate(following):
+        preceding[d2] = d
+    tail = [graph.edges[d >> 1][d & 1] for d in range(len(following))]
+    perms = set()
+    for target in range(len(following)):
+        for mirror in (False, True):
+            image = _spread(following, preceding, target, mirror)
+            if image is not None:
+                perm = dict(zip(tail, (tail[t] for t in image)))
+                perms.add(tuple(perm[v] for v in range(graph.n)))
+    return AutomorphismGroup(n=graph.n, edges=graph.edges, perms=tuple(sorted(perms)))
+
+
 def give_graph_group(graph: ShellGraph) -> ShellGraph:
     """`graph` with its whole `graph_automorphisms` group cached as the
     group `find_automorphisms` returns, so a graph without faces is searched
@@ -278,6 +325,28 @@ def frucht_graph() -> ShellGraph:
     edges = [(v, (v + 1) % 12) for v in range(12)]
     edges += [(v, (v + step) % 12) for v, step in enumerate(lcf)]
     return ShellGraph.from_edges(12, [(min(e), max(e)) for e in edges])
+
+
+@functools.lru_cache(maxsize=None)
+def truncated_octahedron_minus_edge():
+    """truncated_octahedron without its first square-hexagon edge, the two
+    faces merged into one octagon: a shell whose group has order 2."""
+    spec = builtin("truncated_octahedron")
+    edge, (i, j) = next(
+        (e, faces) for e, faces in sorted(edge_face_table(spec).items())
+        if sorted(len(spec.faces[f]) for f in faces) == [4, 6]
+    )
+    fi, fj = spec.faces[i], spec.faces[j]
+    # fi runs the edge from x to y and fj from y to x
+    x, y = edge if edge in zip(fi, fi[1:] + fi[:1]) else edge[::-1]
+
+    def walk(face, start):
+        k = face.index(start)
+        return face[k:] + face[:k]
+
+    merged = walk(fi, y) + walk(fj, x)[1:-1]
+    faces = tuple(f for k, f in enumerate(spec.faces) if k not in (i, j)) + (merged,)
+    return build_shell_graph(PolyhedronSpec(name="merged", faces=faces))
 
 
 def _tree_search(graph: ShellGraph, vt_mask: int, excl_mask: int, n_grow: int):

@@ -3,8 +3,8 @@
 Each criterion is a single test named test_criterion_NN_*; the terminal
 summary hook in conftest.py prints one CRITERION line per result.  Criterion
 5 runs the truncated icosahedron end to end, past the default node budget,
-and is gated behind NETFOLD_LONG_RUN=1; its search has not been seen to end
-within 15 minutes.  Everything else finishes in seconds.
+and is gated behind NETFOLD_LONG_RUN=1; it takes about a minute, most of it
+in the search.  Everything else finishes in seconds.
 """
 
 import math

@@ -6,7 +6,9 @@ reason: on the desk catalog shells, closed and with face 0 removed, and on
 graphs of 65 to 130 vertices, whose masks take two or three words.  The
 comparisons run again with `_CHUNK` set to 1 and 7 states, so that nearly
 every block is split.  A search as deep as its interiors are large must not
-hit Python's recursion limit.
+hit Python's recursion limit.  On five larger shells the nodes of every
+level and the number of sets and orbits are pinned to recorded values, so
+that a change to the block kernel cannot alter the traversal unnoticed.
 """
 
 import functools
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import DESK_SHELLS, flat_sets, recursive_search
+from helpers import DESK_SHELLS, flat_sets, prism_spec, recursive_search
 from netfold import mlst
 from netfold.catalog import builtin
 from netfold.errors import BudgetExceededError
@@ -130,3 +132,25 @@ def test_a_deep_search_does_not_recurse():
     finally:
         sys.setrecursionlimit(limit)
     assert (result.n_interior, len(flat_sets(result))) == (298, 300)
+
+
+# (spec, hole) -> first interior size, nodes of each level from it, sets
+# and orbits of sets, as the search visited them when this test was added
+RECORDED = {
+    ("truncated_cuboctahedron", False): (1, (0,) + (3,) * 21 + (6483, 1752395), 2928, 61),
+    ("pentakis_dodecahedron", False): (1, (0, 8, 8, 8, 8, 8, 116, 1799, 24488, 267152), 1620, 17),
+    ("icosidodecahedron", False): (1, (0,) + (4,) * 8 + (66, 1439, 24501, 248764, 1490643), 6360, 53),
+    ("prism40", False): (1, (0,) + (3,) * 37 + (19800, 489065), 3202, 22),
+    ("snub_cube", True): (3, (0, 7, 7, 7, 40, 672, 6815), 105, 105),
+}
+
+
+@pytest.mark.parametrize("name, hole", RECORDED, ids=[f"{n}-hole0" if h else n for n, h in RECORDED])
+def test_the_traversal_keeps_its_recorded_counts(name, hole):
+    # the 40-gonal prism's 80 vertices take two words per set
+    spec = prism_spec(40) if name == "prism40" else builtin(name)
+    result = enumerate_interiors(build_shell_graph(remove_faces(spec, [0]) if hole else spec))
+    first, nodes, n_sets, n_orbits = RECORDED[name, hole]
+    assert [(r.n_interior, r.nodes) for r in result.level_reports] == list(enumerate(nodes, first))
+    assert result.nodes_visited == sum(nodes)
+    assert (len(flat_sets(result)), len(result.orbits)) == (n_sets, n_orbits)

@@ -476,13 +476,18 @@ TETRA_FACES = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
      % ("0" * 4999, TETRA_FACES), "a number has too many digits to read"),
     ('{"name": "t", "vertices": null, "faces": %s%s}' % ("[" * 100_000, "]" * 100_000),
      "the document nests too deeply to read"),
-], ids=["400-digit-coordinate", "5000-digit-coordinate", "nested-100000-deep"])
+    ('{"name": "t", "vertices": null, "faces": [[%s%s, 1, 2]]}' % ("[" * 500, "]" * 500),
+     "face 0 entry 0 is a list; vertex indices are non-negative integers"),
+], ids=["400-digit-coordinate", "5000-digit-coordinate", "nested-100000-deep", "entry-nested-500-deep"])
 def test_a_malformed_document_is_a_usage_error(tmp_path, capsys, text, reason):
-    # each of these once ended in a traceback: OverflowError from numpy,
+    # the first three once ended in a traceback: OverflowError from numpy,
     # ValueError from Python's integer digit limit and RecursionError from
-    # the JSON decoder
+    # the JSON decoder; the last once printed its whole entry, 1,000
+    # brackets, in the error line (500 deep, so that the decoder's
+    # recursion limit holds under the test runner's own stack)
     path = tmp_path / "shell.json"
     path.write_text(text, encoding="utf-8")
     assert main(["count", "--input", str(path)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {path}: {reason}\n")
+    assert len(captured.err.splitlines()[0]) < 200

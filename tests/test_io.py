@@ -68,6 +68,10 @@ def test_faces_only_round_trip(tmp_path):
         ({"name": "x", "faces": [[0, 1, -2]]}, "face 0 entry 2 is -2"),
         ({"name": "x", "faces": [[0, 1, 2]], "vertices": 5}, "'vertices'"),
         ({"name": "x", "faces": [[0, 1, 2]], "vertices": [[0.0, 1.0]]}, "vertex 0"),
+        ({"name": "x", "faces": [[0, 1, None]]}, "face 0 entry 2 is None;"),
+        ({"name": "x", "faces": [[0, 1, [2]]]}, "face 0 entry 2 is a list;"),
+        ({"name": "x", "faces": [[0, 1, {"v": 2}]]}, "face 0 entry 2 is an object;"),
+        ({"name": "x", "faces": [[0, 1, "2" * 100]]}, "face 0 entry 2 is a string;"),
     ],
 )
 def test_malformed_documents_name_the_fault(doc, fragment):

@@ -27,13 +27,14 @@ from helpers import (
     relabeled_spec,
     root_set_set_search,
     tree_search_interiors,
+    truncated_octahedron_minus_edge,
 )
 from netfold import mlst
 from netfold.catalog import builtin, catalog_entry
 from netfold.holes import remove_faces
 from netfold.cli import EXIT_OK, main
 from netfold.mlst import count_labeled_cuts, enumerate_interiors
-from netfold.polyhedra import PolyhedronSpec, edge_face_table
+from netfold.polyhedra import PolyhedronSpec
 from netfold.shellgraph import build_shell_graph
 from netfold.symmetry import count_net_classes, cut_group, find_automorphisms
 from test_mlst import connected_graphs
@@ -77,28 +78,6 @@ def map_interiors(graph, image, perm, interiors):
             mapped.append(image.edges.index((min(a, b), max(a, b))))
         out.append((mapped_vt, tuple(sorted(mapped))))
     return tuple(sorted(out, key=lambda it: (it[1], it[0])))
-
-
-@functools.lru_cache(maxsize=None)
-def truncated_octahedron_minus_edge():
-    """truncated_octahedron without its first square-hexagon edge, the two
-    faces merged into one octagon: a shell whose group has order 2."""
-    spec = builtin("truncated_octahedron")
-    edge, (i, j) = next(
-        (e, faces) for e, faces in sorted(edge_face_table(spec).items())
-        if sorted(len(spec.faces[f]) for f in faces) == [4, 6]
-    )
-    fi, fj = spec.faces[i], spec.faces[j]
-    # fi runs the edge from x to y and fj from y to x
-    x, y = edge if edge in zip(fi, fi[1:] + fi[:1]) else edge[::-1]
-
-    def walk(face, start):
-        k = face.index(start)
-        return face[k:] + face[:k]
-
-    merged = walk(fi, y) + walk(fj, x)[1:-1]
-    faces = tuple(f for k, f in enumerate(spec.faces) if k not in (i, j)) + (merged,)
-    return build_shell_graph(PolyhedronSpec(name="merged", faces=faces))
 
 
 @pytest.fixture

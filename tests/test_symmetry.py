@@ -19,9 +19,11 @@ from helpers import (
     graph_automorphisms,
     prism_spec,
     reference_edge_perms,
+    reference_map_automorphisms,
     reference_orbit,
     reference_stabilizer,
     relabeled_spec,
+    truncated_octahedron_minus_edge,
 )
 from netfold import symmetry
 from netfold.catalog import CATALOG, builtin
@@ -312,6 +314,33 @@ def test_face_map_group_is_the_graph_group(name, shell_graph):
     group = find_automorphisms(g)
     assert group.perms == graph_automorphisms(g).perms
     assert group.order <= 4 * g.m
+
+
+def _spread_case(case):
+    if case == "truncated_octahedron_minus_edge":
+        return truncated_octahedron_minus_edge()
+    if case == "disc":
+        return build_shell_graph(PolyhedronSpec(name="disc", faces=((0, 1, 2), (0, 2, 3))))
+    if case.startswith("prism"):
+        return build_shell_graph(prism_spec(int(case[5:])))
+    name, _, hole = case.partition("-")
+    spec = builtin(name)
+    return build_shell_graph(remove_faces(spec, [0]) if hole else spec)
+
+
+# every catalog shell, closed and with face 0 removed (which each shell
+# accepts), a shell whose group has order 2, prisms of 6, 16 and 80
+# vertices, the last taking two words per vertex set, and a disc of two
+# triangles, on which maps that keep reversal but not face succession are
+# one to one
+SPREAD_CASES = ([entry.name for entry in CATALOG] + [f"{entry.name}-hole0" for entry in CATALOG]
+                + ["truncated_octahedron_minus_edge", "prism3", "prism8", "prism40", "disc"])
+
+
+@pytest.mark.parametrize("case", SPREAD_CASES)
+def test_the_dart_table_finds_the_group_of_the_per_dart_spread(case):
+    g = _spread_case(case)
+    assert find_automorphisms(g).perms == reference_map_automorphisms(g).perms
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
