@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -45,7 +45,14 @@ class Marker:
 
 @dataclass(frozen=True, eq=False)
 class NetLayout:
-    """A cut unfolded into the plane."""
+    """A cut unfolded into the plane.
+
+    The polygons are views, face by face, of one stacked (P, 2) array,
+    `points`.  `tables` index that stack (`_Tables`), and `hinge_ids` holds
+    the shell's id of each hinge (`_Frames.hinge_ids`), left empty unless
+    the faces are the shell's own.  `unfold` hands all three over through
+    `stacked`; a layout made without them is stacked here.
+    """
 
     spec: PolyhedronSpec
     cut: tuple[Edge, ...]
@@ -53,14 +60,33 @@ class NetLayout:
     polygons: tuple[np.ndarray, ...]
     hinges: tuple[tuple[int, int, Edge], ...]
     markers: tuple[Marker, ...]
+    points: np.ndarray = field(init=False, repr=False)
+    tables: _Tables = field(init=False, repr=False)
+    hinge_ids: np.ndarray = field(init=False, repr=False)
+    stacked: InitVar[Optional[tuple[np.ndarray, _Tables, np.ndarray]]] = None
+
+    def __post_init__(self, stacked) -> None:
+        if stacked is None:
+            counts = np.array([len(p) for p in self.polygons], dtype=np.intp)
+            points = np.concatenate(self.polygons) if self.polygons else np.empty((0, 2))
+            frames = _frames(self.spec) if self.hinges and self.spec.has_geometry else None
+            if frames is not None and np.array_equal(counts, frames.tables.counts):
+                ids = np.array([frames.hinge_ids.get(hinge, -1) for hinge in self.hinges], dtype=np.intp)
+                stacked = points, frames.tables, ids[ids >= 0]
+            else:
+                # the hinge tables index the points of the shell's own faces
+                stacked = points, _tables(counts), np.empty(0, dtype=np.intp)
+            object.__setattr__(self, "polygons", tuple(points[s] for s in stacked[1].slices))
+        for name, value in zip(("points", "tables", "hinge_ids"), stacked):
+            object.__setattr__(self, name, value)
 
     @property
     def n_faces(self) -> int:
         return len(self.polygons)
 
     def mean_edge_length(self) -> float:
-        points, ends, _ = _stack(self.polygons)
-        return float(np.linalg.norm(ends - points, axis=1).mean())
+        points = self.points
+        return float(np.linalg.norm(points[self.tables.successor] - points, axis=1).mean())
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,19 +130,86 @@ def _local_coords(spec: PolyhedronSpec, face: int) -> np.ndarray:
     return np.column_stack((rel @ x_axis, rel @ y_axis))
 
 
-def _stack(polygons: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every polygon edge: start points stacked in order, end points, and the polygon sizes."""
-    counts = np.array([len(p) for p in polygons])
-    points = np.concatenate(polygons)
-    return points, points[_successor(counts)], counts
-
-
 def _successor(counts: np.ndarray) -> np.ndarray:
     """For polygons of the given sizes stacked in order, the index of each
     point's successor on its own polygon."""
     successor = np.arange(1, int(counts.sum()) + 1)
     successor[np.cumsum(counts) - 1] = _runs(counts)
     return successor
+
+
+class _Tables(NamedTuple):
+    """Index tables of a stack of polygons of the given sizes, whatever
+    their points.
+
+    Face f holds rows `slices[f]` (from `starts[f]`, `counts[f]` of them) of
+    the stack, and `successor` maps each row to the next point of its face.
+    `sizes` holds, for each face size n, the faces of that size and the rows
+    of their points, one face to a row.
+
+    Face pairs i < j are numbered in row-major order: pair q is faces
+    (`pair_i[q]`, `pair_j[q]`), and `pair_flat[q]` its index in a flattened
+    (F, F) array.  The screen's rows come sorted by pair:
+    - a crossing row pairs edge `cross_e1` of face i with edge `cross_e2` of
+      face j, for pair `cross_pair`;
+    - a probe group pairs one probe of one face with every edge of the
+      other: for each pair, each probe of face i against face j, then each
+      probe of face j against face i.  The probes stack as the points, the
+      edge midpoints and the face centroids, and a face's probes are taken
+      in the order vertices, edge midpoints, centroid.  `probes` holds one
+      block per size n of the faces probed, as (pair, probe, edges): the
+      groups' pair ids, their probes' indices in the stack and the stacked
+      indices of their edges, an (n, groups) array.
+    """
+
+    counts: np.ndarray
+    starts: np.ndarray
+    slices: tuple[slice, ...]
+    successor: np.ndarray
+    sizes: tuple[tuple[np.ndarray, np.ndarray], ...]
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    pair_flat: np.ndarray
+    cross_e1: np.ndarray
+    cross_e2: np.ndarray
+    cross_pair: np.ndarray
+    probes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def _tables(counts: np.ndarray) -> _Tables:
+    """The `_Tables` of polygons of the given sizes."""
+    starts = _runs(counts)
+    n_faces = len(counts)
+    pair_i, pair_j = np.triu_indices(n_faces, 1)
+    cross_pair, a, b = _product(counts[pair_i], counts[pair_j])
+    # every probe of each pair, i's against j and then j's against i
+    src = np.column_stack((pair_i, pair_j)).ravel()
+    dst = np.column_stack((pair_j, pair_i)).ravel()
+    m, p, _ = _product(2 * counts[src] + 1, np.ones_like(src))
+    # in probe order, face f's probes sit from row 2 * starts[f] + f
+    owner = np.repeat(np.arange(n_faces), counts)
+    order = np.argsort(np.concatenate((owner, owner, np.arange(n_faces))), kind="stable")
+    probe, dst = order[2 * starts[src][m] + src[m] + p], dst[m]
+    sizes, probes = [], []
+    for n in sorted(set(counts.tolist())):
+        faces = np.flatnonzero(counts == n)
+        sizes.append((faces, starts[faces, None] + np.arange(n)))
+        block = np.flatnonzero(counts[dst] == n)
+        probes.append((m[block] // 2, probe[block], np.arange(n)[:, None] + starts[dst[block]]))
+    return _Tables(
+        counts=counts,
+        starts=starts,
+        slices=tuple(slice(s, s + n) for s, n in zip(starts.tolist(), counts.tolist())),
+        successor=_successor(counts),
+        sizes=tuple(sizes),
+        pair_i=pair_i,
+        pair_j=pair_j,
+        pair_flat=pair_i * n_faces + pair_j,
+        cross_e1=starts[pair_i][cross_pair] + a,
+        cross_e2=starts[pair_j][cross_pair] + b,
+        cross_pair=cross_pair,
+        probes=tuple(probes),
+    )
 
 
 # PolyhedronSpec compares by identity, so each spec object keeps its own frames.
@@ -128,24 +221,25 @@ class _Frames(NamedTuple):
     once per spec.
 
     `links[f]` lists face f's neighbours across shared edges, ascending by
-    neighbour (ties in edge-table order), as (child, edge, iu, iv, rel, d,
-    dx, dy, length): iu and iv are the slots in face f of the edge's ends
-    u < v, rel is the child's 2D coordinates less those of u, d = (dx, dy)
-    the vector u -> v in the child's coordinates and length its norm.
+    neighbour (ties in edge-table order), as (child, edge, at_u, at_v, rel,
+    d, dx, dy, length, rows, hinge, h): at_u and at_v are the stacked
+    indices (below) in face f of the edge's ends u < v, rel is the child's
+    2D coordinates less those of u, d = (dx, dy) the vector u -> v in the
+    child's coordinates and length its norm; rows is the child's slice of
+    the stack, hinge the tuple (f, child, edge) and h its id.
 
-    The points of a placed net are stacked face by face in face order, face
-    f's `counts[f]` of them together; `successor` maps each point to the
-    next one of its face and `lengths` holds the 3D length of that face edge.
+    The points of a placed net are stacked face by face in face order, as
+    `tables` index them, and `lengths` holds the 3D length of each face edge.
     `marker_at[e, o]` holds the stacked indices of end o of edge e in the
     edge's lower and higher face, then of its other end in the same two
     faces (-1 for an edge of fewer than two faces).
 
     `hinge_ids` numbers every possible hinge (parent, child, edge), and for
-    hinge h, `hinge_pairs[h]` is its two faces in ascending order,
-    `hinge_edges[h]` the stacked index of the edge in the parent (which runs
-    it counter-clockwise) and `hinge_sides[h]` the stacked indices of every
-    vertex of the parent and then of the child, each face padded to the
-    largest face size by repeating its first vertex.
+    hinge h, `hinge_pairs[h]` is the row-major id of its two faces
+    (`_Tables`), `hinge_edges[h]` the stacked index of the edge in the
+    parent (which runs it counter-clockwise) and `hinge_sides[h]` the
+    stacked indices of every vertex of the parent and then of the child,
+    each face padded to the largest face size by repeating its first vertex.
     """
 
     coords: tuple[np.ndarray, ...]
@@ -154,8 +248,7 @@ class _Frames(NamedTuple):
     n_edge_faces: np.ndarray
     tol: float
     links: tuple[tuple[tuple, ...], ...]
-    counts: np.ndarray
-    successor: np.ndarray
+    tables: _Tables
     lengths: np.ndarray
     marker_at: np.ndarray
     hinge_ids: dict[tuple[int, int, Edge], int]
@@ -171,9 +264,13 @@ def _frames(spec: PolyhedronSpec) -> _Frames:
         table = edge_face_table(spec)
         vertices = spec.vertices
         scale = float(np.mean([np.linalg.norm(vertices[u] - vertices[v]) for u, v in table]))
-        points, ends, counts = _stack([vertices[list(f)] for f in spec.faces])
+        counts = np.array([len(f) for f in spec.faces])
+        tables = _tables(counts)
+        points = vertices[[v for f in spec.faces for v in f]]
         coords = tuple(_local_coords(spec, f) for f in range(spec.n_faces))
-        starts = _runs(counts)
+        starts = tables.starts
+        pair_ids = np.full((spec.n_faces, spec.n_faces), -1, dtype=np.intp)
+        pair_ids.flat[tables.pair_flat] = np.arange(len(tables.pair_flat))
         slots = np.full((spec.n_faces, spec.n_vertices), -1, dtype=np.intp)
         for f, face in enumerate(spec.faces):
             slots[f, list(face)] = np.arange(len(face))
@@ -196,10 +293,12 @@ def _frames(spec: PolyhedronSpec) -> _Frames:
                 lu = local[slots[child, u]]
                 d = local[slots[child, v]] - lu
                 iu, iv = int(slots[parent, u]), int(slots[parent, v])
-                length = float(np.linalg.norm(d))
-                links[parent].append((child, edge, iu, iv, local - lu, d, *d.tolist(), length))
-                hinge_ids[parent, child, edge] = len(hinge_pairs)
-                hinge_pairs.append((a, b))
+                hinge, h = (parent, child, edge), len(hinge_pairs)
+                links[parent].append((child, edge, int(starts[parent]) + iu, int(starts[parent]) + iv,
+                                      local - lu, d, *d.tolist(), float(np.linalg.norm(d)),
+                                      tables.slices[child], hinge, h))
+                hinge_ids[hinge] = h
+                hinge_pairs.append(pair_ids[a, b])
                 hinge_edges.append(int(starts[parent]) + (iu if iv == (iu + 1) % counts[parent] else iv))
                 hinge_sides.append(vertex_rows[parent] + vertex_rows[child])
         frames = _FRAMES[spec] = _Frames(
@@ -209,12 +308,11 @@ def _frames(spec: PolyhedronSpec) -> _Frames:
             n_edge_faces=np.array([len(faces) for faces in table.values()]),
             tol=RELATIVE_TOL * scale,
             links=tuple(tuple(sorted(link, key=lambda it: it[0])) for link in links),
-            counts=counts,
-            successor=_successor(counts),
-            lengths=np.linalg.norm(ends - points, axis=1),
+            tables=tables,
+            lengths=np.linalg.norm(points[tables.successor] - points, axis=1),
             marker_at=marker_at,
             hinge_ids=hinge_ids,
-            hinge_pairs=np.array(hinge_pairs, dtype=np.intp).reshape(-1, 2),
+            hinge_pairs=np.array(hinge_pairs, dtype=np.intp),
             hinge_edges=np.array(hinge_edges, dtype=np.intp),
             hinge_sides=np.array(hinge_sides, dtype=np.intp).reshape(-1, 2 * width),
         )
@@ -249,46 +347,49 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
         raise ValidationError(f"root face {root} out of range")
 
     tol = frames.tol
-    placed: list[Optional[np.ndarray]] = [None] * n_faces
-    placed[root] = frames.coords[root].copy()
+    tables = frames.tables
+    points = np.empty((len(frames.lengths), 2))
+    points[tables.slices[root]] = frames.coords[root]
+    placed = [False] * n_faces
+    placed[root] = True
     hinges: list[tuple[int, int, Edge]] = []
+    ids: list[int] = []
     queue = deque([root])
     while queue:
-        parent = queue.popleft()
-        parent_poly = placed[parent]
-        for child, edge, iu, iv, rel, d, dx, dy, length in frames.links[parent]:
-            if placed[child] is not None or edge in cut_edges:
+        for child, edge, at_u, at_v, rel, d, dx, dy, length, rows, hinge, h in frames.links[queue.popleft()]:
+            if placed[child] or edge in cut_edges:
                 continue
-            pu = parent_poly[iu]
-            target = parent_poly[iv] - pu
+            pu = points[at_u]
+            target = points[at_v] - pu
             if not math.isclose(length, math.sqrt(float(target @ target)), rel_tol=1e-9, abs_tol=tol):
                 raise ValidationError(f"hinge edge {edge} changes length between faces")
             tx, ty = target.tolist()
             cos_t = float(d @ target) / (length * length)
             sin_t = (dx * ty - dy * tx) / (length * length)
             rot = np.array([[cos_t, -sin_t], [sin_t, cos_t]])
-            placed[child] = rel @ rot.T + pu
-            hinges.append((parent, child, edge))
+            points[rows] = rel @ rot.T + pu
+            placed[child] = True
+            hinges.append(hinge)
+            ids.append(h)
             queue.append(child)
-    missing = [f for f in range(n_faces) if placed[f] is None]
+    missing = [f for f in range(n_faces) if not placed[f]]
     if missing:
         raise ValidationError(f"hinge tree does not reach faces {missing}")
 
-    polygons = tuple(placed)  # type: ignore[arg-type]
-    points = np.concatenate(polygons)
     _check_isometric(points, frames)
     cut = tuple(sorted(cut_edges))
-    return NetLayout(spec=spec, cut=cut, root_face=root, polygons=polygons,
-                     hinges=tuple(hinges), markers=_markers(cut, points, frames))
+    return NetLayout(spec=spec, cut=cut, root_face=root, polygons=tuple(points[s] for s in tables.slices),
+                     hinges=tuple(hinges), markers=_markers(cut, points, frames),
+                     stacked=(points, tables, np.array(ids, dtype=np.intp)))
 
 
 def _check_isometric(points: np.ndarray, frames: _Frames) -> None:
-    placed = np.linalg.norm(points[frames.successor] - points, axis=1)
+    placed = np.linalg.norm(points[frames.tables.successor] - points, axis=1)
     lengths = frames.lengths
     bad = np.flatnonzero(np.abs(lengths - placed) > frames.tol + RELATIVE_TOL * lengths)
     if bad.size:
         k = int(bad[0])
-        starts = _runs(frames.counts)
+        starts = frames.tables.starts
         f = int(np.searchsorted(starts, k, side="right")) - 1
         raise ValidationError(f"face {f} edge {k - starts[f]} length {placed[k]} "
                               f"differs from shell length {lengths[k]}")
@@ -328,8 +429,9 @@ def centroid_and_rg(layout: NetLayout) -> tuple[tuple[float, float], float]:
     polygons of one size are summed together, each along its own row, which
     gives every polygon the sums it would get on its own.
     """
-    points, ends, counts = _stack(layout.polygons)
-    (x, y), (x1, y1) = points.T, ends.T
+    tables = layout.tables
+    points = layout.points
+    (x, y), (x1, y1) = points.T, points[tables.successor].T
     cross = x * y1 - x1 * y
     terms = np.stack((
         cross,
@@ -338,18 +440,17 @@ def centroid_and_rg(layout: NetLayout) -> tuple[tuple[float, float], float]:
         (y * y + y * y1 + y1 * y1) * cross,
         (x * x + x * x1 + x1 * x1) * cross,
     ))
-    starts = _runs(counts)
-    sums = np.empty((5, len(counts)))
-    for n in set(counts.tolist()):
-        faces = np.flatnonzero(counts == n)
+    n_faces = len(tables.counts)
+    sums = np.empty((5, n_faces))
+    for faces, rows in tables.sizes:
         # `take` returns C-ordered rows, which numpy sums pairwise as it does
         # one polygon's 1D array; terms[:, index] is laid out otherwise, and
         # its rows of 8 or more are summed in another order
-        sums[:, faces] = np.take(terms, starts[faces, None] + np.arange(n), axis=1).sum(axis=2)
+        sums[:, faces] = np.take(terms, rows, axis=1).sum(axis=2)
     if not (sums[0] / 2.0 > 0.0).all():
         raise ValidationError("outward-oriented faces must stay counter-clockwise")
     # each total starts from 0.0 and takes one face at a time, in face order
-    moments = np.zeros((4, len(counts) + 1))
+    moments = np.zeros((4, n_faces + 1))
     moments[:, 1:] = sums[0] / 2.0, sums[1] / 6.0, sums[2] / 6.0, sums[3] / 12.0 + sums[4] / 12.0
     area, sx, sy, polar = np.add.accumulate(moments, axis=1)[:, -1].tolist()
     if area <= 0.0:
@@ -373,10 +474,9 @@ def _product(n_left: np.ndarray, n_right: np.ndarray) -> tuple[np.ndarray, ...]:
     return group, k // n_right[group], k % n_right[group]
 
 
-def _separated_hinges(layout: NetLayout, frames: _Frames, points: np.ndarray, d: np.ndarray,
-                      lengths: np.ndarray, tol: float) -> np.ndarray:
-    """The face pairs (ascending) of the hinges whose line separates parent
-    and child.
+def _separated_hinges(layout: NetLayout, cols: np.ndarray, tol: float) -> np.ndarray:
+    """The row-major pair ids of the hinges whose line separates parent and
+    child.
 
     The parent runs its hinge edge counter-clockwise, so its own region lies
     left of that directed line.  When every vertex of the parent lies on or
@@ -387,16 +487,15 @@ def _separated_hinges(layout: NetLayout, frames: _Frames, points: np.ndarray, d:
     back over its parent or a parent that reaches across its hinge line.
     A hinge that is not one of the shell's is left to the full screen.
     """
-    ids = np.array([frames.hinge_ids.get(hinge, -1) for hinge in layout.hinges])
-    ids = ids[ids >= 0]
-    e = frames.hinge_edges[ids]
-    (ax, ay), (dx, dy), length = points[e].T[:, :, None], d[e].T[:, :, None], lengths[e][:, None]
-    x, y = np.moveaxis(points[frames.hinge_sides[ids]], 2, 0)
+    frames = _frames(layout.spec)
+    ids = layout.hinge_ids
+    ax, ay, dx, dy, length = cols[2:].take(frames.hinge_edges.take(ids)[:, None], axis=1)
+    x, y = cols[2:4].take(frames.hinge_sides.take(ids, axis=0), axis=1)
     left = dx * (y - ay) - dy * (x - ax)
     width = left.shape[1] // 2
     parent_left = (left[:, :width] >= -tol * length).all(axis=1)
     child_right = (left[:, width:] <= tol * length).all(axis=1)
-    return frames.hinge_pairs[ids[parent_left & child_right]]
+    return frames.hinge_pairs.take(ids[parent_left & child_right])
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -409,60 +508,67 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     or edge midpoint) strictly inside the other; both are tested with a
     tolerance of 1e-9 times the mean edge length, and two edges whose angle
     has a sine of at most 1e-9 are parallel and never cross.  Both tests run
-    in one batch over the face pairs whose bounding boxes meet, less the
-    hinged pairs their hinge line separates (`_separated_hinges`).  The
-    witness is the first overlapping pair in row-major order.
+    in one batch over the rows of the layout's tables (`_Tables`) whose face
+    pairs have meeting bounding boxes, less the hinged pairs their hinge
+    line separates (`_separated_hinges`).  The witness is the first
+    overlapping pair in row-major order: the lowest pair id either test hits.
     """
-    points, ends, counts = _stack(layout.polygons)
-    d = ends - points
-    lengths = np.linalg.norm(d, axis=1)
-    tol = RELATIVE_TOL * float(lengths.mean())  # the layout's mean_edge_length()
-    starts = _runs(counts)
+    tables = layout.tables
+    points = layout.points
+    # per stacked point, the rows: end x and y, x, y, dx, dy and length of its edge
+    cols = np.empty((7, len(points)))
+    cols[2:4] = points.T
+    cols[:2] = cols[2:4].take(tables.successor, axis=1)
+    np.subtract(cols[:2], cols[2:4], out=cols[4:6])
+    cols[6] = np.sqrt(cols[4] * cols[4] + cols[5] * cols[5])
+    tol = RELATIVE_TOL * float(cols[6].mean())  # the layout's mean_edge_length()
+    starts = tables.starts
     lo, hi = np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
     apart = (lo[:, None, :] > hi[None, :, :] + tol).any(axis=2)
-    meet = np.triu(~(apart | apart.T), 1)
-    if layout.hinges:
-        frames = _frames(layout.spec)
-        # the hinge tables index the points of the shell's own faces
-        if np.array_equal(counts, frames.counts):
-            lo_face, hi_face = _separated_hinges(layout, frames, points, d, lengths, tol).T
-            meet[lo_face, hi_face] = False
-    fi, fj = np.nonzero(meet)
+    meet = ~(apart | apart.T).take(tables.pair_flat)
+    if layout.hinge_ids.size:
+        meet[_separated_hinges(layout, cols, tol)] = False
+    first = len(meet)
 
-    # every edge of face fi[m] against every edge of face fj[m]
-    m, a, b = _product(counts[fi], counts[fj])
-    e1, e2 = starts[fi][m] + a, starts[fj][m] + b
-    (d1x, d1y), (d2x, d2y), (rx, ry) = d[e1].T, d[e2].T, (points[e2] - points[e1]).T
+    # every edge of face i against every edge of face j
+    rows = np.flatnonzero(meet.take(tables.cross_pair))
+    x1, y1, d1x, d1y, l1 = cols[2:].take(tables.cross_e1.take(rows), axis=1)
+    x2, y2, d2x, d2y, l2 = cols[2:].take(tables.cross_e2.take(rows), axis=1)
+    rx, ry = x2 - x1, y2 - y1
     denom = d1x * d2y - d1y * d2x
     t = (rx * d2y - ry * d2x) / denom
     s = (rx * d1y - ry * d1x) / denom
-    eps = tol / np.maximum(lengths[e1], lengths[e2])
-    skew = np.abs(denom) > RELATIVE_TOL * lengths[e1] * lengths[e2]
-    crossed = skew & (eps < t) & (t < 1.0 - eps) & (eps < s) & (s < 1.0 - eps)
-    overlap = np.logical_or.reduceat(crossed, _runs(counts[fi] * counts[fj]))
+    eps = tol / np.maximum(l1, l2)
+    skew = np.abs(denom) > RELATIVE_TOL * l1 * l2
+    crossed = np.flatnonzero(skew & (eps < t) & (t < 1.0 - eps) & (eps < s) & (s < 1.0 - eps))
+    if crossed.size:
+        first = int(tables.cross_pair[rows[crossed[0]]])
 
-    # face f's probes (vertices, edge midpoints, centroid) sit from row 2 * starts[f] + f
-    owner = np.repeat(np.arange(len(counts)), counts)
-    order = np.argsort(np.concatenate((owner, owner, np.arange(len(counts)))), kind="stable")
-    centroids = np.add.reduceat(points, starts) / counts[:, None]
-    probes = np.concatenate((points, (points + ends) / 2.0, centroids))[order]
-    # every probe of face src[m] against every edge of face dst[m], both ways round
-    src, dst = np.concatenate((fi, fj)), np.concatenate((fj, fi))
-    n_probes = 2 * counts[src] + 1
-    m, p, k = _product(n_probes, counts[dst])
-    x, y = probes[2 * starts[src][m] + src[m] + p].T
-    e = starts[dst][m] + k
-    (ax, ay), (bx, by), (dx, dy) = points[e].T, ends[e].T, d[e].T
-    ll = dx * dx + dy * dy
-    along = np.divide((x - ax) * dx + (y - ay) * dy, ll, out=np.zeros_like(ll), where=ll != 0.0)
-    along = np.clip(along, 0.0, 1.0)
-    near = (x - (ax + along * dx)) ** 2 + (y - (ay + along * dy)) ** 2 <= tol * tol
-    parity = ((ay > y) != (by > y)) & (x < ax + (y - ay) * dx / dy)
-    rows = np.flatnonzero(k == 0)
-    inside = ~np.logical_or.reduceat(near, rows) & np.logical_xor.reduceat(parity, rows)
-    overlap |= np.logical_or.reduceat(inside, _runs(n_probes)).reshape(2, -1).any(axis=0)
-    hits = np.flatnonzero(overlap)
-    return (True, (int(fi[hits[0]]), int(fj[hits[0]]))) if hits.size else (False, None)
+    # every probe of each face against every edge of the other: a probe is
+    # inside when a ray from it crosses the other face's boundary an odd
+    # number of times and it is near none of that face's edges
+    centroids = np.add.reduceat(points, starts) / tables.counts[:, None]
+    probe_xy = np.concatenate((cols[2:4], (cols[2:4] + cols[:2]) / 2.0, centroids.T), axis=1)
+    for pair, probe, edges in tables.probes:
+        groups = np.flatnonzero(meet.take(pair))
+        x, y = probe_xy.take(probe.take(groups), axis=1)
+        at = cols[1:6].take(edges.take(groups, axis=1), axis=1)
+        by, ax, ay, dx, dy = at
+        parity = ((ay > y) != (by > y)) & (x < ax + (y - ay) * dx / dy)
+        odd = np.flatnonzero(np.logical_xor.reduce(parity))
+        if odd.size:
+            # the distance test, on the groups of odd parity only
+            x, y, (_, ax, ay, dx, dy) = x.take(odd), y.take(odd), at.take(odd, axis=2)
+            ll = dx * dx + dy * dy
+            along = np.where(ll != 0.0, ((x - ax) * dx + (y - ay) * dy) / ll, 0.0)
+            along = np.minimum(np.maximum(along, 0.0), 1.0)
+            near = (x - (ax + along * dx)) ** 2 + (y - (ay + along * dy)) ** 2 <= tol * tol
+            inside = np.flatnonzero(~np.logical_or.reduce(near))
+            if inside.size:
+                first = min(first, int(pair[groups[odd[inside[0]]]]))
+    if first == len(meet):
+        return False, None
+    return True, (int(tables.pair_i[first]), int(tables.pair_j[first]))
 
 
 def rank_nets(

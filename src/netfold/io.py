@@ -47,6 +47,8 @@ def polyhedron_to_doc(spec: PolyhedronSpec) -> dict:
 
 # the longest value an error message quotes; a longer one is named by type
 _QUOTED = 40
+# the most unknown fields an error message names; the rest are counted
+_NAMED = 3
 
 
 def _quoted(value: object) -> str:
@@ -66,9 +68,11 @@ def _quoted(value: object) -> str:
 def polyhedron_from_doc(doc: object) -> PolyhedronSpec:
     if not isinstance(doc, dict):
         raise ValidationError(f"shell document must be an object, got {type(doc).__name__}")
-    unknown = set(doc) - {"name", "vertices", "faces"}
+    unknown = sorted(set(doc) - {"name", "vertices", "faces"})
     if unknown:
-        raise ValidationError(f"unknown shell document fields: {sorted(unknown)}")
+        named = ", ".join(_quoted(key) for key in unknown[:_NAMED])
+        more = f" and {len(unknown) - _NAMED} more" if len(unknown) > _NAMED else ""
+        raise ValidationError(f"unknown shell document fields: {named}{more}")
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise ValidationError("field 'name' must be a non-empty string")

@@ -42,7 +42,7 @@ from netfold.analysis import ShellStatistics, mlst_ratio_estimate
 from netfold.catalog import builtin
 from netfold.errors import ValidationError
 from netfold import mlst
-from netfold.geometry import RELATIVE_TOL, Marker, NetLayout, _local_coords, _product, _runs, _stack
+from netfold.geometry import RELATIVE_TOL, Marker, NetLayout, _local_coords, _product, _runs, _successor
 from netfold.mlst import InteriorResult, MlstResult, root_set
 from netfold.polyhedra import PolyhedronSpec, canon_edge, edge_face_table
 from netfold.shellgraph import (
@@ -781,6 +781,13 @@ def reference_centroid_and_rg(layout: NetLayout):
     cy = sy / area
     rg_sq = polar / area - (cx * cx + cy * cy)
     return (cx, cy), math.sqrt(max(rg_sq, 0.0))
+
+
+def _stack(polygons):
+    """Every polygon edge: start points stacked in order, end points, and the polygon sizes."""
+    counts = np.array([len(p) for p in polygons])
+    points = np.concatenate(polygons)
+    return points, points[_successor(counts)], counts
 
 
 @np.errstate(divide="ignore", invalid="ignore")

@@ -478,7 +478,10 @@ TETRA_FACES = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
      "the document nests too deeply to read"),
     ('{"name": "t", "vertices": null, "faces": [[%s%s, 1, 2]]}' % ("[" * 500, "]" * 500),
      "face 0 entry 0 is a list; vertex indices are non-negative integers"),
-], ids=["400-digit-coordinate", "5000-digit-coordinate", "nested-100000-deep", "entry-nested-500-deep"])
+    ('{"name": "t", "vertices": null, "faces": %s, "%s": 1}' % (TETRA_FACES, "k" * 5000),
+     "unknown shell document fields: a string"),
+], ids=["400-digit-coordinate", "5000-digit-coordinate", "nested-100000-deep", "entry-nested-500-deep",
+        "5000-character-field"])
 def test_a_malformed_document_is_a_usage_error(tmp_path, capsys, text, reason):
     # the first three once ended in a traceback: OverflowError from numpy,
     # ValueError from Python's integer digit limit and RecursionError from

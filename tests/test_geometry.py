@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cut_tuples
+from helpers import cut_tuples, reference_check_overlap
 from netfold.catalog import builtin
 from netfold.errors import FallbackExhaustedError, ValidationError
 from netfold.geometry import (
@@ -238,6 +238,18 @@ def test_witness_is_the_first_overlapping_pair_in_row_major_order():
     far = UNIT_SQUARE + np.array([5.0, 0.0])
     layout = synthetic_layout(UNIT_SQUARE, far, far + 0.5, UNIT_SQUARE + 0.5)
     assert check_overlap(layout) == (True, (0, 3))
+
+
+def test_witness_merges_the_probe_and_crossing_tests():
+    # pair (0, 1): a square inside another, which only the probe test sees;
+    # pair (2, 3): two bars crossing with no probe of one inside the other,
+    # which only the crossing test sees
+    inner = UNIT_SQUARE * 0.5 + 0.25
+    bar = np.array([[10.0, 0.0], [14.0, 0.0], [14.0, 0.2], [10.0, 0.2]])
+    post = np.array([[11.0, -1.0], [11.2, -1.0], [11.2, 3.0], [11.0, 3.0]])
+    layout = synthetic_layout(UNIT_SQUARE, inner, bar, post)
+    assert check_overlap(layout) == reference_check_overlap(layout) == (True, (0, 1))
+    assert check_overlap(synthetic_layout(bar, post)) == (True, (0, 1))
 
 
 def test_zero_area_layout_rejected():

@@ -60,7 +60,10 @@ def test_faces_only_round_trip(tmp_path):
     "doc, fragment",
     [
         ([1, 2], "must be an object"),
-        ({"name": "x", "faces": [[0, 1, 2]], "extra": 1}, "unknown shell document fields"),
+        ({"name": "x", "faces": [[0, 1, 2]], "extra": 1}, "unknown shell document fields: 'extra'$"),
+        ({"name": "x", "faces": [[0, 1, 2]], "k" * 5000: 1}, "unknown shell document fields: a string$"),
+        ({"name": "x", "faces": [[0, 1, 2]], **dict.fromkeys("edcba", 1)},
+         "unknown shell document fields: 'a', 'b', 'c' and 2 more$"),
         ({"name": "", "faces": [[0, 1, 2]]}, "'name'"),
         ({"name": "x", "faces": []}, "'faces'"),
         ({"name": "x", "faces": [[0, 1]]}, "face 0 must list at least 3"),

@@ -13,7 +13,9 @@ The screen skips hinged pairs that their hinge line separates, so it must
 also give the verdict and witness of the screen over every pair.
 """
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +29,7 @@ from helpers import (
     relabeled_spec,
 )
 from netfold.catalog import CATALOG, builtin
+import netfold.geometry as geometry
 from netfold.geometry import NetLayout, centroid_and_rg, check_overlap, unfold
 from netfold.mlst import enumerate_mlsts
 from netfold.polyhedra import PolyhedronSpec
@@ -187,3 +190,47 @@ def test_child_over_a_concave_parent_is_still_flagged():
     arm = np.array([[0, 1], [1, 1], [1, 2], [0, 2]], dtype=float)
     assert shared_area(layout.polygons[1], arm) == pytest.approx(0.2)
     assert check_overlap(layout) == reference_check_overlap(layout) == (True, (0, 1))
+
+
+def test_pair_tables_are_built_once_per_shell_and_freed_with_it(monkeypatch):
+    source = builtin("truncated_cube")
+    spec = PolyhedronSpec(name=source.name, faces=source.faces, vertices=source.vertices.copy())
+    built = []
+    monkeypatch.setattr(geometry, "_tables", lambda counts: built.append(counts) or _tables(counts))
+    layouts = [unfold(spec, cut) for cut in class_cuts(spec)[:20]]
+    verdicts = [check_overlap(layout) for layout in layouts]
+    copies = [moved(layout, 0.3, 2.0) for layout in layouts]
+    assert [check_overlap(copy) for copy in copies] == verdicts
+    assert len(built) == 1
+    tables = layouts[0].tables
+    for layout in layouts + copies:
+        # one stack per net, its polygons views of it, and the shell's tables
+        assert layout.tables is tables
+        assert all(polygon.base is layout.points for polygon in layout.polygons)
+    freed = weakref.ref(tables.cross_e1)
+    del spec, layouts, copies, tables, layout
+    gc.collect()
+    assert freed() is None
+
+
+_tables = geometry._tables
+
+
+@pytest.mark.parametrize("name", ["truncated_cube", "rhombicuboctahedron"])
+def test_a_layout_with_other_face_sizes_gets_the_reference_verdict(name):
+    # a layout whose faces are not the shell's own gets tables of its own
+    # and no hinge rule, so the screen must give the reference verdict
+    spec = builtin(name)
+    shell_tables = geometry._frames(spec).tables
+    flagged = 0
+    for k, cut in enumerate(class_cuts(spec)[:40]):
+        folded = folded_back(unfold(spec, cut))
+        polygons = list(folded.polygons)
+        big = max(range(len(polygons)), key=lambda f: len(polygons[f]))
+        polygons[big] = polygons[big][:3]
+        for net in (replace(folded, polygons=folded.polygons[:-1]), replace(folded, polygons=tuple(polygons))):
+            assert net.tables is not shell_tables and net.hinge_ids.size == 0
+            verdict = check_overlap(net)
+            assert verdict == reference_check_overlap(net), (name, cut)
+            flagged += verdict[0]
+    assert flagged
