@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections import deque
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -48,10 +48,11 @@ class NetLayout:
     """A cut unfolded into the plane.
 
     The polygons are views, face by face, of one stacked (P, 2) array,
-    `points`.  `tables` index that stack (`_Tables`), and `hinge_ids` holds
-    the shell's id of each hinge (`_Frames.hinge_ids`), left empty unless
-    the faces are the shell's own.  `unfold` hands all three over through
-    `stacked`; a layout made without them is stacked here.
+    `points`, made here from the polygons given.  `tables` index that stack
+    (`_Tables`): the shell's own when the faces have the shell's sizes, made
+    for this layout otherwise.  `hinge_ids` holds the shell's id of each
+    hinge (`_Frames.hinge_ids`) that is one of the shell's, and is left
+    empty unless the faces have the shell's sizes.
     """
 
     spec: PolyhedronSpec
@@ -63,22 +64,22 @@ class NetLayout:
     points: np.ndarray = field(init=False, repr=False)
     tables: _Tables = field(init=False, repr=False)
     hinge_ids: np.ndarray = field(init=False, repr=False)
-    stacked: InitVar[Optional[tuple[np.ndarray, _Tables, np.ndarray]]] = None
 
-    def __post_init__(self, stacked) -> None:
-        if stacked is None:
-            counts = np.array([len(p) for p in self.polygons], dtype=np.intp)
-            points = np.concatenate(self.polygons) if self.polygons else np.empty((0, 2))
-            frames = _frames(self.spec) if self.hinges and self.spec.has_geometry else None
-            if frames is not None and np.array_equal(counts, frames.tables.counts):
-                ids = np.array([frames.hinge_ids.get(hinge, -1) for hinge in self.hinges], dtype=np.intp)
-                stacked = points, frames.tables, ids[ids >= 0]
-            else:
-                # the hinge tables index the points of the shell's own faces
-                stacked = points, _tables(counts), np.empty(0, dtype=np.intp)
-            object.__setattr__(self, "polygons", tuple(points[s] for s in stacked[1].slices))
-        for name, value in zip(("points", "tables", "hinge_ids"), stacked):
-            object.__setattr__(self, name, value)
+    def __post_init__(self) -> None:
+        sizes = [len(p) for p in self.polygons]
+        points = np.concatenate(self.polygons) if self.polygons else np.empty((0, 2))
+        frames = _frames(self.spec) if self.spec.has_geometry else None
+        if frames is not None and sizes == frames.tables.counts.tolist():
+            tables = frames.tables
+            ids = [frames.hinge_ids.get(hinge) for hinge in self.hinges]
+            ids = np.array([h for h in ids if h is not None], dtype=np.intp)
+        else:
+            # the hinge tables index the points of the shell's own faces
+            tables, ids = _tables(np.array(sizes, dtype=np.intp)), np.empty(0, dtype=np.intp)
+        object.__setattr__(self, "polygons", tuple(points[s] for s in tables.slices))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "hinge_ids", ids)
 
     @property
     def n_faces(self) -> int:
@@ -222,11 +223,11 @@ class _Frames(NamedTuple):
 
     `links[f]` lists face f's neighbours across shared edges, ascending by
     neighbour (ties in edge-table order), as (child, edge, at_u, at_v, rel,
-    d, dx, dy, length, rows, hinge, h): at_u and at_v are the stacked
+    d, dx, dy, length, rows, hinge): at_u and at_v are the stacked
     indices (below) in face f of the edge's ends u < v, rel is the child's
     2D coordinates less those of u, d = (dx, dy) the vector u -> v in the
     child's coordinates and length its norm; rows is the child's slice of
-    the stack, hinge the tuple (f, child, edge) and h its id.
+    the stack and hinge the tuple (f, child, edge).
 
     The points of a placed net are stacked face by face in face order, as
     `tables` index them, and `lengths` holds the 3D length of each face edge.
@@ -293,11 +294,11 @@ def _frames(spec: PolyhedronSpec) -> _Frames:
                 lu = local[slots[child, u]]
                 d = local[slots[child, v]] - lu
                 iu, iv = int(slots[parent, u]), int(slots[parent, v])
-                hinge, h = (parent, child, edge), len(hinge_pairs)
+                hinge = (parent, child, edge)
                 links[parent].append((child, edge, int(starts[parent]) + iu, int(starts[parent]) + iv,
                                       local - lu, d, *d.tolist(), float(np.linalg.norm(d)),
-                                      tables.slices[child], hinge, h))
-                hinge_ids[hinge] = h
+                                      tables.slices[child], hinge))
+                hinge_ids[hinge] = len(hinge_pairs)
                 hinge_pairs.append(pair_ids[a, b])
                 hinge_edges.append(int(starts[parent]) + (iu if iv == (iu + 1) % counts[parent] else iv))
                 hinge_sides.append(vertex_rows[parent] + vertex_rows[child])
@@ -353,10 +354,9 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
     placed = [False] * n_faces
     placed[root] = True
     hinges: list[tuple[int, int, Edge]] = []
-    ids: list[int] = []
     queue = deque([root])
     while queue:
-        for child, edge, at_u, at_v, rel, d, dx, dy, length, rows, hinge, h in frames.links[queue.popleft()]:
+        for child, edge, at_u, at_v, rel, d, dx, dy, length, rows, hinge in frames.links[queue.popleft()]:
             if placed[child] or edge in cut_edges:
                 continue
             pu = points[at_u]
@@ -370,7 +370,6 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
             points[rows] = rel @ rot.T + pu
             placed[child] = True
             hinges.append(hinge)
-            ids.append(h)
             queue.append(child)
     missing = [f for f in range(n_faces) if not placed[f]]
     if missing:
@@ -379,8 +378,7 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
     _check_isometric(points, frames)
     cut = tuple(sorted(cut_edges))
     return NetLayout(spec=spec, cut=cut, root_face=root, polygons=tuple(points[s] for s in tables.slices),
-                     hinges=tuple(hinges), markers=_markers(cut, points, frames),
-                     stacked=(points, tables, np.array(ids, dtype=np.intp)))
+                     hinges=tuple(hinges), markers=_markers(cut, points, frames))
 
 
 def _check_isometric(points: np.ndarray, frames: _Frames) -> None:

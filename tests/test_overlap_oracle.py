@@ -201,14 +201,19 @@ def test_pair_tables_are_built_once_per_shell_and_freed_with_it(monkeypatch):
     verdicts = [check_overlap(layout) for layout in layouts]
     copies = [moved(layout, 0.3, 2.0) for layout in layouts]
     assert [check_overlap(copy) for copy in copies] == verdicts
+    # a layout made by hand with the shell's face sizes shares its tables too,
+    # though without hinges the hinge rule has nothing to drop
+    unhinged = [replace(layout, hinges=()) for layout in layouts]
+    assert all(layout.hinge_ids.size == 0 for layout in unhinged)
+    assert [check_overlap(layout) for layout in unhinged] == verdicts
     assert len(built) == 1
     tables = layouts[0].tables
-    for layout in layouts + copies:
+    for layout in layouts + copies + unhinged:
         # one stack per net, its polygons views of it, and the shell's tables
         assert layout.tables is tables
         assert all(polygon.base is layout.points for polygon in layout.polygons)
     freed = weakref.ref(tables.cross_e1)
-    del spec, layouts, copies, tables, layout
+    del spec, layouts, copies, unhinged, tables, layout
     gc.collect()
     assert freed() is None
 
