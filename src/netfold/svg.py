@@ -8,6 +8,7 @@ timestamps.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Optional, Union
 
@@ -34,9 +35,13 @@ def export_svg(
 ) -> bytes:
     """SVG bytes for a net, optionally written to a file.
 
-    `scale` is drawing units per model unit; the default maps edge length 1
-    to 100 units.  The y axis is flipped so the net appears as laid out.
+    `scale` is drawing units per model unit, a finite positive number; the
+    default maps edge length 1 to 100 units.  The y axis is flipped so the
+    net appears as laid out.
     """
+    real = isinstance(scale, (int, float, np.integer, np.floating)) and not isinstance(scale, bool)
+    if not (real and math.isfinite(scale) and scale > 0):
+        raise ValidationError(f"scale must be a finite positive number, got {scale!r}")
     if not layout.polygons:
         raise ValidationError("empty layout: nothing to draw")
     pts = np.vstack(layout.polygons)

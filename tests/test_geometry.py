@@ -20,6 +20,7 @@ from netfold.holes import remove_faces
 from netfold.mlst import enumerate_mlsts
 from netfold.polyhedra import PolyhedronSpec
 from netfold.shellgraph import build_shell_graph, cut_leaves
+from netfold.svg import export_svg
 from netfold.symmetry import dedupe_cuts, find_automorphisms
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -195,6 +196,43 @@ def test_unfold_rejects_non_tree_complement():
         unfold(spec, pairs[:-1])  # one hinge too many
     with pytest.raises(ValidationError):
         unfold(spec, [(0, 7)])  # not a shell edge
+
+
+@pytest.mark.parametrize("root", [1.7, 2.0, True, False, np.True_, "2", [1]])
+def test_unfold_rejects_a_root_face_that_is_not_an_integer(root):
+    spec = builtin("cube")
+    g = build_shell_graph(spec)
+    pairs = [g.edges[e] for e in cut_tuples(enumerate_mlsts(g))[0]]
+    with pytest.raises(ValidationError, match=r"root face .* is not an integer") as info:
+        unfold(spec, pairs, root_face=root)
+    assert repr(root) in str(info.value)
+
+
+def test_unfold_takes_a_numpy_integer_root_face():
+    spec = builtin("cube")
+    g = build_shell_graph(spec)
+    pairs = [g.edges[e] for e in cut_tuples(enumerate_mlsts(g))[0]]
+    layout, expected = unfold(spec, pairs, root_face=np.int64(2)), unfold(spec, pairs, root_face=2)
+    assert type(layout.root_face) is int and layout.root_face == 2
+    assert layout.points.tobytes() == expected.points.tobytes() and layout.hinges == expected.hinges
+    for root in (-1, 6, np.int32(6)):
+        with pytest.raises(ValidationError, match="out of range"):
+            unfold(spec, pairs, root_face=root)
+
+
+@pytest.mark.parametrize("scale", [0, 0.0, -100, math.nan, math.inf, -math.inf, True, "100", None])
+def test_export_svg_rejects_a_scale_that_is_not_finite_and_positive(tmp_path, scale):
+    path = tmp_path / "net.svg"
+    with pytest.raises(ValidationError, match="scale must be a finite positive number"):
+        export_svg(synthetic_layout(UNIT_SQUARE), path, scale=scale)
+    assert not path.exists()
+
+
+def test_export_svg_scales_the_drawing():
+    square = synthetic_layout(UNIT_SQUARE)
+    assert b'width="110.0000"' in export_svg(square)
+    assert b'width="55.0000"' in export_svg(square, scale=np.float64(50.0))
+    assert b'width="1.1000"' in export_svg(square, scale=1)
 
 
 def rotated(poly, theta, scale=1.0):

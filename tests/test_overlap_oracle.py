@@ -9,8 +9,10 @@ of zero area, up to rounding.
 
 `unfold`, `centroid_and_rg` and `check_overlap` must give what the per-face
 code in `helpers` gives, bit for bit: the ranking writes R_g with `repr`.
-The screen skips hinged pairs that their hinge line separates, so it must
-also give the verdict and witness of the screen over every pair.
+`unfold` keeps each shell's placements and markers, so it must give those
+bits whatever it unfolded before.  The screen skips hinged pairs that their
+hinge line separates, so it must also give the verdict and witness of the
+screen over every pair.
 """
 
 import gc
@@ -29,12 +31,14 @@ from helpers import (
     relabeled_spec,
 )
 from netfold.catalog import CATALOG, builtin
+from netfold.errors import ValidationError
 import netfold.geometry as geometry
 from netfold.geometry import NetLayout, centroid_and_rg, check_overlap, unfold
+from netfold.holes import remove_faces
 from netfold.mlst import enumerate_mlsts
-from netfold.polyhedra import PolyhedronSpec
+from netfold.polyhedra import PolyhedronSpec, canon_edge, edge_face_table
 from netfold.shellgraph import build_shell_graph
-from netfold.symmetry import dedupe_cuts, find_automorphisms
+from netfold.symmetry import cut_group, dedupe_cuts, find_automorphisms
 
 # Shared area counts as overlap above this share of the squared mean edge
 # length; touching faces leave rounding slivers many orders below it.
@@ -142,17 +146,22 @@ def test_screen_matches_oracle_on_every_catalog_net(name):
 def class_cuts(spec):
     """One cut (as vertex pairs) per net class of a shell."""
     graph = build_shell_graph(spec)
-    classes = dedupe_cuts(graph, enumerate_mlsts(graph).cuts, find_automorphisms(graph))
-    return [[graph.edges[e] for e in cls.edges] for cls in classes]
+    classes = dedupe_cuts(graph, enumerate_mlsts(graph).cuts, cut_group(graph))
+    return [[graph.edges[e] for e in row] for row in classes.cuts.tolist()]
+
+
+def assert_same_layout(layout, reference):
+    assert layout.cut == reference.cut and layout.hinges == reference.hinges, layout.cut
+    assert layout.root_face == reference.root_face
+    # repr tells -0.0 from 0.0
+    assert repr(layout.markers) == repr(reference.markers), layout.cut
+    assert [p.tobytes() for p in layout.polygons] == [p.tobytes() for p in reference.polygons], layout.cut
 
 
 def assert_geometry_matches_reference(spec):
     for k, cut in enumerate(class_cuts(spec)):
         layout, reference = unfold(spec, cut), reference_unfold(spec, cut)
-        assert layout.cut == reference.cut and layout.hinges == reference.hinges, (spec.name, cut)
-        # repr tells -0.0 from 0.0
-        assert repr(layout.markers) == repr(reference.markers), (spec.name, cut)
-        assert [p.tobytes() for p in layout.polygons] == [p.tobytes() for p in reference.polygons]
+        assert_same_layout(layout, reference)
         assert repr(centroid_and_rg(layout)) == repr(reference_centroid_and_rg(reference)), (spec.name, cut)
         copy = moved(layout, 0.01 + 0.0314 * (k % 200), (1e-3, 1e3)[k % 2])
         for net in (layout, copy, folded_back(copy)):
@@ -212,10 +221,81 @@ def test_pair_tables_are_built_once_per_shell_and_freed_with_it(monkeypatch):
         # one stack per net, its polygons views of it, and the shell's tables
         assert layout.tables is tables
         assert all(polygon.base is layout.points for polygon in layout.polygons)
-    freed = weakref.ref(tables.cross_e1)
+    freed = [weakref.ref(tables.cross_e1)]
+    # the kept placements go with the spec too
+    freed += [weakref.ref(points) for _, points in geometry._PATHS[spec].placed.values()]
     del spec, layouts, copies, unhinged, tables, layout
     gc.collect()
-    assert freed() is None
+    assert [ref() for ref in freed] == [None] * len(freed)
+
+
+def copy_of(spec):
+    """The same shell as a new spec object, whose placements are not yet kept."""
+    return PolyhedronSpec(name=spec.name, faces=spec.faces, vertices=spec.vertices.copy())
+
+
+CACHE_SHELLS = [("truncated_cube", None), ("rhombicuboctahedron", None), ("snub_cube", 0)]
+
+
+@pytest.mark.parametrize("name, hole", CACHE_SHELLS)
+def test_unfold_gives_the_reference_bits_whatever_ran_before(name, hole):
+    shell = builtin(name) if hole is None else remove_faces(builtin(name), [hole])
+    cuts = class_cuts(shell)[:400]
+    other = shell.n_faces // 2
+    # forward and then backward on one spec, and backward on a new spec with
+    # nothing kept yet; each net from face 0 and then from a middle face
+    warm = copy_of(shell)
+    for spec, order in ((warm, cuts), (warm, cuts[::-1]), (copy_of(shell), cuts[::-1])):
+        for cut in order:
+            for root in (0, other):
+                assert_same_layout(unfold(spec, cut, root_face=root), reference_unfold(spec, cut, root_face=root))
+    assert 0 < len(geometry._PATHS[warm].placed) < 2 * len(cuts) * (shell.n_faces - 1)
+
+
+def test_a_hinge_that_changes_length_fails_on_every_repeat():
+    # face 0 is warped, so its hinge edge (1, 2) is shorter in the plane it
+    # is placed in than in face 1's
+    spec = PolyhedronSpec(
+        name="warped-hinge",
+        vertices=np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0.5], [0, 1, 0], [1, 0, 1], [1, 1, 1]], dtype=float),
+        faces=((0, 1, 2, 3), (1, 4, 5, 2)),
+    )
+    cut = [(0, 1), (2, 3), (3, 0), (1, 4), (4, 5), (5, 2)]
+    for _ in range(3):
+        with pytest.raises(ValidationError, match=r"hinge edge \(1, 2\) changes length between faces"):
+            unfold(spec, cut)
+    assert geometry._PATHS[spec].placed == {}
+
+
+def test_writing_into_a_layout_leaves_later_nets_as_they_were():
+    spec = copy_of(builtin("truncated_cube"))
+    cuts = class_cuts(spec)[:20]
+    for cut in cuts:
+        layout = unfold(spec, cut)
+        layout.points[:] = 7.0
+    for cut in cuts:
+        assert_same_layout(unfold(spec, cut), reference_unfold(spec, cut))
+
+
+def test_one_placement_and_one_marker_is_kept_per_distinct_path():
+    spec = copy_of(builtin("truncated_cube"))
+    faces_of = edge_face_table(spec)
+    layouts = [unfold(spec, cut) for cut in class_cuts(spec)]
+    assert len(layouts) == 399
+    # a face's path is the hinges from the root to it, in placing order
+    placements, markers = set(), set()
+    for layout in layouts:
+        path = {layout.root_face: ()}
+        for hinge in layout.hinges:
+            parent, child, _ = hinge
+            placements.add((path[parent], hinge))
+            path[child] = path[parent] + (hinge,)
+        for marker in layout.markers:
+            a, b = faces_of[canon_edge(marker.vertex, marker.far_vertex)]
+            markers.add((marker.vertex, marker.far_vertex, path[a], path[b]))
+    paths = geometry._PATHS[spec]
+    assert len(paths.placed) == len(placements) == 196
+    assert len(paths.markers) == len(markers)
 
 
 _tables = geometry._tables
