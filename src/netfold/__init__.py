@@ -11,9 +11,10 @@ class to a planar net (`unfold`), rank by radius of gyration (`rank_nets`),
 and select the first non-overlapping net (`select_optimal_net`).  Every cut
 list and count comes from one search over interior vertex sets:
 `enumerate_interiors` gives the sets as orbits under the cut group with
-the trees on each, and `count_labeled_cuts` and `count_net_classes` count
+the trees on each, `count_labeled_cuts` and `count_net_classes` count
 per orbit without materializing cut lists, for closed and open shells
-alike."""
+alike, and `list_classes` lists the classes from the cuts on each orbit's
+first member alone, as `dedupe_cuts` gives them from the whole listing."""
 
 from .analysis import (
     ShellStatistics,
@@ -51,6 +52,7 @@ from .mlst import (
     count_labeled_cuts,
     enumerate_interiors,
     enumerate_mlsts,
+    list_classes,
 )
 from .polyhedra import PolyhedronSpec
 from .shellgraph import (
@@ -112,6 +114,7 @@ __all__ = [
     "find_automorphisms",
     "leaf_estimate",
     "leaf_estimate_v",
+    "list_classes",
     "load_polyhedron",
     "mlst_ratio_estimate",
     "rank_nets",

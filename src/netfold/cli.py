@@ -29,7 +29,7 @@ from .errors import (
 )
 from .geometry import rank_nets, select_optimal_net
 from .holes import remove_faces
-from .mlst import DEFAULT_NODE_BUDGET, count_labeled_cuts, enumerate_interiors, enumerate_mlsts
+from .mlst import DEFAULT_NODE_BUDGET, count_labeled_cuts, enumerate_interiors, enumerate_mlsts, list_classes
 from .shellgraph import (
     ORACLE_CAP,
     build_shell_graph,
@@ -123,13 +123,6 @@ def _search_kwargs(args) -> dict:
     return dict(budget_nodes=int(budget), time_limit=limit)
 
 
-def _enumerate_cuts(args, graph):
-    """Labeled cuts plus their classes under the cut group."""
-    group = find_automorphisms(graph)
-    result = enumerate_mlsts(graph, **_search_kwargs(args))
-    return result, dedupe_cuts(graph, result.cuts, cut_group(graph)), group
-
-
 def _out_dir(args) -> Optional[Path]:
     """The output directory, created; every subcommand that writes calls
     this before it loads the shell, so an unusable one fails before the
@@ -145,7 +138,9 @@ def _out_dir(args) -> Optional[Path]:
 def cmd_enumerate(args) -> int:
     out = _out_dir(args)
     spec, graph = _load_shell(args)
-    result, classes, group = _enumerate_cuts(args, graph)
+    group = find_automorphisms(graph)
+    result = enumerate_mlsts(graph, **_search_kwargs(args))
+    classes = dedupe_cuts(graph, result.cuts, cut_group(graph))
     print(f"shell: {spec.name} (V={graph.n} E={graph.m} F={len(graph.faces)}"
           f"{' open' if graph.boundary_edges else ''})")
     print(f"leaf count: {result.leaf_count}")
@@ -163,8 +158,14 @@ def cmd_enumerate(args) -> int:
 
 
 def _ranked(args):
+    """The shell and its ranked nets, one per class of cuts, the classes
+    taken from the cuts on each orbit's first member: no labeled listing."""
     spec, graph = _load_shell(args)
-    result, classes, _ = _enumerate_cuts(args, graph)
+    result = enumerate_interiors(graph, **_search_kwargs(args))
+    classes = list_classes(result)
+    counted = count_net_classes(result)
+    if counted != len(classes):
+        raise ValidationError(f"{len(classes)} net classes listed, but Burnside's lemma counts {counted}")
     ranked = rank_nets(spec, list(zip(classes.cuts.tolist(), classes.orbit_sizes.tolist())), graph=graph)
     return spec, ranked
 

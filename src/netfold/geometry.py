@@ -59,7 +59,8 @@ class NetLayout:
     """A cut unfolded into the plane.
 
     The polygons are views, face by face, of one stacked (P, 2) array,
-    `points`, made here from the polygons given.  `tables` index that stack
+    `points`, made here from the polygons given (`unfold` hands over the
+    stack it filled instead, through `_stacked`).  `tables` index that stack
     (`_Tables`): the shell's own when the faces have the shell's sizes, made
     for this layout otherwise.  `hinge_ids` holds the shell's id of each
     hinge (`_Frames.hinge_ids`) that is one of the shell's, and is left
@@ -91,6 +92,23 @@ class NetLayout:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "hinge_ids", ids)
+
+    @classmethod
+    def _stacked(cls, spec: PolyhedronSpec, cut: tuple[Edge, ...], root_face: int, points: np.ndarray,
+                 tables: _Tables, hinges: tuple[tuple[int, int, Edge], ...], hinge_ids: np.ndarray,
+                 markers: tuple[Marker, ...]) -> NetLayout:
+        """The layout on a stack already in the shell's face sizes, with the
+        shell's `tables` and the ids of its `hinges`, taken as they are: the
+        polygons are views of `points`, and nothing is stacked again."""
+        layout = object.__new__(cls)
+        # set in field order, as __init__ and __post_init__ set them, so
+        # that every layout's attributes share one dict of keys
+        polygons = tuple(points[s] for s in tables.slices)
+        for name, value in (("spec", spec), ("cut", cut), ("root_face", root_face), ("polygons", polygons),
+                            ("hinges", hinges), ("markers", markers), ("points", points), ("tables", tables),
+                            ("hinge_ids", hinge_ids)):
+            object.__setattr__(layout, name, value)
+        return layout
 
     @property
     def n_faces(self) -> int:
@@ -409,6 +427,7 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
     path = [-1] * n_faces
     path[root] = root
     hinges: list[tuple[int, int, Edge]] = []
+    hinge_ids: list[int] = []
     queue = deque([root])
     while queue:
         parent = queue.popleft()
@@ -429,6 +448,7 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
                 placed = placements[on, h] = (n_faces + len(placements), rel @ rot.T + pu)
             path[child], points[rows] = placed
             hinges.append(hinge)
+            hinge_ids.append(h)
             queue.append(child)
     missing = [f for f in range(n_faces) if path[f] < 0]
     if missing:
@@ -465,8 +485,8 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
                 kept[keys[k]] = Marker(vertex=leaf, far_vertex=far, point=tuple(pa),
                                        far_points=(tuple(qa), tuple(qb)))
         markers = tuple(kept[key] for key in keys)
-    return NetLayout(spec=spec, cut=cut, root_face=root, polygons=tuple(points[s] for s in tables.slices),
-                     hinges=tuple(hinges), markers=markers)
+    return NetLayout._stacked(spec, cut, root, points, tables, tuple(hinges), np.array(hinge_ids, dtype=np.intp),
+                              markers)
 
 
 def _check_isometric(points: np.ndarray, frames: _Frames) -> None:

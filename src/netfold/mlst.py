@@ -30,7 +30,8 @@ raises "<node budget N | time limit Ts> exceeded at interior size k".  A
 listing whose array and sorted copy, 2 x n_cuts x width x 4 bytes, exceed
 physical memory (or a lower cgroup memory limit) is refused before any tree
 is listed, and the trees listed on each orbit's first member must number
-its determinant count.
+its determinant count.  The classes alone (`list_classes`) need only the
+cuts on each orbit's first member, and have a gate of their own.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from pathlib import Path
-from typing import ClassVar, Optional
+from typing import ClassVar, Iterator, Optional
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from .shellgraph import (
     set_words,
     word_sets,
 )
-from .symmetry import cut_group
+from .symmetry import AutomorphismGroup, CutClasses, cut_group
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -109,18 +110,24 @@ class MlstResult(InteriorResult):
     cuts: np.ndarray
 
 
-def count_labeled_cuts(result: InteriorResult) -> int:
-    """Exact labeled cut count: Σ over sets of trees × Π per-leaf choices,
-    an outside vertex having one choice per neighbor in the set; an orbit's
-    members have equal products, and its first member stands for all."""
+def _first_member_cuts(result: InteriorResult) -> list[int]:
+    """The number of cuts on each orbit's first member: its trees × Π
+    per-leaf choices, an outside vertex having one choice per neighbor in
+    the set."""
     nbr = result.graph.neighbor_masks
-    total = 0
+    counts = []
     for members, trees in result.orbits:
         for w in range(result.graph.n):
             if not (members[0] >> w) & 1:
                 trees *= (nbr[w] & members[0]).bit_count()
-        total += len(members) * trees
-    return total
+        counts.append(trees)
+    return counts
+
+
+def count_labeled_cuts(result: InteriorResult) -> int:
+    """Exact labeled cut count: Σ over sets of their cuts; an orbit's
+    members have as many cuts as its first member."""
+    return sum(len(members) * n for (members, _), n in zip(result.orbits, _first_member_cuts(result)))
 
 
 def root_set(graph: ShellGraph) -> tuple[int, ...]:
@@ -369,6 +376,48 @@ def _physical_memory() -> int:
     return memory
 
 
+def _shape(result: InteriorResult) -> tuple[tuple[int, ...], int, int]:
+    """The boundary edges every cut holds, the number of columns the
+    boundary and a tree fill, and the number of edges in a cut."""
+    graph = result.graph
+    boundary = graph.boundary_edges
+    # a tree on a set joins its seed (one vertex, or the boundary) to the rest
+    n_fixed = len(boundary) + result.n_interior - (graph.boundary_mask.bit_count() or 1)
+    return boundary, n_fixed, n_fixed + result.leaf_count
+
+
+_HINT = "; `count` gives the totals without a listing"
+
+
+def _refuse_past_memory(result: InteriorResult, needs: str, size: int) -> None:
+    """Raise `BudgetExceededError` naming what a listing `needs` when its
+    `size` in bytes exceeds physical memory."""
+    if size > (memory := _physical_memory()):
+        raise BudgetExceededError(
+            f"{needs}, more than the {memory} bytes of physical memory{_HINT}", partial=result.level_reports,
+        )
+
+
+def _first_member_trees(result: InteriorResult, group: AutomorphismGroup) -> Iterator[tuple]:
+    """For each orbit of sets: its members, the trees on its first member as
+    an int32 array of one row per tree, and for each member the index of
+    the first perm of the cut group that takes the first member there.
+
+    Raises ValidationError unless the orbit is its first member's orbit
+    under the group and the trees number the orbit's tree count."""
+    graph = result.graph
+    boundary, n_fixed, _ = _shape(result)
+    for members, n_trees in result.orbits:
+        first = members[0]
+        trees = merged_spanning_trees(graph, first, interior_seed(graph, first))
+        if len(trees) != n_trees:
+            raise ValidationError(f"set {first:#x} lists {len(trees)} trees but counts {n_trees}")
+        images, _, reps = group.orbit(first)
+        if images != members:
+            raise ValidationError(f"set {first:#x}: the orbit given is not its orbit under the cut group")
+        yield members, np.asarray(trees, dtype=np.int32).reshape(n_trees, n_fixed - len(boundary)), reps
+
+
 def _listing(plans, boundary, n_cuts: int, n_fixed: int, width: int, m: int) -> np.ndarray:
     """The cuts of every (trees, leaf choices) plan as one int32 array, each
     row sorted and the rows in lexicographic order; `m` is the edge count.
@@ -404,6 +453,25 @@ def _listing(plans, boundary, n_cuts: int, n_fixed: int, width: int, m: int) -> 
     return cuts
 
 
+def _checked_listing(plans, result: InteriorResult, n_cuts: int, needs: str) -> np.ndarray:
+    """`_listing` of a result's plans, checked: no cut twice, and every cut
+    a hole cut on an open shell.  An allocation that fails raises
+    `BudgetExceededError` naming what the listing `needs`."""
+    graph = result.graph
+    boundary, n_fixed, width = _shape(result)
+    try:
+        cuts = _listing(plans, boundary, n_cuts, n_fixed, width, graph.m)
+    except MemoryError as exc:
+        raise BudgetExceededError(
+            f"{needs}, which could not be allocated{_HINT}", partial=result.level_reports,
+        ) from exc
+    if (cuts[1:] == cuts[:-1]).all(axis=1).any():
+        raise ValidationError("the expansion emitted a cut twice")
+    if boundary:
+        check_hole_cuts(graph, cuts)
+    return cuts
+
+
 def enumerate_mlsts(
     graph: ShellGraph,
     budget_nodes: int = DEFAULT_NODE_BUDGET,
@@ -429,44 +497,55 @@ def enumerate_mlsts(
     """
     result = enumerate_interiors(graph, budget_nodes, time_limit)
     n_cuts = count_labeled_cuts(result)
-    boundary = graph.boundary_edges
-    # a tree on a set joins its seed (one vertex, or the boundary) to the rest
-    n_fixed = len(boundary) + result.n_interior - (graph.boundary_mask.bit_count() or 1)
-    width = n_fixed + result.leaf_count
+    _, _, width = _shape(result)
     size = n_cuts * width * 4  # int32 entries
     needs = (f"the cut listing needs n_cuts x width x 4 = {n_cuts} x {width} x 4 = {size} bytes "
              f"({size / 2**30:.1f} GiB) and as much again to sort it")
-    hint = "; `count` gives the totals without a listing"
-    if 2 * size > (memory := _physical_memory()):
-        raise BudgetExceededError(
-            f"{needs}, more than the {memory} bytes of physical memory{hint}", partial=result.level_reports,
-        )
+    _refuse_past_memory(result, needs, 2 * size)
     group = cut_group(graph)
     ends = set_words([(1 << u) | (1 << v) for u, v in graph.edges], graph.n)
     plans = []
-    for members, n_trees in result.orbits:
-        first = members[0]
-        trees = merged_spanning_trees(graph, first, interior_seed(graph, first))
-        if len(trees) != n_trees:
-            raise ValidationError(f"set {first:#x} lists {len(trees)} trees but counts {n_trees}")
-        trees = np.asarray(trees, dtype=np.int32).reshape(n_trees, n_fixed - len(boundary))
-        images, _, reps = group.orbit(first)
-        if images != members:
-            raise ValidationError(f"set {first:#x}: the orbit given is not its orbit under the cut group")
+    for members, trees, reps in _first_member_trees(result, group):
         # the other members' trees are the first member's mapped onto them
         for vt, k in zip(members, reps):
             mapped = np.sort(group.edge_perms[k][trees], axis=1)
             if (ends[mapped] & ~set_words([vt], graph.n)).any():
-                raise ValidationError(f"set {vt:#x}: a tree mapped from set {first:#x} leaves it")
+                raise ValidationError(f"set {vt:#x}: a tree mapped from set {members[0]:#x} leaves it")
             plans.append((mapped, leaf_choices(graph, vt)))
-    try:
-        cuts = _listing(plans, boundary, n_cuts, n_fixed, width, graph.m)
-    except MemoryError as exc:
-        raise BudgetExceededError(
-            f"{needs}, which could not be allocated{hint}", partial=result.level_reports,
-        ) from exc
-    if (cuts[1:] == cuts[:-1]).all(axis=1).any():
-        raise ValidationError("the expansion emitted a cut twice")
-    if boundary:
-        check_hole_cuts(graph, cuts)
-    return MlstResult(**vars(result), cuts=cuts)
+    return MlstResult(**vars(result), cuts=_checked_listing(plans, result, n_cuts, needs))
+
+
+def list_classes(result: InteriorResult) -> CutClasses:
+    """The classes of a result's optimal cuts under the cut group, as
+    `dedupe_cuts` gives them from the whole listing, listed from the cuts
+    on each orbit's first member alone.
+
+    A class's sets form one orbit of sets, and its cuts on that orbit's
+    first member S form one orbit under the stabilizer of S, so every class
+    has a cut on some first member.  Each cut on S goes to its orbit
+    minimum and orbit size (`AutomorphismGroup.cut_orbits`), and the
+    distinct minima, in lexicographic order, are the classes
+    (`CutClasses.from_minima`).  Their orbit sizes must sum to
+    `count_labeled_cuts`, the trees on each S must number its tree count,
+    and an open shell's cuts must pass `holes.check_hole_cuts`.  The cuts
+    on first members, their sorted copy and a key and an orbit size for
+    each, n x (2 x width x 4 + 8 x words + 8) bytes with ⌈E/64⌉ key
+    words, are refused with `BudgetExceededError` before anything is
+    listed when they exceed physical memory.
+    """
+    graph = result.graph
+    group = cut_group(graph)
+    n_cuts = sum(_first_member_cuts(result))
+    _, _, width = _shape(result)
+    n_words = -(-graph.m // 64)
+    size = n_cuts * (2 * width * 4 + 8 * n_words + 8)
+    needs = (f"the class listing needs n x (2 x width x 4 + 8 x words + 8) = "
+             f"{n_cuts} x (2 x {width} x 4 + 8 x {n_words} + 8) = {size} bytes ({size / 2**30:.1f} GiB) "
+             f"for the n cuts on the first members of the orbits of sets")
+    _refuse_past_memory(result, needs, size)
+    plans = [(trees, leaf_choices(graph, members[0])) for members, trees, _ in _first_member_trees(result, group)]
+    minima, sizes = group.cut_orbits(_checked_listing(plans, result, n_cuts, needs))
+    classes = CutClasses.from_minima(minima, sizes, graph.m, width)
+    if int(classes.orbit_sizes.sum()) != count_labeled_cuts(result):
+        raise ValidationError("the classes' orbit sizes do not sum to the labeled cut count")
+    return classes

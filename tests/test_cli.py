@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, reproducible files."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -494,3 +495,37 @@ def test_a_malformed_document_is_a_usage_error(tmp_path, capsys, text, reason):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {path}: {reason}\n")
     assert len(captured.err.splitlines()[0]) < 200
+
+
+@pytest.mark.parametrize("tamper", ["member dropped", "orbit split", "tree count up", "tree count down"])
+def test_rank_refuses_a_tampered_interior_result(monkeypatch, capsys, tamper):
+    # the class listing sees only first members, so what it is given about
+    # the others must be checked: each orbit must be its first member's
+    # orbit, and each first member must list as many trees as it counts
+    real = cli.enumerate_interiors
+
+    def tampered(graph, **kwargs):
+        result = real(graph, **kwargs)
+        orbits = list(result.orbits)
+        k = max(range(len(orbits)), key=lambda i: len(orbits[i][0]))
+        members, trees = orbits[k]
+        if tamper == "member dropped":
+            orbits[k] = (members[:-1], trees)
+        elif tamper == "orbit split":
+            orbits[k:k + 1] = [(members[:1], trees), (members[1:], trees)]
+        else:
+            orbits[k] = (members, trees + (1 if tamper == "tree count up" else -1))
+        return dataclasses.replace(result, orbits=tuple(orbits))
+
+    monkeypatch.setattr(cli, "enumerate_interiors", tampered)
+    assert main(["rank", "--builtin", "truncated_cube"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: set 0x")
+    assert "ranked" not in captured.out
+
+
+def test_rank_refuses_classes_that_burnside_does_not_count(monkeypatch, capsys):
+    real = cli.list_classes
+    monkeypatch.setattr(cli, "list_classes", lambda result: real(result)[:-1])
+    assert main(["rank", "--builtin", "cube"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: 3 net classes listed, but Burnside's lemma counts 4\n"

@@ -17,10 +17,10 @@ from helpers import (
 )
 from netfold import mlst
 from netfold.catalog import builtin
-from netfold.cli import EXIT_BUDGET, main
+from netfold.cli import EXIT_BUDGET, EXIT_OK, main
 from netfold.errors import BudgetExceededError, ValidationError
 from netfold.holes import remove_faces
-from netfold.mlst import LevelReport, count_labeled_cuts, enumerate_interiors, enumerate_mlsts
+from netfold.mlst import LevelReport, count_labeled_cuts, enumerate_interiors, enumerate_mlsts, list_classes
 from netfold.shellgraph import (
     ShellGraph,
     build_shell_graph,
@@ -28,7 +28,7 @@ from netfold.shellgraph import (
     enumerate_spanning_trees,
     is_spanning_tree,
 )
-from netfold.symmetry import cut_group
+from netfold.symmetry import cut_group, dedupe_cuts
 
 # (name, leaf count, labeled optimal cut count)
 SMALL_REFERENCE = [
@@ -162,6 +162,92 @@ def test_listing_larger_than_memory_is_refused_before_allocation(tmp_path, monke
     assert "more than the 1048576 bytes of physical memory" in captured.err
     assert entered == []
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_rank_runs_where_the_listing_is_refused(tmp_path, monkeypatch, capsys):
+    # on a 1 MiB machine truncated_cube's listing is refused (above), while
+    # its class listing, 528 cuts on first members, takes 105,600 bytes
+    monkeypatch.setattr(mlst, "_physical_memory", lambda: 2**20)
+    out = tmp_path / "out"
+    assert main(["rank", "--builtin", "truncated_cube", "--out-dir", str(out)]) == EXIT_OK
+    assert "399 nets ranked" in capsys.readouterr().out
+    assert len((out / "ranking.csv").read_text().splitlines()) == 400
+    assert main(["enumerate", "--builtin", "truncated_cube"]) == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("command", ["rank", "export-svg"])
+def test_class_listing_larger_than_memory_is_refused_before_allocation(tmp_path, monkeypatch, capsys, command):
+    # truncated_cube's 11 first members hold 528 cuts of 23 edges, each
+    # listed and sorted (2 x 23 x 4 bytes) with a one-word key and an orbit
+    # size: 105,600 bytes
+    entered = []
+    monkeypatch.setattr(mlst, "_physical_memory", lambda: 105_599)
+    monkeypatch.setattr(mlst, "_listing", lambda *args: entered.append(args))
+    out = tmp_path / "out"
+    assert main([command, "--builtin", "truncated_cube", "--out-dir", str(out)]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "budget exhausted: the class listing needs" in err
+    assert "528 x (2 x 23 x 4 + 8 x 1 + 8) = 105600 bytes" in err
+    assert "more than the 105599 bytes of physical memory" in err
+    assert entered == []
+    assert not any(out.iterdir())
+
+
+def test_class_listing_gate_is_what_it_allocates(shell_graph, monkeypatch):
+    # the cube's 2 first members hold 8 cuts of 7 edges: 8 x 72 = 576 bytes
+    result = enumerate_interiors(shell_graph("cube"))
+    monkeypatch.setattr(mlst, "_physical_memory", lambda: 575)
+    with pytest.raises(BudgetExceededError, match=r"8 x \(2 x 7 x 4 \+ 8 x 1 \+ 8\) = 576 bytes .* 575 bytes") as exc:
+        list_classes(result)
+    assert exc.value.partial == result.level_reports
+    monkeypatch.setattr(mlst, "_physical_memory", lambda: 576)
+    assert len(list_classes(result)) == 4
+
+
+def test_class_listing_out_of_memory_is_a_budget_error(shell_graph, monkeypatch):
+    def short_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(mlst, "_listing", short_of_memory)
+    with pytest.raises(BudgetExceededError, match=r"= 576 bytes .* which could not be allocated"):
+        list_classes(enumerate_interiors(shell_graph("cube")))
+
+
+# closed shells, truncated_cuboctahedron with E = 72 and two key words, and
+# holes
+CLASS_SHELLS = [
+    ("cube", None), ("dodecahedron", None), ("cuboctahedron", None), ("truncated_cube", None),
+    ("rhombicuboctahedron", None), ("truncated_octahedron", None), ("snub_cube", None),
+    ("truncated_cuboctahedron", None), ("truncated_cube", 0), ("truncated_octahedron", 3), ("dodecahedron", 0),
+]
+
+
+@pytest.mark.parametrize("name,hole", CLASS_SHELLS)
+def test_class_listing_equals_the_full_route(name, hole):
+    spec = builtin(name)
+    g = build_shell_graph(spec if hole is None else remove_faces(spec, [hole]))
+    want = dedupe_cuts(g, enumerate_mlsts(g).cuts, cut_group(g))
+    got = list_classes(enumerate_interiors(g))
+    assert got.cuts.dtype == want.cuts.dtype == np.int32
+    assert np.array_equal(got.cuts, want.cuts)
+    assert np.array_equal(got.orbit_sizes, want.orbit_sizes)
+
+
+def test_class_listing_checks_each_first_members_trees_and_hole_cuts(monkeypatch):
+    # the class listing lists trees only on first members and checks them as
+    # the full listing does: a lost tree fails, and every cut it lists goes
+    # through the hole-cut check
+    g = build_shell_graph(remove_faces(builtin("truncated_cube"), [0]))
+    result = enumerate_interiors(g)
+    merged = mlst.merged_spanning_trees
+    monkeypatch.setattr(mlst, "merged_spanning_trees", lambda *args: merged(*args)[1:])
+    with pytest.raises(ValidationError, match=r"lists \d+ trees but counts \d+"):
+        list_classes(result)
+    monkeypatch.setattr(mlst, "merged_spanning_trees", merged)
+    checked = []
+    monkeypatch.setattr(mlst, "check_hole_cuts", lambda graph, cuts: checked.append(len(cuts)))
+    list_classes(result)
+    assert checked == [sum(mlst._first_member_cuts(result))]
 
 
 def test_listing_gate_counts_the_sorted_copy(shell_graph, monkeypatch):

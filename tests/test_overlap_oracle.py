@@ -229,6 +229,35 @@ def test_pair_tables_are_built_once_per_shell_and_freed_with_it(monkeypatch):
     assert [ref() for ref in freed] == [None] * len(freed)
 
 
+def test_unfold_hands_its_stack_to_the_layout(monkeypatch):
+    # unfold fills one stack, and its layout keeps that array: nothing is
+    # stacked again.  A layout built from the same polygons, as
+    # reference_unfold builds one, stacks its own copy into the same net.
+    spec = copy_of(builtin("truncated_cube"))
+    cuts = class_cuts(spec)[:20]
+    unfold(spec, cuts[0])  # the shell's tables are stacked once, here
+    stacked = []
+    concatenate = np.concatenate
+    monkeypatch.setattr(np, "concatenate", lambda *args, **kwargs: stacked.append(1) or concatenate(*args, **kwargs))
+    layouts = [unfold(spec, cut) for cut in cuts]
+    assert stacked == []
+    monkeypatch.undo()
+    for cut, layout in zip(cuts, layouts):
+        assert all(polygon.base is layout.points for polygon in layout.polygons)
+        built = NetLayout(spec=spec, cut=layout.cut, root_face=layout.root_face, polygons=layout.polygons,
+                          hinges=layout.hinges, markers=layout.markers)
+        assert built.points is not layout.points and np.array_equal(built.points, layout.points)
+        # the same attribute order, so that all layouts share one dict of keys
+        assert list(vars(built)) == list(vars(layout))
+        assert built.tables is layout.tables
+        assert built.hinge_ids.dtype == layout.hinge_ids.dtype == np.intp
+        assert np.array_equal(built.hinge_ids, layout.hinge_ids)
+        assert check_overlap(built) == check_overlap(layout) == reference_check_overlap(layout)
+        assert centroid_and_rg(built) == centroid_and_rg(layout)
+        reference = reference_unfold(spec, cut)
+        assert np.array_equal(reference.points, layout.points) and reference.tables is layout.tables
+
+
 def copy_of(spec):
     """The same shell as a new spec object, whose placements are not yet kept."""
     return PolyhedronSpec(name=spec.name, faces=spec.faces, vertices=spec.vertices.copy())

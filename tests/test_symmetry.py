@@ -20,6 +20,7 @@ from helpers import (
     prism_spec,
     reference_edge_perms,
     reference_map_automorphisms,
+    reference_dedupe_cuts,
     reference_orbit,
     reference_stabilizer,
     relabeled_spec,
@@ -562,3 +563,108 @@ def test_a_graph_is_collected_with_its_cached_groups():
     del g
     gc.collect()
     assert graph() is None
+
+
+# closed shells and holes, one of them (truncated_cuboctahedron, E = 72)
+# with two key words
+DEDUPE_SHELLS = [
+    ("cube", None), ("dodecahedron", None), ("cuboctahedron", None), ("truncated_cube", None),
+    ("truncated_cuboctahedron", None), ("truncated_cube", 0), ("truncated_octahedron", 3), ("dodecahedron", 0),
+]
+
+
+@pytest.mark.parametrize("name,hole", DEDUPE_SHELLS)
+def test_dedupe_equals_the_per_row_oracle(name, hole):
+    g = _open_or_closed(name, hole)
+    cuts = enumerate_mlsts(g).cuts
+    group = cut_group(g)
+    want = reference_dedupe_cuts(cuts, group)
+    got = dedupe_cuts(g, cuts, group)
+    assert np.array_equal(got.cuts, want.cuts) and got.cuts.dtype == want.cuts.dtype
+    assert np.array_equal(got.orbit_sizes, want.orbit_sizes)
+
+
+@pytest.mark.parametrize("name,hole", [("cube", None), ("truncated_cube", 0), ("truncated_cuboctahedron", None)])
+@pytest.mark.parametrize("drop", ["an orbit minimum", "a later member", "all but one row", "faults that balance"])
+def test_dedupe_rejects_a_listing_not_closed_under_the_group(name, hole, drop):
+    # a missing minimum leaves rows whose minimum is not a row; a missing
+    # later member leaves its class's orbit size above the rows it has; and
+    # the two together can leave the orbit sizes summing to the row count
+    g = _open_or_closed(name, hole)
+    cuts = enumerate_mlsts(g).cuts
+    group = cut_group(g)
+    classes = dedupe_cuts(g, cuts, group)
+    table = reference_edge_perms(g, group)
+
+    def members(k):
+        images = np.unique(np.sort(table[:, classes.cuts[k]], axis=1), axis=0)
+        return images[(images != classes.cuts[k]).any(axis=1)]
+
+    # the smallest class of several cuts, and another at least as large
+    sizes = np.where(classes.orbit_sizes > 1, classes.orbit_sizes, np.inf)
+    k = int(sizes.argmin())
+    other = int(np.flatnonzero((sizes >= sizes[k]) & (np.arange(len(sizes)) != k))[0])
+    dropped = {
+        "an orbit minimum": classes.cuts[k:k + 1],
+        "a later member": members(k)[:1],
+        # class k keeps size - 1 rows and no minimum, and the other class
+        # loses as many rows but keeps its minimum
+        "faults that balance": np.concatenate([classes.cuts[k:k + 1], members(other)[:int(sizes[k]) - 1]]),
+    }
+    if drop == "all but one row":
+        kept = classes.cuts[k:k + 1]
+    else:
+        gone = (cuts[:, None] == dropped[drop][None]).all(axis=2).any(axis=1)
+        assert gone.sum() == len(dropped[drop])
+        kept = cuts[~gone]
+    for dedupe in (lambda: dedupe_cuts(g, kept, group), lambda: reference_dedupe_cuts(kept, group)):
+        with pytest.raises(ValidationError, match="not closed under the automorphism group"):
+            dedupe()
+
+
+def test_dedupe_rejects_rows_that_are_not_cuts(shell_graph):
+    # descending rows, an edge id past the last edge and a negative one
+    g = shell_graph("truncated_cube")
+    group = cut_group(g)
+    cuts = enumerate_mlsts(g).cuts
+    for bad in (cuts[:, ::-1], np.where(cuts == cuts.max(), g.m, cuts), cuts - 1):
+        with pytest.raises(ValidationError, match="ascending, distinct edge ids below 36"):
+            dedupe_cuts(g, bad, group)
+
+
+@pytest.mark.parametrize("name", ["cube", "truncated_cube", "truncated_cuboctahedron", "snub_cube"])
+def test_cut_orbits_give_each_cuts_minimum_and_orbit_size(name, shell_graph, monkeypatch):
+    # every row against the whole-group canonical form, with blocks of one
+    # row, of a few rows and of all of them
+    g = shell_graph(name)
+    group = cut_group(g)
+    cuts = enumerate_mlsts(g).cuts[::97]
+    want = [canonical_cut(g, row, group) for row in cuts.tolist()]
+    width = cuts.shape[1]
+    for block in (1, 7 * group.order, symmetry._KEY_BLOCK):
+        monkeypatch.setattr(symmetry, "_KEY_BLOCK", block)
+        minima, sizes = group.cut_orbits(cuts)
+        assert minima.dtype == np.uint64 and minima.shape == (len(cuts), -(-g.m // 64))
+        assert sizes.tolist() == [c.orbit_size for c in want]
+        for key, c in zip(minima, want):
+            classes = CutClasses.from_minima(key[None], np.ones(1, dtype=np.int64), g.m, width)
+            assert classes.cuts.tolist() == [list(c.edges)]
+
+
+@pytest.mark.parametrize("block", [None, 5 * 64 * 2])
+def test_classes_from_minima_are_distinct_in_lexicographic_order(shell_graph, monkeypatch, block):
+    # two key words; with the smaller block the keys are decoded 5 at a time
+    g = shell_graph("truncated_cuboctahedron")
+    group = cut_group(g)
+    if block is not None:
+        monkeypatch.setattr(symmetry, "_KEY_BLOCK", block)
+    cuts = enumerate_mlsts(g).cuts
+    shuffled = cuts[np.random.default_rng(3).permutation(len(cuts))]
+    minima, sizes = group.cut_orbits(shuffled)
+    classes = CutClasses.from_minima(minima, sizes, g.m, cuts.shape[1])
+    want = reference_dedupe_cuts(cuts, group)
+    assert classes.cuts.dtype == np.int32
+    assert np.array_equal(classes.cuts, want.cuts) and np.array_equal(classes.orbit_sizes, want.orbit_sizes)
+    sizes[np.flatnonzero((minima == minima[0]).all(axis=1))[-1]] += 1
+    with pytest.raises(ValidationError, match="cuts of one class have different orbit sizes"):
+        CutClasses.from_minima(minima, sizes, g.m, cuts.shape[1])
