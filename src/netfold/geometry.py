@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -94,20 +94,20 @@ class NetLayout:
         object.__setattr__(self, "hinge_ids", ids)
 
     @classmethod
-    def _stacked(cls, spec: PolyhedronSpec, cut: tuple[Edge, ...], root_face: int, points: np.ndarray,
-                 tables: _Tables, hinges: tuple[tuple[int, int, Edge], ...], hinge_ids: np.ndarray,
-                 markers: tuple[Marker, ...]) -> NetLayout:
-        """The layout on a stack already in the shell's face sizes, with the
-        shell's `tables` and the ids of its `hinges`, taken as they are: the
-        polygons are views of `points`, and nothing is stacked again."""
+    def _stacked(cls, **values) -> NetLayout:
+        """The layout on a stack already in the shell's face sizes, taken as
+        given: `values` holds every field but `polygons`, `points` being the
+        stack, `tables` the shell's and `hinge_ids` the ids of `hinges`.
+        The polygons are views of `points`, and nothing is stacked again."""
+        values["polygons"] = tuple(values["points"][s] for s in values["tables"].slices)
         layout = object.__new__(cls)
         # set in field order, as __init__ and __post_init__ set them, so
-        # that every layout's attributes share one dict of keys
-        polygons = tuple(points[s] for s in tables.slices)
-        for name, value in (("spec", spec), ("cut", cut), ("root_face", root_face), ("polygons", polygons),
-                            ("hinges", hinges), ("markers", markers), ("points", points), ("tables", tables),
-                            ("hinge_ids", hinge_ids)):
-            object.__setattr__(layout, name, value)
+        # that every layout's attributes share one dict of keys; a field
+        # missing from `values` raises KeyError
+        for f in fields(cls):
+            object.__setattr__(layout, f.name, values.pop(f.name))
+        if values:
+            raise TypeError(f"NetLayout has no fields {sorted(values)}")
         return layout
 
     @property
@@ -485,8 +485,8 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
                 kept[keys[k]] = Marker(vertex=leaf, far_vertex=far, point=tuple(pa),
                                        far_points=(tuple(qa), tuple(qb)))
         markers = tuple(kept[key] for key in keys)
-    return NetLayout._stacked(spec, cut, root, points, tables, tuple(hinges), np.array(hinge_ids, dtype=np.intp),
-                              markers)
+    return NetLayout._stacked(spec=spec, cut=cut, root_face=root, hinges=tuple(hinges), markers=markers,
+                              points=points, tables=tables, hinge_ids=np.array(hinge_ids, dtype=np.intp))
 
 
 def _check_isometric(points: np.ndarray, frames: _Frames) -> None:

@@ -525,27 +525,28 @@ def list_classes(result: InteriorResult) -> CutClasses:
     has a cut on some first member.  Each cut on S goes to its orbit
     minimum and orbit size (`AutomorphismGroup.cut_orbits`), and the
     distinct minima, in lexicographic order, are the classes
-    (`CutClasses.from_minima`).  Their orbit sizes must sum to
+    (`CutClasses.from_cuts`).  Their orbit sizes must sum to
     `count_labeled_cuts`, the trees on each S must number its tree count,
     and an open shell's cuts must pass `holes.check_hole_cuts`.  The cuts
-    on first members, their sorted copy and a key and an orbit size for
-    each, n x (2 x width x 4 + 8 x words + 8) bytes with ⌈E/64⌉ key
-    words, are refused with `BudgetExceededError` before anything is
-    listed when they exceed physical memory.
+    on first members, their sorted copy (later, the classes' rows), a key
+    of ⌈E/64⌉ words for each and four int64 per cut (its orbit size, the
+    perm that reaches its minimum, and for each class the index and perm
+    of its cut), n x (2 x width x 4 + 8 x words + 32) bytes, are refused
+    with `BudgetExceededError` before anything is listed when they exceed
+    physical memory.
     """
     graph = result.graph
     group = cut_group(graph)
     n_cuts = sum(_first_member_cuts(result))
     _, _, width = _shape(result)
     n_words = -(-graph.m // 64)
-    size = n_cuts * (2 * width * 4 + 8 * n_words + 8)
-    needs = (f"the class listing needs n x (2 x width x 4 + 8 x words + 8) = "
-             f"{n_cuts} x (2 x {width} x 4 + 8 x {n_words} + 8) = {size} bytes ({size / 2**30:.1f} GiB) "
+    size = n_cuts * (2 * width * 4 + 8 * n_words + 32)
+    needs = (f"the class listing needs n x (2 x width x 4 + 8 x words + 32) = "
+             f"{n_cuts} x (2 x {width} x 4 + 8 x {n_words} + 32) = {size} bytes ({size / 2**30:.1f} GiB) "
              f"for the n cuts on the first members of the orbits of sets")
     _refuse_past_memory(result, needs, size)
     plans = [(trees, leaf_choices(graph, members[0])) for members, trees, _ in _first_member_trees(result, group)]
-    minima, sizes = group.cut_orbits(_checked_listing(plans, result, n_cuts, needs))
-    classes = CutClasses.from_minima(minima, sizes, graph.m, width)
+    classes = CutClasses.from_cuts(group, _checked_listing(plans, result, n_cuts, needs))
     if int(classes.orbit_sizes.sum()) != count_labeled_cuts(result):
         raise ValidationError("the classes' orbit sizes do not sum to the labeled cut count")
     return classes

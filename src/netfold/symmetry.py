@@ -30,8 +30,7 @@ from .shellgraph import ShellGraph, interior_seed, merged_spanning_trees, set_wo
 Cut = tuple[int, ...]
 
 # uint64 words the keys of one block of cuts under every perm may hold, so
-# that a block's (order, rows, words) key array stays near 2 MiB; decoding
-# keys back to rows unpacks blocks of as many bytes
+# that a block's (rows, order, words) key array stays near 2 MiB
 _KEY_BLOCK = 1 << 18
 
 # ShellGraph hashes by identity, so a graph's groups live as long as the graph
@@ -85,40 +84,44 @@ class AutomorphismGroup:
 
     @cached_property
     def _edge_keys(self) -> np.ndarray:
-        """An (order, E, W) uint64 array, W = ⌈E/64⌉: entry (k, e) is the
-        key of the image of edge e under perms[k]."""
+        """An (E, order, W) uint64 array, W = ⌈E/64⌉: entry (e, k) is the
+        key of the image of edge e under perms[k].  Edge-major, so that
+        gathering the entries of a column of edge ids copies whole rows."""
         m = len(self.edges)
-        return set_words([1 << (m - 1 - e) for e in range(m)], m)[self.edge_perms]
+        return set_words([1 << (m - 1 - e) for e in range(m)], m)[self.edge_perms.T]
 
-    def cut_orbits(self, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def cut_orbits(self, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The orbit minimum and orbit size of each cut, a row of distinct
         edge ids: an (N, W) uint64 array of the minima's keys, which are the
-        largest keys of the cuts' images, and an int64 array of |G| over the
-        number of perms that fix each cut's key.
+        largest keys of the cuts' images; an int64 array of |G| over the
+        number of perms that fix each cut's key; and, for each cut, the
+        index of a perm that takes it to its minimum.
 
         The keys of a block of rows under every perm are ORed together one
-        column at a time, and the blocks are sized so that their (order,
-        rows, W) key array holds at most `_KEY_BLOCK` words."""
+        column at a time, and the blocks are sized so that their (rows,
+        order, W) key array holds at most `_KEY_BLOCK` words."""
         edge_keys = self._edge_keys
         n_words = edge_keys.shape[2]
         minima = np.empty((len(cuts), n_words), dtype=np.uint64)
         sizes = np.empty(len(cuts), dtype=np.int64)
+        reach = np.zeros(len(cuts), dtype=np.int64)
         step = max(1, _KEY_BLOCK // (self.order * max(n_words, 1)))
         for at in range(0, len(cuts), step):
             block = cuts[at:at + step]
-            keys = np.zeros((self.order, len(block), n_words), dtype=np.uint64)
+            keys = np.zeros((len(block), self.order, n_words), dtype=np.uint64)
             for column in block.T:
-                keys |= edge_keys[:, column]
-            sizes[at:at + len(block)] = self.order // (keys == keys[0]).all(axis=2).sum(axis=0)
+                keys |= edge_keys[column]
+            sizes[at:at + len(block)] = self.order // (keys == keys[:, :1]).all(axis=2).sum(axis=1)
             # the largest key, highest word first; `best` marks the perms
             # whose image ties the largest on the words taken so far
             best = None
             for w in range(n_words - 1, -1, -1):
                 word = keys[:, :, w] if best is None else np.where(best, keys[:, :, w], 0)
-                top = minima[at:at + len(block), w] = word.max(axis=0)
-                if w:
-                    best = word == top if best is None else best & (word == top)
-        return minima, sizes
+                top = minima[at:at + len(block), w] = word.max(axis=1)
+                best = word == top[:, None] if best is None else best & (word == top[:, None])
+            if best is not None:
+                reach[at:at + len(block)] = best.argmax(axis=1)
+        return minima, sizes, reach
 
     def orbit(self, mask: int) -> tuple[tuple[int, ...], list[int], list[int]]:
         """The images of a vertex set given as a bitmask, ascending and each
@@ -303,43 +306,39 @@ class CutClasses(Sequence[CanonicalCut]):
             yield CanonicalCut(edges=tuple(row), orbit_size=size)
 
     @classmethod
-    def from_minima(cls, minima: np.ndarray, sizes: np.ndarray, n_edges: int, width: int) -> CutClasses:
-        """The classes of cuts of `width` edges given each cut's orbit
-        minimum and orbit size (`AutomorphismGroup.cut_orbits`): the
-        distinct minima as int32 rows in lexicographic order, each with its
-        orbit size.  Cuts with one minimum must have one orbit size."""
-        order, first = _distinct(minima)
-        runs = np.cumsum(first) - 1
-        if (sizes[order] != sizes[order[first]][runs]).any():
-            raise ValidationError("cuts of one class have different orbit sizes")
-        chosen = order[first]
-        return cls(_key_rows(minima[chosen], n_edges, width), sizes[chosen])
+    def from_cuts(cls, group: AutomorphismGroup, cuts: np.ndarray) -> CutClasses:
+        """The classes of cuts given by at least one member each, a row of
+        distinct edge ids: each cut's orbit minimum and orbit size from
+        `group.cut_orbits`, and the distinct minima as int32 rows in
+        lexicographic order, each with its orbit size.  Cuts with one
+        minimum must have one orbit size."""
+        minima, sizes, reach = group.cut_orbits(cuts)
+        chosen = _first_of_each_minimum(minima, sizes)
+        del minima
+        # each chosen cut mapped by its perm, the cuts of one perm at a
+        # time, so that no index array the size of the rows is made;
+        # perms[0], the identity, leaves its cuts as they are (a set, as
+        # np.unique would page in some 0.9 MiB of numpy's code)
+        rows, perms = cuts[chosen], reach[chosen]
+        for k in set(perms.tolist()) - {0}:
+            hit = perms == k
+            rows[hit] = group.edge_perms[k][rows[hit]]
+        rows.sort(axis=1)
+        return cls(rows, sizes[chosen])
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of a key array in descending key order, and a mask of the
-    first row of each run of equal keys."""
-    order = np.lexsort(keys.T)[::-1] if keys.shape[1] else np.arange(len(keys))
-    ranked = keys[order]
+def _first_of_each_minimum(minima: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The index of one cut of each distinct minimum key, in descending key
+    order, which is the minima's lexicographic order.  Raises unless the
+    cuts of one minimum have one orbit size."""
+    order = np.lexsort(minima.T)[::-1] if minima.shape[1] else np.arange(len(minima))
+    ranked = minima[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return order, first
-
-
-def _key_rows(keys: np.ndarray, n_edges: int, width: int) -> np.ndarray:
-    """The cuts held by keys of `width` bits each, as int32 rows of
-    ascending edge ids, decoded in blocks of rows."""
-    rows = np.empty((len(keys), width), dtype=np.int32)
-    if not width:
-        return rows
-    step = max(1, _KEY_BLOCK // (64 * keys.shape[1]))  # a block's bits take _KEY_BLOCK bytes
-    for at in range(0, len(keys), step):
-        # bit b of a key's word b // 64 is bit b % 64 of that word's byte
-        # (b % 64) // 8; column e of the reversed bits is edge e
-        bits = np.unpackbits(keys[at:at + step].astype("<u8").view(np.uint8), axis=1, bitorder="little")
-        edges = np.flatnonzero(bits[:, n_edges - 1::-1]) % n_edges
-        rows[at:at + step] = edges.reshape(-1, width)
-    return rows
+    runs = np.cumsum(first) - 1
+    if (sizes[order] != sizes[order[first]][runs]).any():
+        raise ValidationError("cuts of one class have different orbit sizes")
+    return order[first]
 
 
 def dedupe_cuts(
@@ -355,17 +354,18 @@ def dedupe_cuts(
     they already are (`enumerate_mlsts` lists them in that order), and
     duplicates raise.  Under a trivial group every row is its own class,
     and the rows come back as they are with orbit sizes of 1.  Otherwise
-    each row's orbit minimum and size come from `group.cut_orbits`, and the
-    classes are the rows that are their own minimum, in row order.  The
-    rows are closed under the group exactly when every minimum is such a
-    row and those rows' orbit sizes sum to the number of rows.
+    rows are visited in order and each unseen row has its whole orbit
+    marked, so every orbit is canonicalized exactly once and the first
+    unseen row is the orbit minimum.  Orbit membership is tracked by exact
+    byte keys of the sorted edge ids (dict hashing plus exact comparison),
+    and the orbit-sum identity Σ|orbit| = #cuts is enforced.
     """
     if group.edges != graph.edges:
         raise ValidationError("the group acts on the edges of another graph")
     cuts = np.asarray(cuts)
     if cuts.ndim != 2 or not np.issubdtype(cuts.dtype, np.integer):
         raise ValidationError(f"cuts must be a 2-D array of edge ids, got {cuts.dtype} of shape {cuts.shape}")
-    if cuts.size and not (cuts.min() >= 0 and cuts.max() < graph.m and (np.diff(cuts, axis=1) > 0).all()):
+    if cuts.size and not (cuts.min() >= 0 and cuts.max() < graph.m and (cuts[:, 1:] > cuts[:, :-1]).all()):
         raise ValidationError(f"each cut must list ascending, distinct edge ids below {graph.m}")
     n_cuts, k = cuts.shape
     if not rows_in_lex_order(cuts):
@@ -375,14 +375,27 @@ def dedupe_cuts(
             raise ValidationError("duplicate labeled cuts in dedup input")
     if group.order == 1:
         return CutClasses(cuts, np.ones(n_cuts, dtype=np.int64))
-    minima, sizes = group.cut_orbits(cuts)
-    own = np.zeros_like(minima)  # each row's own key: its image under the identity, perms[0]
-    for column in cuts.T:
-        own |= group._edge_keys[0, column]
-    reps = np.flatnonzero((own == minima).all(axis=1))
-    if np.count_nonzero(_distinct(minima)[1]) != len(reps) or sizes[reps].sum() != n_cuts:
-        raise ValidationError("cut list is not closed under the automorphism group")
-    return CutClasses(cuts[reps], sizes[reps])
+    cuts = np.ascontiguousarray(cuts)
+    table = group.edge_perms.astype(cuts.dtype)
+    key_type = np.dtype((np.void, k * cuts.itemsize))
+    keys = cuts.view(key_type).ravel().tolist()
+    present = set(keys)
+    seen: set[bytes] = set()
+    reps: list[int] = []
+    sizes: list[int] = []
+    for i, key in enumerate(keys):
+        if key in seen:
+            continue
+        images = np.sort(table.take(cuts[i], axis=1), axis=1)  # take keeps rows contiguous
+        orbit = set(images.view(key_type).ravel().tolist())
+        if not orbit <= present:
+            raise ValidationError("cut list is not closed under the automorphism group")
+        seen |= orbit
+        reps.append(i)
+        sizes.append(len(orbit))
+    if sum(sizes) != n_cuts:
+        raise ValidationError("orbit sizes do not sum to the labeled count")
+    return CutClasses(cuts[reps], np.asarray(sizes, dtype=np.int64))
 
 
 def cut_group(graph: ShellGraph) -> AutomorphismGroup:

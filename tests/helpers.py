@@ -16,9 +16,7 @@ dart 0's image that the image table of `find_automorphisms` replaced.
 `reference_stabilizer` the edge-set stabilizer built on it;
 `reference_orbit` is the loop `AutomorphismGroup.orbit` replaced, and
 `per_member_listing` the cut listing that listed trees on every member of
-every orbit of sets; `reference_dedupe_cuts` is the per-row loop that
-`dedupe_cuts` ran before it took orbit minima from
-`AutomorphismGroup.cut_orbits`.  The per-face
+every orbit of sets.  The per-face
 geometry (`reference_unfold`, `reference_centroid_and_rg` and the screen
 over every bounding-box pair, `reference_check_overlap`) is the code the
 batched geometry replaced.  `cut_tuples` reads a cut
@@ -59,7 +57,6 @@ from netfold.symmetry import (
     _GROUPS,
     AutomorphismGroup,
     CanonicalCut,
-    CutClasses,
     _check_group_axioms,
 )
 
@@ -544,39 +541,6 @@ def per_member_listing(result: InteriorResult):
                 for combo in itertools.product(*leaf_choices(graph, vt)):
                     rows.append(tuple(sorted(graph.boundary_edges + tree + combo)))
     return sorted(rows)
-
-
-def reference_dedupe_cuts(cuts: np.ndarray, group: AutomorphismGroup) -> CutClasses:
-    """Orbits of a lexicographically sorted, duplicate-free cut listing
-    that is closed under the group, each as its smallest member.
-
-    Rows are visited in order and each unseen row has its whole orbit
-    marked, so every orbit is canonicalized once and the first unseen row
-    is the orbit minimum; orbit membership is tracked by exact byte keys of
-    the sorted edge ids.  Raises ValidationError when an image is missing
-    or the orbit sizes do not sum to the number of rows."""
-    cuts = np.ascontiguousarray(cuts)
-    n_cuts, k = cuts.shape
-    table = group.edge_perms.astype(cuts.dtype)
-    key_type = np.dtype((np.void, k * cuts.itemsize))
-    keys = cuts.view(key_type).ravel().tolist()
-    present = set(keys)
-    seen: set[bytes] = set()
-    reps: list[int] = []
-    sizes: list[int] = []
-    for i, key in enumerate(keys):
-        if key in seen:
-            continue
-        images = np.sort(table.take(cuts[i], axis=1), axis=1)  # take keeps rows contiguous
-        orbit = set(images.view(key_type).ravel().tolist())
-        if not orbit <= present:
-            raise ValidationError("cut list is not closed under the automorphism group")
-        seen |= orbit
-        reps.append(i)
-        sizes.append(len(orbit))
-    if sum(sizes) != n_cuts:
-        raise ValidationError("orbit sizes do not sum to the labeled count")
-    return CutClasses(cuts[reps], np.asarray(sizes, dtype=np.int64))
 
 
 def labeled_from_interiors(graph: ShellGraph, interiors) -> int:

@@ -166,7 +166,7 @@ def test_listing_larger_than_memory_is_refused_before_allocation(tmp_path, monke
 
 def test_rank_runs_where_the_listing_is_refused(tmp_path, monkeypatch, capsys):
     # on a 1 MiB machine truncated_cube's listing is refused (above), while
-    # its class listing, 528 cuts on first members, takes 105,600 bytes
+    # its class listing, 528 cuts on first members, takes 118,272 bytes
     monkeypatch.setattr(mlst, "_physical_memory", lambda: 2**20)
     out = tmp_path / "out"
     assert main(["rank", "--builtin", "truncated_cube", "--out-dir", str(out)]) == EXIT_OK
@@ -178,29 +178,29 @@ def test_rank_runs_where_the_listing_is_refused(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("command", ["rank", "export-svg"])
 def test_class_listing_larger_than_memory_is_refused_before_allocation(tmp_path, monkeypatch, capsys, command):
     # truncated_cube's 11 first members hold 528 cuts of 23 edges, each
-    # listed and sorted (2 x 23 x 4 bytes) with a one-word key and an orbit
-    # size: 105,600 bytes
+    # listed and sorted (2 x 23 x 4 bytes) with a one-word key and four
+    # int64: 118,272 bytes
     entered = []
-    monkeypatch.setattr(mlst, "_physical_memory", lambda: 105_599)
+    monkeypatch.setattr(mlst, "_physical_memory", lambda: 118_271)
     monkeypatch.setattr(mlst, "_listing", lambda *args: entered.append(args))
     out = tmp_path / "out"
     assert main([command, "--builtin", "truncated_cube", "--out-dir", str(out)]) == EXIT_BUDGET
     err = capsys.readouterr().err
     assert "budget exhausted: the class listing needs" in err
-    assert "528 x (2 x 23 x 4 + 8 x 1 + 8) = 105600 bytes" in err
-    assert "more than the 105599 bytes of physical memory" in err
+    assert "528 x (2 x 23 x 4 + 8 x 1 + 32) = 118272 bytes" in err
+    assert "more than the 118271 bytes of physical memory" in err
     assert entered == []
     assert not any(out.iterdir())
 
 
 def test_class_listing_gate_is_what_it_allocates(shell_graph, monkeypatch):
-    # the cube's 2 first members hold 8 cuts of 7 edges: 8 x 72 = 576 bytes
+    # the cube's 2 first members hold 8 cuts of 7 edges: 8 x 96 = 768 bytes
     result = enumerate_interiors(shell_graph("cube"))
-    monkeypatch.setattr(mlst, "_physical_memory", lambda: 575)
-    with pytest.raises(BudgetExceededError, match=r"8 x \(2 x 7 x 4 \+ 8 x 1 \+ 8\) = 576 bytes .* 575 bytes") as exc:
+    monkeypatch.setattr(mlst, "_physical_memory", lambda: 767)
+    with pytest.raises(BudgetExceededError, match=r"8 x \(2 x 7 x 4 \+ 8 x 1 \+ 32\) = 768 bytes .* 767 bytes") as exc:
         list_classes(result)
     assert exc.value.partial == result.level_reports
-    monkeypatch.setattr(mlst, "_physical_memory", lambda: 576)
+    monkeypatch.setattr(mlst, "_physical_memory", lambda: 768)
     assert len(list_classes(result)) == 4
 
 
@@ -209,7 +209,7 @@ def test_class_listing_out_of_memory_is_a_budget_error(shell_graph, monkeypatch)
         raise MemoryError
 
     monkeypatch.setattr(mlst, "_listing", short_of_memory)
-    with pytest.raises(BudgetExceededError, match=r"= 576 bytes .* which could not be allocated"):
+    with pytest.raises(BudgetExceededError, match=r"= 768 bytes .* which could not be allocated"):
         list_classes(enumerate_interiors(shell_graph("cube")))
 
 

@@ -18,7 +18,7 @@ screen over every pair.
 import gc
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -348,3 +348,17 @@ def test_a_layout_with_other_face_sizes_gets_the_reference_verdict(name):
             assert verdict == reference_check_overlap(net), (name, cut)
             flagged += verdict[0]
     assert flagged
+
+
+def test_a_stacked_layout_takes_every_field_by_name():
+    # a field left out, as a field added to NetLayout and not passed by
+    # unfold would be, fails at once; so does a name that is no field
+    spec = builtin("cube")
+    layout = unfold(spec, class_cuts(spec)[0])
+    values = {f.name: getattr(layout, f.name) for f in fields(NetLayout) if f.name != "polygons"}
+    again = NetLayout._stacked(**values)
+    assert list(vars(again)) == list(vars(layout)) and again.points is layout.points
+    with pytest.raises(KeyError, match="markers"):
+        NetLayout._stacked(**{k: v for k, v in values.items() if k != "markers"})
+    with pytest.raises(TypeError, match="no fields"):
+        NetLayout._stacked(**values, colour="red")

@@ -20,7 +20,6 @@ from helpers import (
     prism_spec,
     reference_edge_perms,
     reference_map_automorphisms,
-    reference_dedupe_cuts,
     reference_orbit,
     reference_stabilizer,
     relabeled_spec,
@@ -574,11 +573,12 @@ DEDUPE_SHELLS = [
 
 
 @pytest.mark.parametrize("name,hole", DEDUPE_SHELLS)
-def test_dedupe_equals_the_per_row_oracle(name, hole):
+def test_dedupe_equals_the_orbit_minima_of_every_row(name, hole):
+    # the per-orbit walk against each row's largest image key
     g = _open_or_closed(name, hole)
     cuts = enumerate_mlsts(g).cuts
     group = cut_group(g)
-    want = reference_dedupe_cuts(cuts, group)
+    want = CutClasses.from_cuts(group, cuts)
     got = dedupe_cuts(g, cuts, group)
     assert np.array_equal(got.cuts, want.cuts) and got.cuts.dtype == want.cuts.dtype
     assert np.array_equal(got.orbit_sizes, want.orbit_sizes)
@@ -617,9 +617,8 @@ def test_dedupe_rejects_a_listing_not_closed_under_the_group(name, hole, drop):
         gone = (cuts[:, None] == dropped[drop][None]).all(axis=2).any(axis=1)
         assert gone.sum() == len(dropped[drop])
         kept = cuts[~gone]
-    for dedupe in (lambda: dedupe_cuts(g, kept, group), lambda: reference_dedupe_cuts(kept, group)):
-        with pytest.raises(ValidationError, match="not closed under the automorphism group"):
-            dedupe()
+    with pytest.raises(ValidationError, match="not closed under the automorphism group"):
+        dedupe_cuts(g, kept, group)
 
 
 def test_dedupe_rejects_rows_that_are_not_cuts(shell_graph):
@@ -635,36 +634,42 @@ def test_dedupe_rejects_rows_that_are_not_cuts(shell_graph):
 @pytest.mark.parametrize("name", ["cube", "truncated_cube", "truncated_cuboctahedron", "snub_cube"])
 def test_cut_orbits_give_each_cuts_minimum_and_orbit_size(name, shell_graph, monkeypatch):
     # every row against the whole-group canonical form, with blocks of one
-    # row, of a few rows and of all of them
+    # row, of a few rows and of all of them: the minimum's key has bit
+    # E - 1 - e set for each of its edges e, bit b in word b // 64
     g = shell_graph(name)
     group = cut_group(g)
     cuts = enumerate_mlsts(g).cuts[::97]
     want = [canonical_cut(g, row, group) for row in cuts.tolist()]
-    width = cuts.shape[1]
     for block in (1, 7 * group.order, symmetry._KEY_BLOCK):
         monkeypatch.setattr(symmetry, "_KEY_BLOCK", block)
-        minima, sizes = group.cut_orbits(cuts)
+        minima, sizes, reach = group.cut_orbits(cuts)
         assert minima.dtype == np.uint64 and minima.shape == (len(cuts), -(-g.m // 64))
         assert sizes.tolist() == [c.orbit_size for c in want]
-        for key, c in zip(minima, want):
-            classes = CutClasses.from_minima(key[None], np.ones(1, dtype=np.int64), g.m, width)
-            assert classes.cuts.tolist() == [list(c.edges)]
+        for key, k, row, c in zip(minima.tolist(), reach.tolist(), cuts, want):
+            assert sum(word << (64 * w) for w, word in enumerate(key)) == sum(1 << (g.m - 1 - e) for e in c.edges)
+            assert np.sort(group.edge_perms[k][row]).tolist() == list(c.edges)
 
 
-@pytest.mark.parametrize("block", [None, 5 * 64 * 2])
-def test_classes_from_minima_are_distinct_in_lexicographic_order(shell_graph, monkeypatch, block):
-    # two key words; with the smaller block the keys are decoded 5 at a time
+@pytest.mark.parametrize("block", [None, 5 * 48 * 2])
+def test_classes_from_cuts_are_distinct_in_lexicographic_order(shell_graph, monkeypatch, block):
+    # two key words; with the smaller block the keys are built 5 rows at a time
     g = shell_graph("truncated_cuboctahedron")
     group = cut_group(g)
     if block is not None:
         monkeypatch.setattr(symmetry, "_KEY_BLOCK", block)
     cuts = enumerate_mlsts(g).cuts
     shuffled = cuts[np.random.default_rng(3).permutation(len(cuts))]
-    minima, sizes = group.cut_orbits(shuffled)
-    classes = CutClasses.from_minima(minima, sizes, g.m, cuts.shape[1])
-    want = reference_dedupe_cuts(cuts, group)
+    classes = CutClasses.from_cuts(group, shuffled)
+    want = dedupe_cuts(g, cuts, group)
     assert classes.cuts.dtype == np.int32
     assert np.array_equal(classes.cuts, want.cuts) and np.array_equal(classes.orbit_sizes, want.orbit_sizes)
-    sizes[np.flatnonzero((minima == minima[0]).all(axis=1))[-1]] += 1
+    orbits = AutomorphismGroup.cut_orbits
+
+    def one_size_off(self, rows):
+        minima, sizes, reach = orbits(self, rows)
+        sizes[np.flatnonzero((minima == minima[0]).all(axis=1))[-1]] += 1
+        return minima, sizes, reach
+
+    monkeypatch.setattr(AutomorphismGroup, "cut_orbits", one_size_off)
     with pytest.raises(ValidationError, match="cuts of one class have different orbit sizes"):
-        CutClasses.from_minima(minima, sizes, g.m, cuts.shape[1])
+        CutClasses.from_cuts(group, shuffled)
