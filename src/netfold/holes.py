@@ -68,7 +68,8 @@ def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
     the leaves are the vertices seen once and not twice.  Dropping a row's
     leaf edges leaves its interior, which must be connected with as many
     edges as vertices; that test runs once per distinct interior, and a
-    listing has far fewer interiors than cuts.
+    listing has far fewer interiors than cuts.  The distinct interiors are
+    found in numpy, in each block and then across the blocks.
     """
     if not graph.boundary_edges:
         raise ValidationError("graph has no hole boundary")
@@ -80,19 +81,20 @@ def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
         raise ValidationError(f"hole cuts need exactly {n} edges each, got shape {cuts.shape}")
     if cuts.size and (cuts.min() < 0 or cuts.max() >= m):
         raise ValidationError(f"cut edge ids must lie in 0..{m - 1}")
-    # words first, rows last, so that every step runs along contiguous rows
+    # words first, rows last, so that every step runs along contiguous rows;
+    # each edge id's column holds its ends' vertex words, then its own edge words
     end_bits = set_words([(1 << u) | (1 << v) for u, v in graph.edges], n).T
-    edge_bits = set_words([1 << e for e in range(m)], m).T
+    bits = np.concatenate([end_bits, set_words([1 << e for e in range(m)], m).T])
     boundary_vertices = set_words([graph.boundary_mask], n).T
     boundary = set_words([sum(1 << e for e in graph.boundary_edges)], m).T
-    cores: set[bytes] = set()
+    cores = []
     for start in range(0, cuts.shape[0], _CHECK_BLOCK):
         block = cuts[start:start + _CHECK_BLOCK]
         bad = start + np.flatnonzero((block[:, 1:] <= block[:, :-1]).any(axis=1))
         if bad.size:
             raise ValidationError(f"cut {bad[0]} repeats an edge or is not ascending")
-        ids = block.T.astype(np.intp)
-        ends = end_bits.take(ids, axis=1)  # (words, n, rows)
+        taken = bits.take(block.T, axis=1)  # (words, n, rows)
+        ends, own = taken[:len(end_bits)], taken[len(end_bits):]
         once = np.zeros_like(ends[:, 0])
         twice = np.zeros_like(once)
         for j in range(n):
@@ -102,7 +104,6 @@ def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
         bad = start + np.flatnonzero((leaf & boundary_vertices).any(axis=0))
         if bad.size:
             raise ValidationError(f"cut {bad[0]} has a boundary vertex as a leaf")
-        own = edge_bits.take(ids, axis=1)
         edges = np.bitwise_or.reduce(own, axis=1)
         bad = start + np.flatnonzero(((edges & boundary) != boundary).any(axis=0))
         if bad.size:
@@ -120,16 +121,24 @@ def check_hole_cuts(graph: ShellGraph, cuts: np.ndarray) -> None:
         # core that is connected with as many vertices as edges therefore holds
         # every non-leaf vertex, the leaves hang on it, and its one cycle is
         # the boundary.
-        core = np.ascontiguousarray((edges & ~leaf_edges).T, dtype="<u8")
-        # whole-row byte keys; np.unique(axis=0) is far slower here
-        cores.update(core.view(np.dtype((np.void, core.shape[1] * core.itemsize))).ravel().tolist())
-    keys = sorted(cores)
-    for core in word_sets(np.frombuffer(b"".join(keys), dtype="<u8").reshape(-1, len(edge_bits))):
+        cores.append(_distinct_columns(edges & ~leaf_edges))
+    if not cores:
+        return
+    for core in word_sets(_distinct_columns(np.concatenate(cores, axis=1)).T):
         core_edges = [e for e in range(m) if (core >> e) & 1]
         if not _connected_unicyclic(graph, core_edges):
             raise ValidationError(
                 f"cut interior {core_edges} is not connected with exactly one cycle"
             )
+
+
+def _distinct_columns(words: np.ndarray) -> np.ndarray:
+    """The distinct columns of a 2-D array of uint64 words, each column a
+    set with its lowest word first, in ascending order of the sets."""
+    ordered = words[:, np.lexsort(words)]
+    new = np.ones(ordered.shape[1], dtype=bool)
+    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    return ordered[:, new]
 
 
 def _connected_unicyclic(graph: ShellGraph, edge_ids: Sequence[int]) -> bool:

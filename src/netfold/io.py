@@ -9,10 +9,12 @@ timestamps or wall-clock fields, floats via repr.  Re-running a pipeline with
 any worker count reproduces the files byte for byte.  The cut and class
 listings, which run to tens of megabytes, are streamed to the file in blocks
 of rows with the bytes `json.dumps(indent=2, sort_keys=True)` would give.
-Each block is turned into text in numpy: a row is a fixed-width byte buffer
-holding the row template's literal bytes and one slot per value, the value's
-digits right-aligned in it by integer division and its unused leading bytes
-0, and one boolean mask drops those pad bytes from the whole block.
+Each block is turned into text in numpy: a row is a fixed-width buffer of
+uint16 words holding the row template's literal bytes and one slot per
+value, each value's digit pairs looked up in a table of 00 to 99 and written,
+right-aligned, through one strided view per run of equally spaced slots,
+with 0 bytes for the leading places a value does not reach and for
+alignment; one `bytearray.replace` drops every 0 byte from the block.
 """
 
 from __future__ import annotations
@@ -150,59 +152,106 @@ def _fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
 
 
-def _format_rows(row_format: str, rows: np.ndarray) -> bytes:
-    """`",\n".join([row_format] * len(rows)) % tuple(rows.ravel())`, UTF-8
-    encoded: each row of a 2-D array of non-negative ints filled into
-    `row_format`, a template with one %d per column.
+def _pair_table(zero: bytes) -> np.ndarray:
+    """The text of 0..99 as uint16 digit pairs in native byte order: entries
+    0..99 for a value's leading pair, a 0 byte in place of a leading zero
+    digit and `zero` for 0 itself, then entries 100..199 for a pair with
+    more digits before it."""
+    leading = zero + b"".join(b"%2d" % p for p in range(1, 100)).replace(b" ", b"\0")
+    return np.frombuffer(leading + b"".join(b"%02d" % p for p in range(100)), dtype=np.uint16)
 
-    A row is laid out as the template's pieces between the %d's, each value
-    in a slot as wide as the block's widest value, and the ",\n" that joins
-    it to the next; the pad bytes (0) and the last row's ",\n" are dropped.
+
+# a value's units pair, which keeps the one digit of 0, and its higher pairs
+_UNITS_PAIRS = _pair_table(b"\x000")
+_HIGH_PAIRS = _pair_table(b"\0\0")
+
+
+def _runs(starts: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    """Split slot starts into runs of equally spaced slots:
+    (first slot, slot count, first start, spacing) each."""
+    runs = []
+    at = 0
+    while at < len(starts):
+        end = at + 1
+        step = starts[end] - starts[at] if end < len(starts) else 1
+        while end < len(starts) and starts[end] - starts[end - 1] == step:
+            end += 1
+        runs.append((at, end - at, starts[at], step))
+        at = end
+    return runs
+
+
+def _format_rows(row_format: str, *columns: np.ndarray) -> bytearray:
+    """`",\n".join([row_format] * n) % tuple(np.hstack(columns).ravel())`,
+    UTF-8 encoded: each of the n rows of the 2-D arrays of non-negative ints
+    in `columns`, side by side, filled into `row_format`, a template with
+    one %d per column.
+
+    A row is laid out as uint16 words: the template's pieces between the
+    %d's, each value in a slot of as many digit pairs as the widest value
+    of its array needs, and the ",\n" that joins it to the next, with a 0
+    byte after any piece that ends at an odd byte.  A
+    value's digit pairs, units first, are looked up in `_UNITS_PAIRS` and
+    `_HIGH_PAIRS`, which give 0 bytes for the leading places it does not
+    reach, and each pair place is written to every slot of a run of equally
+    spaced slots through one strided view.  One `replace` then drops the 0
+    bytes from the block's buffer, and the last row's ",\n" is cut off.
     """
     pieces = [piece.encode("utf-8") for piece in (row_format + ",\n").split("%d")]
-    n_rows, width = rows.shape
+    width = sum(values.shape[1] for values in columns)
     if not width or width != len(pieces) - 1:
         raise ValidationError(f"rows of {width} values for a template with {len(pieces) - 1} fields")
+    n_rows = len(columns[0])
+    if any(len(values) != n_rows for values in columns):
+        raise ValidationError("the arrays of one block of rows differ in length")
     if not n_rows:
-        return b""
-    if rows.min() < 0:
+        return bytearray()
+    if any(values.min() < 0 for values in columns):
         raise ValidationError("listed values must be non-negative")
-    top = int(rows.max())
-    digits = len(str(top))
-    line = np.zeros(sum(map(len, pieces)) + width * digits, dtype=np.uint8)
-    starts = np.empty(width, dtype=np.intp)
-    at = 0
-    for i, piece in enumerate(pieces):
-        line[at:at + len(piece)] = np.frombuffer(piece, dtype=np.uint8)
-        at += len(piece)
-        if i < width:
-            starts[i] = at
-            at += digits
-    block = np.tile(line, (n_rows, 1))
-    # units place first; the smallest unsigned type divides fastest
-    quotient = rows.astype(np.min_scalar_type(top))
-    digit = np.empty(rows.shape, dtype=np.uint8)
-    for place in range(digits - 1, -1, -1):
-        np.remainder(quotient, 10, out=digit, casting="unsafe")
-        digit += ord("0")
-        if place < digits - 1:
-            digit *= quotient != 0  # a leading place the value does not reach
-        block[:, starts + place] = digit
-        quotient //= 10
-    block = block.ravel()
-    return block[block != 0][:-2].tobytes()
+    pairs = [-(-len(str(int(values.max()))) // 2) for values in columns]
+    slots = []
+    for values, n_pairs in zip(columns, pairs):
+        slots += [n_pairs] * values.shape[1]
+    line = bytearray()
+    starts = []  # in uint16 words
+    for piece, slot in zip(pieces, slots + [0]):
+        line += piece + b"\0" * ((len(line) + len(piece)) % 2)
+        starts.append(len(line) // 2)
+        line += b"\0\0" * slot
+    text = bytearray(len(line) * n_rows)
+    block = np.frombuffer(text, dtype=np.uint16).reshape(n_rows, -1)
+    block[:] = np.frombuffer(line, dtype=np.uint16)
+    first_slot = 0
+    for values, n_pairs in zip(columns, pairs):
+        runs = _runs(starts[first_slot:first_slot + values.shape[1]])
+        first_slot += values.shape[1]
+        quotient = values
+        for place in range(n_pairs):
+            if place < n_pairs - 1:
+                quotient, pair = np.divmod(quotient, 100)
+                np.add(pair, 100, out=pair, where=quotient != 0)
+            else:
+                pair = quotient
+            digits = (_HIGH_PAIRS if place else _UNITS_PAIRS).take(pair)
+            for slot, count, start, step in runs:
+                at = start + n_pairs - 1 - place
+                block[:, at:at + step * (count - 1) + 1:step] = digits[:, slot:slot + count]
+    text = text.replace(b"\0", b"")
+    del text[-2:]
+    return text
 
 
 def _write_json_with_rows(
-    path: PathLike, doc: dict, key: str, row_format: str, blocks: Iterable[np.ndarray],
+    path: PathLike, doc: dict, key: str, row_format: str, blocks: Iterable[tuple[np.ndarray, ...]],
 ) -> None:
     """Write `doc` with `doc[key]` set to a list of rows, streamed.
 
     The bytes are those of `_write_json` on the whole document.  Each row is
     `row_format`, a %-template at two levels of indentation.  `blocks` yields
-    non-empty 2-D int arrays, one row per listed row; each block is
-    formatted by `_format_rows` and written straight to the file, so the
-    whole text is never held in memory.
+    the arrays of non-empty blocks of rows, one row per listed row, which
+    `_format_rows` fills into the template side by side; each block is
+    written straight to the file, so the whole text is never held in
+    memory.
     """
     placeholder = "\u0000rows\u0000"
     # the row list's key sorts before "shell", the one free-text field, so
@@ -211,9 +260,9 @@ def _write_json_with_rows(
     with writing(path), open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
         opening = b"[\n"
-        for rows in blocks:
+        for columns in blocks:
             fh.write(opening)
-            fh.write(_format_rows(row_format, rows))
+            fh.write(_format_rows(row_format, *columns))
             opening = b",\n"
         fh.write((("[]" if opening == b"[\n" else "\n  ]") + tail + "\n").encode("utf-8"))
 
@@ -260,7 +309,7 @@ def write_enumeration(
         "n_labeled_cuts": cuts.shape[0],
         "nodes_visited": nodes_visited,
     }
-    blocks = (cuts[at:at + _ROW_BLOCK] for at in range(0, cuts.shape[0], _ROW_BLOCK))
+    blocks = ((cuts[at:at + _ROW_BLOCK],) for at in range(0, cuts.shape[0], _ROW_BLOCK))
     _write_json_with_rows(path, doc, "cuts", _cut_row_format(cuts.shape[1]), blocks)
 
 
@@ -278,7 +327,7 @@ def write_dedup(path: PathLike, classes: CutClasses, shell_name: str) -> None:
         "n_labeled_cuts": int(sizes.sum()),
     }
     blocks = (
-        np.column_stack((cuts[at:at + _ROW_BLOCK], sizes[at:at + _ROW_BLOCK]))
+        (cuts[at:at + _ROW_BLOCK], sizes[at:at + _ROW_BLOCK, None])
         for at in range(0, len(classes), _ROW_BLOCK)
     )
     _write_json_with_rows(path, doc, "classes", _class_row_format(cuts.shape[1]), blocks)

@@ -326,6 +326,22 @@ def test_enumerate_files_match_golden_hashes(tmp_path, capsys, name, hole):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == tree_digest
 
 
+def test_open_snub_cube_files_match_golden_hashes(tmp_path, capsys):
+    # the benchmark's open shell: 113,436 cuts of 24 edge ids, one class
+    # each, 66 MB of listing in the two files
+    argv = ["enumerate", "--builtin", "snub_cube", "--hole", "0", "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    assert "labeled optimal cuts: 113436\n" in capsys.readouterr().out
+    digests = tuple(
+        hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+        for f in ("enumeration.json", "classes.json")
+    )
+    assert digests == (
+        "92d6b65072fdde7fc894febd2878cf0aa964e3eb9d4f6e7315cf7a60113c9d5f",
+        "5ee87fc0ac7f9ab43308fd9278a5fb2cb3ad2e69f7a14ab31b2a5ee29841d6ef",
+    )
+
+
 # sha256 of rank's ranking.csv, its rank-1 SVG and its stdout (with the
 # result directory given as the relative path "out"); R_g is written with
 # repr, so a change to unfolding, the moments or the screen must keep every

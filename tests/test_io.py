@@ -196,33 +196,68 @@ def test_enumerate_files_are_canonical_dumps_across_blocks(tmp_path, monkeypatch
     assert classes == json.dumps(classes_doc, indent=2, sort_keys=True) + "\n"
 
 
-# values of each digit count, 0 included
-_VALUES = st.one_of(st.just(0), st.integers(1, 9), st.integers(10, 99), st.integers(100, 999))
+# values of each digit count up to the int64 range, 0 included
+_VALUES = st.one_of(
+    st.just(0),
+    st.integers(1, 19).flatmap(lambda d: st.integers(10 ** (d - 1), min(10 ** d, 2 ** 63) - 1)),
+)
 
 
 @st.composite
 def _row_blocks(draw):
-    """A row template of either listing and a block of rows for it."""
+    """A row template of either listing, whose pieces end at odd and even
+    bytes, a block of rows for it, and the column `_arrays` splits it at."""
     template = draw(st.sampled_from([nio._cut_row_format, nio._class_row_format]))
-    row_format = template(draw(st.integers(1, 5)))
+    row_format = template(draw(st.integers(1, 30)))
     n_fields = row_format.count("%d")
     row = st.lists(_VALUES, min_size=n_fields, max_size=n_fields)
-    return row_format, draw(st.lists(row, min_size=1, max_size=12))
+    return row_format, draw(st.lists(row, min_size=1, max_size=12)), draw(st.integers(1, n_fields))
+
+
+def _arrays(rows, split):
+    """`rows` as one array, or its columns split between two at `split`:
+    int32 where the values fit, as the cuts are, else int64."""
+    rows = np.array(rows, dtype=np.int64)
+    parts = [rows[:, :split], rows[:, split:]] if split < rows.shape[1] else [rows]
+    return [part.astype(np.int32) if part.max() < 2 ** 31 else part for part in parts]
 
 
 @given(_row_blocks())
-@example((nio._cut_row_format(1), [[7]]))
-@example((nio._class_row_format(1), [[0, 100]]))
+@example((nio._cut_row_format(1), [[7]], 1))
+@example((nio._class_row_format(1), [[0, 100]], 1))
+@example((nio._cut_row_format(3), [[0, 5, 10 ** 18], [2 ** 63 - 1, 99, 1000]], 3))
 def test_format_rows_matches_percent_formatting(block):
-    row_format, rows = block
+    row_format, rows, split = block
     want = ",\n".join([row_format] * len(rows)) % tuple(v for row in rows for v in row)
-    assert nio._format_rows(row_format, np.array(rows, dtype=np.int32)) == want.encode("utf-8")
+    assert nio._format_rows(row_format, *_arrays(rows, split)) == want.encode("utf-8")
+
+
+def test_class_rows_format_int64_orbit_sizes_apart_from_their_cuts():
+    # the class writer passes the int32 cuts and the int64 orbit sizes as
+    # two arrays; sizes of 1 to 19 digits share a block with 2-digit ids
+    cuts = np.array([[3, 17, 42], [3, 17, 43], [5, 60, 99]] * 7, dtype=np.int32)
+    sizes = np.array([10 ** d + d for d in range(4, 19)] + [0, 1, 12, 2 ** 63 - 1, 120, 9999],
+                     dtype=np.int64)
+    row_format = nio._class_row_format(3)
+    want = ",\n".join([row_format] * len(sizes)) % tuple(
+        v for cut, size in zip(cuts.tolist(), sizes.tolist()) for v in (*cut, size)
+    )
+    assert nio._format_rows(row_format, cuts, sizes[:, None]) == want.encode("utf-8")
 
 
 @pytest.mark.parametrize("rows", [[[-1]], [[5], [-12]]])
 def test_format_rows_rejects_negative_values(rows):
     with pytest.raises(ValidationError, match="non-negative"):
         nio._format_rows(nio._cut_row_format(1), np.array(rows))
+
+
+@pytest.mark.parametrize("columns, fragment", [
+    ([np.zeros((2, 3), dtype=np.int32)], "rows of 3 values for a template with 4 fields"),
+    ([np.zeros((2, 3), dtype=np.int32), np.zeros((3, 1), dtype=np.int64)], "differ in length"),
+])
+def test_format_rows_rejects_misshapen_blocks(columns, fragment):
+    with pytest.raises(ValidationError, match=fragment):
+        nio._format_rows(nio._class_row_format(3), *columns)
 
 
 def test_ranking_csv_shape(tmp_path):
