@@ -12,15 +12,23 @@ connection.  The cut edge's far endpoint is placed twice, once by each face
 bordering that edge, equidistant from the connection point.
 
 A face's placement depends only on its hinge path from the root face, and
-the nets of one shell share most of those paths, so `unfold` keeps a cache
-per spec (`_Paths`, freed with the spec): the parent's path id and the hinge
-map to the child's path id and its placed points, and a leaf's cut edge, its
-end and the path ids of the edge's two faces map to its `Marker`.  A child
-is placed, and a marker made and checked, only on a miss; a hit is what the
-same float operations gave on the same inputs, so it has the bits a fresh
-placement would have.  The cache holds one entry per distinct path: 196
-placements for the 5,187 placed faces of truncated_cube's 399 nets, and
-2,044 for the 4,083,696 of snub_cube minus a triangle.
+the nets of one shell share most of those paths, so `unfold` keeps state per
+path and per spec (`_Paths`, freed with the spec): the parent's path id and
+the hinge map to the child's path id, whose placed points are stacked once,
+and a leaf's cut edge, its end and the path ids of the edge's two faces map
+to its `Marker`.  A child is placed, and a marker made and checked, only on a
+miss; a hit is what the same float operations gave on the same inputs, so it
+has the bits a fresh placement would have.  The state holds one entry per
+distinct path: 196 placements for the 5,187 placed faces of truncated_cube's
+399 nets, and 2,044 for the 4,083,696 of snub_cube minus a triangle.
+
+A path id fixes a face, its points and the hinge to its parent, so each path
+also keeps whether its face passed the isometry check and its face moments,
+and each pair of paths the overlap verdict of the two faces under each net
+tolerance met.  `unfold` records each face's path id in its layout
+(`NetLayout.path_ids`), and `centroid_and_rg` and `check_overlap` read the
+kept state only while the layout's points are still the kept placements bit
+for bit; any other layout gets the full computation, with the same result.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections import deque
+from itertools import repeat
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence
 
@@ -64,7 +73,9 @@ class NetLayout:
     (`_Tables`): the shell's own when the faces have the shell's sizes, made
     for this layout otherwise.  `hinge_ids` holds the shell's id of each
     hinge (`_Frames.hinge_ids`) that is one of the shell's, and is left
-    empty unless the faces have the shell's sizes.
+    empty unless the faces have the shell's sizes.  `path_ids` holds the
+    hinge path id of each face (`_Paths`) for a layout made by `unfold`, and
+    is empty for any other, a `dataclasses.replace` copy included.
     """
 
     spec: PolyhedronSpec
@@ -76,6 +87,7 @@ class NetLayout:
     points: np.ndarray = field(init=False, repr=False)
     tables: _Tables = field(init=False, repr=False)
     hinge_ids: np.ndarray = field(init=False, repr=False)
+    path_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sizes = [len(p) for p in self.polygons]
@@ -92,12 +104,14 @@ class NetLayout:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "hinge_ids", ids)
+        object.__setattr__(self, "path_ids", _NO_PATHS)
 
     @classmethod
     def _stacked(cls, **values) -> NetLayout:
         """The layout on a stack already in the shell's face sizes, taken as
         given: `values` holds every field but `polygons`, `points` being the
-        stack, `tables` the shell's and `hinge_ids` the ids of `hinges`.
+        stack, `tables` the shell's, `hinge_ids` the ids of `hinges` and
+        `path_ids` the faces' paths, whose kept placements `points` holds.
         The polygons are views of `points`, and nothing is stacked again."""
         values["polygons"] = tuple(values["points"][s] for s in values["tables"].slices)
         layout = object.__new__(cls)
@@ -117,6 +131,9 @@ class NetLayout:
     def mean_edge_length(self) -> float:
         points = self.points
         return float(np.linalg.norm(points[self.tables.successor] - points, axis=1).mean())
+
+
+_NO_PATHS = np.empty(0, dtype=np.int32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +195,7 @@ class _Tables(NamedTuple):
     of their points, one face to a row.
 
     Face pairs i < j are numbered in row-major order: pair q is faces
-    (`pair_i[q]`, `pair_j[q]`), and `pair_flat[q]` its index in a flattened
-    (F, F) array.  The screen's rows come sorted by pair:
+    (`pair_i[q]`, `pair_j[q]`).  The screen's rows come sorted by pair:
     - a crossing row pairs edge `cross_e1` of face i with edge `cross_e2` of
       face j, for pair `cross_pair`;
     - a probe group pairs one probe of one face with every edge of the
@@ -199,7 +215,6 @@ class _Tables(NamedTuple):
     sizes: tuple[tuple[np.ndarray, np.ndarray], ...]
     pair_i: np.ndarray
     pair_j: np.ndarray
-    pair_flat: np.ndarray
     cross_e1: np.ndarray
     cross_e2: np.ndarray
     cross_pair: np.ndarray
@@ -234,7 +249,6 @@ def _tables(counts: np.ndarray) -> _Tables:
         sizes=tuple(sizes),
         pair_i=pair_i,
         pair_j=pair_j,
-        pair_flat=pair_i * n_faces + pair_j,
         cross_e1=starts[pair_i][cross_pair] + a,
         cross_e2=starts[pair_j][cross_pair] + b,
         cross_pair=cross_pair,
@@ -251,12 +265,11 @@ class _Frames(NamedTuple):
     once per spec.
 
     `links[f]` lists face f's neighbours across shared edges, ascending by
-    neighbour (ties in edge-table order), as (child, edge, at_u, at_v, rel,
-    d, dx, dy, length, rows, hinge, h): at_u and at_v are the stacked
-    indices (below) in face f of the edge's ends u < v, rel is the child's
-    2D coordinates less those of u, d = (dx, dy) the vector u -> v in the
-    child's coordinates and length its norm; rows is the child's slice of
-    the stack, hinge the tuple (f, child, edge) and h its id in `hinge_ids`.
+    neighbour (ties in edge-table order), as (child, edge, iu, iv, rel, d,
+    dx, dy, length, hinge, h): iu and iv are the places in face f of the
+    edge's ends u < v, rel is the child's 2D coordinates less those of u,
+    d = (dx, dy) the vector u -> v in the child's coordinates and length its
+    norm; hinge is the tuple (f, child, edge) and h its id in `hinge_ids`.
 
     The points of a placed net are stacked face by face in face order, as
     `tables` index them, and `lengths` holds the 3D length of each face edge.
@@ -302,7 +315,7 @@ def _frames(spec: PolyhedronSpec) -> _Frames:
         coords = tuple(_local_coords(spec, f) for f in range(spec.n_faces))
         starts = tables.starts
         pair_ids = np.full((spec.n_faces, spec.n_faces), -1, dtype=np.intp)
-        pair_ids.flat[tables.pair_flat] = np.arange(len(tables.pair_flat))
+        pair_ids[tables.pair_i, tables.pair_j] = np.arange(len(tables.pair_i))
         slots = np.full((spec.n_faces, spec.n_vertices), -1, dtype=np.intp)
         for f, face in enumerate(spec.faces):
             slots[f, list(face)] = np.arange(len(face))
@@ -328,9 +341,8 @@ def _frames(spec: PolyhedronSpec) -> _Frames:
                 d = local[slots[child, v]] - lu
                 iu, iv = int(slots[parent, u]), int(slots[parent, v])
                 hinge = (parent, child, edge)
-                links[parent].append((child, edge, int(starts[parent]) + iu, int(starts[parent]) + iv,
-                                      local - lu, d, *d.tolist(), float(np.linalg.norm(d)),
-                                      tables.slices[child], hinge, len(hinge_pairs)))
+                links[parent].append((child, edge, iu, iv, local - lu, d, *d.tolist(),
+                                      float(np.linalg.norm(d)), hinge, len(hinge_pairs)))
                 hinge_ids[hinge] = len(hinge_pairs)
                 hinge_pairs.append(pair_ids[a, b])
                 hinge_edges.append(int(starts[parent]) + (iu if iv == (iu + 1) % counts[parent] else iv))
@@ -354,26 +366,90 @@ def _frames(spec: PolyhedronSpec) -> _Frames:
     return frames
 
 
-class _Paths(NamedTuple):
-    """The placements and markers of a shell's nets, each made once.
+class _Paths:
+    """What the nets of one shell share, kept once per hinge path.
 
     A face's placement depends only on its hinge path from the root face, so
     every path gets an id: the root face's own index for the root, and
-    `n_faces` upwards, in the order they are met, for the others.
-    `placed[(p, h)]` is (the child's path id, its placed (n, 2) points) for
-    the child reached from a parent on path p across hinge h
-    (`_Frames.hinge_ids`).  `markers[(e, o, pa, pb)]` is the `Marker` of the
-    leaf at end o of cut edge e whose lower and higher face are on paths pa
-    and pb.  Ids are handed out as entries are added, so one spec's nets are
+    `n_faces` upwards, in the order they are met, for the others.  A path id
+    thus fixes the face, its placed points and the hinge to its parent.
+    - `placed[(p, h)]` is the path id of the child reached from a parent on
+      path p across hinge h (`_Frames.hinge_ids`).
+    - `points` stacks the placed points of every path met, path p's from
+      row `first[p]` (-1 for a root not met yet), in the face's order.
+    - `markers[(e, o, pa, pb)]` is the `Marker` of the leaf at end o of cut
+      edge e whose lower and higher face are on paths pa and pb.
+    - `isometric[p]` tells whether path p's face has passed
+      `_check_isometric`.
+    - `moments[:, p]` holds the face's area, first moments and polar moment
+      (`_face_moments`) once it has passed the orientation check, and a
+      zero area until then.
+    - `verdicts[tol][pi << 32 | pj]` tells whether the faces on paths pi and
+      pj (pi's face the lower) overlap in a net of tolerance tol, for each
+      pair that was screened: one whose boxes meet.
+    Ids are handed out as entries are added, so one spec's nets are
     unfolded one at a time, as `rank_nets` does.
     """
 
-    placed: dict[tuple[int, int], tuple[int, np.ndarray]]
-    markers: dict[tuple[int, int, int, int], Marker]
+    def __init__(self, tables: _Tables) -> None:
+        n_faces, n_points = len(tables.counts), len(tables.successor)
+        self.placed: dict[tuple[int, int], int] = {}
+        self.markers: dict[tuple[int, int, int, int], Marker] = {}
+        self.points = np.empty((2 * n_points, 2))
+        self.n_rows = 0
+        self.first = np.full(2 * n_faces, -1, dtype=np.intp)
+        self.isometric = np.zeros(2 * n_faces, dtype=bool)
+        self.moments = np.zeros((4, 2 * n_faces))
+        self.verdicts: dict[float, dict[int, bool]] = {}
+        # stacked point k of a net is point k - starts[f] of its face f's path
+        owner = np.repeat(np.arange(n_faces), tables.counts)
+        self._owner, self._offset = owner, np.arange(n_points) - tables.starts[owner]
+
+    def add(self, path: int, placed: np.ndarray) -> None:
+        """Keep the placed points of a path met for the first time."""
+        start, end = self.n_rows, self.n_rows + len(placed)
+        if end > len(self.points):
+            points = np.empty((2 * end, 2))
+            points[:start] = self.points[:start]
+            self.points = points
+        if path >= len(self.first):
+            size = 2 * len(self.first)
+            self.first = _widened(self.first, size, -1)
+            self.isometric = _widened(self.isometric, size, False)
+            self.moments = _widened(self.moments, size, 0.0)
+        self.points[start:end] = placed
+        self.first[path] = start
+        self.n_rows = end
+
+    def gather(self, ids: np.ndarray) -> np.ndarray:
+        """The kept points of a net whose faces are on paths `ids`, stacked."""
+        rows = self.first.take(ids).take(self._owner) + self._offset
+        return self.points.take(rows, axis=0)
+
+
+def _widened(array: np.ndarray, size: int, fill) -> np.ndarray:
+    """A copy of `array` with its last axis grown to `size`, the new places
+    set to `fill`."""
+    wide = np.full(array.shape[:-1] + (size,), fill, dtype=array.dtype)
+    wide[..., :array.shape[-1]] = array
+    return wide
 
 
 # Freed with the spec, like `_FRAMES`.
 _PATHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _kept(layout: NetLayout) -> Optional[_Paths]:
+    """The path state of the layout's shell, when the layout holds its
+    faces' kept placements bit for bit; None for a layout not made by
+    `unfold` or written into since."""
+    ids = layout.path_ids
+    if not ids.size:
+        return None
+    paths = _PATHS[layout.spec]
+    if not (paths.gather(ids).view(np.int64) == layout.points.view(np.int64)).all():
+        return None
+    return paths
 
 
 def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] = None) -> NetLayout:
@@ -391,8 +467,10 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
     faces.  A kept placement is what the same float operations on the same
     inputs gave, so every coordinate has the bits it would have if it were
     placed again.  A placement or marker that fails its check is not kept.
-    The cache is freed with the spec and holds one entry per distinct path:
-    196 placements for the 399 nets of the truncated cube.
+    The net's points are one gather of its paths' kept points, and the
+    isometry check runs only while one of its paths has not passed it.  The
+    cache is freed with the spec and holds one entry per distinct path: 196
+    placements for the 399 nets of the truncated cube.
     """
     spec.require_geometry()
     frames = _frames(spec)
@@ -418,12 +496,11 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
 
     paths = _PATHS.get(spec)
     if paths is None:
-        paths = _PATHS[spec] = _Paths(placed={}, markers={})
+        paths = _PATHS[spec] = _Paths(frames.tables)
+    if paths.first[root] < 0:
+        paths.add(root, frames.coords[root])
     placements = paths.placed
     tol = frames.tol
-    tables = frames.tables
-    points = np.empty((len(frames.lengths), 2))
-    points[tables.slices[root]] = frames.coords[root]
     path = [-1] * n_faces
     path[root] = root
     hinges: list[tuple[int, int, Edge]] = []
@@ -432,21 +509,24 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
     while queue:
         parent = queue.popleft()
         on = path[parent]
-        for child, edge, at_u, at_v, rel, d, dx, dy, length, rows, hinge, h in frames.links[parent]:
+        for child, edge, iu, iv, rel, d, dx, dy, length, hinge, h in frames.links[parent]:
             if path[child] >= 0 or edge in cut_edges:
                 continue
             placed = placements.get((on, h))
             if placed is None:
-                pu = points[at_u]
-                target = points[at_v] - pu
+                start = paths.first[on]
+                pu = paths.points[start + iu]
+                target = paths.points[start + iv] - pu
                 if not math.isclose(length, math.sqrt(float(target @ target)), rel_tol=1e-9, abs_tol=tol):
                     raise ValidationError(f"hinge edge {edge} changes length between faces")
                 tx, ty = target.tolist()
                 cos_t = float(d @ target) / (length * length)
                 sin_t = (dx * ty - dy * tx) / (length * length)
                 rot = np.array([[cos_t, -sin_t], [sin_t, cos_t]])
-                placed = placements[on, h] = (n_faces + len(placements), rel @ rot.T + pu)
-            path[child], points[rows] = placed
+                placed = n_faces + len(placements)
+                paths.add(placed, rel @ rot.T + pu)
+                placements[on, h] = placed
+            path[child] = placed
             hinges.append(hinge)
             hinge_ids.append(h)
             queue.append(child)
@@ -454,7 +534,11 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
     if missing:
         raise ValidationError(f"hinge tree does not reach faces {missing}")
 
-    _check_isometric(points, frames)
+    path_ids = np.array(path, dtype=np.int32)
+    points = paths.gather(path_ids)
+    if not paths.isometric.take(path_ids).all():
+        _check_isometric(points, frames)
+        paths.isometric[path_ids] = True
 
     # one marker per leaf of the sorted cut, in cut order, an edge's lower end
     # first; both faces of each leaf's cut edge must place it at one point
@@ -485,8 +569,11 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
                 kept[keys[k]] = Marker(vertex=leaf, far_vertex=far, point=tuple(pa),
                                        far_points=(tuple(qa), tuple(qb)))
         markers = tuple(kept[key] for key in keys)
+    hinge_ids = np.array(hinge_ids, dtype=np.intp)
+    # the kept verdicts stand for these hinges and paths, so neither may change
+    hinge_ids.flags.writeable = path_ids.flags.writeable = False
     return NetLayout._stacked(spec=spec, cut=cut, root_face=root, hinges=tuple(hinges), markers=markers,
-                              points=points, tables=tables, hinge_ids=np.array(hinge_ids, dtype=np.intp))
+                              points=points, tables=frames.tables, hinge_ids=hinge_ids, path_ids=path_ids)
 
 
 def _check_isometric(points: np.ndarray, frames: _Frames) -> None:
@@ -505,11 +592,39 @@ def centroid_and_rg(layout: NetLayout) -> tuple[tuple[float, float], float]:
     """Centroid and radius of gyration of the net region.
 
     Integrals are evaluated polygon by polygon from vertex coordinates
-    (shoelace area, first and second moments) and summed in face order; for
-    an overlapping layout the overlap is counted with multiplicity, which is
-    irrelevant because overlapping nets are discarded by selection.  The
-    polygons of one size are summed together, each along its own row, which
-    gives every polygon the sums it would get on its own.
+    (`_face_moments`) and summed in face order; for an overlapping layout
+    the overlap is counted with multiplicity, which is irrelevant because
+    overlapping nets are discarded by selection.  A face's moments depend
+    only on its placed points, so a layout made by `unfold` takes them from
+    its faces' paths (`_Paths.moments`) once each path has passed the
+    orientation check, while it still holds the kept placements.
+    """
+    paths = _kept(layout)
+    ids = layout.path_ids
+    if paths is not None and (paths.moments[0].take(ids) > 0.0).all():
+        faces = paths.moments.take(ids, axis=1)
+    else:
+        faces = _face_moments(layout)
+        if paths is not None:
+            paths.moments[:, ids] = faces
+    # each total starts from 0.0 and takes one face at a time, in face order
+    moments = np.zeros((4, len(faces[0]) + 1))
+    moments[:, 1:] = faces
+    area, sx, sy, polar = np.add.accumulate(moments, axis=1)[:, -1].tolist()
+    if area <= 0.0:
+        raise ValidationError("net has zero area")
+    cx = sx / area
+    cy = sy / area
+    rg_sq = polar / area - (cx * cx + cy * cy)
+    return (cx, cy), math.sqrt(max(rg_sq, 0.0))
+
+
+def _face_moments(layout: NetLayout) -> np.ndarray:
+    """Each face's area, first moments and polar moment about the origin,
+    as a (4, faces) array, from shoelace sums.
+
+    The polygons of one size are summed together, each along its own row,
+    which gives every polygon the sums it would get on its own.
     """
     tables = layout.tables
     points = layout.points
@@ -522,8 +637,7 @@ def centroid_and_rg(layout: NetLayout) -> tuple[tuple[float, float], float]:
         (y * y + y * y1 + y1 * y1) * cross,
         (x * x + x * x1 + x1 * x1) * cross,
     ))
-    n_faces = len(tables.counts)
-    sums = np.empty((5, n_faces))
+    sums = np.empty((5, len(tables.counts)))
     for faces, rows in tables.sizes:
         # `take` returns C-ordered rows, which numpy sums pairwise as it does
         # one polygon's 1D array; terms[:, index] is laid out otherwise, and
@@ -531,16 +645,7 @@ def centroid_and_rg(layout: NetLayout) -> tuple[tuple[float, float], float]:
         sums[:, faces] = np.take(terms, rows, axis=1).sum(axis=2)
     if not (sums[0] / 2.0 > 0.0).all():
         raise ValidationError("outward-oriented faces must stay counter-clockwise")
-    # each total starts from 0.0 and takes one face at a time, in face order
-    moments = np.zeros((4, n_faces + 1))
-    moments[:, 1:] = sums[0] / 2.0, sums[1] / 6.0, sums[2] / 6.0, sums[3] / 12.0 + sums[4] / 12.0
-    area, sx, sy, polar = np.add.accumulate(moments, axis=1)[:, -1].tolist()
-    if area <= 0.0:
-        raise ValidationError("net has zero area")
-    cx = sx / area
-    cy = sy / area
-    rg_sq = polar / area - (cx * cx + cy * cy)
-    return (cx, cy), math.sqrt(max(rg_sq, 0.0))
+    return np.array((sums[0] / 2.0, sums[1] / 6.0, sums[2] / 6.0, sums[3] / 12.0 + sums[4] / 12.0))
 
 
 def _runs(sizes: np.ndarray) -> np.ndarray:
@@ -590,10 +695,18 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     or edge midpoint) strictly inside the other; both are tested with a
     tolerance of 1e-9 times the mean edge length, and two edges whose angle
     has a sine of at most 1e-9 are parallel and never cross.  Both tests run
-    in one batch over the rows of the layout's tables (`_Tables`) whose face
-    pairs have meeting bounding boxes, less the hinged pairs their hinge
-    line separates (`_separated_hinges`).  The witness is the first
-    overlapping pair in row-major order: the lowest pair id either test hits.
+    in one batch (`_screen_pairs`) over the rows of the layout's tables
+    (`_Tables`) whose face pairs have meeting bounding boxes, less the
+    hinged pairs their hinge line separates (`_separated_hinges`).  The
+    witness is the first overlapping pair in row-major order: the lowest
+    pair id either test hits.
+
+    A pair's verdict reads only the net's tolerance, the two faces' points
+    and whether one is the other's parent, across which hinge; the faces'
+    paths fix all but the tolerance.  So a layout made by `unfold` keeps the
+    verdict of each pair it screens under the tolerance and the two paths
+    (`_Paths.verdicts`), and screens only the pairs not yet kept, while it
+    still holds its paths' kept placements.
     """
     tables = layout.tables
     points = layout.points
@@ -605,13 +718,43 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     cols[6] = np.sqrt(cols[4] * cols[4] + cols[5] * cols[5])
     tol = RELATIVE_TOL * float(cols[6].mean())  # the layout's mean_edge_length()
     starts = tables.starts
-    lo, hi = np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
-    apart = (lo[:, None, :] > hi[None, :, :] + tol).any(axis=2)
-    meet = ~(apart | apart.T).take(tables.pair_flat)
-    if layout.hinge_ids.size:
-        meet[_separated_hinges(layout, cols, tol)] = False
-    first = len(meet)
+    lo, top = np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts) + tol
+    pair_i, pair_j = tables.pair_i, tables.pair_j
+    # box sides compared pair by pair: an any() over a length-2 axis costs more
+    apart = lo.take(pair_i, axis=0) > top.take(pair_j, axis=0)
+    apart |= lo.take(pair_j, axis=0) > top.take(pair_i, axis=0)
+    meet = ~(apart[:, 0] | apart[:, 1])
+    hits = np.zeros(len(meet), dtype=bool)
+    paths = _kept(layout)
+    if paths is not None:
+        pairs = np.flatnonzero(meet)
+        ids = layout.path_ids
+        keys = ids.take(pair_i.take(pairs)).astype(np.int64) << 32 | ids.take(pair_j.take(pairs))
+        keys = keys.tolist()
+        kept = paths.verdicts.setdefault(tol, {})
+        known = np.fromiter(map(kept.get, keys, repeat(2)), dtype=np.int8, count=len(keys))
+        hits[pairs[known == 1]] = True
+        new = np.flatnonzero(known == 2)
+        meet[pairs[known != 2]] = False
+    if meet.any():
+        if layout.hinge_ids.size:
+            meet[_separated_hinges(layout, cols, tol)] = False
+        hits |= _screen_pairs(tables, points, cols, meet, tol)
+        if paths is not None:
+            kept.update(zip([keys[k] for k in new.tolist()], hits[pairs[new]].tolist()))
+    if not hits.any():
+        return False, None
+    first = int(hits.argmax())
+    return True, (int(pair_i[first]), int(pair_j[first]))
 
+
+def _screen_pairs(tables: _Tables, points: np.ndarray, cols: np.ndarray, meet: np.ndarray,
+                  tol: float) -> np.ndarray:
+    """Which of the face pairs marked in `meet` overlap, by pair id: the
+    proper-crossing and strictly-inside tests of `check_overlap`, on the
+    stacked points and their edge columns `cols`, for every row of those
+    pairs."""
+    hits = np.zeros(len(meet), dtype=bool)
     # every edge of face i against every edge of face j
     rows = np.flatnonzero(meet.take(tables.cross_pair))
     x1, y1, d1x, d1y, l1 = cols[2:].take(tables.cross_e1.take(rows), axis=1)
@@ -623,13 +766,12 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     eps = tol / np.maximum(l1, l2)
     skew = np.abs(denom) > RELATIVE_TOL * l1 * l2
     crossed = np.flatnonzero(skew & (eps < t) & (t < 1.0 - eps) & (eps < s) & (s < 1.0 - eps))
-    if crossed.size:
-        first = int(tables.cross_pair[rows[crossed[0]]])
+    hits[tables.cross_pair.take(rows.take(crossed))] = True
 
     # every probe of each face against every edge of the other: a probe is
     # inside when a ray from it crosses the other face's boundary an odd
     # number of times and it is near none of that face's edges
-    centroids = np.add.reduceat(points, starts) / tables.counts[:, None]
+    centroids = np.add.reduceat(points, tables.starts) / tables.counts[:, None]
     probe_xy = np.concatenate((cols[2:4], (cols[2:4] + cols[:2]) / 2.0, centroids.T), axis=1)
     for pair, probe, edges in tables.probes:
         groups = np.flatnonzero(meet.take(pair))
@@ -646,11 +788,8 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
             along = np.minimum(np.maximum(along, 0.0), 1.0)
             near = (x - (ax + along * dx)) ** 2 + (y - (ay + along * dy)) ** 2 <= tol * tol
             inside = np.flatnonzero(~np.logical_or.reduce(near))
-            if inside.size:
-                first = min(first, int(pair[groups[odd[inside[0]]]]))
-    if first == len(meet):
-        return False, None
-    return True, (int(tables.pair_i[first]), int(tables.pair_j[first]))
+            hits[pair.take(groups.take(odd.take(inside)))] = True
+    return hits
 
 
 def rank_nets(

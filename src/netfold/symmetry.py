@@ -203,8 +203,16 @@ def find_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
     d's image t, or, for a reflection, to the reverse of the dart before
     t ^ 1.  All 4E choices are spread at once, one table column each, along
     a tree of the darts from dart 0, and those that keep both rules on
-    every dart and map the darts one to one are the group: O(E^2) with no
-    search, and |G| <= 4E.  A graph without faces gets the trivial group.
+    every dart are the group: O(E^2) with no search, and |G| <= 4E.  Such a
+    map needs no one-to-one check.  Its image is closed under reversal,
+    and under succession: a rotation maps the dart after d to the dart
+    after d's image, and a reflection to the reverse of the dart before
+    the reverse of d's image, so with reversal the image is closed under
+    the dart before, which on finite face cycles is the same.  The image
+    thus holds every dart that reversal and succession reach from one of
+    its darts, which on a connected map is every dart: the map is onto,
+    and a map of a finite set onto itself is one to one.  A graph without
+    faces gets the trivial group.
     """
     group = _GROUPS.get(graph)
     if group is None:
@@ -247,12 +255,6 @@ def _map_automorphisms(graph: ShellGraph) -> AutomorphismGroup:
         image[d] = after[mirror, image[parent]] if succeeds else image[parent] ^ 1
     commutes = (image[darts ^ 1] == image ^ 1).all(axis=0) & (image[succ] == after[mirror, image]).all(axis=0)
     maps = image[:, commutes]
-    # the permutations: every dart is some dart's image (marked rather than
-    # sorted, since sorting this dtype pages in numpy's sort code, some
-    # 0.3 MiB of resident memory)
-    hit = np.zeros(maps.shape, dtype=bool)
-    hit[maps, np.arange(maps.shape[1])] = True
-    maps = maps[:, hit.all(axis=0)]
     tail = np.asarray(graph.edges).ravel()  # dart 2e leaves edges[e][0], 2e + 1 edges[e][1]
     out = np.empty(graph.n, dtype=np.intp)
     out[tail] = np.arange(n_darts)  # a dart leaving each vertex

@@ -17,6 +17,7 @@ screen over every pair.
 
 import gc
 import math
+import os
 import weakref
 from dataclasses import fields, replace
 
@@ -186,15 +187,21 @@ def test_geometry_matches_the_per_face_reference_when_relabelled(seed):
     assert_geometry_matches_reference(PolyhedronSpec(name=spec.name, faces=relabeled.faces, vertices=vertices))
 
 
-def test_child_over_a_concave_parent_is_still_flagged():
-    # an L-shaped parent and a quad hinged on the edge (2, 1)-(1, 1) next to
-    # the L's reflex corner: the quad lies wholly beyond the hinge line, as a
-    # child folded out does, but so does the L's upper arm, which the quad
-    # overlaps; the hinge line separates nothing here
-    flat = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2], [2, 1.8], [0.5, 1.8]], dtype=float)
-    spec = PolyhedronSpec(name="concave-parent", vertices=np.column_stack((flat, np.zeros(8))),
+# an L-shaped parent and a quad hinged on the edge (2, 1)-(1, 1) next to the
+# L's reflex corner: the quad lies wholly beyond the hinge line, as a child
+# folded out does, but so does the L's upper arm, which the quad overlaps;
+# the hinge line separates nothing here
+CONCAVE_FLAT = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2], [2, 1.8], [0.5, 1.8]], dtype=float)
+
+
+def concave_parent_spec():
+    return PolyhedronSpec(name="concave-parent", vertices=np.column_stack((CONCAVE_FLAT, np.zeros(8))),
                           faces=((0, 1, 2, 3, 4, 5), (3, 2, 6, 7)))
-    layout = NetLayout(spec=spec, cut=(), root_face=0, polygons=(flat[:6], flat[[3, 2, 6, 7]]),
+
+
+def test_child_over_a_concave_parent_is_still_flagged():
+    flat = CONCAVE_FLAT
+    layout = NetLayout(spec=concave_parent_spec(), cut=(), root_face=0, polygons=(flat[:6], flat[[3, 2, 6, 7]]),
                        hinges=((0, 1, (2, 3)),), markers=())
     arm = np.array([[0, 1], [1, 1], [1, 2], [0, 2]], dtype=float)
     assert shared_area(layout.polygons[1], arm) == pytest.approx(0.2)
@@ -208,6 +215,7 @@ def test_pair_tables_are_built_once_per_shell_and_freed_with_it(monkeypatch):
     monkeypatch.setattr(geometry, "_tables", lambda counts: built.append(counts) or _tables(counts))
     layouts = [unfold(spec, cut) for cut in class_cuts(spec)[:20]]
     verdicts = [check_overlap(layout) for layout in layouts]
+    values = [centroid_and_rg(layout) for layout in layouts]
     copies = [moved(layout, 0.3, 2.0) for layout in layouts]
     assert [check_overlap(copy) for copy in copies] == verdicts
     # a layout made by hand with the shell's face sizes shares its tables too,
@@ -222,9 +230,12 @@ def test_pair_tables_are_built_once_per_shell_and_freed_with_it(monkeypatch):
         assert layout.tables is tables
         assert all(polygon.base is layout.points for polygon in layout.polygons)
     freed = [weakref.ref(tables.cross_e1)]
-    # the kept placements go with the spec too
-    freed += [weakref.ref(points) for _, points in geometry._PATHS[spec].placed.values()]
-    del spec, layouts, copies, unhinged, tables, layout
+    # the path state goes with the spec too: the kept placements, moments and verdicts
+    paths = geometry._PATHS[spec]
+    assert paths.placed and paths.verdicts and (paths.moments[0].take(layouts[0].path_ids) > 0).all()
+    freed += [weakref.ref(paths), weakref.ref(paths.points), weakref.ref(paths.moments)]
+    assert [centroid_and_rg(layout) for layout in layouts] == values
+    del spec, layouts, copies, unhinged, tables, layout, paths
     gc.collect()
     assert [ref() for ref in freed] == [None] * len(freed)
 
@@ -325,6 +336,71 @@ def test_one_placement_and_one_marker_is_kept_per_distinct_path():
     paths = geometry._PATHS[spec]
     assert len(paths.placed) == len(placements) == 196
     assert len(paths.markers) == len(markers)
+
+
+def answers(layout):
+    return repr((centroid_and_rg(layout), check_overlap(layout)))
+
+
+# every class of each shell, or of snub_cube minus a face every 100th
+# (113,436 classes; all of them under NETFOLD_LONG_RUN=1, about 11 minutes)
+LONG_RUN = os.environ.get("NETFOLD_LONG_RUN", "") not in ("", "0")
+WARM_SHELLS = [("truncated_cube", None, 1), ("rhombicuboctahedron", None, 1), ("snub_cube", None, 1),
+               ("snub_cube", 0, 1 if LONG_RUN else 100)]
+
+
+@pytest.mark.parametrize("name, hole, stride", WARM_SHELLS)
+def test_kept_moments_and_verdicts_give_the_first_answers(name, hole, stride):
+    # a first pass keeps each path's moments and each path pair's verdict,
+    # and a second reads them: a layout of the second must answer as the
+    # first did, as a rebuilt layout with no path ids does and as the
+    # per-face reference does, from face 0 and from a middle face
+    shell = builtin(name) if hole is None else remove_faces(builtin(name), [hole])
+    spec = copy_of(shell)
+    cuts = class_cuts(spec)[::stride]
+    tolerances = set()
+    for root in (0, spec.n_faces // 2):
+        first = []
+        for cut in cuts:
+            layout = unfold(spec, cut, root_face=root)
+            first.append(answers(layout))
+            tolerances.add(geometry.RELATIVE_TOL * layout.mean_edge_length())
+        for cut, expected in zip(cuts, first):
+            layout = unfold(spec, cut, root_face=root)
+            assert answers(layout) == answers(layout) == expected, (name, cut, root)
+            rebuilt = NetLayout(spec=spec, cut=layout.cut, root_face=root, polygons=layout.polygons,
+                                hinges=layout.hinges, markers=layout.markers)
+            assert rebuilt.path_ids.size == 0 and answers(rebuilt) == expected, (name, cut, root)
+            reference = repr((reference_centroid_and_rg(layout), reference_check_overlap(layout)))
+            assert reference == expected, (name, cut, root)
+    # each net's verdicts are kept under its own tolerance
+    assert set(geometry._PATHS[spec].verdicts) == tolerances
+
+
+def test_an_unfolded_overlapping_net_keeps_its_verdict():
+    spec = concave_parent_spec()
+    layout = unfold(spec, [])
+    assert layout.path_ids.size == 2
+    assert check_overlap(layout) == (True, (0, 1)) and geometry._PATHS[spec].verdicts
+    assert check_overlap(layout) == check_overlap(unfold(spec, [])) == (True, (0, 1))
+    assert check_overlap(layout) == reference_check_overlap(layout)
+
+
+def test_a_layout_written_into_gets_the_reference_answers():
+    # a face moved onto face 0 after unfold: its paths' kept moments and
+    # verdicts no longer describe the layout, so none of them may be used
+    spec = copy_of(builtin("truncated_cube"))
+    for cut in class_cuts(spec)[:20]:
+        layout = unfold(spec, cut)
+        expected = answers(layout)
+        rows = layout.tables.slices
+        moved_face = layout.points[rows[-1]]
+        moved_face += layout.points[rows[0]].mean(axis=0) - moved_face.mean(axis=0)
+        assert check_overlap(layout)[0] and check_overlap(layout) == reference_check_overlap(layout)
+        rg = centroid_and_rg(layout)
+        assert repr(rg) == repr(reference_centroid_and_rg(layout)) and repr(rg) not in expected
+        # and the kept state still gives the untouched net its answers
+        assert answers(unfold(spec, cut)) == expected
 
 
 _tables = geometry._tables
