@@ -23,20 +23,24 @@ distinct path: 196 placements for the 5,187 placed faces of truncated_cube's
 399 nets, and 2,044 for the 4,083,696 of snub_cube minus a triangle.
 
 A path id fixes a face, its points and the hinge to its parent, so each path
-also keeps whether its face passed the isometry check and its face moments,
-and each pair of paths the overlap verdict of the two faces under each net
-tolerance met.  `unfold` records each face's path id in its layout
-(`NetLayout.path_ids`), and `centroid_and_rg` and `check_overlap` read the
-kept state only while the layout's points are still the kept placements bit
-for bit; any other layout gets the full computation, with the same result.
+also keeps whether its face passed the isometry check, its face moments, its
+edge columns and its box and centroid, and each pair of paths the overlap
+verdict of the two faces under each net tolerance met.  `unfold` records
+each face's path id in its layout (`NetLayout.path_ids`), and
+`centroid_and_rg` and `check_overlap` read the kept state only while the
+layout's points are still the kept placements bit for bit; any other layout
+gets the full computation, with the same result.
+
+So that each of the three per-net calls costs a fixed handful of numpy
+calls, the per-net work outside numpy is plain Python over small ints: the
+walk reads edge and hinge ids, the leaves come from a degree count over the
+cut and the verdict keys from the path ids of the pairs whose boxes meet.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from collections import deque
-from itertools import repeat
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence
 
@@ -63,13 +67,33 @@ class Marker:
     far_points: tuple[tuple[float, float], tuple[float, float]]
 
 
+class _FaceViews:
+    """`NetLayout.polygons`: the faces' views of the layout's `points`, cut
+    the first time they are read and kept from then on.  The layout's field
+    holds None until then, in its place among the fields, so that reading
+    it adds no attribute."""
+
+    def __get__(self, layout, owner=None):
+        if layout is None:
+            # the dataclass reads the class attribute as a default; there is none
+            raise AttributeError("polygons")
+        views = layout.__dict__["polygons"]
+        if views is None:
+            views = layout.__dict__["polygons"] = tuple(layout.points[s] for s in layout.tables.slices)
+        return views
+
+    def __set__(self, layout, polygons) -> None:
+        layout.__dict__["polygons"] = polygons
+
+
 @dataclass(frozen=True, eq=False)
 class NetLayout:
     """A cut unfolded into the plane.
 
     The polygons are views, face by face, of one stacked (P, 2) array,
     `points`, made here from the polygons given (`unfold` hands over the
-    stack it filled instead, through `_stacked`).  `tables` index that stack
+    stack it filled instead, through `_stacked`); the views are cut when
+    `polygons` is first read (`_FaceViews`).  `tables` index that stack
     (`_Tables`): the shell's own when the faces have the shell's sizes, made
     for this layout otherwise.  `hinge_ids` holds the shell's id of each
     hinge (`_Frames.hinge_ids`) that is one of the shell's, and is left
@@ -81,7 +105,7 @@ class NetLayout:
     spec: PolyhedronSpec
     cut: tuple[Edge, ...]
     root_face: int
-    polygons: tuple[np.ndarray, ...]
+    polygons: tuple[np.ndarray, ...] = _FaceViews()
     hinges: tuple[tuple[int, int, Edge], ...]
     markers: tuple[Marker, ...]
     points: np.ndarray = field(init=False, repr=False)
@@ -100,7 +124,7 @@ class NetLayout:
         else:
             # the hinge tables index the points of the shell's own faces
             tables, ids = _tables(np.array(sizes, dtype=np.intp)), np.empty(0, dtype=np.intp)
-        object.__setattr__(self, "polygons", tuple(points[s] for s in tables.slices))
+        object.__setattr__(self, "polygons", None)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "hinge_ids", ids)
@@ -112,27 +136,25 @@ class NetLayout:
         given: `values` holds every field but `polygons`, `points` being the
         stack, `tables` the shell's, `hinge_ids` the ids of `hinges` and
         `path_ids` the faces' paths, whose kept placements `points` holds.
-        The polygons are views of `points`, and nothing is stacked again."""
-        values["polygons"] = tuple(values["points"][s] for s in values["tables"].slices)
+        Nothing is stacked again, and the polygons are cut when read."""
+        values["polygons"] = None
         layout = object.__new__(cls)
+        attributes = layout.__dict__
         # set in field order, as __init__ and __post_init__ set them, so
         # that every layout's attributes share one dict of keys; a field
         # missing from `values` raises KeyError
-        for f in fields(cls):
-            object.__setattr__(layout, f.name, values.pop(f.name))
+        for name in _FIELDS:
+            attributes[name] = values.pop(name)
         if values:
             raise TypeError(f"NetLayout has no fields {sorted(values)}")
         return layout
-
-    @property
-    def n_faces(self) -> int:
-        return len(self.polygons)
 
     def mean_edge_length(self) -> float:
         points = self.points
         return float(np.linalg.norm(points[self.tables.successor] - points, axis=1).mean())
 
 
+_FIELDS = tuple(f.name for f in fields(NetLayout))
 _NO_PATHS = np.empty(0, dtype=np.int32)
 
 
@@ -195,7 +217,12 @@ class _Tables(NamedTuple):
     of their points, one face to a row.
 
     Face pairs i < j are numbered in row-major order: pair q is faces
-    (`pair_i[q]`, `pair_j[q]`).  The screen's rows come sorted by pair:
+    (`pair_i[q]`, `pair_j[q]`), the tuple `pair_faces[q]`.  Against a
+    (6, faces) array of face boxes (`_face_boxes`), `box_near[:, q]` indexes
+    the low x and y of face i and then of face j, and `box_far[:, q]` the
+    high x and y of face j and then of face i: the pair's boxes are apart
+    when a near side exceeds its far side.  The screen's rows come sorted
+    by pair:
     - a crossing row pairs edge `cross_e1` of face i with edge `cross_e2` of
       face j, for pair `cross_pair`;
     - a probe group pairs one probe of one face with every edge of the
@@ -215,6 +242,9 @@ class _Tables(NamedTuple):
     sizes: tuple[tuple[np.ndarray, np.ndarray], ...]
     pair_i: np.ndarray
     pair_j: np.ndarray
+    pair_faces: list[tuple[int, int]]
+    box_near: np.ndarray
+    box_far: np.ndarray
     cross_e1: np.ndarray
     cross_e2: np.ndarray
     cross_pair: np.ndarray
@@ -249,6 +279,9 @@ def _tables(counts: np.ndarray) -> _Tables:
         sizes=tuple(sizes),
         pair_i=pair_i,
         pair_j=pair_j,
+        pair_faces=list(zip(pair_i.tolist(), pair_j.tolist())),
+        box_near=np.stack((pair_i, n_faces + pair_i, pair_j, n_faces + pair_j)),
+        box_far=np.stack((2 * n_faces + pair_j, 3 * n_faces + pair_j, 2 * n_faces + pair_i, 3 * n_faces + pair_i)),
         cross_e1=starts[pair_i][cross_pair] + a,
         cross_e2=starts[pair_j][cross_pair] + b,
         cross_pair=cross_pair,
@@ -264,22 +297,29 @@ class _Frames(NamedTuple):
     """What `unfold` and the screen need of a shell whatever the cut, made
     once per spec.
 
+    Edge e is `edges[e]`; the ids follow the sorted edges, as a shell
+    graph's do (`build_shell_graph`), and `edge_ids` maps each edge, either
+    way round, to its id.  `n_interior` counts the edges that border two
+    faces, `boundary` holds the ids of the others, and `edge_faces[e]` holds
+    the two faces ((-1, -1) for an edge of fewer than two faces, which border
+    `n_edge_faces[e]`).
+
     `links[f]` lists face f's neighbours across shared edges, ascending by
-    neighbour (ties in edge-table order), as (child, edge, iu, iv, rel, d,
-    dx, dy, length, hinge, h): iu and iv are the places in face f of the
-    edge's ends u < v, rel is the child's 2D coordinates less those of u,
-    d = (dx, dy) the vector u -> v in the child's coordinates and length its
-    norm; hinge is the tuple (f, child, edge) and h its id in `hinge_ids`.
+    neighbour (ties in edge-table order), as (child, e, h): the child, the
+    shared edge's id and the hinge's id.  Hinge h is `hinges[h]`, the tuple
+    (parent, child, edge), and `hinge_ids` maps that tuple back to h.
+    `moves[h]` holds what placing the child takes, as (iu, iv, rel, d, dx,
+    dy, length): iu and iv are the places in the parent of the edge's ends
+    u < v, rel is the child's 2D coordinates less those of u, d = (dx, dy)
+    the vector u -> v in the child's coordinates and length its norm.
 
     The points of a placed net are stacked face by face in face order, as
     `tables` index them, and `lengths` holds the 3D length of each face edge.
     `marker_at[e, o]` holds the stacked indices of end o of edge e in the
     edge's lower and higher face, then of its other end in the same two
-    faces, and `edge_faces[e]` those two faces (-1 for an edge of fewer than
-    two faces).
+    faces.
 
-    `hinge_ids` numbers every possible hinge (parent, child, edge), and for
-    hinge h, `hinge_pairs[h]` is the row-major id of its two faces
+    For hinge h, `hinge_pairs[h]` is the row-major id of its two faces
     (`_Tables`), `hinge_edges[h]` the stacked index of the edge in the
     parent (which runs it counter-clockwise) and `hinge_sides[h]` the
     stacked indices of every vertex of the parent and then of the child,
@@ -287,16 +327,20 @@ class _Frames(NamedTuple):
     """
 
     coords: tuple[np.ndarray, ...]
+    edges: tuple[Edge, ...]
     edge_ids: dict[Edge, int]
-    interior: frozenset[Edge]
-    n_edge_faces: np.ndarray
-    edge_faces: np.ndarray
+    n_interior: int
+    boundary: frozenset[int]
+    n_edge_faces: list[int]
+    edge_faces: list[tuple[int, int]]
     tol: float
-    links: tuple[tuple[tuple, ...], ...]
+    links: tuple[tuple[tuple[int, int, int], ...], ...]
     tables: _Tables
     lengths: np.ndarray
     marker_at: np.ndarray
+    hinges: tuple[tuple[int, int, Edge], ...]
     hinge_ids: dict[tuple[int, int, Edge], int]
+    moves: tuple[tuple, ...]
     hinge_pairs: np.ndarray
     hinge_edges: np.ndarray
     hinge_sides: np.ndarray
@@ -307,6 +351,8 @@ def _frames(spec: PolyhedronSpec) -> _Frames:
     frames = _FRAMES.get(spec)
     if frames is None:
         table = edge_face_table(spec)
+        edges = tuple(sorted(table))
+        edge_ids = {edge: e for e, edge in enumerate(edges)}
         vertices = spec.vertices
         scale = float(np.mean([np.linalg.norm(vertices[u] - vertices[v]) for u, v in table]))
         counts = np.array([len(f) for f in spec.faces])
@@ -323,42 +369,45 @@ def _frames(spec: PolyhedronSpec) -> _Frames:
         vertex_rows = [[int(starts[f]) + (i if i < len(face) else 0) for i in range(width)]
                        for f, face in enumerate(spec.faces)]
         links: list[list[tuple]] = [[] for _ in spec.faces]
-        marker_at = np.full((len(table), 2, 4), -1, dtype=np.intp)
-        edge_faces = np.full((len(table), 2), -1, dtype=np.intp)
-        hinge_ids: dict[tuple[int, int, Edge], int] = {}
-        hinge_pairs, hinge_edges, hinge_sides = [], [], []
-        for e, (edge, faces) in enumerate(table.items()):
+        marker_at = np.full((len(edges), 2, 4), -1, dtype=np.intp)
+        edge_faces = [(-1, -1)] * len(edges)
+        hinges, moves, hinge_pairs, hinge_edges, hinge_sides = [], [], [], [], []
+        for edge, faces in table.items():
             if len(faces) != 2:
                 continue
+            e = edge_ids[edge]
             u, v = edge
             a, b = faces
             at = [int(starts[f] + slots[f, w]) for w in edge for f in (a, b)]
             marker_at[e] = (at, at[2:] + at[:2])
-            edge_faces[e] = faces
+            edge_faces[e] = (a, b)
             for parent, child in ((a, b), (b, a)):
                 local = coords[child]
                 lu = local[slots[child, u]]
                 d = local[slots[child, v]] - lu
                 iu, iv = int(slots[parent, u]), int(slots[parent, v])
-                hinge = (parent, child, edge)
-                links[parent].append((child, edge, iu, iv, local - lu, d, *d.tolist(),
-                                      float(np.linalg.norm(d)), hinge, len(hinge_pairs)))
-                hinge_ids[hinge] = len(hinge_pairs)
+                links[parent].append((child, e, len(hinges)))
+                hinges.append((parent, child, edge))
+                moves.append((iu, iv, local - lu, d, *d.tolist(), float(np.linalg.norm(d))))
                 hinge_pairs.append(pair_ids[a, b])
                 hinge_edges.append(int(starts[parent]) + (iu if iv == (iu + 1) % counts[parent] else iv))
                 hinge_sides.append(vertex_rows[parent] + vertex_rows[child])
         frames = _FRAMES[spec] = _Frames(
             coords=coords,
-            edge_ids={edge: e for e, edge in enumerate(table)},
-            interior=frozenset(edge for edge, faces in table.items() if len(faces) == 2),
-            n_edge_faces=np.array([len(faces) for faces in table.values()]),
+            edges=edges,
+            edge_ids={**edge_ids, **{(v, u): e for (u, v), e in edge_ids.items()}},
+            n_interior=sum(len(faces) == 2 for faces in table.values()),
+            boundary=frozenset(e for e, edge in enumerate(edges) if len(table[edge]) != 2),
+            n_edge_faces=[len(table[edge]) for edge in edges],
             edge_faces=edge_faces,
             tol=RELATIVE_TOL * scale,
             links=tuple(tuple(sorted(link, key=lambda it: it[0])) for link in links),
             tables=tables,
             lengths=np.linalg.norm(points[tables.successor] - points, axis=1),
             marker_at=marker_at,
-            hinge_ids=hinge_ids,
+            hinges=tuple(hinges),
+            hinge_ids={hinge: h for h, hinge in enumerate(hinges)},
+            moves=tuple(moves),
             hinge_pairs=np.array(hinge_pairs, dtype=np.intp),
             hinge_edges=np.array(hinge_edges, dtype=np.intp),
             hinge_sides=np.array(hinge_sides, dtype=np.intp).reshape(-1, 2 * width),
@@ -373,13 +422,16 @@ class _Paths:
     every path gets an id: the root face's own index for the root, and
     `n_faces` upwards, in the order they are met, for the others.  A path id
     thus fixes the face, its placed points and the hinge to its parent.
-    - `placed[(p, h)]` is the path id of the child reached from a parent on
-      path p across hinge h (`_Frames.hinge_ids`).
+    - `placed[p * stride + h]` is the path id of the child reached from a
+      parent on path p across hinge h (`_Frames.hinges`); `stride` is the
+      shell's number of hinges.
     - `points` stacks the placed points of every path met, path p's from
-      row `first[p]` (-1 for a root not met yet), in the face's order.
+      row `first[p]` (-1 for a root not met yet), in the face's order, and
+      `cols[:, k]` holds the edge columns of row k (`_edge_columns`).
+    - `boxes[:, p]` holds path p's face box and centroid (`_face_boxes`).
     - `markers[(e, o, pa, pb)]` is the `Marker` of the leaf at end o of cut
       edge e whose lower and higher face are on paths pa and pb.
-    - `isometric[p]` tells whether path p's face has passed
+    - `unchecked` holds the paths whose face has not passed
       `_check_isometric`.
     - `moments[:, p]` holds the face's area, first moments and polar moment
       (`_face_moments`) once it has passed the orientation check, and a
@@ -387,20 +439,28 @@ class _Paths:
     - `verdicts[tol][pi << 32 | pj]` tells whether the faces on paths pi and
       pj (pi's face the lower) overlap in a net of tolerance tol, for each
       pair that was screened: one whose boxes meet.
-    Ids are handed out as entries are added, so one spec's nets are
-    unfolded one at a time, as `rank_nets` does.
+    A path's columns and box are the same elementwise operations and face
+    reductions a net's stack gets, so a net's gather of them has the bits
+    the net's own would have.  They are worked out for the paths added since
+    the last `settle`, all in one go.  Ids are handed out as entries are
+    added, so one spec's nets are unfolded one at a time, as `rank_nets`
+    does.
     """
 
-    def __init__(self, tables: _Tables) -> None:
+    def __init__(self, tables: _Tables, stride: int) -> None:
         n_faces, n_points = len(tables.counts), len(tables.successor)
-        self.placed: dict[tuple[int, int], int] = {}
+        self.placed: dict[int, int] = {}
+        self.stride = stride
         self.markers: dict[tuple[int, int, int, int], Marker] = {}
         self.points = np.empty((2 * n_points, 2))
+        self.cols = np.empty((9, 2 * n_points))
         self.n_rows = 0
         self.first = np.full(2 * n_faces, -1, dtype=np.intp)
-        self.isometric = np.zeros(2 * n_faces, dtype=bool)
+        self.boxes = np.zeros((6, 2 * n_faces))
+        self.unchecked: set[int] = set()
         self.moments = np.zeros((4, 2 * n_faces))
         self.verdicts: dict[float, dict[int, bool]] = {}
+        self._new: list[tuple[int, int]] = []  # (path, size) added since the last settle
         # stacked point k of a net is point k - starts[f] of its face f's path
         owner = np.repeat(np.arange(n_faces), tables.counts)
         self._owner, self._offset = owner, np.arange(n_points) - tables.starts[owner]
@@ -412,19 +472,34 @@ class _Paths:
             points = np.empty((2 * end, 2))
             points[:start] = self.points[:start]
             self.points = points
+            self.cols = _widened(self.cols, 2 * end, 0.0)
         if path >= len(self.first):
             size = 2 * len(self.first)
             self.first = _widened(self.first, size, -1)
-            self.isometric = _widened(self.isometric, size, False)
+            self.boxes = _widened(self.boxes, size, 0.0)
             self.moments = _widened(self.moments, size, 0.0)
         self.points[start:end] = placed
         self.first[path] = start
         self.n_rows = end
+        self.unchecked.add(path)
+        self._new.append((path, len(placed)))
 
-    def gather(self, ids: np.ndarray) -> np.ndarray:
-        """The kept points of a net whose faces are on paths `ids`, stacked."""
-        rows = self.first.take(ids).take(self._owner) + self._offset
-        return self.points.take(rows, axis=0)
+    def settle(self) -> None:
+        """Work out the edge columns and boxes of the paths added since the
+        last call, which sit in the last rows."""
+        if self._new:
+            ids, sizes = zip(*self._new)
+            self._new.clear()
+            sizes = np.array(sizes)
+            start = self.n_rows - int(sizes.sum())
+            block = self.points[start:self.n_rows]
+            self.cols[:, start:self.n_rows] = _edge_columns(block, _successor(sizes))
+            self.boxes[:, list(ids)] = _face_boxes(block, _runs(sizes), sizes)
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """The rows of the kept points of a net whose faces are on paths
+        `ids`, in stacked order."""
+        return self.first.take(ids).take(self._owner) + self._offset
 
 
 def _widened(array: np.ndarray, size: int, fill) -> np.ndarray:
@@ -439,17 +514,29 @@ def _widened(array: np.ndarray, size: int, fill) -> np.ndarray:
 _PATHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _kept(layout: NetLayout) -> Optional[_Paths]:
-    """The path state of the layout's shell, when the layout holds its
-    faces' kept placements bit for bit; None for a layout not made by
-    `unfold` or written into since."""
+def _kept(layout: NetLayout) -> tuple[Optional[_Paths], Optional[np.ndarray]]:
+    """The path state of the layout's shell and the rows of its kept points
+    that make up the layout's, when the layout holds its faces' kept
+    placements bit for bit; (None, None) for a layout not made by `unfold`
+    or written into since."""
     ids = layout.path_ids
     if not ids.size:
-        return None
+        return None, None
     paths = _PATHS[layout.spec]
-    if not (paths.gather(ids).view(np.int64) == layout.points.view(np.int64)).all():
-        return None
-    return paths
+    rows = paths.rows(ids)
+    if paths.points.take(rows, axis=0).tobytes() != layout.points.tobytes():
+        return None, None
+    return paths, rows
+
+
+def _edge_ids(frames: _Frames, cut: Sequence[Edge]) -> list[int]:
+    """The ids of the cut's edges, from pairs of vertices of any kind; an
+    edge that is not the shell's fails."""
+    cut_edges = {canon_edge(u, v) for u, v in cut}
+    unknown = cut_edges - frames.edge_ids.keys()
+    if unknown:
+        raise ValidationError(f"cut edges not on the shell: {sorted(unknown)}")
+    return [frames.edge_ids[edge] for edge in cut_edges]
 
 
 def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] = None) -> NetLayout:
@@ -467,20 +554,28 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
     faces.  A kept placement is what the same float operations on the same
     inputs gave, so every coordinate has the bits it would have if it were
     placed again.  A placement or marker that fails its check is not kept.
-    The net's points are one gather of its paths' kept points, and the
-    isometry check runs only while one of its paths has not passed it.  The
-    cache is freed with the spec and holds one entry per distinct path: 196
-    placements for the 399 nets of the truncated cube.
+    The walk reads plain ints only: edge and hinge ids, the cut as a flag
+    per edge id and the path ids.  The net's points are one gather of its
+    paths' kept points, and the isometry check runs only while one of its
+    paths has not passed it.  The cache is freed with the spec and holds one
+    entry per distinct path: 196 placements for the 399 nets of the
+    truncated cube.
     """
     spec.require_geometry()
     frames = _frames(spec)
-    cut_edges = {canon_edge(u, v) for u, v in cut}
-    unknown = cut_edges - frames.edge_ids.keys()
-    if unknown:
-        raise ValidationError(f"cut edges not on the shell: {sorted(unknown)}")
+    edge_ids = frames.edge_ids
+    try:
+        ids = [edge_ids[edge] for edge in cut]
+    except (KeyError, TypeError):  # an edge not given as a tuple, or not the shell's
+        ids = _edge_ids(frames, cut)
+    cut_set = set(ids)
+    cut_ids = sorted(cut_set)
+    is_cut = [False] * len(frames.edges)
+    for e in cut_ids:
+        is_cut[e] = True
 
     n_faces = spec.n_faces
-    n_hinges = len(frames.interior) - len(cut_edges & frames.interior)
+    n_hinges = frames.n_interior - len(cut_set) + len(frames.boundary & cut_set)
     if n_hinges != n_faces - 1:
         raise ValidationError(
             f"cut complement has {n_hinges} hinges for {n_faces} faces; "
@@ -496,84 +591,109 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
 
     paths = _PATHS.get(spec)
     if paths is None:
-        paths = _PATHS[spec] = _Paths(frames.tables)
+        paths = _PATHS[spec] = _Paths(frames.tables, len(frames.hinges))
     if paths.first[root] < 0:
         paths.add(root, frames.coords[root])
-    placements = paths.placed
-    tol = frames.tol
+    placements, stride, links = paths.placed, paths.stride, frames.links
     path = [-1] * n_faces
     path[root] = root
-    hinges: list[tuple[int, int, Edge]] = []
     hinge_ids: list[int] = []
-    queue = deque([root])
-    while queue:
-        parent = queue.popleft()
+    order = [root]
+    for parent in order:  # breadth first: a child joins the end of `order`
         on = path[parent]
-        for child, edge, iu, iv, rel, d, dx, dy, length, hinge, h in frames.links[parent]:
-            if path[child] >= 0 or edge in cut_edges:
+        at = on * stride
+        for child, e, h in links[parent]:
+            if is_cut[e] or path[child] >= 0:
                 continue
-            placed = placements.get((on, h))
+            placed = placements.get(at + h)
             if placed is None:
-                start = paths.first[on]
-                pu = paths.points[start + iu]
-                target = paths.points[start + iv] - pu
-                if not math.isclose(length, math.sqrt(float(target @ target)), rel_tol=1e-9, abs_tol=tol):
-                    raise ValidationError(f"hinge edge {edge} changes length between faces")
-                tx, ty = target.tolist()
-                cos_t = float(d @ target) / (length * length)
-                sin_t = (dx * ty - dy * tx) / (length * length)
-                rot = np.array([[cos_t, -sin_t], [sin_t, cos_t]])
-                placed = n_faces + len(placements)
-                paths.add(placed, rel @ rot.T + pu)
-                placements[on, h] = placed
+                placed = _place(paths, frames, on, h)
             path[child] = placed
-            hinges.append(hinge)
             hinge_ids.append(h)
-            queue.append(child)
-    missing = [f for f in range(n_faces) if path[f] < 0]
-    if missing:
+            order.append(child)
+    paths.settle()
+    if len(order) < n_faces:
+        missing = [f for f in range(n_faces) if path[f] < 0]
         raise ValidationError(f"hinge tree does not reach faces {missing}")
 
     path_ids = np.array(path, dtype=np.int32)
-    points = paths.gather(path_ids)
-    if not paths.isometric.take(path_ids).all():
+    points = paths.points.take(paths.rows(path_ids), axis=0)
+    if paths.unchecked and not paths.unchecked.isdisjoint(path):
         _check_isometric(points, frames)
-        paths.isometric[path_ids] = True
+        paths.unchecked.difference_update(path)
 
     # one marker per leaf of the sorted cut, in cut order, an edge's lower end
     # first; both faces of each leaf's cut edge must place it at one point
-    cut = tuple(sorted(cut_edges))
+    edges = frames.edges
+    cut = tuple([edges[e] for e in cut_ids])
     markers: tuple[Marker, ...] = ()
     if cut:
-        ends = np.array(cut)
-        cut_rows, sides = np.nonzero(np.bincount(ends.ravel())[ends] == 1)
-        ids = np.array([frames.edge_ids[edge] for edge in cut])[cut_rows]
-        # an edge of fewer than two faces gets a key that is never kept: it fails below
-        keys = [(e, o, path[a], path[b]) for e, o, (a, b) in
-                zip(ids.tolist(), sides.tolist(), frames.edge_faces[ids].tolist())]
+        degree = [0] * spec.n_vertices
+        for u, v in cut:
+            degree[u] += 1
+            degree[v] += 1
+        edge_faces = frames.edge_faces
+        keys = []
+        for e, (u, v) in zip(cut_ids, cut):
+            if degree[u] == 1 or degree[v] == 1:
+                # an edge of fewer than two faces gets a key that is never kept: it fails below
+                a, b = edge_faces[e]
+                if degree[u] == 1:
+                    keys.append((e, 0, path[a], path[b]))
+                if degree[v] == 1:
+                    keys.append((e, 1, path[a], path[b]))
         kept = paths.markers
-        new = np.array([k for k, key in enumerate(keys) if key not in kept], dtype=np.intp)
-        if new.size:
-            ids, sides, cut_rows = ids[new], sides[new], cut_rows[new]
-            leaves, fars = ends[cut_rows, sides], ends[cut_rows, 1 - sides]
-            at = points[frames.marker_at[ids, sides]]
-            two = frames.n_edge_faces[ids] == 2
-            bad = np.flatnonzero(~two | (np.linalg.norm(at[:, 0] - at[:, 1], axis=1) > tol))
-            if bad.size:
-                k = int(bad[0])
-                if not two[k]:
-                    raise ValidationError(f"cut edge {cut[cut_rows[k]]} of leaf {leaves[k]} borders "
-                                          f"{frames.n_edge_faces[ids[k]]} faces")
-                raise ValidationError(f"leaf {leaves[k]} does not place coincidently: {at[k, 0]} vs {at[k, 1]}")
-            for k, leaf, far, (pa, _, qa, qb) in zip(new.tolist(), leaves.tolist(), fars.tolist(), at.tolist()):
-                kept[keys[k]] = Marker(vertex=leaf, far_vertex=far, point=tuple(pa),
-                                       far_points=(tuple(qa), tuple(qb)))
-        markers = tuple(kept[key] for key in keys)
-    hinge_ids = np.array(hinge_ids, dtype=np.intp)
+        markers = tuple(map(kept.get, keys))
+        if None in markers:
+            _keep_markers(frames, kept, points, [key for key, marker in zip(keys, markers) if marker is None])
+            markers = tuple(map(kept.__getitem__, keys))
     # the kept verdicts stand for these hinges and paths, so neither may change
+    hinges = tuple([frames.hinges[h] for h in hinge_ids])
+    hinge_ids = np.array(hinge_ids, dtype=np.intp)
     hinge_ids.flags.writeable = path_ids.flags.writeable = False
-    return NetLayout._stacked(spec=spec, cut=cut, root_face=root, hinges=tuple(hinges), markers=markers,
-                              points=points, tables=frames.tables, hinge_ids=hinge_ids, path_ids=path_ids)
+    return NetLayout._stacked(spec=spec, cut=cut, root_face=root, hinges=hinges,
+                              markers=markers, points=points, tables=frames.tables, hinge_ids=hinge_ids,
+                              path_ids=path_ids)
+
+
+def _place(paths: _Paths, frames: _Frames, on: int, h: int) -> int:
+    """Place the child across hinge h from its parent on path `on`, keep it
+    under a new path id, and return that id."""
+    iu, iv, rel, d, dx, dy, length = frames.moves[h]
+    start = paths.first[on]
+    pu = paths.points[start + iu]
+    target = paths.points[start + iv] - pu
+    if not math.isclose(length, math.sqrt(float(target @ target)), rel_tol=1e-9, abs_tol=frames.tol):
+        raise ValidationError(f"hinge edge {frames.hinges[h][2]} changes length between faces")
+    tx, ty = target.tolist()
+    cos_t = float(d @ target) / (length * length)
+    sin_t = (dx * ty - dy * tx) / (length * length)
+    rot = np.array([[cos_t, -sin_t], [sin_t, cos_t]])
+    placed = len(frames.coords) + len(paths.placed)
+    paths.add(placed, rel @ rot.T + pu)
+    paths.placed[on * paths.stride + h] = placed
+    return placed
+
+
+def _keep_markers(frames: _Frames, kept: dict, points: np.ndarray, keys: list[tuple[int, int, int, int]]) -> None:
+    """Check and keep the markers of the given keys (`_Paths.markers`), for
+    a net of the given points."""
+    edges = frames.edges
+    ids, sides = np.array([key[:2] for key in keys], dtype=np.intp).T
+    at = points[frames.marker_at[ids, sides]]
+    two = np.array([frames.n_edge_faces[e] == 2 for e, *_ in keys])
+    bad = np.flatnonzero(~two | (np.linalg.norm(at[:, 0] - at[:, 1], axis=1) > frames.tol))
+    if bad.size:
+        k = int(bad[0])
+        e, o = keys[k][:2]
+        if not two[k]:
+            raise ValidationError(f"cut edge {edges[e]} of leaf {edges[e][o]} borders "
+                                  f"{frames.n_edge_faces[e]} faces")
+        raise ValidationError(f"leaf {edges[e][o]} does not place coincidently: {at[k, 0]} vs {at[k, 1]}")
+    for key, (pa, _, qa, qb) in zip(keys, at.tolist()):
+        edge, o = edges[key[0]], key[1]
+        kept[key] = Marker(vertex=edge[o], far_vertex=edge[1 - o], point=tuple(pa),
+                           far_points=(tuple(qa), tuple(qb)))
 
 
 def _check_isometric(points: np.ndarray, frames: _Frames) -> None:
@@ -599,11 +719,10 @@ def centroid_and_rg(layout: NetLayout) -> tuple[tuple[float, float], float]:
     its faces' paths (`_Paths.moments`) once each path has passed the
     orientation check, while it still holds the kept placements.
     """
-    paths = _kept(layout)
+    paths, _ = _kept(layout)
     ids = layout.path_ids
-    if paths is not None and (paths.moments[0].take(ids) > 0.0).all():
-        faces = paths.moments.take(ids, axis=1)
-    else:
+    faces = None if paths is None else paths.moments.take(ids, axis=1)
+    if faces is None or not (faces[0] > 0.0).all():
         faces = _face_moments(layout)
         if paths is not None:
             paths.moments[:, ids] = faces
@@ -661,6 +780,30 @@ def _product(n_left: np.ndarray, n_right: np.ndarray) -> tuple[np.ndarray, ...]:
     return group, k // n_right[group], k % n_right[group]
 
 
+def _edge_columns(points: np.ndarray, successor: np.ndarray) -> np.ndarray:
+    """Per stacked point, the rows: end x and y, x, y, dx, dy and length of
+    its edge, and its edge's midpoint x and y; `successor` maps each point
+    to the next of its face (`_successor`)."""
+    cols = np.empty((9, len(points)))
+    cols[2:4] = points.T
+    cols[:2] = cols[2:4].take(successor, axis=1)
+    np.subtract(cols[:2], cols[2:4], out=cols[4:6])
+    cols[6] = np.sqrt(cols[4] * cols[4] + cols[5] * cols[5])
+    np.add(cols[2:4], cols[:2], out=cols[7:9])
+    cols[7:9] /= 2.0
+    return cols
+
+
+def _face_boxes(points: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per face of the stacked points, face f's from row `starts[f]`, the
+    rows: low x and y, high x and y, and centroid x and y."""
+    boxes = np.empty((6, len(counts)))
+    boxes[:2] = np.minimum.reduceat(points, starts).T
+    boxes[2:4] = np.maximum.reduceat(points, starts).T
+    boxes[4:] = (np.add.reduceat(points, starts) / counts[:, None]).T
+    return boxes
+
+
 def _separated_hinges(layout: NetLayout, cols: np.ndarray, tol: float) -> np.ndarray:
     """The row-major pair ids of the hinges whose line separates parent and
     child.
@@ -676,7 +819,7 @@ def _separated_hinges(layout: NetLayout, cols: np.ndarray, tol: float) -> np.nda
     """
     frames = _frames(layout.spec)
     ids = layout.hinge_ids
-    ax, ay, dx, dy, length = cols[2:].take(frames.hinge_edges.take(ids)[:, None], axis=1)
+    ax, ay, dx, dy, length = cols[2:7].take(frames.hinge_edges.take(ids)[:, None], axis=1)
     x, y = cols[2:4].take(frames.hinge_sides.take(ids, axis=0), axis=1)
     left = dx * (y - ay) - dy * (x - ax)
     width = left.shape[1] // 2
@@ -685,7 +828,6 @@ def _separated_hinges(layout: NetLayout, cols: np.ndarray, tol: float) -> np.nda
     return frames.hinge_pairs.take(ids[parent_left & child_right])
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     """Does any face pair intersect with positive area?
 
@@ -706,59 +848,65 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     paths fix all but the tolerance.  So a layout made by `unfold` keeps the
     verdict of each pair it screens under the tolerance and the two paths
     (`_Paths.verdicts`), and screens only the pairs not yet kept, while it
-    still holds its paths' kept placements.
+    still holds its paths' kept placements.  Such a layout also takes its
+    edge columns and face boxes from its paths (`_Paths.cols` and `boxes`),
+    with the rows the check for kept placements gathers.
     """
     tables = layout.tables
-    points = layout.points
-    # per stacked point, the rows: end x and y, x, y, dx, dy and length of its edge
-    cols = np.empty((7, len(points)))
-    cols[2:4] = points.T
-    cols[:2] = cols[2:4].take(tables.successor, axis=1)
-    np.subtract(cols[:2], cols[2:4], out=cols[4:6])
-    cols[6] = np.sqrt(cols[4] * cols[4] + cols[5] * cols[5])
-    tol = RELATIVE_TOL * float(cols[6].mean())  # the layout's mean_edge_length()
-    starts = tables.starts
-    lo, top = np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts) + tol
-    pair_i, pair_j = tables.pair_i, tables.pair_j
-    # box sides compared pair by pair: an any() over a length-2 axis costs more
-    apart = lo.take(pair_i, axis=0) > top.take(pair_j, axis=0)
-    apart |= lo.take(pair_j, axis=0) > top.take(pair_i, axis=0)
-    meet = ~(apart[:, 0] | apart[:, 1])
-    hits = np.zeros(len(meet), dtype=bool)
-    paths = _kept(layout)
+    paths, rows = _kept(layout)
+    if paths is None:
+        cols = _edge_columns(layout.points, tables.successor)
+        boxes = _face_boxes(layout.points, tables.starts, tables.counts)
+        lengths = cols[6]
+    else:
+        boxes = paths.boxes.take(layout.path_ids, axis=1)
+        lengths = paths.cols[6].take(rows)
+    # the layout's mean_edge_length(), as the sum and division ndarray.mean() makes
+    tol = RELATIVE_TOL * float(np.add.reduce(lengths) / len(lengths))
+    # two boxes are apart when a low side of one lies beyond a high side of the other
+    apart = np.logical_or.reduce(boxes.take(tables.box_near) > boxes.take(tables.box_far) + tol)
+    meet = np.logical_not(apart).nonzero()[0].tolist()
+    pair_faces = tables.pair_faces
+    overlapping: list[int] = []
     if paths is not None:
-        pairs = np.flatnonzero(meet)
-        ids = layout.path_ids
-        keys = ids.take(pair_i.take(pairs)).astype(np.int64) << 32 | ids.take(pair_j.take(pairs))
-        keys = keys.tolist()
+        ids = layout.path_ids.tolist()
+        keys = [ids[i] << 32 | ids[j] for i, j in map(pair_faces.__getitem__, meet)]
         kept = paths.verdicts.setdefault(tol, {})
-        known = np.fromiter(map(kept.get, keys, repeat(2)), dtype=np.int8, count=len(keys))
-        hits[pairs[known == 1]] = True
-        new = np.flatnonzero(known == 2)
-        meet[pairs[known != 2]] = False
-    if meet.any():
-        if layout.hinge_ids.size:
-            meet[_separated_hinges(layout, cols, tol)] = False
-        hits |= _screen_pairs(tables, points, cols, meet, tol)
+        known = list(map(kept.get, keys))
+        if None not in known:
+            return (True, pair_faces[meet[known.index(True)]]) if True in known else (False, None)
+        overlapping = [q for q, verdict in zip(meet, known) if verdict]
+        new = [k for k, verdict in enumerate(known) if verdict is None]
+        meet = [meet[k] for k in new]
+    if meet:
+        screen = np.zeros(len(pair_faces), dtype=bool)
+        screen[meet] = True
         if paths is not None:
-            kept.update(zip([keys[k] for k in new.tolist()], hits[pairs[new]].tolist()))
-    if not hits.any():
+            cols = paths.cols.take(rows, axis=1)
+        if layout.hinge_ids.size:
+            screen[_separated_hinges(layout, cols, tol)] = False
+        hits = _screen_pairs(tables, cols, boxes[4:], screen, tol)
+        if paths is not None:
+            kept.update(zip([keys[k] for k in new], hits.take(meet).tolist()))
+        if hits.any():
+            overlapping.append(int(hits.argmax()))
+    if not overlapping:
         return False, None
-    first = int(hits.argmax())
-    return True, (int(pair_i[first]), int(pair_j[first]))
+    return True, pair_faces[min(overlapping)]
 
 
-def _screen_pairs(tables: _Tables, points: np.ndarray, cols: np.ndarray, meet: np.ndarray,
+@np.errstate(divide="ignore", invalid="ignore")
+def _screen_pairs(tables: _Tables, cols: np.ndarray, centroids: np.ndarray, meet: np.ndarray,
                   tol: float) -> np.ndarray:
     """Which of the face pairs marked in `meet` overlap, by pair id: the
-    proper-crossing and strictly-inside tests of `check_overlap`, on the
-    stacked points and their edge columns `cols`, for every row of those
-    pairs."""
+    proper-crossing and strictly-inside tests of `check_overlap`, for every
+    row of those pairs, on the stacked points' edge columns `cols`
+    (`_edge_columns`) and the faces' centroids, as (2, faces)."""
     hits = np.zeros(len(meet), dtype=bool)
     # every edge of face i against every edge of face j
     rows = np.flatnonzero(meet.take(tables.cross_pair))
-    x1, y1, d1x, d1y, l1 = cols[2:].take(tables.cross_e1.take(rows), axis=1)
-    x2, y2, d2x, d2y, l2 = cols[2:].take(tables.cross_e2.take(rows), axis=1)
+    x1, y1, d1x, d1y, l1 = cols[2:7].take(tables.cross_e1.take(rows), axis=1)
+    x2, y2, d2x, d2y, l2 = cols[2:7].take(tables.cross_e2.take(rows), axis=1)
     rx, ry = x2 - x1, y2 - y1
     denom = d1x * d2y - d1y * d2x
     t = (rx * d2y - ry * d2x) / denom
@@ -771,8 +919,7 @@ def _screen_pairs(tables: _Tables, points: np.ndarray, cols: np.ndarray, meet: n
     # every probe of each face against every edge of the other: a probe is
     # inside when a ray from it crosses the other face's boundary an odd
     # number of times and it is near none of that face's edges
-    centroids = np.add.reduceat(points, tables.starts) / tables.counts[:, None]
-    probe_xy = np.concatenate((cols[2:4], (cols[2:4] + cols[:2]) / 2.0, centroids.T), axis=1)
+    probe_xy = np.concatenate((cols[2:4], cols[7:9], centroids), axis=1)
     for pair, probe, edges in tables.probes:
         groups = np.flatnonzero(meet.take(pair))
         x, y = probe_xy.take(probe.take(groups), axis=1)
@@ -799,18 +946,18 @@ def rank_nets(
 ) -> list[RankedNet]:
     """Unfold deduplicated cuts and rank them by radius of gyration.
 
-    `cuts` holds (edge-id tuple, orbit size) pairs; edge ids refer to the
-    canonical edge order of `graph`, the shell graph of `spec`
-    (`build_shell_graph`).  Ranking is ascending in R_g with ties broken by
-    the edge-id tuple, ranks 1-based.
+    `cuts` holds (edge-id tuple, orbit size) pairs, the ids Python ints;
+    edge ids refer to the canonical edge order of `graph`, the shell graph
+    of `spec` (`build_shell_graph`).  Ranking is ascending in R_g with ties
+    broken by the edge-id tuple, ranks 1-based.
     """
+    edges = graph.edges
     entries = []
     for edge_ids, orbit_size in cuts:
-        pairs = [graph.edges[e] for e in edge_ids]
-        layout = unfold(spec, pairs)
+        layout = unfold(spec, [edges[e] for e in edge_ids])
         _, rg = centroid_and_rg(layout)
         overlapping, witness = check_overlap(layout)
-        entries.append((rg, tuple(int(e) for e in edge_ids), orbit_size, layout, overlapping, witness))
+        entries.append((rg, tuple(edge_ids), orbit_size, layout, overlapping, witness))
     entries.sort(key=lambda it: (it[0], it[1]))
     return [
         RankedNet(

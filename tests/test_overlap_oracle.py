@@ -34,7 +34,7 @@ from helpers import (
 from netfold.catalog import CATALOG, builtin
 from netfold.errors import ValidationError
 import netfold.geometry as geometry
-from netfold.geometry import NetLayout, centroid_and_rg, check_overlap, unfold
+from netfold.geometry import NetLayout, centroid_and_rg, check_overlap, rank_nets, unfold
 from netfold.holes import remove_faces
 from netfold.mlst import enumerate_mlsts
 from netfold.polyhedra import PolyhedronSpec, canon_edge, edge_face_table
@@ -233,7 +233,8 @@ def test_pair_tables_are_built_once_per_shell_and_freed_with_it(monkeypatch):
     # the path state goes with the spec too: the kept placements, moments and verdicts
     paths = geometry._PATHS[spec]
     assert paths.placed and paths.verdicts and (paths.moments[0].take(layouts[0].path_ids) > 0).all()
-    freed += [weakref.ref(paths), weakref.ref(paths.points), weakref.ref(paths.moments)]
+    freed += [weakref.ref(paths), weakref.ref(paths.points), weakref.ref(paths.moments),
+              weakref.ref(paths.cols), weakref.ref(paths.boxes)]
     assert [centroid_and_rg(layout) for layout in layouts] == values
     del spec, layouts, copies, unhinged, tables, layout, paths
     gc.collect()
@@ -254,12 +255,17 @@ def test_unfold_hands_its_stack_to_the_layout(monkeypatch):
     assert stacked == []
     monkeypatch.undo()
     for cut, layout in zip(cuts, layouts):
-        assert all(polygon.base is layout.points for polygon in layout.polygons)
+        # the polygons are cut from the stack when first read, and kept
+        assert vars(layout)["polygons"] is None
+        polygons = layout.polygons
+        assert all(polygon.base is layout.points for polygon in polygons) and layout.polygons is polygons
         built = NetLayout(spec=spec, cut=layout.cut, root_face=layout.root_face, polygons=layout.polygons,
                           hinges=layout.hinges, markers=layout.markers)
         assert built.points is not layout.points and np.array_equal(built.points, layout.points)
+        assert vars(built)["polygons"] is None
+        assert all(polygon.base is built.points for polygon in built.polygons)
         # the same attribute order, so that all layouts share one dict of keys
-        assert list(vars(built)) == list(vars(layout))
+        assert list(vars(built)) == list(vars(layout)) == [f.name for f in fields(NetLayout)]
         assert built.tables is layout.tables
         assert built.hinge_ids.dtype == layout.hinge_ids.dtype == np.intp
         assert np.array_equal(built.hinge_ids, layout.hinge_ids)
@@ -377,6 +383,39 @@ def test_kept_moments_and_verdicts_give_the_first_answers(name, hole, stride):
     assert set(geometry._PATHS[spec].verdicts) == tolerances
 
 
+def kept_state(paths):
+    """Everything a shell's path state holds, as plain values."""
+    rows = paths.n_rows
+    return (dict(paths.placed), dict(paths.markers), rows, {tol: dict(v) for tol, v in paths.verdicts.items()},
+            paths.points[:rows].tobytes(), paths.cols[:, :rows].tobytes(), paths.first.tobytes(),
+            paths.boxes.tobytes(), paths.moments.tobytes(), set(paths.unchecked))
+
+
+@pytest.mark.parametrize("name", ["truncated_cube", "rhombicuboctahedron"])
+def test_a_second_pass_adds_no_kept_state(monkeypatch, name):
+    # every net of a second pass over the same cuts hits the kept
+    # placements, markers, moments and verdicts: a key that changed between
+    # passes would turn hits into misses and screen again
+    spec = copy_of(builtin(name))
+    graph = build_shell_graph(spec)
+    classes = dedupe_cuts(graph, enumerate_mlsts(graph).cuts, cut_group(graph))
+    cuts = list(zip(classes.cuts.tolist(), classes.orbit_sizes.tolist()))
+    screened = []
+    screen_pairs = geometry._screen_pairs
+    monkeypatch.setattr(geometry, "_screen_pairs", lambda *args: screened.append(1) or screen_pairs(*args))
+    first = rank_nets(spec, cuts, graph=graph)
+    assert screened
+    paths = geometry._PATHS[spec]
+    state = kept_state(paths)
+    del screened[:]
+    second = rank_nets(spec, cuts, graph=graph)
+    assert screened == []
+    assert kept_state(paths) == state
+    ranked = [[(n.cut, repr(n.radius_of_gyration), n.overlapping, n.overlap_witness) for n in nets]
+              for nets in (first, second)]
+    assert ranked[0] == ranked[1]
+
+
 def test_an_unfolded_overlapping_net_keeps_its_verdict():
     spec = concave_parent_spec()
     layout = unfold(spec, [])
@@ -387,15 +426,29 @@ def test_an_unfolded_overlapping_net_keeps_its_verdict():
 
 
 def test_a_layout_written_into_gets_the_reference_answers():
-    # a face moved onto face 0 after unfold: its paths' kept moments and
-    # verdicts no longer describe the layout, so none of them may be used
+    # a face turned and moved onto face 0 after unfold, a rigid motion that
+    # keeps every edge length: its paths' kept moments, verdicts, edge
+    # columns and boxes no longer describe the layout, so none of them may
+    # be used.  Its centroid goes to face 0's centroid or, every other net,
+    # to face 0's first corner, where only the moved face's edges show the
+    # overlap: its own centroid lies on face 0's boundary
     spec = copy_of(builtin("truncated_cube"))
-    for cut in class_cuts(spec)[:20]:
+    frames = geometry._frames(spec)
+    for k, cut in enumerate(class_cuts(spec)[:20]):
         layout = unfold(spec, cut)
         expected = answers(layout)
         rows = layout.tables.slices
         moved_face = layout.points[rows[-1]]
-        moved_face += layout.points[rows[0]].mean(axis=0) - moved_face.mean(axis=0)
+        before = geometry._edge_columns(layout.points, layout.tables.successor)
+        c, s = math.cos(0.3 + 0.1 * k), math.sin(0.3 + 0.1 * k)
+        face_0 = layout.points[rows[0]]
+        target = face_0.mean(axis=0) if k % 2 == 0 else face_0[0].copy()
+        moved_face[:] = (moved_face - moved_face.mean(axis=0)) @ np.array([[c, s], [-s, c]])
+        moved_face += target
+        geometry._check_isometric(layout.points, frames)
+        after = geometry._edge_columns(layout.points, layout.tables.successor)
+        # every column of the face changed but its edge lengths
+        assert (before[:6, rows[-1]] != after[:6, rows[-1]]).all()
         assert check_overlap(layout)[0] and check_overlap(layout) == reference_check_overlap(layout)
         rg = centroid_and_rg(layout)
         assert repr(rg) == repr(reference_centroid_and_rg(layout)) and repr(rg) not in expected
@@ -434,6 +487,7 @@ def test_a_stacked_layout_takes_every_field_by_name():
     values = {f.name: getattr(layout, f.name) for f in fields(NetLayout) if f.name != "polygons"}
     again = NetLayout._stacked(**values)
     assert list(vars(again)) == list(vars(layout)) and again.points is layout.points
+    assert vars(again)["polygons"] is None and all(p.base is again.points for p in again.polygons)
     with pytest.raises(KeyError, match="markers"):
         NetLayout._stacked(**{k: v for k, v in values.items() if k != "markers"})
     with pytest.raises(TypeError, match="no fields"):
