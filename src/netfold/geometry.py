@@ -33,8 +33,11 @@ gets the full computation, with the same result.
 
 So that each of the three per-net calls costs a fixed handful of numpy
 calls, the per-net work outside numpy is plain Python over small ints: the
-walk reads edge and hinge ids, the leaves come from a degree count over the
-cut and the verdict keys from the path ids of the pairs whose boxes meet.
+walk reads edge and hinge ids and the leaves come from a degree count over
+the cut.  `rank_nets` unfolds its nets in blocks, and before it measures
+and screens them one by one it keeps in one batch all they will read: their
+paths' columns, boxes and moments, the verdicts of their meeting face pairs
+and each net's overlap answer.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -174,9 +178,11 @@ class RankedNet:
 def _face_basis(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Origin and in-plane orthonormal axes for one face, outward-oriented."""
     origin = points[0]
-    # Newell normal: proportional to the outward normal for an outward cycle
-    shifted = np.roll(points, -1, axis=0)
-    normal = np.sum(np.cross(points, shifted), axis=0)
+    # Newell normal: proportional to the outward normal for an outward cycle.
+    # The cross products are written out as np.cross forms them, each
+    # component one product less another, so the bits are np.cross's
+    (x, y, z), (x1, y1, z1) = points.T, np.concatenate((points[1:], points[:1])).T
+    normal = np.sum(np.stack((y * z1 - z * y1, z * x1 - x * z1, x * y1 - y * x1), axis=1), axis=0)
     norm = np.linalg.norm(normal)
     if norm == 0.0:
         raise ValidationError("degenerate face: zero normal")
@@ -187,7 +193,8 @@ def _face_basis(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if x_len == 0.0:
         raise ValidationError("degenerate face: zero-length first edge")
     x_axis = x_axis / x_len
-    y_axis = np.cross(normal, x_axis)
+    (n0, n1, n2), (a0, a1, a2) = normal.tolist(), x_axis.tolist()
+    y_axis = np.array((n1 * a2 - n2 * a1, n2 * a0 - n0 * a2, n0 * a1 - n1 * a0))
     return origin, x_axis, y_axis
 
 
@@ -214,25 +221,27 @@ class _Tables(NamedTuple):
     Face f holds rows `slices[f]` (from `starts[f]`, `counts[f]` of them) of
     the stack, and `successor` maps each row to the next point of its face.
     `sizes` holds, for each face size n, the faces of that size and the rows
-    of their points, one face to a row.
+    of their points, one face to a row (`_size_groups`).
 
     Face pairs i < j are numbered in row-major order: pair q is faces
     (`pair_i[q]`, `pair_j[q]`), the tuple `pair_faces[q]`.  Against a
-    (6, faces) array of face boxes (`_face_boxes`), `box_near[:, q]` indexes
-    the low x and y of face i and then of face j, and `box_far[:, q]` the
-    high x and y of face j and then of face i: the pair's boxes are apart
-    when a near side exceeds its far side.  The screen's rows come sorted
-    by pair:
+    flattened (6, faces) array of face boxes (`_face_boxes`),
+    `box_near[:, q]` indexes the low x and y of face i and then of face j,
+    and `box_far[:, q]` the high x and y of face j and then of face i: the
+    pair's boxes are apart when a near side exceeds its far side.  The
+    screen's rows come sorted by pair, and `pair_rows[q]` counts pair q's:
     - a crossing row pairs edge `cross_e1` of face i with edge `cross_e2` of
-      face j, for pair `cross_pair`;
+      face j; pair q's rows run from `cross_first[q]`, `cross_count[q]` of
+      them;
     - a probe group pairs one probe of one face with every edge of the
       other: for each pair, each probe of face i against face j, then each
       probe of face j against face i.  The probes stack as the points, the
       edge midpoints and the face centroids, and a face's probes are taken
       in the order vertices, edge midpoints, centroid.  `probes` holds one
-      block per size n of the faces probed, as (pair, probe, edges): the
-      groups' pair ids, their probes' indices in the stack and the stacked
-      indices of their edges, an (n, groups) array.
+      block per size n of the faces probed, as (first, count, probe,
+      edges): pair q's groups run from `first[q]`, `count[q]` of them, and
+      each group holds its probe's index in the stack and the stacked
+      indices of its edges, an (n, groups) array.
     """
 
     counts: np.ndarray
@@ -245,10 +254,12 @@ class _Tables(NamedTuple):
     pair_faces: list[tuple[int, int]]
     box_near: np.ndarray
     box_far: np.ndarray
+    pair_rows: np.ndarray
     cross_e1: np.ndarray
     cross_e2: np.ndarray
-    cross_pair: np.ndarray
-    probes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    cross_first: np.ndarray
+    cross_count: np.ndarray
+    probes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 def _tables(counts: np.ndarray) -> _Tables:
@@ -256,7 +267,8 @@ def _tables(counts: np.ndarray) -> _Tables:
     starts = _runs(counts)
     n_faces = len(counts)
     pair_i, pair_j = np.triu_indices(n_faces, 1)
-    cross_pair, a, b = _product(counts[pair_i], counts[pair_j])
+    n_pairs, n_i, n_j = len(pair_i), counts[pair_i], counts[pair_j]
+    cross_pair, a, b = _product(n_i, n_j)
     # every probe of each pair, i's against j and then j's against i
     src = np.column_stack((pair_i, pair_j)).ravel()
     dst = np.column_stack((pair_j, pair_i)).ravel()
@@ -265,28 +277,42 @@ def _tables(counts: np.ndarray) -> _Tables:
     owner = np.repeat(np.arange(n_faces), counts)
     order = np.argsort(np.concatenate((owner, owner, np.arange(n_faces))), kind="stable")
     probe, dst = order[2 * starts[src][m] + src[m] + p], dst[m]
-    sizes, probes = [], []
+    probes = []
     for n in sorted(set(counts.tolist())):
-        faces = np.flatnonzero(counts == n)
-        sizes.append((faces, starts[faces, None] + np.arange(n)))
         block = np.flatnonzero(counts[dst] == n)
-        probes.append((m[block] // 2, probe[block], np.arange(n)[:, None] + starts[dst[block]]))
+        pair = m[block] // 2  # ascending
+        probes.append((np.searchsorted(pair, np.arange(n_pairs)), np.bincount(pair, minlength=n_pairs),
+                       probe[block], np.arange(n)[:, None] + starts[dst[block]]))
     return _Tables(
         counts=counts,
         starts=starts,
         slices=tuple(slice(s, s + n) for s, n in zip(starts.tolist(), counts.tolist())),
         successor=_successor(counts),
-        sizes=tuple(sizes),
+        sizes=_size_groups(counts, starts),
         pair_i=pair_i,
         pair_j=pair_j,
         pair_faces=list(zip(pair_i.tolist(), pair_j.tolist())),
         box_near=np.stack((pair_i, n_faces + pair_i, pair_j, n_faces + pair_j)),
         box_far=np.stack((2 * n_faces + pair_j, 3 * n_faces + pair_j, 2 * n_faces + pair_i, 3 * n_faces + pair_i)),
+        # the crossing rows, then the probe rows of face i and of face j
+        pair_rows=5 * n_i * n_j + n_i + n_j,
         cross_e1=starts[pair_i][cross_pair] + a,
         cross_e2=starts[pair_j][cross_pair] + b,
-        cross_pair=cross_pair,
+        cross_first=_runs(n_i * n_j),
+        cross_count=n_i * n_j,
         probes=tuple(probes),
     )
+
+
+def _size_groups(counts: np.ndarray, starts: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """For each size n of the stacked polygons, face f's points from row
+    `starts[f]`, the polygons of that size and the rows of their points, an
+    (polygons, n) array."""
+    groups = []
+    for n in sorted(set(counts.tolist())):
+        faces = np.flatnonzero(counts == n)
+        groups.append((faces, starts[faces, None] + np.arange(n)))
+    return tuple(groups)
 
 
 # PolyhedronSpec compares by identity, so each spec object keeps its own frames.
@@ -434,17 +460,23 @@ class _Paths:
     - `unchecked` holds the paths whose face has not passed
       `_check_isometric`.
     - `moments[:, p]` holds the face's area, first moments and polar moment
-      (`_face_moments`) once it has passed the orientation check, and a
-      zero area until then.
+      (`_face_moments`) if it has passed the orientation check, and a zero
+      area if it has failed it or is not worked out yet.
     - `verdicts[tol][pi << 32 | pj]` tells whether the faces on paths pi and
       pj (pi's face the lower) overlap in a net of tolerance tol, for each
       pair that was screened: one whose boxes meet.
-    A path's columns and box are the same elementwise operations and face
-    reductions a net's stack gets, so a net's gather of them has the bits
-    the net's own would have.  They are worked out for the paths added since
-    the last `settle`, all in one go.  Ids are handed out as entries are
-    added, so one spec's nets are unfolded one at a time, as `rank_nets`
-    does.
+    - `answers[layout]` is the `check_overlap` answer of a layout of a
+      block screened together (`_screen_block`), until that call takes it.
+    A path's columns, box and moments are the same elementwise operations
+    and face reductions a net's stack gets, so a net's gather of them has
+    the bits the net's own would have.  They are worked out for the paths
+    added since the last `settle`, all in one go, before the state is read
+    (`_kept`).  Ids are handed out as entries are added, so one spec's nets
+    are unfolded one at a time.  `rank_nets` unfolds a block of nets, then
+    settles the paths the block added and screens the block (`_screen_block`),
+    keeping the verdicts of the pairs it meets and has not kept and each
+    net's answer, and then measures and screens each net, which finds all
+    it reads kept.
     """
 
     def __init__(self, tables: _Tables, stride: int) -> None:
@@ -460,6 +492,7 @@ class _Paths:
         self.unchecked: set[int] = set()
         self.moments = np.zeros((4, 2 * n_faces))
         self.verdicts: dict[float, dict[int, bool]] = {}
+        self.answers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._new: list[tuple[int, int]] = []  # (path, size) added since the last settle
         # stacked point k of a net is point k - starts[f] of its face f's path
         owner = np.repeat(np.arange(n_faces), tables.counts)
@@ -485,21 +518,24 @@ class _Paths:
         self._new.append((path, len(placed)))
 
     def settle(self) -> None:
-        """Work out the edge columns and boxes of the paths added since the
-        last call, which sit in the last rows."""
+        """Work out the edge columns, boxes and moments of the paths added
+        since the last call, which sit in the last rows; a path whose face
+        fails the orientation check keeps a zero area."""
         if self._new:
-            ids, sizes = zip(*self._new)
+            ids, sizes = map(np.array, zip(*self._new))
             self._new.clear()
-            sizes = np.array(sizes)
             start = self.n_rows - int(sizes.sum())
-            block = self.points[start:self.n_rows]
-            self.cols[:, start:self.n_rows] = _edge_columns(block, _successor(sizes))
-            self.boxes[:, list(ids)] = _face_boxes(block, _runs(sizes), sizes)
+            block, firsts, successor = self.points[start:self.n_rows], _runs(sizes), _successor(sizes)
+            self.cols[:, start:self.n_rows] = _edge_columns(block, successor)
+            self.boxes[:, ids] = _face_boxes(block, firsts, sizes)
+            moments, ccw = _face_moments(block, successor, _size_groups(sizes, firsts))
+            self.moments[:, ids[ccw]] = moments[:, ccw]
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """The rows of the kept points of a net whose faces are on paths
-        `ids`, in stacked order."""
-        return self.first.take(ids).take(self._owner) + self._offset
+        `ids`, in stacked order; for nets on the rows of `ids`, one row of
+        rows each."""
+        return self.first.take(ids).take(self._owner, axis=-1) + self._offset
 
 
 def _widened(array: np.ndarray, size: int, fill) -> np.ndarray:
@@ -515,14 +551,15 @@ _PATHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _kept(layout: NetLayout) -> tuple[Optional[_Paths], Optional[np.ndarray]]:
-    """The path state of the layout's shell and the rows of its kept points
-    that make up the layout's, when the layout holds its faces' kept
-    placements bit for bit; (None, None) for a layout not made by `unfold`
-    or written into since."""
+    """The path state of the layout's shell, settled, and the rows of its
+    kept points that make up the layout's, when the layout holds its faces'
+    kept placements bit for bit; (None, None) for a layout not made by
+    `unfold` or written into since."""
     ids = layout.path_ids
     if not ids.size:
         return None, None
     paths = _PATHS[layout.spec]
+    paths.settle()
     rows = paths.rows(ids)
     if paths.points.take(rows, axis=0).tobytes() != layout.points.tobytes():
         return None, None
@@ -611,7 +648,6 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
             path[child] = placed
             hinge_ids.append(h)
             order.append(child)
-    paths.settle()
     if len(order) < n_faces:
         missing = [f for f in range(n_faces) if path[f] < 0]
         raise ValidationError(f"hinge tree does not reach faces {missing}")
@@ -720,12 +756,13 @@ def centroid_and_rg(layout: NetLayout) -> tuple[tuple[float, float], float]:
     orientation check, while it still holds the kept placements.
     """
     paths, _ = _kept(layout)
-    ids = layout.path_ids
-    faces = None if paths is None else paths.moments.take(ids, axis=1)
+    faces = None if paths is None else paths.moments.take(layout.path_ids, axis=1)
     if faces is None or not (faces[0] > 0.0).all():
-        faces = _face_moments(layout)
-        if paths is not None:
-            paths.moments[:, ids] = faces
+        # a layout of its own, or one with a face that failed the orientation check
+        tables = layout.tables
+        faces, ccw = _face_moments(layout.points, tables.successor, tables.sizes)
+        if not ccw.all():
+            raise ValidationError("outward-oriented faces must stay counter-clockwise")
     # each total starts from 0.0 and takes one face at a time, in face order
     moments = np.zeros((4, len(faces[0]) + 1))
     moments[:, 1:] = faces
@@ -738,16 +775,18 @@ def centroid_and_rg(layout: NetLayout) -> tuple[tuple[float, float], float]:
     return (cx, cy), math.sqrt(max(rg_sq, 0.0))
 
 
-def _face_moments(layout: NetLayout) -> np.ndarray:
+def _face_moments(points: np.ndarray, successor: np.ndarray,
+                  sizes: tuple[tuple[np.ndarray, np.ndarray], ...]) -> tuple[np.ndarray, np.ndarray]:
     """Each face's area, first moments and polar moment about the origin,
-    as a (4, faces) array, from shoelace sums.
+    as a (4, faces) array, from shoelace sums, and whether each face is
+    counter-clockwise: whether its area is positive.
 
-    The polygons of one size are summed together, each along its own row,
-    which gives every polygon the sums it would get on its own.
+    The faces are stacked polygons: `successor` maps each point to the next
+    of its face and `sizes` groups the faces by size (`_size_groups`).  The
+    polygons of one size are summed together, each along its own row, which
+    gives every polygon the sums it would get on its own.
     """
-    tables = layout.tables
-    points = layout.points
-    (x, y), (x1, y1) = points.T, points[tables.successor].T
+    (x, y), (x1, y1) = points.T, points[successor].T
     cross = x * y1 - x1 * y
     terms = np.stack((
         cross,
@@ -756,15 +795,14 @@ def _face_moments(layout: NetLayout) -> np.ndarray:
         (y * y + y * y1 + y1 * y1) * cross,
         (x * x + x * x1 + x1 * x1) * cross,
     ))
-    sums = np.empty((5, len(tables.counts)))
-    for faces, rows in tables.sizes:
+    sums = np.empty((5, sum(len(faces) for faces, _ in sizes)))
+    for faces, rows in sizes:
         # `take` returns C-ordered rows, which numpy sums pairwise as it does
         # one polygon's 1D array; terms[:, index] is laid out otherwise, and
         # its rows of 8 or more are summed in another order
         sums[:, faces] = np.take(terms, rows, axis=1).sum(axis=2)
-    if not (sums[0] / 2.0 > 0.0).all():
-        raise ValidationError("outward-oriented faces must stay counter-clockwise")
-    return np.array((sums[0] / 2.0, sums[1] / 6.0, sums[2] / 6.0, sums[3] / 12.0 + sums[4] / 12.0))
+    area = sums[0] / 2.0
+    return np.array((area, sums[1] / 6.0, sums[2] / 6.0, sums[3] / 12.0 + sums[4] / 12.0)), area > 0.0
 
 
 def _runs(sizes: np.ndarray) -> np.ndarray:
@@ -804,28 +842,64 @@ def _face_boxes(points: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> n
     return boxes
 
 
-def _separated_hinges(layout: NetLayout, cols: np.ndarray, tol: float) -> np.ndarray:
-    """The row-major pair ids of the hinges whose line separates parent and
-    child.
+def _spans(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, i) for every i from `first[k]` up to `first[k] + count[k]`, by k."""
+    k = np.repeat(np.arange(len(count)), count)
+    return k, np.arange(len(k)) + np.repeat(first - _runs(count), count)
 
-    The parent runs its hinge edge counter-clockwise, so its own region lies
-    left of that directed line.  When every vertex of the parent lies on or
-    left of it and every vertex of the child on or right of it, both within
-    `tol`, the line separates the two regions (each lies in the hull of its
-    vertices), so they share no area.  That holds for a convex parent and a
-    convex child folded out across their hinge, and fails for a child folded
-    back over its parent or a parent that reaches across its hinge line.
-    A hinge that is not one of the shell's is left to the full screen.
+
+def _tolerances(lengths: np.ndarray) -> np.ndarray:
+    """The overlap tolerance of each net whose placed edge lengths are the
+    rows of `lengths`: RELATIVE_TOL times its mean_edge_length(), as the sum
+    and division ndarray.mean() makes."""
+    return RELATIVE_TOL * (np.add.reduce(lengths, axis=1) / lengths.shape[1])
+
+
+def _meeting(tables: _Tables, boxes: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Which face pairs have meeting boxes, for nets whose face boxes
+    (`_face_boxes`) are the columns of `boxes`, a flattened (6, faces, nets)
+    array, and whose tolerances are `tol`: a (pairs, nets) array."""
+    n_pairs, n_nets = tables.box_near.shape[1], boxes.shape[1]
+    meet = np.empty((n_pairs, n_nets), dtype=bool)
+    # in runs of pairs, so that the temporaries of a block of nets stay small
+    step = max(1, _BOX_CELLS // n_nets)
+    for start in range(0, n_pairs, step):
+        # two boxes are apart when a low side of one lies beyond a high side of the other
+        far = boxes.take(tables.box_far[:, start:start + step], axis=0)
+        far += tol
+        apart = np.logical_or.reduce(boxes.take(tables.box_near[:, start:start + step], axis=0) > far, axis=0)
+        np.logical_not(apart, out=meet[start:start + step])
+    return meet
+
+
+# The (pair, net) cells of one run of `_meeting`.
+_BOX_CELLS = 1 << 11
+
+
+def _separated_hinges(frames: _Frames, cols: np.ndarray, rowmap: np.ndarray, net: np.ndarray,
+                      hinge: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Whether the line of hinge `hinge[k]` (`_Frames.hinges`) of net
+    `net[k]` separates its parent and child, for each k.
+
+    Row k of net n's stack is row `rowmap[n, k]` of the edge columns `cols`
+    (`_edge_columns`), and `tol[n]` is net n's tolerance.  The parent runs
+    its hinge edge counter-clockwise, so its own region lies left of that
+    directed line.  When every vertex of the parent lies on or left of it
+    and every vertex of the child on or right of it, both within the
+    tolerance, the line separates the two regions (each lies in the hull of
+    its vertices), so they share no area.  That holds for a convex parent and
+    a convex child folded out across their hinge, and fails for a child
+    folded back over its parent or a parent that reaches across its hinge
+    line.
     """
-    frames = _frames(layout.spec)
-    ids = layout.hinge_ids
-    ax, ay, dx, dy, length = cols[2:7].take(frames.hinge_edges.take(ids)[:, None], axis=1)
-    x, y = cols[2:4].take(frames.hinge_sides.take(ids, axis=0), axis=1)
+    ax, ay, dx, dy, length = cols[2:7].take(rowmap[net, frames.hinge_edges.take(hinge)][:, None], axis=1)
+    x, y = cols[2:4].take(rowmap[net[:, None], frames.hinge_sides.take(hinge, axis=0)], axis=1)
     left = dx * (y - ay) - dy * (x - ax)
     width = left.shape[1] // 2
-    parent_left = (left[:, :width] >= -tol * length).all(axis=1)
-    child_right = (left[:, width:] <= tol * length).all(axis=1)
-    return frames.hinge_pairs.take(ids[parent_left & child_right])
+    margin = tol.take(net)[:, None] * length
+    parent_left = (left[:, :width] >= -margin).all(axis=1)
+    child_right = (left[:, width:] <= margin).all(axis=1)
+    return parent_left & child_right
 
 
 def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -845,98 +919,217 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
 
     A pair's verdict reads only the net's tolerance, the two faces' points
     and whether one is the other's parent, across which hinge; the faces'
-    paths fix all but the tolerance.  So a layout made by `unfold` keeps the
-    verdict of each pair it screens under the tolerance and the two paths
-    (`_Paths.verdicts`), and screens only the pairs not yet kept, while it
-    still holds its paths' kept placements.  Such a layout also takes its
-    edge columns and face boxes from its paths (`_Paths.cols` and `boxes`),
-    with the rows the check for kept placements gathers.
+    paths fix all but the tolerance.  So a layout made by `unfold` that
+    still holds its paths' kept placements is screened as one of a block
+    of nets (`_screen_block`), from its paths' edge columns and boxes
+    (`_Paths.cols`, `boxes`), and each pair's verdict is kept under the
+    tolerance and the two paths (`_Paths.verdicts`).  Within `rank_nets`
+    the net's block was screened before this call, which takes the net's
+    kept answer.  Any other such layout looks up the verdicts of its pairs
+    whose boxes meet, and is screened as a block of one net when one of
+    them is not kept.
     """
     tables = layout.tables
     paths, rows = _kept(layout)
-    if paths is None:
-        cols = _edge_columns(layout.points, tables.successor)
-        boxes = _face_boxes(layout.points, tables.starts, tables.counts)
-        lengths = cols[6]
-    else:
-        boxes = paths.boxes.take(layout.path_ids, axis=1)
-        lengths = paths.cols[6].take(rows)
-    # the layout's mean_edge_length(), as the sum and division ndarray.mean() makes
-    tol = RELATIVE_TOL * float(np.add.reduce(lengths) / len(lengths))
-    # two boxes are apart when a low side of one lies beyond a high side of the other
-    apart = np.logical_or.reduce(boxes.take(tables.box_near) > boxes.take(tables.box_far) + tol)
-    meet = np.logical_not(apart).nonzero()[0].tolist()
-    pair_faces = tables.pair_faces
-    overlapping: list[int] = []
     if paths is not None:
-        ids = layout.path_ids.tolist()
-        keys = [ids[i] << 32 | ids[j] for i, j in map(pair_faces.__getitem__, meet)]
-        kept = paths.verdicts.setdefault(tol, {})
-        known = list(map(kept.get, keys))
-        if None not in known:
-            return (True, pair_faces[meet[known.index(True)]]) if True in known else (False, None)
-        overlapping = [q for q, verdict in zip(meet, known) if verdict]
-        new = [k for k, verdict in enumerate(known) if verdict is None]
-        meet = [meet[k] for k in new]
-    if meet:
-        screen = np.zeros(len(pair_faces), dtype=bool)
-        screen[meet] = True
-        if paths is not None:
-            cols = paths.cols.take(rows, axis=1)
-        if layout.hinge_ids.size:
-            screen[_separated_hinges(layout, cols, tol)] = False
-        hits = _screen_pairs(tables, cols, boxes[4:], screen, tol)
-        if paths is not None:
-            kept.update(zip([keys[k] for k in new], hits.take(meet).tolist()))
-        if hits.any():
-            overlapping.append(int(hits.argmax()))
-    if not overlapping:
-        return False, None
-    return True, pair_faces[min(overlapping)]
+        answer = paths.answers.pop(layout, None)
+        if answer is not None:
+            return answer
+        boxes = paths.boxes.take(layout.path_ids, axis=1)
+        tol = _tolerances(paths.cols[6].take(rows)[None])
+        meet = np.flatnonzero(_meeting(tables, boxes.reshape(-1, 1), tol))
+        ids = layout.path_ids.astype(np.int64)
+        keys = (ids.take(tables.pair_i.take(meet)) << 32 | ids.take(tables.pair_j.take(meet))).tolist()
+        known = list(map(paths.verdicts.setdefault(float(tol[0]), {}).get, keys))
+        if None in known:
+            _screen_block(paths, _frames(layout.spec), [layout])
+            return paths.answers.pop(layout)
+        return (True, tables.pair_faces[meet[known.index(True)]]) if True in known else (False, None)
+    points = layout.points
+    cols = _edge_columns(points, tables.successor)
+    boxes = _face_boxes(points, tables.starts, tables.counts)
+    tol = _tolerances(cols[6][None])
+    screen = _meeting(tables, boxes.reshape(-1, 1), tol)[:, 0]
+    rowmap = np.arange(len(points))[None]
+    hinges = layout.hinge_ids
+    if hinges.size:
+        frames = _frames(layout.spec)
+        separated = _separated_hinges(frames, cols, rowmap, np.zeros(len(hinges), dtype=np.intp), hinges, tol)
+        screen[frames.hinge_pairs.take(hinges[separated])] = False
+    pair = np.flatnonzero(screen)
+    hits = _screen_jobs(tables, cols, boxes[4:], rowmap, np.arange(len(tables.counts))[None],
+                        np.zeros(len(pair), dtype=np.intp), pair, tol)
+    return (True, tables.pair_faces[int(pair[hits.argmax()])]) if hits.any() else (False, None)
+
+
+def _screen_block(paths: _Paths, frames: _Frames, layouts: Sequence[NetLayout]) -> None:
+    """Screen a block of layouts made by `unfold` from settled paths, and
+    keep each layout's answer for its `check_overlap` (`_Paths.answers`).
+
+    The face pairs of each net whose boxes meet are keyed by the net's
+    tolerance and the pair's two paths.  A key's verdict is fixed by the
+    key (`check_overlap`), so each key not kept yet (`_Paths.verdicts`) is
+    screened once, in the first net of the block that has it
+    (`_screen_keys`), and kept.  A net's answer is then its lowest meeting
+    pair whose verdict is an overlap.
+    """
+    tables = frames.tables
+    ids = np.stack([layout.path_ids for layout in layouts])
+    rows = paths.rows(ids)
+    tol = _tolerances(paths.cols[6].take(rows))
+    values = sorted(set(tol.tolist()))
+    kept = [paths.verdicts.setdefault(value, {}) for value in values]
+    pair, net, place, level, keys = _block_keys(paths, frames, ids, tol, values)
+    verdicts = [kept[lv].get(key) for lv, key in zip(level, keys)]
+    new = [k for k, verdict in enumerate(verdicts) if verdict is None]
+    if new:
+        # the first entry of each new key, in the order of the box test
+        is_new = np.zeros(len(keys), dtype=bool)
+        is_new[new] = True
+        hits = np.flatnonzero(is_new.take(place))
+        hits = hits.take(np.argsort(place.take(hits), kind="stable"))
+        first = hits[np.diff(place.take(hits), prepend=-1) != 0]
+        hinges = np.stack([layout.hinge_ids for layout in layouts])
+        screened = _screen_keys(paths, frames, ids, hinges, rows, tol, net.take(first), pair.take(first))
+        for k, verdict in zip(new, screened.tolist()):
+            kept[level[k]][keys[k]] = verdicts[k] = verdict
+    # each net's lowest overlapping pair: the entries run by ascending pair,
+    # so the first an entry of a net sets stands
+    hit = np.flatnonzero(np.array(verdicts, dtype=bool).take(place))
+    witness = dict(zip(net.take(hit)[::-1].tolist(), pair.take(hit)[::-1].tolist()))
+    pair_faces = tables.pair_faces
+    for n, layout in enumerate(layouts):
+        q = witness.get(n)
+        paths.answers[layout] = (False, None) if q is None else (True, pair_faces[q])
+
+
+def _block_keys(paths: _Paths, frames: _Frames, ids: np.ndarray, tol: np.ndarray,
+                values: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]]:
+    """The entries of a block of nets (`_screen_block`), one per face pair
+    whose boxes meet, in the order of the box test: their pairs and nets,
+    and each entry's place among the block's distinct keys, which come as
+    the place of their tolerance in `values` and their verdict key
+    (`_Paths.verdicts`)."""
+    tables = frames.tables
+    # entry q * nets + n of the pair-major box test is pair q of net n
+    boxes = paths.boxes.take(ids.T, axis=1).reshape(-1, len(ids))
+    pair, net = np.divmod(np.flatnonzero(_meeting(tables, boxes, tol)), len(ids))
+    # each entry's key as one int64: its tolerance's place, then the paths
+    # of faces i and j, each below the number of path ids (which fits while
+    # places * ids**2 < 2**63, as for 32 places and 2**28 ids)
+    n_ids = len(frames.coords) + len(paths.placed)
+    at = net * ids.shape[1]
+    codes = np.searchsorted(values, tol).take(net) * n_ids + ids.take(at + tables.pair_i.take(pair))
+    codes = codes * n_ids + ids.take(at + tables.pair_j.take(pair))
+    met = np.sort(codes)
+    met = met[np.diff(met, prepend=-1) != 0]
+    level, path_i = np.divmod(met, n_ids * n_ids)
+    path_i, path_j = np.divmod(path_i, n_ids)
+    return pair, net, np.searchsorted(met, codes), level.tolist(), (path_i << 32 | path_j).tolist()
+
+
+def _screen_keys(paths: _Paths, frames: _Frames, ids: np.ndarray, hinges: np.ndarray, rows: np.ndarray,
+                 tol: np.ndarray, net: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Whether face pair `pair[k]` of net `net[k]` overlaps, for each k, in
+    a block of nets whose faces are on paths `ids` and whose hinges are
+    `hinges` (one net to a row), with kept points on `rows` (`_Paths.rows`)
+    and tolerances `tol`.  A hinged pair its hinge line separates
+    (`_separated_hinges`) does not overlap, and the rest go through one
+    screen (`_screen_jobs`)."""
+    tables = frames.tables
+    # the hinge, if any, across which the two faces of each pair meet
+    n_pairs = len(tables.pair_i)
+    places = (np.arange(len(ids))[:, None] * n_pairs + frames.hinge_pairs.take(hinges)).ravel()
+    order = np.argsort(places)
+    places, at = places.take(order), net * n_pairs + pair
+    found = np.searchsorted(places, at).clip(max=len(places) - 1)
+    hinged = np.flatnonzero(places.take(found) == at)
+    cols = paths.cols[:, :paths.n_rows]
+    screen = np.ones(len(pair), dtype=bool)
+    if hinged.size:
+        hinge = hinges.take(order.take(found.take(hinged)))
+        screen[hinged] = ~_separated_hinges(frames, cols, rows, net.take(hinged), hinge, tol)
+    verdicts = np.zeros(len(pair), dtype=bool)
+    verdicts[screen] = _screen_jobs(tables, cols, paths.boxes[4:], rows, ids, net[screen], pair[screen], tol)
+    return verdicts
+
+
+# A screen's rows, past which `_screen_jobs` starts another call.
+_SCREEN_ROWS = 1 << 10
+
+
+def _screen_jobs(tables: _Tables, cols: np.ndarray, centres: np.ndarray, rowmap: np.ndarray,
+                 facemap: np.ndarray, net: np.ndarray, pair: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """`_screen_pairs` over the given jobs, in runs of about `_SCREEN_ROWS`
+    rows (`_Tables.pair_rows`) so that its temporaries stay bounded: a run
+    takes the jobs in order up to the first one that starts past its bound."""
+    hits = np.zeros(len(pair), dtype=bool)
+    if pair.size:
+        rows = tables.pair_rows.take(pair)
+        run = (np.cumsum(rows) - rows) // _SCREEN_ROWS
+        bounds = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(pair)]
+        for start, end in zip(bounds, bounds[1:]):
+            hits[start:end] = _screen_pairs(tables, cols, centres, rowmap, facemap, net[start:end],
+                                            pair[start:end], tol)
+    return hits
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _screen_pairs(tables: _Tables, cols: np.ndarray, centroids: np.ndarray, meet: np.ndarray,
-                  tol: float) -> np.ndarray:
-    """Which of the face pairs marked in `meet` overlap, by pair id: the
+def _screen_pairs(tables: _Tables, cols: np.ndarray, centres: np.ndarray, rowmap: np.ndarray,
+                  facemap: np.ndarray, net: np.ndarray, pair: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Whether face pair `pair[k]` of net `net[k]` overlaps, for each k: the
     proper-crossing and strictly-inside tests of `check_overlap`, for every
-    row of those pairs, on the stacked points' edge columns `cols`
-    (`_edge_columns`) and the faces' centroids, as (2, faces)."""
-    hits = np.zeros(len(meet), dtype=bool)
+    row of those pairs.
+
+    Row k of net n's stack is row `rowmap[n, k]` of the edge columns `cols`
+    (`_edge_columns`), the centroid of its face f is column `facemap[n, f]`
+    of `centres`, a (2, ...) array, and `tol[n]` is its tolerance.
+    """
+    hits = np.zeros(len(pair), dtype=bool)
     # every edge of face i against every edge of face j
-    rows = np.flatnonzero(meet.take(tables.cross_pair))
-    x1, y1, d1x, d1y, l1 = cols[2:7].take(tables.cross_e1.take(rows), axis=1)
-    x2, y2, d2x, d2y, l2 = cols[2:7].take(tables.cross_e2.take(rows), axis=1)
+    job, row = _spans(tables.cross_first.take(pair), tables.cross_count.take(pair))
+    at = net.take(job)
+    x1, y1, d1x, d1y, l1 = cols[2:7].take(rowmap[at, tables.cross_e1.take(row)], axis=1)
+    x2, y2, d2x, d2y, l2 = cols[2:7].take(rowmap[at, tables.cross_e2.take(row)], axis=1)
     rx, ry = x2 - x1, y2 - y1
     denom = d1x * d2y - d1y * d2x
     t = (rx * d2y - ry * d2x) / denom
     s = (rx * d1y - ry * d1x) / denom
-    eps = tol / np.maximum(l1, l2)
+    eps = tol.take(at) / np.maximum(l1, l2)
     skew = np.abs(denom) > RELATIVE_TOL * l1 * l2
     crossed = np.flatnonzero(skew & (eps < t) & (t < 1.0 - eps) & (eps < s) & (s < 1.0 - eps))
-    hits[tables.cross_pair.take(rows.take(crossed))] = True
+    hits[job.take(crossed)] = True
 
     # every probe of each face against every edge of the other: a probe is
     # inside when a ray from it crosses the other face's boundary an odd
     # number of times and it is near none of that face's edges
-    probe_xy = np.concatenate((cols[2:4], cols[7:9], centroids), axis=1)
-    for pair, probe, edges in tables.probes:
-        groups = np.flatnonzero(meet.take(pair))
-        x, y = probe_xy.take(probe.take(groups), axis=1)
-        at = cols[1:6].take(edges.take(groups, axis=1), axis=1)
-        by, ax, ay, dx, dy = at
+    n_cols = cols.shape[1]
+    probe_xy = np.concatenate((cols[2:4], cols[7:9], centres), axis=1)
+    probe_at = np.concatenate((rowmap, rowmap + n_cols, facemap + 2 * n_cols), axis=1)
+    for first, count, probe, edges in tables.probes:
+        job, group = _spans(first.take(pair), count.take(pair))
+        at = net.take(job)
+        x, y = probe_xy.take(probe_at[at, probe.take(group)], axis=1)
+        ends = cols[1:6].take(rowmap[at, edges.take(group, axis=1)], axis=1)
+        by, ax, ay, dx, dy = ends
         parity = ((ay > y) != (by > y)) & (x < ax + (y - ay) * dx / dy)
         odd = np.flatnonzero(np.logical_xor.reduce(parity))
         if odd.size:
             # the distance test, on the groups of odd parity only
-            x, y, (_, ax, ay, dx, dy) = x.take(odd), y.take(odd), at.take(odd, axis=2)
+            x, y, (_, ax, ay, dx, dy) = x.take(odd), y.take(odd), ends.take(odd, axis=2)
             ll = dx * dx + dy * dy
             along = np.where(ll != 0.0, ((x - ax) * dx + (y - ay) * dy) / ll, 0.0)
             along = np.minimum(np.maximum(along, 0.0), 1.0)
-            near = (x - (ax + along * dx)) ** 2 + (y - (ay + along * dy)) ** 2 <= tol * tol
+            reach = tol.take(at.take(odd))
+            near = (x - (ax + along * dx)) ** 2 + (y - (ay + along * dy)) ** 2 <= reach * reach
             inside = np.flatnonzero(~np.logical_or.reduce(near))
-            hits[pair.take(groups.take(odd.take(inside)))] = True
+            hits[job.take(odd.take(inside))] = True
     return hits
+
+
+# The nets `rank_nets` unfolds before it screens them in one batch; the
+# batch's temporaries grow with it.
+_NET_BLOCK = 32
 
 
 def rank_nets(
@@ -950,14 +1143,40 @@ def rank_nets(
     edge ids refer to the canonical edge order of `graph`, the shell graph
     of `spec` (`build_shell_graph`).  Ranking is ascending in R_g with ties
     broken by the edge-id tuple, ranks 1-based.
+
+    The cuts go in blocks of `_NET_BLOCK`.  A block's nets are unfolded in
+    cut order; then one batch keeps what the block's per-net calls read
+    (`_Paths`): the edge columns, boxes and moments of every hinge path the
+    block added (`_Paths.settle`), the verdicts of the block's meeting face
+    pairs not kept yet, screened together, and each net's overlap answer
+    (`_screen_block`).  Then each net gets `centroid_and_rg` and
+    `check_overlap`, in cut order, and finds its values kept.  If `unfold`
+    fails, the block's earlier nets are measured and screened before the
+    error is raised again, so the first error is the one a loop over the
+    nets, one at a time, would meet.
     """
     edges = graph.edges
     entries = []
-    for edge_ids, orbit_size in cuts:
-        layout = unfold(spec, [edges[e] for e in edge_ids])
-        _, rg = centroid_and_rg(layout)
-        overlapping, witness = check_overlap(layout)
-        entries.append((rg, tuple(edge_ids), orbit_size, layout, overlapping, witness))
+    todo = iter(cuts)
+    while block := list(islice(todo, _NET_BLOCK)):
+        layouts: list[NetLayout] = []
+        failure = None
+        for edge_ids, _ in block:
+            try:
+                layouts.append(unfold(spec, [edges[e] for e in edge_ids]))
+            except Exception as error:  # raised below, after the nets before it
+                failure = error
+                break
+        if layouts:
+            paths = _PATHS[spec]
+            paths.settle()
+            _screen_block(paths, _frames(spec), layouts)
+        for (edge_ids, orbit_size), layout in zip(block, layouts):
+            _, rg = centroid_and_rg(layout)
+            overlapping, witness = check_overlap(layout)
+            entries.append((rg, tuple(edge_ids), orbit_size, layout, overlapping, witness))
+        if failure is not None:
+            raise failure
     entries.sort(key=lambda it: (it[0], it[1]))
     return [
         RankedNet(

@@ -42,7 +42,7 @@ from netfold.analysis import ShellStatistics, mlst_ratio_estimate
 from netfold.catalog import builtin
 from netfold.errors import ValidationError
 from netfold import mlst
-from netfold.geometry import RELATIVE_TOL, Marker, NetLayout, _local_coords, _product, _runs, _successor
+from netfold.geometry import RELATIVE_TOL, Marker, NetLayout, _product, _runs, _successor
 from netfold.mlst import InteriorResult, MlstResult, root_set
 from netfold.polyhedra import PolyhedronSpec, canon_edge, edge_face_table
 from netfold.shellgraph import (
@@ -651,12 +651,27 @@ def ratio_rank_correlation(rows: Sequence[ShellStatistics]) -> float:
 # and `check_overlap` replace, kept as written: the new code must give the
 # same polygons, hinges, markers, moments and verdicts bit for bit.
 
+def reference_local_coords(spec: PolyhedronSpec, face: int) -> np.ndarray:
+    """A face's isometric 2D coordinates, counter-clockwise, from its Newell
+    normal and the in-plane axes, with np.cross for the cross products."""
+    points = spec.vertices[list(spec.faces[face])]
+    origin = points[0]
+    normal = np.sum(np.cross(points, np.roll(points, -1, axis=0)), axis=0)
+    normal = normal / np.linalg.norm(normal)
+    x_axis = points[1] - origin
+    x_axis = x_axis - normal * (x_axis @ normal)
+    x_axis = x_axis / np.linalg.norm(x_axis)
+    y_axis = np.cross(normal, x_axis)
+    rel = points - origin
+    return np.column_stack((rel @ x_axis, rel @ y_axis))
+
+
 @functools.lru_cache(maxsize=4)
 def _reference_frames(spec: PolyhedronSpec):
     table = edge_face_table(spec)
     vertices = spec.vertices
     scale = float(np.mean([np.linalg.norm(vertices[u] - vertices[v]) for u, v in table]))
-    coords = tuple(_local_coords(spec, f) for f in range(spec.n_faces))
+    coords = tuple(reference_local_coords(spec, f) for f in range(spec.n_faces))
     return coords, table, RELATIVE_TOL * scale
 
 

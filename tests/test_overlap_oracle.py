@@ -28,6 +28,7 @@ from helpers import (
     DESK_SHELLS,
     reference_centroid_and_rg,
     reference_check_overlap,
+    reference_local_coords,
     reference_unfold,
     relabeled_spec,
 )
@@ -185,6 +186,23 @@ def test_geometry_matches_the_per_face_reference_when_relabelled(seed):
     vertices = np.empty_like(spec.vertices)
     vertices[perm] = spec.vertices @ rotation.T
     assert_geometry_matches_reference(PolyhedronSpec(name=spec.name, faces=relabeled.faces, vertices=vertices))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_face_coordinates_keep_the_bits_of_np_cross(seed):
+    # `_face_basis` writes the cross products out component by component;
+    # every face's 2D coordinates must keep the bits np.cross gives, on each
+    # catalog shell as built and renamed, shuffled and turned
+    for entry in CATALOG:
+        spec = copy_of(builtin(entry.name))
+        if seed is not None:
+            relabeled, perm = relabeled_spec(spec, seed)
+            q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+            vertices = np.empty_like(spec.vertices)
+            vertices[perm] = spec.vertices @ (q * np.sign(np.diag(r))).T
+            spec = PolyhedronSpec(name=spec.name, faces=relabeled.faces, vertices=vertices)
+        coords = [c.tobytes() for c in geometry._frames(spec).coords]
+        assert coords == [reference_local_coords(spec, f).tobytes() for f in range(spec.n_faces)], entry.name
 
 
 # an L-shaped parent and a quad hinged on the edge (2, 1)-(1, 1) next to the
@@ -402,9 +420,15 @@ def test_a_second_pass_adds_no_kept_state(monkeypatch, name):
     cuts = list(zip(classes.cuts.tolist(), classes.orbit_sizes.tolist()))
     screened = []
     screen_pairs = geometry._screen_pairs
-    monkeypatch.setattr(geometry, "_screen_pairs", lambda *args: screened.append(1) or screen_pairs(*args))
+    monkeypatch.setattr(geometry, "_screen_pairs", lambda *args: screened.append(args) or screen_pairs(*args))
     first = rank_nets(spec, cuts, graph=graph)
     assert screened
+    # the block batch screens in runs of rows, not net by net: at most one
+    # call per started run of `_SCREEN_ROWS` rows in each block
+    pair_rows = geometry._frames(spec).tables.pair_rows
+    rows = sum(int(pair_rows.take(args[6]).sum()) for args in screened)
+    blocks = -(-len(cuts) // geometry._NET_BLOCK)
+    assert len(screened) <= blocks + rows // geometry._SCREEN_ROWS
     paths = geometry._PATHS[spec]
     state = kept_state(paths)
     del screened[:]
@@ -492,3 +516,151 @@ def test_a_stacked_layout_takes_every_field_by_name():
         NetLayout._stacked(**{k: v for k, v in values.items() if k != "markers"})
     with pytest.raises(TypeError, match="no fields"):
         NetLayout._stacked(**values, colour="red")
+
+
+def ranked_values(nets):
+    return [(n.cut, repr(n.radius_of_gyration), n.overlapping, n.overlap_witness) for n in nets]
+
+
+def per_net_ranking(spec, cuts, graph):
+    """What `rank_nets` answers, from a loop over the nets one at a time:
+    `unfold`, then `centroid_and_rg`, then `check_overlap`."""
+    rows = []
+    for edge_ids, _ in cuts:
+        layout = unfold(spec, [graph.edges[e] for e in edge_ids])
+        rg = centroid_and_rg(layout)[1]
+        rows.append((rg, tuple(edge_ids), check_overlap(layout)))
+    rows.sort(key=lambda row: row[:2])
+    return [(cut, repr(rg), overlapping, witness) for rg, cut, (overlapping, witness) in rows]
+
+
+def ranked_cuts(shell):
+    graph = build_shell_graph(shell)
+    classes = dedupe_cuts(graph, enumerate_mlsts(graph).cuts, cut_group(graph))
+    return graph, list(zip(classes.cuts.tolist(), classes.orbit_sizes.tolist()))
+
+
+# every class of each shell, or of snub_cube minus a face every 100th
+BLOCK_SHELLS = [("truncated_cube", None, 1), ("rhombicuboctahedron", None, 1), ("snub_cube", None, 1),
+                ("truncated_cube", 0, 1), ("snub_cube", 0, 1 if LONG_RUN else 100)]
+
+
+@pytest.mark.parametrize("name, hole, stride", BLOCK_SHELLS)
+def test_blocks_of_any_size_give_the_per_net_answers_and_state(monkeypatch, name, hole, stride):
+    # blocks of one net, of seven nets and one block of every net rank as
+    # the per-net loop does, and leave the same placements, markers, moments
+    # and verdicts kept
+    shell = builtin(name) if hole is None else remove_faces(builtin(name), [hole])
+    graph, cuts = ranked_cuts(shell)
+    cuts = cuts[::stride]
+    spec = copy_of(shell)
+    expected = per_net_ranking(spec, cuts, graph)
+    state = kept_state(geometry._PATHS[spec])
+    for block in (1, 7, len(cuts) + 1):
+        monkeypatch.setattr(geometry, "_NET_BLOCK", block)
+        spec = copy_of(shell)
+        assert ranked_values(rank_nets(spec, cuts, graph)) == expected, (name, hole, block)
+        assert kept_state(geometry._PATHS[spec]) == state, (name, hole, block)
+        assert len(geometry._PATHS[spec].answers) == 0  # each net took its answer
+
+
+def patched_copy(shell, changes):
+    """A new spec of the shell whose frames place the child across each hinge
+    h of `changes` by `changes[h](*move)`, from the hinge's placing data
+    (`_Frames.moves`)."""
+    spec = copy_of(shell)
+    frames = geometry._frames(spec)
+    moves = list(frames.moves)
+    for h, change in changes.items():
+        moves[h] = change(*moves[h])
+    geometry._FRAMES[spec] = frames._replace(moves=tuple(moves))
+    return spec
+
+
+def longer(iu, iv, rel, d, dx, dy, length):
+    """The child's copy of its hinge edge a millionth longer than the parent's."""
+    return iu, iv, rel, d, dx, dy, length * (1.0 + 1e-6)
+
+
+def mirrored(iu, iv, rel, d, dx, dy, length):
+    """The child reflected in its hinge line, which turns it clockwise and
+    keeps every edge length."""
+    axis = d / length
+    return iu, iv, 2.0 * np.outer(rel @ axis, axis) - rel, d, dx, dy, length
+
+
+def per_net_error(spec, cuts, graph):
+    """The type and message of the first error of the per-net loop."""
+    with pytest.raises(ValidationError) as caught:
+        per_net_ranking(spec, cuts, graph)
+    return type(caught.value), str(caught.value)
+
+
+def rank_nets_error(spec, cuts, graph):
+    with pytest.raises(ValidationError) as caught:
+        rank_nets(spec, cuts, graph)
+    return type(caught.value), str(caught.value)
+
+
+def test_errors_in_a_block_come_in_the_per_net_order(monkeypatch):
+    # net 1 has a face turned clockwise, which only its R_g notices, and
+    # net `late` crosses a hinge that changes length, which its unfold
+    # notices: in one block the late net's unfold fails first, yet the
+    # block's earlier nets are measured before its error is raised, so
+    # either order fails as the per-net loop does
+    shell = builtin("truncated_cube")
+    graph, cuts = ranked_cuts(shell)
+    hinges = [set(unfold(shell, [graph.edges[e] for e in cut]).hinge_ids.tolist()) for cut, _ in cuts]
+    turned = next(h for h in sorted(hinges[1] - hinges[0])
+                  if "counter-clockwise" in per_net_error(patched_copy(shell, {h: mirrored}), cuts[1:2], graph)[1])
+    late, changed = next((k, h) for k in range(2, len(cuts)) for h in sorted(hinges[k] - hinges[0] - hinges[1]))
+    changes = {turned: mirrored, changed: longer}
+    for order, message in (([0, 1, late], "counter-clockwise"), ([0, late, 1], "changes length")):
+        ordered = [cuts[k] for k in order]
+        expected = per_net_error(patched_copy(shell, changes), ordered, graph)
+        assert message in expected[1]
+        for block in (1, 2, 7, geometry._NET_BLOCK):
+            monkeypatch.setattr(geometry, "_NET_BLOCK", block)
+            assert rank_nets_error(patched_copy(shell, changes), ordered, graph) == expected, (order, block)
+
+
+def test_a_hinge_that_changes_length_mid_block_fails_as_the_per_net_loop(monkeypatch):
+    # the first nets of the block unfold and the fourth crosses the hinge
+    shell = builtin("rhombicuboctahedron")
+    graph, cuts = ranked_cuts(shell)
+    hinges = [set(unfold(shell, [graph.edges[e] for e in cut]).hinge_ids.tolist()) for cut, _ in cuts]
+    changed = min(hinges[3] - hinges[0] - hinges[1] - hinges[2])
+    expected = per_net_error(patched_copy(shell, {changed: longer}), cuts, graph)
+    assert "changes length" in expected[1]
+    for block in (1, 7, len(cuts)):
+        monkeypatch.setattr(geometry, "_NET_BLOCK", block)
+        spec = patched_copy(shell, {changed: longer})
+        assert rank_nets_error(spec, cuts, graph) == expected, block
+        # the nets before it were measured, and their paths kept
+        assert geometry._PATHS[spec].moments[0].any()
+
+
+# the L-shaped parent with a second quad hinged on its other reflex edge,
+# (1, 1)-(1, 2): it reaches down over the L's lower arm and over the first
+# quad, so all three face pairs overlap
+TWO_CHILD_FLAT = np.vstack((CONCAVE_FLAT, [[1.8, 0.2], [1.8, 2.0]]))
+
+
+def two_child_spec():
+    return PolyhedronSpec(name="concave-parent-two-children", vertices=np.column_stack((TWO_CHILD_FLAT, np.zeros(10))),
+                          faces=((0, 1, 2, 3, 4, 5), (3, 2, 6, 7), (4, 3, 8, 9)))
+
+
+@pytest.mark.parametrize("make_spec, overlapping", [
+    (concave_parent_spec, [(0, 1)]),
+    (two_child_spec, [(0, 1), (0, 2), (1, 2)]),
+])
+def test_rank_nets_keeps_the_lowest_overlapping_pair_as_witness(make_spec, overlapping):
+    # the hinge lines separate none of these pairs, so the block's screen
+    # must test them, and the witness is the lowest pair that overlaps
+    spec = make_spec()
+    (net,) = rank_nets(spec, [((), 1)], build_shell_graph(spec))
+    faces = range(spec.n_faces)
+    assert [(i, j) for i in faces for j in faces if i < j and pair_overlaps(net.layout, i, j)] == overlapping
+    assert (net.overlapping, net.overlap_witness) == (True, overlapping[0])
+    assert check_overlap(net.layout) == reference_check_overlap(net.layout) == (True, overlapping[0])

@@ -74,22 +74,42 @@ def test_module_imports_form_no_cycle():
 
 def _calls_by_scope(tree, callee):
     """The dotted scope (class and function names) of every call to `callee`."""
+
+    def is_call(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == callee
+
+    return _scopes_of(tree, is_call)
+
+
+def _scopes_of(tree, wanted):
+    """The dotted scope (class and function names) of every node for which
+    `wanted(node)` holds."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == callee:
-                    found.append(".".join(scope))
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-            else:
-                visit(child, scope)
+            if wanted(child):
+                found.append(".".join(scope))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if inner else scope)
 
     visit(tree, ())
     return found
+
+
+def test_geometry_holds_one_pair_screen():
+    # the crossing and parity tests are written once, in `_screen_pairs`,
+    # which a block of nets and a lone net both go through: no other code
+    # in geometry.py forms a crossing's determinant or folds a ray's
+    # crossings by exclusive or
+    (tree,) = [tree for path, tree in zip(SOURCES, _trees()) if path.name == "geometry.py"]
+    found = _scopes_of(tree, lambda node: isinstance(node, ast.Attribute) and node.attr == "logical_xor"
+                       or isinstance(node, ast.Name) and node.id == "denom")
+    assert len(found) >= 3  # the determinant, its two uses and the parity fold were read
+    assert set(found) == {"_screen_pairs"}
 
 
 def test_only_the_builders_construct_shell_graphs():
