@@ -872,7 +872,9 @@ def _meeting(tables: _Tables, boxes: np.ndarray, tol: np.ndarray) -> np.ndarray:
     return meet
 
 
-# The (pair, net) cells of one run of `_meeting`.
+# The (pair, net) cells of one run of `_meeting`.  The whole box test of a
+# block of 32 rhombicuboctahedron nets in one run (two (4, 325, 32) float
+# gathers) lifts `rank`'s peak RSS by about 0.6 MiB.
 _BOX_CELLS = 1 << 11
 
 
@@ -925,26 +927,17 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     (`_Paths.cols`, `boxes`), and each pair's verdict is kept under the
     tolerance and the two paths (`_Paths.verdicts`).  Within `rank_nets`
     the net's block was screened before this call, which takes the net's
-    kept answer.  Any other such layout looks up the verdicts of its pairs
-    whose boxes meet, and is screened as a block of one net when one of
-    them is not kept.
+    kept answer.  Any other such layout is screened as a block of one net,
+    which screens only its pairs whose verdicts are not kept yet.
     """
     tables = layout.tables
-    paths, rows = _kept(layout)
+    paths, _ = _kept(layout)
     if paths is not None:
         answer = paths.answers.pop(layout, None)
-        if answer is not None:
-            return answer
-        boxes = paths.boxes.take(layout.path_ids, axis=1)
-        tol = _tolerances(paths.cols[6].take(rows)[None])
-        meet = np.flatnonzero(_meeting(tables, boxes.reshape(-1, 1), tol))
-        ids = layout.path_ids.astype(np.int64)
-        keys = (ids.take(tables.pair_i.take(meet)) << 32 | ids.take(tables.pair_j.take(meet))).tolist()
-        known = list(map(paths.verdicts.setdefault(float(tol[0]), {}).get, keys))
-        if None in known:
+        if answer is None:
             _screen_block(paths, _frames(layout.spec), [layout])
-            return paths.answers.pop(layout)
-        return (True, tables.pair_faces[meet[known.index(True)]]) if True in known else (False, None)
+            answer = paths.answers.pop(layout)
+        return answer
     points = layout.points
     cols = _edge_columns(points, tables.successor)
     boxes = _face_boxes(points, tables.starts, tables.counts)
