@@ -25,7 +25,7 @@ distinct path: 196 placements for the 5,187 placed faces of truncated_cube's
 A path id fixes a face, its points and the hinge to its parent, so each path
 also keeps whether its face passed the isometry check, its face moments, its
 edge columns and its box and centroid, and each pair of paths the overlap
-verdict of the two faces under each net tolerance met.  `unfold` records
+verdict of the two faces under the shell's one tolerance.  `unfold` records
 each face's path id in its layout (`NetLayout.path_ids`), and
 `centroid_and_rg` and `check_overlap` read the kept state only while the
 layout's points are still the kept placements bit for bit; any other layout
@@ -462,9 +462,10 @@ class _Paths:
     - `moments[:, p]` holds the face's area, first moments and polar moment
       (`_face_moments`) if it has passed the orientation check, and a zero
       area if it has failed it or is not worked out yet.
-    - `verdicts[tol][pi << 32 | pj]` tells whether the faces on paths pi and
-      pj (pi's face the lower) overlap in a net of tolerance tol, for each
-      pair that was screened: one whose boxes meet.
+    - `verdicts[pi << 32 | pj]` tells whether the faces on paths pi and pj
+      (pi's face the lower) overlap under the shell's tolerance
+      (`check_overlap`), for each pair that was screened: one whose boxes
+      meet.
     - `answers[layout]` is the `check_overlap` answer of a layout of a
       block screened together (`_screen_block`), until that call takes it.
     A path's columns, box and moments are the same elementwise operations
@@ -491,7 +492,7 @@ class _Paths:
         self.boxes = np.zeros((6, 2 * n_faces))
         self.unchecked: set[int] = set()
         self.moments = np.zeros((4, 2 * n_faces))
-        self.verdicts: dict[float, dict[int, bool]] = {}
+        self.verdicts: dict[int, bool] = {}
         self.answers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._new: list[tuple[int, int]] = []  # (path, size) added since the last settle
         # stacked point k of a net is point k - starts[f] of its face f's path
@@ -848,17 +849,10 @@ def _spans(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return k, np.arange(len(k)) + np.repeat(first - _runs(count), count)
 
 
-def _tolerances(lengths: np.ndarray) -> np.ndarray:
-    """The overlap tolerance of each net whose placed edge lengths are the
-    rows of `lengths`: RELATIVE_TOL times its mean_edge_length(), as the sum
-    and division ndarray.mean() makes."""
-    return RELATIVE_TOL * (np.add.reduce(lengths, axis=1) / lengths.shape[1])
-
-
-def _meeting(tables: _Tables, boxes: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """Which face pairs have meeting boxes, for nets whose face boxes
-    (`_face_boxes`) are the columns of `boxes`, a flattened (6, faces, nets)
-    array, and whose tolerances are `tol`: a (pairs, nets) array."""
+def _meeting(tables: _Tables, boxes: np.ndarray, tol: float) -> np.ndarray:
+    """Which face pairs have meeting boxes, within the tolerance, for nets
+    whose face boxes (`_face_boxes`) are the columns of `boxes`, a flattened
+    (6, faces, nets) array: a (pairs, nets) array."""
     n_pairs, n_nets = tables.box_near.shape[1], boxes.shape[1]
     meet = np.empty((n_pairs, n_nets), dtype=bool)
     # in runs of pairs, so that the temporaries of a block of nets stay small
@@ -879,26 +873,25 @@ _BOX_CELLS = 1 << 11
 
 
 def _separated_hinges(frames: _Frames, cols: np.ndarray, rowmap: np.ndarray, net: np.ndarray,
-                      hinge: np.ndarray, tol: np.ndarray) -> np.ndarray:
+                      hinge: np.ndarray, tol: float) -> np.ndarray:
     """Whether the line of hinge `hinge[k]` (`_Frames.hinges`) of net
     `net[k]` separates its parent and child, for each k.
 
     Row k of net n's stack is row `rowmap[n, k]` of the edge columns `cols`
-    (`_edge_columns`), and `tol[n]` is net n's tolerance.  The parent runs
-    its hinge edge counter-clockwise, so its own region lies left of that
-    directed line.  When every vertex of the parent lies on or left of it
-    and every vertex of the child on or right of it, both within the
-    tolerance, the line separates the two regions (each lies in the hull of
-    its vertices), so they share no area.  That holds for a convex parent and
-    a convex child folded out across their hinge, and fails for a child
-    folded back over its parent or a parent that reaches across its hinge
-    line.
+    (`_edge_columns`).  The parent runs its hinge edge counter-clockwise, so
+    its own region lies left of that directed line.  When every vertex of
+    the parent lies on or left of it and every vertex of the child on or
+    right of it, both within the tolerance, the line separates the two
+    regions (each lies in the hull of its vertices), so they share no area.
+    That holds for a convex parent and a convex child folded out across
+    their hinge, and fails for a child folded back over its parent or a
+    parent that reaches across its hinge line.
     """
     ax, ay, dx, dy, length = cols[2:7].take(rowmap[net, frames.hinge_edges.take(hinge)][:, None], axis=1)
     x, y = cols[2:4].take(rowmap[net[:, None], frames.hinge_sides.take(hinge, axis=0)], axis=1)
     left = dx * (y - ay) - dy * (x - ax)
     width = left.shape[1] // 2
-    margin = tol.take(net)[:, None] * length
+    margin = tol * length
     parent_left = (left[:, :width] >= -margin).all(axis=1)
     child_right = (left[:, width:] <= margin).all(axis=1)
     return parent_left & child_right
@@ -919,16 +912,18 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     witness is the first overlapping pair in row-major order: the lowest
     pair id either test hits.
 
-    A pair's verdict reads only the net's tolerance, the two faces' points
-    and whether one is the other's parent, across which hinge; the faces'
-    paths fix all but the tolerance.  So a layout made by `unfold` that
-    still holds its paths' kept placements is screened as one of a block
-    of nets (`_screen_block`), from its paths' edge columns and boxes
-    (`_Paths.cols`, `boxes`), and each pair's verdict is kept under the
-    tolerance and the two paths (`_Paths.verdicts`).  Within `rank_nets`
-    the net's block was screened before this call, which takes the net's
-    kept answer.  Any other such layout is screened as a block of one net,
-    which screens only its pairs whose verdicts are not kept yet.
+    A pair's verdict reads only the tolerance, the two faces' points and
+    whether one is the other's parent, across which hinge; the faces' paths
+    fix all but the tolerance.  A net made by `unfold` has every edge at its
+    shell length (`_check_isometric`), so every such net of a shell is
+    screened with one tolerance, 1e-9 times the mean length of the shell's
+    face edges, and a layout that still holds its paths' kept placements is
+    screened as one of a block of nets (`_screen_block`), from its paths'
+    edge columns and boxes (`_Paths.cols`, `boxes`), each pair's verdict
+    kept under the two paths (`_Paths.verdicts`).  Within `rank_nets` the
+    net's block was screened before this call, which takes the net's kept
+    answer.  Any other such layout is screened as a block of one net, which
+    screens only its pairs whose verdicts are not kept yet.
     """
     tables = layout.tables
     paths, _ = _kept(layout)
@@ -941,7 +936,7 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     points = layout.points
     cols = _edge_columns(points, tables.successor)
     boxes = _face_boxes(points, tables.starts, tables.counts)
-    tol = _tolerances(cols[6][None])
+    tol = RELATIVE_TOL * layout.mean_edge_length()
     screen = _meeting(tables, boxes.reshape(-1, 1), tol)[:, 0]
     rowmap = np.arange(len(points))[None]
     hinges = layout.hinge_ids
@@ -959,21 +954,19 @@ def _screen_block(paths: _Paths, frames: _Frames, layouts: Sequence[NetLayout]) 
     """Screen a block of layouts made by `unfold` from settled paths, and
     keep each layout's answer for its `check_overlap` (`_Paths.answers`).
 
-    The face pairs of each net whose boxes meet are keyed by the net's
-    tolerance and the pair's two paths.  A key's verdict is fixed by the
-    key (`check_overlap`), so each key not kept yet (`_Paths.verdicts`) is
-    screened once, in the first net of the block that has it
-    (`_screen_keys`), and kept.  A net's answer is then its lowest meeting
-    pair whose verdict is an overlap.
+    Every net is screened with the shell's tolerance (`check_overlap`).
+    The face pairs of each net whose boxes meet are keyed by the pair's two
+    paths.  A key's verdict is fixed by the key, so each key not kept yet
+    (`_Paths.verdicts`) is screened once, in the first net of the block that
+    has it (`_screen_keys`), and kept.  A net's answer is then its lowest
+    meeting pair whose verdict is an overlap.
     """
     tables = frames.tables
     ids = np.stack([layout.path_ids for layout in layouts])
-    rows = paths.rows(ids)
-    tol = _tolerances(paths.cols[6].take(rows))
-    values = sorted(set(tol.tolist()))
-    kept = [paths.verdicts.setdefault(value, {}) for value in values]
-    pair, net, place, level, keys = _block_keys(paths, frames, ids, tol, values)
-    verdicts = [kept[lv].get(key) for lv, key in zip(level, keys)]
+    tol = RELATIVE_TOL * float(frames.lengths.mean())
+    kept = paths.verdicts
+    pair, net, place, keys = _block_keys(paths, frames, ids, tol)
+    verdicts = list(map(kept.get, keys))
     new = [k for k, verdict in enumerate(verdicts) if verdict is None]
     if new:
         # the first entry of each new key, in the order of the box test
@@ -983,9 +976,9 @@ def _screen_block(paths: _Paths, frames: _Frames, layouts: Sequence[NetLayout]) 
         hits = hits.take(np.argsort(place.take(hits), kind="stable"))
         first = hits[np.diff(place.take(hits), prepend=-1) != 0]
         hinges = np.stack([layout.hinge_ids for layout in layouts])
-        screened = _screen_keys(paths, frames, ids, hinges, rows, tol, net.take(first), pair.take(first))
+        screened = _screen_keys(paths, frames, ids, hinges, paths.rows(ids), tol, net.take(first), pair.take(first))
         for k, verdict in zip(new, screened.tolist()):
-            kept[level[k]][keys[k]] = verdicts[k] = verdict
+            kept[keys[k]] = verdicts[k] = verdict
     # each net's lowest overlapping pair: the entries run by ascending pair,
     # so the first an entry of a net sets stands
     hit = np.flatnonzero(np.array(verdicts, dtype=bool).take(place))
@@ -996,39 +989,30 @@ def _screen_block(paths: _Paths, frames: _Frames, layouts: Sequence[NetLayout]) 
         paths.answers[layout] = (False, None) if q is None else (True, pair_faces[q])
 
 
-def _block_keys(paths: _Paths, frames: _Frames, ids: np.ndarray, tol: np.ndarray,
-                values: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]]:
+def _block_keys(paths: _Paths, frames: _Frames, ids: np.ndarray,
+                tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """The entries of a block of nets (`_screen_block`), one per face pair
     whose boxes meet, in the order of the box test: their pairs and nets,
-    and each entry's place among the block's distinct keys, which come as
-    the place of their tolerance in `values` and their verdict key
-    (`_Paths.verdicts`)."""
+    and each entry's place among the block's distinct verdict keys
+    (`_Paths.verdicts`), which come sorted."""
     tables = frames.tables
     # entry q * nets + n of the pair-major box test is pair q of net n
     boxes = paths.boxes.take(ids.T, axis=1).reshape(-1, len(ids))
     pair, net = np.divmod(np.flatnonzero(_meeting(tables, boxes, tol)), len(ids))
-    # each entry's key as one int64: its tolerance's place, then the paths
-    # of faces i and j, each below the number of path ids (which fits while
-    # places * ids**2 < 2**63, as for 32 places and 2**28 ids)
-    n_ids = len(frames.coords) + len(paths.placed)
     at = net * ids.shape[1]
-    codes = np.searchsorted(values, tol).take(net) * n_ids + ids.take(at + tables.pair_i.take(pair))
-    codes = codes * n_ids + ids.take(at + tables.pair_j.take(pair))
-    met = np.sort(codes)
+    keys = ids.take(at + tables.pair_i.take(pair)).astype(np.int64) << 32 | ids.take(at + tables.pair_j.take(pair))
+    met = np.sort(keys)
     met = met[np.diff(met, prepend=-1) != 0]
-    level, path_i = np.divmod(met, n_ids * n_ids)
-    path_i, path_j = np.divmod(path_i, n_ids)
-    return pair, net, np.searchsorted(met, codes), level.tolist(), (path_i << 32 | path_j).tolist()
+    return pair, net, np.searchsorted(met, keys), met.tolist()
 
 
 def _screen_keys(paths: _Paths, frames: _Frames, ids: np.ndarray, hinges: np.ndarray, rows: np.ndarray,
-                 tol: np.ndarray, net: np.ndarray, pair: np.ndarray) -> np.ndarray:
+                 tol: float, net: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """Whether face pair `pair[k]` of net `net[k]` overlaps, for each k, in
     a block of nets whose faces are on paths `ids` and whose hinges are
-    `hinges` (one net to a row), with kept points on `rows` (`_Paths.rows`)
-    and tolerances `tol`.  A hinged pair its hinge line separates
-    (`_separated_hinges`) does not overlap, and the rest go through one
-    screen (`_screen_jobs`)."""
+    `hinges` (one net to a row), with kept points on `rows` (`_Paths.rows`).
+    A hinged pair its hinge line separates (`_separated_hinges`) does not
+    overlap, and the rest go through one screen (`_screen_jobs`)."""
     tables = frames.tables
     # the hinge, if any, across which the two faces of each pair meet
     n_pairs = len(tables.pair_i)
@@ -1052,7 +1036,7 @@ _SCREEN_ROWS = 1 << 10
 
 
 def _screen_jobs(tables: _Tables, cols: np.ndarray, centres: np.ndarray, rowmap: np.ndarray,
-                 facemap: np.ndarray, net: np.ndarray, pair: np.ndarray, tol: np.ndarray) -> np.ndarray:
+                 facemap: np.ndarray, net: np.ndarray, pair: np.ndarray, tol: float) -> np.ndarray:
     """`_screen_pairs` over the given jobs, in runs of about `_SCREEN_ROWS`
     rows (`_Tables.pair_rows`) so that its temporaries stay bounded: a run
     takes the jobs in order up to the first one that starts past its bound."""
@@ -1069,14 +1053,14 @@ def _screen_jobs(tables: _Tables, cols: np.ndarray, centres: np.ndarray, rowmap:
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _screen_pairs(tables: _Tables, cols: np.ndarray, centres: np.ndarray, rowmap: np.ndarray,
-                  facemap: np.ndarray, net: np.ndarray, pair: np.ndarray, tol: np.ndarray) -> np.ndarray:
+                  facemap: np.ndarray, net: np.ndarray, pair: np.ndarray, tol: float) -> np.ndarray:
     """Whether face pair `pair[k]` of net `net[k]` overlaps, for each k: the
     proper-crossing and strictly-inside tests of `check_overlap`, for every
     row of those pairs.
 
     Row k of net n's stack is row `rowmap[n, k]` of the edge columns `cols`
     (`_edge_columns`), the centroid of its face f is column `facemap[n, f]`
-    of `centres`, a (2, ...) array, and `tol[n]` is its tolerance.
+    of `centres`, a (2, ...) array.
     """
     hits = np.zeros(len(pair), dtype=bool)
     # every edge of face i against every edge of face j
@@ -1088,7 +1072,7 @@ def _screen_pairs(tables: _Tables, cols: np.ndarray, centres: np.ndarray, rowmap
     denom = d1x * d2y - d1y * d2x
     t = (rx * d2y - ry * d2x) / denom
     s = (rx * d1y - ry * d1x) / denom
-    eps = tol.take(at) / np.maximum(l1, l2)
+    eps = tol / np.maximum(l1, l2)
     skew = np.abs(denom) > RELATIVE_TOL * l1 * l2
     crossed = np.flatnonzero(skew & (eps < t) & (t < 1.0 - eps) & (eps < s) & (s < 1.0 - eps))
     hits[job.take(crossed)] = True
@@ -1113,8 +1097,7 @@ def _screen_pairs(tables: _Tables, cols: np.ndarray, centres: np.ndarray, rowmap
             ll = dx * dx + dy * dy
             along = np.where(ll != 0.0, ((x - ax) * dx + (y - ay) * dy) / ll, 0.0)
             along = np.minimum(np.maximum(along, 0.0), 1.0)
-            reach = tol.take(at.take(odd))
-            near = (x - (ax + along * dx)) ** 2 + (y - (ay + along * dy)) ** 2 <= reach * reach
+            near = (x - (ax + along * dx)) ** 2 + (y - (ay + along * dy)) ** 2 <= tol * tol
             inside = np.flatnonzero(~np.logical_or.reduce(near))
             hits[job.take(odd.take(inside))] = True
     return hits

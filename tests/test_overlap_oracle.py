@@ -382,13 +382,11 @@ def test_kept_moments_and_verdicts_give_the_first_answers(name, hole, stride):
     shell = builtin(name) if hole is None else remove_faces(builtin(name), [hole])
     spec = copy_of(shell)
     cuts = class_cuts(spec)[::stride]
-    tolerances = set()
     for root in (0, spec.n_faces // 2):
         first = []
         for cut in cuts:
             layout = unfold(spec, cut, root_face=root)
             first.append(answers(layout))
-            tolerances.add(geometry.RELATIVE_TOL * layout.mean_edge_length())
         for cut, expected in zip(cuts, first):
             layout = unfold(spec, cut, root_face=root)
             assert answers(layout) == answers(layout) == expected, (name, cut, root)
@@ -397,14 +395,17 @@ def test_kept_moments_and_verdicts_give_the_first_answers(name, hole, stride):
             assert rebuilt.path_ids.size == 0 and answers(rebuilt) == expected, (name, cut, root)
             reference = repr((reference_centroid_and_rg(layout), reference_check_overlap(layout)))
             assert reference == expected, (name, cut, root)
-    # each net's verdicts are kept under its own tolerance
-    assert set(geometry._PATHS[spec].verdicts) == tolerances
+    # the verdicts are kept in one dict, under the two path ids of each pair
+    paths = geometry._PATHS[spec]
+    n_ids = spec.n_faces + len(paths.placed)
+    assert paths.verdicts and all(type(key) is int and 0 <= key >> 32 < n_ids and (key & 0xFFFFFFFF) < n_ids
+                                  and type(verdict) is bool for key, verdict in paths.verdicts.items())
 
 
 def kept_state(paths):
     """Everything a shell's path state holds, as plain values."""
     rows = paths.n_rows
-    return (dict(paths.placed), dict(paths.markers), rows, {tol: dict(v) for tol, v in paths.verdicts.items()},
+    return (dict(paths.placed), dict(paths.markers), rows, dict(paths.verdicts),
             paths.points[:rows].tobytes(), paths.cols[:, :rows].tobytes(), paths.first.tobytes(),
             paths.boxes.tobytes(), paths.moments.tobytes(), set(paths.unchecked))
 
@@ -538,6 +539,26 @@ def ranked_cuts(shell):
     graph = build_shell_graph(shell)
     classes = dedupe_cuts(graph, enumerate_mlsts(graph).cuts, cut_group(graph))
     return graph, list(zip(classes.cuts.tolist(), classes.orbit_sizes.tolist()))
+
+
+@pytest.mark.parametrize("name", ["truncated_cube", "snub_cube"])
+def test_a_first_pass_screens_each_path_pair_once(monkeypatch, name):
+    # a pair's verdict is fixed by its two paths, as every net of a shell is
+    # screened with one tolerance, so no path pair goes to the screen twice
+    graph, cuts = ranked_cuts(builtin(name))
+    spec = copy_of(builtin(name))
+    tables = geometry._frames(spec).tables
+    screened = []
+    screen_pairs = geometry._screen_pairs
+
+    def spy(tables_, cols, centres, rowmap, facemap, net, pair, tol):
+        screened.extend(zip(facemap[net, tables.pair_i.take(pair)].tolist(),
+                            facemap[net, tables.pair_j.take(pair)].tolist()))
+        return screen_pairs(tables_, cols, centres, rowmap, facemap, net, pair, tol)
+
+    monkeypatch.setattr(geometry, "_screen_pairs", spy)
+    rank_nets(spec, cuts, graph=graph)
+    assert screened and len(set(screened)) == len(screened)
 
 
 # every class of each shell, or of snub_cube minus a face every 100th

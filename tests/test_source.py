@@ -112,6 +112,25 @@ def test_geometry_holds_one_pair_screen():
     assert set(found) == {"_screen_pairs"}
 
 
+def test_geometry_screens_with_one_tolerance():
+    # every net of a shell is screened with one tolerance, so each function
+    # of geometry.py takes `tol` as a float, never as an array of per-net
+    # tolerances, and there is no helper that makes such an array
+    (tree,) = [tree for path, tree in zip(SOURCES, _trees()) if path.name == "geometry.py"]
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    annotations = [
+        (f.name, arg.annotation and ast.unparse(arg.annotation))
+        for f in functions
+        for arg in f.args.posonlyargs + f.args.args + f.args.kwonlyargs
+        if arg.arg == "tol"
+    ]
+    assert len(annotations) >= 5  # the screen's helpers were read
+    assert [name for name, annotation in annotations if annotation != "float"] == []
+    named = [node.lineno for node in ast.walk(tree)
+             if "_tolerances" in (getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None))]
+    assert named == []
+
+
 def test_only_the_builders_construct_shell_graphs():
     # a graph made from a shell must pass every shell check, so only
     # build_shell_graph, which runs them, and from_edges, which makes a bare
