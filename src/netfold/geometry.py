@@ -25,7 +25,10 @@ distinct path: 196 placements for the 5,187 placed faces of truncated_cube's
 A path id fixes a face, its points and the hinge to its parent, so each path
 also keeps whether its face passed the isometry check, its face moments, its
 edge columns and its box and centroid, and each pair of paths the overlap
-verdict of the two faces under the shell's one tolerance.  `unfold` records
+verdict of the two faces under the shell's one tolerance.  Two faces of a net
+are hinged exactly when one's path is the other's child path, so the hinge
+rule (`_separated_hinges`) is such a verdict too, kept for each new path and
+its parent when the path is settled.  `unfold` records
 each face's path id in its layout (`NetLayout.path_ids`), and
 `centroid_and_rg` and `check_overlap` read the kept state only while the
 layout's points are still the kept placements bit for bit; any other layout
@@ -99,11 +102,9 @@ class NetLayout:
     stack it filled instead, through `_stacked`); the views are cut when
     `polygons` is first read (`_FaceViews`).  `tables` index that stack
     (`_Tables`): the shell's own when the faces have the shell's sizes, made
-    for this layout otherwise.  `hinge_ids` holds the shell's id of each
-    hinge (`_Frames.hinge_ids`) that is one of the shell's, and is left
-    empty unless the faces have the shell's sizes.  `path_ids` holds the
-    hinge path id of each face (`_Paths`) for a layout made by `unfold`, and
-    is empty for any other, a `dataclasses.replace` copy included.
+    for this layout otherwise.  `path_ids` holds the hinge path id of each
+    face (`_Paths`) for a layout made by `unfold`, and is empty for any
+    other, a `dataclasses.replace` copy included.
     """
 
     spec: PolyhedronSpec
@@ -114,32 +115,25 @@ class NetLayout:
     markers: tuple[Marker, ...]
     points: np.ndarray = field(init=False, repr=False)
     tables: _Tables = field(init=False, repr=False)
-    hinge_ids: np.ndarray = field(init=False, repr=False)
     path_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sizes = [len(p) for p in self.polygons]
         points = np.concatenate(self.polygons) if self.polygons else np.empty((0, 2))
-        frames = _frames(self.spec) if self.spec.has_geometry else None
-        if frames is not None and sizes == frames.tables.counts.tolist():
-            tables = frames.tables
-            ids = [frames.hinge_ids.get(hinge) for hinge in self.hinges]
-            ids = np.array([h for h in ids if h is not None], dtype=np.intp)
-        else:
-            # the hinge tables index the points of the shell's own faces
-            tables, ids = _tables(np.array(sizes, dtype=np.intp)), np.empty(0, dtype=np.intp)
+        tables = _frames(self.spec).tables if self.spec.has_geometry else None
+        if tables is None or sizes != tables.counts.tolist():
+            tables = _tables(np.array(sizes, dtype=np.intp))
         object.__setattr__(self, "polygons", None)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "tables", tables)
-        object.__setattr__(self, "hinge_ids", ids)
         object.__setattr__(self, "path_ids", _NO_PATHS)
 
     @classmethod
     def _stacked(cls, **values) -> NetLayout:
         """The layout on a stack already in the shell's face sizes, taken as
         given: `values` holds every field but `polygons`, `points` being the
-        stack, `tables` the shell's, `hinge_ids` the ids of `hinges` and
-        `path_ids` the faces' paths, whose kept placements `points` holds.
+        stack, `tables` the shell's and `path_ids` the faces' paths, whose
+        kept placements `points` holds.
         Nothing is stacked again, and the polygons are cut when read."""
         values["polygons"] = None
         layout = object.__new__(cls)
@@ -333,7 +327,7 @@ class _Frames(NamedTuple):
     `links[f]` lists face f's neighbours across shared edges, ascending by
     neighbour (ties in edge-table order), as (child, e, h): the child, the
     shared edge's id and the hinge's id.  Hinge h is `hinges[h]`, the tuple
-    (parent, child, edge), and `hinge_ids` maps that tuple back to h.
+    (parent, child, edge).
     `moves[h]` holds what placing the child takes, as (iu, iv, rel, d, dx,
     dy, length): iu and iv are the places in the parent of the edge's ends
     u < v, rel is the child's 2D coordinates less those of u, d = (dx, dy)
@@ -341,15 +335,17 @@ class _Frames(NamedTuple):
 
     The points of a placed net are stacked face by face in face order, as
     `tables` index them, and `lengths` holds the 3D length of each face edge.
+    `tol`, 1e-9 times their mean, is the shell's one tolerance: for
+    `unfold`'s checks and for the overlap screen of its nets.
     `marker_at[e, o]` holds the stacked indices of end o of edge e in the
     edge's lower and higher face, then of its other end in the same two
     faces.
 
-    For hinge h, `hinge_pairs[h]` is the row-major id of its two faces
-    (`_Tables`), `hinge_edges[h]` the stacked index of the edge in the
-    parent (which runs it counter-clockwise) and `hinge_sides[h]` the
-    stacked indices of every vertex of the parent and then of the child,
-    each face padded to the largest face size by repeating its first vertex.
+    For hinge h, `hinge_edges[h]` is the place of the edge in the parent
+    (which runs it counter-clockwise) and `hinge_sides[h]` the places of
+    every vertex of the parent and then of the child, each face padded to
+    the largest face size by repeating its first vertex: rows within each
+    face, not rows of a net's stack.
     """
 
     coords: tuple[np.ndarray, ...]
@@ -365,9 +361,7 @@ class _Frames(NamedTuple):
     lengths: np.ndarray
     marker_at: np.ndarray
     hinges: tuple[tuple[int, int, Edge], ...]
-    hinge_ids: dict[tuple[int, int, Edge], int]
     moves: tuple[tuple, ...]
-    hinge_pairs: np.ndarray
     hinge_edges: np.ndarray
     hinge_sides: np.ndarray
 
@@ -379,25 +373,21 @@ def _frames(spec: PolyhedronSpec) -> _Frames:
         table = edge_face_table(spec)
         edges = tuple(sorted(table))
         edge_ids = {edge: e for e, edge in enumerate(edges)}
-        vertices = spec.vertices
-        scale = float(np.mean([np.linalg.norm(vertices[u] - vertices[v]) for u, v in table]))
         counts = np.array([len(f) for f in spec.faces])
         tables = _tables(counts)
-        points = vertices[[v for f in spec.faces for v in f]]
+        points = spec.vertices[[v for f in spec.faces for v in f]]
+        lengths = np.linalg.norm(points[tables.successor] - points, axis=1)
         coords = tuple(_local_coords(spec, f) for f in range(spec.n_faces))
         starts = tables.starts
-        pair_ids = np.full((spec.n_faces, spec.n_faces), -1, dtype=np.intp)
-        pair_ids[tables.pair_i, tables.pair_j] = np.arange(len(tables.pair_i))
         slots = np.full((spec.n_faces, spec.n_vertices), -1, dtype=np.intp)
         for f, face in enumerate(spec.faces):
             slots[f, list(face)] = np.arange(len(face))
         width = int(counts.max())
-        vertex_rows = [[int(starts[f]) + (i if i < len(face) else 0) for i in range(width)]
-                       for f, face in enumerate(spec.faces)]
+        vertex_rows = [[i if i < len(face) else 0 for i in range(width)] for face in spec.faces]
         links: list[list[tuple]] = [[] for _ in spec.faces]
         marker_at = np.full((len(edges), 2, 4), -1, dtype=np.intp)
         edge_faces = [(-1, -1)] * len(edges)
-        hinges, moves, hinge_pairs, hinge_edges, hinge_sides = [], [], [], [], []
+        hinges, moves, hinge_edges, hinge_sides = [], [], [], []
         for edge, faces in table.items():
             if len(faces) != 2:
                 continue
@@ -415,8 +405,7 @@ def _frames(spec: PolyhedronSpec) -> _Frames:
                 links[parent].append((child, e, len(hinges)))
                 hinges.append((parent, child, edge))
                 moves.append((iu, iv, local - lu, d, *d.tolist(), float(np.linalg.norm(d))))
-                hinge_pairs.append(pair_ids[a, b])
-                hinge_edges.append(int(starts[parent]) + (iu if iv == (iu + 1) % counts[parent] else iv))
+                hinge_edges.append(iu if iv == (iu + 1) % counts[parent] else iv)
                 hinge_sides.append(vertex_rows[parent] + vertex_rows[child])
         frames = _FRAMES[spec] = _Frames(
             coords=coords,
@@ -426,15 +415,13 @@ def _frames(spec: PolyhedronSpec) -> _Frames:
             boundary=frozenset(e for e, edge in enumerate(edges) if len(table[edge]) != 2),
             n_edge_faces=[len(table[edge]) for edge in edges],
             edge_faces=edge_faces,
-            tol=RELATIVE_TOL * scale,
+            tol=RELATIVE_TOL * float(lengths.mean()),
             links=tuple(tuple(sorted(link, key=lambda it: it[0])) for link in links),
             tables=tables,
-            lengths=np.linalg.norm(points[tables.successor] - points, axis=1),
+            lengths=lengths,
             marker_at=marker_at,
             hinges=tuple(hinges),
-            hinge_ids={hinge: h for h, hinge in enumerate(hinges)},
             moves=tuple(moves),
-            hinge_pairs=np.array(hinge_pairs, dtype=np.intp),
             hinge_edges=np.array(hinge_edges, dtype=np.intp),
             hinge_sides=np.array(hinge_sides, dtype=np.intp).reshape(-1, 2 * width),
         )
@@ -464,26 +451,30 @@ class _Paths:
       area if it has failed it or is not worked out yet.
     - `verdicts[pi << 32 | pj]` tells whether the faces on paths pi and pj
       (pi's face the lower) overlap under the shell's tolerance
-      (`check_overlap`), for each pair that was screened: one whose boxes
-      meet.
+      (`check_overlap`), for each pair that was screened, one whose boxes
+      meet, and for each path and its parent whose hinge line separates
+      them (`_separated_hinges`), which do not.
     - `answers[layout]` is the `check_overlap` answer of a layout of a
       block screened together (`_screen_block`), until that call takes it.
     A path's columns, box and moments are the same elementwise operations
     and face reductions a net's stack gets, so a net's gather of them has
     the bits the net's own would have.  They are worked out for the paths
-    added since the last `settle`, all in one go, before the state is read
-    (`_kept`).  Ids are handed out as entries are added, so one spec's nets
-    are unfolded one at a time.  `rank_nets` unfolds a block of nets, then
-    settles the paths the block added and screens the block (`_screen_block`),
-    keeping the verdicts of the pairs it meets and has not kept and each
-    net's answer, and then measures and screens each net, which finds all
-    it reads kept.
+    added since the last `settle`, all in one go, with the hinge verdict of
+    each new path and its parent, before the state is read (`_kept`).  Ids
+    are handed out as entries are added, so one spec's nets are unfolded
+    one at a time.  `rank_nets` unfolds a block of nets, then settles the
+    paths the block added and screens the block (`_screen_block`), keeping
+    the verdicts of the pairs it meets and has not kept and each net's
+    answer, and then measures and screens each net, which finds all it
+    reads kept.
     """
 
-    def __init__(self, tables: _Tables, stride: int) -> None:
+    def __init__(self, frames: _Frames) -> None:
+        tables = frames.tables
         n_faces, n_points = len(tables.counts), len(tables.successor)
+        self.frames = frames
         self.placed: dict[int, int] = {}
-        self.stride = stride
+        self.stride = len(frames.hinges)
         self.markers: dict[tuple[int, int, int, int], Marker] = {}
         self.points = np.empty((2 * n_points, 2))
         self.cols = np.empty((9, 2 * n_points))
@@ -494,13 +485,16 @@ class _Paths:
         self.moments = np.zeros((4, 2 * n_faces))
         self.verdicts: dict[int, bool] = {}
         self.answers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        self._new: list[tuple[int, int]] = []  # (path, size) added since the last settle
+        # (path, size, parent path, hinge) added since the last settle; -1 for a root
+        self._new: list[tuple[int, int, int, int]] = []
         # stacked point k of a net is point k - starts[f] of its face f's path
         owner = np.repeat(np.arange(n_faces), tables.counts)
         self._owner, self._offset = owner, np.arange(n_points) - tables.starts[owner]
 
-    def add(self, path: int, placed: np.ndarray) -> None:
-        """Keep the placed points of a path met for the first time."""
+    def add(self, path: int, placed: np.ndarray, on: int = -1, h: int = -1) -> None:
+        """Keep the placed points of a path met for the first time, reached
+        from its parent on path `on` across hinge h (`_Frames.hinges`), or a
+        root's."""
         start, end = self.n_rows, self.n_rows + len(placed)
         if end > len(self.points):
             points = np.empty((2 * end, 2))
@@ -516,14 +510,16 @@ class _Paths:
         self.first[path] = start
         self.n_rows = end
         self.unchecked.add(path)
-        self._new.append((path, len(placed)))
+        self._new.append((path, len(placed), on, h))
 
     def settle(self) -> None:
         """Work out the edge columns, boxes and moments of the paths added
-        since the last call, which sit in the last rows; a path whose face
-        fails the orientation check keeps a zero area."""
+        since the last call, which sit in the last rows, and keep a `False`
+        verdict for each of them whose hinge line separates it from its
+        parent; a path whose face fails the orientation check keeps a zero
+        area."""
         if self._new:
-            ids, sizes = map(np.array, zip(*self._new))
+            ids, sizes, parents, hinges = map(np.array, zip(*self._new))
             self._new.clear()
             start = self.n_rows - int(sizes.sum())
             block, firsts, successor = self.points[start:self.n_rows], _runs(sizes), _successor(sizes)
@@ -531,6 +527,14 @@ class _Paths:
             self.boxes[:, ids] = _face_boxes(block, firsts, sizes)
             moments, ccw = _face_moments(block, successor, _size_groups(sizes, firsts))
             self.moments[:, ids[ccw]] = moments[:, ccw]
+            child = parents >= 0
+            on, path, hinge = parents[child], ids[child], hinges[child]
+            frames = self.frames
+            apart = _separated_hinges(frames, self.cols, self.first.take(on), self.first.take(path), hinge, frames.tol)
+            faces = frames.hinges
+            for p, c, h in zip(on[apart].tolist(), path[apart].tolist(), hinge[apart].tolist()):
+                # the lower face's path first
+                self.verdicts[(p << 32 | c) if faces[h][0] < faces[h][1] else (c << 32 | p)] = False
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """The rows of the kept points of a net whose faces are on paths
@@ -629,7 +633,7 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
 
     paths = _PATHS.get(spec)
     if paths is None:
-        paths = _PATHS[spec] = _Paths(frames.tables, len(frames.hinges))
+        paths = _PATHS[spec] = _Paths(frames)
     if paths.first[root] < 0:
         paths.add(root, frames.coords[root])
     placements, stride, links = paths.placed, paths.stride, frames.links
@@ -684,13 +688,11 @@ def unfold(spec: PolyhedronSpec, cut: Sequence[Edge], root_face: Optional[int] =
         if None in markers:
             _keep_markers(frames, kept, points, [key for key, marker in zip(keys, markers) if marker is None])
             markers = tuple(map(kept.__getitem__, keys))
-    # the kept verdicts stand for these hinges and paths, so neither may change
+    # the kept verdicts stand for these paths, so they may not change
+    path_ids.flags.writeable = False
     hinges = tuple([frames.hinges[h] for h in hinge_ids])
-    hinge_ids = np.array(hinge_ids, dtype=np.intp)
-    hinge_ids.flags.writeable = path_ids.flags.writeable = False
     return NetLayout._stacked(spec=spec, cut=cut, root_face=root, hinges=hinges,
-                              markers=markers, points=points, tables=frames.tables, hinge_ids=hinge_ids,
-                              path_ids=path_ids)
+                              markers=markers, points=points, tables=frames.tables, path_ids=path_ids)
 
 
 def _place(paths: _Paths, frames: _Frames, on: int, h: int) -> int:
@@ -707,7 +709,7 @@ def _place(paths: _Paths, frames: _Frames, on: int, h: int) -> int:
     sin_t = (dx * ty - dy * tx) / (length * length)
     rot = np.array([[cos_t, -sin_t], [sin_t, cos_t]])
     placed = len(frames.coords) + len(paths.placed)
-    paths.add(placed, rel @ rot.T + pu)
+    paths.add(placed, rel @ rot.T + pu, on, h)
     paths.placed[on * paths.stride + h] = placed
     return placed
 
@@ -872,25 +874,29 @@ def _meeting(tables: _Tables, boxes: np.ndarray, tol: float) -> np.ndarray:
 _BOX_CELLS = 1 << 11
 
 
-def _separated_hinges(frames: _Frames, cols: np.ndarray, rowmap: np.ndarray, net: np.ndarray,
+def _separated_hinges(frames: _Frames, cols: np.ndarray, parent: np.ndarray, child: np.ndarray,
                       hinge: np.ndarray, tol: float) -> np.ndarray:
-    """Whether the line of hinge `hinge[k]` (`_Frames.hinges`) of net
-    `net[k]` separates its parent and child, for each k.
+    """Whether the line of hinge `hinge[k]` (`_Frames.hinges`) separates its
+    parent and child, for each k, whose faces' points are in the edge
+    columns `cols` (`_edge_columns`) from columns `parent[k]` and
+    `child[k]`.
 
-    Row k of net n's stack is row `rowmap[n, k]` of the edge columns `cols`
-    (`_edge_columns`).  The parent runs its hinge edge counter-clockwise, so
-    its own region lies left of that directed line.  When every vertex of
-    the parent lies on or left of it and every vertex of the child on or
-    right of it, both within the tolerance, the line separates the two
-    regions (each lies in the hull of its vertices), so they share no area.
-    That holds for a convex parent and a convex child folded out across
-    their hinge, and fails for a child folded back over its parent or a
-    parent that reaches across its hinge line.
+    The parent runs its hinge edge counter-clockwise, so its own region
+    lies left of that directed line.  When every vertex of the parent lies
+    on or left of it and every vertex of the child on or right of it, both
+    within the tolerance, the line separates the two regions (each lies in
+    the hull of its vertices), so they share no area.  That holds for a
+    convex parent and a convex child folded out across their hinge, and
+    fails for a child folded back over its parent or a parent that reaches
+    across its hinge line.  Only `_Paths.settle` asks, once per new path.
     """
-    ax, ay, dx, dy, length = cols[2:7].take(rowmap[net, frames.hinge_edges.take(hinge)][:, None], axis=1)
-    x, y = cols[2:4].take(rowmap[net[:, None], frames.hinge_sides.take(hinge, axis=0)], axis=1)
+    sides = frames.hinge_sides.take(hinge, axis=0)
+    width = sides.shape[1] // 2
+    sides[:, :width] += parent[:, None]
+    sides[:, width:] += child[:, None]
+    ax, ay, dx, dy, length = cols[2:7].take((parent + frames.hinge_edges.take(hinge))[:, None], axis=1)
+    x, y = cols[2:4].take(sides, axis=1)
     left = dx * (y - ay) - dy * (x - ax)
-    width = left.shape[1] // 2
     margin = tol * length
     parent_left = (left[:, :width] >= -margin).all(axis=1)
     child_right = (left[:, width:] <= margin).all(axis=1)
@@ -907,65 +913,61 @@ def check_overlap(layout: NetLayout) -> tuple[bool, Optional[tuple[int, int]]]:
     tolerance of 1e-9 times the mean edge length, and two edges whose angle
     has a sine of at most 1e-9 are parallel and never cross.  Both tests run
     in one batch (`_screen_pairs`) over the rows of the layout's tables
-    (`_Tables`) whose face pairs have meeting bounding boxes, less the
-    hinged pairs their hinge line separates (`_separated_hinges`).  The
-    witness is the first overlapping pair in row-major order: the lowest
-    pair id either test hits.
+    (`_Tables`) whose face pairs have meeting bounding boxes.  The witness
+    is the first overlapping pair in row-major order: the lowest pair id
+    either test hits.
 
-    A pair's verdict reads only the tolerance, the two faces' points and
-    whether one is the other's parent, across which hinge; the faces' paths
-    fix all but the tolerance.  A net made by `unfold` has every edge at its
-    shell length (`_check_isometric`), so every such net of a shell is
-    screened with one tolerance, 1e-9 times the mean length of the shell's
-    face edges, and a layout that still holds its paths' kept placements is
-    screened as one of a block of nets (`_screen_block`), from its paths'
-    edge columns and boxes (`_Paths.cols`, `boxes`), each pair's verdict
-    kept under the two paths (`_Paths.verdicts`).  Within `rank_nets` the
-    net's block was screened before this call, which takes the net's kept
-    answer.  Any other such layout is screened as a block of one net, which
-    screens only its pairs whose verdicts are not kept yet.
+    A pair's verdict reads only the tolerance and the two faces' points,
+    which the faces' paths fix.  A net made by `unfold` has every edge at
+    its shell length (`_check_isometric`), so every such net of a shell is
+    screened with the shell's one tolerance (`_Frames.tol`), and a layout
+    that still holds its paths' kept placements is screened as one of a
+    block of nets (`_screen_block`), from its paths' edge columns and boxes
+    (`_Paths.cols`, `boxes`), each pair's verdict kept under the two paths
+    (`_Paths.verdicts`).  A parent and child whose hinge line separates
+    them (`_separated_hinges`) have their verdict kept when the child's
+    path is settled, and are never screened.  Within `rank_nets` the net's
+    block was screened before this call, which takes the net's kept answer.
+    Any other such layout is screened as a block of one net, which screens
+    only its pairs whose verdicts are not kept yet.  Any other layout is
+    screened on every meeting pair: the hinge rule spares the screen, and
+    never changes a verdict.
     """
     tables = layout.tables
     paths, _ = _kept(layout)
     if paths is not None:
         answer = paths.answers.pop(layout, None)
         if answer is None:
-            _screen_block(paths, _frames(layout.spec), [layout])
+            _screen_block(paths, [layout])
             answer = paths.answers.pop(layout)
         return answer
     points = layout.points
     cols = _edge_columns(points, tables.successor)
     boxes = _face_boxes(points, tables.starts, tables.counts)
     tol = RELATIVE_TOL * layout.mean_edge_length()
-    screen = _meeting(tables, boxes.reshape(-1, 1), tol)[:, 0]
-    rowmap = np.arange(len(points))[None]
-    hinges = layout.hinge_ids
-    if hinges.size:
-        frames = _frames(layout.spec)
-        separated = _separated_hinges(frames, cols, rowmap, np.zeros(len(hinges), dtype=np.intp), hinges, tol)
-        screen[frames.hinge_pairs.take(hinges[separated])] = False
-    pair = np.flatnonzero(screen)
-    hits = _screen_jobs(tables, cols, boxes[4:], rowmap, np.arange(len(tables.counts))[None],
+    pair = np.flatnonzero(_meeting(tables, boxes.reshape(-1, 1), tol)[:, 0])
+    hits = _screen_jobs(tables, cols, boxes[4:], np.arange(len(points))[None], np.arange(len(tables.counts))[None],
                         np.zeros(len(pair), dtype=np.intp), pair, tol)
     return (True, tables.pair_faces[int(pair[hits.argmax()])]) if hits.any() else (False, None)
 
 
-def _screen_block(paths: _Paths, frames: _Frames, layouts: Sequence[NetLayout]) -> None:
+def _screen_block(paths: _Paths, layouts: Sequence[NetLayout]) -> None:
     """Screen a block of layouts made by `unfold` from settled paths, and
     keep each layout's answer for its `check_overlap` (`_Paths.answers`).
 
-    Every net is screened with the shell's tolerance (`check_overlap`).
-    The face pairs of each net whose boxes meet are keyed by the pair's two
+    Every net is screened with the shell's tolerance (`_Frames.tol`).  The
+    face pairs of each net whose boxes meet are keyed by the pair's two
     paths.  A key's verdict is fixed by the key, so each key not kept yet
-    (`_Paths.verdicts`) is screened once, in the first net of the block that
-    has it (`_screen_keys`), and kept.  A net's answer is then its lowest
-    meeting pair whose verdict is an overlap.
+    (`_Paths.verdicts`; a parent and child that their hinge line separates
+    were kept when settled) is screened once (`_screen_jobs`), in the first
+    net of the block that has it, and kept.  A net's answer is then its
+    lowest meeting pair whose verdict is an overlap.
     """
-    tables = frames.tables
+    frames = paths.frames
+    tables, tol = frames.tables, frames.tol
     ids = np.stack([layout.path_ids for layout in layouts])
-    tol = RELATIVE_TOL * float(frames.lengths.mean())
     kept = paths.verdicts
-    pair, net, place, keys = _block_keys(paths, frames, ids, tol)
+    pair, net, place, keys = _block_keys(paths, ids, tol)
     verdicts = list(map(kept.get, keys))
     new = [k for k, verdict in enumerate(verdicts) if verdict is None]
     if new:
@@ -975,8 +977,8 @@ def _screen_block(paths: _Paths, frames: _Frames, layouts: Sequence[NetLayout]) 
         hits = np.flatnonzero(is_new.take(place))
         hits = hits.take(np.argsort(place.take(hits), kind="stable"))
         first = hits[np.diff(place.take(hits), prepend=-1) != 0]
-        hinges = np.stack([layout.hinge_ids for layout in layouts])
-        screened = _screen_keys(paths, frames, ids, hinges, paths.rows(ids), tol, net.take(first), pair.take(first))
+        screened = _screen_jobs(tables, paths.cols[:, :paths.n_rows], paths.boxes[4:], paths.rows(ids), ids,
+                                net.take(first), pair.take(first), tol)
         for k, verdict in zip(new, screened.tolist()):
             kept[keys[k]] = verdicts[k] = verdict
     # each net's lowest overlapping pair: the entries run by ascending pair,
@@ -989,13 +991,12 @@ def _screen_block(paths: _Paths, frames: _Frames, layouts: Sequence[NetLayout]) 
         paths.answers[layout] = (False, None) if q is None else (True, pair_faces[q])
 
 
-def _block_keys(paths: _Paths, frames: _Frames, ids: np.ndarray,
-                tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+def _block_keys(paths: _Paths, ids: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """The entries of a block of nets (`_screen_block`), one per face pair
     whose boxes meet, in the order of the box test: their pairs and nets,
     and each entry's place among the block's distinct verdict keys
     (`_Paths.verdicts`), which come sorted."""
-    tables = frames.tables
+    tables = paths.frames.tables
     # entry q * nets + n of the pair-major box test is pair q of net n
     boxes = paths.boxes.take(ids.T, axis=1).reshape(-1, len(ids))
     pair, net = np.divmod(np.flatnonzero(_meeting(tables, boxes, tol)), len(ids))
@@ -1004,31 +1005,6 @@ def _block_keys(paths: _Paths, frames: _Frames, ids: np.ndarray,
     met = np.sort(keys)
     met = met[np.diff(met, prepend=-1) != 0]
     return pair, net, np.searchsorted(met, keys), met.tolist()
-
-
-def _screen_keys(paths: _Paths, frames: _Frames, ids: np.ndarray, hinges: np.ndarray, rows: np.ndarray,
-                 tol: float, net: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """Whether face pair `pair[k]` of net `net[k]` overlaps, for each k, in
-    a block of nets whose faces are on paths `ids` and whose hinges are
-    `hinges` (one net to a row), with kept points on `rows` (`_Paths.rows`).
-    A hinged pair its hinge line separates (`_separated_hinges`) does not
-    overlap, and the rest go through one screen (`_screen_jobs`)."""
-    tables = frames.tables
-    # the hinge, if any, across which the two faces of each pair meet
-    n_pairs = len(tables.pair_i)
-    places = (np.arange(len(ids))[:, None] * n_pairs + frames.hinge_pairs.take(hinges)).ravel()
-    order = np.argsort(places)
-    places, at = places.take(order), net * n_pairs + pair
-    found = np.searchsorted(places, at).clip(max=len(places) - 1)
-    hinged = np.flatnonzero(places.take(found) == at)
-    cols = paths.cols[:, :paths.n_rows]
-    screen = np.ones(len(pair), dtype=bool)
-    if hinged.size:
-        hinge = hinges.take(order.take(found.take(hinged)))
-        screen[hinged] = ~_separated_hinges(frames, cols, rows, net.take(hinged), hinge, tol)
-    verdicts = np.zeros(len(pair), dtype=bool)
-    verdicts[screen] = _screen_jobs(tables, cols, paths.boxes[4:], rows, ids, net[screen], pair[screen], tol)
-    return verdicts
 
 
 # A screen's rows, past which `_screen_jobs` starts another call.
@@ -1146,7 +1122,7 @@ def rank_nets(
         if layouts:
             paths = _PATHS[spec]
             paths.settle()
-            _screen_block(paths, _frames(spec), layouts)
+            _screen_block(paths, layouts)
         for (edge_ids, orbit_size), layout in zip(block, layouts):
             _, rg = centroid_and_rg(layout)
             overlapping, witness = check_overlap(layout)

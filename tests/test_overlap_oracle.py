@@ -236,10 +236,9 @@ def test_pair_tables_are_built_once_per_shell_and_freed_with_it(monkeypatch):
     values = [centroid_and_rg(layout) for layout in layouts]
     copies = [moved(layout, 0.3, 2.0) for layout in layouts]
     assert [check_overlap(copy) for copy in copies] == verdicts
-    # a layout made by hand with the shell's face sizes shares its tables too,
-    # though without hinges the hinge rule has nothing to drop
+    # a layout made by hand with the shell's face sizes shares its tables
+    # too, and without the hinge rule gets the same verdicts
     unhinged = [replace(layout, hinges=()) for layout in layouts]
-    assert all(layout.hinge_ids.size == 0 for layout in unhinged)
     assert [check_overlap(layout) for layout in unhinged] == verdicts
     assert len(built) == 1
     tables = layouts[0].tables
@@ -285,8 +284,6 @@ def test_unfold_hands_its_stack_to_the_layout(monkeypatch):
         # the same attribute order, so that all layouts share one dict of keys
         assert list(vars(built)) == list(vars(layout)) == [f.name for f in fields(NetLayout)]
         assert built.tables is layout.tables
-        assert built.hinge_ids.dtype == layout.hinge_ids.dtype == np.intp
-        assert np.array_equal(built.hinge_ids, layout.hinge_ids)
         assert check_overlap(built) == check_overlap(layout) == reference_check_overlap(layout)
         assert centroid_and_rg(built) == centroid_and_rg(layout)
         reference = reference_unfold(spec, cut)
@@ -416,9 +413,7 @@ def test_a_second_pass_adds_no_kept_state(monkeypatch, name):
     # placements, markers, moments and verdicts: a key that changed between
     # passes would turn hits into misses and screen again
     spec = copy_of(builtin(name))
-    graph = build_shell_graph(spec)
-    classes = dedupe_cuts(graph, enumerate_mlsts(graph).cuts, cut_group(graph))
-    cuts = list(zip(classes.cuts.tolist(), classes.orbit_sizes.tolist()))
+    graph, cuts = ranked_cuts(spec)
     screened = []
     screen_pairs = geometry._screen_pairs
     monkeypatch.setattr(geometry, "_screen_pairs", lambda *args: screened.append(args) or screen_pairs(*args))
@@ -497,7 +492,7 @@ def test_a_layout_with_other_face_sizes_gets_the_reference_verdict(name):
         big = max(range(len(polygons)), key=lambda f: len(polygons[f]))
         polygons[big] = polygons[big][:3]
         for net in (replace(folded, polygons=folded.polygons[:-1]), replace(folded, polygons=tuple(polygons))):
-            assert net.tables is not shell_tables and net.hinge_ids.size == 0
+            assert net.tables is not shell_tables
             verdict = check_overlap(net)
             assert verdict == reference_check_overlap(net), (name, cut)
             flagged += verdict[0]
@@ -559,6 +554,57 @@ def test_a_first_pass_screens_each_path_pair_once(monkeypatch, name):
     monkeypatch.setattr(geometry, "_screen_pairs", spy)
     rank_nets(spec, cuts, graph=graph)
     assert screened and len(set(screened)) == len(screened)
+
+
+def hinged_keys(spec):
+    """The verdict key (`_Paths.verdicts`) of every kept path of the shell
+    and its parent's path, the lower face's path first."""
+    paths, hinges = geometry._PATHS[spec], geometry._frames(spec).hinges
+    keys = []
+    for at, child in paths.placed.items():
+        parent, h = divmod(at, paths.stride)
+        low, high = (parent, child) if hinges[h][0] < hinges[h][1] else (child, parent)
+        keys.append(low << 32 | high)
+    return keys
+
+
+# shells of convex faces, whose every hinge line separates parent and child:
+# every class, or of snub_cube minus a face every 50th
+CONVEX_SHELLS = [("truncated_cuboctahedron", None, 1, 1234), ("snub_cube", 0, 50, 2020)]
+
+
+@pytest.mark.parametrize("name, hole, stride, n_hinged", CONVEX_SHELLS)
+def test_settle_keeps_each_separated_hinge_and_the_screen_never_tests_it(monkeypatch, name, hole, stride, n_hinged):
+    # two faces are hinged in a net exactly when one's path is the other's
+    # child path, so settling a new path keeps the hinge rule's verdict for
+    # it and its parent: with no screen run, the kept verdicts are those
+    # pairs, each False under its lower face's path first
+    shell = builtin(name) if hole is None else remove_faces(builtin(name), [hole])
+    graph, cuts = ranked_cuts(shell)
+    cuts = cuts[::stride]
+    spec = copy_of(shell)
+    for cut, _ in cuts:
+        unfold(spec, [graph.edges[e] for e in cut])
+    paths = geometry._PATHS[spec]
+    paths.settle()
+    keys = hinged_keys(spec)
+    assert len(keys) == len(set(keys)) == n_hinged
+    assert paths.verdicts == dict.fromkeys(keys, False)
+    # and a first pass of rank_nets sends none of them to the screen
+    spec = copy_of(shell)
+    screened = []
+    screen_pairs = geometry._screen_pairs
+
+    def spy(tables, cols, centres, rowmap, facemap, net, pair, tol):
+        screened.extend(zip(facemap[net, tables.pair_i.take(pair)].tolist(),
+                            facemap[net, tables.pair_j.take(pair)].tolist()))
+        return screen_pairs(tables, cols, centres, rowmap, facemap, net, pair, tol)
+
+    monkeypatch.setattr(geometry, "_screen_pairs", spy)
+    rank_nets(spec, cuts, graph)
+    hinged = set(hinged_keys(spec))
+    assert screened and len(hinged) == n_hinged
+    assert [(i, j) for i, j in screened if i << 32 | j in hinged] == []
 
 
 # every class of each shell, or of snub_cube minus a face every 100th
@@ -623,6 +669,12 @@ def rank_nets_error(spec, cuts, graph):
     return type(caught.value), str(caught.value)
 
 
+def hinge_ids(shell, graph, cuts):
+    """For each cut, the ids of its net's hinges (`_Frames.hinges`)."""
+    ids = {hinge: h for h, hinge in enumerate(geometry._frames(shell).hinges)}
+    return [{ids[hinge] for hinge in unfold(shell, [graph.edges[e] for e in cut]).hinges} for cut, _ in cuts]
+
+
 def test_errors_in_a_block_come_in_the_per_net_order(monkeypatch):
     # net 1 has a face turned clockwise, which only its R_g notices, and
     # net `late` crosses a hinge that changes length, which its unfold
@@ -631,7 +683,7 @@ def test_errors_in_a_block_come_in_the_per_net_order(monkeypatch):
     # either order fails as the per-net loop does
     shell = builtin("truncated_cube")
     graph, cuts = ranked_cuts(shell)
-    hinges = [set(unfold(shell, [graph.edges[e] for e in cut]).hinge_ids.tolist()) for cut, _ in cuts]
+    hinges = hinge_ids(shell, graph, cuts)
     turned = next(h for h in sorted(hinges[1] - hinges[0])
                   if "counter-clockwise" in per_net_error(patched_copy(shell, {h: mirrored}), cuts[1:2], graph)[1])
     late, changed = next((k, h) for k in range(2, len(cuts)) for h in sorted(hinges[k] - hinges[0] - hinges[1]))
@@ -649,7 +701,7 @@ def test_a_hinge_that_changes_length_mid_block_fails_as_the_per_net_loop(monkeyp
     # the first nets of the block unfold and the fourth crosses the hinge
     shell = builtin("rhombicuboctahedron")
     graph, cuts = ranked_cuts(shell)
-    hinges = [set(unfold(shell, [graph.edges[e] for e in cut]).hinge_ids.tolist()) for cut, _ in cuts]
+    hinges = hinge_ids(shell, graph, cuts)
     changed = min(hinges[3] - hinges[0] - hinges[1] - hinges[2])
     expected = per_net_error(patched_copy(shell, {changed: longer}), cuts, graph)
     assert "changes length" in expected[1]

@@ -131,6 +131,22 @@ def test_geometry_screens_with_one_tolerance():
     assert named == []
 
 
+def test_geometry_keeps_the_hinge_rule_per_hinge_path():
+    # whether a hinge line separates a face from its parent is fixed by the
+    # child's hinge path, so `_Paths.settle` alone asks it, once per new
+    # path; no layout carries hinge ids and no screen looks hinges up
+    (tree,) = [tree for path, tree in zip(SOURCES, _trees()) if path.name == "geometry.py"]
+    assert _calls_by_scope(tree, "_separated_hinges") == ["_Paths.settle"]
+    named = [node.lineno for node in ast.walk(tree)
+             if "_screen_keys" in (getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None))]
+    assert named == []
+    layout = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "NetLayout"]
+    assert len(layout) == 1
+    fields = [node.target.id for node in layout[0].body if isinstance(node, ast.AnnAssign)]
+    assert "path_ids" in fields  # the fields were read
+    assert "hinge_ids" not in fields
+
+
 def test_only_the_builders_construct_shell_graphs():
     # a graph made from a shell must pass every shell check, so only
     # build_shell_graph, which runs them, and from_edges, which makes a bare
